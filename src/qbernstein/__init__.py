@@ -29,6 +29,7 @@ from .families import (
     prob_bernoulli_higher,
     prob_euler,
     prob_qbernstein,
+    prob_qbernstein_gf,
     prob_qbernstein_laurent,
     prob_stirling2,
     qbernstein,
@@ -58,7 +59,8 @@ __all__ = [
     "Geometric", "NegBinomial", "Poisson", "Uniform01",
     "bell_poly", "bernstein_classical", "euler_poly", "frobenius_euler",
     "higher_bernoulli", "prob_bernoulli", "prob_bernoulli_higher", "prob_euler",
-    "prob_qbernstein", "prob_qbernstein_laurent", "prob_stirling2",
+    "prob_qbernstein", "prob_qbernstein_gf", "prob_qbernstein_laurent",
+    "prob_stirling2",
     "qbernstein", "stirling2",
     "carlitz_beta", "fermionic", "integrate_corollaries",
     "integrate_weighted_term", "q_euler", "volkenborn",

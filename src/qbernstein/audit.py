@@ -54,6 +54,7 @@ from .families import (
     prob_bernoulli_higher,
     prob_euler,
     prob_qbernstein,
+    prob_qbernstein_gf,
     prob_qbernstein_laurent,
     prob_stirling2,
     stirling2,
@@ -210,10 +211,6 @@ def _latex_escape(text) -> str:
 def render_value(v) -> str:
     if isinstance(v, tuple):
         return "(" + " | ".join(render_value(x) for x in v) + ")"
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (Laurent, LogPoly, Series)):
-        return str(v)
     return str(v)
 
 
@@ -261,38 +258,45 @@ def draw_classical_point(rng: random.Random) -> QPoint:
     return QPoint.classical(F(c, d))
 
 
+# One parameter draw per law kind.  draw_law picks a kind by its position
+# here, so the order of the entries is part of every seeded draw.
+LAW_POOLS: dict[str, Callable[[random.Random], Distribution]] = {
+    "poisson": lambda rng: Poisson(rng.choice(ALPHA_GRID)),
+    "bernoulli": lambda rng: Bernoulli(rng.choice(P1_GRID)),
+    "binomial": lambda rng: Binomial(rng.choice(TRIALS_GRID), rng.choice(P1_GRID)),
+    "geometric": lambda rng: Geometric(rng.choice(P1_GRID)),
+    "negbinomial": lambda rng: NegBinomial(
+        rng.choice(SUCCESSES_GRID), rng.choice(P1_GRID)
+    ),
+    "uniform01": lambda rng: Uniform01(),
+}
+
+
 def draw_law(rng: random.Random) -> Distribution:
-    kind = rng.choice(
-        ["poisson", "bernoulli", "binomial", "geometric", "negbinomial", "uniform01"]
-    )
-    if kind == "poisson":
-        return Poisson(rng.choice(ALPHA_GRID))
-    if kind == "bernoulli":
-        return Bernoulli(rng.choice(P1_GRID))
-    if kind == "binomial":
-        return Binomial(rng.choice(TRIALS_GRID), rng.choice(P1_GRID))
-    if kind == "geometric":
-        return Geometric(rng.choice(P1_GRID))
-    if kind == "negbinomial":
-        return NegBinomial(rng.choice(SUCCESSES_GRID), rng.choice(P1_GRID))
-    return Uniform01()
+    return LAW_POOLS[rng.choice(list(LAW_POOLS))](rng)
 
 
 def draw_constant_law(rng: random.Random) -> Distribution:
     return Constant(rng.choice(CONST_GRID))
 
 
-def _draw_rn(rng: random.Random, n_min: int = 0, n_max: int = 6) -> tuple[int, int]:
+# The largest series index any draw asks for; a run needs at least this order.
+MAX_DRAWN_INDEX = 6
+
+
+def _draw_rn(
+    rng: random.Random, n_min: int = 0, n_max: int = MAX_DRAWN_INDEX
+) -> tuple[int, int]:
     n = rng.randrange(n_min, n_max + 1)
     r = rng.randrange(0, n + 1)
     return r, n
 
 
-def _point_draw_rn(pool, n_min: int = 0):
+def _point_draw_rn(pool, n_min: int = 0, n_max: int = MAX_DRAWN_INDEX):
     def draw(rng: random.Random) -> CaseDraw:
         dist = pool(rng)
         point = draw_qpoint(rng)
-        r, n = _draw_rn(rng, n_min=n_min)
+        r, n = _draw_rn(rng, n_min, n_max)
         return CaseDraw(dist, point, {"r": r, "n": n})
 
     return draw
@@ -486,23 +490,15 @@ def eval_t26_verbatim(draw: CaseDraw, order: int):
     return lhs, rhs
 
 
-def _gf_series(dist, r, x_val, one_minus, order):
-    if r < 0:
-        return Series.zero(order)
-    powered = dist.mgf_series(order).pow(one_minus)
-    front = Series.monomial(r, x_val**r * F(1, math.factorial(r)), order)
-    return front * powered
-
-
 def eval_t26_corrected(draw: CaseDraw, order: int):
     dist, point = draw.dist, draw.point
     r = draw.indices["r"]
     x_val, _, one_minus = _brackets(point)
     m_series = dist.mgf_series(order)
-    f_r = _gf_series(dist, r, x_val, one_minus, order)
+    f_r = prob_qbernstein_gf(dist, r, point, order)
     lhs = f_r.derive()
     ratio = m_series.derive() * m_series.recip().truncate(order - 1)
-    rhs = (x_val * _gf_series(dist, r - 1, x_val, one_minus, order)).truncate(
+    rhs = (x_val * prob_qbernstein_gf(dist, r - 1, point, order)).truncate(
         order - 1
     ) + one_minus * (f_r.truncate(order - 1) * ratio)
     return lhs, rhs
@@ -531,14 +527,6 @@ def _t27_eval(corrected: bool):
         return lhs, term1 + term2
 
     return evaluate
-
-
-def _t27_draw(rng: random.Random) -> CaseDraw:
-    dist = draw_law(rng)
-    point = draw_qpoint(rng)
-    n = rng.randrange(1, 6)
-    r = rng.randrange(0, n + 1)
-    return CaseDraw(dist, point, {"r": r, "n": n})
 
 
 def _t28_eval(verbatim: bool):
@@ -826,47 +814,6 @@ def _classical_draw_rn(with_law: bool):
     return draw
 
 
-def _poisson_draw(rng: random.Random) -> CaseDraw:
-    dist = Poisson(rng.choice(ALPHA_GRID))
-    point = draw_qpoint(rng)
-    r, n = _draw_rn(rng)
-    return CaseDraw(dist, point, {"r": r, "n": n})
-
-
-def _bernoulli_draw(rng: random.Random) -> CaseDraw:
-    dist = Bernoulli(rng.choice(P1_GRID))
-    point = draw_qpoint(rng)
-    r, n = _draw_rn(rng)
-    return CaseDraw(dist, point, {"r": r, "n": n})
-
-
-def _binomial_draw(rng: random.Random) -> CaseDraw:
-    dist = Binomial(rng.choice(TRIALS_GRID), rng.choice(P1_GRID))
-    point = draw_qpoint(rng)
-    r, n = _draw_rn(rng)
-    return CaseDraw(dist, point, {"r": r, "n": n})
-
-
-def _geometric_draw(rng: random.Random) -> CaseDraw:
-    dist = Geometric(rng.choice(P1_GRID))
-    point = draw_qpoint(rng)
-    r, n = _draw_rn(rng)
-    return CaseDraw(dist, point, {"r": r, "n": n})
-
-
-def _negbinomial_draw(rng: random.Random) -> CaseDraw:
-    dist = NegBinomial(rng.choice(SUCCESSES_GRID), rng.choice(P1_GRID))
-    point = draw_qpoint(rng)
-    r, n = _draw_rn(rng)
-    return CaseDraw(dist, point, {"r": r, "n": n})
-
-
-def _uniform_draw(rng: random.Random) -> CaseDraw:
-    point = draw_qpoint(rng)
-    r, n = _draw_rn(rng)
-    return CaseDraw(Uniform01(), point, {"r": r, "n": n})
-
-
 # ---------------------------------------------------------------------------
 # the registry
 
@@ -956,13 +903,15 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.7", "verbatim",
         "exponent-variable derivative as a formal-log Laurent identity",
-        "record", _t27_draw, _t27_eval(corrected=False),
+        "record", _point_draw_rn(draw_law, n_min=1, n_max=5),
+        _t27_eval(corrected=False),
     ),
     IdentityCase(
         "T2.7", "corrected",
         "exponent-variable derivative with the factorial weight restored "
         "in the logarithmic expansion",
-        "record", _t27_draw, _t27_eval(corrected=True),
+        "record", _point_draw_rn(draw_law, n_min=1, n_max=5),
+        _t27_eval(corrected=True),
     ),
     IdentityCase(
         "T2.8", "verbatim",
@@ -983,66 +932,66 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T3.1", "verbatim",
         "Poisson law: values reduce to Bell polynomial evaluations",
-        "pass", _poisson_draw, eval_t31,
+        "pass", _point_draw_rn(LAW_POOLS["poisson"]), eval_t31,
     ),
     IdentityCase(
         "T3.2", "corrected",
         "Poisson law: partition-number expansion with the complement-bracket "
         "power restored",
-        "pass", _poisson_draw, eval_t32_corrected,
+        "pass", _point_draw_rn(LAW_POOLS["poisson"]), eval_t32_corrected,
     ),
     IdentityCase(
         "C3.1", "verbatim",
         "Poisson law: fully expanded double sum in powers of t",
-        "pass", _poisson_draw, eval_c31,
+        "pass", _point_draw_rn(LAW_POOLS["poisson"]), eval_c31,
     ),
     IdentityCase(
         "C3.2", "verbatim",
         "Poisson law: bosonic integral versus the printed closed form",
-        "record", _poisson_draw, eval_c32,
+        "record", _point_draw_rn(LAW_POOLS["poisson"]), eval_c32,
         notes="the printed prefactor and index token are evaluated literally, "
         "with the zero token read as the formal-log limit value",
     ),
     IdentityCase(
         "C3.3", "verbatim",
         "Poisson law: fermionic integral versus the printed closed form",
-        "record", _poisson_draw, eval_c33,
+        "record", _point_draw_rn(LAW_POOLS["poisson"]), eval_c33,
     ),
     IdentityCase(
         "T3.3", "verbatim",
         "Bernoulli law: falling-factorial partition expansion",
-        "pass", _bernoulli_draw, eval_t33,
+        "pass", _point_draw_rn(LAW_POOLS["bernoulli"]), eval_t33,
     ),
     IdentityCase(
         "T3.4", "corrected",
         "Binomial law: falling factorial taken at the trial count times the "
         "complement bracket",
-        "pass", _binomial_draw, eval_t34_corrected,
+        "pass", _point_draw_rn(LAW_POOLS["binomial"]), eval_t34_corrected,
         notes="the printed argument reuses the series index where the trial "
         "count belongs",
     ),
     IdentityCase(
         "T3.5", "verbatim",
         "Geometric law: signed reduction to Frobenius-Euler values",
-        "pass", _geometric_draw, eval_t35,
+        "pass", _point_draw_rn(LAW_POOLS["geometric"]), eval_t35,
         notes="read with the failure probability as the deformation "
         "parameter, order the complement bracket, argument zero",
     ),
     IdentityCase(
         "T3.6", "verbatim",
         "Negative-binomial law: mixed classical-basis expansion (as printed)",
-        "record", _negbinomial_draw, eval_t36_verbatim,
+        "record", _point_draw_rn(LAW_POOLS["negbinomial"]), eval_t36_verbatim,
     ),
     IdentityCase(
         "T3.6", "corrected",
         "Negative-binomial law: exponential-shift expansion derived from the "
         "MGF factorization",
-        "pass", _negbinomial_draw, eval_t36_corrected,
+        "pass", _point_draw_rn(LAW_POOLS["negbinomial"]), eval_t36_corrected,
     ),
     IdentityCase(
         "T3.7", "verbatim",
         "Uniform law: reduction to higher-order Bernoulli numbers",
-        "pass", _uniform_draw, eval_t37,
+        "pass", _point_draw_rn(LAW_POOLS["uniform01"]), eval_t37,
     ),
     IdentityCase(
         "R2.1", "verbatim",
@@ -1114,6 +1063,8 @@ def run_all(seed: int, trials: int, order: int) -> AuditReport:
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    if order < MAX_DRAWN_INDEX:
+        raise ValueError(f"order below the largest drawn index {MAX_DRAWN_INDEX}")
     report = AuditReport(seed=seed, trials=trials, order=order)
     for case in sorted(REGISTRY, key=lambda cs: (cs.id, cs.variant)):
         for trial in range(trials):

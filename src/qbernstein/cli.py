@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -40,22 +39,9 @@ from .distributions import (
     Uniform01,
 )
 from .qcalc import QPoint, bracket_in_t
-from .rings import Laurent, LogPoly
+from .rings import Laurent
 
 DEFAULT_ORDER = 16
-
-
-def default_order() -> int:
-    raw = os.environ.get("QBERN_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(f"QBERN_ORDER must be a nonnegative integer, got {raw!r}")
-    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -63,6 +49,11 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+
+
+def parse_moments(text: str) -> tuple:
+    """A comma-separated list of exact rationals."""
+    return tuple(parse_rational(part) for part in text.split(","))
 
 
 def parse_range(text: str) -> range:
@@ -102,7 +93,8 @@ def _add_dist_args(parser: argparse.ArgumentParser):
     parser.add_argument("--a", type=int, help="negative-binomial success count")
     parser.add_argument("--value", type=parse_rational, help="constant law value")
     parser.add_argument(
-        "--moments", help="comma-separated exact moments for the custom law"
+        "--moments", type=parse_moments,
+        help="comma-separated exact moments for the custom law",
     )
 
 
@@ -138,7 +130,7 @@ def _build_dist(args):
             _require(args.value is not None, "--value is required for constant")
             return Constant(args.value)
         _require(args.moments is not None, "--moments is required for custom")
-        return CustomMoments(tuple(Fraction(p) for p in args.moments.split(",")))
+        return CustomMoments(args.moments)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -237,73 +229,45 @@ def cmd_table(args) -> int:
     return 0
 
 
-_EVAL_FAMILIES = [
-    "qbernstein", "prob-qbernstein", "bernstein", "stirling2", "prob-stirling2",
-    "bell", "euler", "higher-bernoulli", "frobenius-euler", "prob-euler",
-    "prob-bernoulli", "prob-bernoulli-higher", "carlitz-beta", "q-euler",
-]
+# family -> (function, its arguments in order); "dist" and "point" are built
+# from the law and point flags, every other name is the flag of that name.
+_EVAL_FAMILIES = {
+    "qbernstein": (families.qbernstein, ("r", "n", "point")),
+    "prob-qbernstein": (families.prob_qbernstein, ("dist", "r", "n", "point")),
+    "bernstein": (families.bernstein_classical, ("r", "n", "x")),
+    "stirling2": (families.stirling2, ("n", "m")),
+    "prob-stirling2": (families.prob_stirling2, ("dist", "n", "m")),
+    "bell": (families.bell_poly, ("n", "arg")),
+    "euler": (families.euler_poly, ("n", "arg")),
+    "higher-bernoulli": (families.higher_bernoulli, ("n", "order_param", "arg")),
+    "frobenius-euler": (
+        families.frobenius_euler, ("n", "order_param", "arg", "u"),
+    ),
+    "prob-euler": (families.prob_euler, ("dist", "n", "arg")),
+    "prob-bernoulli": (families.prob_bernoulli, ("dist", "n", "arg")),
+    "prob-bernoulli-higher": (
+        families.prob_bernoulli_higher, ("dist", "n", "r", "arg"),
+    ),
+    "carlitz-beta": (padic.carlitz_beta, ("r", "q")),
+    "q-euler": (padic.q_euler, ("r", "q")),
+}
 
 
 def cmd_eval(args) -> int:
     fam = args.family
     dist = _build_dist(args)
+    func, names = _EVAL_FAMILIES[fam]
 
-    def need_dist():
-        _require(dist is not None, f"--dist is required for family {fam}")
-        return dist
-
-    def need(value, flag):
+    def argument(name):
+        if name == "point":
+            return _build_point(args)
+        value = dist if name == "dist" else getattr(args, name)
+        flag = "--" + name.replace("_", "-")
         _require(value is not None, f"{flag} is required for family {fam}")
         return value
 
     try:
-        if fam == "qbernstein":
-            value = families.qbernstein(need(args.r, "--r"), need(args.n, "--n"), _build_point(args))
-        elif fam == "prob-qbernstein":
-            value = families.prob_qbernstein(
-                need_dist(), need(args.r, "--r"), need(args.n, "--n"), _build_point(args)
-            )
-        elif fam == "bernstein":
-            value = families.bernstein_classical(
-                need(args.r, "--r"), need(args.n, "--n"), need(args.x, "--x")
-            )
-        elif fam == "stirling2":
-            value = families.stirling2(need(args.n, "--n"), need(args.m, "--m"))
-        elif fam == "prob-stirling2":
-            value = families.prob_stirling2(
-                need_dist(), need(args.n, "--n"), need(args.m, "--m")
-            )
-        elif fam == "bell":
-            value = families.bell_poly(need(args.n, "--n"), need(args.arg, "--arg"))
-        elif fam == "euler":
-            value = families.euler_poly(need(args.n, "--n"), need(args.arg, "--arg"))
-        elif fam == "higher-bernoulli":
-            value = families.higher_bernoulli(
-                need(args.n, "--n"), need(args.order_param, "--order-param"),
-                need(args.arg, "--arg"),
-            )
-        elif fam == "frobenius-euler":
-            value = families.frobenius_euler(
-                need(args.n, "--n"), need(args.order_param, "--order-param"),
-                need(args.arg, "--arg"), need(args.u, "--u"),
-            )
-        elif fam == "prob-euler":
-            value = families.prob_euler(
-                need_dist(), need(args.n, "--n"), need(args.arg, "--arg")
-            )
-        elif fam == "prob-bernoulli":
-            value = families.prob_bernoulli(
-                need_dist(), need(args.n, "--n"), need(args.arg, "--arg")
-            )
-        elif fam == "prob-bernoulli-higher":
-            value = families.prob_bernoulli_higher(
-                need_dist(), need(args.n, "--n"), need(args.r, "--r"),
-                need(args.arg, "--arg"),
-            )
-        elif fam == "carlitz-beta":
-            value = padic.carlitz_beta(need(args.r, "--r"), need(args.q, "--q"))
-        else:  # q-euler
-            value = padic.q_euler(need(args.r, "--r"), need(args.q, "--q"))
+        value = func(*(argument(name) for name in names))
     except ValueError as exc:
         raise ComputationError(f"{fam}: {exc}")
     print(value)
@@ -313,7 +277,8 @@ def cmd_eval(args) -> int:
 def cmd_series(args) -> int:
     dist = _build_dist(args)
     _require(dist is not None, "--dist is required")
-    order = args.order if args.order is not None else default_order()
+    order = args.order
+    _require(order >= 0, "--order must be nonnegative")
     try:
         if args.kind == "mgf":
             s = dist.mgf_series(order)
@@ -321,16 +286,8 @@ def cmd_series(args) -> int:
             s = dist.mgf_series(order).log()
         else:  # qbernstein-gf
             _require(args.r is not None, "--r is required for the qbernstein-gf kind")
-            point = _build_point(args)
-            from .qcalc import bracket, bracket_conjugates
-            from .series import Series
-            import math as _math
-
-            x_val = bracket(point)
-            one_minus = bracket_conjugates(point)[1]
-            s = Series.monomial(
-                args.r, x_val**args.r * Fraction(1, _math.factorial(args.r)), order
-            ) * dist.mgf_series(order).pow(one_minus)
+            _require(args.r >= 0, "--r must be nonnegative")
+            s = families.prob_qbernstein_gf(dist, args.r, _build_point(args), order)
     except ValueError as exc:
         raise ComputationError(str(exc))
     out, close = _open_out(args.out)
@@ -417,8 +374,13 @@ def cmd_padic(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    order = args.order if args.order is not None else default_order()
-    report = audit_mod.run_all(seed=args.seed, trials=args.trials, order=order)
+    _require(args.trials >= 1, "--trials must be at least 1")
+    least = audit_mod.MAX_DRAWN_INDEX
+    _require(
+        args.order >= least,
+        f"--order must be at least {least}, the largest index the audit draws",
+    )
+    report = audit_mod.run_all(seed=args.seed, trials=args.trials, order=args.order)
     if args.format == "json-lines":
         payload = report.to_jsonl()
     elif args.format == "csv":
@@ -483,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=["mgf", "log-mgf", "qbernstein-gf"], default="mgf"
     )
     p_series.add_argument("--r", type=int)
-    p_series.add_argument("--order", type=int)
+    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_series.add_argument("--format", choices=["csv", "json-lines"], default="csv")
     p_series.add_argument("--out")
     p_series.set_defaults(func=cmd_series)
@@ -502,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run the identity registry")
     p_audit.add_argument("--seed", type=int, default=42)
     p_audit.add_argument("--trials", type=int, default=5)
-    p_audit.add_argument("--order", type=int)
+    p_audit.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_audit.add_argument(
         "--format", choices=["json-lines", "csv", "latex"], default="json-lines"
     )

@@ -9,7 +9,10 @@ themselves the coefficient formulas of their generating functions.
 
 ``prob_qbernstein`` is the ground truth the audit registry compares everything
 against: the exponential coefficient of (v X)^r / r! times the MGF raised to
-the bracket of 1 - x.
+the bracket of 1 - x.  :func:`prob_qbernstein_gf` is the one place that
+generating function is built.  ``prob_qbernstein_laurent`` reaches the same
+value with x kept symbolic, through the expansion over ``prob_stirling2``
+that the binomial series M^z = sum over m of (z)_m (M - 1)^m / m! gives.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .distributions import Distribution
+from .distributions import Distribution, _mgf_cached
 from .qcalc import QPoint, bracket, bracket_conjugates, bracket_in_t, one_minus_conjugate_in_t
-from .rings import Laurent, Poly
+from .rings import Laurent
 from .series import Series, exp_series
 
 
@@ -41,11 +44,14 @@ def stirling2(n: int, m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _mgf_minus_one_power(d: Distribution, m: int, order: int) -> Series:
-    base = d.mgf_series(order) - 1
-    out = Series.one(order)
-    for _ in range(m):
-        out = out * base
-    return out
+    """(M - 1)^m through ``order``: one multiply onto the cached (m - 1)-th
+    power.  The lower powers are filled in ascending order first, so the
+    recursion below stays one level deep whatever m is."""
+    if m == 0:
+        return Series.one(order)
+    for j in range(1, m):
+        _mgf_minus_one_power(d, j, order)
+    return _mgf_minus_one_power(d, m - 1, order) * (_mgf_cached(d, order) - 1)
 
 
 def prob_stirling2(d: Distribution, n: int, m: int) -> Fraction:
@@ -166,44 +172,41 @@ def _mgf_power(d: Distribution, exponent: Fraction, order: int) -> Series:
     return d.mgf_series(order).pow(exponent)
 
 
+def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series:
+    """The generating function (v X)^r / r! * M^X1 through ``order``, with X,
+    X1 the brackets of x and 1 - x at ``p``; the zero series for r < 0."""
+    if r < 0:
+        return Series.zero(order)
+    x_val = bracket(p)
+    one_minus = bracket_conjugates(p)[1]
+    front = Series.monomial(r, x_val**r * Fraction(1, math.factorial(r)), order)
+    return front * _mgf_power(d, one_minus, order)
+
+
 def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:
     """Ground truth: the exponential coefficient at index n of
     (v X)^r / r! * M^X1, with X, X1 the brackets of x and 1 - x at ``p``."""
     _check_indices(r, n)
-    x_val = bracket(p)
-    one_minus = bracket_conjugates(p)[1]
-    powered = _mgf_power(d, one_minus, n)
-    front = Series.monomial(r, x_val**r * Fraction(1, math.factorial(r)), n)
-    return (front * powered).egf_coeff(n)
-
-
-@lru_cache(maxsize=None)
-def _mgf_symbolic_power(d: Distribution, order: int) -> Series:
-    """MGF raised to a formal exponent symbol; coefficients are Poly values."""
-    return d.mgf_series(order).pow(Poly.x())
+    return prob_qbernstein_gf(d, r, p, n).egf_coeff(n)
 
 
 def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Laurent:
     """The same value as :func:`prob_qbernstein` but with the x-dependence
     kept as a Laurent polynomial in t.
 
-    The MGF is raised to a formal exponent symbol, the relevant exponential
-    coefficient is taken as a polynomial in that symbol, and the symbol is
-    substituted by the bracket of 1 - x written in t.  Evaluating the result
-    at any point with the same q reproduces the scalar value exactly.
+    With k = n - r and X1 the bracket of 1 - x written in t, the value is
+    binom(n, r) X^r times the sum over m <= k of (X1)_m prob_stirling2(d, k, m),
+    the exponential coefficient of M^X1 by the binomial series.  The sum is
+    evaluated by Horner's rule in the falling-factorial basis.  Substituting
+    any t with the same q reproduces the scalar value exactly.
     """
     _check_indices(r, n)
-    q = Fraction(q)
-    if q <= 0 or q == 1:
-        raise ValueError("q must be a positive rational different from 1")
-    symbolic = _mgf_symbolic_power(d, n - r)
-    coeff = symbolic.egf_coeff(n - r)
-    target = one_minus_conjugate_in_t(q)
-    substituted = coeff(target) if isinstance(coeff, Poly) else Laurent({0: coeff})
-    if not isinstance(substituted, Laurent):
-        substituted = Laurent({0: substituted})
-    x_part = bracket_in_t(q) ** r
-    return math.comb(n, r) * x_part * substituted
+    k = n - r
+    one_minus = one_minus_conjugate_in_t(q)
+    total = Laurent()
+    for m in range(k, -1, -1):
+        total = total * (one_minus - m) + prob_stirling2(d, k, m)
+    return math.comb(n, r) * bracket_in_t(q) ** r * total
 
 
 def _check_indices(r: int, n: int):

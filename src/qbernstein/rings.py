@@ -6,9 +6,8 @@ anywhere in this package.
 
 Three small ring classes are layered on top of it:
 
-  Poly     dense univariate polynomial over Fraction in one formal symbol,
-           used as a placeholder exponent when a power series is raised to a
-           symbolic power.
+  Poly     dense univariate polynomial over Fraction in one formal symbol;
+           a general-purpose ring that no value route of the package uses.
   Laurent  sparse Laurent polynomial in the evaluation symbol t (integer
            exponents, possibly negative).  Coefficients are Fraction, or
            LogPoly when a formal logarithm enters through differentiation.

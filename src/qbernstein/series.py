@@ -2,8 +2,8 @@
 
 A :class:`Series` stores the ordinary coefficients a_0 .. a_N of
 a_0 + a_1 v + ... + a_N v^N and every operation is exact through order N.
-Coefficients may be Fraction, Poly, Laurent or LogPoly; the only requirement
-is that they support exact ring arithmetic with each other and with Fraction.
+Coefficients may be Fraction, Laurent or LogPoly; the only requirement is
+that they support exact ring arithmetic with each other and with Fraction.
 
 The exponential-generating-function convention lives in one place only:
 :meth:`Series.egf_coeff` returns n! * a_n.  Everything upstream of that call
@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable
-
-from .rings import Poly
 
 
 class Series:
@@ -140,12 +138,8 @@ class Series:
         return Series(out)
 
     def pow(self, exponent) -> "Series":
-        """Raise to an arbitrary exponent as exp(exponent * log(self)).
-
-        The exponent may be a Fraction, an integer, or a :class:`Poly`
-        (formal symbol), in which case the coefficients of the result are
-        polynomials in that symbol.  Requires constant term 1.
-        """
+        """Raise to an exact scalar exponent (a Fraction or an integer) as
+        exp(exponent * log(self)).  Requires constant term 1."""
         if not self.coeffs[0] == 1:
             raise ValueError("series pow needs constant term 1")
         return (self.log() * exponent).exp()
@@ -173,10 +167,6 @@ class Series:
                 f"index {n} exceeds truncation order {self.order}"
             )
         return math.factorial(n) * self.coeffs[n]
-
-    def substitute_symbol(self, value) -> "Series":
-        """Replace the formal exponent symbol in Poly coefficients by a value."""
-        return Series(c(value) if isinstance(c, Poly) else c for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Series):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from qbernstein.audit import (
+    MAX_DRAWN_INDEX,
     REGISTRY,
     AuditReport,
     CaseDraw,
@@ -145,6 +146,13 @@ def test_non_executable_entry_reports_skip():
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         run_all(seed=1, trials=0, order=9)
+
+
+def test_order_must_cover_every_drawn_index():
+    with pytest.raises(ValueError):
+        run_all(seed=1, trials=1, order=MAX_DRAWN_INDEX - 1)
+    report = run_all(seed=2, trials=2, order=MAX_DRAWN_INDEX)
+    assert not report.expected_pass_failures()
 
 
 def test_report_summary_mentions_every_case():

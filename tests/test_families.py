@@ -8,6 +8,7 @@ from qbernstein.distributions import (
     Bernoulli,
     Binomial,
     Constant,
+    CustomMoments,
     Geometric,
     NegBinomial,
     Poisson,
@@ -97,6 +98,24 @@ def test_prob_stirling2_is_lower_triangular():
         for m in range(1, 7):
             for n in range(m):
                 assert prob_stirling2(law, n, m) == 0
+
+
+def test_prob_stirling2_against_closed_forms():
+    """Bernoulli: M - 1 = p (e^v - 1), so the value is p^m S(n, m).  Poisson:
+    M - 1 = e^(alpha (e^v - 1)) - 1, and composing the two exponential
+    generating functions gives the sum over j of alpha^j S(n, j) S(j, m).
+    Queried in shuffled order at laws no other test uses, so the powers of
+    M - 1 are built on demand from whatever prefix is already there."""
+    alpha, p1 = F(5, 7), F(2, 9)
+    poisson, bernoulli = Poisson(alpha), Bernoulli(p1)
+    pairs = [(n, m) for n in range(9) for m in range(n + 2)]
+    random.Random(88).shuffle(pairs)
+    s = set_partition_count
+    for n, m in pairs:
+        assert prob_stirling2(bernoulli, n, m) == p1**m * s(n, m)
+        assert prob_stirling2(poisson, n, m) == sum(
+            alpha**j * s(n, j) * s(j, m) for j in range(n + 1)
+        )
 
 
 def test_bell_poly_values():
@@ -239,16 +258,16 @@ def test_prob_qbernstein_examples():
 
 
 def test_prob_qbernstein_laurent_matches_scalar_route():
-    rng = random.Random(505)
-    laws = SIX_LAWS + [Constant(F(2))]
-    points = _random_points(20, 906)
-    for i in range(20):
-        law = laws[rng.randrange(len(laws))]
-        p = points[i]
-        n = rng.randrange(0, 7)
-        r = rng.randrange(0, n + 1)
-        lau = prob_qbernstein_laurent(law, r, n, p.q)
-        assert lau.substitute(p.t) == prob_qbernstein(law, r, n, p)
+    """The Laurent route (expansion over prob_stirling2) substituted at a
+    point equals the scalar route (Series.pow at the rational bracket)."""
+    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11)))
+    laws = SIX_LAWS + [Constant(F(2)), Constant(F(0)), custom]
+    points = _random_points(len(laws), 906)
+    for law, p in zip(laws, points):
+        for n in range(11):
+            for r in range(n + 1):
+                lau = prob_qbernstein_laurent(law, r, n, p.q)
+                assert lau.substitute(p.t) == prob_qbernstein(law, r, n, p)
 
 
 def test_prob_qbernstein_laurent_trivial_forms():
