@@ -68,10 +68,6 @@ def parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def render_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def render_latex_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -79,14 +75,21 @@ def render_latex_rational(value: Fraction) -> str:
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
+# law name -> (its class, the flags its constructor takes, in order)
+_LAWS = {
+    "poisson": (Poisson, ("alpha",)),
+    "bernoulli": (Bernoulli, ("p1",)),
+    "binomial": (Binomial, ("nbar", "p1")),
+    "geometric": (Geometric, ("p1",)),
+    "negbinomial": (NegBinomial, ("a", "p1")),
+    "uniform01": (Uniform01, ()),
+    "constant": (Constant, ("value",)),
+    "custom": (CustomMoments, ("moments",)),
+}
+
+
 def _add_dist_args(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--dist",
-        choices=[
-            "poisson", "bernoulli", "binomial", "geometric",
-            "negbinomial", "uniform01", "constant", "custom",
-        ],
-    )
+    parser.add_argument("--dist", choices=_LAWS)
     parser.add_argument("--alpha", type=parse_rational)
     parser.add_argument("--p1", type=parse_rational)
     parser.add_argument("--nbar", type=int, help="binomial trial count")
@@ -99,38 +102,15 @@ def _add_dist_args(parser: argparse.ArgumentParser):
 
 
 def _build_dist(args):
-    name = args.dist
-    if name is None:
+    if args.dist is None:
         return None
+    cls, flags = _LAWS[args.dist]
+    values = [getattr(args, flag) for flag in flags]
+    names = " and ".join("--" + flag for flag in flags)
+    verb = "is" if len(flags) == 1 else "are"
+    _require(None not in values, f"{names} {verb} required for {args.dist}")
     try:
-        if name == "poisson":
-            _require(args.alpha is not None, "--alpha is required for poisson")
-            return Poisson(args.alpha)
-        if name == "bernoulli":
-            _require(args.p1 is not None, "--p1 is required for bernoulli")
-            return Bernoulli(args.p1)
-        if name == "binomial":
-            _require(
-                args.nbar is not None and args.p1 is not None,
-                "--nbar and --p1 are required for binomial",
-            )
-            return Binomial(args.nbar, args.p1)
-        if name == "geometric":
-            _require(args.p1 is not None, "--p1 is required for geometric")
-            return Geometric(args.p1)
-        if name == "negbinomial":
-            _require(
-                args.a is not None and args.p1 is not None,
-                "--a and --p1 are required for negbinomial",
-            )
-            return NegBinomial(args.a, args.p1)
-        if name == "uniform01":
-            return Uniform01()
-        if name == "constant":
-            _require(args.value is not None, "--value is required for constant")
-            return Constant(args.value)
-        _require(args.moments is not None, "--moments is required for custom")
-        return CustomMoments(args.moments)
+        return cls(*values)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -207,12 +187,12 @@ def cmd_table(args) -> int:
             writer = csv.writer(out)
             writer.writerow(["n", "r", "value"])
             for n, r, v in rows:
-                writer.writerow([n, r, render_rational(v)])
+                writer.writerow([n, r, str(v)])
         elif args.format == "json-lines":
             for n, r, v in rows:
                 out.write(
                     json.dumps(
-                        {"n": n, "r": r, "value": render_rational(v)},
+                        {"n": n, "r": r, "value": str(v)},
                         separators=(",", ":"),
                     )
                     + "\n"
@@ -298,8 +278,8 @@ def cmd_series(args) -> int:
                     json.dumps(
                         {
                             "n": n,
-                            "coeff": render_rational(coeff),
-                            "egf": render_rational(s.egf_coeff(n)),
+                            "coeff": str(coeff),
+                            "egf": str(s.egf_coeff(n)),
                         },
                         separators=(",", ":"),
                     )
@@ -311,9 +291,7 @@ def cmd_series(args) -> int:
             writer = csv.writer(out)
             writer.writerow(["n", "coeff", "egf"])
             for n, coeff in enumerate(s.coeffs):
-                writer.writerow(
-                    [n, render_rational(coeff), render_rational(s.egf_coeff(n))]
-                )
+                writer.writerow([n, str(coeff), str(s.egf_coeff(n))])
     finally:
         if close:
             out.close()

@@ -5,6 +5,10 @@ Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  Moments are read off the MGF as
 exponential coefficients, so there is a single source of truth per law; the
 closed-form moment routes live in the test suite as independent oracles.
+
+:func:`mgf_table` is the package's one cache: per law, an :class:`MgfTable`
+holding M, (M - 1)^m and M^z at the largest order asked for so far.  A series
+truncated at order N is a prefix of the same series at any higher order.
 """
 
 from __future__ import annotations
@@ -29,18 +33,13 @@ class Distribution:
         """E[Y^n], extracted from the MGF."""
         if n < 0:
             raise ValueError("moment index must be nonnegative")
-        return _mgf_cached(self, n).egf_coeff(n)
+        return mgf_table(self).series(n).egf_coeff(n)
 
     def mean(self) -> Fraction:
         return self.moment(1)
 
     def param_string(self) -> str:
         return ""
-
-
-@lru_cache(maxsize=None)
-def _mgf_cached(dist: Distribution, order: int) -> Series:
-    return dist.mgf_series(order)
 
 
 def _check_p1(p1: Fraction) -> Fraction:
@@ -213,3 +212,55 @@ class CustomMoments(Distribution):
 
     def param_string(self) -> str:
         return "moments=" + ",".join(str(m) for m in self.moments)
+
+
+class MgfTable:
+    """M, the powers (M - 1)^m and M^z of one law, each at the largest order
+    asked for so far; a lower order is read from the prefix.  Each query
+    builds before it stores, so a law short of the order asked for (a
+    :class:`CustomMoments` law) raises and leaves the table as it was."""
+
+    def __init__(self, dist: Distribution):
+        self.dist = dist
+        self._mgf = dist.mgf_series(0)
+        self._minus_one = [[Fraction(1)]]  # coefficients of (M - 1)^m, m = 0, 1, ...
+        self._powers = {}  # z -> M^z, at most 16 exponents
+
+    def series(self, order: int) -> Series:
+        """M through ``order``."""
+        if self._mgf.order < order:
+            self._mgf = self.dist.mgf_series(order)
+        return self._mgf.truncate(order)
+
+    def minus_one_coeff(self, m: int, n: int) -> Fraction:
+        """The coefficient of v^n in (M - 1)^m, for 0 <= m <= n.  Growing to
+        order n appends to each held power its new coefficients only;
+        (M - 1)^j starts at v^j since M has constant term 1."""
+        powers = self._minus_one
+        if len(powers[-1]) <= n:
+            b = self.series(n).coeffs
+            powers[0].extend([Fraction(0)] * (n + 1 - len(powers[0])))
+            for j in range(1, n + 1):
+                if j == len(powers):
+                    powers.append([])
+                prev, power = powers[j - 1], powers[j]
+                for k in range(len(power), n + 1):
+                    terms = (prev[i] * b[k - i] for i in range(j - 1, k))
+                    power.append(sum(terms, Fraction(0)))
+        return powers[m][n]
+
+    def power(self, z, order: int) -> Series:
+        """M^z through ``order``, rebuilt only when asked above its order."""
+        held = self._powers.get(z)
+        if held is None or held.order < order:
+            held = self.series(order).pow(z)
+            if z not in self._powers and len(self._powers) == 16:
+                del self._powers[next(iter(self._powers))]
+            self._powers[z] = held
+        return held.truncate(order)
+
+
+@lru_cache(maxsize=64)
+def mgf_table(dist: Distribution) -> MgfTable:
+    """The table of ``dist``, shared by equal laws."""
+    return MgfTable(dist)

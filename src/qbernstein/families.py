@@ -13,45 +13,29 @@ the bracket of 1 - x.  :func:`prob_qbernstein_gf` is the one place that
 generating function is built.  ``prob_qbernstein_laurent`` reaches the same
 value with x kept symbolic, through the expansion over ``prob_stirling2``
 that the binomial series M^z = sum over m of (z)_m (M - 1)^m / m! gives.
+
+The law-dependent families read M, (M - 1)^m and M^z from the law's
+:func:`~qbernstein.distributions.mgf_table` and cache nothing themselves.
+:func:`prob_bernoulli_higher` and :func:`prob_euler` raise M to M^z on their
+own, so audit cases comparing them with :func:`prob_qbernstein` keep two routes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .distributions import Distribution, _mgf_cached
+from .distributions import Constant, Distribution, mgf_table
 from .qcalc import QPoint, bracket, bracket_conjugates, bracket_in_t, one_minus_conjugate_in_t
 from .rings import Laurent
 from .series import Series, exp_series
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> Fraction:
-    """Partition-counting numbers of the second kind, via their generating
-    function: m! S(n, m) is the exponential coefficient of (e^v - 1)^m."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if m > n:
-        return Fraction(0)
-    power = Series.one(n)
-    base = exp_series(Fraction(1), n) - 1
-    for _ in range(m):
-        power = power * base
-    return power.egf_coeff(n) / Fraction(math.factorial(m))
-
-
-@lru_cache(maxsize=None)
-def _mgf_minus_one_power(d: Distribution, m: int, order: int) -> Series:
-    """(M - 1)^m through ``order``: one multiply onto the cached (m - 1)-th
-    power.  The lower powers are filled in ascending order first, so the
-    recursion below stays one level deep whatever m is."""
-    if m == 0:
-        return Series.one(order)
-    for j in range(1, m):
-        _mgf_minus_one_power(d, j, order)
-    return _mgf_minus_one_power(d, m - 1, order) * (_mgf_cached(d, order) - 1)
+    """Partition-counting numbers of the second kind: m! S(n, m) is the
+    exponential coefficient of (e^v - 1)^m, and e^v is the MGF of the law
+    Y = 1, so this is :func:`prob_stirling2` at that law."""
+    return prob_stirling2(Constant(Fraction(1)), n, m)
 
 
 def prob_stirling2(d: Distribution, n: int, m: int) -> Fraction:
@@ -61,7 +45,7 @@ def prob_stirling2(d: Distribution, n: int, m: int) -> Fraction:
         raise ValueError("indices must be nonnegative")
     if m > n:
         return Fraction(0)
-    return _mgf_minus_one_power(d, m, n).egf_coeff(n) / Fraction(math.factorial(m))
+    return mgf_table(d).minus_one_coeff(m, n) * math.factorial(n) / math.factorial(m)
 
 
 def bell_poly(n: int, x):
@@ -115,7 +99,7 @@ def prob_bernoulli_higher(d: Distribution, n: int, r: int, z):
     """
     if n < 0 or r < 0:
         raise ValueError("indices must be nonnegative")
-    m_series = d.mgf_series(n + 1)
+    m_series = mgf_table(d).series(n + 1)
     core = Series.one(n)
     scale = Fraction(1)
     if r > 0:
@@ -138,7 +122,7 @@ def prob_euler(d: Distribution, n: int, z):
     """Exponential coefficient of 2/(M + 1) * M^z."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    m_series = d.mgf_series(n)
+    m_series = mgf_table(d).series(n)
     return ((m_series + 1).recip() * 2 * m_series.pow(z)).egf_coeff(n)
 
 
@@ -167,11 +151,6 @@ def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
     return math.comb(n, r) * x_val**r * one_minus ** (n - r)
 
 
-@lru_cache(maxsize=None)
-def _mgf_power(d: Distribution, exponent: Fraction, order: int) -> Series:
-    return d.mgf_series(order).pow(exponent)
-
-
 def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series:
     """The generating function (v X)^r / r! * M^X1 through ``order``, with X,
     X1 the brackets of x and 1 - x at ``p``; the zero series for r < 0."""
@@ -180,7 +159,7 @@ def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series
     x_val = bracket(p)
     one_minus = bracket_conjugates(p)[1]
     front = Series.monomial(r, x_val**r * Fraction(1, math.factorial(r)), order)
-    return front * _mgf_power(d, one_minus, order)
+    return front * mgf_table(d).power(one_minus, order)
 
 
 def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:

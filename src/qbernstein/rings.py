@@ -192,14 +192,6 @@ class LogPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LogPoly is immutable")
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "LogPoly":
-        return cls({0: c})
-
-    @classmethod
-    def log_symbol(cls) -> "LogPoly":
-        return cls({1: 1})
-
     def is_log_free(self) -> bool:
         return all(k == 0 for k in self.terms)
 
@@ -308,19 +300,8 @@ class Laurent:
     def __setattr__(self, name, value):
         raise AttributeError("Laurent is immutable")
 
-    @classmethod
-    def t(cls) -> "Laurent":
-        return cls({1: 1})
-
-    @classmethod
-    def constant(cls, c) -> "Laurent":
-        return cls({0: c})
-
     def min_exponent(self) -> int | None:
         return min(self.terms) if self.terms else None
-
-    def max_exponent(self) -> int | None:
-        return max(self.terms) if self.terms else None
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, LogPoly)):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -21,6 +22,13 @@ from qbernstein.families import bell_poly, prob_qbernstein
 from qbernstein.qcalc import QPoint, bracket, bracket_conjugates
 
 POINT = QPoint(F(2, 3), 1, 2)
+
+# SHA-256 of the audit JSONL at its defaults (5 trials, order 16).  The bytes
+# are a contract: a change that alters them re-pins these and says why.
+AUDIT_DIGESTS = {
+    42: "06c7a7263de44d25d594f222b6ef5895a905dfbc66e6f6167f8eb55341e3cbf4",
+    7: "e679d2169e9c409faa353e1bd70a4590fd018ec5c1fc44aec0639cecb9759010",
+}
 
 
 def test_registry_ids_and_variants_are_unique():
@@ -103,6 +111,12 @@ def test_run_all_is_deterministic_and_sorted():
     assert first.to_csv() == second.to_csv()
     keys = [(r.id, r.variant) for r in first.records]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("seed", sorted(AUDIT_DIGESTS))
+def test_default_audit_jsonl_matches_its_pinned_digest(seed):
+    payload = run_all(seed=seed, trials=5, order=16).to_jsonl().encode()
+    assert hashlib.sha256(payload).hexdigest() == AUDIT_DIGESTS[seed]
 
 
 def test_run_all_expected_passes_hold_on_another_seed():

@@ -78,6 +78,27 @@ def test_usage_error_exits_2(capsys, argv, message):
     assert "Traceback" not in out
 
 
+@pytest.mark.parametrize(
+    "law, message",
+    [
+        (["poisson"], "--alpha is required for poisson"),
+        (["bernoulli"], "--p1 is required for bernoulli"),
+        (["binomial", "--p1", "1/2"], "--nbar and --p1 are required for binomial"),
+        (["binomial", "--nbar", "3"], "--nbar and --p1 are required for binomial"),
+        (["geometric"], "--p1 is required for geometric"),
+        (["negbinomial", "--p1", "1/2"], "--a and --p1 are required for negbinomial"),
+        (["negbinomial", "--a", "2"], "--a and --p1 are required for negbinomial"),
+        (["constant"], "--value is required for constant"),
+        (["custom"], "--moments is required for custom"),
+    ],
+    ids=["poisson", "bernoulli", "binomial-no-nbar", "binomial-no-p1", "geometric",
+         "negbinomial-no-a", "negbinomial-no-p1", "constant", "custom"],
+)
+def test_missing_law_flag_exits_2(capsys, law, message):
+    argv = ["eval", "--family", "prob-stirling2", "--n", "2", "--m", "1", "--dist"]
+    assert run(capsys, argv + law) == (2, f"error: {message}\n")
+
+
 def test_io_error_exits_3(capsys, tmp_path):
     target = tmp_path / "missing" / "table.csv"
     argv = ["table", "--n", "0..2", "--r", "0..2", "--out", str(target)] + POINT

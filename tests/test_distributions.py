@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbernstein.distributions import (
     Bernoulli,
@@ -8,6 +10,7 @@ from qbernstein.distributions import (
     Constant,
     CustomMoments,
     Geometric,
+    MgfTable,
     NegBinomial,
     Poisson,
     Uniform01,
@@ -147,3 +150,72 @@ def test_custom_moments_runs_out_of_data():
 
 def test_degenerate_geometric_is_constant_one():
     assert Geometric(F(1)).mgf_series(6) == exp_series(F(1), 6)
+
+
+def _custom(count):
+    """A moment sequence of ``count`` entries, not that of any named law."""
+    return CustomMoments(tuple(F(k * k + 1, k + 1) for k in range(count)))
+
+
+# the custom law of ALL_LAWS has too few moments for the orders queried here
+TABLE_LAWS = ALL_LAWS[:-1] + [Constant(F(0)), _custom(7)]
+TABLE_EXPONENTS = [F(1, 2), F(-2, 3), F(3)]
+QUERY = st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+def _minus_one_power_at(law, m, n):
+    """(M - 1)^m rebuilt at exactly order n by repeated multiplication."""
+    base = law.mgf_series(n) - 1
+    power = Series.one(n)
+    for _ in range(m):
+        power = power * base
+    return power
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(TABLE_LAWS),
+    st.lists(QUERY, min_size=1, max_size=8),
+    st.sampled_from(TABLE_EXPONENTS),
+)
+def test_table_answers_every_order_from_one_prefix(law, queries, z):
+    """Whatever order the queries come in, a cold table gives the value the
+    series built at exactly that order gives."""
+    for sequence in (queries, sorted(queries), sorted(queries, reverse=True)):
+        table = MgfTable(law)
+        for n, m in sequence:
+            expected = _minus_one_power_at(law, m, n).coeffs[n]
+            assert table.minus_one_coeff(m, n) == expected
+            assert table.series(n) == law.mgf_series(n)
+            assert table.power(z, n) == law.mgf_series(n).pow(z)
+
+
+def _held(table):
+    """A copy of what the table holds."""
+    return table._mgf, [list(p) for p in table._minus_one], dict(table._powers)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 3))
+def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
+    law = _custom(count)
+    table = MgfTable(law)
+    warm = min(warm, count - 1)
+    table.minus_one_coeff(warm, warm)
+    table.power(F(1, 2), warm)
+    before = _held(table)
+    above = count + excess
+    with pytest.raises(ValueError):
+        table.series(above)
+    with pytest.raises(ValueError):
+        table.minus_one_coeff(0, above)
+    with pytest.raises(ValueError):
+        table.power(F(1, 2), above)
+    with pytest.raises(ValueError):
+        law.moment(above)
+    assert _held(table) == before
+    for n in range(count):
+        assert law.moment(n) == law.moments[n]
+        assert table.power(F(1, 2), n) == law.mgf_series(n).pow(F(1, 2))
+        for m in range(n + 1):
+            assert table.minus_one_coeff(m, n) == _minus_one_power_at(law, m, n).coeffs[n]

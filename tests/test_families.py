@@ -81,11 +81,23 @@ def test_stirling2_edge_values():
         assert stirling2(n, 0) == 0
 
 
-def test_prob_stirling2_reduces_at_unit_law():
-    one = Constant(F(1))
-    for n in range(13):
-        for m in range(13):
-            assert prob_stirling2(one, n, m) == stirling2(n, m)
+def _sympy_rational(value) -> F:
+    return F(int(value.p), int(value.q))
+
+
+def test_classical_families_against_sympy():
+    """sympy computes these numbers and polynomials by its own routes."""
+    import sympy
+    from sympy.functions.combinatorial.numbers import stirling
+
+    for n in range(12):
+        for m in range(n + 2):
+            assert stirling2(n, m) == int(stirling(n, m))
+        for x in (F(0), F(1, 2), F(-2, 3), F(3)):
+            sx = sympy.Rational(x.numerator, x.denominator)
+            assert bell_poly(n, x) == _sympy_rational(sympy.bell(n, sx))
+            assert higher_bernoulli(n, 1, x) == _sympy_rational(sympy.bernoulli(n, sx))
+            assert euler_poly(n, x) == _sympy_rational(sympy.euler(n, sx))
 
 
 def test_prob_stirling2_first_value_is_the_mean():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbernstein.rings import Laurent
 from qbernstein.series import Series, exp_series
@@ -154,3 +156,44 @@ def test_exp_series_factorial_convention():
     s = exp_series(F(3, 2), 6)
     for n in range(7):
         assert s.coeffs[n] == F(3, 2) ** n / math.factorial(n)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+ORDER = st.integers(0, 6)
+
+
+@st.composite
+def unit_series(draw):
+    """A series of order at most 6 with constant term 1."""
+    order = draw(ORDER)
+    return Series([F(1)] + draw(st.lists(SMALL, min_size=order, max_size=order)))
+
+
+@st.composite
+def invertible_pair(draw):
+    """Two series of one order, each with a nonzero constant term."""
+    order = draw(ORDER)
+    heads = st.lists(SMALL.filter(bool), min_size=2, max_size=2)
+    return tuple(
+        Series([head] + draw(st.lists(SMALL, min_size=order, max_size=order)))
+        for head in draw(heads)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series(), SMALL, SMALL)
+def test_pow_exponents_add(s, a, b):
+    assert s.pow(a) * s.pow(b) == s.pow(a + b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series())
+def test_exp_inverts_log(s):
+    assert s.log().exp() == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_pair())
+def test_recip_is_multiplicative(pair):
+    s, t = pair
+    assert (s * t).recip() == s.recip() * t.recip()
