@@ -11,7 +11,7 @@ tolerances anywhere.
 Three expectation classes (configuration, not hard-coded asserts):
 
   pass    the identity is expected to hold on every admissible draw; a FAIL
-          here fails the build.
+          or an ERROR (the evaluation raised) here fails the build.
   record  both sides are computed and the outcome is reported, nothing is
           asserted.  Used for printed claims whose stated form does not
           follow from the definitions (wrong or missing factors, degenerate
@@ -177,7 +177,7 @@ class AuditReport:
         counts: dict[tuple, dict] = {}
         for r in self.records:
             key = (r.id, r.variant)
-            counts.setdefault(key, {"PASS": 0, "FAIL": 0, "SKIP": 0})
+            counts.setdefault(key, {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0})
             counts[key][r.status] += 1
         expectation = {(c.id, c.variant): c.expected for c in REGISTRY}
         lines = []
@@ -187,6 +187,7 @@ class AuditReport:
             lines.append(
                 f"{key[0]:<7s} {key[1]:<15s} expected={exp:<7s} "
                 f"PASS={c['PASS']} FAIL={c['FAIL']} SKIP={c['SKIP']}"
+                + (f" ERROR={c['ERROR']}" if c["ERROR"] else "")
             )
         return lines
 
@@ -1010,26 +1011,25 @@ REGISTRY: list[IdentityCase] = [
 # the runner
 
 def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
-    """Evaluate both sides of one case on one draw and build the record."""
-    dist_name = draw.dist.name if draw.dist is not None else "-"
-    params = _render_params(draw)
+    """Evaluate both sides of one case on one draw and build the record.  A
+    case whose evaluation raises a ValueError or an ArithmeticError gives an
+    ERROR record naming the exception, so the rest of the run goes on."""
     rho, c, d = _render_point(draw.point)
+    head = (
+        case.id, case.variant, draw.dist.name if draw.dist is not None else "-",
+        _render_params(draw), rho, c, d, order,
+    )
     if case.evaluate is None:
-        return AuditRecord(
-            case.id, case.variant, dist_name, params, rho, c, d, order,
-            "SKIP", "-", "-", "-",
-        )
+        return AuditRecord(*head, "SKIP", "-", "-", "-")
     try:
         lhs, rhs = case.evaluate(draw, order)
     except CaseSkip:
-        return AuditRecord(
-            case.id, case.variant, dist_name, params, rho, c, d, order,
-            "SKIP", "-", "-", "-",
-        )
+        return AuditRecord(*head, "SKIP", "-", "-", "-")
+    except (ValueError, ArithmeticError) as exc:
+        return AuditRecord(*head, "ERROR", "-", "-", f"{type(exc).__name__}: {exc}")
     status = "PASS" if _values_equal(lhs, rhs) else "FAIL"
     return AuditRecord(
-        case.id, case.variant, dist_name, params, rho, c, d, order,
-        status, render_value(lhs), render_value(rhs),
+        *head, status, render_value(lhs), render_value(rhs),
         render_value(_values_diff(lhs, rhs)),
     )
 

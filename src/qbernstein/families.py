@@ -69,11 +69,9 @@ def higher_bernoulli(n: int, order, x):
 
 
 def euler_poly(n: int, x):
-    """Exponential coefficient of 2/(e^v + 1) * e^(x v)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    denom = exp_series(Fraction(1), n) + 1
-    return (denom.recip() * 2 * exp_series(x, n)).egf_coeff(n)
+    """Exponential coefficient of 2/(e^v + 1) * e^(x v); e^v is the MGF of
+    the law Y = 1, so this is :func:`prob_euler` at that law."""
+    return prob_euler(Constant(Fraction(1)), n, x)
 
 
 def frobenius_euler(n: int, order, x, u: Fraction):
@@ -153,13 +151,17 @@ def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
 
 def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series:
     """The generating function (v X)^r / r! * M^X1 through ``order``, with X,
-    X1 the brackets of x and 1 - x at ``p``; the zero series for r < 0."""
+    X1 the brackets of x and 1 - x at ``p``; the zero series for r < 0.
+
+    Multiplying by the monomial shifts M^X1 up by r, so only its coefficients
+    through order - r are needed."""
     if r < 0:
         return Series.zero(order)
-    x_val = bracket(p)
-    one_minus = bracket_conjugates(p)[1]
-    front = Series.monomial(r, x_val**r * Fraction(1, math.factorial(r)), order)
-    return front * mgf_table(d).power(one_minus, order)
+    if r > order:
+        raise ValueError("monomial degree outside truncation order")
+    front = bracket(p) ** r * Fraction(1, math.factorial(r))
+    tail = mgf_table(d).power(bracket_conjugates(p)[1], order - r)
+    return Series([Fraction(0)] * r + [front * c for c in tail.coeffs])
 
 
 def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:

@@ -30,10 +30,7 @@ def volkenborn(f: Laurent, q: Fraction) -> LogPoly:
     q = _check_q(q)
     out = LogPoly()
     for b, c in sorted(f.terms.items()):
-        if b == -1:
-            rule = LogPoly({-1: q - 1})
-        else:
-            rule = LogPoly({0: (b + 1) * (q - 1) / (q ** (b + 1) - 1)})
+        rule = LogPoly({-1: q - 1}) if b == -1 else (b + 1) * (q - 1) / (q ** (b + 1) - 1)
         out = out + rule * c
     return out
 
@@ -41,11 +38,9 @@ def volkenborn(f: Laurent, q: Fraction) -> LogPoly:
 def fermionic(f: Laurent, q: Fraction) -> LogPoly:
     """Fermionic integral of a Laurent polynomial in t; always log-free."""
     q = _check_q(q)
-    out = LogPoly()
-    for b, c in sorted(f.terms.items()):
-        rule = LogPoly({0: (1 + q) / (1 + q ** (b + 1))})
-        out = out + rule * c
-    return out
+    return sum(
+        ((1 + q) / (1 + q ** (b + 1)) * c for b, c in sorted(f.terms.items())), LogPoly()
+    )
 
 
 def carlitz_beta(r: int, q: Fraction) -> LogPoly:
@@ -76,8 +71,6 @@ def integrate_weighted_term(
     """Both integrals of the falling factorial of the inverse-base bracket
     (length m) times the (r, l) polynomial family value, all in Laurent form."""
     weight = falling_factorial(conjugate_bracket_in_t(q), m)
-    if not isinstance(weight, Laurent):
-        weight = Laurent({0: weight})
     integrand = weight * prob_qbernstein_laurent(d, r, l, q)
     return volkenborn(integrand, q), fermionic(integrand, q)
 

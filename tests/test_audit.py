@@ -63,6 +63,50 @@ def test_case_skip_becomes_a_skip_record():
     assert record.lhs == "-" and record.rhs == "-"
 
 
+def _out_of_moments(draw, order):
+    return CustomMoments((F(1), F(2))).mgf_series(order), F(0)
+
+
+@pytest.mark.parametrize(
+    "evaluate, difference",
+    [
+        (_out_of_moments, "ValueError: only 2 moments provided, order 8 requested"),
+        (lambda draw, order: (F(1) / 0, F(0)), "ZeroDivisionError: Fraction(1, 0)"),
+    ],
+    ids=["value-error", "zero-division"],
+)
+def test_case_error_becomes_an_error_record(evaluate, difference):
+    case = IdentityCase("ERRY", "verbatim", "always raises", "pass", None, evaluate)
+    record = run_case(case, CaseDraw(None, None, {}), 8)
+    assert record.status == "ERROR"
+    assert record.lhs == "-" and record.rhs == "-"
+    assert record.difference == difference
+
+
+def test_one_failing_case_leaves_the_rest_of_the_run(monkeypatch, tmp_path, capsys):
+    import qbernstein.audit as audit_mod
+    from qbernstein import cli
+
+    clean = run_all(3, 1, MAX_DRAWN_INDEX)
+    failing = IdentityCase("ERRY", "verbatim", "always raises", "pass", None, _out_of_moments)
+    monkeypatch.setattr(audit_mod, "REGISTRY", REGISTRY + [failing])
+    report = run_all(3, 1, MAX_DRAWN_INDEX)
+    errors = [r for r in report.records if r.status == "ERROR"]
+    assert [(r.id, r.variant) for r in errors] == [("ERRY", "verbatim")]
+    assert [r for r in report.records if r.status != "ERROR"] == clean.records
+    assert report.expected_pass_failures() == errors
+    assert [line for line in report.summary_lines() if "ERROR=" in line] == [
+        "ERRY    verbatim        expected=pass    PASS=0 FAIL=0 SKIP=0 ERROR=1"
+    ]
+
+    out = tmp_path / "audit.jsonl"
+    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
+    argv += ["--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "ERROR=1" in capsys.readouterr().out
+    assert out.read_text() == report.to_jsonl()
+
+
 def test_poisson_bell_case_at_fixed_inputs():
     draw = CaseDraw(Poisson(F(2, 3)), POINT, {"r": 1, "n": 4})
     lhs, rhs = eval_t31(draw, 12)

