@@ -174,11 +174,14 @@ def cmd_table(args) -> int:
     dist = _build_dist(args) or Constant(Fraction(1))
     point = _build_point(args)
     rows = []
-    for n in args.n:
-        for r in args.r:
-            if r > n:
-                continue
-            rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
+    try:
+        for n in args.n:
+            for r in args.r:
+                if r > n:
+                    continue
+                rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
+    except ValueError as exc:
+        raise ComputationError(str(exc))
     out, close = _open_out(args.out)
     try:
         if args.format == "csv":

@@ -1,14 +1,19 @@
 """Moment providers: each supported law yields exact moments and its moment
-generating function as a truncated :class:`~qbernstein.series.Series`.
+generating function M as a truncated :class:`~qbernstein.series.Series`.
+
+Each law states M once, as an online coefficient rule
+(:meth:`Distribution.extend_mgf`) that appends the ordinary coefficient a_k
+from a_0 .. a_(k-1), so M held at order N grows to any higher order without
+a rebuild.  The compositional forms (exp(alpha (e^v - 1)),
+p e^v / (1 - (1 - p) e^v), ...) are test oracles, as are the closed-form
+moment routes.
 
 Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  Moments are read off the MGF as
-exponential coefficients, so there is a single source of truth per law; the
-closed-form moment routes live in the test suite as independent oracles.
+exponential coefficients, so there is a single source of truth per law.
 
 :func:`mgf_table` is the package's one cache: per law, an :class:`MgfTable`
-holding M, (M - 1)^m and M^z at the largest order asked for so far.  A series
-truncated at order N is a prefix of the same series at any higher order.
+holding M, (M - 1)^m and M^z at the largest order asked for so far.
 """
 
 from __future__ import annotations
@@ -18,16 +23,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Series, exp_series
+from .series import Series, extend_pow
 
 
 class Distribution:
-    """Base class; concrete laws implement :meth:`mgf_series`."""
+    """Base class; concrete laws implement :meth:`extend_mgf`."""
 
     name = "distribution"
 
-    def mgf_series(self, order: int) -> Series:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Every law holds the generic mgf_series in its own namespace, so a
+        # profiler (perfbench/tracing.py) can wrap it law by law.
+        cls.mgf_series = Distribution.mgf_series
+
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        """Append to ``coeffs``, the ordinary coefficients a_0 = 1 .. of M held
+        so far, those through index n, and return it; earlier entries are
+        left untouched."""
         raise NotImplementedError
+
+    def mgf_series(self, order: int) -> Series:
+        """M through ``order``, built from its constant term."""
+        return Series(self.extend_mgf([Fraction(1)], order))
 
     def moment(self, n: int) -> Fraction:
         """E[Y^n], extracted from the MGF."""
@@ -65,9 +83,14 @@ class Poisson(Distribution):
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", a)
 
-    def mgf_series(self, order: int) -> Series:
-        inner = exp_series(Fraction(1), order) - 1
-        return (inner * self.alpha).exp()
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        # M' = alpha e^v M
+        for k in range(len(coeffs), n + 1):
+            tail = sum(
+                (coeffs[j] / math.factorial(k - 1 - j) for j in range(k)), Fraction(0)
+            )
+            coeffs.append(self.alpha * tail / k)
+        return coeffs
 
     def param_string(self) -> str:
         return f"alpha={self.alpha}"
@@ -82,8 +105,11 @@ class Bernoulli(Distribution):
     def __post_init__(self):
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def mgf_series(self, order: int) -> Series:
-        return exp_series(Fraction(1), order) * self.p1 + (1 - self.p1)
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        coeffs.extend(
+            self.p1 * Fraction(1, math.factorial(k)) for k in range(len(coeffs), n + 1)
+        )
+        return coeffs
 
     def param_string(self) -> str:
         return f"p1={self.p1}"
@@ -101,9 +127,9 @@ class Binomial(Distribution):
             raise ValueError("trial count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def mgf_series(self, order: int) -> Series:
-        single = exp_series(Fraction(1), order) * self.p1 + (1 - self.p1)
-        return single.pow(self.trials)
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        single = Bernoulli(self.p1).extend_mgf([Fraction(1)], n)
+        return extend_pow(single, self.trials, coeffs, n)
 
     def param_string(self) -> str:
         return f"trials={self.trials};p1={self.p1}"
@@ -120,9 +146,15 @@ class Geometric(Distribution):
     def __post_init__(self):
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def mgf_series(self, order: int) -> Series:
-        e = exp_series(Fraction(1), order)
-        return (e * self.p1) * (Series.one(order) - e * (1 - self.p1)).recip()
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        # M (1 - (1 - p) e^v) = p e^v
+        ratio = (1 - self.p1) / self.p1
+        for k in range(len(coeffs), n + 1):
+            tail = sum(
+                (coeffs[j] / math.factorial(k - j) for j in range(k)), Fraction(0)
+            )
+            coeffs.append(Fraction(1, math.factorial(k)) + ratio * tail)
+        return coeffs
 
     def param_string(self) -> str:
         return f"p1={self.p1}"
@@ -142,10 +174,9 @@ class NegBinomial(Distribution):
             raise ValueError("success count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def mgf_series(self, order: int) -> Series:
-        e = exp_series(Fraction(1), order)
-        single = (e * self.p1) * (Series.one(order) - e * (1 - self.p1)).recip()
-        return single.pow(self.successes)
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        single = mgf_table(Geometric(self.p1)).series(n).coeffs
+        return extend_pow(single, self.successes, coeffs, n)
 
     def param_string(self) -> str:
         return f"successes={self.successes};p1={self.p1}"
@@ -155,10 +186,11 @@ class NegBinomial(Distribution):
 class Uniform01(Distribution):
     name = "uniform01"
 
-    def mgf_series(self, order: int) -> Series:
-        return Series(
-            Fraction(1, math.factorial(n + 1)) for n in range(order + 1)
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        coeffs.extend(
+            Fraction(1, math.factorial(k + 1)) for k in range(len(coeffs), n + 1)
         )
+        return coeffs
 
     def param_string(self) -> str:
         return ""
@@ -175,8 +207,12 @@ class Constant(Distribution):
     def __post_init__(self):
         object.__setattr__(self, "value", _fr(self.value))
 
-    def mgf_series(self, order: int) -> Series:
-        return exp_series(self.value, order)
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        coeffs.extend(
+            self.value**k * Fraction(1, math.factorial(k))
+            for k in range(len(coeffs), n + 1)
+        )
+        return coeffs
 
     def param_string(self) -> str:
         return f"value={self.value}"
@@ -200,37 +236,43 @@ class CustomMoments(Distribution):
             raise ValueError("moment sequence must start with 1")
         object.__setattr__(self, "moments", ms)
 
-    def mgf_series(self, order: int) -> Series:
-        if order >= len(self.moments):
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        if n >= len(self.moments):
             raise ValueError(
-                f"only {len(self.moments)} moments provided, order {order} requested"
+                f"only {len(self.moments)} moments provided, order {n} requested"
             )
-        return Series(
-            self.moments[n] * Fraction(1, math.factorial(n))
-            for n in range(order + 1)
+        coeffs.extend(
+            self.moments[k] * Fraction(1, math.factorial(k))
+            for k in range(len(coeffs), n + 1)
         )
+        return coeffs
 
     def param_string(self) -> str:
         return "moments=" + ",".join(str(m) for m in self.moments)
 
 
 class MgfTable:
-    """M, the powers (M - 1)^m and M^z of one law, each at the largest order
-    asked for so far; a lower order is read from the prefix.  Each query
-    builds before it stores, so a law short of the order asked for (a
-    :class:`CustomMoments` law) raises and leaves the table as it was."""
+    """The coefficients of M, of the powers (M - 1)^m and of M^z for one law,
+    each at the largest order asked for so far; a lower order is read from
+    the prefix, and growing appends only the new coefficients.  M grows on a
+    copy that is stored only on success, so a law short of the order asked
+    for (a :class:`CustomMoments` law) raises and leaves the table as it was."""
 
     def __init__(self, dist: Distribution):
         self.dist = dist
-        self._mgf = dist.mgf_series(0)
+        self._mgf = [Fraction(1)]  # coefficients of M
         self._minus_one = [[Fraction(1)]]  # coefficients of (M - 1)^m, m = 0, 1, ...
-        self._powers = {}  # z -> M^z, at most 16 exponents
+        self._powers = {}  # z -> coefficients of M^z, at most 16 exponents
+
+    def _grown(self, order: int) -> list:
+        """The coefficients of M, grown through at least ``order``."""
+        if len(self._mgf) <= order:
+            self._mgf = self.dist.extend_mgf(list(self._mgf), order)
+        return self._mgf
 
     def series(self, order: int) -> Series:
         """M through ``order``."""
-        if self._mgf.order < order:
-            self._mgf = self.dist.mgf_series(order)
-        return self._mgf.truncate(order)
+        return Series(self._grown(order)[: order + 1])
 
     def minus_one_coeff(self, m: int, n: int) -> Fraction:
         """The coefficient of v^n in (M - 1)^m, for 0 <= m <= n.  Growing to
@@ -238,7 +280,7 @@ class MgfTable:
         (M - 1)^j starts at v^j since M has constant term 1."""
         powers = self._minus_one
         if len(powers[-1]) <= n:
-            b = self.series(n).coeffs
+            b = self._grown(n)
             powers[0].extend([Fraction(0)] * (n + 1 - len(powers[0])))
             for j in range(1, n + 1):
                 if j == len(powers):
@@ -250,14 +292,15 @@ class MgfTable:
         return powers[m][n]
 
     def power(self, z, order: int) -> Series:
-        """M^z through ``order``, rebuilt only when asked above its order."""
-        held = self._powers.get(z)
-        if held is None or held.order < order:
-            held = self.series(order).pow(z)
-            if z not in self._powers and len(self._powers) == 16:
-                del self._powers[next(iter(self._powers))]
-            self._powers[z] = held
-        return held.truncate(order)
+        """M^z through ``order``; growing appends only its new coefficients."""
+        held = self._powers.get(z, [Fraction(1)])
+        if len(held) <= order:
+            extend_pow(self._grown(order), z, held, order)
+            if z not in self._powers:
+                if len(self._powers) == 16:
+                    del self._powers[next(iter(self._powers))]
+                self._powers[z] = held
+        return Series(held[: order + 1])
 
 
 @lru_cache(maxsize=64)

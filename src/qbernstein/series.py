@@ -138,11 +138,11 @@ class Series:
         return Series(out)
 
     def pow(self, exponent) -> "Series":
-        """Raise to an exact scalar exponent (a Fraction or an integer) as
-        exp(exponent * log(self)).  Requires constant term 1."""
+        """Raise to an exact scalar exponent (a Fraction or an integer) in one
+        pass of :func:`extend_pow`.  Requires constant term 1."""
         if not self.coeffs[0] == 1:
             raise ValueError("series pow needs constant term 1")
-        return (self.log() * exponent).exp()
+        return Series(extend_pow(self.coeffs, exponent, [Fraction(1)], self.order))
 
     def derive(self) -> "Series":
         """Termwise derivative; the order drops by one."""
@@ -185,3 +185,18 @@ class Series:
 def exp_series(rate, order: int) -> Series:
     """The truncated exponential of rate * v, i.e. coefficients rate^n / n!."""
     return Series(rate**n * Fraction(1, math.factorial(n)) for n in range(order + 1))
+
+
+def extend_pow(a, z, out: list, n: int) -> list:
+    """Append to ``out``, the coefficients of A^z held so far, those through
+    index n, and return it; A has coefficients ``a`` (at least n + 1 of them)
+    with a_0 = 1, and z is an exact scalar.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), read off
+    A (A^z)' = z A' A^z: k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j).
+    """
+    z1 = z + 1
+    for k in range(len(out), n + 1):
+        terms = ((z1 * j - k) * a[j] * out[k - j] for j in range(1, k + 1))
+        out.append(sum(terms, Fraction(0)) / k)
+    return out

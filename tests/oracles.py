@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+from qbernstein.series import Series, exp_series
+
 F = Fraction
 
 
@@ -43,6 +45,41 @@ def touchard(n: int, alpha: Fraction) -> Fraction:
     for k in range(n):
         values.append(alpha * sum(math.comb(k, j) * values[j] for j in range(k + 1)))
     return values[n]
+
+
+def mgf_oracle(law, order: int) -> Series:
+    """The MGF of ``law`` through ``order``, composed from whole-series
+    operations (exp, reciprocal, products) instead of the law's own
+    coefficient rule; integer powers are repeated products."""
+    e = exp_series(F(1), order)
+    forms = {
+        "poisson": lambda: ((e - 1) * law.alpha).exp(),
+        "bernoulli": lambda: _bernoulli_mgf(e, law.p1),
+        "binomial": lambda: _product_power(_bernoulli_mgf(e, law.p1), law.trials),
+        "geometric": lambda: _geometric_mgf(e, law.p1),
+        "negbinomial": lambda: _product_power(_geometric_mgf(e, law.p1), law.successes),
+        "uniform01": lambda: (exp_series(F(1), order + 1) - 1).divide_v(1),
+        "constant": lambda: exp_series(law.value, order),
+        "custom": lambda: Series(
+            law.moments[k] / math.factorial(k) for k in range(order + 1)
+        ),
+    }
+    return forms[law.name]()
+
+
+def _bernoulli_mgf(e: Series, p1: Fraction) -> Series:
+    return e * p1 + (1 - p1)
+
+
+def _geometric_mgf(e: Series, p1: Fraction) -> Series:
+    return (e * p1) * (1 - e * (1 - p1)).recip()
+
+
+def _product_power(base: Series, count: int) -> Series:
+    power = Series.one(base.order)
+    for _ in range(count):
+        power = power * base
+    return power
 
 
 def bernoulli_moment(p1: Fraction, n: int) -> Fraction:

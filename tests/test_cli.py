@@ -42,8 +42,10 @@ def test_success_exits_0(capsys):
         ["series", "--dist", "poisson", "--alpha", "1", "--kind", "qbernstein-gf",
          "--r", "5", "--order", "3"] + POINT,
         ["series", "--dist", "custom", "--moments", "1,2", "--order", "3"],
+        ["table", "--dist", "custom", "--moments", "1,2,5,7,11,13", "--rho", "1/2",
+         "--c", "1", "--d", "2", "--n", "0..6", "--r", "0..6"],
     ],
-    ids=["zero-mean", "r-above-order", "too-few-moments"],
+    ids=["zero-mean", "r-above-order", "too-few-moments", "table-too-few-moments"],
 )
 def test_computation_error_exits_1(capsys, argv):
     code, out = run(capsys, argv)

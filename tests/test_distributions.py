@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbernstein import distributions
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
@@ -15,12 +17,13 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
-from qbernstein.series import Series, exp_series
+from qbernstein.series import Series, exp_series, extend_pow
 
 from oracles import (
     bernoulli_moment,
     binomial_moment,
     geometric_moment_enclosure,
+    mgf_oracle,
     negbinomial_moment_enclosure,
     touchard,
     uniform_moment,
@@ -109,17 +112,38 @@ def test_negbinomial_moments_lie_in_partial_sum_enclosures():
 
 
 def test_binomial_is_a_power_of_bernoulli():
+    single, power = Bernoulli(F(1, 3)).mgf_series(9), Series.one(9)
     for trials in (1, 2, 3, 4):
-        assert Binomial(trials, F(1, 3)).mgf_series(9) == Bernoulli(
-            F(1, 3)
-        ).mgf_series(9).pow(trials)
+        power = power * single
+        assert Binomial(trials, F(1, 3)).mgf_series(9) == power
 
 
 def test_negbinomial_is_a_power_of_geometric():
+    single, power = Geometric(F(2, 5)).mgf_series(9), Series.one(9)
     for a in (1, 2, 3):
-        assert NegBinomial(a, F(2, 5)).mgf_series(9) == Geometric(
-            F(2, 5)
-        ).mgf_series(9).pow(a)
+        power = power * single
+        assert NegBinomial(a, F(2, 5)).mgf_series(9) == power
+
+
+def _law_id(law):
+    return f"{law.name}({law.param_string()})"
+
+
+@pytest.mark.parametrize(
+    "law", ALL_LAWS + [Geometric(F(1)), Constant(F(0))], ids=_law_id
+)
+def test_mgf_matches_its_compositional_oracle(law):
+    """Built fresh at each order, and grown in one table over a shuffled
+    sequence of orders, M equals the compositional form."""
+    top = len(law.moments) - 1 if isinstance(law, CustomMoments) else 20
+    expected = mgf_oracle(law, top)
+    orders = list(range(top + 1))
+    for n in orders:
+        assert law.mgf_series(n) == expected.truncate(n)
+    random.Random(_law_id(law)).shuffle(orders)
+    table = MgfTable(law)
+    for n in orders:
+        assert table.series(n) == expected.truncate(n)
 
 
 def test_parameter_validation():
@@ -163,6 +187,11 @@ TABLE_EXPONENTS = [F(1, 2), F(-2, 3), F(3)]
 QUERY = st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
 
 
+def _power_by_exp_log(law, z, n):
+    """M^z rebuilt at exactly order n as exp(z log M), from the oracle M."""
+    return (mgf_oracle(law, n).log() * z).exp()
+
+
 def _minus_one_power_at(law, m, n):
     """(M - 1)^m rebuilt at exactly order n by repeated multiplication."""
     base = law.mgf_series(n) - 1
@@ -187,12 +216,13 @@ def test_table_answers_every_order_from_one_prefix(law, queries, z):
             expected = _minus_one_power_at(law, m, n).coeffs[n]
             assert table.minus_one_coeff(m, n) == expected
             assert table.series(n) == law.mgf_series(n)
-            assert table.power(z, n) == law.mgf_series(n).pow(z)
+            assert table.power(z, n) == _power_by_exp_log(law, z, n)
 
 
 def _held(table):
     """A copy of what the table holds."""
-    return table._mgf, [list(p) for p in table._minus_one], dict(table._powers)
+    powers = {z: list(c) for z, c in table._powers.items()}
+    return list(table._mgf), [list(p) for p in table._minus_one], powers
 
 
 @settings(max_examples=30, deadline=None)
@@ -216,6 +246,50 @@ def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
     assert _held(table) == before
     for n in range(count):
         assert law.moment(n) == law.moments[n]
-        assert table.power(F(1, 2), n) == law.mgf_series(n).pow(F(1, 2))
+        assert table.power(F(1, 2), n) == _power_by_exp_log(law, F(1, 2), n)
         for m in range(n + 1):
             assert table.minus_one_coeff(m, n) == _minus_one_power_at(law, m, n).coeffs[n]
+
+
+@pytest.mark.parametrize("law", TABLE_LAWS, ids=_law_id)
+def test_table_grows_without_rebuilding(law, monkeypatch):
+    """A cold table answers ascending queries without the law's mgf_series
+    or Series.pow, and each growth step appends exactly the missing
+    coefficients: M and M^z are grown to order n from n held coefficients."""
+    top, z = 6, F(-2, 3)
+    mgf, power = mgf_oracle(law, top), _power_by_exp_log(law, z, top)
+    minus_one = {
+        (m, n): _minus_one_power_at(law, m, n).coeffs[n]
+        for n in range(top + 1)
+        for m in range(n + 1)
+    }
+
+    def refuse(*args):
+        raise AssertionError("the table rebuilt a series from scratch")
+
+    mgf_asked, power_asked = [], []
+    extend_mgf = type(law).extend_mgf
+
+    def recording_mgf(self, coeffs, n):
+        mgf_asked.append((len(coeffs), n))
+        return extend_mgf(self, coeffs, n)
+
+    def recording_pow(a, e, out, n):
+        if e == z:  # binomial laws raise to integer exponents of their own
+            power_asked.append((len(out), n))
+        return extend_pow(a, e, out, n)
+
+    monkeypatch.setattr(type(law), "mgf_series", refuse)
+    monkeypatch.setattr(Series, "pow", refuse)
+    monkeypatch.setattr(type(law), "extend_mgf", recording_mgf)
+    monkeypatch.setattr(distributions, "extend_pow", recording_pow)
+    table = MgfTable(law)
+    for n in range(top + 1):
+        assert table.power(z, n) == power.truncate(n)
+        assert table.series(n) == mgf.truncate(n)
+        for m in range(n + 1):
+            assert table.minus_one_coeff(m, n) == minus_one[m, n]
+        held_power = table._powers.get(z, [F(1)])  # M^z = 1 is not stored
+        assert len(table._mgf) == len(held_power) == n + 1
+        assert [len(p) for p in table._minus_one] == [n + 1] * (n + 1)
+    assert mgf_asked == power_asked == [(n, n) for n in range(1, top + 1)]

@@ -67,6 +67,8 @@ def test_exp_log_preconditions():
         Series([F(1), F(1)]).exp()
     with pytest.raises(ValueError):
         Series([F(2), F(1)]).log()
+    with pytest.raises(ValueError):
+        Series([F(2), F(1)]).pow(F(1, 2))
 
 
 def test_pow_examples():
@@ -163,9 +165,9 @@ ORDER = st.integers(0, 6)
 
 
 @st.composite
-def unit_series(draw):
-    """A series of order at most 6 with constant term 1."""
-    order = draw(ORDER)
+def unit_series(draw, orders=ORDER):
+    """A series with constant term 1, of order at most 6 by default."""
+    order = draw(orders)
     return Series([F(1)] + draw(st.lists(SMALL, min_size=order, max_size=order)))
 
 
@@ -184,6 +186,14 @@ def invertible_pair(draw):
 @given(unit_series(), SMALL, SMALL)
 def test_pow_exponents_add(s, a, b):
     assert s.pow(a) * s.pow(b) == s.pow(a + b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series(st.integers(0, 8)), st.one_of(SMALL, st.integers(-4, 4)))
+def test_pow_is_exp_of_scaled_log(s, e):
+    """Miller's recurrence against the independent route exp(e log s), for
+    rational and integer exponents of either sign."""
+    assert s.pow(e) == (s.log() * e).exp()
 
 
 @settings(max_examples=60, deadline=None)
