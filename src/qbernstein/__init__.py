@@ -49,7 +49,6 @@ from .rings import (
     LogPoly,
     Poly,
     falling_factorial,
-    generalized_binomial,
     laurent_x_derivation,
 )
 from .series import Series, exp_series
@@ -65,7 +64,7 @@ __all__ = [
     "carlitz_beta", "fermionic", "integrate_corollaries",
     "integrate_weighted_term", "q_euler", "volkenborn",
     "QPoint", "bracket", "bracket_conjugates", "one_minus_bracket_power",
-    "Laurent", "LogPoly", "Poly", "falling_factorial", "generalized_binomial",
+    "Laurent", "LogPoly", "Poly", "falling_factorial",
     "laurent_x_derivation",
     "Series", "exp_series",
 ]

@@ -291,8 +291,9 @@ class MgfTable:
                     power.append(sum(terms, Fraction(0)))
         return powers[m][n]
 
-    def power(self, z, order: int) -> Series:
-        """M^z through ``order``; growing appends only its new coefficients."""
+    def _power(self, z, order: int) -> list:
+        """The held coefficients of M^z, grown through at least ``order``;
+        growing appends only the new coefficients."""
         held = self._powers.get(z, [Fraction(1)])
         if len(held) <= order:
             extend_pow(self._grown(order), z, held, order)
@@ -300,7 +301,15 @@ class MgfTable:
                 if len(self._powers) == 16:
                     del self._powers[next(iter(self._powers))]
                 self._powers[z] = held
-        return Series(held[: order + 1])
+        return held
+
+    def power(self, z, order: int) -> Series:
+        """M^z through ``order``."""
+        return Series(self._power(z, order)[: order + 1])
+
+    def power_coeff(self, z, n: int) -> Fraction:
+        """The coefficient of v^n in M^z."""
+        return self._power(z, n)[n]
 
 
 @lru_cache(maxsize=64)

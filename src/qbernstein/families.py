@@ -9,10 +9,14 @@ themselves the coefficient formulas of their generating functions.
 
 ``prob_qbernstein`` is the ground truth the audit registry compares everything
 against: the exponential coefficient of (v X)^r / r! times the MGF raised to
-the bracket of 1 - x.  :func:`prob_qbernstein_gf` is the one place that
-generating function is built.  ``prob_qbernstein_laurent`` reaches the same
-value with x kept symbolic, through the expansion over ``prob_stirling2``
-that the binomial series M^z = sum over m of (z)_m (M - 1)^m / m! gives.
+the bracket of 1 - x.  It reads that one coefficient, n!/r! X^r times the
+coefficient of v^(n - r) in M^X1, from the law's table and builds no series.
+:func:`prob_qbernstein_gf` is the one place the whole generating function is
+built.  ``prob_qbernstein_laurent`` reaches the same value with x kept
+symbolic, through the expansion over ``prob_stirling2`` that the binomial
+series M^z = sum over m of (z)_m (M - 1)^m / m! gives.  It is the reference
+route that the audit and the tests check the integrals of
+:mod:`qbernstein.padic` against; those expand the same sum on their own basis.
 
 The law-dependent families read M, (M - 1)^m and M^z from the law's
 :func:`~qbernstein.distributions.mgf_table` and cache nothing themselves.
@@ -166,14 +170,17 @@ def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series
 
 def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:
     """Ground truth: the exponential coefficient at index n of
-    (v X)^r / r! * M^X1, with X, X1 the brackets of x and 1 - x at ``p``."""
+    (v X)^r / r! * M^X1, with X, X1 the brackets of x and 1 - x at ``p``;
+    that is n!/r! X^r times the coefficient of v^(n - r) in M^X1."""
     _check_indices(r, n)
-    return prob_qbernstein_gf(d, r, p, n).egf_coeff(n)
+    tail = mgf_table(d).power_coeff(bracket_conjugates(p)[1], n - r)
+    return Fraction(math.factorial(n), math.factorial(r)) * bracket(p) ** r * tail
 
 
 def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Laurent:
     """The same value as :func:`prob_qbernstein` but with the x-dependence
-    kept as a Laurent polynomial in t.
+    kept as a Laurent polynomial in t; the reference route for the integrals
+    of :mod:`qbernstein.padic`, which do not call it.
 
     With k = n - r and X1 the bracket of 1 - x written in t, the value is
     binom(n, r) X^r times the sum over m <= k of (X1)_m prob_stirling2(d, k, m),

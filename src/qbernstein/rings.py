@@ -23,7 +23,6 @@ All instances are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -50,13 +49,6 @@ def falling_factorial(z, m: int):
     for j in range(m):
         out = out * (z - j)
     return out
-
-
-def generalized_binomial(z, m: int):
-    """Binomial coefficient with arbitrary ring-valued top: (z)_m / m!."""
-    if m < 0:
-        raise ValueError("generalized binomial needs m >= 0")
-    return falling_factorial(z, m) * Fraction(1, math.factorial(m))
 
 
 def _merge(items) -> dict:

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+from qbernstein.rings import Laurent
 from qbernstein.series import Series, exp_series
 
 F = Fraction
@@ -161,6 +162,12 @@ def padic_valuation(value: Fraction, p: int):
         den //= p
         v -= 1
     return v
+
+
+def shift_x(f: Laurent, q: Fraction) -> Laurent:
+    """Substitute x -> x + 1 in a Laurent polynomial in t = q^x, that is
+    t^b -> q^b t^b termwise."""
+    return Laurent({b: c * F(q) ** b for b, c in f.terms.items()})
 
 
 def volkenborn_partial_sum(beta: int, q: Fraction, p: int, level: int) -> Fraction:

@@ -300,6 +300,56 @@ def test_prob_qbernstein_laurent_matches_scalar_route():
                 assert lau.substitute(p.t) == prob_qbernstein(law, r, n, p)
 
 
+@pytest.mark.parametrize(
+    "p", [QPoint(F(3, 2), 1, 3), QPoint.classical(F(2, 5))], ids=["q-point", "classical"]
+)
+def test_prob_qbernstein_reads_the_coefficient_of_the_generating_function(p):
+    """The single-coefficient read equals the exponential coefficient of the
+    whole generating function, with every law's table cold at first and then
+    warm from lower n."""
+    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11)))
+    for law in SIX_LAWS + [Constant(F(0)), Constant(F(2)), custom]:
+        for n in range(11):
+            for r in range(n + 1):
+                expected = prob_qbernstein_gf(law, r, p, n).egf_coeff(n)
+                assert prob_qbernstein(law, r, n, p) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: prob_qbernstein(Poisson(F(1)), 3, 2, POINT),
+            "lower index 3 exceeds upper index 2",
+            id="r-above-n",
+        ),
+        pytest.param(
+            lambda: prob_qbernstein(Poisson(F(1)), 0, -1, POINT),
+            "indices must be nonnegative",
+            id="negative-n",
+        ),
+        pytest.param(
+            lambda: prob_qbernstein(Poisson(F(1)), 0, 2, QPoint(F(1), 1, 2)),
+            "rho must be a positive rational different from 1",
+            id="bad-point",
+        ),
+        pytest.param(
+            lambda: prob_qbernstein_laurent(Poisson(F(1)), 0, 2, F(1)),
+            "q must be a positive rational different from 1",
+            id="bad-q",
+        ),
+        pytest.param(
+            lambda: prob_qbernstein(CustomMoments((F(1), F(2), F(5))), 1, 5, POINT),
+            "only 3 moments provided, order 4 requested",
+            id="short-moments",
+        ),
+    ],
+)
+def test_family_value_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_prob_qbernstein_laurent_trivial_forms():
     from qbernstein.qcalc import bracket_in_t
 

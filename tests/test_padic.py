@@ -1,30 +1,50 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from qbernstein.distributions import Constant, Poisson
+from qbernstein.distributions import (
+    Bernoulli,
+    Binomial,
+    Constant,
+    CustomMoments,
+    Geometric,
+    NegBinomial,
+    Poisson,
+    Uniform01,
+)
+from qbernstein.families import prob_qbernstein_laurent
 from qbernstein.padic import (
     carlitz_beta,
     fermionic,
     integrate_corollaries,
     integrate_weighted_term,
     q_euler,
-    shift_x,
     volkenborn,
 )
-from qbernstein.qcalc import bracket_in_t, conjugate_bracket_in_t
+from qbernstein.qcalc import conjugate_bracket_in_t
 from qbernstein.rings import Laurent, LogPoly, falling_factorial, laurent_x_derivation
 
 from oracles import (
     fermionic_partial_sum,
     padic_valuation,
+    shift_x,
     volkenborn_direct_sum,
     volkenborn_partial_sum,
 )
 
 Q_VALUES = [F(4, 9), F(3, 2), F(9, 4)]
+
+SIX_LAWS = [
+    Poisson(F(2, 3)),
+    Bernoulli(F(1, 2)),
+    Binomial(3, F(1, 3)),
+    Geometric(F(1, 2)),
+    NegBinomial(2, F(2, 3)),
+    Uniform01(),
+]
 
 
 def test_bosonic_rule_values():
@@ -116,17 +136,103 @@ def test_integrate_corollaries_two_term_case():
 def test_integrate_weighted_term_reduces_to_plain_integration():
     q = F(3, 2)
     law = Poisson(F(2, 3))
-    assert integrate_weighted_term(law, 1, 2, 0, q) == integrate_corollaries(
-        law, 1, 2, q
+    integrand = prob_qbernstein_laurent(law, 1, 2, q)
+    assert integrate_weighted_term(law, 1, 2, 0, q) == (
+        volkenborn(integrand, q),
+        fermionic(integrand, q),
     )
     weight = falling_factorial(conjugate_bracket_in_t(q), 2)
-    from qbernstein.families import prob_qbernstein_laurent
-
     integrand = weight * prob_qbernstein_laurent(law, 0, 1, q)
     assert integrate_weighted_term(law, 0, 1, 2, q) == (
         volkenborn(integrand, q),
         fermionic(integrand, q),
     )
+
+
+BASIS_LAWS = SIX_LAWS + [
+    Constant(F(0)),
+    Constant(F(2)),
+    CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11))),
+]
+
+
+@pytest.mark.parametrize("q", [F(2, 5), F(7, 4)], ids=str)
+def test_basis_integrals_equal_the_integrals_of_the_reference_integrand(q):
+    """The per-q basis route equals both operators applied to the weight
+    (Xc)_w times the Laurent reference value, for every law, 0 <= r <= n <= 10
+    and w <= 3; the laws are visited in a shuffled order so that no result
+    depends on what an earlier law left in the basis."""
+    weights = [falling_factorial(conjugate_bracket_in_t(q), w) for w in range(4)]
+    laws = list(BASIS_LAWS)
+    random.Random(str(q)).shuffle(laws)
+    for law in laws:
+        for n in range(11):
+            for r in range(n + 1):
+                reference = prob_qbernstein_laurent(law, r, n, q)
+                for w, weight in enumerate(weights):
+                    integrand = weight * reference
+                    expected = (volkenborn(integrand, q), fermionic(integrand, q))
+                    assert integrate_weighted_term(law, r, n, w, q) == expected
+                    if w == 0:
+                        assert integrate_corollaries(law, r, n, q) == expected
+
+
+BAD_Q = "q must be a positive rational different from 1"
+
+
+@pytest.mark.parametrize(
+    "integral, args, message",
+    [
+        pytest.param(
+            integrate_corollaries, (3, 2, F(3, 2)), "lower index 3 exceeds upper index 2",
+            id="r-above-n",
+        ),
+        pytest.param(
+            integrate_corollaries, (-1, 2, F(3, 2)), "indices must be nonnegative",
+            id="negative-r",
+        ),
+        pytest.param(
+            integrate_weighted_term, (0, 2, -1, F(3, 2)), "falling factorial needs m >= 0",
+            id="negative-w",
+        ),
+        pytest.param(
+            integrate_weighted_term, (2, 1, 0, F(3, 2)), "lower index 2 exceeds upper index 1",
+            id="weighted-r-above-n",
+        ),
+        pytest.param(integrate_corollaries, (0, 2, F(1)), BAD_Q, id="q-one"),
+        pytest.param(integrate_weighted_term, (0, 2, 1, F(-1, 2)), BAD_Q, id="q-negative"),
+    ],
+)
+def test_integral_errors(integral, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integral(Poisson(F(1)), *args)
+
+
+def test_integral_of_a_law_short_of_moments():
+    with pytest.raises(ValueError, match="^only 3 moments provided, order 4 requested$"):
+        integrate_corollaries(CustomMoments((F(1), F(2), F(5))), 1, 5, F(3, 2))
+
+
+# SHA-256 of the integrate_corollaries lines, in the format of the benchmark's
+# laurent workload, for the six laws over 0 <= r <= n <= 8.  Taken from the
+# route that integrates the prob_qbernstein_laurent integrand directly; the
+# bytes are a contract: a change that alters them re-pins these and says why.
+LAURENT_DIGESTS = {
+    F(4, 9): "b0d217be301e3983799461d2ff748b74de703da87155f839a014af1f049a29b6",
+    F(3, 2): "c4a2c508697809e939e7f7dd254153cd540c1955c7fdf5d52dde30cec140d49a",
+}
+
+
+@pytest.mark.parametrize("q", sorted(LAURENT_DIGESTS), ids=str)
+def test_integrate_corollaries_lines_match_their_pinned_digest(q):
+    lines = []
+    for i, law in enumerate(SIX_LAWS):
+        for n in range(9):
+            for r in range(n + 1):
+                bos, ferm = integrate_corollaries(law, r, n, q)
+                lines.append(f"{i} {n} {r} {bos} | {ferm}\n")
+    payload = "".join(lines).encode()
+    assert hashlib.sha256(payload).hexdigest() == LAURENT_DIGESTS[q]
 
 
 def test_partial_sums_converge_to_bosonic_rule_in_the_5_adic_metric():

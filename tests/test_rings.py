@@ -8,7 +8,6 @@ from qbernstein.rings import (
     LogPoly,
     Poly,
     falling_factorial,
-    generalized_binomial,
     laurent_x_derivation,
 )
 
@@ -25,16 +24,6 @@ def test_falling_factorial_values():
 def test_falling_factorial_rejects_negative_count():
     with pytest.raises(ValueError):
         falling_factorial(F(1), -1)
-
-
-def test_generalized_binomial_values():
-    assert generalized_binomial(F(1, 2), 2) == F(-1, 8)
-    assert generalized_binomial(-1, 3) == -1
-    for n in range(8):
-        for m in range(n + 1):
-            import math
-
-            assert generalized_binomial(n, m) == math.comb(n, m)
 
 
 def test_falling_factorial_composition():
