@@ -43,7 +43,7 @@ from .padic import (
     q_euler,
     volkenborn,
 )
-from .qcalc import QPoint, bracket, bracket_conjugates, one_minus_bracket_power
+from .qcalc import QPoint, one_minus_bracket_power
 from .rings import (
     Laurent,
     LogPoly,
@@ -63,7 +63,7 @@ __all__ = [
     "qbernstein", "stirling2",
     "carlitz_beta", "fermionic", "integrate_corollaries",
     "integrate_weighted_term", "q_euler", "volkenborn",
-    "QPoint", "bracket", "bracket_conjugates", "one_minus_bracket_power",
+    "QPoint", "one_minus_bracket_power",
     "Laurent", "LogPoly", "Poly", "falling_factorial",
     "laurent_x_derivation",
     "Series", "exp_series",

@@ -23,6 +23,14 @@ Variant names: "verbatim" evaluates the claim as printed (under the
 charitable index conventions listed in the case notes), "corrected" evaluates
 the repaired form, and "verbatim-const" restricts a verbatim claim to
 degenerate single-point laws, the regime where its derivation step is exact.
+
+Eight cases (T2.2 corrected, T3.1, T3.2, C3.1, T3.3, T3.4, T3.6 corrected,
+T3.7) are closed-form reductions of one shape: the family value equals
+binom(n, r) X^r tail(n - r), where the tail is the law's closed form for
+(n - r)! [v^(n - r)] M^X1.  :func:`_reduction_eval` builds their evaluator from
+the tail, so each registry entry states only its tail, as
+:func:`_convolution_eval` does for the two convolution identities.  Every
+evaluator reads the brackets X, Xc and X1 from the drawn point.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from io import StringIO
 from typing import Callable
@@ -60,7 +68,7 @@ from .families import (
     stirling2,
 )
 from .padic import carlitz_beta, fermionic, integrate_weighted_term, q_euler, volkenborn
-from .qcalc import QPoint, bracket, bracket_conjugates, one_minus_bracket_power
+from .qcalc import QPoint, one_minus_bracket_power
 from .rings import Laurent, LogPoly, falling_factorial, laurent_x_derivation
 from .series import Series
 
@@ -105,19 +113,10 @@ class AuditRecord:
     difference: str
 
     def stable_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "variant": self.variant,
-            "dist": self.dist,
-            "params": self.params,
-            "rho": self.rho,
-            "c": self.c,
-            "d": self.d,
-            "order": self.order,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        """Every field but ``difference``, in field order."""
+        row = asdict(self)
+        del row["difference"]
+        return row
 
 
 @dataclass
@@ -128,7 +127,7 @@ class AuditReport:
     records: list = field(default_factory=list)
 
     def expected_pass_failures(self) -> list:
-        expectation = {(c.id, c.variant): c.expected for c in REGISTRY}
+        expectation = _expectations()
         return [
             r
             for r in self.records
@@ -146,19 +145,8 @@ class AuditReport:
 
         buf = StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            [
-                "id", "variant", "dist", "params", "rho", "c", "d",
-                "order", "status", "lhs", "rhs", "difference",
-            ]
-        )
-        for r in self.records:
-            writer.writerow(
-                [
-                    r.id, r.variant, r.dist, r.params, r.rho, r.c, r.d,
-                    r.order, r.status, r.lhs, r.rhs, r.difference,
-                ]
-            )
+        writer.writerow(f.name for f in fields(AuditRecord))
+        writer.writerows(astuple(r) for r in self.records)
         return buf.getvalue()
 
     def to_latex(self) -> str:
@@ -179,7 +167,7 @@ class AuditReport:
             key = (r.id, r.variant)
             counts.setdefault(key, {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0})
             counts[key][r.status] += 1
-        expectation = {(c.id, c.variant): c.expected for c in REGISTRY}
+        expectation = _expectations()
         lines = []
         for key in sorted(counts):
             c = counts[key]
@@ -190,6 +178,11 @@ class AuditReport:
                 + (f" ERROR={c['ERROR']}" if c["ERROR"] else "")
             )
         return lines
+
+
+def _expectations() -> dict:
+    """(id, variant) -> the expectation class of that registry entry."""
+    return {(c.id, c.variant): c.expected for c in REGISTRY}
 
 
 def _latex_escape(text) -> str:
@@ -303,11 +296,6 @@ def _point_draw_rn(pool, n_min: int = 0, n_max: int = MAX_DRAWN_INDEX):
     return draw
 
 
-def _brackets(point: QPoint):
-    conj, one_minus = bracket_conjugates(point)
-    return bracket(point), conj, one_minus
-
-
 def _qb(dist, r, n, point):
     """Family value with out-of-range lower index read as zero."""
     if r < 0 or r > n or n < 0:
@@ -331,17 +319,18 @@ def eval_bracket_properties(draw: CaseDraw, order: int):
     c1, c2 = ix["c1"], ix["c2"]
     p1 = QPoint(rho, c1, d)
     p2 = QPoint(rho, c2, d)
-    q, t = p1.q, p1.t
-    # definition-route values
-    diff_def = bracket(QPoint(rho, c1 - c2, d))
-    neg_def = bracket(QPoint(rho, -c1, d))
-    conj_def = bracket(QPoint(1 / rho, c1, d))
-    one_minus_def = bracket(QPoint(rho, d - c1, d))
-    lhs = (diff_def, neg_def, conj_def, one_minus_def, bracket_conjugates(p1))
+    # definition route: the bracket of x at the derived points
+    conj_def = QPoint(1 / rho, c1, d).X
+    one_minus_def = QPoint(rho, d - c1, d).X
+    lhs = (
+        QPoint(rho, c1 - c2, d).X, QPoint(rho, -c1, d).X, conj_def, one_minus_def,
+        (p1.Xc, p1.X1),
+    )
+    # the rules applied to the drawn point
     rhs = (
-        bracket(p1) - rho ** (c1 - c2) * bracket(p2),
-        -(t ** (-1)) * bracket(p1),
-        (q / t) * bracket(p1),
+        p1.X - p1.t / p2.t * p2.X,
+        -(p1.t ** (-1)) * p1.X,
+        (p1.q / p1.t) * p1.X,
         1 - conj_def,
         (conj_def, one_minus_def),
     )
@@ -359,9 +348,8 @@ def draw_bracket_properties(rng: random.Random) -> CaseDraw:
 def eval_one_minus_power(draw: CaseDraw, order: int):
     point, m = draw.point, draw.indices["m"]
     scalar, expansion = one_minus_bracket_power(point, m)
-    x_val = bracket(point)
     direct = point.t ** (-m) * sum(
-        math.comb(m, l) * (-1) ** l * x_val**l for l in range(m + 1)
+        math.comb(m, l) * (-1) ** l * point.X**l for l in range(m + 1)
     )
     return (scalar, scalar), (expansion.substitute(point.t), direct)
 
@@ -370,17 +358,23 @@ def draw_one_minus_power(rng: random.Random) -> CaseDraw:
     return CaseDraw(None, draw_qpoint(rng), {"m": rng.randrange(0, 9)})
 
 
+def _alternating_stirling_sum(dist, k: int, corrected: bool):
+    """The sum over l < k of (-1)^l w_l S_Y(k, l + 1), with the weight w_l = l!
+    (corrected) or 1 (verbatim); corrected, it is k! [v^k] log M."""
+    return sum(
+        (-1) ** l * (math.factorial(l) if corrected else 1) * prob_stirling2(dist, k, l + 1)
+        for l in range(k)
+    )
+
+
 def _log_expansion_eval(corrected: bool):
     def evaluate(draw: CaseDraw, order: int):
         dist = draw.dist
         lhs = dist.mgf_series(order).log()
-        coeffs = [F(0)]
-        for k in range(1, order + 1):
-            acc = F(0)
-            for l in range(k):
-                weight = math.factorial(l) if corrected else 1
-                acc += (-1) ** l * weight * prob_stirling2(dist, k, l + 1)
-            coeffs.append(acc / F(math.factorial(k)))
+        coeffs = [F(0)] + [
+            _alternating_stirling_sum(dist, k, corrected) / F(math.factorial(k))
+            for k in range(1, order + 1)
+        ]
         return lhs, Series(coeffs)
 
     return evaluate
@@ -393,38 +387,49 @@ def _dist_only_draw(rng: random.Random) -> CaseDraw:
 def eval_t21(draw: CaseDraw, order: int):
     dist, point = draw.dist, draw.point
     r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
     lhs = prob_qbernstein(dist, r, n, point)
     rhs = sum(
         math.comb(n, m)
         * prob_stirling2(dist, n - m, r)
-        * prob_bernoulli_higher(dist, m, r, one_minus)
+        * prob_bernoulli_higher(dist, m, r, point.X1)
         for m in range(n + 1)
-    ) * x_val**r
+    ) * point.X**r
     return lhs, rhs
 
 
-def eval_t22_corrected(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, conj, _ = _brackets(point)
-    lhs = prob_qbernstein(dist, r, n, point)
-    total = F(0)
-    for l in range(n - r + 1):
-        inner = sum(
-            falling_factorial(-conj, j) * prob_stirling2(dist, l, j)
-            for j in range(l + 1)
-        )
-        total += math.comb(n - r, l) * inner * dist.moment(n - r - l)
-    rhs = math.comb(n, r) * x_val**r * total
-    return lhs, rhs
+def _reduction_eval(tail):
+    """Shared shape of the closed-form reductions: the family value equals
+    binom(n, r) X^r tail(dist, n - r, point), where the tail is a closed form
+    for (n - r)! [v^(n - r)] M^X1 in the law's own special numbers."""
+
+    def evaluate(draw: CaseDraw, order: int):
+        dist, p = draw.dist, draw.point
+        r, n = draw.indices["r"], draw.indices["n"]
+        return prob_qbernstein(dist, r, n, p), math.comb(n, r) * p.X**r * tail(dist, n - r, p)
+
+    return evaluate
+
+
+def _t22_tail(dist, k, p):
+    """The sum over l of binom(k, l) E[Y^(k - l)] times the sum over j of
+    (-Xc)_j S_Y(l, j)."""
+    return sum(
+        math.comb(k, l)
+        * sum(falling_factorial(-p.Xc, j) * prob_stirling2(dist, l, j) for j in range(l + 1))
+        * dist.moment(k - l)
+        for l in range(k + 1)
+    )
+
+
+def _stirling_sum(k, weight):
+    """The sum over m <= k of weight(m) S(k, m)."""
+    return sum(weight(m) * stirling2(k, m) for m in range(k + 1))
 
 
 def eval_t23(draw: CaseDraw, order: int):
     dist, point = draw.dist, draw.point
     r, n = draw.indices["r"], draw.indices["n"]
-    x_val, conj, _ = _brackets(point)
-    lhs = x_val**r
+    lhs = point.X**r
     denom = dist.moment(n - r)
     if denom == 0:
         raise CaseSkip("law has a vanishing moment of the needed index")
@@ -434,7 +439,7 @@ def eval_t23(draw: CaseDraw, order: int):
             total += (
                 prob_stirling2(dist, n - l, m)
                 * F(math.comb(n, l), math.comb(n, r))
-                * falling_factorial(conj, m)
+                * falling_factorial(point.Xc, m)
                 * prob_qbernstein(dist, r, l, point)
             )
     return lhs, total / denom
@@ -469,12 +474,11 @@ def _convolution_eval(family):
     def evaluate(draw: CaseDraw, order: int):
         dist, point = draw.dist, draw.point
         r, n = draw.indices["r"], draw.indices["n"]
-        x_val, conj, _ = _brackets(point)
         lhs = sum(
-            math.comb(n, j) * _qb(dist, r, j, point) * family(dist, n - j, conj)
+            math.comb(n, j) * _qb(dist, r, j, point) * family(dist, n - j, point.Xc)
             for j in range(r, n + 1)
         )
-        rhs = math.comb(n, r) * x_val**r * family(dist, n - r, F(1))
+        rhs = math.comb(n, r) * point.X**r * family(dist, n - r, F(1))
         return lhs, rhs
 
     return evaluate
@@ -483,9 +487,8 @@ def _convolution_eval(family):
 def eval_t26_verbatim(draw: CaseDraw, order: int):
     dist, point = draw.dist, draw.point
     r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
     lhs = prob_qbernstein(dist, r, n, point)
-    rhs = x_val * _qb(dist, r - 1, n - 1, point) + one_minus * dist.moment(1) * _qb(
+    rhs = point.X * _qb(dist, r - 1, n - 1, point) + point.X1 * dist.moment(1) * _qb(
         dist, r, n - 1, point
     )
     return lhs, rhs
@@ -494,14 +497,13 @@ def eval_t26_verbatim(draw: CaseDraw, order: int):
 def eval_t26_corrected(draw: CaseDraw, order: int):
     dist, point = draw.dist, draw.point
     r = draw.indices["r"]
-    x_val, _, one_minus = _brackets(point)
     m_series = dist.mgf_series(order)
     f_r = prob_qbernstein_gf(dist, r, point, order)
     lhs = f_r.derive()
     ratio = m_series.derive() * m_series.recip().truncate(order - 1)
-    rhs = (x_val * prob_qbernstein_gf(dist, r - 1, point, order)).truncate(
+    rhs = (point.X * prob_qbernstein_gf(dist, r - 1, point, order)).truncate(
         order - 1
-    ) + one_minus * (f_r.truncate(order - 1) * ratio)
+    ) + point.X1 * (f_r.truncate(order - 1) * ratio)
     return lhs, rhs
 
 
@@ -518,10 +520,7 @@ def _t27_eval(corrected: bool):
             term1 = Laurent()
         inner = Laurent()
         for j in range(n):
-            acc = F(0)
-            for l in range(n - j):
-                weight = math.factorial(l) if corrected else 1
-                acc += (-1) ** l * weight * prob_stirling2(dist, n - j, l + 1)
+            acc = _alternating_stirling_sum(dist, n - j, corrected)
             if acc != 0:
                 inner = inner + math.comb(n, j) * acc * _qb_laurent(dist, r, j, q)
         term2 = Laurent({-1: q}) * inner * LogPoly({1: F(1) / (1 - q)})
@@ -534,7 +533,7 @@ def _t28_eval(verbatim: bool):
     def evaluate(draw: CaseDraw, order: int):
         dist, point = draw.dist, draw.point
         r, m = draw.indices["r"], draw.indices["m"]
-        x_val, _, one_minus = _brackets(point)
+        x_val, one_minus = point.X, point.X1
         powered = dist.mgf_series(order).pow(one_minus)
         target = order - m
 
@@ -586,51 +585,6 @@ def _t28_draw(pool):
         return CaseDraw(dist, point, {"r": r, "m": m})
 
     return draw
-
-
-def eval_t31(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = math.comb(n, r) * x_val**r * bell_poly(n - r, dist.alpha * one_minus)
-    return lhs, rhs
-
-
-def eval_t32_corrected(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = (
-        math.comb(n, r)
-        * x_val**r
-        * sum(
-            dist.alpha**m * one_minus**m * stirling2(n - r, m)
-            for m in range(n - r + 1)
-        )
-    )
-    return lhs, rhs
-
-
-def eval_c31(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, _ = _brackets(point)
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = F(0)
-    for m in range(n - r + 1):
-        for l in range(m + 1):
-            rhs += (
-                (-1) ** l
-                * dist.alpha**m
-                * stirling2(n - r, m)
-                * math.comb(n, r)
-                * math.comb(m, l)
-                * point.t ** (-m)
-                * x_val ** (r + l)
-            )
-    return lhs, rhs
 
 
 def eval_c32(draw: CaseDraw, order: int):
@@ -686,49 +640,14 @@ def eval_c33(draw: CaseDraw, order: int):
     return lhs, rhs
 
 
-def eval_t33(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = (
-        x_val**r
-        * math.comb(n, r)
-        * sum(
-            dist.p1**m * falling_factorial(one_minus, m) * stirling2(n - r, m)
-            for m in range(n - r + 1)
-        )
-    )
-    return lhs, rhs
-
-
-def eval_t34_corrected(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = (
-        x_val**r
-        * math.comb(n, r)
-        * sum(
-            dist.p1**m
-            * falling_factorial(dist.trials * one_minus, m)
-            * stirling2(n - r, m)
-            for m in range(n - r + 1)
-        )
-    )
-    return lhs, rhs
-
-
 def eval_t35(draw: CaseDraw, order: int):
     dist, point = draw.dist, draw.point
     r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
     u = 1 - dist.p1
     if u == 1:
         raise CaseSkip("failure probability 1 is outside the law's range")
     lhs = (-1) ** (n - r) * prob_qbernstein(dist, r, n, point)
-    rhs = x_val**r * math.comb(n, r) * frobenius_euler(n - r, one_minus, F(0), u)
+    rhs = point.X**r * math.comb(n, r) * frobenius_euler(n - r, point.X1, F(0), u)
     return lhs, rhs
 
 
@@ -742,7 +661,6 @@ def _t36_inverse_u(dist):
 def eval_t36_verbatim(draw: CaseDraw, order: int):
     dist, point = draw.dist, draw.point
     r, n = draw.indices["r"], draw.indices["n"]
-    _, _, one_minus = _brackets(point)
     u = _t36_inverse_u(dist)
     a = dist.successes
     lhs = prob_qbernstein(dist, r, n, point)
@@ -752,38 +670,19 @@ def eval_t36_verbatim(draw: CaseDraw, order: int):
             math.comb(n, l)
             * F(a) ** (n - l)
             * bernstein_classical(r, l, point.x)
-            * frobenius_euler(n - l, a * one_minus, F(0), u)
+            * frobenius_euler(n - l, a * point.X1, F(0), u)
         )
     return lhs, rhs
 
 
-def eval_t36_corrected(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, _, one_minus = _brackets(point)
-    u = _t36_inverse_u(dist)
-    a = dist.successes
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = (
-        math.comb(n, r)
-        * x_val**r
-        * sum(
-            math.comb(n - r, k)
-            * (a * one_minus) ** k
-            * frobenius_euler(n - r - k, a * one_minus, F(0), u)
-            for k in range(n - r + 1)
-        )
+def _t36_tail(dist, k, p):
+    """The sum over j of binom(k, j) (a X1)^j times the Frobenius-Euler value of
+    index k - j, order a X1 and parameter 1/(1 - p)."""
+    u, ax1 = _t36_inverse_u(dist), dist.successes * p.X1
+    return sum(
+        math.comb(k, j) * ax1**j * frobenius_euler(k - j, ax1, F(0), u)
+        for j in range(k + 1)
     )
-    return lhs, rhs
-
-
-def eval_t37(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x_val, conj, _ = _brackets(point)
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = math.comb(n, r) * x_val**r * higher_bernoulli(n - r, conj - 1, F(0))
-    return lhs, rhs
 
 
 def eval_r21(draw: CaseDraw, order: int):
@@ -857,7 +756,7 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.2", "corrected",
         "explicit double-sum expansion with separated summation indices",
-        "pass", _point_draw_rn(draw_law), eval_t22_corrected,
+        "pass", _point_draw_rn(draw_law), _reduction_eval(_t22_tail),
     ),
     IdentityCase(
         "T2.3", "corrected",
@@ -933,18 +832,30 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T3.1", "verbatim",
         "Poisson law: values reduce to Bell polynomial evaluations",
-        "pass", _point_draw_rn(LAW_POOLS["poisson"]), eval_t31,
+        "pass", _point_draw_rn(LAW_POOLS["poisson"]),
+        _reduction_eval(lambda dist, k, p: bell_poly(k, dist.alpha * p.X1)),
     ),
     IdentityCase(
         "T3.2", "corrected",
         "Poisson law: partition-number expansion with the complement-bracket "
         "power restored",
-        "pass", _point_draw_rn(LAW_POOLS["poisson"]), eval_t32_corrected,
+        "pass", _point_draw_rn(LAW_POOLS["poisson"]),
+        _reduction_eval(
+            lambda dist, k, p: _stirling_sum(k, lambda m: dist.alpha**m * p.X1**m)
+        ),
     ),
     IdentityCase(
         "C3.1", "verbatim",
         "Poisson law: fully expanded double sum in powers of t",
-        "pass", _point_draw_rn(LAW_POOLS["poisson"]), eval_c31,
+        "pass", _point_draw_rn(LAW_POOLS["poisson"]),
+        _reduction_eval(
+            lambda dist, k, p: sum(
+                (-1) ** l * dist.alpha**m * stirling2(k, m) * math.comb(m, l)
+                * p.t ** (-m) * p.X**l
+                for m in range(k + 1)
+                for l in range(m + 1)
+            )
+        ),
     ),
     IdentityCase(
         "C3.2", "verbatim",
@@ -961,13 +872,23 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T3.3", "verbatim",
         "Bernoulli law: falling-factorial partition expansion",
-        "pass", _point_draw_rn(LAW_POOLS["bernoulli"]), eval_t33,
+        "pass", _point_draw_rn(LAW_POOLS["bernoulli"]),
+        _reduction_eval(
+            lambda dist, k, p: _stirling_sum(
+                k, lambda m: dist.p1**m * falling_factorial(p.X1, m)
+            )
+        ),
     ),
     IdentityCase(
         "T3.4", "corrected",
         "Binomial law: falling factorial taken at the trial count times the "
         "complement bracket",
-        "pass", _point_draw_rn(LAW_POOLS["binomial"]), eval_t34_corrected,
+        "pass", _point_draw_rn(LAW_POOLS["binomial"]),
+        _reduction_eval(
+            lambda dist, k, p: _stirling_sum(
+                k, lambda m: dist.p1**m * falling_factorial(dist.trials * p.X1, m)
+            )
+        ),
         notes="the printed argument reuses the series index where the trial "
         "count belongs",
     ),
@@ -987,12 +908,13 @@ REGISTRY: list[IdentityCase] = [
         "T3.6", "corrected",
         "Negative-binomial law: exponential-shift expansion derived from the "
         "MGF factorization",
-        "pass", _point_draw_rn(LAW_POOLS["negbinomial"]), eval_t36_corrected,
+        "pass", _point_draw_rn(LAW_POOLS["negbinomial"]), _reduction_eval(_t36_tail),
     ),
     IdentityCase(
         "T3.7", "verbatim",
         "Uniform law: reduction to higher-order Bernoulli numbers",
-        "pass", _point_draw_rn(LAW_POOLS["uniform01"]), eval_t37,
+        "pass", _point_draw_rn(LAW_POOLS["uniform01"]),
+        _reduction_eval(lambda dist, k, p: higher_bernoulli(k, p.Xc - 1, F(0))),
     ),
     IdentityCase(
         "R2.1", "verbatim",

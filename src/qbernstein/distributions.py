@@ -19,7 +19,7 @@ holding M, (M - 1)^m and M^z at the largest order asked for so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,11 +53,9 @@ class Distribution:
             raise ValueError("moment index must be nonnegative")
         return mgf_table(self).series(n).egf_coeff(n)
 
-    def mean(self) -> Fraction:
-        return self.moment(1)
-
     def param_string(self) -> str:
-        return ""
+        """The law's parameters as "name=value" pairs joined by ";"."""
+        return ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
 
 def _check_p1(p1: Fraction) -> Fraction:
@@ -92,9 +90,6 @@ class Poisson(Distribution):
             coeffs.append(self.alpha * tail / k)
         return coeffs
 
-    def param_string(self) -> str:
-        return f"alpha={self.alpha}"
-
 
 @dataclass(frozen=True)
 class Bernoulli(Distribution):
@@ -110,9 +105,6 @@ class Bernoulli(Distribution):
             self.p1 * Fraction(1, math.factorial(k)) for k in range(len(coeffs), n + 1)
         )
         return coeffs
-
-    def param_string(self) -> str:
-        return f"p1={self.p1}"
 
 
 @dataclass(frozen=True)
@@ -130,9 +122,6 @@ class Binomial(Distribution):
     def extend_mgf(self, coeffs: list, n: int) -> list:
         single = Bernoulli(self.p1).extend_mgf([Fraction(1)], n)
         return extend_pow(single, self.trials, coeffs, n)
-
-    def param_string(self) -> str:
-        return f"trials={self.trials};p1={self.p1}"
 
 
 @dataclass(frozen=True)
@@ -156,9 +145,6 @@ class Geometric(Distribution):
             coeffs.append(Fraction(1, math.factorial(k)) + ratio * tail)
         return coeffs
 
-    def param_string(self) -> str:
-        return f"p1={self.p1}"
-
 
 @dataclass(frozen=True)
 class NegBinomial(Distribution):
@@ -178,9 +164,6 @@ class NegBinomial(Distribution):
         single = mgf_table(Geometric(self.p1)).series(n).coeffs
         return extend_pow(single, self.successes, coeffs, n)
 
-    def param_string(self) -> str:
-        return f"successes={self.successes};p1={self.p1}"
-
 
 @dataclass(frozen=True)
 class Uniform01(Distribution):
@@ -191,9 +174,6 @@ class Uniform01(Distribution):
             Fraction(1, math.factorial(k + 1)) for k in range(len(coeffs), n + 1)
         )
         return coeffs
-
-    def param_string(self) -> str:
-        return ""
 
 
 @dataclass(frozen=True)
@@ -213,9 +193,6 @@ class Constant(Distribution):
             for k in range(len(coeffs), n + 1)
         )
         return coeffs
-
-    def param_string(self) -> str:
-        return f"value={self.value}"
 
 
 @dataclass(frozen=True)

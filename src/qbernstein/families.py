@@ -11,6 +11,8 @@ themselves the coefficient formulas of their generating functions.
 against: the exponential coefficient of (v X)^r / r! times the MGF raised to
 the bracket of 1 - x.  It reads that one coefficient, n!/r! X^r times the
 coefficient of v^(n - r) in M^X1, from the law's table and builds no series.
+n!/r! is the falling product ``math.perm(n, n - r)``, as is n!/m! in
+:func:`prob_stirling2`; X and X1 are read from the point (``p.X``, ``p.X1``).
 :func:`prob_qbernstein_gf` is the one place the whole generating function is
 built.  ``prob_qbernstein_laurent`` reaches the same value with x kept
 symbolic, through the expansion over ``prob_stirling2`` that the binomial
@@ -30,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .distributions import Constant, Distribution, mgf_table
-from .qcalc import QPoint, bracket, bracket_conjugates, bracket_in_t, one_minus_conjugate_in_t
+from .qcalc import QPoint, bracket_in_t, one_minus_conjugate_in_t
 from .rings import Laurent
 from .series import Series, exp_series
 
@@ -49,7 +51,7 @@ def prob_stirling2(d: Distribution, n: int, m: int) -> Fraction:
         raise ValueError("indices must be nonnegative")
     if m > n:
         return Fraction(0)
-    return mgf_table(d).minus_one_coeff(m, n) * math.factorial(n) / math.factorial(m)
+    return mgf_table(d).minus_one_coeff(m, n) * math.perm(n, n - m)
 
 
 def bell_poly(n: int, x):
@@ -148,9 +150,7 @@ def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
     In classical mode this is :func:`bernstein_classical`.
     """
     _check_indices(r, n)
-    x_val = bracket(p)
-    one_minus = bracket_conjugates(p)[1]
-    return math.comb(n, r) * x_val**r * one_minus ** (n - r)
+    return math.comb(n, r) * p.X**r * p.X1 ** (n - r)
 
 
 def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series:
@@ -163,8 +163,8 @@ def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series
         return Series.zero(order)
     if r > order:
         raise ValueError("monomial degree outside truncation order")
-    front = bracket(p) ** r * Fraction(1, math.factorial(r))
-    tail = mgf_table(d).power(bracket_conjugates(p)[1], order - r)
+    front = p.X**r * Fraction(1, math.factorial(r))
+    tail = mgf_table(d).power(p.X1, order - r)
     return Series([Fraction(0)] * r + [front * c for c in tail.coeffs])
 
 
@@ -173,8 +173,8 @@ def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:
     (v X)^r / r! * M^X1, with X, X1 the brackets of x and 1 - x at ``p``;
     that is n!/r! X^r times the coefficient of v^(n - r) in M^X1."""
     _check_indices(r, n)
-    tail = mgf_table(d).power_coeff(bracket_conjugates(p)[1], n - r)
-    return Fraction(math.factorial(n), math.factorial(r)) * bracket(p) ** r * tail
+    tail = mgf_table(d).power_coeff(p.X1, n - r)
+    return math.perm(n, n - r) * p.X**r * tail
 
 
 def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Laurent:

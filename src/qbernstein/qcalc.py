@@ -6,16 +6,25 @@ so that t is exactly the x-th power of q with x = c/d.  A separate classical
 mode carries (q = 1, x) and replaces every bracket by its q -> 1 limit, which
 is plain x; no numerical limits are taken anywhere.
 
+Every result is stated through three brackets at one point: X = [x]_q,
+Xc = [x]_(1/q) and X1 = [1 - x]_q.  A :class:`QPoint` computes them once, when
+it is built, and is the one place that knows their formulas; every reader
+takes ``p.X``, ``p.Xc`` and ``p.X1``.
+
 Any rational q > 0 with q != 1 is accepted: every identity checked downstream
 is a rational identity in (q, t), so testing is not restricted to 0 < q < 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rings import Laurent
+
+
+def _held():
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -26,23 +35,40 @@ class QPoint:
     then q = rho**d, t = rho**c and x = c/d, with t**d == q**c exactly.
     Classical mode: built by :meth:`classical`; q = 1 and brackets
     degenerate to x itself.
+
+    The point holds q, t and its brackets X = (t - 1)/(q - 1),
+    Xc = q (1 - t)/(t (1 - q)) (the bracket of x under the inverse base) and
+    X1 = 1 - Xc (the bracket of 1 - x); classically X = Xc = x and X1 = 1 - x.
+    Equality, hash and repr are those of (rho, c, d).
     """
 
     rho: Fraction | None
     c: int
     d: int
+    q: Fraction = _held()
+    X: Fraction = _held()
+    Xc: Fraction = _held()
+    X1: Fraction = _held()
+    _t: Fraction | None = _held()
 
     def __post_init__(self):
         if self.rho is None:
             if self.d < 1:
                 raise ValueError("classical point needs a positive denominator")
-            return
-        rho = Fraction(self.rho)
-        object.__setattr__(self, "rho", rho)
-        if rho <= 0 or rho == 1:
-            raise ValueError("rho must be a positive rational different from 1")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
+            q, t = Fraction(1), None
+            x = xc = Fraction(self.c, self.d)
+        else:
+            rho = Fraction(self.rho)
+            object.__setattr__(self, "rho", rho)
+            if rho <= 0 or rho == 1:
+                raise ValueError("rho must be a positive rational different from 1")
+            if self.d < 1:
+                raise ValueError("d must be a positive integer")
+            q, t = rho**self.d, rho**self.c
+            x = (t - 1) / (q - 1)
+            xc = q * (1 - t) / (t * (1 - q))
+        for name, value in (("q", q), ("_t", t), ("X", x), ("Xc", xc), ("X1", 1 - xc)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def classical(cls, x: Fraction) -> "QPoint":
@@ -54,38 +80,14 @@ class QPoint:
         return self.rho is None
 
     @property
-    def q(self) -> Fraction:
-        return Fraction(1) if self.rho is None else self.rho**self.d
-
-    @property
     def t(self) -> Fraction:
-        if self.rho is None:
+        if self._t is None:
             raise ValueError("classical point has no t value")
-        return self.rho**self.c
+        return self._t
 
     @property
     def x(self) -> Fraction:
         return Fraction(self.c, self.d)
-
-
-def bracket(p: QPoint) -> Fraction:
-    """The q-bracket of x at the point: (t - 1)/(q - 1), or x classically."""
-    if p.is_classical:
-        return p.x
-    return (p.t - 1) / (p.q - 1)
-
-
-def bracket_conjugates(p: QPoint) -> tuple[Fraction, Fraction]:
-    """The pair (bracket of x under the inverse base, bracket of 1 - x).
-
-    The first entry is q (1 - t) / (t (1 - q)); the second is one minus the
-    first, which agrees exactly with the defining quotient for 1 - x.
-    """
-    if p.is_classical:
-        return p.x, 1 - p.x
-    q, t = p.q, p.t
-    conj = q * (1 - t) / (t * (1 - q))
-    return conj, 1 - conj
 
 
 def one_minus_bracket_power(p: QPoint, m: int) -> tuple[Fraction, Laurent]:
@@ -100,7 +102,7 @@ def one_minus_bracket_power(p: QPoint, m: int) -> tuple[Fraction, Laurent]:
         raise ValueError("power must be nonnegative")
     if p.is_classical:
         raise ValueError("Laurent expansion undefined at q = 1")
-    scalar = bracket_conjugates(p)[1] ** m
+    scalar = p.X1**m
     x_in_t = bracket_in_t(p.q)
     expansion = Laurent({-m: 1}) * (Laurent({0: 1}) - x_in_t) ** m
     return scalar, expansion

@@ -177,12 +177,6 @@ class LogPoly(_SparseTerms):
     __add__ = __radd__ = _SparseTerms.__add__
     __mul__ = __rmul__ = _SparseTerms.__mul__
 
-    def is_log_free(self) -> bool:
-        return all(k == 0 for k in self.terms)
-
-    def constant_part(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
-
 
 class Laurent(_SparseTerms):
     """Sparse Laurent polynomial in the evaluation symbol t.
@@ -206,9 +200,6 @@ class Laurent(_SparseTerms):
         if not isinstance(value, (Fraction, LogPoly)):
             raise TypeError("Laurent coefficients must be Fraction or LogPoly")
         return value
-
-    def min_exponent(self) -> int | None:
-        return min(self.terms) if self.terms else None
 
     def substitute(self, t_value: Fraction):
         """Termwise substitution t <- t_value; exact for t_value != 0."""

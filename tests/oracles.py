@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from qbernstein.rings import Laurent
+from qbernstein.rings import Laurent, LogPoly
 from qbernstein.series import Series, exp_series
 
 F = Fraction
@@ -162,6 +162,21 @@ def padic_valuation(value: Fraction, p: int):
         den //= p
         v -= 1
     return v
+
+
+def min_exponent(f: Laurent) -> int | None:
+    """The lowest t-exponent of a Laurent polynomial; None for zero."""
+    return min(f.terms, default=None)
+
+
+def is_log_free(v: LogPoly) -> bool:
+    """Whether a formal-log value has no term in a nonzero power of L."""
+    return all(k == 0 for k in v.terms)
+
+
+def constant_part(v: LogPoly) -> Fraction:
+    """The coefficient of L^0 in a formal-log value."""
+    return v.terms.get(0, F(0))
 
 
 def shift_x(f: Laurent, q: Fraction) -> Laurent:

@@ -13,13 +13,12 @@ from qbernstein.audit import (
     IdentityCase,
     eval_t21,
     eval_t26_verbatim,
-    eval_t31,
     run_all,
     run_case,
 )
 from qbernstein.distributions import Bernoulli, Constant, CustomMoments, Poisson
 from qbernstein.families import bell_poly, prob_qbernstein
-from qbernstein.qcalc import QPoint, bracket, bracket_conjugates
+from qbernstein.qcalc import QPoint
 
 POINT = QPoint(F(2, 3), 1, 2)
 
@@ -28,6 +27,7 @@ POINT = QPoint(F(2, 3), 1, 2)
 AUDIT_DIGESTS = {
     42: "06c7a7263de44d25d594f222b6ef5895a905dfbc66e6f6167f8eb55341e3cbf4",
     7: "e679d2169e9c409faa353e1bd70a4590fd018ec5c1fc44aec0639cecb9759010",
+    99: "9a4728ab2ffa672cb287b33cf714ffb2a56c4c6fb4db9bd4edf4603330f4b42a",
 }
 
 
@@ -107,13 +107,17 @@ def test_one_failing_case_leaves_the_rest_of_the_run(monkeypatch, tmp_path, caps
     assert out.read_text() == report.to_jsonl()
 
 
+def _registry_case(case_id, variant):
+    (case,) = [c for c in REGISTRY if (c.id, c.variant) == (case_id, variant)]
+    return case
+
+
 def test_poisson_bell_case_at_fixed_inputs():
     draw = CaseDraw(Poisson(F(2, 3)), POINT, {"r": 1, "n": 4})
-    lhs, rhs = eval_t31(draw, 12)
+    lhs, rhs = _registry_case("T3.1", "verbatim").evaluate(draw, 12)
     assert lhs == rhs
     # and the reduction really is through Bell polynomial values
-    one_minus = bracket_conjugates(POINT)[1]
-    assert rhs == 4 * bracket(POINT) * bell_poly(3, F(2, 3) * one_minus)
+    assert rhs == 4 * POINT.X * bell_poly(3, F(2, 3) * POINT.X1)
 
 
 def test_degree_recurrence_fails_for_a_genuinely_random_law():

@@ -2,6 +2,7 @@
 precondition fails, 2 on a usage error (with an ``error: ...`` line and no
 traceback), 3 on an I/O error; and byte-identical audit output across runs."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -125,3 +126,34 @@ def test_audit_jsonl_is_byte_identical_across_processes(tmp_path):
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0]
+
+
+TABLE_LAWS = [
+    ["poisson", "--alpha", "3/2"],
+    ["bernoulli", "--p1", "1/3"],
+    ["binomial", "--nbar", "3", "--p1", "1/4"],
+    ["geometric", "--p1", "3/4"],
+    ["negbinomial", "--a", "2", "--p1", "2/3"],
+    ["uniform01"],
+]
+# SHA-256 of the `table` CSVs of the six audit laws over 0 <= r <= n <= 12,
+# concatenated in TABLE_LAWS order.  The bytes are a contract, as the audit's are.
+TABLE_DIGESTS = {
+    "q-point": "193bdc061bd57b577f2a3bc5ddaf44f65e5cb5fa18c20ea01ff22e0e5314b30e",
+    "classical": "cfb1fae643376f5fcee5a0310ceb13774e423518352c6d02dd71216622a54f13",
+}
+
+
+@pytest.mark.parametrize(
+    "point, key",
+    [(["--rho", "3/2", "--c", "1", "--d", "3"], "q-point"), (["--x", "2/5"], "classical")],
+    ids=["q-point", "classical"],
+)
+def test_table_csvs_match_their_pinned_digest(tmp_path, point, key):
+    payload = b""
+    for i, law in enumerate(TABLE_LAWS):
+        path = tmp_path / f"table_{i}.csv"
+        argv = ["table", "--dist"] + law + point + ["--n", "0..12", "--r", "0..12"]
+        assert main(argv + ["--out", str(path)]) == 0
+        payload += path.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == TABLE_DIGESTS[key]

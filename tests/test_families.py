@@ -30,7 +30,7 @@ from qbernstein.families import (
     qbernstein,
     stirling2,
 )
-from qbernstein.qcalc import QPoint, bracket, bracket_conjugates
+from qbernstein.qcalc import QPoint
 from qbernstein.rings import Poly
 from qbernstein.series import Series, exp_series
 
@@ -228,8 +228,7 @@ def _random_points(count, seed):
 
 def test_qbernstein_closed_form_equals_series_route():
     for p in _random_points(5, 601):
-        x_val = bracket(p)
-        one_minus = bracket_conjugates(p)[1]
+        x_val, one_minus = p.X, p.X1
         for n in range(11):
             for r in range(n + 1):
                 series = Series.monomial(
@@ -240,7 +239,7 @@ def test_qbernstein_closed_form_equals_series_route():
 
 def test_qbernstein_values():
     assert qbernstein(1, 2, POINT) == F(18, 25)
-    assert qbernstein(3, 3, POINT) == bracket(POINT) ** 3
+    assert qbernstein(3, 3, POINT) == POINT.X**3
     classical = QPoint.classical(F(2, 7))
     for n in range(7):
         for r in range(n + 1):
@@ -264,7 +263,7 @@ def test_prob_qbernstein_reductions():
 def test_prob_qbernstein_examples():
     assert prob_qbernstein(Bernoulli(F(1, 2)), 0, 1, POINT) == F(3, 10)
     for law in SIX_LAWS:
-        assert prob_qbernstein(law, 4, 4, POINT) == bracket(POINT) ** 4
+        assert prob_qbernstein(law, 4, 4, POINT) == POINT.X**4
     with pytest.raises(ValueError):
         prob_qbernstein(Uniform01(), 3, 2, POINT)
 
@@ -276,7 +275,7 @@ def test_generating_function_equals_the_product_route():
     custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(9)))
     for law in SIX_LAWS + [Constant(F(2)), custom]:
         for p in (POINT, QPoint.classical(F(2, 5))):
-            x_val, one_minus = bracket(p), bracket_conjugates(p)[1]
+            x_val, one_minus = p.X, p.X1
             for order in range(9):
                 power = law.mgf_series(order).pow(one_minus)
                 for r in range(order + 1):
@@ -365,8 +364,7 @@ def test_corrected_derivative_identity_for_all_six_laws():
     order = 9
     for law in SIX_LAWS:
         for p in _random_points(2, 13):
-            x_val = bracket(p)
-            one_minus = bracket_conjugates(p)[1]
+            x_val, one_minus = p.X, p.X1
             m_series = law.mgf_series(order)
             powered = m_series.pow(one_minus)
 
