@@ -24,17 +24,18 @@ charitable index conventions listed in the case notes), "corrected" evaluates
 the repaired form, and "verbatim-const" restricts a verbatim claim to
 degenerate single-point laws, the regime where its derivation step is exact.
 
-Eight cases (T2.2 corrected, T3.1, T3.2, C3.1, T3.3, T3.4, T3.6 corrected,
-T3.7) are closed-form reductions of one shape: the family value equals
-binom(n, r) X^r tail(n - r), where the tail is the law's closed form for
-(n - r)! [v^(n - r)] M^X1.  :func:`_reduction_eval` builds their evaluator from
-the tail, so each registry entry states only its tail, as
-:func:`_convolution_eval` does for the two convolution identities.  Every
-evaluator reads the brackets X, Xc and X1 from the drawn point.
+A case draws a law, then a point, then its indices (:func:`_drawer`).  Its
+evaluator is called as ``evaluate(dist, p, order, **indices)``, taking each
+drawn index by name, and returns (lhs, rhs) or raises :class:`CaseSkip`.
+Shapes that several cases share are written once: the reduction to
+binom(n, r) X^r times a closed-form tail (:func:`_reduction_eval`), the
+convolution, the recovery of X^r (T2.3, C2.1), the printed Poisson integral
+(C3.2, C3.3) and the product rule (T2.8).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import random
@@ -93,7 +94,8 @@ class IdentityCase:
     statement: str
     expected: str  # "pass" | "record" | "skip"
     draw: Callable[[random.Random], CaseDraw] | None
-    evaluate: Callable[[CaseDraw, int], tuple] | None
+    # evaluate(dist, point, order, **indices) -> (lhs, rhs)
+    evaluate: Callable[..., tuple] | None
     notes: str = ""
 
 
@@ -141,8 +143,6 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        import csv
-
         buf = StringIO()
         writer = csv.writer(buf)
         writer.writerow(f.name for f in fields(AuditRecord))
@@ -208,19 +208,11 @@ def render_value(v) -> str:
     return str(v)
 
 
-def _values_equal(lhs, rhs) -> bool:
-    if isinstance(lhs, tuple) or isinstance(rhs, tuple):
-        return (
-            isinstance(lhs, tuple)
-            and isinstance(rhs, tuple)
-            and len(lhs) == len(rhs)
-            and all(_values_equal(a, b) for a, b in zip(lhs, rhs))
-        )
-    return lhs == rhs
-
-
 def _values_diff(lhs, rhs):
-    if isinstance(lhs, tuple) and isinstance(rhs, tuple):
+    """lhs - rhs, elementwise for tuples; "-" for sides of different shapes."""
+    if isinstance(lhs, tuple) or isinstance(rhs, tuple):
+        if type(lhs) is not type(rhs) or len(lhs) != len(rhs):
+            return "-"
         return tuple(_values_diff(a, b) for a, b in zip(lhs, rhs))
     return lhs - rhs
 
@@ -280,20 +272,24 @@ MAX_DRAWN_INDEX = 6
 
 def _draw_rn(
     rng: random.Random, n_min: int = 0, n_max: int = MAX_DRAWN_INDEX
-) -> tuple[int, int]:
+) -> dict:
     n = rng.randrange(n_min, n_max + 1)
-    r = rng.randrange(0, n + 1)
-    return r, n
+    return {"r": rng.randrange(0, n + 1), "n": n}
 
 
-def _point_draw_rn(pool, n_min: int = 0, n_max: int = MAX_DRAWN_INDEX):
+def _drawer(law=None, point=None, indices=_draw_rn):
+    """Draw a law, then a point, then the indices; seeded draws depend on that order."""
+
     def draw(rng: random.Random) -> CaseDraw:
-        dist = pool(rng)
-        point = draw_qpoint(rng)
-        r, n = _draw_rn(rng, n_min, n_max)
-        return CaseDraw(dist, point, {"r": r, "n": n})
+        dist = law(rng) if law is not None else None
+        p = point(rng) if point is not None else None
+        return CaseDraw(dist, p, indices(rng))
 
     return draw
+
+
+def _draw_rm(rng: random.Random) -> dict:
+    return {"r": rng.randrange(0, 4), "m": rng.randrange(1, 4)}
 
 
 def _qb(dist, r, n, point):
@@ -313,11 +309,7 @@ def _qb_laurent(dist, r, n, q):
 # evaluators; each returns (lhs, rhs) computed by disjoint routes
 
 
-def eval_bracket_properties(draw: CaseDraw, order: int):
-    ix = draw.indices
-    rho, d = ix["rho"], ix["d"]
-    c1, c2 = ix["c1"], ix["c2"]
-    p1 = QPoint(rho, c1, d)
+def eval_bracket_properties(dist, p1, order, rho, d, c1, c2):
     p2 = QPoint(rho, c2, d)
     # definition route: the bracket of x at the derived points
     conj_def = QPoint(1 / rho, c1, d).X
@@ -345,17 +337,12 @@ def draw_bracket_properties(rng: random.Random) -> CaseDraw:
     return CaseDraw(None, QPoint(rho, c1, d), {"rho": rho, "d": d, "c1": c1, "c2": c2})
 
 
-def eval_one_minus_power(draw: CaseDraw, order: int):
-    point, m = draw.point, draw.indices["m"]
-    scalar, expansion = one_minus_bracket_power(point, m)
-    direct = point.t ** (-m) * sum(
-        math.comb(m, l) * (-1) ** l * point.X**l for l in range(m + 1)
+def eval_one_minus_power(dist, p, order, m):
+    scalar, expansion = one_minus_bracket_power(p, m)
+    direct = p.t ** (-m) * sum(
+        math.comb(m, l) * (-1) ** l * p.X**l for l in range(m + 1)
     )
-    return (scalar, scalar), (expansion.substitute(point.t), direct)
-
-
-def draw_one_minus_power(rng: random.Random) -> CaseDraw:
-    return CaseDraw(None, draw_qpoint(rng), {"m": rng.randrange(0, 9)})
+    return (scalar, scalar), (expansion.substitute(p.t), direct)
 
 
 def _alternating_stirling_sum(dist, k: int, corrected: bool):
@@ -368,8 +355,7 @@ def _alternating_stirling_sum(dist, k: int, corrected: bool):
 
 
 def _log_expansion_eval(corrected: bool):
-    def evaluate(draw: CaseDraw, order: int):
-        dist = draw.dist
+    def evaluate(dist, p, order):
         lhs = dist.mgf_series(order).log()
         coeffs = [F(0)] + [
             _alternating_stirling_sum(dist, k, corrected) / F(math.factorial(k))
@@ -380,20 +366,14 @@ def _log_expansion_eval(corrected: bool):
     return evaluate
 
 
-def _dist_only_draw(rng: random.Random) -> CaseDraw:
-    return CaseDraw(draw_law(rng), None, {})
-
-
-def eval_t21(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    lhs = prob_qbernstein(dist, r, n, point)
+def eval_t21(dist, p, order, r, n):
+    lhs = prob_qbernstein(dist, r, n, p)
     rhs = sum(
         math.comb(n, m)
         * prob_stirling2(dist, n - m, r)
-        * prob_bernoulli_higher(dist, m, r, point.X1)
+        * prob_bernoulli_higher(dist, m, r, p.X1)
         for m in range(n + 1)
-    ) * point.X**r
+    ) * p.X**r
     return lhs, rhs
 
 
@@ -402,9 +382,7 @@ def _reduction_eval(tail):
     binom(n, r) X^r tail(dist, n - r, point), where the tail is a closed form
     for (n - r)! [v^(n - r)] M^X1 in the law's own special numbers."""
 
-    def evaluate(draw: CaseDraw, order: int):
-        dist, p = draw.dist, draw.point
-        r, n = draw.indices["r"], draw.indices["n"]
+    def evaluate(dist, p, order, r, n):
         return prob_qbernstein(dist, r, n, p), math.comb(n, r) * p.X**r * tail(dist, n - r, p)
 
     return evaluate
@@ -426,44 +404,37 @@ def _stirling_sum(k, weight):
     return sum(weight(m) * stirling2(k, m) for m in range(k + 1))
 
 
-def eval_t23(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    lhs = point.X**r
-    denom = dist.moment(n - r)
-    if denom == 0:
+def _recovery_weights(dist, r, n) -> list:
+    """The terms (l, m, S_Y(n - l, m) binom(n, l) / E[Y^(n - r)]), r <= l <= n and
+    m <= n - l, recovering X^r from the values B(r, l) (T2.3) or their integrals (C2.1)."""
+    moment = dist.moment(n - r)
+    if moment == 0:
         raise CaseSkip("law has a vanishing moment of the needed index")
-    total = F(0)
-    for l in range(r, n + 1):
-        for m in range(n - l + 1):
-            total += (
-                prob_stirling2(dist, n - l, m)
-                * F(math.comb(n, l), math.comb(n, r))
-                * falling_factorial(point.Xc, m)
-                * prob_qbernstein(dist, r, l, point)
-            )
-    return lhs, total / denom
+    return [
+        (l, m, prob_stirling2(dist, n - l, m) * math.comb(n, l) / moment)
+        for l in range(r, n + 1)
+        for m in range(n - l + 1)
+    ]
 
 
-def eval_c21(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    q = point.q
+def eval_t23(dist, p, order, r, n):
+    lhs = p.X**r
+    rhs = sum(
+        w * falling_factorial(p.Xc, m) * prob_qbernstein(dist, r, l, p)
+        for l, m, w in _recovery_weights(dist, r, n)
+    ) / math.comb(n, r)
+    return lhs, rhs
+
+
+def eval_c21(dist, p, order, r, n):
+    q = p.q
     lhs = (carlitz_beta(r, q), q_euler(r, q))
-    denom = dist.moment(n - r)
-    if denom == 0:
-        raise CaseSkip("law has a vanishing moment of the needed index")
     bos, ferm = LogPoly(), LogPoly()
-    for l in range(r, n + 1):
-        for m in range(n - l + 1):
-            weight = prob_stirling2(dist, n - l, m) * math.comb(n, l)
-            if weight == 0:
-                continue
+    for l, m, w in _recovery_weights(dist, r, n):
+        if w != 0:
             term_b, term_f = integrate_weighted_term(dist, r, l, m, q)
-            bos = bos + term_b * weight
-            ferm = ferm + term_f * weight
-    scale = F(1) / denom
-    return lhs, (bos * scale, ferm * scale)
+            bos, ferm = bos + term_b * w, ferm + term_f * w
+    return lhs, (bos, ferm)
 
 
 def _convolution_eval(family):
@@ -471,53 +442,40 @@ def _convolution_eval(family):
     family attached to the law): sum over j of binom(n, j) B(r, j) fam(n - j,
     conj) equals binom(n, r) X^r fam(n - r, 1)."""
 
-    def evaluate(draw: CaseDraw, order: int):
-        dist, point = draw.dist, draw.point
-        r, n = draw.indices["r"], draw.indices["n"]
+    def evaluate(dist, p, order, r, n):
         lhs = sum(
-            math.comb(n, j) * _qb(dist, r, j, point) * family(dist, n - j, point.Xc)
+            math.comb(n, j) * _qb(dist, r, j, p) * family(dist, n - j, p.Xc)
             for j in range(r, n + 1)
         )
-        rhs = math.comb(n, r) * point.X**r * family(dist, n - r, F(1))
+        rhs = math.comb(n, r) * p.X**r * family(dist, n - r, F(1))
         return lhs, rhs
 
     return evaluate
 
 
-def eval_t26_verbatim(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    lhs = prob_qbernstein(dist, r, n, point)
-    rhs = point.X * _qb(dist, r - 1, n - 1, point) + point.X1 * dist.moment(1) * _qb(
-        dist, r, n - 1, point
-    )
+def eval_t26_verbatim(dist, p, order, r, n):
+    lhs = prob_qbernstein(dist, r, n, p)
+    rhs = p.X * _qb(dist, r - 1, n - 1, p) + p.X1 * dist.moment(1) * _qb(dist, r, n - 1, p)
     return lhs, rhs
 
 
-def eval_t26_corrected(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r = draw.indices["r"]
+def eval_t26_corrected(dist, p, order, r, n):
     m_series = dist.mgf_series(order)
-    f_r = prob_qbernstein_gf(dist, r, point, order)
+    f_r = prob_qbernstein_gf(dist, r, p, order)
     lhs = f_r.derive()
     ratio = m_series.derive() * m_series.recip().truncate(order - 1)
-    rhs = (point.X * prob_qbernstein_gf(dist, r - 1, point, order)).truncate(
+    rhs = (p.X * prob_qbernstein_gf(dist, r - 1, p, order)).truncate(
         order - 1
-    ) + point.X1 * (f_r.truncate(order - 1) * ratio)
+    ) + p.X1 * (f_r.truncate(order - 1) * ratio)
     return lhs, rhs
 
 
 def _t27_eval(corrected: bool):
-    def evaluate(draw: CaseDraw, order: int):
-        dist, point = draw.dist, draw.point
-        r, n = draw.indices["r"], draw.indices["n"]
-        q = point.q
+    def evaluate(dist, p, order, r, n):
+        q = p.q
         lhs = laurent_x_derivation(_qb_laurent(dist, r, n, q))
-        if r >= 1:
-            scale = LogPoly({1: F(n) / (q - 1)})
-            term1 = Laurent({1: 1}) * _qb_laurent(dist, r - 1, n - 1, q) * scale
-        else:
-            term1 = Laurent()
+        scale = LogPoly({1: F(n) / (q - 1)})
+        term1 = Laurent({1: 1}) * _qb_laurent(dist, r - 1, n - 1, q) * scale
         inner = Laurent()
         for j in range(n):
             acc = _alternating_stirling_sum(dist, n - j, corrected)
@@ -530,124 +488,80 @@ def _t27_eval(corrected: bool):
 
 
 def _t28_eval(verbatim: bool):
-    def evaluate(draw: CaseDraw, order: int):
-        dist, point = draw.dist, draw.point
-        r, m = draw.indices["r"], draw.indices["m"]
-        x_val, one_minus = point.X, point.X1
-        powered = dist.mgf_series(order).pow(one_minus)
-        target = order - m
+    """The m-th derivative of f g, f = (X v)^r / r! and g = M^X1, against the
+    sum over l <= min(r, m) of binom(m, l) f^(l) g_l.  Corrected, g_l is the
+    (m - l)-th derivative of g; verbatim, the shortcut E[Y^(m - l)] X1^(m - l) g."""
 
-        def monomial_part(k, upto):
-            coeff = x_val**k * F(1, math.factorial(k))
-            if k > upto:
-                return Series.zero(upto)
-            return Series.monomial(k, coeff, upto)
-
-        lhs = monomial_part(r, order) * powered
+    def evaluate(dist, p, order, r, m):
+        g = dist.mgf_series(order).pow(p.X1)
+        lhs = Series.monomial(r, p.X**r / math.factorial(r), order) * g
         for _ in range(m):
             lhs = lhs.derive()
-
+        target = order - m
         rhs = Series.zero(target)
-        for l in range(m + 1):
-            front = falling_factorial(r, l)
-            if front == 0:
-                continue
+        for l in range(min(r, m) + 1):
             if verbatim:
-                scalar = (
-                    math.comb(m, l)
-                    * x_val**l
-                    * front
-                    * F(math.factorial(r - l), math.factorial(r))
-                    * dist.moment(m - l)
-                    * one_minus ** (m - l)
-                )
-                term = scalar * (monomial_part(r - l, order) * powered).truncate(target)
+                g_l = dist.moment(m - l) * p.X1 ** (m - l) * g
             else:
-                g_part = powered
+                g_l = g
                 for _ in range(m - l):
-                    g_part = g_part.derive()
-                f_part = Series.monomial(
-                    r - l, x_val**r * front * F(1, math.factorial(r)), target
-                ) if r - l <= target else Series.zero(target)
-                term = math.comb(m, l) * (f_part * g_part.truncate(target))
-            rhs = rhs + term
+                    g_l = g_l.derive()
+            f_l = Series.monomial(
+                r - l, p.X**r * falling_factorial(r, l) / math.factorial(r), target
+            )
+            rhs = rhs + math.comb(m, l) * (f_l * g_l.truncate(target))
         return lhs, rhs
 
     return evaluate
 
 
-def _t28_draw(pool):
-    def draw(rng: random.Random) -> CaseDraw:
-        dist = pool(rng)
-        point = draw_qpoint(rng)
-        r = rng.randrange(0, 4)
-        m = rng.randrange(1, 4)
-        return CaseDraw(dist, point, {"r": r, "m": m})
-
-    return draw
-
-
-def eval_c32(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    q = point.q
-    lhs = volkenborn(prob_qbernstein_laurent(dist, r, n, q), q)
-    total = LogPoly()
-    for m in range(n - r + 1):
-        for l in range(m + 1):
-            for j in range(l + r + 1):
-                sign = 1 if (l + j - 1) % 2 == 0 else -1
-                base = (
-                    sign
-                    * dist.alpha**m
-                    * stirling2(n - r, m)
-                    * math.comb(n, r)
-                    * math.comb(m, l)
-                    * math.comb(l + r, j)
-                    / (1 - q) ** l
-                )
-                if base == 0:
-                    continue
-                if j == m:
-                    token = LogPoly({-1: q - 1})
-                else:
-                    token = LogPoly({0: F(j - m) * (q - 1) / (q ** (j - m) - 1)})
-                total = total + token * base
-    rhs = LogPoly({1: F(1) / (1 - q) ** (r + 1)}) * total
-    return lhs, rhs
-
-
-def eval_c33(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    q = point.q
-    lhs = fermionic(prob_qbernstein_laurent(dist, r, n, q), q)
+def _c3_printed_sum(dist, r, n, q, token):
+    """The triple sum of the printed Poisson closed forms (C3.2, C3.3): over
+    m <= n - r, l <= m and j <= l + r, the nonzero terms alpha^m S(n - r, m)
+    binom(n, r) binom(m, l) binom(l + r, j) / (1 - q)^l times token(m, l, j)."""
     total = F(0)
     for m in range(n - r + 1):
         for l in range(m + 1):
             for j in range(l + r + 1):
-                total += (
-                    (-1) ** (l + j)
-                    * dist.alpha**m
-                    * stirling2(n - r, m)
-                    * math.comb(n, r)
-                    * math.comb(m, l)
-                    * math.comb(l + r, j)
-                    / (1 - q) ** l
-                    / (1 + q ** (j - m))
+                base = (
+                    dist.alpha**m * stirling2(n - r, m) * math.comb(n, r)
+                    * math.comb(m, l) * math.comb(l + r, j) / (1 - q) ** l
                 )
-    rhs = LogPoly({0: F(2) / (1 - q) ** r * total})
+                if base != 0:
+                    total = total + token(m, l, j) * base
+    return total
+
+
+def eval_c32(dist, p, order, r, n):
+    q = p.q
+
+    def token(m, l, j):
+        # the zero index token is read as its formal-log limit value
+        sign = (-1) ** (l + j + 1)
+        if j == m:
+            return LogPoly({-1: sign * (q - 1)})
+        return LogPoly({0: sign * F(j - m) * (q - 1) / (q ** (j - m) - 1)})
+
+    lhs = volkenborn(prob_qbernstein_laurent(dist, r, n, q), q)
+    rhs = LogPoly({1: F(1) / (1 - q) ** (r + 1)}) * _c3_printed_sum(dist, r, n, q, token)
     return lhs, rhs
 
 
-def eval_t35(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
+def eval_c33(dist, p, order, r, n):
+    q = p.q
+    lhs = fermionic(prob_qbernstein_laurent(dist, r, n, q), q)
+    total = _c3_printed_sum(
+        dist, r, n, q, lambda m, l, j: F((-1) ** (l + j)) / (1 + q ** (j - m))
+    )
+    return lhs, LogPoly({0: F(2) / (1 - q) ** r * total})
+
+
+def eval_t35(dist, p, order, r, n):
     u = 1 - dist.p1
     if u == 1:
         raise CaseSkip("failure probability 1 is outside the law's range")
-    lhs = (-1) ** (n - r) * prob_qbernstein(dist, r, n, point)
-    rhs = point.X**r * math.comb(n, r) * frobenius_euler(n - r, point.X1, F(0), u)
+    lhs = (-1) ** (n - r) * prob_qbernstein(dist, r, n, p)
+    rhs = p.X**r * math.comb(n, r) * frobenius_euler(n - r, p.X1, F(0), u)
     return lhs, rhs
 
 
@@ -658,19 +572,17 @@ def _t36_inverse_u(dist):
     return F(1) / q1
 
 
-def eval_t36_verbatim(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
+def eval_t36_verbatim(dist, p, order, r, n):
     u = _t36_inverse_u(dist)
     a = dist.successes
-    lhs = prob_qbernstein(dist, r, n, point)
+    lhs = prob_qbernstein(dist, r, n, p)
     rhs = F(0)
     for l in range(r, n + 1):
         rhs += (
             math.comb(n, l)
             * F(a) ** (n - l)
-            * bernstein_classical(r, l, point.x)
-            * frobenius_euler(n - l, a * point.X1, F(0), u)
+            * bernstein_classical(r, l, p.x)
+            * frobenius_euler(n - l, a * p.X1, F(0), u)
         )
     return lhs, rhs
 
@@ -685,33 +597,17 @@ def _t36_tail(dist, k, p):
     )
 
 
-def eval_r21(draw: CaseDraw, order: int):
-    dist, point = draw.dist, draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    x = point.x
-    lhs = prob_qbernstein(dist, r, n, point)
+def eval_r21(dist, p, order, r, n):
+    x = p.x
+    lhs = prob_qbernstein(dist, r, n, p)
     direct = Series.monomial(r, x**r * F(1, math.factorial(r)), n) * dist.mgf_series(
         n
     ).pow(1 - x)
     return lhs, direct.egf_coeff(n)
 
 
-def eval_r22(draw: CaseDraw, order: int):
-    point = draw.point
-    r, n = draw.indices["r"], draw.indices["n"]
-    lhs = prob_qbernstein(Constant(F(1)), r, n, point)
-    rhs = bernstein_classical(r, n, point.x)
-    return lhs, rhs
-
-
-def _classical_draw_rn(with_law: bool):
-    def draw(rng: random.Random) -> CaseDraw:
-        dist = draw_law(rng) if with_law else Constant(F(1))
-        point = draw_classical_point(rng)
-        r, n = _draw_rn(rng)
-        return CaseDraw(dist, point, {"r": r, "n": n})
-
-    return draw
+def eval_r22(dist, p, order, r, n):
+    return prob_qbernstein(dist, r, n, p), bernstein_classical(r, n, p.x)
 
 
 # ---------------------------------------------------------------------------
@@ -726,24 +622,27 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "P-110", "verbatim",
         "power of the complement bracket equals its alternating Laurent expansion",
-        "pass", draw_one_minus_power, eval_one_minus_power,
+        "pass", _drawer(point=draw_qpoint, indices=lambda rng: {"m": rng.randrange(0, 9)}),
+        eval_one_minus_power,
     ),
     IdentityCase(
         "P-LOG", "verbatim",
         "log of the MGF as an alternating sum of law-dependent partition numbers",
-        "record", _dist_only_draw, _log_expansion_eval(corrected=False),
+        "record", _drawer(draw_law, indices=lambda rng: {}),
+        _log_expansion_eval(corrected=False),
         notes="stated without the factorial weight on the inner index",
     ),
     IdentityCase(
         "P-LOG", "corrected",
         "log of the MGF with the factorial weight restored",
-        "pass", _dist_only_draw, _log_expansion_eval(corrected=True),
+        "pass", _drawer(draw_law, indices=lambda rng: {}),
+        _log_expansion_eval(corrected=True),
     ),
     IdentityCase(
         "T2.1", "verbatim",
         "expansion over law-dependent partition numbers times higher-order "
         "Appell-type coefficients",
-        "pass", _point_draw_rn(draw_law), eval_t21,
+        "pass", _drawer(draw_law, draw_qpoint), eval_t21,
         notes="the two auxiliary families are fixed by their generating factors",
     ),
     IdentityCase(
@@ -756,90 +655,92 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.2", "corrected",
         "explicit double-sum expansion with separated summation indices",
-        "pass", _point_draw_rn(draw_law), _reduction_eval(_t22_tail),
+        "pass", _drawer(draw_law, draw_qpoint), _reduction_eval(_t22_tail),
     ),
     IdentityCase(
         "T2.3", "corrected",
         "bracket power recovered from weighted family values",
-        "pass", _point_draw_rn(draw_law), eval_t23,
+        "pass", _drawer(draw_law, draw_qpoint), eval_t23,
         notes="inner sum starts at the lower index; lower terms vanish anyway",
     ),
     IdentityCase(
         "C2.1", "verbatim",
         "both integral operators applied to the bracket-power recovery",
-        "record", _point_draw_rn(draw_law), eval_c21,
+        "record", _drawer(draw_law, draw_qpoint), eval_c21,
         notes="as printed the normalizing binomial of the recovery identity "
         "is dropped; both operator values are reported",
     ),
     IdentityCase(
         "T2.4", "verbatim",
         "convolution against the law's alternating Appell family",
-        "pass", _point_draw_rn(draw_law), _convolution_eval(prob_euler),
+        "pass", _drawer(draw_law, draw_qpoint), _convolution_eval(prob_euler),
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(
         "T2.5", "verbatim",
         "convolution against the law's Bernoulli-type Appell family",
-        "pass", _point_draw_rn(draw_law), _convolution_eval(prob_bernoulli),
+        "pass", _drawer(draw_law, draw_qpoint), _convolution_eval(prob_bernoulli),
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(
         "T2.6", "verbatim",
         "two-term degree recurrence with the mean as the only law datum",
-        "record", _point_draw_rn(draw_law, n_min=1), eval_t26_verbatim,
+        "record", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1)),
+        eval_t26_verbatim,
         notes="the derivation replaces the derivative of the MGF by mean "
         "times MGF, exact only for single-point laws",
     ),
     IdentityCase(
         "T2.6", "verbatim-const",
         "two-term degree recurrence on single-point laws",
-        "pass", _point_draw_rn(draw_constant_law, n_min=1), eval_t26_verbatim,
+        "pass", _drawer(draw_constant_law, draw_qpoint, lambda rng: _draw_rn(rng, 1)),
+        eval_t26_verbatim,
     ),
     IdentityCase(
         "T2.6", "corrected",
         "series-level derivative recurrence with the exact logarithmic factor",
-        "pass", _point_draw_rn(draw_law), eval_t26_corrected,
+        "pass", _drawer(draw_law, draw_qpoint), eval_t26_corrected,
     ),
     IdentityCase(
         "T2.7", "verbatim",
         "exponent-variable derivative as a formal-log Laurent identity",
-        "record", _point_draw_rn(draw_law, n_min=1, n_max=5),
+        "record", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1, 5)),
         _t27_eval(corrected=False),
     ),
     IdentityCase(
         "T2.7", "corrected",
         "exponent-variable derivative with the factorial weight restored "
         "in the logarithmic expansion",
-        "record", _point_draw_rn(draw_law, n_min=1, n_max=5),
+        "record", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1, 5)),
         _t27_eval(corrected=True),
     ),
     IdentityCase(
         "T2.8", "verbatim",
         "m-fold series derivative via the product rule with the power-law "
         "shortcut for the MGF factor",
-        "record", _t28_draw(draw_law), _t28_eval(verbatim=True),
+        "record", _drawer(draw_law, draw_qpoint, _draw_rm), _t28_eval(verbatim=True),
     ),
     IdentityCase(
         "T2.8", "verbatim-const",
         "m-fold series derivative shortcut on single-point laws",
-        "pass", _t28_draw(draw_constant_law), _t28_eval(verbatim=True),
+        "pass", _drawer(draw_constant_law, draw_qpoint, _draw_rm), _t28_eval(verbatim=True),
     ),
     IdentityCase(
         "T2.8", "corrected",
         "m-fold series derivative via the exact product rule",
-        "pass", _t28_draw(draw_law), _t28_eval(verbatim=False),
+        "pass", _drawer(draw_law, draw_qpoint, _draw_rm), _t28_eval(verbatim=False),
     ),
     IdentityCase(
         "T3.1", "verbatim",
         "Poisson law: values reduce to Bell polynomial evaluations",
-        "pass", _point_draw_rn(LAW_POOLS["poisson"]),
+        "pass", _drawer(LAW_POOLS["poisson"], draw_qpoint),
         _reduction_eval(lambda dist, k, p: bell_poly(k, dist.alpha * p.X1)),
     ),
     IdentityCase(
         "T3.2", "corrected",
         "Poisson law: partition-number expansion with the complement-bracket "
         "power restored",
-        "pass", _point_draw_rn(LAW_POOLS["poisson"]),
+        "pass", _drawer(LAW_POOLS["poisson"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(k, lambda m: dist.alpha**m * p.X1**m)
         ),
@@ -847,7 +748,7 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "C3.1", "verbatim",
         "Poisson law: fully expanded double sum in powers of t",
-        "pass", _point_draw_rn(LAW_POOLS["poisson"]),
+        "pass", _drawer(LAW_POOLS["poisson"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: sum(
                 (-1) ** l * dist.alpha**m * stirling2(k, m) * math.comb(m, l)
@@ -860,19 +761,19 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "C3.2", "verbatim",
         "Poisson law: bosonic integral versus the printed closed form",
-        "record", _point_draw_rn(LAW_POOLS["poisson"]), eval_c32,
+        "record", _drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c32,
         notes="the printed prefactor and index token are evaluated literally, "
         "with the zero token read as the formal-log limit value",
     ),
     IdentityCase(
         "C3.3", "verbatim",
         "Poisson law: fermionic integral versus the printed closed form",
-        "record", _point_draw_rn(LAW_POOLS["poisson"]), eval_c33,
+        "record", _drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c33,
     ),
     IdentityCase(
         "T3.3", "verbatim",
         "Bernoulli law: falling-factorial partition expansion",
-        "pass", _point_draw_rn(LAW_POOLS["bernoulli"]),
+        "pass", _drawer(LAW_POOLS["bernoulli"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(
                 k, lambda m: dist.p1**m * falling_factorial(p.X1, m)
@@ -883,7 +784,7 @@ REGISTRY: list[IdentityCase] = [
         "T3.4", "corrected",
         "Binomial law: falling factorial taken at the trial count times the "
         "complement bracket",
-        "pass", _point_draw_rn(LAW_POOLS["binomial"]),
+        "pass", _drawer(LAW_POOLS["binomial"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(
                 k, lambda m: dist.p1**m * falling_factorial(dist.trials * p.X1, m)
@@ -895,36 +796,36 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T3.5", "verbatim",
         "Geometric law: signed reduction to Frobenius-Euler values",
-        "pass", _point_draw_rn(LAW_POOLS["geometric"]), eval_t35,
+        "pass", _drawer(LAW_POOLS["geometric"], draw_qpoint), eval_t35,
         notes="read with the failure probability as the deformation "
         "parameter, order the complement bracket, argument zero",
     ),
     IdentityCase(
         "T3.6", "verbatim",
         "Negative-binomial law: mixed classical-basis expansion (as printed)",
-        "record", _point_draw_rn(LAW_POOLS["negbinomial"]), eval_t36_verbatim,
+        "record", _drawer(LAW_POOLS["negbinomial"], draw_qpoint), eval_t36_verbatim,
     ),
     IdentityCase(
         "T3.6", "corrected",
         "Negative-binomial law: exponential-shift expansion derived from the "
         "MGF factorization",
-        "pass", _point_draw_rn(LAW_POOLS["negbinomial"]), _reduction_eval(_t36_tail),
+        "pass", _drawer(LAW_POOLS["negbinomial"], draw_qpoint), _reduction_eval(_t36_tail),
     ),
     IdentityCase(
         "T3.7", "verbatim",
         "Uniform law: reduction to higher-order Bernoulli numbers",
-        "pass", _point_draw_rn(LAW_POOLS["uniform01"]),
+        "pass", _drawer(LAW_POOLS["uniform01"], draw_qpoint),
         _reduction_eval(lambda dist, k, p: higher_bernoulli(k, p.Xc - 1, F(0))),
     ),
     IdentityCase(
         "R2.1", "verbatim",
         "classical mode agrees with the plain-x construction",
-        "pass", _classical_draw_rn(with_law=True), eval_r21,
+        "pass", _drawer(draw_law, draw_classical_point), eval_r21,
     ),
     IdentityCase(
         "R2.2", "verbatim",
         "classical mode at the unit law is the classical basis",
-        "pass", _classical_draw_rn(with_law=False), eval_r22,
+        "pass", _drawer(lambda rng: Constant(F(1)), draw_classical_point), eval_r22,
     ),
 ]
 
@@ -944,12 +845,12 @@ def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
     if case.evaluate is None:
         return AuditRecord(*head, "SKIP", "-", "-", "-")
     try:
-        lhs, rhs = case.evaluate(draw, order)
+        lhs, rhs = case.evaluate(draw.dist, draw.point, order, **draw.indices)
     except CaseSkip:
         return AuditRecord(*head, "SKIP", "-", "-", "-")
     except (ValueError, ArithmeticError) as exc:
         return AuditRecord(*head, "ERROR", "-", "-", f"{type(exc).__name__}: {exc}")
-    status = "PASS" if _values_equal(lhs, rhs) else "FAIL"
+    status = "PASS" if lhs == rhs else "FAIL"
     return AuditRecord(
         *head, status, render_value(lhs), render_value(rhs),
         render_value(_values_diff(lhs, rhs)),

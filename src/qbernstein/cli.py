@@ -21,6 +21,8 @@ Exit codes: 0 success, 1 computation precondition violated, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -154,17 +156,34 @@ def _build_point(args) -> QPoint:
         raise UsageError(str(exc))
 
 
-def _open_out(path):
+class IOFailure(Exception):
+    pass
+
+
+def _write(path, payload: str):
+    """Write ``payload`` to the file ``path``, or to stdout when it is None."""
     if path is None:
-        return sys.stdout, False
+        sys.stdout.write(payload)
+        return
     try:
-        return open(path, "w", newline=""), True
+        with open(path, "w", newline="") as fh:
+            fh.write(payload)
     except OSError as exc:
         raise IOFailure(str(exc))
 
 
-class IOFailure(Exception):
-    pass
+def _write_rows(args, header, rows):
+    """Write ``rows`` under ``header`` to ``args.out``, as JSON lines keyed by
+    the header when ``args.format`` is json-lines, and as CSV otherwise."""
+    buf = io.StringIO()
+    if args.format == "json-lines":
+        for row in rows:
+            buf.write(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n")
+    else:
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write(args.out, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -182,33 +201,12 @@ def cmd_table(args) -> int:
                 rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
     except ValueError as exc:
         raise ComputationError(str(exc))
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            import csv
-
-            writer = csv.writer(out)
-            writer.writerow(["n", "r", "value"])
-            for n, r, v in rows:
-                writer.writerow([n, r, str(v)])
-        elif args.format == "json-lines":
-            for n, r, v in rows:
-                out.write(
-                    json.dumps(
-                        {"n": n, "r": r, "value": str(v)},
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-        else:  # latex
-            out.write("\\begin{tabular}{rrl}\n")
-            out.write("$n$ & $r$ & $B^{Y}_{r,n}(x,q)$ \\\\\n\\hline\n")
-            for n, r, v in rows:
-                out.write(f"{n} & {r} & ${render_latex_rational(v)}$ \\\\\n")
-            out.write("\\end{tabular}\n")
-    finally:
-        if close:
-            out.close()
+    if args.format != "latex":
+        _write_rows(args, ["n", "r", "value"], [(n, r, str(v)) for n, r, v in rows])
+        return 0
+    lines = ["\\begin{tabular}{rrl}", "$n$ & $r$ & $B^{Y}_{r,n}(x,q)$ \\\\", "\\hline"]
+    lines += [f"{n} & {r} & ${render_latex_rational(v)}$ \\\\" for n, r, v in rows]
+    _write(args.out, "\n".join(lines + ["\\end{tabular}", ""]))
     return 0
 
 
@@ -273,31 +271,8 @@ def cmd_series(args) -> int:
             s = families.prob_qbernstein_gf(dist, args.r, _build_point(args), order)
     except ValueError as exc:
         raise ComputationError(str(exc))
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "json-lines":
-            for n, coeff in enumerate(s.coeffs):
-                out.write(
-                    json.dumps(
-                        {
-                            "n": n,
-                            "coeff": str(coeff),
-                            "egf": str(s.egf_coeff(n)),
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-        else:
-            import csv
-
-            writer = csv.writer(out)
-            writer.writerow(["n", "coeff", "egf"])
-            for n, coeff in enumerate(s.coeffs):
-                writer.writerow([n, str(coeff), str(s.egf_coeff(n))])
-    finally:
-        if close:
-            out.close()
+    rows = [(n, str(coeff), str(s.egf_coeff(n))) for n, coeff in enumerate(s.coeffs)]
+    _write_rows(args, ["n", "coeff", "egf"], rows)
     return 0
 
 
@@ -368,14 +343,8 @@ def cmd_audit(args) -> int:
         payload = report.to_csv()
     else:
         payload = report.to_latex()
-    if args.out is None:
-        sys.stdout.write(payload)
-    else:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise IOFailure(str(exc))
+    _write(args.out, payload)
+    if args.out is not None:
         for line in report.summary_lines():
             print(line)
     failures = report.expected_pass_failures()

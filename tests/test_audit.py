@@ -41,9 +41,8 @@ def test_self_referential_case_always_passes():
     case = IdentityCase(
         "SELF", "verbatim", "harness self-test: both sides share one evaluator",
         "pass", None,
-        lambda draw, order: (
-            prob_qbernstein(draw.dist, 1, 3, draw.point),
-            prob_qbernstein(draw.dist, 1, 3, draw.point),
+        lambda dist, p, order: (
+            prob_qbernstein(dist, 1, 3, p), prob_qbernstein(dist, 1, 3, p),
         ),
     )
     draw = CaseDraw(Poisson(F(1)), POINT, {})
@@ -54,7 +53,7 @@ def test_self_referential_case_always_passes():
 
 
 def test_case_skip_becomes_a_skip_record():
-    def evaluator(draw, order):
+    def evaluator(dist, p, order):
         raise CaseSkip("inadmissible draw")
 
     case = IdentityCase("SKIPPY", "verbatim", "always skips", "record", None, evaluator)
@@ -63,7 +62,25 @@ def test_case_skip_becomes_a_skip_record():
     assert record.lhs == "-" and record.rhs == "-"
 
 
-def _out_of_moments(draw, order):
+@pytest.mark.parametrize(
+    "lhs, rhs, status, difference",
+    [
+        ((F(1), F(2)), F(1), "FAIL", "-"),
+        ((F(1), F(2)), (F(1), F(2), F(3)), "FAIL", "-"),
+        ((F(1), (F(2), F(3))), (F(1), (F(2), F(3))), "PASS", "(0 | (0 | 0))"),
+    ],
+    ids=["tuple-vs-scalar", "lengths-differ", "nested-equal"],
+)
+def test_sides_compare_as_whole_values(lhs, rhs, status, difference):
+    case = IdentityCase(
+        "SHAPE", "verbatim", "fixed sides", "record", None,
+        lambda dist, p, order: (lhs, rhs),
+    )
+    record = run_case(case, CaseDraw(None, None, {}), 8)
+    assert (record.status, record.difference) == (status, difference)
+
+
+def _out_of_moments(dist, p, order):
     return CustomMoments((F(1), F(2))).mgf_series(order), F(0)
 
 
@@ -71,7 +88,7 @@ def _out_of_moments(draw, order):
     "evaluate, difference",
     [
         (_out_of_moments, "ValueError: only 2 moments provided, order 8 requested"),
-        (lambda draw, order: (F(1) / 0, F(0)), "ZeroDivisionError: Fraction(1, 0)"),
+        (lambda dist, p, order: (F(1) / 0, F(0)), "ZeroDivisionError: Fraction(1, 0)"),
     ],
     ids=["value-error", "zero-division"],
 )
@@ -113,8 +130,8 @@ def _registry_case(case_id, variant):
 
 
 def test_poisson_bell_case_at_fixed_inputs():
-    draw = CaseDraw(Poisson(F(2, 3)), POINT, {"r": 1, "n": 4})
-    lhs, rhs = _registry_case("T3.1", "verbatim").evaluate(draw, 12)
+    case = _registry_case("T3.1", "verbatim")
+    lhs, rhs = case.evaluate(Poisson(F(2, 3)), POINT, 12, r=1, n=4)
     assert lhs == rhs
     # and the reduction really is through Bell polynomial values
     assert rhs == 4 * POINT.X * bell_poly(3, F(2, 3) * POINT.X1)
@@ -125,30 +142,25 @@ def test_degree_recurrence_fails_for_a_genuinely_random_law():
     times MGF; for a Bernoulli law with p strictly inside (0,1) that step is
     wrong, and the sides differ once n exceeds r + 1.  (At n = r + 1 only the
     constant term of the log-derivative enters, so any law satisfies it.)"""
-    draw = CaseDraw(Bernoulli(F(1, 2)), POINT, {"r": 1, "n": 2})
-    lhs, rhs = eval_t26_verbatim(draw, 12)
+    lhs, rhs = eval_t26_verbatim(Bernoulli(F(1, 2)), POINT, 12, r=1, n=2)
     assert lhs == rhs
-    draw = CaseDraw(Bernoulli(F(1, 2)), POINT, {"r": 1, "n": 3})
-    lhs, rhs = eval_t26_verbatim(draw, 12)
+    lhs, rhs = eval_t26_verbatim(Bernoulli(F(1, 2)), POINT, 12, r=1, n=3)
     assert lhs != rhs
     # same shape of failure for an arbitrary moment sequence
     law = CustomMoments(tuple(F(1 + k * k) for k in range(13)))
-    draw = CaseDraw(law, POINT, {"r": 0, "n": 2})
-    lhs, rhs = eval_t26_verbatim(draw, 12)
+    lhs, rhs = eval_t26_verbatim(law, POINT, 12, r=0, n=2)
     assert lhs != rhs
 
 
 def test_degree_recurrence_holds_for_single_point_laws():
     for c in (F(1), F(2), F(1, 2)):
-        draw = CaseDraw(Constant(c), POINT, {"r": 1, "n": 3})
-        lhs, rhs = eval_t26_verbatim(draw, 12)
+        lhs, rhs = eval_t26_verbatim(Constant(c), POINT, 12, r=1, n=3)
         assert lhs == rhs
 
 
 def test_expansion_case_runs_on_every_law_kind(subtests=None):
     for law in (Poisson(F(1)), Bernoulli(F(1, 3)), Constant(F(2))):
-        draw = CaseDraw(law, POINT, {"r": 1, "n": 3})
-        lhs, rhs = eval_t21(draw, 12)
+        lhs, rhs = eval_t21(law, POINT, 12, r=1, n=3)
         assert lhs == rhs
 
 

@@ -160,41 +160,64 @@ def test_table_csvs_match_their_pinned_digest(tmp_path, point, key):
 
 
 Q_POINT = ["--rho", "3/2", "--c", "1", "--d", "3"]
-SERIES_LAW = ["--dist", "negbinomial", "--a", "2", "--p1", "2/3"]
-# name -> (the invocations whose --out files are concatenated, their SHA-256).
-# The table runs take the six laws of TABLE_LAWS in order.
+
+
+def _table(fmt):
+    """One `table` run per law of TABLE_LAWS, at Q_POINT over 0 <= r <= n <= 8."""
+    span = ["--n", "0..8", "--r", "0..8", "--format", fmt]
+    return [["table", "--dist"] + law + Q_POINT + span for law in TABLE_LAWS]
+
+
+def _series(kind, fmt, *extra):
+    law = ["--dist", "negbinomial", "--a", "2", "--p1", "2/3"]
+    return [["series"] + law + ["--kind", kind, "--order", "8", "--format", fmt, *extra]]
+
+
+def _audit(fmt):
+    return [["audit", "--trials", "1", "--order", "8", "--format", fmt]]
+
+
+GF = ("--r", "2", *Q_POINT)
+# name -> (the invocations whose --out files are concatenated, their SHA-256)
 OUTPUT_DIGESTS = {
     "table-json-lines": (
-        [["table", "--dist"] + law + Q_POINT + ["--n", "0..8", "--r", "0..8",
-         "--format", "json-lines"] for law in TABLE_LAWS],
+        _table("json-lines"),
         "412f8f8951d5200f226bad8e02ddf3b00df6c7488e65ced3ce8c491b10e0594e",
     ),
     "table-latex": (
-        [["table", "--dist"] + law + Q_POINT + ["--n", "0..8", "--r", "0..8",
-         "--format", "latex"] for law in TABLE_LAWS],
+        _table("latex"),
         "7c13350b96c68417a62fe745ace1964f4ea0f1b45e5959318acdbd02349f4657",
     ),
-    **{
-        f"series-{kind}-{fmt}": (
-            [["series"] + SERIES_LAW + ["--kind", kind, "--order", "8", "--format", fmt]
-             + (["--r", "2"] + Q_POINT if kind == "qbernstein-gf" else [])],
-            digest,
-        )
-        for (kind, fmt), digest in {
-            ("mgf", "csv"): "7a56fae960e2259af956cdd5543fa3e7ee1119435f6d6db57133f101fe2a2382",
-            ("mgf", "json-lines"): "ca5cd3c3a989afe1d2bca7a422e9c9a75e2d4b88e5610e53d419cfa875f67893",
-            ("log-mgf", "csv"): "3483ca4089e7bedc4da572bba4e76a33839144fea794cb6d3df1ff9391bce180",
-            ("log-mgf", "json-lines"): "c7d2a43d1190cc6bb5d6ac857e1a48742b38c8bb126e9684b87a46cc4489ac41",
-            ("qbernstein-gf", "csv"): "1f5aa266c4d6af4deb1b53007e6678abcc653934077436d42e230e841dedc0d7",
-            ("qbernstein-gf", "json-lines"): "f6744526f584f7c5b5c4a35b02b3a32b8c6694970c1c89ed9ad7f3bbec5ce1b2",
-        }.items()
-    },
+    "series-mgf-csv": (
+        _series("mgf", "csv"),
+        "7a56fae960e2259af956cdd5543fa3e7ee1119435f6d6db57133f101fe2a2382",
+    ),
+    "series-mgf-json-lines": (
+        _series("mgf", "json-lines"),
+        "ca5cd3c3a989afe1d2bca7a422e9c9a75e2d4b88e5610e53d419cfa875f67893",
+    ),
+    "series-log-mgf-csv": (
+        _series("log-mgf", "csv"),
+        "3483ca4089e7bedc4da572bba4e76a33839144fea794cb6d3df1ff9391bce180",
+    ),
+    "series-log-mgf-json-lines": (
+        _series("log-mgf", "json-lines"),
+        "c7d2a43d1190cc6bb5d6ac857e1a48742b38c8bb126e9684b87a46cc4489ac41",
+    ),
+    "series-qbernstein-gf-csv": (
+        _series("qbernstein-gf", "csv", *GF),
+        "1f5aa266c4d6af4deb1b53007e6678abcc653934077436d42e230e841dedc0d7",
+    ),
+    "series-qbernstein-gf-json-lines": (
+        _series("qbernstein-gf", "json-lines", *GF),
+        "f6744526f584f7c5b5c4a35b02b3a32b8c6694970c1c89ed9ad7f3bbec5ce1b2",
+    ),
     "audit-csv": (
-        [["audit", "--trials", "1", "--order", "8", "--format", "csv"]],
+        _audit("csv"),
         "7dbaa045de51ba000876721ad09555a4cad84704d11e992baa93f511456dae44",
     ),
     "audit-latex": (
-        [["audit", "--trials", "1", "--order", "8", "--format", "latex"]],
+        _audit("latex"),
         "0173546fda4d7c7e78d0a70576076dd5b3881ebc84e7f1ceb290492c6588ac03",
     ),
 }
