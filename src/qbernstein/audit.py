@@ -419,9 +419,10 @@ def _recovery_weights(dist, r, n) -> list:
 
 def eval_t23(dist, p, order, r, n):
     lhs = p.X**r
+    weights = _recovery_weights(dist, r, n)
+    values = {l: prob_qbernstein(dist, r, l, p) for l in range(r, n + 1)}
     rhs = sum(
-        w * falling_factorial(p.Xc, m) * prob_qbernstein(dist, r, l, p)
-        for l, m, w in _recovery_weights(dist, r, n)
+        w * falling_factorial(p.Xc, m) * values[l] for l, m, w in weights
     ) / math.comb(n, r)
     return lhs, rhs
 
@@ -477,7 +478,7 @@ def _t27_eval(corrected: bool):
         scale = LogPoly({1: F(n) / (q - 1)})
         term1 = Laurent({1: 1}) * _qb_laurent(dist, r - 1, n - 1, q) * scale
         inner = Laurent()
-        for j in range(n):
+        for j in range(r, n):  # P(r, j) is zero for j < r
             acc = _alternating_stirling_sum(dist, n - j, corrected)
             if acc != 0:
                 inner = inner + math.comb(n, j) * acc * _qb_laurent(dist, r, j, q)
@@ -521,14 +522,13 @@ def _c3_printed_sum(dist, r, n, q, token):
     binom(n, r) binom(m, l) binom(l + r, j) / (1 - q)^l times token(m, l, j)."""
     total = F(0)
     for m in range(n - r + 1):
+        outer = dist.alpha**m * stirling2(n - r, m) * math.comb(n, r)
+        if outer == 0:
+            continue
         for l in range(m + 1):
+            inner = outer * math.comb(m, l) / (1 - q) ** l
             for j in range(l + r + 1):
-                base = (
-                    dist.alpha**m * stirling2(n - r, m) * math.comb(n, r)
-                    * math.comb(m, l) * math.comb(l + r, j) / (1 - q) ** l
-                )
-                if base != 0:
-                    total = total + token(m, l, j) * base
+                total = total + token(m, l, j) * (inner * math.comb(l + r, j))
     return total
 
 

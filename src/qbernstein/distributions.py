@@ -233,7 +233,17 @@ class MgfTable:
     each at the largest order asked for so far; a lower order is read from
     the prefix, and growing appends only the new coefficients.  M grows on a
     copy that is stored only on success, so a law short of the order asked
-    for (a :class:`CustomMoments` law) raises and leaves the table as it was."""
+    for (a :class:`CustomMoments` law) raises and leaves the table as it was.
+
+    Every list is held as Fractions, and the new coefficients are computed on
+    integers, each normalised once into a Fraction.  Growing (M - 1)^j to
+    order n works over D^j, with D the common denominator of M through n
+    (FLINT's ``fmpq_poly`` layout): the held coefficients of (M - 1)^j convert
+    exactly to integer numerators over D^j, since M through a lower order has
+    a common denominator that divides D, and a new coefficient of (M - 1)^j
+    is the integer sum of the numerators of (M - 1)^(j - 1) times those of M.
+    M^z grows the same way, by :func:`~qbernstein.series.extend_pow`.  A
+    negative index raises ValueError."""
 
     def __init__(self, dist: Distribution):
         self.dist = dist
@@ -252,21 +262,36 @@ class MgfTable:
         return Series(self._grown(order)[: order + 1])
 
     def minus_one_coeff(self, m: int, n: int) -> Fraction:
-        """The coefficient of v^n in (M - 1)^m, for 0 <= m <= n.  Growing to
-        order n appends to each held power its new coefficients only;
-        (M - 1)^j starts at v^j since M has constant term 1."""
+        """The coefficient of v^n in (M - 1)^m; 0 for m > n."""
+        if m < 0 or n < 0:
+            raise ValueError("coefficient indices must be nonnegative")
+        if m > n:
+            return Fraction(0)
+        if len(self._minus_one[-1]) <= n:
+            self._grow_minus_one(n)
+        return self._minus_one[m][n]
+
+    def _grow_minus_one(self, n: int):
+        """Grow every held (M - 1)^j, j <= n, through order n, appending only
+        the new coefficients; (M - 1)^j starts at v^j since M has constant
+        term 1."""
+        b = self._grown(n)[: n + 1]
+        den = math.lcm(*(c.denominator for c in b))
+        nums = [c.numerator * (den // c.denominator) for c in b]
         powers = self._minus_one
-        if len(powers[-1]) <= n:
-            b = self._grown(n)
-            powers[0].extend([Fraction(0)] * (n + 1 - len(powers[0])))
-            for j in range(1, n + 1):
-                if j == len(powers):
-                    powers.append([])
-                prev, power = powers[j - 1], powers[j]
-                for k in range(len(power), n + 1):
-                    terms = (prev[i] * b[k - i] for i in range(j - 1, k))
-                    power.append(sum(terms, Fraction(0)))
-        return powers[m][n]
+        powers[0].extend([Fraction(0)] * (n + 1 - len(powers[0])))
+        prev, scale = [1] + [0] * n, 1  # numerators of (M - 1)^(j - 1) over den^(j - 1)
+        for j in range(1, n + 1):
+            scale *= den
+            if j == len(powers):
+                powers.append([Fraction(0)] * j)
+            power = powers[j]
+            row = [c.numerator * (scale // c.denominator) if c else 0 for c in power]
+            for k in range(len(power), n + 1):
+                acc = sum(prev[i] * nums[k - i] for i in range(j - 1, k))
+                row.append(acc)
+                power.append(Fraction(acc, scale))
+            prev = row
 
     def _power(self, z, order: int) -> list:
         """The held coefficients of M^z, grown through at least ``order``;
@@ -286,6 +311,8 @@ class MgfTable:
 
     def power_coeff(self, z, n: int) -> Fraction:
         """The coefficient of v^n in M^z."""
+        if n < 0:
+            raise ValueError("coefficient index must be nonnegative")
         return self._power(z, n)[n]
 
 

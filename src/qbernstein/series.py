@@ -4,6 +4,14 @@ A :class:`Series` stores the ordinary coefficients a_0 .. a_N of
 a_0 + a_1 v + ... + a_N v^N and every operation is exact through order N.
 Coefficients may be Fraction, Laurent or LogPoly; the only requirement is
 that they support exact ring arithmetic with each other and with Fraction.
+:meth:`Series.pow` is the exception: it needs Fraction or int coefficients
+and exponent, because :func:`extend_pow` runs Miller's recurrence on
+integers.  With D the common denominator of a_0 .. a_n and z = zn/zd, the
+coefficient b_k of A^z is an integer B_k over (zd D)^k k!, and B_k is one
+integer sum of the earlier B_i; a held b_i converts back to its B_i exactly,
+since its denominator divides (zd D_i)^i i! and D_i, the common denominator
+of a_0 .. a_i, divides D.  Every other operation is plain Fraction
+arithmetic.
 
 The exponential-generating-function convention lives in one place only:
 :meth:`Series.egf_coeff` returns n! * a_n.  Everything upstream of that call
@@ -18,7 +26,8 @@ from typing import Iterable
 
 
 class Series:
-    """Immutable truncated power series; ``order`` is the largest retained index."""
+    """Immutable truncated power series; ``order`` is the largest retained
+    index.  :meth:`pow` needs scalar (Fraction or int) coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -139,7 +148,9 @@ class Series:
 
     def pow(self, exponent) -> "Series":
         """Raise to an exact scalar exponent (a Fraction or an integer) in one
-        pass of :func:`extend_pow`.  Requires constant term 1."""
+        pass of :func:`extend_pow`.  Requires constant term 1 and scalar
+        coefficients; a Laurent or LogPoly coefficient or exponent raises
+        TypeError."""
         if not self.coeffs[0] == 1:
             raise ValueError("series pow needs constant term 1")
         return Series(extend_pow(self.coeffs, exponent, [Fraction(1)], self.order))
@@ -190,13 +201,41 @@ def exp_series(rate, order: int) -> Series:
 def extend_pow(a, z, out: list, n: int) -> list:
     """Append to ``out``, the coefficients of A^z held so far, those through
     index n, and return it; A has coefficients ``a`` (at least n + 1 of them)
-    with a_0 = 1, and z is an exact scalar.
+    with a_0 = 1, and z and the coefficients are exact scalars (Fraction or
+    int), else this raises TypeError.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), read off
-    A (A^z)' = z A' A^z: k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j).
+    A (A^z)' = z A' A^z: k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j),
+    run on integers.  With D the common denominator of a_0 .. a_n, a_j = A_j/D,
+    z = zn/zd and S = zd D, b_k = B_k / (S^k k!) where
+    B_k = sum over j = 1..k of ((zn + zd) j - k zd) A_j B_(k-j) S^(j-1) (k-1)!/(k-j)!,
+    an integer sum with no gcd in it; each new b_k is normalised once.  The
+    held b_i convert exactly to B_i: the denominator of b_i divides
+    (zd D_i)^i i!, with D_i the common denominator of a_0 .. a_i, and D_i
+    divides D.
     """
-    z1 = z + 1
+    head = a[: n + 1]
+    if not all(isinstance(c, (int, Fraction)) for c in (z, *head)):
+        raise TypeError("extend_pow needs Fraction or int coefficients and exponent")
+    if len(out) > n:
+        return out
+    zn, zd = z.numerator, z.denominator
+    den = math.lcm(*(c.denominator for c in head))
+    nums = [c.numerator * (den // c.denominator) for c in head]
+    scale = zd * den
+    slope = zn + zd
+    held, weight = [], 1  # B_i and S^i i! of the held prefix
+    for i, b in enumerate(out):
+        if i:
+            weight *= scale * i
+        held.append(b.numerator * (weight // b.denominator))
     for k in range(len(out), n + 1):
-        terms = ((z1 * j - k) * a[j] * out[k - j] for j in range(1, k + 1))
-        out.append(sum(terms, Fraction(0)) / k)
+        acc = 0
+        for j in range(k, 0, -1):  # Horner in S (k - j), from the top term down
+            acc *= scale * (k - j)
+            if nums[j]:
+                acc += (slope * j - k * zd) * nums[j] * held[k - j]
+        held.append(acc)
+        weight *= scale * k
+        out.append(Fraction(acc, weight))
     return out

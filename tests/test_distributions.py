@@ -193,8 +193,9 @@ def _power_by_exp_log(law, z, n):
 
 
 def _minus_one_power_at(law, m, n):
-    """(M - 1)^m rebuilt at exactly order n by repeated multiplication."""
-    base = law.mgf_series(n) - 1
+    """(M - 1)^m rebuilt at exactly order n by repeated multiplication of the
+    oracle M minus 1."""
+    base = mgf_oracle(law, n) - 1
     power = Series.one(n)
     for _ in range(m):
         power = power * base
@@ -293,3 +294,62 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         assert len(table._mgf) == len(held_power) == n + 1
         assert [len(p) for p in table._minus_one] == [n + 1] * (n + 1)
     assert mgf_asked == power_asked == [(n, n) for n in range(1, top + 1)]
+
+
+ORACLE_LAWS = TABLE_LAWS + [Geometric(F(1))]
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=40)
+
+
+@st.composite
+def minus_one_queries(draw):
+    """A law (a named one, or a custom law of random rational moments) and a
+    shuffled list of (n, m) queries with m <= n <= 12."""
+    top = draw(st.integers(0, 12))
+    law = draw(
+        st.one_of(
+            st.sampled_from(ORACLE_LAWS),
+            st.lists(RATIONALS, min_size=top, max_size=top).map(
+                lambda tail: CustomMoments((F(1), *tail))
+            ),
+        )
+    )
+    if isinstance(law, CustomMoments):
+        top = min(top, len(law.moments) - 1)
+    pairs = [(n, m) for n in range(top + 1) for m in range(n + 1)]
+    return law, top, draw(st.permutations(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(minus_one_queries())
+def test_minus_one_powers_are_repeated_products_of_the_oracle(drawn):
+    """(M - 1)^m from the table's integer kernel, queried in a shuffled order,
+    against repeated Series products of the compositional M minus 1."""
+    law, top, queries = drawn
+    base = mgf_oracle(law, top) - 1
+    powers = [Series.one(top)]
+    for _ in range(top):
+        powers.append(powers[-1] * base)
+    table = MgfTable(law)
+    for n, m in queries:
+        assert table.minus_one_coeff(m, n) == powers[m].coeffs[n]
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+def test_table_reads_check_their_indices(grown):
+    """A negative index raises ValueError, and m > n reads 0, at every table
+    state; neither changes what the table holds."""
+    table = MgfTable(Poisson(F(1)))
+    if grown:
+        table.minus_one_coeff(8, 8)
+        table.power(F(1, 2), 8)
+    before = _held(table)
+    for read in (
+        lambda: table.minus_one_coeff(-1, 8),
+        lambda: table.minus_one_coeff(0, -1),
+        lambda: table.power_coeff(F(1, 2), -1),
+    ):
+        with pytest.raises(ValueError):
+            read()
+    assert table.minus_one_coeff(5, 3) == 0
+    assert table.minus_one_coeff(9, 8) == 0
+    assert _held(table) == before

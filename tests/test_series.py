@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbernstein.qcalc import QPoint
 from qbernstein.rings import Laurent
-from qbernstein.series import Series, exp_series
+from qbernstein.series import Series, exp_series, extend_pow
 
 from oracles import random_fraction, random_series_coeffs
 
@@ -182,6 +183,21 @@ def invertible_pair(draw):
     )
 
 
+RHOS = [F(1, 2), F(2, 3), F(2, 5), F(3, 5), F(4, 3), F(7, 5), F(9, 5)]
+
+
+@st.composite
+def drawn_x1(draw):
+    """The bracket of 1 - x at a drawn q-point; d up to 6 and c of either
+    sign give numerators and denominators of up to about 30 bits."""
+    d = draw(st.integers(1, 6))
+    return QPoint(draw(st.sampled_from(RHOS)), draw(st.integers(-2 * d, 2 * d)), d).X1
+
+
+EXPONENTS = st.one_of(drawn_x1(), SMALL, st.integers(-5, 5), st.just(0))
+WIDE = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
 @settings(max_examples=60, deadline=None)
 @given(unit_series(), SMALL, SMALL)
 def test_pow_exponents_add(s, a, b):
@@ -189,10 +205,12 @@ def test_pow_exponents_add(s, a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(unit_series(st.integers(0, 8)), st.one_of(SMALL, st.integers(-4, 4)))
+@given(unit_series(st.integers(0, 24)), EXPONENTS)
 def test_pow_is_exp_of_scaled_log(s, e):
-    """Miller's recurrence against the independent route exp(e log s), for
-    rational and integer exponents of either sign."""
+    """The integer form of Miller's recurrence against the independent route
+    exp(e log s), plain Fraction arithmetic, at orders up to 24, for the
+    bracket of 1 - x at a q-point and for rational and integer exponents of
+    either sign, zero among them."""
     assert s.pow(e) == (s.log() * e).exp()
 
 
@@ -207,3 +225,37 @@ def test_exp_inverts_log(s):
 def test_recip_is_multiplicative(pair):
     s, t = pair
     assert (s * t).recip() == s.recip() * t.recip()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 24).flatmap(
+        lambda top: st.tuples(
+            st.lists(WIDE, min_size=top, max_size=top),
+            st.lists(st.integers(0, top), min_size=1, max_size=6),
+        )
+    ),
+    EXPONENTS,
+)
+def test_pow_grown_in_steps_is_exp_of_scaled_log(drawn, e):
+    """Growing the held prefix in random steps converts it back to integers
+    over a common denominator that changes between steps; every prefix equals
+    exp(e log A) at that order."""
+    tail, stops = drawn
+    a = [F(1)] + tail
+    expected = (Series(a).log() * e).exp().coeffs
+    out = [F(1)]
+    for n in sorted(stops):
+        assert extend_pow(a, e, out, n) is out
+        assert out == list(expected[: n + 1])
+
+
+def test_pow_needs_scalar_coefficients_and_exponent():
+    with pytest.raises(TypeError):
+        Series([F(1), Laurent({1: F(1)})]).pow(2)
+    with pytest.raises(TypeError):
+        Series([F(1), F(1, 2)]).pow(Laurent({1: F(1)}))
+    with pytest.raises(TypeError):
+        Series([F(1), F(1, 2)]).pow(0.5)
+    with pytest.raises(TypeError):
+        extend_pow([F(1), Laurent({-1: F(2)})], F(1, 3), [F(1)], 1)
