@@ -30,7 +30,8 @@ drawn index by name, and returns (lhs, rhs) or raises :class:`CaseSkip`.
 Shapes that several cases share are written once: the reduction to
 binom(n, r) X^r times a closed-form tail (:func:`_reduction_eval`), the
 convolution, the recovery of X^r (T2.3, C2.1), the printed Poisson integral
-(C3.2, C3.3) and the product rule (T2.8).
+(C3.2, C3.3) and the product rule (T2.8), whose lhs is the family's one
+generating function, :func:`~qbernstein.families.prob_qbernstein_gf`.
 """
 
 from __future__ import annotations
@@ -491,13 +492,14 @@ def _t27_eval(corrected: bool):
 def _t28_eval(verbatim: bool):
     """The m-th derivative of f g, f = (X v)^r / r! and g = M^X1, against the
     sum over l <= min(r, m) of binom(m, l) f^(l) g_l.  Corrected, g_l is the
-    (m - l)-th derivative of g; verbatim, the shortcut E[Y^(m - l)] X1^(m - l) g."""
+    (m - l)-th derivative of g; verbatim, the shortcut E[Y^(m - l)] X1^(m - l) g.
+    f g is :func:`prob_qbernstein_gf`; g is raised by Series.pow."""
 
     def evaluate(dist, p, order, r, m):
-        g = dist.mgf_series(order).pow(p.X1)
-        lhs = Series.monomial(r, p.X**r / math.factorial(r), order) * g
+        lhs = prob_qbernstein_gf(dist, r, p, order)
         for _ in range(m):
             lhs = lhs.derive()
+        g = dist.mgf_series(order).pow(p.X1)
         target = order - m
         rhs = Series.zero(target)
         for l in range(min(r, m) + 1):

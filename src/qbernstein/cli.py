@@ -14,8 +14,10 @@ denominator is 1); formal-log values print as polynomials in the symbol L.
 No floating point exists on any input or output path, so identical
 invocations produce byte-identical outputs.
 
-Exit codes: 0 success, 1 computation precondition violated, 2 usage error,
-3 I/O error.  ``audit`` also exits 1 when an expected-pass case fails.
+Exit codes, which :func:`main` alone sets from what a subcommand raises:
+0 success, 1 computation precondition violated (ValueError, ArithmeticError),
+2 usage error (UsageError), 3 I/O error (OSError).  ``audit`` also exits 1
+when an expected-pass case fails.
 """
 
 from __future__ import annotations
@@ -121,10 +123,6 @@ class UsageError(Exception):
     pass
 
 
-class ComputationError(Exception):
-    pass
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise UsageError(message)
@@ -156,20 +154,13 @@ def _build_point(args) -> QPoint:
         raise UsageError(str(exc))
 
 
-class IOFailure(Exception):
-    pass
-
-
 def _write(path, payload: str):
     """Write ``payload`` to the file ``path``, or to stdout when it is None."""
     if path is None:
         sys.stdout.write(payload)
         return
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise IOFailure(str(exc))
+    with open(path, "w", newline="") as fh:
+        fh.write(payload)
 
 
 def _write_rows(args, header, rows):
@@ -193,14 +184,11 @@ def cmd_table(args) -> int:
     dist = _build_dist(args) or Constant(Fraction(1))
     point = _build_point(args)
     rows = []
-    try:
-        for n in args.n:
-            for r in args.r:
-                if r > n:
-                    continue
-                rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
-    except ValueError as exc:
-        raise ComputationError(str(exc))
+    for n in args.n:
+        for r in args.r:
+            if r > n:
+                continue
+            rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
     if args.format != "latex":
         _write_rows(args, ["n", "r", "value"], [(n, r, str(v)) for n, r, v in rows])
         return 0
@@ -250,7 +238,7 @@ def cmd_eval(args) -> int:
     try:
         value = func(*(argument(name) for name in names))
     except ValueError as exc:
-        raise ComputationError(f"{fam}: {exc}")
+        raise ValueError(f"{fam}: {exc}") from exc
     print(value)
     return 0
 
@@ -260,17 +248,14 @@ def cmd_series(args) -> int:
     _require(dist is not None, "--dist is required")
     order = args.order
     _require(order >= 0, "--order must be nonnegative")
-    try:
-        if args.kind == "mgf":
-            s = dist.mgf_series(order)
-        elif args.kind == "log-mgf":
-            s = dist.mgf_series(order).log()
-        else:  # qbernstein-gf
-            _require(args.r is not None, "--r is required for the qbernstein-gf kind")
-            _require(args.r >= 0, "--r must be nonnegative")
-            s = families.prob_qbernstein_gf(dist, args.r, _build_point(args), order)
-    except ValueError as exc:
-        raise ComputationError(str(exc))
+    if args.kind == "mgf":
+        s = dist.mgf_series(order)
+    elif args.kind == "log-mgf":
+        s = dist.mgf_series(order).log()
+    else:  # qbernstein-gf
+        _require(args.r is not None, "--r is required for the qbernstein-gf kind")
+        _require(args.r >= 0, "--r must be nonnegative")
+        s = families.prob_qbernstein_gf(dist, args.r, _build_point(args), order)
     rows = [(n, str(coeff), str(s.egf_coeff(n))) for n, coeff in enumerate(s.coeffs)]
     _write_rows(args, ["n", "coeff", "egf"], rows)
     return 0
@@ -317,14 +302,11 @@ def parse_padic_expr(text: str, q: Fraction) -> Laurent:
 
 
 def cmd_padic(args) -> int:
-    try:
-        expr = parse_padic_expr(args.expr, args.q)
-        if args.op == "volkenborn":
-            value = padic.volkenborn(expr, args.q)
-        else:
-            value = padic.fermionic(expr, args.q)
-    except ValueError as exc:
-        raise ComputationError(str(exc))
+    expr = parse_padic_expr(args.expr, args.q)
+    if args.op == "volkenborn":
+        value = padic.volkenborn(expr, args.q)
+    else:
+        value = padic.fermionic(expr, args.q)
     print(value)
     return 0
 
@@ -431,12 +413,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.exit(2, f"error: {exc}\n")
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IOFailure as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ raising it to arbitrary powers downstream.  Moments are read off the MGF as
 exponential coefficients, so there is a single source of truth per law.
 
 :func:`mgf_table` is the package's one cache: per law, an :class:`MgfTable`
-holding M, (M - 1)^m and M^z at the largest order asked for so far.
+holding M, (M - 1)^m and M^z for one z at the largest order asked for so far.
+Its ``_grown`` alone runs a law's rule; ``mgf_series`` reads the table.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class Distribution:
         raise NotImplementedError
 
     def mgf_series(self, order: int) -> Series:
-        """M through ``order``, built from its constant term."""
-        return Series(self.extend_mgf([Fraction(1)], order))
+        """M through ``order``, read from the law's table."""
+        return mgf_table(self).series(order)
 
     def moment(self, n: int) -> Fraction:
         """E[Y^n], extracted from the MGF."""
@@ -120,7 +121,7 @@ class Binomial(Distribution):
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
     def extend_mgf(self, coeffs: list, n: int) -> list:
-        single = Bernoulli(self.p1).extend_mgf([Fraction(1)], n)
+        single = mgf_table(Bernoulli(self.p1)).series(n).coeffs
         return extend_pow(single, self.trials, coeffs, n)
 
 
@@ -229,11 +230,12 @@ class CustomMoments(Distribution):
 
 
 class MgfTable:
-    """The coefficients of M, of the powers (M - 1)^m and of M^z for one law,
-    each at the largest order asked for so far; a lower order is read from
-    the prefix, and growing appends only the new coefficients.  M grows on a
-    copy that is stored only on success, so a law short of the order asked
-    for (a :class:`CustomMoments` law) raises and leaves the table as it was.
+    """The coefficients of M, of the powers (M - 1)^m and of M^z for one law
+    and one z (callers ask for one at a time), each at the largest order
+    asked for so far; a lower order is read from the prefix, and growing
+    appends only the new coefficients.  M grows on a copy that is stored only
+    on success, so a law short of the order asked for (a :class:`CustomMoments`
+    law) raises and leaves the table as it was.
 
     Every list is held as Fractions, and the new coefficients are computed on
     integers, each normalised once into a Fraction.  Growing (M - 1)^j to
@@ -249,7 +251,7 @@ class MgfTable:
         self.dist = dist
         self._mgf = [Fraction(1)]  # coefficients of M
         self._minus_one = [[Fraction(1)]]  # coefficients of (M - 1)^m, m = 0, 1, ...
-        self._powers = {}  # z -> coefficients of M^z, at most 16 exponents
+        self._z, self._zpow = None, [Fraction(1)]  # one exponent z, and M^z
 
     def _grown(self, order: int) -> list:
         """The coefficients of M, grown through at least ``order``."""
@@ -294,15 +296,12 @@ class MgfTable:
             prev = row
 
     def _power(self, z, order: int) -> list:
-        """The held coefficients of M^z, grown through at least ``order``;
-        growing appends only the new coefficients."""
-        held = self._powers.get(z, [Fraction(1)])
+        """The coefficients of M^z, grown through at least ``order``; growing
+        appends only the new coefficients, and another z replaces the held one."""
+        held = self._zpow if z == self._z else [Fraction(1)]
         if len(held) <= order:
             extend_pow(self._grown(order), z, held, order)
-            if z not in self._powers:
-                if len(self._powers) == 16:
-                    del self._powers[next(iter(self._powers))]
-                self._powers[z] = held
+            self._z, self._zpow = z, held
         return held
 
     def power(self, z, order: int) -> Series:

@@ -3,9 +3,9 @@ function and extracted with the series engine.
 
 The generating functions are the single source of truth here.  Closed forms
 (explicit binomial products, recurrences) appear only in the test suite as
-independent cross-checks, with two deliberate exceptions noted on
-:func:`bernstein_classical` and :func:`qbernstein`, whose closed forms are
-themselves the coefficient formulas of their generating functions.
+independent cross-checks.  The one deliberate exception is :func:`qbernstein`,
+whose closed form is itself the coefficient formula of its generating
+function; :func:`bernstein_classical` reads it at a classical point.
 
 ``prob_qbernstein`` is the ground truth the audit registry compares everything
 against: the exponential coefficient of (v X)^r / r! times the MGF raised to
@@ -131,14 +131,9 @@ def prob_euler(d: Distribution, n: int, z):
 
 
 def bernstein_classical(r: int, n: int, x: Fraction) -> Fraction:
-    """Classical Bernstein basis value binom(n, r) x^r (1 - x)^(n - r).
-
-    This closed form is exactly the exponential coefficient of
-    (v x)^r / r! * e^((1 - x) v); the series route is asserted equal in tests.
-    """
-    _check_indices(r, n)
-    x = Fraction(x)
-    return math.comb(n, r) * x**r * (1 - x) ** (n - r)
+    """Classical Bernstein basis value binom(n, r) x^r (1 - x)^(n - r): the
+    closed form of :func:`qbernstein` at the classical point x."""
+    return qbernstein(r, n, QPoint.classical(x))
 
 
 def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
@@ -147,7 +142,6 @@ def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
 
     Again the closed form is the exponential coefficient of its generating
     function (v X)^r / r! * e^(X1 v); tests assert the series route agrees.
-    In classical mode this is :func:`bernstein_classical`.
     """
     _check_indices(r, n)
     return math.comb(n, r) * p.X**r * p.X1 ** (n - r)

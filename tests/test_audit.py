@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,14 @@ from qbernstein.audit import (
     run_all,
     run_case,
 )
-from qbernstein.distributions import Bernoulli, Constant, CustomMoments, Poisson
+from qbernstein import distributions, padic, series
+from qbernstein.distributions import (
+    Bernoulli,
+    Constant,
+    CustomMoments,
+    MgfTable,
+    Poisson,
+)
 from qbernstein.families import bell_poly, prob_qbernstein
 from qbernstein.qcalc import QPoint
 
@@ -234,3 +242,84 @@ def test_report_summary_mentions_every_case():
     lines = report.summary_lines()
     assert len(lines) == len(REGISTRY)
     assert all("expected=" in line for line in lines)
+
+
+def _poisson_rule_off_by_one(self, coeffs, n):
+    """Poisson's rule dividing by (k - j)! where M' = alpha e^v M needs (k - 1 - j)!."""
+    for k in range(len(coeffs), n + 1):
+        tail = sum((coeffs[j] / math.factorial(k - j) for j in range(k)), F(0))
+        coeffs.append(self.alpha * tail / k)
+    return coeffs
+
+
+def _miller_sum_one_short(a, z, out, n):
+    """Miller's recurrence k b_k = sum over j of ((z + 1) j - k) a_j b_(k-j), with
+    j stopping at k - 1 instead of k."""
+    for k in range(len(out), n + 1):
+        terms = (((z + 1) * j - k) * a[j] * out[k - j] for j in range(1, k))
+        out.append(sum(terms, F(0)) / k)
+    return out
+
+
+def _minus_one_sum_one_short(self, n):
+    """(M - 1)^j as (M - 1)^(j - 1) times M - 1, with the convolution index i
+    stopping at k - 2 instead of k - 1."""
+    base = [F(0)] + self._grown(n)[1 : n + 1]
+    powers = [[F(1)] + [F(0)] * n]
+    for j in range(1, n + 1):
+        prev = powers[-1]
+        powers.append([
+            sum((prev[i] * base[k - i] for i in range(j - 1, k - 1)), F(0))
+            for k in range(n + 1)
+        ])
+    self._minus_one = powers
+
+
+def _point_with_swapped_brackets(mp):
+    built = QPoint.__post_init__
+
+    def post_init(self):
+        built(self)
+        xc, x1 = self.Xc, self.X1
+        object.__setattr__(self, "Xc", x1)
+        object.__setattr__(self, "X1", xc)
+
+    mp.setattr(QPoint, "__post_init__", post_init)
+
+
+MUTANTS = {
+    "poisson-rule": lambda mp: mp.setattr(
+        Poisson, "extend_mgf", _poisson_rule_off_by_one
+    ),
+    "extend-pow": lambda mp: (
+        mp.setattr(series, "extend_pow", _miller_sum_one_short),
+        mp.setattr(distributions, "extend_pow", _miller_sum_one_short),
+    ),
+    "minus-one-table": lambda mp: mp.setattr(
+        MgfTable, "_grow_minus_one", _minus_one_sum_one_short
+    ),
+    "swapped-brackets": _point_with_swapped_brackets,
+}
+
+
+def _clear_caches():
+    distributions.mgf_table.cache_clear()
+    padic._factors.cache_clear()
+    padic._basis.cache_clear()
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_audit_catches_a_broken_engine(monkeypatch, mutant):
+    """Each off-by-one mutant of the engine turns at least one expected-pass
+    record into FAIL or ERROR; the caches are cleared around it so that no
+    value computed by the mutant outlives it."""
+    _clear_caches()
+    assert run_all(42, 2, 8).expected_pass_failures() == []
+    try:
+        with monkeypatch.context() as mp:
+            MUTANTS[mutant](mp)
+            _clear_caches()
+            failures = run_all(42, 2, 8).expected_pass_failures()
+    finally:
+        _clear_caches()
+    assert any(r.status in ("FAIL", "ERROR") for r in failures)

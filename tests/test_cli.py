@@ -36,22 +36,33 @@ def test_success_exits_0(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["eval", "--family", "prob-bernoulli", "--dist", "constant", "--value", "0",
-         "--n", "2", "--arg", "1"],
-        ["series", "--dist", "poisson", "--alpha", "1", "--kind", "qbernstein-gf",
-         "--r", "5", "--order", "3"] + POINT,
-        ["series", "--dist", "custom", "--moments", "1,2", "--order", "3"],
-        ["table", "--dist", "custom", "--moments", "1,2,5,7,11,13", "--rho", "1/2",
-         "--c", "1", "--d", "2", "--n", "0..6", "--r", "0..6"],
+        (["eval", "--family", "prob-bernoulli", "--dist", "constant", "--value", "0",
+          "--n", "2", "--arg", "1"],
+         "prob-bernoulli: law has mean zero; v/(M - 1) is undefined"),
+        (["series", "--dist", "poisson", "--alpha", "1", "--kind", "qbernstein-gf",
+          "--r", "5", "--order", "3"] + POINT,
+         "monomial degree outside truncation order"),
+        (["series", "--dist", "custom", "--moments", "1,2", "--order", "3"],
+         "only 2 moments provided, order 3 requested"),
+        (["table", "--dist", "custom", "--moments", "1,2,5,7,11,13", "--rho", "1/2",
+          "--c", "1", "--d", "2", "--n", "0..6", "--r", "0..6"],
+         "only 6 moments provided, order 6 requested"),
+        (["padic", "--op", "volkenborn", "--q", "1", "--expr", "t"],
+         "q must be a positive rational different from 1"),
+        (["series", "--dist", "custom", "--moments", "1,2", "--kind", "log-mgf",
+          "--order", "3"],
+         "only 2 moments provided, order 3 requested"),
+        (["eval", "--family", "frobenius-euler", "--u", "1", "--n", "2",
+          "--order-param", "1", "--arg", "0"],
+         "frobenius-euler: u = 1 makes the generating function degenerate"),
     ],
-    ids=["zero-mean", "r-above-order", "too-few-moments", "table-too-few-moments"],
+    ids=["zero-mean", "r-above-order", "too-few-moments", "table-too-few-moments",
+         "volkenborn-at-q-1", "log-mgf-too-few-moments", "frobenius-euler-at-u-1"],
 )
-def test_computation_error_exits_1(capsys, argv):
-    code, out = run(capsys, argv)
-    assert code == 1
-    assert out.startswith("error: ")
+def test_computation_error_exits_1(capsys, argv, message):
+    assert run(capsys, argv) == (1, f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -103,11 +114,14 @@ def test_missing_law_flag_exits_2(capsys, law, message):
 
 
 def test_io_error_exits_3(capsys, tmp_path):
-    target = tmp_path / "missing" / "table.csv"
-    argv = ["table", "--n", "0..2", "--r", "0..2", "--out", str(target)] + POINT
-    code, out = run(capsys, argv)
-    assert code == 3
-    assert out.startswith("i/o error: ")
+    target = tmp_path / "missing" / "out"
+    for argv in (
+        ["table", "--n", "0..2", "--r", "0..2"] + POINT,
+        ["audit", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)],
+    ):
+        code, out = run(capsys, argv + ["--out", str(target)])
+        message = f"[Errno 2] No such file or directory: '{target}'"
+        assert (code, out) == (3, f"i/o error: {message}\n")
 
 
 def test_audit_jsonl_is_byte_identical_across_processes(tmp_path):

@@ -133,13 +133,14 @@ def _law_id(law):
     "law", ALL_LAWS + [Geometric(F(1)), Constant(F(0))], ids=_law_id
 )
 def test_mgf_matches_its_compositional_oracle(law):
-    """Built fresh at each order, and grown in one table over a shuffled
-    sequence of orders, M equals the compositional form."""
+    """Built by the law's rule from the constant term at each order, and grown
+    in one table over a shuffled sequence of orders, M equals the
+    compositional form."""
     top = len(law.moments) - 1 if isinstance(law, CustomMoments) else 20
     expected = mgf_oracle(law, top)
     orders = list(range(top + 1))
     for n in orders:
-        assert law.mgf_series(n) == expected.truncate(n)
+        assert Series(law.extend_mgf([F(1)], n)) == expected.truncate(n)
     random.Random(_law_id(law)).shuffle(orders)
     table = MgfTable(law)
     for n in orders:
@@ -216,14 +217,14 @@ def test_table_answers_every_order_from_one_prefix(law, queries, z):
         for n, m in sequence:
             expected = _minus_one_power_at(law, m, n).coeffs[n]
             assert table.minus_one_coeff(m, n) == expected
-            assert table.series(n) == law.mgf_series(n)
+            assert table.series(n) == mgf_oracle(law, n)
             assert table.power(z, n) == _power_by_exp_log(law, z, n)
 
 
 def _held(table):
     """A copy of what the table holds."""
-    powers = {z: list(c) for z, c in table._powers.items()}
-    return list(table._mgf), [list(p) for p in table._minus_one], powers
+    power = (table._z, list(table._zpow))
+    return list(table._mgf), [list(p) for p in table._minus_one], power
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,6 +251,27 @@ def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
         assert table.power(F(1, 2), n) == _power_by_exp_log(law, F(1, 2), n)
         for m in range(n + 1):
             assert table.minus_one_coeff(m, n) == _minus_one_power_at(law, m, n).coeffs[n]
+
+
+def test_table_holds_one_exponent_at_a_time():
+    """One table asked for z1, then z2, then z1 again at rising orders gives
+    exp(z log M) of the oracle every time; a request above the moments in
+    between raises and leaves the held exponent as it was."""
+    law = _custom(10)
+    table = MgfTable(law)
+    z1, z2 = F(1, 2), F(-2, 3)
+    for z, n in [(z1, 2), (z2, 3), (z1, 4), (z2, 12), (z1, 5), (z2, 6), (z1, 7),
+                 (z1, 10), (z1, 8), (z2, 9)]:
+        if n >= len(law.moments):
+            before = _held(table)
+            with pytest.raises(ValueError):
+                table.power_coeff(z, n)
+            assert _held(table) == before
+            continue
+        expected = _power_by_exp_log(law, z, n)
+        assert table.power(z, n) == expected
+        assert table.power_coeff(z, n) == expected.coeffs[n]
+        assert table._z == z
 
 
 @pytest.mark.parametrize("law", TABLE_LAWS, ids=_law_id)
@@ -290,7 +312,8 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         assert table.series(n) == mgf.truncate(n)
         for m in range(n + 1):
             assert table.minus_one_coeff(m, n) == minus_one[m, n]
-        held_power = table._powers.get(z, [F(1)])  # M^z = 1 is not stored
+        # M^z = 1 is not stored
+        held_power = table._zpow if table._z == z else [F(1)]
         assert len(table._mgf) == len(held_power) == n + 1
         assert [len(p) for p in table._minus_one] == [n + 1] * (n + 1)
     assert mgf_asked == power_asked == [(n, n) for n in range(1, top + 1)]
