@@ -367,7 +367,14 @@ def _log_expansion_eval(corrected: bool):
     return evaluate
 
 
+def _skip_mean_zero(dist):
+    if dist.moment(1) == 0:
+        raise CaseSkip("law has mean zero; v/(M - 1) is undefined")
+
+
 def eval_t21(dist, p, order, r, n):
+    if r:
+        _skip_mean_zero(dist)
     lhs = prob_qbernstein(dist, r, n, p)
     rhs = sum(
         math.comb(n, m)
@@ -453,6 +460,11 @@ def _convolution_eval(family):
         return lhs, rhs
 
     return evaluate
+
+
+def eval_t25(dist, p, order, r, n):
+    _skip_mean_zero(dist)
+    return _convolution_eval(prob_bernoulli)(dist, p, order, r=r, n=n)
 
 
 def eval_t26_verbatim(dist, p, order, r, n):
@@ -681,7 +693,7 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.5", "verbatim",
         "convolution against the law's Bernoulli-type Appell family",
-        "pass", _drawer(draw_law, draw_qpoint), _convolution_eval(prob_bernoulli),
+        "pass", _drawer(draw_law, draw_qpoint), eval_t25,
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(

@@ -12,9 +12,10 @@ Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  Moments are read off the MGF as
 exponential coefficients, so there is a single source of truth per law.
 
-:func:`mgf_table` is the package's one cache: per law, an :class:`MgfTable`
-holding M, (M - 1)^m and M^z for one z at the largest order asked for so far.
-Its ``_grown`` alone runs a law's rule; ``mgf_series`` reads the table.
+:func:`mgf_table` holds an :class:`MgfTable` for each of at most 64 laws: M,
+(M - 1)^m and M^z for one z to the largest order asked; only ``_grown`` runs a
+law's rule.  The other caches, all bounded, are :mod:`qbernstein.padic`'s
+``_rules`` (16 values of q), ``_basis`` (8192 entries) and ``_weights`` (1024).
 """
 
 from __future__ import annotations

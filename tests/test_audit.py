@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbernstein.audit import (
     MAX_DRAWN_INDEX,
@@ -304,7 +307,8 @@ MUTANTS = {
 
 def _clear_caches():
     distributions.mgf_table.cache_clear()
-    padic._factors.cache_clear()
+    padic._rules.cache_clear()
+    padic._weights.cache_clear()
     padic._basis.cache_clear()
 
 
@@ -323,3 +327,35 @@ def test_audit_catches_a_broken_engine(monkeypatch, mutant):
     finally:
         _clear_caches()
     assert any(r.status in ("FAIL", "ERROR") for r in failures)
+
+
+# The expected-pass cases whose identity is claimed for every law with
+# M(0) = 1, not for one law kind.
+LAW_GENERIC = [
+    ("P-LOG", "corrected"), ("T2.1", "verbatim"), ("T2.2", "corrected"),
+    ("T2.3", "corrected"), ("T2.4", "verbatim"), ("T2.5", "verbatim"),
+    ("T2.6", "corrected"), ("T2.8", "corrected"), ("R2.1", "verbatim"),
+]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)), min_size=8, max_size=8),
+    st.integers(0, 2**32),
+)
+@example([F(m) for m in (0, 2, -1, 3, 1, 5, 2, 7)], 0)
+def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
+    """Each law-generic expected-pass case, on its own draw of point and
+    indices, passes or skips on a law with arbitrary rational moments; a
+    mean-zero law, where v/(M - 1) has no series, makes T2.1 (r > 0) and T2.5
+    skip."""
+    law = CustomMoments((F(1), *moments))
+    cases = {(c.id, c.variant): c for c in REGISTRY}
+    for key in LAW_GENERIC:
+        case = cases[key]
+        assert case.expected == "pass"
+        draw = case.draw(random.Random(f"{seed}:{key}"))
+        record = run_case(case, CaseDraw(law, draw.point, draw.indices), 8)
+        assert record.status in ("PASS", "SKIP"), (key, record.difference)
+        if key == ("T2.5", "verbatim"):
+            assert (record.status == "SKIP") == (moments[0] == 0)

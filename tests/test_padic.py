@@ -15,6 +15,7 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
+from qbernstein import padic
 from qbernstein.families import prob_qbernstein_laurent
 from qbernstein.padic import (
     carlitz_beta,
@@ -151,32 +152,105 @@ def test_integrate_weighted_term_reduces_to_plain_integration():
     )
 
 
-BASIS_LAWS = SIX_LAWS + [
-    Constant(F(0)),
-    Constant(F(2)),
-    CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11))),
-]
+CUSTOM_LAW = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(17)))
+BASIS_LAWS = SIX_LAWS + [Constant(F(0)), Constant(F(2)), CUSTOM_LAW]
+# The laws also checked at w = 0 up to n = 16: one of infinite support, the
+# degenerate law away from 0, and the law of arbitrary rational moments.
+DEEP_LAWS = [Poisson(F(2, 3)), Constant(F(2)), CUSTOM_LAW]
 
 
-@pytest.mark.parametrize("q", [F(2, 5), F(7, 4)], ids=str)
-def test_basis_integrals_equal_the_integrals_of_the_reference_integrand(q):
+# One q on each side of 1, on the full grid n <= 10, and two coherent q of
+# larger height, (9/5)^4 and (2/5)^3, on n <= 8.
+@pytest.mark.parametrize(
+    "q, top",
+    [pytest.param(q, top, id=str(q)) for q, top in
+     [(F(2, 5), 10), (F(7, 4), 10), (F(6561, 625), 8), (F(8, 125), 8)]],
+)
+def test_basis_integrals_equal_the_integrals_of_the_reference_integrand(q, top):
     """The per-q basis route equals both operators applied to the weight
-    (Xc)_w times the Laurent reference value, for every law, 0 <= r <= n <= 10
-    and w <= 3; the laws are visited in a shuffled order so that no result
-    depends on what an earlier law left in the basis."""
+    (Xc)_w times the Laurent reference value: for every law at w <= 3 and
+    0 <= r <= n <= top, and for the laws of DEEP_LAWS at w = 0 and n <= 16 too.
+    The laws are visited in a shuffled order so that no result depends on what
+    an earlier law left in the basis."""
     weights = [falling_factorial(conjugate_bracket_in_t(q), w) for w in range(4)]
     laws = list(BASIS_LAWS)
     random.Random(str(q)).shuffle(laws)
     for law in laws:
-        for n in range(11):
+        for n in range(17 if law in DEEP_LAWS else top + 1):
             for r in range(n + 1):
                 reference = prob_qbernstein_laurent(law, r, n, q)
-                for w, weight in enumerate(weights):
+                for w, weight in enumerate(weights if n <= top else weights[:1]):
                     integrand = weight * reference
                     expected = (volkenborn(integrand, q), fermionic(integrand, q))
                     assert integrate_weighted_term(law, r, n, w, q) == expected
                     if w == 0:
                         assert integrate_corollaries(law, r, n, q) == expected
+
+
+def _monomial_rule(b, q, bosonic):
+    """The rule of t^b, written out here and not read from the operators' table."""
+    if not bosonic:
+        return (1 + q) / (1 + q ** (b + 1))
+    return LogPoly({-1: q - 1}) if b == -1 else (b + 1) * (q - 1) / (q ** (b + 1) - 1)
+
+
+@pytest.mark.parametrize("q", [F(4, 9), F(3, 2), F(6561, 625)], ids=str)
+def test_operators_on_formal_log_coefficients_follow_the_monomial_rule(q):
+    """Both operators on Laurent polynomials whose coefficients are LogPoly
+    (the x-derivative of a family value, with a t^-1 term) or mixed with
+    Fraction ones equal the sum over terms of coefficient times rule."""
+    mixed = Laurent({-1: LogPoly({1: F(2), -2: F(1, 3)}), 0: F(5, 7), 3: LogPoly({0: F(-1)})})
+    integrands = [mixed] + [
+        laurent_x_derivation(prob_qbernstein_laurent(law, r, 4, q))
+        for law in SIX_LAWS[:3]
+        for r in (0, 2)
+    ]
+    for f in integrands:
+        assert any(b == -1 for b in f.terms)
+        for op, bosonic in ((volkenborn, True), (fermionic, False)):
+            expected = sum(
+                (_monomial_rule(b, q, bosonic) * c for b, c in f.terms.items()), LogPoly()
+            )
+            assert op(f, q) == expected
+
+
+@pytest.mark.parametrize("q", [F(11, 13), F(3, 2)], ids=str)
+def test_operators_on_sparse_high_powers_state_only_the_rules_present(q):
+    """t^2000 and t^-2000 beside t^-1 integrate to the sum of their monomial
+    rules, and the operators state the rules of those three exponents only,
+    not of every exponent between them."""
+    padic._rules.cache_clear()
+    f = Laurent({2000: F(3, 7), -2000: F(1), -1: F(2)})
+    for op, bosonic in ((volkenborn, True), (fermionic, False)):
+        expected = sum(
+            (_monomial_rule(b, q, bosonic) * c for b, c in f.terms.items()), LogPoly()
+        )
+        assert op(f, q) == expected
+    assert sorted(padic._rules(q)) == [-2000, -1, 2000]
+
+
+def test_caches_stay_within_their_bounds():
+    """Integrals at 20 distinct q, more than the 16 rule tables held, give the
+    same values when asked again after their tables were evicted, and after
+    every cache was emptied; each cache holds at most its stated bound."""
+    qs = [F(k + 2, k + 1) for k in range(10)] + [F(k + 1, k + 3) for k in range(10)]
+    laws = SIX_LAWS[:2]
+
+    def values(q):
+        return [
+            integrate_weighted_term(law, r, n, w, q)
+            for law in laws for n in range(6) for r in range(n + 1) for w in range(2)
+        ]
+
+    first = {q: values(q) for q in qs}
+    assert padic._rules.cache_info().currsize == 16
+    assert all(values(q) == first[q] for q in qs)
+    for cache in (padic._rules, padic._basis, padic._weights):
+        cache.cache_clear()
+    assert all(values(q) == first[q] for q in reversed(qs))
+    for cache, bound in ((padic._rules, 16), (padic._basis, 8192), (padic._weights, 1024)):
+        assert cache.cache_info().maxsize == bound
+        assert cache.cache_info().currsize <= bound
 
 
 BAD_Q = "q must be a positive rational different from 1"
