@@ -67,10 +67,6 @@ def _check_p1(p1: Fraction) -> Fraction:
     return p1
 
 
-def _fr(x) -> Fraction:
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class Poisson(Distribution):
     alpha: Fraction
@@ -78,7 +74,7 @@ class Poisson(Distribution):
     name = "poisson"
 
     def __post_init__(self):
-        a = _fr(self.alpha)
+        a = Fraction(self.alpha)
         if a <= 0:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", a)
@@ -187,7 +183,7 @@ class Constant(Distribution):
     name = "constant"
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _fr(self.value))
+        object.__setattr__(self, "value", Fraction(self.value))
 
     def extend_mgf(self, coeffs: list, n: int) -> list:
         coeffs.extend(
@@ -210,7 +206,7 @@ class CustomMoments(Distribution):
     name = "custom"
 
     def __post_init__(self):
-        ms = tuple(_fr(m) for m in self.moments)
+        ms = tuple(Fraction(m) for m in self.moments)
         if not ms or ms[0] != 1:
             raise ValueError("moment sequence must start with 1")
         object.__setattr__(self, "moments", ms)

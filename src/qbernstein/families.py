@@ -71,7 +71,7 @@ def higher_bernoulli(n: int, order, x):
     if n < 0:
         raise ValueError("index must be nonnegative")
     base = Series(Fraction(1, math.factorial(k + 1)) for k in range(n + 1))
-    return (base.recip().pow(order) * exp_series(x, n)).egf_coeff(n)
+    return (base.pow(-order) * exp_series(x, n)).egf_coeff(n)
 
 
 def euler_poly(n: int, x):
@@ -83,8 +83,8 @@ def euler_poly(n: int, x):
 def frobenius_euler(n: int, order, x, u: Fraction):
     """Exponential coefficient of ((1 - u)/(e^v - u))^order * e^(x v).
 
-    Implemented by normalizing e^v - u to unit constant term before the
-    power, so the series power precondition holds for every u != 1.
+    Implemented by normalizing e^v - u to unit constant term and raising it
+    to -order, so the series power precondition holds for every u != 1.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
@@ -92,29 +92,28 @@ def frobenius_euler(n: int, order, x, u: Fraction):
     if u == 1:
         raise ValueError("u = 1 makes the generating function degenerate")
     scaled = (exp_series(Fraction(1), n) - u) * (Fraction(1) / (1 - u))
-    return (scaled.recip().pow(order) * exp_series(x, n)).egf_coeff(n)
+    return (scaled.pow(-order) * exp_series(x, n)).egf_coeff(n)
 
 
 def prob_bernoulli_higher(d: Distribution, n: int, r: int, z):
     """Exponential coefficient of (v/(M - 1))^r * M^z for the law ``d``.
 
-    The series v/(M - 1) has constant term 1/E[Y]; that scalar is factored
-    out so the powered series has unit constant term, then reapplied.
+    At r > 0 the series (M - 1)/v, over its constant term E[Y], has unit
+    constant term; its power -r is (E[Y] v/(M - 1))^r, and E[Y]^(-r) is
+    reapplied.  At r = 0 this is the coefficient of M^z and the mean is not
+    read.
     """
     if n < 0 or r < 0:
         raise ValueError("indices must be nonnegative")
     m_series = mgf_table(d).series(n + 1)
-    core = Series.one(n)
-    scale = Fraction(1)
-    if r > 0:
-        mean = m_series.coeffs[1]
-        if mean == 0:
-            raise ValueError("law has mean zero; v/(M - 1) is undefined")
-        unit = (m_series - 1).divide_v(1) * (Fraction(1) / mean)
-        core = unit.recip().pow(r)
-        scale = mean ** (-r)
     mz = m_series.truncate(n).pow(z)
-    return (core * mz * scale).egf_coeff(n)
+    if r == 0:
+        return mz.egf_coeff(n)
+    mean = m_series.coeffs[1]
+    if mean == 0:
+        raise ValueError("law has mean zero; v/(M - 1) is undefined")
+    unit = Series(m_series.coeffs[1:]) * (1 / mean)
+    return (unit.pow(-r) * mz * mean ** (-r)).egf_coeff(n)
 
 
 def prob_bernoulli(d: Distribution, n: int, z):
@@ -127,7 +126,7 @@ def prob_euler(d: Distribution, n: int, z):
     if n < 0:
         raise ValueError("index must be nonnegative")
     m_series = mgf_table(d).series(n)
-    return ((m_series + 1).recip() * 2 * m_series.pow(z)).egf_coeff(n)
+    return (((m_series + 1) * Fraction(1, 2)).pow(-1) * m_series.pow(z)).egf_coeff(n)
 
 
 def bernstein_classical(r: int, n: int, x: Fraction) -> Fraction:

@@ -130,11 +130,6 @@ class _SparseTerms:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"{type(self).__name__} powers must be nonnegative integers")

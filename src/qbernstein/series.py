@@ -4,9 +4,10 @@ A :class:`Series` stores the ordinary coefficients a_0 .. a_N of
 a_0 + a_1 v + ... + a_N v^N and every operation is exact through order N.
 Coefficients may be Fraction, Laurent or LogPoly; the only requirement is
 that they support exact ring arithmetic with each other and with Fraction.
-:meth:`Series.pow` is the exception: it needs Fraction or int coefficients
-and exponent, because :func:`extend_pow` runs Miller's recurrence on
-integers.  With D the common denominator of a_0 .. a_n and z = zn/zd, the
+:meth:`Series.pow` and :meth:`Series.recip` are the exceptions: they need
+Fraction or int coefficients and exponent, because :func:`extend_pow` runs
+Miller's recurrence on integers, and the reciprocal is that recurrence at
+exponent -1.  With D the common denominator of a_0 .. a_n and z = zn/zd, the
 coefficient b_k of A^z is an integer B_k over (zd D)^k k!, and B_k is one
 integer sum of the earlier B_i; a held b_i converts back to its B_i exactly,
 since its denominator divides (zd D_i)^i i! and D_i, the common denominator
@@ -27,7 +28,8 @@ from typing import Iterable
 
 class Series:
     """Immutable truncated power series; ``order`` is the largest retained
-    index.  :meth:`pow` needs scalar (Fraction or int) coefficients."""
+    index.  :meth:`pow` and :meth:`recip` need scalar (Fraction or int)
+    coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -108,19 +110,13 @@ class Series:
     __rmul__ = __mul__
 
     def recip(self) -> "Series":
-        """Multiplicative inverse through order N; the constant term must be
-        an invertible scalar."""
+        """Multiplicative inverse through order N: the series over its
+        constant term a_0, raised to -1 by :meth:`pow`, over a_0 again.  a_0
+        must be a nonzero Fraction and the coefficients scalars."""
         a0 = self.coeffs[0]
         if not isinstance(a0, Fraction) or a0 == 0:
             raise ValueError("series reciprocal needs an invertible constant term")
-        inv0 = Fraction(1) / a0
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-inv0 * acc)
-        return Series(out)
+        return (self * (1 / a0)).pow(-1) * (1 / a0)
 
     def exp(self) -> "Series":
         """Series exponential; requires a vanishing constant term."""
@@ -160,14 +156,6 @@ class Series:
         if self.order < 1:
             raise ValueError("cannot derive a series of order 0")
         return Series((i + 1) * self.coeffs[i + 1] for i in range(self.order))
-
-    def divide_v(self, power: int = 1) -> "Series":
-        """Exact division by v**power; the low coefficients must vanish."""
-        if power < 0 or power > self.order:
-            raise ValueError("bad power for division by v")
-        if any(not (c == 0) for c in self.coeffs[:power]):
-            raise ValueError("series is not divisible by v to that power")
-        return Series(self.coeffs[power:])
 
     def egf_coeff(self, n: int):
         """The exponential-convention coefficient n! * a_n."""

@@ -59,7 +59,7 @@ def mgf_oracle(law, order: int) -> Series:
         "binomial": lambda: _product_power(_bernoulli_mgf(e, law.p1), law.trials),
         "geometric": lambda: _geometric_mgf(e, law.p1),
         "negbinomial": lambda: _product_power(_geometric_mgf(e, law.p1), law.successes),
-        "uniform01": lambda: (exp_series(F(1), order + 1) - 1).divide_v(1),
+        "uniform01": lambda: Series(exp_series(F(1), order + 1).coeffs[1:]),
         "constant": lambda: exp_series(law.value, order),
         "custom": lambda: Series(
             law.moments[k] / math.factorial(k) for k in range(order + 1)

@@ -192,7 +192,11 @@ def test_prob_families_trivial_indices():
 
 
 def test_prob_bernoulli_higher_rejects_zero_mean():
+    """At r = 0 the value is the coefficient of M^z and needs no mean, so a
+    mean-zero law is fine there; at r = 1 v/(M - 1) is undefined."""
     dead = Constant(F(0))
+    assert prob_bernoulli_higher(dead, 0, 0, F(1)) == 1
+    assert prob_bernoulli_higher(dead, 2, 0, F(1)) == 0
     with pytest.raises(ValueError):
         prob_bernoulli_higher(dead, 2, 1, F(1))
 

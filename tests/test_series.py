@@ -125,13 +125,6 @@ def test_egf_coeff():
         e.egf_coeff(9)
 
 
-def test_divide_v():
-    s = Series([F(0), F(0), F(3), F(5)])
-    assert s.divide_v(2) == Series([F(3), F(5)])
-    with pytest.raises(ValueError):
-        Series([F(1), F(0)]).divide_v(1)
-
-
 def test_series_over_laurent_coefficients():
     a = Laurent({1: F(1)})
     b = Laurent({-1: F(2)})
@@ -173,14 +166,19 @@ def unit_series(draw, orders=ORDER):
 
 
 @st.composite
+def invertible_series(draw, orders=ORDER):
+    """A series with any nonzero rational constant term, of order at most 6
+    by default."""
+    order = draw(orders)
+    head = draw(SMALL.filter(bool))
+    return Series([head] + draw(st.lists(SMALL, min_size=order, max_size=order)))
+
+
+@st.composite
 def invertible_pair(draw):
     """Two series of one order, each with a nonzero constant term."""
-    order = draw(ORDER)
-    heads = st.lists(SMALL.filter(bool), min_size=2, max_size=2)
-    return tuple(
-        Series([head] + draw(st.lists(SMALL, min_size=order, max_size=order)))
-        for head in draw(heads)
-    )
+    orders = st.just(draw(ORDER))
+    return draw(invertible_series(orders)), draw(invertible_series(orders))
 
 
 RHOS = [F(1, 2), F(2, 3), F(2, 5), F(3, 5), F(4, 3), F(7, 5), F(9, 5)]
@@ -225,6 +223,20 @@ def test_exp_inverts_log(s):
 def test_recip_is_multiplicative(pair):
     s, t = pair
     assert (s * t).recip() == s.recip() * t.recip()
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_series())
+def test_recip_times_series_is_one(s):
+    """Checked through __mul__, not the power kernel, at constant terms other
+    than 1: the reciprocal must undo its rescale by the constant term."""
+    assert s * s.recip() == Series.one(s.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series(), st.integers(1, 6))
+def test_negative_power_inverts_positive_power(s, k):
+    assert s.pow(-k) * s.pow(k) == Series.one(s.order)
 
 
 @settings(max_examples=40, deadline=None)
