@@ -31,7 +31,8 @@ Shapes that several cases share are written once: the reduction to
 binom(n, r) X^r times a closed-form tail (:func:`_reduction_eval`), the
 convolution, the recovery of X^r (T2.3, C2.1), the printed Poisson integral
 (C3.2, C3.3) and the product rule (T2.8), whose lhs is the family's one
-generating function, :func:`~qbernstein.families.prob_qbernstein_gf`.
+generating function, :func:`~qbernstein.families.prob_qbernstein_gf`, and
+whose rhs sums shifted derivatives of M^X1.
 """
 
 from __future__ import annotations
@@ -503,9 +504,10 @@ def _t27_eval(corrected: bool):
 
 def _t28_eval(verbatim: bool):
     """The m-th derivative of f g, f = (X v)^r / r! and g = M^X1, against the
-    sum over l <= min(r, m) of binom(m, l) f^(l) g_l.  Corrected, g_l is the
-    (m - l)-th derivative of g; verbatim, the shortcut E[Y^(m - l)] X1^(m - l) g.
-    f g is :func:`prob_qbernstein_gf`; g is raised by Series.pow."""
+    sum over l <= min(r, m) of binom(m, l) f^(l) g_l, each g_l shifted up by
+    r - l, as f^(l) = X^r (r)_l / r! v^(r - l).  Corrected, g_l is the (m - l)-th
+    derivative of g; verbatim, the shortcut E[Y^(m - l)] X1^(m - l) g.  f g is
+    :func:`prob_qbernstein_gf`; g is raised by Series.pow."""
 
     def evaluate(dist, p, order, r, m):
         lhs = prob_qbernstein_gf(dist, r, p, order)
@@ -513,19 +515,17 @@ def _t28_eval(verbatim: bool):
             lhs = lhs.derive()
         g = dist.mgf_series(order).pow(p.X1)
         target = order - m
-        rhs = Series.zero(target)
+        rhs = [F(0)] * (target + 1)
         for l in range(min(r, m) + 1):
+            c = math.comb(m, l) * p.X**r * falling_factorial(r, l) / math.factorial(r)
             if verbatim:
-                g_l = dist.moment(m - l) * p.X1 ** (m - l) * g
-            else:
-                g_l = g
-                for _ in range(m - l):
-                    g_l = g_l.derive()
-            f_l = Series.monomial(
-                r - l, p.X**r * falling_factorial(r, l) / math.factorial(r), target
-            )
-            rhs = rhs + math.comb(m, l) * (f_l * g_l.truncate(target))
-        return lhs, rhs
+                c *= dist.moment(m - l) * p.X1 ** (m - l)
+            g_l = g
+            for _ in range(0 if verbatim else m - l):
+                g_l = g_l.derive()
+            for i in range(target - (r - l) + 1):
+                rhs[i + r - l] += c * g_l.coeffs[i]
+        return lhs, Series(rhs)
 
     return evaluate
 
@@ -614,10 +614,8 @@ def _t36_tail(dist, k, p):
 def eval_r21(dist, p, order, r, n):
     x = p.x
     lhs = prob_qbernstein(dist, r, n, p)
-    direct = Series.monomial(r, x**r * F(1, math.factorial(r)), n) * dist.mgf_series(
-        n
-    ).pow(1 - x)
-    return lhs, direct.egf_coeff(n)
+    tail = dist.mgf_series(n - r).pow(1 - x).coeffs[n - r]
+    return lhs, math.perm(n, n - r) * x**r * tail
 
 
 def eval_r22(dist, p, order, r, n):
@@ -725,8 +723,11 @@ REGISTRY: list[IdentityCase] = [
         "T2.7", "corrected",
         "exponent-variable derivative with the factorial weight restored "
         "in the logarithmic expansion",
-        "record", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1, 5)),
+        "pass", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1, 5)),
         _t27_eval(corrected=True),
+        notes="d/dx of (vX)^r/r! M^X1 with dt/dx = t L is n t L/(q - 1) P(r - 1, n - 1) "
+        "plus (q/t) L/(1 - q) times the sum over j < n of binom(n, j) [log M]_(n - j) "
+        "P(r, j), where [log M]_k is the P-LOG corrected sum",
     ),
     IdentityCase(
         "T2.8", "verbatim",

@@ -54,15 +54,6 @@ class Series:
     def one(cls, order: int) -> "Series":
         return cls([Fraction(1)] + [Fraction(0)] * order)
 
-    @classmethod
-    def monomial(cls, k: int, coeff, order: int) -> "Series":
-        """coeff * v^k, truncated at ``order``."""
-        if not 0 <= k <= order:
-            raise ValueError("monomial degree outside truncation order")
-        cs = [Fraction(0)] * (order + 1)
-        cs[k] = coeff
-        return cls(cs)
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("cannot truncate upward")

@@ -40,6 +40,13 @@ AUDIT_DIGESTS = {
     7: "e679d2169e9c409faa353e1bd70a4590fd018ec5c1fc44aec0639cecb9759010",
     99: "9a4728ab2ffa672cb287b33cf714ffb2a56c4c6fb4db9bd4edf4603330f4b42a",
 }
+# SHA-256 of the same runs' summary lines, which carry each case's expectation
+# class and so decide the exit code of ``qbernstein audit``.
+SUMMARY_DIGESTS = {
+    42: "f00201dc4d32468fae23dcdbdc3031171cbad4043cae2af184649230d9b5d4d4",
+    7: "cb13f8ad9bec7792bbea0dfac9c096376e3fd0b50e8255e8d99c1e3f800f5498",
+    99: "b85515e35c9b8a88f88da9f91c74ea253bab043e67c46db98f50f420a2d6474f",
+}
 
 
 def test_registry_ids_and_variants_are_unique():
@@ -186,8 +193,11 @@ def test_run_all_is_deterministic_and_sorted():
 
 @pytest.mark.parametrize("seed", sorted(AUDIT_DIGESTS))
 def test_default_audit_jsonl_matches_its_pinned_digest(seed):
-    payload = run_all(seed=seed, trials=5, order=16).to_jsonl().encode()
+    report = run_all(seed=seed, trials=5, order=16)
+    payload = report.to_jsonl().encode()
     assert hashlib.sha256(payload).hexdigest() == AUDIT_DIGESTS[seed]
+    summary = "\n".join(report.summary_lines()).encode()
+    assert hashlib.sha256(summary).hexdigest() == SUMMARY_DIGESTS[seed]
 
 
 def test_run_all_expected_passes_hold_on_another_seed():
@@ -278,6 +288,17 @@ def _minus_one_sum_one_short(self, n):
     self._minus_one = powers
 
 
+def _series_mul_one_short(self, other):
+    """Series.__mul__ with the convolution index i stopping at k - 1 instead of k."""
+    if not isinstance(other, series.Series):
+        return series.Series(a * other for a in self.coeffs)
+    self._check(other)
+    return series.Series(
+        sum((self.coeffs[i] * other.coeffs[k - i] for i in range(k)), F(0))
+        for k in range(self.order + 1)
+    )
+
+
 def _point_with_swapped_brackets(mp):
     built = QPoint.__post_init__
 
@@ -300,6 +321,10 @@ MUTANTS = {
     ),
     "minus-one-table": lambda mp: mp.setattr(
         MgfTable, "_grow_minus_one", _minus_one_sum_one_short
+    ),
+    "series-mul": lambda mp: (
+        mp.setattr(series.Series, "__mul__", _series_mul_one_short),
+        mp.setattr(series.Series, "__rmul__", _series_mul_one_short),
     ),
     "swapped-brackets": _point_with_swapped_brackets,
 }
@@ -334,7 +359,8 @@ def test_audit_catches_a_broken_engine(monkeypatch, mutant):
 LAW_GENERIC = [
     ("P-LOG", "corrected"), ("T2.1", "verbatim"), ("T2.2", "corrected"),
     ("T2.3", "corrected"), ("T2.4", "verbatim"), ("T2.5", "verbatim"),
-    ("T2.6", "corrected"), ("T2.8", "corrected"), ("R2.1", "verbatim"),
+    ("T2.6", "corrected"), ("T2.7", "corrected"), ("T2.8", "corrected"),
+    ("R2.1", "verbatim"),
 ]
 
 

@@ -214,9 +214,10 @@ def test_bernstein_closed_form_equals_series_route():
     for n in range(11):
         for r in range(n + 1):
             for x in (F(1, 3), F(2, 7), F(5, 4)):
-                series = Series.monomial(
-                    r, x**r * F(1, math.factorial(r)), n
-                ) * exp_series(1 - x, n)
+                front = Series(
+                    [F(0)] * r + [x**r * F(1, math.factorial(r))] + [F(0)] * (n - r)
+                )
+                series = front * exp_series(1 - x, n)
                 assert bernstein_classical(r, n, x) == series.egf_coeff(n)
 
 
@@ -235,9 +236,10 @@ def test_qbernstein_closed_form_equals_series_route():
         x_val, one_minus = p.X, p.X1
         for n in range(11):
             for r in range(n + 1):
-                series = Series.monomial(
-                    r, x_val**r * F(1, math.factorial(r)), n
-                ) * exp_series(one_minus, n)
+                front = Series(
+                    [F(0)] * r + [x_val**r * F(1, math.factorial(r))] + [F(0)] * (n - r)
+                )
+                series = front * exp_series(one_minus, n)
                 assert qbernstein(r, n, p) == series.egf_coeff(n)
 
 
@@ -283,7 +285,9 @@ def test_generating_function_equals_the_product_route():
             for order in range(9):
                 power = law.mgf_series(order).pow(one_minus)
                 for r in range(order + 1):
-                    front = Series.monomial(r, x_val**r / math.factorial(r), order)
+                    front = Series(
+                        [F(0)] * r + [x_val**r / math.factorial(r)] + [F(0)] * (order - r)
+                    )
                     assert prob_qbernstein_gf(law, r, p, order) == front * power
                 assert prob_qbernstein_gf(law, -1, p, order) == Series.zero(order)
                 with pytest.raises(ValueError, match="outside truncation order"):
@@ -375,10 +379,8 @@ def test_corrected_derivative_identity_for_all_six_laws():
             def gf(rr):
                 if rr < 0:
                     return Series.zero(order)
-                return (
-                    Series.monomial(rr, x_val**rr * F(1, math.factorial(rr)), order)
-                    * powered
-                )
+                front = [F(0)] * rr + [x_val**rr * F(1, math.factorial(rr))]
+                return Series(front + [F(0)] * (order - rr)) * powered
 
             ratio = m_series.derive() * m_series.recip().truncate(order - 1)
             for r in range(4):
