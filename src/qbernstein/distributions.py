@@ -241,8 +241,10 @@ class MgfTable:
     exactly to integer numerators over D^j, since M through a lower order has
     a common denominator that divides D, and a new coefficient of (M - 1)^j
     is the integer sum of the numerators of (M - 1)^(j - 1) times those of M.
-    M^z grows the same way, by :func:`~qbernstein.series.extend_pow`.  A
-    negative index raises ValueError."""
+    M^z grows the same way, by :func:`~qbernstein.series.extend_pow`.  The
+    held exponent z is matched by identity, then by value, so the same object
+    read again costs no comparison and an equal one still reuses the held
+    list.  A negative index raises ValueError."""
 
     def __init__(self, dist: Distribution):
         self.dist = dist
@@ -295,7 +297,7 @@ class MgfTable:
     def _power(self, z, order: int) -> list:
         """The coefficients of M^z, grown through at least ``order``; growing
         appends only the new coefficients, and another z replaces the held one."""
-        held = self._zpow if z == self._z else [Fraction(1)]
+        held = self._zpow if z is self._z or z == self._z else [Fraction(1)]
         if len(held) <= order:
             extend_pow(self._grown(order), z, held, order)
             self._z, self._zpow = z, held

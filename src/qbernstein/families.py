@@ -13,6 +13,9 @@ the bracket of 1 - x.  It reads that one coefficient, n!/r! X^r times the
 coefficient of v^(n - r) in M^X1, from the law's table and builds no series.
 n!/r! is the falling product ``math.perm(n, n - r)``, as is n!/m! in
 :func:`prob_stirling2`; X and X1 are read from the point (``p.X``, ``p.X1``).
+The value, like that of :func:`qbernstein`, is formed as one ``Fraction``
+from the integer numerators and denominators of its factors, so it is
+normalised once.
 :func:`prob_qbernstein_gf` is the one place the whole generating function is
 built.  ``prob_qbernstein_laurent`` reaches the same value with x kept
 symbolic, through the expansion over ``prob_stirling2`` that the binomial
@@ -141,9 +144,13 @@ def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
 
     Again the closed form is the exponential coefficient of its generating
     function (v X)^r / r! * e^(X1 v); tests assert the series route agrees.
+    The value is one ``Fraction`` of binom(n, r) times the numerators of X^r
+    and X1^(n - r) over the product of their denominators.
     """
     _check_indices(r, n)
-    return math.comb(n, r) * p.X**r * p.X1 ** (n - r)
+    X, X1, k = p.X, p.X1, n - r
+    num = math.comb(n, r) * X.numerator**r * X1.numerator**k
+    return Fraction(num, X.denominator**r * X1.denominator**k)
 
 
 def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series:
@@ -166,8 +173,9 @@ def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:
     (v X)^r / r! * M^X1, with X, X1 the brackets of x and 1 - x at ``p``;
     that is n!/r! X^r times the coefficient of v^(n - r) in M^X1."""
     _check_indices(r, n)
-    tail = mgf_table(d).power_coeff(p.X1, n - r)
-    return math.perm(n, n - r) * p.X**r * tail
+    X, tail = p.X, mgf_table(d).power_coeff(p.X1, n - r)
+    num = math.perm(n, n - r) * X.numerator**r * tail.numerator
+    return Fraction(num, X.denominator**r * tail.denominator)
 
 
 def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Laurent:

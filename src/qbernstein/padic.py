@@ -149,7 +149,9 @@ def integrate_weighted_term(
         bos, log, ferm = bos * sb + c * b0, log * sb + c * b1, ferm * sf + c * b2
     scale, common = math.comb(n, r), den * (b - a) ** (n + w)
     bos, log = Fraction(scale * bos, common * dens[0]), Fraction(scale * log, common * dens[0])
-    return LogPoly({0: bos, -1: log}), LogPoly({0: Fraction(scale * ferm, common * dens[1])})
+    ferm = Fraction(scale * ferm, common * dens[1])
+    # reduced Fractions at distinct exponents: _build skips the per-coefficient check
+    return LogPoly._build(((0, bos), (-1, log))), LogPoly._build(((0, ferm),))
 
 
 def integrate_corollaries(

@@ -50,10 +50,6 @@ class Series:
     def zero(cls, order: int) -> "Series":
         return cls([Fraction(0)] * (order + 1))
 
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
-
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("cannot truncate upward")

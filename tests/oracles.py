@@ -77,7 +77,7 @@ def _geometric_mgf(e: Series, p1: Fraction) -> Series:
 
 
 def _product_power(base: Series, count: int) -> Series:
-    power = Series.one(base.order)
+    power = Series([Fraction(1)] + [Fraction(0)] * base.order)
     for _ in range(count):
         power = power * base
     return power

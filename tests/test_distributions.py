@@ -112,14 +112,16 @@ def test_negbinomial_moments_lie_in_partial_sum_enclosures():
 
 
 def test_binomial_is_a_power_of_bernoulli():
-    single, power = Bernoulli(F(1, 3)).mgf_series(9), Series.one(9)
+    single = Bernoulli(F(1, 3)).mgf_series(9)
+    power = Series([F(1)] + [F(0)] * 9)
     for trials in (1, 2, 3, 4):
         power = power * single
         assert Binomial(trials, F(1, 3)).mgf_series(9) == power
 
 
 def test_negbinomial_is_a_power_of_geometric():
-    single, power = Geometric(F(2, 5)).mgf_series(9), Series.one(9)
+    single = Geometric(F(2, 5)).mgf_series(9)
+    power = Series([F(1)] + [F(0)] * 9)
     for a in (1, 2, 3):
         power = power * single
         assert NegBinomial(a, F(2, 5)).mgf_series(9) == power
@@ -197,7 +199,7 @@ def _minus_one_power_at(law, m, n):
     """(M - 1)^m rebuilt at exactly order n by repeated multiplication of the
     oracle M minus 1."""
     base = mgf_oracle(law, n) - 1
-    power = Series.one(n)
+    power = Series([F(1)] + [F(0)] * n)
     for _ in range(m):
         power = power * base
     return power
@@ -272,6 +274,33 @@ def test_table_holds_one_exponent_at_a_time():
         assert table.power(z, n) == expected
         assert table.power_coeff(z, n) == expected.coeffs[n]
         assert table._z == z
+
+
+def test_an_equal_exponent_reuses_the_held_power(monkeypatch):
+    """The held exponent is matched by value, not only by identity: an equal
+    Fraction held by another object reads the held M^z without growing it,
+    and a different exponent replaces it."""
+    calls = []
+
+    def counted(a, e, out, n):
+        calls.append((e, n))
+        return extend_pow(a, e, out, n)
+
+    monkeypatch.setattr(distributions, "extend_pow", counted)
+    law, z = Geometric(F(2, 5)), F(-2, 3)
+    table = MgfTable(law)
+    held = table.power(z, 8)
+    assert calls == [(z, 8)]
+    for n in range(9):
+        equal = F(z.numerator, z.denominator)
+        assert equal is not z
+        assert table.power_coeff(equal, n) == held.coeffs[n]
+        assert table.power(equal, n) == held.truncate(n)
+    assert calls == [(z, 8)]
+    other = F(3, 4)
+    assert table.power(other, 5) == _power_by_exp_log(law, other, 5)
+    assert calls == [(z, 8), (other, 5)]
+    assert table._z is other and len(table._zpow) == 6
 
 
 @pytest.mark.parametrize("law", TABLE_LAWS, ids=_law_id)
@@ -349,7 +378,7 @@ def test_minus_one_powers_are_repeated_products_of_the_oracle(drawn):
     against repeated Series products of the compositional M minus 1."""
     law, top, queries = drawn
     base = mgf_oracle(law, top) - 1
-    powers = [Series.one(top)]
+    powers = [Series([F(1)] + [F(0)] * top)]
     for _ in range(top):
         powers.append(powers[-1] * base)
     table = MgfTable(law)

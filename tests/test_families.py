@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbernstein.distributions import (
     Bernoulli,
@@ -320,6 +322,44 @@ def test_prob_qbernstein_reads_the_coefficient_of_the_generating_function(p):
             for r in range(n + 1):
                 expected = prob_qbernstein_gf(law, r, p, n).egf_coeff(n)
                 assert prob_qbernstein(law, r, n, p) == expected
+
+
+CLOSED_FORM_LAWS = SIX_LAWS + [
+    Constant(F(1)),
+    CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(13))),
+]
+
+
+@st.composite
+def value_points(draw):
+    """A q-point with rho on either side of 1 and 0 <= c <= 2d, or a
+    classical point."""
+    if draw(st.booleans()):
+        return QPoint.classical(draw(st.sampled_from([F(0), F(1), F(-2, 3), F(5, 2)])))
+    d = draw(st.integers(1, 4))
+    rho = draw(st.sampled_from([F(1, 3), F(2, 3), F(3, 2), F(5, 2)]))
+    return QPoint(rho, draw(st.integers(0, 2 * d)), d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(CLOSED_FORM_LAWS),
+    value_points(),
+    st.integers(0, 12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+)
+def test_closed_forms_equal_the_fraction_product(law, p, rn):
+    """Each closed form, built as one Fraction from integer parts, equals the
+    product of its Fraction factors; M^X1 is taken from Series.pow, not the
+    law's table."""
+    r, n = rn
+    k = n - r
+    tail = law.mgf_series(k).pow(p.X1).coeffs[k]
+    value = prob_qbernstein(law, r, n, p)
+    assert type(value) is F
+    assert value == math.perm(n, k) * p.X**r * tail
+    closed = qbernstein(r, n, p)
+    assert type(closed) is F
+    assert closed == math.comb(n, r) * p.X**r * p.X1**k
 
 
 @pytest.mark.parametrize(
