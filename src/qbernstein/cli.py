@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -336,7 +337,10 @@ def cmd_audit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="qbernstein",
         description="Exact computation and identity auditing for probabilistic "

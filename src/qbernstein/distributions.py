@@ -4,9 +4,11 @@ generating function M as a truncated :class:`~qbernstein.series.Series`.
 Each law states M once, as an online coefficient rule
 (:meth:`Distribution.extend_mgf`) that appends the ordinary coefficient a_k
 from a_0 .. a_(k-1), so M held at order N grows to any higher order without
-a rebuild.  The compositional forms (exp(alpha (e^v - 1)),
-p e^v / (1 - (1 - p) e^v), ...) are test oracles, as are the closed-form
-moment routes.
+a rebuild.  Poisson, Binomial, Geometric and NegBinomial state it in moment
+form on integers (:class:`_MomentRule`): mu_k = N_k / c^k, each N_k one
+integer sum of the earlier ones.  The compositional forms
+(exp(alpha (e^v - 1)), p e^v / (1 - (1 - p) e^v), ...) are test oracles, as
+are the closed-form moment routes.
 
 Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  Moments are read off the MGF as
@@ -14,7 +16,8 @@ exponential coefficients, so there is a single source of truth per law.
 
 :func:`mgf_table` holds an :class:`MgfTable` for each of at most 64 laws: M,
 (M - 1)^m and M^z for one z to the largest order asked; only ``_grown`` runs a
-law's rule.  The other caches, all bounded, are :mod:`qbernstein.padic`'s
+law's rule, and a law with a moment rule keeps the integer moment numerators
+it has computed.  The other caches, all bounded, are :mod:`qbernstein.padic`'s
 ``_rules`` (16 values of q), ``_basis`` (8192 entries) and ``_weights`` (1024).
 """
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import Series, extend_pow
+from .series import MillerPower, Series, append_numerators
 
 
 class Distribution:
@@ -67,8 +70,35 @@ def _check_p1(p1: Fraction) -> Fraction:
     return p1
 
 
+class _MomentRule(Distribution):
+    """A law whose moments are mu_k = N_k / c^k, with c a fixed integer and
+    N_0 = 1, N_1, ... integers that :meth:`_extend_numerators` appends, each
+    by one integer sum of the earlier ones; so a_k = N_k / (c^k k!).  The law
+    holds the N_k it has computed (not a field, so equality and hashing
+    ignore it).  They are a prefix of one fixed sequence, which any caller,
+    at any order, reads alike."""
+
+    def extend_mgf(self, coeffs: list, n: int) -> list:
+        nums = vars(self).setdefault("_numerators", [1])
+        if len(nums) <= n:
+            self._extend_numerators(nums, n)
+        c = self._base()
+        coeffs.extend(
+            Fraction(nums[k], c**k * math.factorial(k)) for k in range(len(coeffs), n + 1)
+        )
+        return coeffs
+
+    def _base(self) -> int:
+        """c: the denominator of mu_k divides c^k."""
+        raise NotImplementedError
+
+    def _extend_numerators(self, nums: list, n: int) -> None:
+        """Append N_k to ``nums`` for k = len(nums) .. n."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Poisson(Distribution):
+class Poisson(_MomentRule):
     alpha: Fraction
 
     name = "poisson"
@@ -79,14 +109,18 @@ class Poisson(Distribution):
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", a)
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        # M' = alpha e^v M
-        for k in range(len(coeffs), n + 1):
-            tail = sum(
-                (coeffs[j] / math.factorial(k - 1 - j) for j in range(k)), Fraction(0)
-            )
-            coeffs.append(self.alpha * tail / k)
-        return coeffs
+    def _base(self) -> int:
+        return self.alpha.denominator
+
+    def _extend_numerators(self, nums: list, n: int) -> None:
+        # M' = alpha e^v M: mu_k = alpha sum over j < k of C(k - 1, j) mu_j, so
+        # with alpha = p/q, N_k = p sum over j < k of C(k - 1, j) N_j q^(k-1-j)
+        p, q = self.alpha.numerator, self.alpha.denominator
+        for k in range(len(nums), n + 1):
+            acc = 0
+            for j in range(k):  # Horner in q
+                acc = acc * q + math.comb(k - 1, j) * nums[j]
+            nums.append(p * acc)
 
 
 @dataclass(frozen=True)
@@ -106,7 +140,7 @@ class Bernoulli(Distribution):
 
 
 @dataclass(frozen=True)
-class Binomial(Distribution):
+class Binomial(_MomentRule):
     trials: int
     p1: Fraction
 
@@ -117,35 +151,26 @@ class Binomial(Distribution):
             raise ValueError("trial count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        single = mgf_table(Bernoulli(self.p1)).series(n).coeffs
-        return extend_pow(single, self.trials, coeffs, n)
+    def _base(self) -> int:
+        return self.p1.denominator
+
+    def _extend_numerators(self, nums: list, n: int) -> None:
+        # (1 - p + p e^v) M' = N p e^v M gives, at v^k/k!,
+        # mu_(k+1) = p (N sum over i <= k of C(k, i) mu_i
+        #               - sum over i < k of C(k, i) mu_(i+1)),
+        # and with p = s/t both sums are Horner sums in t.
+        s, t, trials = self.p1.numerator, self.p1.denominator, self.trials
+        for k in range(len(nums) - 1, n):
+            low = high = 0
+            for i in range(k):
+                c = math.comb(k, i)
+                low = low * t + c * nums[i]
+                high = high * t + c * nums[i + 1]
+            nums.append(s * (trials * (low * t + nums[k]) - high))
 
 
 @dataclass(frozen=True)
-class Geometric(Distribution):
-    """Number of trials up to and including the first success; support 1, 2, ..."""
-
-    p1: Fraction
-
-    name = "geometric"
-
-    def __post_init__(self):
-        object.__setattr__(self, "p1", _check_p1(self.p1))
-
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        # M (1 - (1 - p) e^v) = p e^v
-        ratio = (1 - self.p1) / self.p1
-        for k in range(len(coeffs), n + 1):
-            tail = sum(
-                (coeffs[j] / math.factorial(k - j) for j in range(k)), Fraction(0)
-            )
-            coeffs.append(Fraction(1, math.factorial(k)) + ratio * tail)
-        return coeffs
-
-
-@dataclass(frozen=True)
-class NegBinomial(Distribution):
+class NegBinomial(_MomentRule):
     """Trials needed for ``successes`` successes; support a, a+1, ..."""
 
     successes: int
@@ -158,9 +183,48 @@ class NegBinomial(Distribution):
             raise ValueError("success count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        single = mgf_table(Geometric(self.p1)).series(n).coeffs
-        return extend_pow(single, self.successes, coeffs, n)
+    def _base(self) -> int:
+        return self.p1.numerator**self.successes
+
+    def _extend_numerators(self, nums: list, n: int) -> None:
+        # M G = p^a e^(a v) with G = (1 - (1 - p) e^v)^a, whose moments are
+        # eta_m / t^a, eta_m = sum over j of C(a, j) (s - t)^j t^(a-j) j^m for
+        # p = s/t.  At v^k/k!, with S = s^a = eta_0:
+        # N_k = a^k S^k - sum over i < k of C(k, i) N_i eta_(k-i) S^(k-1-i),
+        # and the sum over i splits by j (j = 0 adds nothing) into Horner sums
+        # in j S, each times j and the j-th term of eta.
+        a, s, t = self.successes, self.p1.numerator, self.p1.denominator
+        big = s**a
+        steps = [
+            (j * big, j * math.comb(a, j) * (s - t) ** j * t ** (a - j))
+            for j in range(1, a + 1)
+        ]
+        for k in range(len(nums), n + 1):
+            terms = [math.comb(k, i) * nums[i] for i in range(k)]
+            tail = 0
+            for step, weight in steps:
+                acc = 0
+                for term in terms:
+                    acc = acc * step + term
+                tail += weight * acc
+            nums.append((a * big) ** k - tail)
+
+
+@dataclass(frozen=True)
+class Geometric(_MomentRule):
+    """Number of trials up to and including the first success; support 1, 2, ...
+    M is NegBinomial's at one success, and so is its rule."""
+
+    p1: Fraction
+
+    name = "geometric"
+    successes = 1  # a class constant, not a field
+
+    def __post_init__(self):
+        object.__setattr__(self, "p1", _check_p1(self.p1))
+
+    _base = NegBinomial._base
+    _extend_numerators = NegBinomial._extend_numerators
 
 
 @dataclass(frozen=True)
@@ -234,23 +298,26 @@ class MgfTable:
     on success, so a law short of the order asked for (a :class:`CustomMoments`
     law) raises and leaves the table as it was.
 
-    Every list is held as Fractions, and the new coefficients are computed on
-    integers, each normalised once into a Fraction.  Growing (M - 1)^j to
-    order n works over D^j, with D the common denominator of M through n
-    (FLINT's ``fmpq_poly`` layout): the held coefficients of (M - 1)^j convert
-    exactly to integer numerators over D^j, since M through a lower order has
-    a common denominator that divides D, and a new coefficient of (M - 1)^j
-    is the integer sum of the numerators of (M - 1)^(j - 1) times those of M.
-    M^z grows the same way, by :func:`~qbernstein.series.extend_pow`.  The
-    held exponent z is matched by identity, then by value, so the same object
-    read again costs no comparison and an equal one still reuses the held
-    list.  A negative index raises ValueError."""
+    Every list is held as Fractions for reading, beside the integer state its
+    new coefficients are computed from, each normalised once into a Fraction
+    (FLINT's ``fmpq_poly`` layout).  For the rows, through order n, that state
+    is D, the common denominator of M through n, the numerators of M over D,
+    and (M - 1)^j as integer numerators over D^j; a new coefficient of
+    (M - 1)^j is the integer sum of the numerators of (M - 1)^(j - 1) times
+    those of M.  M^z is a :class:`~qbernstein.series.MillerPower`, which holds
+    its own.  A growth that brings a larger D' rescales what is held instead
+    of deriving it again: the numerators of M by D'/D and row j by (D'/D)^j.
+    The held exponent z is matched by identity, then by value, so the same
+    object read again costs no comparison and an equal one still reuses the
+    held power; another z replaces it.  A negative index raises ValueError."""
 
     def __init__(self, dist: Distribution):
         self.dist = dist
         self._mgf = [Fraction(1)]  # coefficients of M
         self._minus_one = [[Fraction(1)]]  # coefficients of (M - 1)^m, m = 0, 1, ...
-        self._z, self._zpow = None, [Fraction(1)]  # one exponent z, and M^z
+        self._rows = [[1]]  # their numerators, (M - 1)^j over D^j
+        self._den, self._nums = 1, [1]  # D, and M over D, through the rows' order
+        self._zpow = None  # the MillerPower of the held exponent
 
     def _grown(self, order: int) -> list:
         """The coefficients of M, grown through at least ``order``."""
@@ -276,32 +343,39 @@ class MgfTable:
         """Grow every held (M - 1)^j, j <= n, through order n, appending only
         the new coefficients; (M - 1)^j starts at v^j since M has constant
         term 1."""
-        b = self._grown(n)[: n + 1]
-        den = math.lcm(*(c.denominator for c in b))
-        nums = [c.numerator * (den // c.denominator) for c in b]
-        powers = self._minus_one
+        new = self._grown(n)[len(self._nums) : n + 1]
+        self._den, ratio = append_numerators(self._den, self._nums, new)
+        den, nums, rows, powers = self._den, self._nums, self._rows, self._minus_one
+        if ratio != 1:
+            factor = 1
+            for row in rows[1:]:
+                factor *= ratio
+                row[:] = [c * factor for c in row]
+        rows[0].extend([0] * (n + 1 - len(rows[0])))
         powers[0].extend([Fraction(0)] * (n + 1 - len(powers[0])))
-        prev, scale = [1] + [0] * n, 1  # numerators of (M - 1)^(j - 1) over den^(j - 1)
+        scale = 1
         for j in range(1, n + 1):
             scale *= den
-            if j == len(powers):
+            if j == len(rows):
+                rows.append([0] * j)
                 powers.append([Fraction(0)] * j)
-            power = powers[j]
-            row = [c.numerator * (scale // c.denominator) if c else 0 for c in power]
-            for k in range(len(power), n + 1):
+            prev, row, power = rows[j - 1], rows[j], powers[j]
+            for k in range(len(row), n + 1):
                 acc = sum(prev[i] * nums[k - i] for i in range(j - 1, k))
                 row.append(acc)
                 power.append(Fraction(acc, scale))
-            prev = row
 
     def _power(self, z, order: int) -> list:
         """The coefficients of M^z, grown through at least ``order``; growing
         appends only the new coefficients, and another z replaces the held one."""
-        held = self._zpow if z is self._z or z == self._z else [Fraction(1)]
-        if len(held) <= order:
-            extend_pow(self._grown(order), z, held, order)
-            self._z, self._zpow = z, held
-        return held
+        power = self._zpow
+        if power is None or not (z is power.z or z == power.z):
+            power = MillerPower(z)
+        if len(power.coeffs) <= order:
+            self._grown(order)
+            power.grow(self._mgf, order)
+            self._zpow = power
+        return power.coeffs
 
     def power(self, z, order: int) -> Series:
         """M^z through ``order``."""

@@ -25,7 +25,9 @@ from qbernstein.distributions import (
     Bernoulli,
     Constant,
     CustomMoments,
+    Geometric,
     MgfTable,
+    NegBinomial,
     Poisson,
 )
 from qbernstein.families import bell_poly, prob_qbernstein
@@ -257,21 +259,53 @@ def test_report_summary_mentions_every_case():
     assert all("expected=" in line for line in lines)
 
 
-def _poisson_rule_off_by_one(self, coeffs, n):
-    """Poisson's rule dividing by (k - j)! where M' = alpha e^v M needs (k - 1 - j)!."""
-    for k in range(len(coeffs), n + 1):
-        tail = sum((coeffs[j] / math.factorial(k - j) for j in range(k)), F(0))
-        coeffs.append(self.alpha * tail / k)
-    return coeffs
+def _poisson_rule_off_by_one(self, nums, n):
+    """Poisson's moment rule with C(k, j) where M' = alpha e^v M needs C(k - 1, j)."""
+    p, q = self.alpha.numerator, self.alpha.denominator
+    for k in range(len(nums), n + 1):
+        nums.append(p * sum(math.comb(k, j) * nums[j] * q ** (k - 1 - j) for j in range(k)))
 
 
-def _miller_sum_one_short(a, z, out, n):
+def _negbinomial_rule_off_by_one(self, nums, n):
+    """NegBinomial's moment rule, in its eta form, with C(k - 1, i) where the
+    product M (1 - (1 - p) e^v)^a needs C(k, i)."""
+    a, s, t = self.successes, self.p1.numerator, self.p1.denominator
+    big = s**a
+
+    def eta(m):
+        return sum(math.comb(a, j) * (s - t) ** j * t ** (a - j) * j**m for j in range(a + 1))
+
+    for k in range(len(nums), n + 1):
+        tail = sum(math.comb(k - 1, i) * nums[i] * eta(k - i) * big ** (k - 1 - i) for i in range(k))
+        nums.append((a * big) ** k - tail)
+
+
+def _miller_sum_one_short(self, a, n):
     """Miller's recurrence k b_k = sum over j of ((z + 1) j - k) a_j b_(k-j), with
     j stopping at k - 1 instead of k."""
+    z, out = self.z, self.coeffs
     for k in range(len(out), n + 1):
         terms = (((z + 1) * j - k) * a[j] * out[k - j] for j in range(1, k))
         out.append(sum(terms, F(0)) / k)
     return out
+
+
+_grow = series.MillerPower.grow
+
+
+def _miller_rescaled_one_short(self, a, n):
+    """A Miller state that, when new coefficients bring a larger common
+    denominator D', multiplies B_i by (D'/D)^(i - 1) where
+    b_i = B_i / ((zd D)^i i!) needs (D'/D)^i."""
+    held = self._held
+    if len(held) <= n:
+        den, ratio = series.append_numerators(self._den, self._nums, a[len(held) : n + 1])
+        for i in range(2, len(held)):
+            held[i] *= ratio ** (i - 1)
+        self._weight *= ratio ** (len(held) - 1)
+        self._den = den
+        self._nums[len(held) :] = []  # the grow below appends them again
+    return _grow(self, a, n)
 
 
 def _minus_one_sum_one_short(self, n):
@@ -286,6 +320,20 @@ def _minus_one_sum_one_short(self, n):
             for k in range(n + 1)
         ])
     self._minus_one = powers
+
+
+_grow_minus_one = MgfTable._grow_minus_one
+
+
+def _minus_one_rescaled_one_short(self, n):
+    """A table that, when D grows to D', multiplies the numerators of
+    (M - 1)^j by (D'/D)^(j - 1) where numerators over D^j need (D'/D)^j."""
+    new = self._grown(n)[len(self._nums) : n + 1]
+    self._den, ratio = series.append_numerators(self._den, self._nums, new)
+    for j in range(2, len(self._rows)):
+        self._rows[j] = [c * ratio ** (j - 1) for c in self._rows[j]]
+    self._nums[len(self._rows[0]) :] = []  # the growth below appends them again
+    _grow_minus_one(self, n)
 
 
 def _series_mul_one_short(self, other):
@@ -311,16 +359,27 @@ def _point_with_swapped_brackets(mp):
     mp.setattr(QPoint, "__post_init__", post_init)
 
 
+# Each key names the part of the engine its mutant breaks; "extend-pow" is the
+# Miller kernel, series.MillerPower.
 MUTANTS = {
     "poisson-rule": lambda mp: mp.setattr(
-        Poisson, "extend_mgf", _poisson_rule_off_by_one
+        Poisson, "_extend_numerators", _poisson_rule_off_by_one
     ),
-    "extend-pow": lambda mp: (
-        mp.setattr(series, "extend_pow", _miller_sum_one_short),
-        mp.setattr(distributions, "extend_pow", _miller_sum_one_short),
+    "negbinomial-rule": lambda mp: (
+        mp.setattr(NegBinomial, "_extend_numerators", _negbinomial_rule_off_by_one),
+        mp.setattr(Geometric, "_extend_numerators", _negbinomial_rule_off_by_one),
+    ),
+    "extend-pow": lambda mp: mp.setattr(
+        series.MillerPower, "grow", _miller_sum_one_short
+    ),
+    "miller-rescale": lambda mp: mp.setattr(
+        series.MillerPower, "grow", _miller_rescaled_one_short
     ),
     "minus-one-table": lambda mp: mp.setattr(
         MgfTable, "_grow_minus_one", _minus_one_sum_one_short
+    ),
+    "minus-one-rescale": lambda mp: mp.setattr(
+        MgfTable, "_grow_minus_one", _minus_one_rescaled_one_short
     ),
     "series-mul": lambda mp: (
         mp.setattr(series.Series, "__mul__", _series_mul_one_short),

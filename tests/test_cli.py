@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qbernstein.audit import MAX_DRAWN_INDEX
-from qbernstein.cli import main
+from qbernstein.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POINT = ["--rho", "2/3", "--c", "1", "--d", "2"]
@@ -248,3 +248,28 @@ def test_cli_output_matches_its_pinned_digest(tmp_path, capsys, name):
         payload += path.read_bytes()
     capsys.readouterr()
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def test_main_reuses_one_parser(tmp_path):
+    """The parser is built once per process, and reusing it changes nothing:
+    two different invocations run one after the other in this process write
+    the bytes that each writes alone in a fresh process."""
+    assert build_parser() is build_parser()
+    invocations = [
+        ["table", "--dist", "geometric", "--p1", "3/4", "--n", "0..6", "--r", "0..6"] + POINT,
+        ["series", "--dist", "poisson", "--alpha", "3/2", "--kind", "log-mgf", "--order", "6"],
+    ]
+    alone = []
+    for i, argv in enumerate(invocations):
+        path = tmp_path / f"alone_{i}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbernstein", *argv, "--out", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        alone.append(path.read_bytes())
+    for i, argv in enumerate(invocations):
+        path = tmp_path / f"shared_{i}"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert path.read_bytes() == alone[i]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbernstein import distributions
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
@@ -17,7 +16,7 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
-from qbernstein.series import Series, exp_series, extend_pow
+from qbernstein.series import MillerPower, Series, exp_series
 
 from oracles import (
     bernoulli_moment,
@@ -132,7 +131,10 @@ def _law_id(law):
 
 
 @pytest.mark.parametrize(
-    "law", ALL_LAWS + [Geometric(F(1)), Constant(F(0))], ids=_law_id
+    "law",
+    ALL_LAWS
+    + [Geometric(F(1)), Constant(F(0)), Binomial(25, F(2, 7)), NegBinomial(5, F(3, 7))],
+    ids=_law_id,
 )
 def test_mgf_matches_its_compositional_oracle(law):
     """Built by the law's rule from the constant term at each order, and grown
@@ -224,9 +226,13 @@ def test_table_answers_every_order_from_one_prefix(law, queries, z):
 
 
 def _held(table):
-    """A copy of what the table holds."""
-    power = (table._z, list(table._zpow))
-    return list(table._mgf), [list(p) for p in table._minus_one], power
+    """A copy of what the table holds, its integer state included."""
+    power = table._zpow
+    if power is not None:
+        power = (power.z, list(power.coeffs), power._den, list(power._nums),
+                 list(power._held), power._weight)
+    rows = (table._den, list(table._nums), [list(r) for r in table._rows])
+    return list(table._mgf), [list(p) for p in table._minus_one], rows, power
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,21 +279,23 @@ def test_table_holds_one_exponent_at_a_time():
         expected = _power_by_exp_log(law, z, n)
         assert table.power(z, n) == expected
         assert table.power_coeff(z, n) == expected.coeffs[n]
-        assert table._z == z
+        assert table._zpow.z == z
 
 
 def test_an_equal_exponent_reuses_the_held_power(monkeypatch):
     """The held exponent is matched by value, not only by identity: an equal
     Fraction held by another object reads the held M^z without growing it,
     and a different exponent replaces it."""
+    law, z, other = Geometric(F(2, 5)), F(-2, 3), F(3, 4)
+    expected = _power_by_exp_log(law, other, 5)  # before the spy: the oracle recips
     calls = []
+    grow = MillerPower.grow
 
-    def counted(a, e, out, n):
-        calls.append((e, n))
-        return extend_pow(a, e, out, n)
+    def counted(self, a, n):
+        calls.append((self.z, n))
+        return grow(self, a, n)
 
-    monkeypatch.setattr(distributions, "extend_pow", counted)
-    law, z = Geometric(F(2, 5)), F(-2, 3)
+    monkeypatch.setattr(MillerPower, "grow", counted)
     table = MgfTable(law)
     held = table.power(z, 8)
     assert calls == [(z, 8)]
@@ -297,10 +305,9 @@ def test_an_equal_exponent_reuses_the_held_power(monkeypatch):
         assert table.power_coeff(equal, n) == held.coeffs[n]
         assert table.power(equal, n) == held.truncate(n)
     assert calls == [(z, 8)]
-    other = F(3, 4)
-    assert table.power(other, 5) == _power_by_exp_log(law, other, 5)
+    assert table.power(other, 5) == expected
     assert calls == [(z, 8), (other, 5)]
-    assert table._z is other and len(table._zpow) == 6
+    assert table._zpow.z is other and len(table._zpow.coeffs) == 6
 
 
 @pytest.mark.parametrize("law", TABLE_LAWS, ids=_law_id)
@@ -326,15 +333,16 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         mgf_asked.append((len(coeffs), n))
         return extend_mgf(self, coeffs, n)
 
-    def recording_pow(a, e, out, n):
-        if e == z:  # binomial laws raise to integer exponents of their own
-            power_asked.append((len(out), n))
-        return extend_pow(a, e, out, n)
+    grow = MillerPower.grow
+
+    def recording_pow(self, a, n):
+        power_asked.append((len(self.coeffs), n))
+        return grow(self, a, n)
 
     monkeypatch.setattr(type(law), "mgf_series", refuse)
     monkeypatch.setattr(Series, "pow", refuse)
     monkeypatch.setattr(type(law), "extend_mgf", recording_mgf)
-    monkeypatch.setattr(distributions, "extend_pow", recording_pow)
+    monkeypatch.setattr(MillerPower, "grow", recording_pow)
     table = MgfTable(law)
     for n in range(top + 1):
         assert table.power(z, n) == power.truncate(n)
@@ -342,7 +350,7 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         for m in range(n + 1):
             assert table.minus_one_coeff(m, n) == minus_one[m, n]
         # M^z = 1 is not stored
-        held_power = table._zpow if table._z == z else [F(1)]
+        held_power = table._zpow.coeffs if table._zpow else [F(1)]
         assert len(table._mgf) == len(held_power) == n + 1
         assert [len(p) for p in table._minus_one] == [n + 1] * (n + 1)
     assert mgf_asked == power_asked == [(n, n) for n in range(1, top + 1)]

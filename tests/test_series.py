@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qbernstein.qcalc import QPoint
 from qbernstein.rings import Laurent
-from qbernstein.series import Series, exp_series, extend_pow
+from qbernstein.series import MillerPower, Series, exp_series
 
 from oracles import random_fraction, random_series_coeffs
 
@@ -250,16 +250,16 @@ def test_negative_power_inverts_positive_power(s, k):
     EXPONENTS,
 )
 def test_pow_grown_in_steps_is_exp_of_scaled_log(drawn, e):
-    """Growing the held prefix in random steps converts it back to integers
-    over a common denominator that changes between steps; every prefix equals
-    exp(e log A) at that order."""
+    """Growing one Miller state in random steps: the common denominator of
+    the prefix it has read changes between steps, so the held integers are
+    rescaled; every prefix equals exp(e log A) at that order."""
     tail, stops = drawn
     a = [F(1)] + tail
     expected = (Series(a).log() * e).exp().coeffs
-    out = [F(1)]
+    power = MillerPower(e)
     for n in sorted(stops):
-        assert extend_pow(a, e, out, n) is out
-        assert out == list(expected[: n + 1])
+        assert power.grow(a, n) is power.coeffs
+        assert power.coeffs == list(expected[: n + 1])
 
 
 def test_pow_needs_scalar_coefficients_and_exponent():
@@ -270,4 +270,6 @@ def test_pow_needs_scalar_coefficients_and_exponent():
     with pytest.raises(TypeError):
         Series([F(1), F(1, 2)]).pow(0.5)
     with pytest.raises(TypeError):
-        extend_pow([F(1), Laurent({-1: F(2)})], F(1, 3), [F(1)], 1)
+        MillerPower(F(1, 3)).grow([F(1), Laurent({-1: F(2)})], 1)
+    with pytest.raises(TypeError):
+        MillerPower(Laurent({-1: F(2)}))
