@@ -49,6 +49,12 @@ SUMMARY_DIGESTS = {
     7: "cb13f8ad9bec7792bbea0dfac9c096376e3fd0b50e8255e8d99c1e3f800f5498",
     99: "b85515e35c9b8a88f88da9f91c74ea253bab043e67c46db98f50f420a2d6474f",
 }
+# SHA-256 of the heavy audit's JSONL and summary lines (seed 99, 20 trials,
+# order 24): every case at a larger order than the defaults reach.
+HEAVY_DIGESTS = (
+    "e8398477197ea517a4254d41d018680995330c9ed29a6179aad6a0c912660c03",
+    "67f012950e05f7b23adf38400258d95f8121b106a09e2ad3c6100482692c628e",
+)
 
 
 def test_registry_ids_and_variants_are_unique():
@@ -200,6 +206,15 @@ def test_default_audit_jsonl_matches_its_pinned_digest(seed):
     assert hashlib.sha256(payload).hexdigest() == AUDIT_DIGESTS[seed]
     summary = "\n".join(report.summary_lines()).encode()
     assert hashlib.sha256(summary).hexdigest() == SUMMARY_DIGESTS[seed]
+
+
+def test_heavy_audit_jsonl_matches_its_pinned_digest():
+    report = run_all(seed=99, trials=20, order=24)
+    payload = report.to_jsonl().encode()
+    summary = "\n".join(report.summary_lines()).encode()
+    assert (
+        hashlib.sha256(payload).hexdigest(), hashlib.sha256(summary).hexdigest()
+    ) == HEAVY_DIGESTS
 
 
 def test_run_all_expected_passes_hold_on_another_seed():

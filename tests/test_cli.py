@@ -150,24 +150,32 @@ TABLE_LAWS = [
     ["negbinomial", "--a", "2", "--p1", "2/3"],
     ["uniform01"],
 ]
-# SHA-256 of the `table` CSVs of the six audit laws over 0 <= r <= n <= 12,
-# concatenated in TABLE_LAWS order.  The bytes are a contract, as the audit's are.
+# SHA-256 of the `table` CSVs of the six audit laws over 0 <= r <= n <= 12
+# (0 <= r <= n <= 32 for "q-point-32", the benchmark's size, where the base of
+# Uniform01's moments grows through every prime up to 33), concatenated in
+# TABLE_LAWS order.  The bytes are a contract, as the audit's are.
 TABLE_DIGESTS = {
     "q-point": "193bdc061bd57b577f2a3bc5ddaf44f65e5cb5fa18c20ea01ff22e0e5314b30e",
     "classical": "cfb1fae643376f5fcee5a0310ceb13774e423518352c6d02dd71216622a54f13",
+    "q-point-32": "97be931f1a4bb6bab25640175f2d2da7e9cd8804dd3310ea599aac936fe307c9",
 }
 
 
 @pytest.mark.parametrize(
-    "point, key",
-    [(["--rho", "3/2", "--c", "1", "--d", "3"], "q-point"), (["--x", "2/5"], "classical")],
-    ids=["q-point", "classical"],
+    "point, top, key",
+    [
+        (["--rho", "3/2", "--c", "1", "--d", "3"], 12, "q-point"),
+        (["--x", "2/5"], 12, "classical"),
+        (["--rho", "3/2", "--c", "1", "--d", "3"], 32, "q-point-32"),
+    ],
+    ids=["q-point", "classical", "q-point-32"],
 )
-def test_table_csvs_match_their_pinned_digest(tmp_path, point, key):
+def test_table_csvs_match_their_pinned_digest(tmp_path, point, top, key):
     payload = b""
     for i, law in enumerate(TABLE_LAWS):
         path = tmp_path / f"table_{i}.csv"
-        argv = ["table", "--dist"] + law + point + ["--n", "0..12", "--r", "0..12"]
+        span = f"0..{top}"
+        argv = ["table", "--dist"] + law + point + ["--n", span, "--r", span]
         assert main(argv + ["--out", str(path)]) == 0
         payload += path.read_bytes()
     assert hashlib.sha256(payload).hexdigest() == TABLE_DIGESTS[key]
