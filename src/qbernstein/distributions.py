@@ -1,24 +1,25 @@
-"""Moment providers: each supported law yields exact moments and its moment
-generating function M as a truncated :class:`~qbernstein.series.Series`.
+"""Moment providers: each supported law states its moments exactly, and its
+table reads M, the partial Bell numbers of (M - 1)^m and M^z off them.
 
-Each law states M once, as an online coefficient rule
-(:meth:`Distribution.extend_mgf`) that appends the ordinary coefficient a_k
-from a_0 .. a_(k-1), so M held at order N grows to any higher order without
-a rebuild.  Poisson, Binomial, Geometric and NegBinomial state it in moment
-form on integers (:class:`_MomentRule`): mu_k = N_k / c^k, each N_k one
-integer sum of the earlier ones.  The compositional forms
+A law states its moments in integer form over a base: mu_k = N_k / c^k, with
+N_0 = 1 and c an integer from :meth:`Distribution._base`.
+:meth:`Distribution._extend_numerators` appends the N_k.  Poisson, Binomial,
+Geometric and NegBinomial compute each N_k by one integer sum of the earlier
+ones, over a fixed c.  Bernoulli and Constant have closed forms over a fixed
+c.  Uniform01 (the product of the primes up to n + 1) and CustomMoments (the
+lcm of its denominators through n) take a base that grows with the order n
+asked for; the table rescales what it holds when it does.  The compositional forms
 (exp(alpha (e^v - 1)), p e^v / (1 - (1 - p) e^v), ...) are test oracles, as
 are the closed-form moment routes.
 
 Every MGF here has constant term exactly 1, which is the precondition for
-raising it to arbitrary powers downstream.  Moments are read off the MGF as
-exponential coefficients, so there is a single source of truth per law.
+raising it to arbitrary powers downstream.  The moments are the one source
+of truth per law: M is sum over k of mu_k v^k / k!.
 
-:func:`mgf_table` holds an :class:`MgfTable` for each of at most 64 laws: M,
-(M - 1)^m and M^z for one z to the largest order asked; only ``_grown`` runs a
-law's rule, and a law with a moment rule keeps the integer moment numerators
-it has computed.  The other caches, all bounded, are :mod:`qbernstein.padic`'s
-``_rules`` (16 values of q), ``_basis`` (8192 entries) and ``_weights`` (1024).
+:func:`mgf_table` holds an :class:`MgfTable` for each of at most 64 laws;
+only ``_grown`` runs a law's rule.  The other caches, all bounded, are
+:mod:`qbernstein.padic`'s ``_rules`` (16 values of q), ``_basis`` (8192
+entries) and ``_weights`` (1024).
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import MillerPower, Series, append_numerators
+from .series import Series
 
 
 class Distribution:
-    """Base class; concrete laws implement :meth:`extend_mgf`."""
+    """Base class; concrete laws implement :meth:`_base` and
+    :meth:`_extend_numerators`."""
 
     name = "distribution"
 
@@ -42,10 +44,14 @@ class Distribution:
         # profiler (perfbench/tracing.py) can wrap it law by law.
         cls.mgf_series = Distribution.mgf_series
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        """Append to ``coeffs``, the ordinary coefficients a_0 = 1 .. of M held
-        so far, those through index n, and return it; earlier entries are
-        left untouched."""
+    def _base(self, n: int) -> int:
+        """c: c^k mu_k is an integer for every k <= n.  The base at a larger
+        n is a multiple of this one."""
+        raise NotImplementedError
+
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
+        """Append N_k = c^k mu_k to ``nums`` for k = len(nums) .. n, where
+        ``nums`` holds N_0 = 1 .. over the same base c = ``_base(n)``."""
         raise NotImplementedError
 
     def mgf_series(self, order: int) -> Series:
@@ -53,10 +59,10 @@ class Distribution:
         return mgf_table(self).series(order)
 
     def moment(self, n: int) -> Fraction:
-        """E[Y^n], extracted from the MGF."""
+        """E[Y^n], read from the law's table."""
         if n < 0:
             raise ValueError("moment index must be nonnegative")
-        return mgf_table(self).series(n).egf_coeff(n)
+        return mgf_table(self).moment(n)
 
     def param_string(self) -> str:
         """The law's parameters as "name=value" pairs joined by ";"."""
@@ -70,35 +76,8 @@ def _check_p1(p1: Fraction) -> Fraction:
     return p1
 
 
-class _MomentRule(Distribution):
-    """A law whose moments are mu_k = N_k / c^k, with c a fixed integer and
-    N_0 = 1, N_1, ... integers that :meth:`_extend_numerators` appends, each
-    by one integer sum of the earlier ones; so a_k = N_k / (c^k k!).  The law
-    holds the N_k it has computed (not a field, so equality and hashing
-    ignore it).  They are a prefix of one fixed sequence, which any caller,
-    at any order, reads alike."""
-
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        nums = vars(self).setdefault("_numerators", [1])
-        if len(nums) <= n:
-            self._extend_numerators(nums, n)
-        c = self._base()
-        coeffs.extend(
-            Fraction(nums[k], c**k * math.factorial(k)) for k in range(len(coeffs), n + 1)
-        )
-        return coeffs
-
-    def _base(self) -> int:
-        """c: the denominator of mu_k divides c^k."""
-        raise NotImplementedError
-
-    def _extend_numerators(self, nums: list, n: int) -> None:
-        """Append N_k to ``nums`` for k = len(nums) .. n."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Poisson(_MomentRule):
+class Poisson(Distribution):
     alpha: Fraction
 
     name = "poisson"
@@ -109,10 +88,10 @@ class Poisson(_MomentRule):
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", a)
 
-    def _base(self) -> int:
+    def _base(self, n: int) -> int:
         return self.alpha.denominator
 
-    def _extend_numerators(self, nums: list, n: int) -> None:
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
         # M' = alpha e^v M: mu_k = alpha sum over j < k of C(k - 1, j) mu_j, so
         # with alpha = p/q, N_k = p sum over j < k of C(k - 1, j) N_j q^(k-1-j)
         p, q = self.alpha.numerator, self.alpha.denominator
@@ -132,15 +111,17 @@ class Bernoulli(Distribution):
     def __post_init__(self):
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        coeffs.extend(
-            self.p1 * Fraction(1, math.factorial(k)) for k in range(len(coeffs), n + 1)
-        )
-        return coeffs
+    def _base(self, n: int) -> int:
+        return self.p1.denominator
+
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
+        # mu_k = p = s/t for k >= 1, so N_k = s t^(k-1)
+        s = self.p1.numerator
+        nums.extend(s * c ** (k - 1) for k in range(len(nums), n + 1))
 
 
 @dataclass(frozen=True)
-class Binomial(_MomentRule):
+class Binomial(Distribution):
     trials: int
     p1: Fraction
 
@@ -151,10 +132,10 @@ class Binomial(_MomentRule):
             raise ValueError("trial count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def _base(self) -> int:
+    def _base(self, n: int) -> int:
         return self.p1.denominator
 
-    def _extend_numerators(self, nums: list, n: int) -> None:
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
         # (1 - p + p e^v) M' = N p e^v M gives, at v^k/k!,
         # mu_(k+1) = p (N sum over i <= k of C(k, i) mu_i
         #               - sum over i < k of C(k, i) mu_(i+1)),
@@ -170,7 +151,7 @@ class Binomial(_MomentRule):
 
 
 @dataclass(frozen=True)
-class NegBinomial(_MomentRule):
+class NegBinomial(Distribution):
     """Trials needed for ``successes`` successes; support a, a+1, ..."""
 
     successes: int
@@ -183,10 +164,10 @@ class NegBinomial(_MomentRule):
             raise ValueError("success count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def _base(self) -> int:
+    def _base(self, n: int) -> int:
         return self.p1.numerator**self.successes
 
-    def _extend_numerators(self, nums: list, n: int) -> None:
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
         # M G = p^a e^(a v) with G = (1 - (1 - p) e^v)^a, whose moments are
         # eta_m / t^a, eta_m = sum over j of C(a, j) (s - t)^j t^(a-j) j^m for
         # p = s/t.  At v^k/k!, with S = s^a = eta_0:
@@ -211,7 +192,7 @@ class NegBinomial(_MomentRule):
 
 
 @dataclass(frozen=True)
-class Geometric(_MomentRule):
+class Geometric(Distribution):
     """Number of trials up to and including the first success; support 1, 2, ...
     M is NegBinomial's at one success, and so is its rule."""
 
@@ -231,11 +212,14 @@ class Geometric(_MomentRule):
 class Uniform01(Distribution):
     name = "uniform01"
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        coeffs.extend(
-            Fraction(1, math.factorial(k + 1)) for k in range(len(coeffs), n + 1)
-        )
-        return coeffs
+    def _base(self, n: int) -> int:
+        # mu_k = 1/(k + 1), and (k + 1) | c^k for every k <= n once c is the
+        # product of the primes up to n + 1
+        primes = (p for p in range(2, n + 2) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+        return math.prod(primes)
+
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
+        nums.extend(c**k // (k + 1) for k in range(len(nums), n + 1))
 
 
 @dataclass(frozen=True)
@@ -249,12 +233,11 @@ class Constant(Distribution):
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
-        coeffs.extend(
-            self.value**k * Fraction(1, math.factorial(k))
-            for k in range(len(coeffs), n + 1)
-        )
-        return coeffs
+    def _base(self, n: int) -> int:
+        return self.value.denominator
+
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
+        nums.extend(self.value.numerator**k for k in range(len(nums), n + 1))
 
 
 @dataclass(frozen=True)
@@ -262,7 +245,8 @@ class CustomMoments(Distribution):
     """An arbitrary exact moment sequence; the first entry must be 1.
 
     Useful for probing where an identity genuinely needs a degenerate law:
-    any sequence at all can be fed through the same machinery.
+    any sequence at all can be fed through the same machinery.  Its base
+    through n is the lcm of the denominators of mu_0 .. mu_n.
     """
 
     moments: tuple
@@ -275,117 +259,152 @@ class CustomMoments(Distribution):
             raise ValueError("moment sequence must start with 1")
         object.__setattr__(self, "moments", ms)
 
-    def extend_mgf(self, coeffs: list, n: int) -> list:
+    def _base(self, n: int) -> int:
         if n >= len(self.moments):
             raise ValueError(
                 f"only {len(self.moments)} moments provided, order {n} requested"
             )
-        coeffs.extend(
-            self.moments[k] * Fraction(1, math.factorial(k))
-            for k in range(len(coeffs), n + 1)
-        )
-        return coeffs
+        return math.lcm(*(m.denominator for m in self.moments[: n + 1]))
+
+    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
+        ms = self.moments
+        nums.extend(ms[k].numerator * c**k // ms[k].denominator for k in range(len(nums), n + 1))
 
     def param_string(self) -> str:
         return "moments=" + ",".join(str(m) for m in self.moments)
 
 
 class MgfTable:
-    """The coefficients of M, of the powers (M - 1)^m and of M^z for one law
-    and one z (callers ask for one at a time), each at the largest order
-    asked for so far; a lower order is read from the prefix, and growing
-    appends only the new coefficients.  M grows on a copy that is stored only
-    on success, so a law short of the order asked for (a :class:`CustomMoments`
-    law) raises and leaves the table as it was.
+    """One law's moments, the partial Bell numbers of (M - 1)^m, and M^z for
+    one z (callers ask for one at a time), each held as integers over the
+    law's base c, to the largest order asked for so far.  A lower order is
+    read from the prefix, and growing appends only the new entries.
 
-    Every list is held as Fractions for reading, beside the integer state its
-    new coefficients are computed from, each normalised once into a Fraction
-    (FLINT's ``fmpq_poly`` layout).  For the rows, through order n, that state
-    is D, the common denominator of M through n, the numerators of M over D,
-    and (M - 1)^j as integer numerators over D^j; a new coefficient of
-    (M - 1)^j is the integer sum of the numerators of (M - 1)^(j - 1) times
-    those of M.  M^z is a :class:`~qbernstein.series.MillerPower`, which holds
-    its own.  A growth that brings a larger D' rescales what is held instead
-    of deriving it again: the numerators of M by D'/D and row j by (D'/D)^j.
-    The held exponent z is matched by identity, then by value, so the same
-    object read again costs no comparison and an equal one still reuses the
-    held power; another z replaces it.  A negative index raises ValueError."""
+    - N_k = c^k mu_k, from the law's rule.
+    - A_m(n) = c^n B_(n,m), where B_(n,m) = n!/m! [v^n] (M - 1)^m is the
+      partial Bell polynomial B_(n,m)(mu_1, mu_2, ...) (Comtet, Advanced
+      Combinatorics, 1974, 3.3), that is the probabilistic Stirling number
+      S_2^Y(n, m).  Its recurrence B_(n,m) = sum over i of C(n - 1, i - 1)
+      mu_i B_(n-i,m-1) gives A_m(n) = sum over i of C(n - 1, i - 1) N_i
+      A_(m-1)(n - i), an integer sum with no common denominator to find.
+    - Beta_k = (zd c)^k beta_k, where beta_k = k! [v^k] M^z for z = zn/zd.
+      Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) in exponential form,
+      beta_k = sum over j of (z C(k - 1, j - 1) - C(k - 1, j)) mu_j
+      beta_(k-j), gives Beta_k = sum over j of (zn C(k - 1, j - 1)
+      - zd C(k - 1, j)) zd^(j-1) N_j Beta_(k-j).  This kernel is the
+      table's own: :meth:`~qbernstein.series.Series.pow` runs Miller's
+      recurrence in ordinary form over a common denominator, and the two
+      share no code, so the audit's T2.8 and R2.1, which set the table's
+      M^X1 against ``Series.pow``, compare two kernels.
+
+    Each coefficient read forms one ``Fraction``.  When a growth brings a larger base c'
+    (Uniform01, CustomMoments), :meth:`_rescale` multiplies every held
+    integer of index k by (c'/c)^k; nothing else is ever rescaled.  A law
+    short of the order asked for (a :class:`CustomMoments` law) raises from
+    its base, before anything changes.  The held exponent z is matched by
+    identity, then by value, so the same object read again costs no
+    comparison and an equal one still reuses the held power; another z
+    replaces it.  A negative index raises ValueError."""
 
     def __init__(self, dist: Distribution):
         self.dist = dist
-        self._mgf = [Fraction(1)]  # coefficients of M
-        self._minus_one = [[Fraction(1)]]  # coefficients of (M - 1)^m, m = 0, 1, ...
-        self._rows = [[1]]  # their numerators, (M - 1)^j over D^j
-        self._den, self._nums = 1, [1]  # D, and M over D, through the rows' order
-        self._zpow = None  # the MillerPower of the held exponent
+        self._base = 1  # c
+        self._nums = [1]  # N_0 .. N_k
+        self._rows = [[1]]  # A_m(0 .. n) for m = 0 .. n
+        self._z, self._zpow = None, [1]  # the held z and Beta_0 ..
 
     def _grown(self, order: int) -> list:
-        """The coefficients of M, grown through at least ``order``."""
-        if len(self._mgf) <= order:
-            self._mgf = self.dist.extend_mgf(list(self._mgf), order)
-        return self._mgf
+        """N_0 .. N_k, grown through at least ``order``."""
+        nums = self._nums
+        if len(nums) <= order:
+            base = self.dist._base(order)
+            if base != self._base:
+                self._rescale(base // self._base)
+                self._base = base
+            self.dist._extend_numerators(nums, base, order)
+        return nums
+
+    def _rescale(self, ratio: int):
+        """Carry every held integer over c to the base ratio c: the one of
+        index k (N_k, A_m(k), Beta_k) times ratio^k."""
+        powers = [ratio**k for k in range(len(self._nums))]
+        for held in (self._nums, self._zpow, *self._rows):
+            held[:] = [x * w for x, w in zip(held, powers)]
 
     def series(self, order: int) -> Series:
-        """M through ``order``."""
-        return Series(self._grown(order)[: order + 1])
+        """M through ``order``: a_k = N_k / (c^k k!)."""
+        nums = self._grown(order)
+        return _ordinary(nums, self._base, order)
 
-    def minus_one_coeff(self, m: int, n: int) -> Fraction:
-        """The coefficient of v^n in (M - 1)^m; 0 for m > n."""
-        if m < 0 or n < 0:
-            raise ValueError("coefficient indices must be nonnegative")
+    def moment(self, n: int) -> Fraction:
+        """mu_n = N_n / c^n."""
+        return Fraction(self._grown(n)[n], self._base**n)
+
+    def bell(self, n: int, m: int) -> Fraction:
+        """B_(n,m) = A_m(n) / c^n; 0 for m > n."""
+        if n < 0 or m < 0:
+            raise ValueError("indices must be nonnegative")
         if m > n:
             return Fraction(0)
-        if len(self._minus_one[-1]) <= n:
-            self._grow_minus_one(n)
-        return self._minus_one[m][n]
+        if len(self._rows[0]) <= n:
+            self._grow_rows(n)
+        return Fraction(self._rows[m][n], self._base**n)
 
-    def _grow_minus_one(self, n: int):
-        """Grow every held (M - 1)^j, j <= n, through order n, appending only
-        the new coefficients; (M - 1)^j starts at v^j since M has constant
-        term 1."""
-        new = self._grown(n)[len(self._nums) : n + 1]
-        self._den, ratio = append_numerators(self._den, self._nums, new)
-        den, nums, rows, powers = self._den, self._nums, self._rows, self._minus_one
-        if ratio != 1:
-            factor = 1
-            for row in rows[1:]:
-                factor *= ratio
-                row[:] = [c * factor for c in row]
-        rows[0].extend([0] * (n + 1 - len(rows[0])))
-        powers[0].extend([Fraction(0)] * (n + 1 - len(powers[0])))
-        scale = 1
-        for j in range(1, n + 1):
-            scale *= den
-            if j == len(rows):
-                rows.append([0] * j)
-                powers.append([Fraction(0)] * j)
-            prev, row, power = rows[j - 1], rows[j], powers[j]
-            for k in range(len(row), n + 1):
-                acc = sum(prev[i] * nums[k - i] for i in range(j - 1, k))
-                row.append(acc)
-                power.append(Fraction(acc, scale))
+    def _grow_rows(self, n: int):
+        """Append A_m(k) for every m <= k, k = held order + 1 .. n; A_m(k) = 0
+        for m > k, since M - 1 starts at v^1."""
+        nums, rows = self._grown(n), self._rows
+        for k in range(len(rows[0]), n + 1):
+            weights = [0] + [math.comb(k - 1, i - 1) * nums[i] for i in range(1, k + 1)]
+            rows[0].append(0)
+            rows.append([0] * k)
+            for m in range(1, k + 1):
+                prev = rows[m - 1]
+                rows[m].append(sum(weights[i] * prev[k - i] for i in range(1, k - m + 2)))
 
     def _power(self, z, order: int) -> list:
-        """The coefficients of M^z, grown through at least ``order``; growing
-        appends only the new coefficients, and another z replaces the held one."""
-        power = self._zpow
-        if power is None or not (z is power.z or z == power.z):
-            power = MillerPower(z)
-        if len(power.coeffs) <= order:
-            self._grown(order)
-            power.grow(self._mgf, order)
-            self._zpow = power
-        return power.coeffs
+        """Beta_0 .. of z, grown through at least ``order``."""
+        if not isinstance(z, (int, Fraction)):
+            raise TypeError("the table's M^z needs a Fraction or int exponent")
+        self._grown(order)  # raises before the held exponent is replaced
+        if not (z is self._z or z == self._z):
+            self._z, self._zpow = z, [1]
+        if len(self._zpow) <= order:
+            self._grow_power(order)
+        return self._zpow
+
+    def _grow_power(self, order: int):
+        """Append Beta_k of the held z for k = held order + 1 .. ``order``."""
+        nums, held, zn, zd = self._nums, self._zpow, self._z.numerator, self._z.denominator
+        for k in range(len(held), order + 1):
+            binom = [math.comb(k - 1, i) for i in range(k + 1)]
+            acc = 0
+            for j in range(k, 0, -1):  # Horner in zd, from the top term down
+                acc = acc * zd + (zn * binom[j - 1] - zd * binom[j]) * nums[j] * held[k - j]
+            held.append(acc)
 
     def power(self, z, order: int) -> Series:
-        """M^z through ``order``."""
-        return Series(self._power(z, order)[: order + 1])
+        """M^z through ``order``: b_k = Beta_k / ((zd c)^k k!)."""
+        held = self._power(z, order)
+        return _ordinary(held, z.denominator * self._base, order)
 
-    def power_coeff(self, z, n: int) -> Fraction:
-        """The coefficient of v^n in M^z."""
-        if n < 0:
+    def power_parts(self, z, k: int) -> tuple[int, int]:
+        """Beta_k and (zd c)^k, whose quotient is beta_k = k! [v^k] M^z; the
+        caller that forms a value from them normalises once."""
+        if k < 0:
             raise ValueError("coefficient index must be nonnegative")
-        return self._power(z, n)[n]
+        held = self._power(z, k)
+        return held[k], (z.denominator * self._base) ** k
+
+
+def _ordinary(exponential: list, scale: int, order: int) -> Series:
+    """The series whose coefficient of v^k is exponential[k] / (scale^k k!),
+    for k <= order."""
+    weight, out = 1, []
+    for k in range(order + 1):
+        out.append(Fraction(exponential[k], weight))
+        weight *= scale * (k + 1)
+    return Series(out)
 
 
 @lru_cache(maxsize=64)

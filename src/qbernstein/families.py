@@ -9,13 +9,14 @@ function; :func:`bernstein_classical` reads it at a classical point.
 
 ``prob_qbernstein`` is the ground truth the audit registry compares everything
 against: the exponential coefficient of (v X)^r / r! times the MGF raised to
-the bracket of 1 - x.  It reads that one coefficient, n!/r! X^r times the
-coefficient of v^(n - r) in M^X1, from the law's table and builds no series.
-n!/r! is the falling product ``math.perm(n, n - r)``, as is n!/m! in
-:func:`prob_stirling2`; X and X1 are read from the point (``p.X``, ``p.X1``).
-The value, like that of :func:`qbernstein`, is formed as one ``Fraction``
-from the integer numerators and denominators of its factors, so it is
-normalised once.
+the bracket of 1 - x.  That is C(n, r) X^r beta_(n-r), with
+beta_k = k! [v^k] M^X1, and it builds no series: the law's table gives
+beta_k as two integers over its base, and the value, like that of
+:func:`qbernstein`, is formed as one ``Fraction`` from integer parts, so it
+is normalised once.  X and X1 are read from the point (``p.X``, ``p.X1``).
+:func:`prob_stirling2` is the partial Bell polynomial B_(n,m) at the law's
+moments, which the table holds as integers over its base and reads as one
+``Fraction``.
 :func:`prob_qbernstein_gf` is the one place the whole generating function is
 built.  ``prob_qbernstein_laurent`` reaches the same value with x kept
 symbolic, through the expansion over ``prob_stirling2`` that the binomial
@@ -23,10 +24,12 @@ series M^z = sum over m of (z)_m (M - 1)^m / m! gives.  It is the reference
 route that the audit and the tests check the integrals of
 :mod:`qbernstein.padic` against; those expand the same sum on their own basis.
 
-The law-dependent families read M, (M - 1)^m and M^z from the law's
+The law-dependent families read M, the Bell numbers and M^z from the law's
 :func:`~qbernstein.distributions.mgf_table` and cache nothing themselves.
 :func:`prob_bernoulli_higher` and :func:`prob_euler` raise M to M^z on their
-own, so audit cases comparing them with :func:`prob_qbernstein` keep two routes.
+own with :meth:`~qbernstein.series.Series.pow`, whose Miller kernel is not
+the table's, so audit cases comparing them with :func:`prob_qbernstein` keep
+two routes.
 """
 
 from __future__ import annotations
@@ -49,12 +52,10 @@ def stirling2(n: int, m: int) -> Fraction:
 
 def prob_stirling2(d: Distribution, n: int, m: int) -> Fraction:
     """Law-dependent generalization of stirling2: the exponential coefficient
-    of (M - 1)^m / m! where M is the MGF of ``d``."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if m > n:
-        return Fraction(0)
-    return mgf_table(d).minus_one_coeff(m, n) * math.perm(n, n - m)
+    of (M - 1)^m / m!, where M is the MGF of ``d``.  That is the partial Bell
+    polynomial B_(n,m) at the moments of ``d``, read from the law's table as
+    one Fraction; 0 for m > n."""
+    return mgf_table(d).bell(n, m)
 
 
 def bell_poly(n: int, x):
@@ -103,15 +104,15 @@ def prob_bernoulli_higher(d: Distribution, n: int, r: int, z):
 
     At r > 0 the series (M - 1)/v, over its constant term E[Y], has unit
     constant term; its power -r is (E[Y] v/(M - 1))^r, and E[Y]^(-r) is
-    reapplied.  At r = 0 this is the coefficient of M^z and the mean is not
-    read.
+    reapplied.  At r = 0 this is the coefficient of M^z: M is read only
+    through n, and the mean is not read.
     """
     if n < 0 or r < 0:
         raise ValueError("indices must be nonnegative")
+    if r == 0:
+        return mgf_table(d).series(n).pow(z).egf_coeff(n)
     m_series = mgf_table(d).series(n + 1)
     mz = m_series.truncate(n).pow(z)
-    if r == 0:
-        return mz.egf_coeff(n)
     mean = m_series.coeffs[1]
     if mean == 0:
         raise ValueError("law has mean zero; v/(M - 1) is undefined")
@@ -171,11 +172,12 @@ def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series
 def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:
     """Ground truth: the exponential coefficient at index n of
     (v X)^r / r! * M^X1, with X, X1 the brackets of x and 1 - x at ``p``;
-    that is n!/r! X^r times the coefficient of v^(n - r) in M^X1."""
+    that is C(n, r) X^r beta_(n-r), with beta_k = k! [v^k] M^X1 read from
+    the law's table as two integers."""
     _check_indices(r, n)
-    X, tail = p.X, mgf_table(d).power_coeff(p.X1, n - r)
-    num = math.perm(n, n - r) * X.numerator**r * tail.numerator
-    return Fraction(num, X.denominator**r * tail.denominator)
+    X, (tail, scale) = p.X, mgf_table(d).power_parts(p.X1, n - r)
+    num = math.comb(n, r) * X.numerator**r * tail
+    return Fraction(num, X.denominator**r * scale)
 
 
 def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Laurent:

@@ -114,12 +114,6 @@ def bracket_in_t(q: Fraction) -> Laurent:
     return Laurent({1: Fraction(1) / (q - 1), 0: Fraction(-1) / (q - 1)})
 
 
-def conjugate_bracket_in_t(q: Fraction) -> Laurent:
-    """The inverse-base bracket of x in t: (q/t - q)/(1 - q)."""
-    q = _check_q(q)
-    return Laurent({-1: q / (1 - q), 0: -q / (1 - q)})
-
-
 def one_minus_conjugate_in_t(q: Fraction) -> Laurent:
     """The bracket of 1 - x in t: (1 - q/t)/(1 - q)."""
     q = _check_q(q)

@@ -5,15 +5,14 @@ a_0 + a_1 v + ... + a_N v^N and every operation is exact through order N.
 Coefficients may be Fraction, Laurent or LogPoly; the only requirement is
 that they support exact ring arithmetic with each other and with Fraction.
 :meth:`Series.pow` and :meth:`Series.recip` are the exceptions: they need
-Fraction or int coefficients and exponent, because :class:`MillerPower` runs
+Fraction or int coefficients and exponent, because :func:`_miller_power` runs
 Miller's recurrence on integers, and the reciprocal is that recurrence at
-exponent -1.  With D the common denominator of a_0 .. a_n and z = zn/zd,
-the coefficient b_k of A^z is an integer B_k over (zd D)^k k!, and B_k is one
-integer sum of the earlier B_i.  A :class:`MillerPower` holds D, the
-numerators of a_0 .. a_n over D and the B_i between growths: when a longer
-prefix of A brings a larger D', it multiplies the numerators by D'/D and each
-B_i by (D'/D)^i, then appends the new terms, so a growth never re-derives
-what it holds.  Every other operation is plain Fraction arithmetic.
+exponent -1.  With D the lcm of the denominators of a_0 .. a_n and
+z = zn/zd, the coefficient b_k of A^z is an integer B_k over (zd D)^k k!,
+and B_k is one integer sum of the earlier B_i.  A power is computed whole,
+from one D, and nothing is held between calls; the tables of a law's M^z
+live in :class:`~qbernstein.distributions.MgfTable`, which runs its own
+kernel.  Every other operation is plain Fraction arithmetic.
 
 The exponential-generating-function convention lives in one place only:
 :meth:`Series.egf_coeff` returns n! * a_n.  Everything upstream of that call
@@ -131,13 +130,15 @@ class Series:
         return Series(out)
 
     def pow(self, exponent) -> "Series":
-        """Raise to an exact scalar exponent (a Fraction or an integer): a
-        fresh :class:`MillerPower` grown once.  Requires constant term 1 and
-        scalar coefficients; a Laurent or LogPoly coefficient or exponent
-        raises TypeError."""
+        """Raise to an exact scalar exponent (a Fraction or an integer) by
+        :func:`_miller_power`.  Requires constant term 1 and scalar
+        coefficients; a Laurent or LogPoly coefficient or exponent raises
+        TypeError."""
         if not self.coeffs[0] == 1:
             raise ValueError("series pow needs constant term 1")
-        return Series(MillerPower(exponent).grow(self.coeffs, self.order))
+        if not all(isinstance(c, (int, Fraction)) for c in (exponent, *self.coeffs)):
+            raise TypeError("Miller's recurrence needs Fraction or int terms and exponent")
+        return Series(_miller_power(self.coeffs, exponent))
 
     def derive(self) -> "Series":
         """Termwise derivative; the order drops by one."""
@@ -174,74 +175,32 @@ def exp_series(rate, order: int) -> Series:
     return Series(rate**n * Fraction(1, math.factorial(n)) for n in range(order + 1))
 
 
-def append_numerators(den: int, nums: list, new) -> tuple[int, int]:
-    """Append to ``nums``, integer numerators over ``den``, those of the
-    Fractions ``new``, over D', the lcm of ``den`` and their denominators,
-    multiplying the held ones by D'/D first.  Returns (D', D'/D)."""
-    grown = math.lcm(den, *(c.denominator for c in new))
-    ratio = grown // den
-    if ratio != 1:
-        nums[:] = [c * ratio for c in nums]
-    nums.extend(c.numerator * (grown // c.denominator) for c in new)
-    return grown, ratio
-
-
-class MillerPower:
-    """A^z for one exact scalar exponent z (a Fraction or an int, else
-    TypeError), held as the integer state of J.C.P. Miller's recurrence
-    (Knuth, TAOCP vol. 2, 4.7) so that a growth appends only the new
-    coefficients.
+def _miller_power(a, z) -> list:
+    """The coefficients b_0 .. b_n of A^z, for A = a_0 + .. + a_n v^n with
+    a_0 = 1 and Fraction coefficients, by J.C.P. Miller's recurrence (Knuth,
+    TAOCP vol. 2, 4.7) on integers.
 
     The recurrence, read off A (A^z)' = z A' A^z, is
-    k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j) with a_0 = 1.  With
-    D the common denominator of the a_j read so far, A_j = D a_j, z = zn/zd and
-    S = zd D, b_k = B_k / (S^k k!) where B_k = sum over j = 1..k of
-    ((zn + zd) j - k zd) A_j B_(k-j) S^(j-1) (k-1)!/(k-j)!, an integer sum with
-    no gcd in it; each new b_k is normalised once into ``coeffs``.  The state
-    holds D, the A_j, the B_i and the weight S^k k! of the last B_k; when new
-    coefficients bring a larger D', the A_j are multiplied by D'/D
-    (:func:`append_numerators`), each B_i by (D'/D)^i and the weight by
-    (D'/D)^k."""
-
-    __slots__ = ("z", "coeffs", "_den", "_nums", "_held", "_weight")
-
-    def __init__(self, z):
-        if not isinstance(z, (int, Fraction)):
-            raise TypeError("Miller's recurrence needs a Fraction or int exponent")
-        self.z = z
-        self.coeffs = [Fraction(1)]  # b_0 .. b_k
-        self._den, self._nums = 1, [1]  # D and the A_j
-        self._held, self._weight = [1], 1  # the B_i and S^k k!
-
-    def grow(self, a, n: int) -> list:
-        """Append b_(k+1) .. b_n to ``coeffs`` and return it, reading the
-        coefficients a_0 = 1 .. a_n of A from ``a``; every call must hand in
-        the same series A, to any length.  A coefficient that is not a
-        Fraction or an int raises TypeError and leaves the state as it was."""
-        held = self._held
-        if len(held) > n:
-            return self.coeffs
-        new = a[len(held) : n + 1]
-        if not all(isinstance(c, (int, Fraction)) for c in new):
-            raise TypeError("Miller's recurrence needs Fraction or int coefficients")
-        den, ratio = append_numerators(self._den, self._nums, new)
-        if ratio != 1:
-            factor = 1
-            for i in range(1, len(held)):
-                factor *= ratio
-                held[i] *= factor
-            self._weight *= factor
-            self._den = den
-        nums, zn, zd = self._nums, self.z.numerator, self.z.denominator
-        scale, slope, weight, out = zd * den, zn + zd, self._weight, self.coeffs
-        for k in range(len(held), n + 1):
-            acc = 0
-            for j in range(k, 0, -1):  # Horner in S (k - j), from the top term down
-                acc *= scale * (k - j)
-                if nums[j]:
-                    acc += (slope * j - k * zd) * nums[j] * held[k - j]
-            held.append(acc)
-            weight *= scale * k
-            out.append(Fraction(acc, weight))
-        self._weight = weight
-        return out
+    k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j).  With D the lcm
+    of the denominators of a_0 .. a_n, A_j = D a_j, z = zn/zd and S = zd D,
+    b_k = B_k / (S^k k!) where B_k = sum over j = 1..k of
+    ((zn + zd) j - k zd) A_j B_(k-j) S^(j-1) (k-1)!/(k-j)!, an integer sum
+    with no gcd in it; each b_k is normalised once.  This ordinary-form
+    kernel is :meth:`Series.pow`'s alone: the M^z of
+    :class:`~qbernstein.distributions.MgfTable` runs its own, in exponential
+    form over the law's base, and the two share no code."""
+    den = math.lcm(*(c.denominator for c in a))
+    nums = [c.numerator * (den // c.denominator) for c in a]
+    zn, zd = z.numerator, z.denominator
+    scale, slope = zd * den, zn + zd
+    held, weight, out = [1], 1, [Fraction(1)]
+    for k in range(1, len(a)):
+        acc = 0
+        for j in range(k, 0, -1):  # Horner in S (k - j), from the top term down
+            acc *= scale * (k - j)
+            if nums[j]:
+                acc += (slope * j - k * zd) * nums[j] * held[k - j]
+        held.append(acc)
+        weight *= scale * k
+        out.append(Fraction(acc, weight))
+    return out

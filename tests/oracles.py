@@ -39,6 +39,13 @@ def set_partition_count(n: int, m: int) -> int:
     return count
 
 
+def conjugate_bracket_in_t(q: Fraction) -> Laurent:
+    """The inverse-base bracket of x in t: (q/t - q)/(1 - q), for q a positive
+    rational other than 1."""
+    q = Fraction(q)
+    return Laurent({-1: q / (1 - q), 0: -q / (1 - q)})
+
+
 def touchard(n: int, alpha: Fraction) -> Fraction:
     """Moments of a Poisson law by the Touchard recurrence
     T(n+1) = alpha * sum over k of binom(n, k) T(k)."""

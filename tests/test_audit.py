@@ -274,14 +274,14 @@ def test_report_summary_mentions_every_case():
     assert all("expected=" in line for line in lines)
 
 
-def _poisson_rule_off_by_one(self, nums, n):
+def _poisson_rule_off_by_one(self, nums, c, n):
     """Poisson's moment rule with C(k, j) where M' = alpha e^v M needs C(k - 1, j)."""
     p, q = self.alpha.numerator, self.alpha.denominator
     for k in range(len(nums), n + 1):
         nums.append(p * sum(math.comb(k, j) * nums[j] * q ** (k - 1 - j) for j in range(k)))
 
 
-def _negbinomial_rule_off_by_one(self, nums, n):
+def _negbinomial_rule_off_by_one(self, nums, c, n):
     """NegBinomial's moment rule, in its eta form, with C(k - 1, i) where the
     product M (1 - (1 - p) e^v)^a needs C(k, i)."""
     a, s, t = self.successes, self.p1.numerator, self.p1.denominator
@@ -295,60 +295,41 @@ def _negbinomial_rule_off_by_one(self, nums, n):
         nums.append((a * big) ** k - tail)
 
 
-def _miller_sum_one_short(self, a, n):
-    """Miller's recurrence k b_k = sum over j of ((z + 1) j - k) a_j b_(k-j), with
-    j stopping at k - 1 instead of k."""
-    z, out = self.z, self.coeffs
-    for k in range(len(out), n + 1):
+def _power_rule_off_by_one(self, order):
+    """The table's Miller rule in exponential form with zd C(k, j) where
+    Beta_k = sum over j of (zn C(k - 1, j - 1) - zd C(k - 1, j)) zd^(j-1)
+    N_j Beta_(k-j) needs zd C(k - 1, j)."""
+    nums, held, zn, zd = self._nums, self._zpow, self._z.numerator, self._z.denominator
+    for k in range(len(held), order + 1):
+        held.append(sum(
+            (zn * math.comb(k - 1, j - 1) - zd * math.comb(k, j)) * zd ** (j - 1)
+            * nums[j] * held[k - j]
+            for j in range(1, k + 1)
+        ))
+
+
+def _bell_rule_off_by_one(self, n):
+    """The table's partial Bell recurrence with C(k, i - 1) where
+    A_m(k) = sum over i of C(k - 1, i - 1) N_i A_(m-1)(k - i) needs
+    C(k - 1, i - 1)."""
+    nums, rows = self._grown(n), self._rows
+    for k in range(len(rows[0]), n + 1):
+        rows[0].append(0)
+        rows.append([0] * k)
+        for m in range(1, k + 1):
+            rows[m].append(sum(
+                math.comb(k, i - 1) * nums[i] * rows[m - 1][k - i] for i in range(1, k - m + 2)
+            ))
+
+
+def _miller_sum_one_short(a, z):
+    """Series.pow's Miller recurrence k b_k = sum over j of ((z + 1) j - k)
+    a_j b_(k-j), with j stopping at k - 1 instead of k."""
+    out = [F(1)]
+    for k in range(1, len(a)):
         terms = (((z + 1) * j - k) * a[j] * out[k - j] for j in range(1, k))
         out.append(sum(terms, F(0)) / k)
     return out
-
-
-_grow = series.MillerPower.grow
-
-
-def _miller_rescaled_one_short(self, a, n):
-    """A Miller state that, when new coefficients bring a larger common
-    denominator D', multiplies B_i by (D'/D)^(i - 1) where
-    b_i = B_i / ((zd D)^i i!) needs (D'/D)^i."""
-    held = self._held
-    if len(held) <= n:
-        den, ratio = series.append_numerators(self._den, self._nums, a[len(held) : n + 1])
-        for i in range(2, len(held)):
-            held[i] *= ratio ** (i - 1)
-        self._weight *= ratio ** (len(held) - 1)
-        self._den = den
-        self._nums[len(held) :] = []  # the grow below appends them again
-    return _grow(self, a, n)
-
-
-def _minus_one_sum_one_short(self, n):
-    """(M - 1)^j as (M - 1)^(j - 1) times M - 1, with the convolution index i
-    stopping at k - 2 instead of k - 1."""
-    base = [F(0)] + self._grown(n)[1 : n + 1]
-    powers = [[F(1)] + [F(0)] * n]
-    for j in range(1, n + 1):
-        prev = powers[-1]
-        powers.append([
-            sum((prev[i] * base[k - i] for i in range(j - 1, k - 1)), F(0))
-            for k in range(n + 1)
-        ])
-    self._minus_one = powers
-
-
-_grow_minus_one = MgfTable._grow_minus_one
-
-
-def _minus_one_rescaled_one_short(self, n):
-    """A table that, when D grows to D', multiplies the numerators of
-    (M - 1)^j by (D'/D)^(j - 1) where numerators over D^j need (D'/D)^j."""
-    new = self._grown(n)[len(self._nums) : n + 1]
-    self._den, ratio = series.append_numerators(self._den, self._nums, new)
-    for j in range(2, len(self._rows)):
-        self._rows[j] = [c * ratio ** (j - 1) for c in self._rows[j]]
-    self._nums[len(self._rows[0]) :] = []  # the growth below appends them again
-    _grow_minus_one(self, n)
 
 
 def _series_mul_one_short(self, other):
@@ -374,8 +355,13 @@ def _point_with_swapped_brackets(mp):
     mp.setattr(QPoint, "__post_init__", post_init)
 
 
-# Each key names the part of the engine its mutant breaks; "extend-pow" is the
-# Miller kernel, series.MillerPower.
+# Each key names the part of the engine its mutant breaks: "extend-pow" is the
+# table's Miller rule for M^z (MgfTable._grow_power), "minus-one-table" its
+# partial Bell recurrence for (M - 1)^m (MgfTable._grow_rows), and
+# "series-pow" the Miller kernel of Series.pow (series._miller_power).  A
+# mutant of the table's base rescale is not listed: it fails no expected-pass
+# record of run_all(42, 2, 8), which seldom grows a Uniform01 or custom table
+# after its first read, so tests/test_distributions.py checks it.
 MUTANTS = {
     "poisson-rule": lambda mp: mp.setattr(
         Poisson, "_extend_numerators", _poisson_rule_off_by_one
@@ -384,18 +370,9 @@ MUTANTS = {
         mp.setattr(NegBinomial, "_extend_numerators", _negbinomial_rule_off_by_one),
         mp.setattr(Geometric, "_extend_numerators", _negbinomial_rule_off_by_one),
     ),
-    "extend-pow": lambda mp: mp.setattr(
-        series.MillerPower, "grow", _miller_sum_one_short
-    ),
-    "miller-rescale": lambda mp: mp.setattr(
-        series.MillerPower, "grow", _miller_rescaled_one_short
-    ),
-    "minus-one-table": lambda mp: mp.setattr(
-        MgfTable, "_grow_minus_one", _minus_one_sum_one_short
-    ),
-    "minus-one-rescale": lambda mp: mp.setattr(
-        MgfTable, "_grow_minus_one", _minus_one_rescaled_one_short
-    ),
+    "extend-pow": lambda mp: mp.setattr(MgfTable, "_grow_power", _power_rule_off_by_one),
+    "minus-one-table": lambda mp: mp.setattr(MgfTable, "_grow_rows", _bell_rule_off_by_one),
+    "series-pow": lambda mp: mp.setattr(series, "_miller_power", _miller_sum_one_short),
     "series-mul": lambda mp: (
         mp.setattr(series.Series, "__mul__", _series_mul_one_short),
         mp.setattr(series.Series, "__rmul__", _series_mul_one_short),

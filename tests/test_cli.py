@@ -33,6 +33,10 @@ def test_success_exits_0(capsys):
     code, out = run(capsys, ["eval", "--family", "prob-qbernstein", "--dist", "poisson",
                              "--alpha", "1", "--r", "1", "--n", "2"] + POINT)
     assert (code, out) == (0, "18/25\n")
+    # r = 0 reads M only through n, so three moments carry n = 2
+    code, out = run(capsys, ["eval", "--family", "prob-bernoulli-higher", "--dist", "custom",
+                             "--moments", "1,1,2", "--n", "2", "--r", "0", "--arg", "2/3"])
+    assert (code, out) == (0, "10/9\n")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,7 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
-from qbernstein.series import MillerPower, Series, exp_series
+from qbernstein.series import Series, exp_series
 
 from oracles import (
     bernoulli_moment,
@@ -137,14 +138,17 @@ def _law_id(law):
     ids=_law_id,
 )
 def test_mgf_matches_its_compositional_oracle(law):
-    """Built by the law's rule from the constant term at each order, and grown
-    in one table over a shuffled sequence of orders, M equals the
+    """Built by the law's rule from N_0 = 1 over its base at each order, and
+    grown in one table over a shuffled sequence of orders, M equals the
     compositional form."""
     top = len(law.moments) - 1 if isinstance(law, CustomMoments) else 20
     expected = mgf_oracle(law, top)
     orders = list(range(top + 1))
     for n in orders:
-        assert Series(law.extend_mgf([F(1)], n)) == expected.truncate(n)
+        base, nums = law._base(n), [1]
+        law._extend_numerators(nums, base, n)
+        built = Series(F(N, base**k * math.factorial(k)) for k, N in enumerate(nums))
+        assert built == expected.truncate(n)
     random.Random(_law_id(law)).shuffle(orders)
     table = MgfTable(law)
     for n in orders:
@@ -197,14 +201,14 @@ def _power_by_exp_log(law, z, n):
     return (mgf_oracle(law, n).log() * z).exp()
 
 
-def _minus_one_power_at(law, m, n):
-    """(M - 1)^m rebuilt at exactly order n by repeated multiplication of the
-    oracle M minus 1."""
+def _bell_at(law, n, m):
+    """B_(n,m) = n!/m! [v^n] (M - 1)^m, with (M - 1)^m rebuilt at exactly
+    order n by repeated multiplication of the oracle M minus 1."""
     base = mgf_oracle(law, n) - 1
     power = Series([F(1)] + [F(0)] * n)
     for _ in range(m):
         power = power * base
-    return power
+    return power.coeffs[n] * math.perm(n, n - m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,20 +223,16 @@ def test_table_answers_every_order_from_one_prefix(law, queries, z):
     for sequence in (queries, sorted(queries), sorted(queries, reverse=True)):
         table = MgfTable(law)
         for n, m in sequence:
-            expected = _minus_one_power_at(law, m, n).coeffs[n]
-            assert table.minus_one_coeff(m, n) == expected
+            assert table.bell(n, m) == _bell_at(law, n, m)
             assert table.series(n) == mgf_oracle(law, n)
             assert table.power(z, n) == _power_by_exp_log(law, z, n)
 
 
 def _held(table):
-    """A copy of what the table holds, its integer state included."""
-    power = table._zpow
-    if power is not None:
-        power = (power.z, list(power.coeffs), power._den, list(power._nums),
-                 list(power._held), power._weight)
-    rows = (table._den, list(table._nums), [list(r) for r in table._rows])
-    return list(table._mgf), [list(p) for p in table._minus_one], rows, power
+    """A copy of what the table holds: its base, the integers over it, and
+    the held exponent."""
+    rows = [list(r) for r in table._rows]
+    return table._base, list(table._nums), rows, table._z, list(table._zpow)
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,14 +241,14 @@ def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
     law = _custom(count)
     table = MgfTable(law)
     warm = min(warm, count - 1)
-    table.minus_one_coeff(warm, warm)
+    table.bell(warm, warm)
     table.power(F(1, 2), warm)
     before = _held(table)
     above = count + excess
     with pytest.raises(ValueError):
         table.series(above)
     with pytest.raises(ValueError):
-        table.minus_one_coeff(0, above)
+        table.bell(above, 0)
     with pytest.raises(ValueError):
         table.power(F(1, 2), above)
     with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
         assert law.moment(n) == law.moments[n]
         assert table.power(F(1, 2), n) == _power_by_exp_log(law, F(1, 2), n)
         for m in range(n + 1):
-            assert table.minus_one_coeff(m, n) == _minus_one_power_at(law, m, n).coeffs[n]
+            assert table.bell(n, m) == _bell_at(law, n, m)
 
 
 def test_table_holds_one_exponent_at_a_time():
@@ -273,13 +273,13 @@ def test_table_holds_one_exponent_at_a_time():
         if n >= len(law.moments):
             before = _held(table)
             with pytest.raises(ValueError):
-                table.power_coeff(z, n)
+                table.power_parts(z, n)
             assert _held(table) == before
             continue
         expected = _power_by_exp_log(law, z, n)
         assert table.power(z, n) == expected
-        assert table.power_coeff(z, n) == expected.coeffs[n]
-        assert table._zpow.z == z
+        assert F(*table.power_parts(z, n)) == expected.egf_coeff(n)
+        assert table._z == z
 
 
 def test_an_equal_exponent_reuses_the_held_power(monkeypatch):
@@ -287,73 +287,118 @@ def test_an_equal_exponent_reuses_the_held_power(monkeypatch):
     Fraction held by another object reads the held M^z without growing it,
     and a different exponent replaces it."""
     law, z, other = Geometric(F(2, 5)), F(-2, 3), F(3, 4)
-    expected = _power_by_exp_log(law, other, 5)  # before the spy: the oracle recips
     calls = []
-    grow = MillerPower.grow
+    grow = MgfTable._grow_power
 
-    def counted(self, a, n):
-        calls.append((self.z, n))
-        return grow(self, a, n)
+    def counted(self, n):
+        calls.append((self._z, n))
+        return grow(self, n)
 
-    monkeypatch.setattr(MillerPower, "grow", counted)
+    monkeypatch.setattr(MgfTable, "_grow_power", counted)
     table = MgfTable(law)
     held = table.power(z, 8)
     assert calls == [(z, 8)]
     for n in range(9):
         equal = F(z.numerator, z.denominator)
         assert equal is not z
-        assert table.power_coeff(equal, n) == held.coeffs[n]
+        assert F(*table.power_parts(equal, n)) == held.egf_coeff(n)
         assert table.power(equal, n) == held.truncate(n)
     assert calls == [(z, 8)]
-    assert table.power(other, 5) == expected
+    assert table.power(other, 5) == _power_by_exp_log(law, other, 5)
     assert calls == [(z, 8), (other, 5)]
-    assert table._zpow.z is other and len(table._zpow.coeffs) == 6
+    assert table._z is other and len(table._zpow) == 6
 
 
 @pytest.mark.parametrize("law", TABLE_LAWS, ids=_law_id)
 def test_table_grows_without_rebuilding(law, monkeypatch):
     """A cold table answers ascending queries without the law's mgf_series
-    or Series.pow, and each growth step appends exactly the missing
-    coefficients: M and M^z are grown to order n from n held coefficients."""
+    or Series.pow, and each growth step appends exactly the missing entries:
+    the N_k, the Bell rows and the Beta_k of M^z are grown to order n from n
+    held ones."""
     top, z = 6, F(-2, 3)
     mgf, power = mgf_oracle(law, top), _power_by_exp_log(law, z, top)
-    minus_one = {
-        (m, n): _minus_one_power_at(law, m, n).coeffs[n]
-        for n in range(top + 1)
-        for m in range(n + 1)
-    }
+    bell = {(n, m): _bell_at(law, n, m) for n in range(top + 1) for m in range(n + 1)}
 
     def refuse(*args):
         raise AssertionError("the table rebuilt a series from scratch")
 
-    mgf_asked, power_asked = [], []
-    extend_mgf = type(law).extend_mgf
+    asked = {"nums": [], "rows": [], "power": []}
+    extend, grow_rows, grow_power = (
+        type(law)._extend_numerators, MgfTable._grow_rows, MgfTable._grow_power
+    )
 
-    def recording_mgf(self, coeffs, n):
-        mgf_asked.append((len(coeffs), n))
-        return extend_mgf(self, coeffs, n)
+    def recording_nums(self, nums, c, n):
+        asked["nums"].append((len(nums), n))
+        return extend(self, nums, c, n)
 
-    grow = MillerPower.grow
+    def recording_rows(self, n):
+        asked["rows"].append((len(self._rows[0]), n))
+        return grow_rows(self, n)
 
-    def recording_pow(self, a, n):
-        power_asked.append((len(self.coeffs), n))
-        return grow(self, a, n)
+    def recording_power(self, n):
+        asked["power"].append((len(self._zpow), n))
+        return grow_power(self, n)
 
     monkeypatch.setattr(type(law), "mgf_series", refuse)
     monkeypatch.setattr(Series, "pow", refuse)
-    monkeypatch.setattr(type(law), "extend_mgf", recording_mgf)
-    monkeypatch.setattr(MillerPower, "grow", recording_pow)
+    monkeypatch.setattr(type(law), "_extend_numerators", recording_nums)
+    monkeypatch.setattr(MgfTable, "_grow_rows", recording_rows)
+    monkeypatch.setattr(MgfTable, "_grow_power", recording_power)
     table = MgfTable(law)
     for n in range(top + 1):
         assert table.power(z, n) == power.truncate(n)
         assert table.series(n) == mgf.truncate(n)
         for m in range(n + 1):
-            assert table.minus_one_coeff(m, n) == minus_one[m, n]
-        # M^z = 1 is not stored
-        held_power = table._zpow.coeffs if table._zpow else [F(1)]
-        assert len(table._mgf) == len(held_power) == n + 1
-        assert [len(p) for p in table._minus_one] == [n + 1] * (n + 1)
-    assert mgf_asked == power_asked == [(n, n) for n in range(1, top + 1)]
+            assert table.bell(n, m) == bell[n, m]
+        assert len(table._nums) == len(table._zpow) == n + 1
+        assert [len(row) for row in table._rows] == [n + 1] * (n + 1)
+    steps = [(n, n) for n in range(1, top + 1)]
+    assert asked == {"nums": steps, "rows": steps, "power": steps}
+
+
+def _rescale_by_one_less(self, ratio):
+    """A table that, when its base grows to ratio c, multiplies the integer of
+    index k by ratio^(k - 1) where its value over c^k needs ratio^k."""
+    for held in (self._nums, self._zpow, *self._rows):
+        held[1:] = [x * ratio ** (k - 1) for k, x in enumerate(held[1:], 1)]
+
+
+GROWING_BASES = [Uniform01(), _custom(13)]
+
+
+def _wrong_reads_under_shuffled_growth(law):
+    """Reads of M, of every Bell number and of M^z, at orders up to 12 in a
+    shuffled order, that differ from their oracles; and the bases the table
+    passed through."""
+    z, wrong, bases = F(-2, 3), 0, set()
+    queries = [(kind, n) for kind in ("mgf", "bell", "power") for n in range(13)]
+    random.Random(_law_id(law)).shuffle(queries)
+    table = MgfTable(law)
+    for kind, n in queries:
+        if kind == "mgf":
+            wrong += table.series(n) != mgf_oracle(law, n)
+        elif kind == "bell":
+            wrong += sum(table.bell(n, m) != _bell_at(law, n, m) for m in range(n + 1))
+        else:
+            wrong += table.power(z, n) != _power_by_exp_log(law, z, n)
+        bases.add(table._base)
+    return wrong, bases
+
+
+@pytest.mark.parametrize("law", GROWING_BASES, ids=_law_id)
+def test_a_growing_base_rescales_what_the_table_holds(law):
+    """Uniform01's base grows with each prime and the custom law's with each
+    new denominator; every read after a growth still equals its oracle."""
+    wrong, bases = _wrong_reads_under_shuffled_growth(law)
+    assert wrong == 0
+    assert len(bases) > 1  # the base grew after the first read
+
+
+def test_shuffled_growth_catches_a_broken_rescale(monkeypatch):
+    """The check above fails when the one rescale is off by one power."""
+    monkeypatch.setattr(MgfTable, "_rescale", _rescale_by_one_less)
+    for law in GROWING_BASES:
+        assert _wrong_reads_under_shuffled_growth(law)[0] > 0
 
 
 ORACLE_LAWS = TABLE_LAWS + [Geometric(F(1))]
@@ -382,8 +427,9 @@ def minus_one_queries(draw):
 @settings(max_examples=60, deadline=None)
 @given(minus_one_queries())
 def test_minus_one_powers_are_repeated_products_of_the_oracle(drawn):
-    """(M - 1)^m from the table's integer kernel, queried in a shuffled order,
-    against repeated Series products of the compositional M minus 1."""
+    """The Bell numbers of (M - 1)^m from the table's integer kernel, queried
+    in a shuffled order, against repeated Series products of the
+    compositional M minus 1."""
     law, top, queries = drawn
     base = mgf_oracle(law, top) - 1
     powers = [Series([F(1)] + [F(0)] * top)]
@@ -391,7 +437,7 @@ def test_minus_one_powers_are_repeated_products_of_the_oracle(drawn):
         powers.append(powers[-1] * base)
     table = MgfTable(law)
     for n, m in queries:
-        assert table.minus_one_coeff(m, n) == powers[m].coeffs[n]
+        assert table.bell(n, m) == powers[m].coeffs[n] * math.perm(n, n - m)
 
 
 @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
@@ -400,16 +446,16 @@ def test_table_reads_check_their_indices(grown):
     state; neither changes what the table holds."""
     table = MgfTable(Poisson(F(1)))
     if grown:
-        table.minus_one_coeff(8, 8)
+        table.bell(8, 8)
         table.power(F(1, 2), 8)
     before = _held(table)
     for read in (
-        lambda: table.minus_one_coeff(-1, 8),
-        lambda: table.minus_one_coeff(0, -1),
-        lambda: table.power_coeff(F(1, 2), -1),
+        lambda: table.bell(8, -1),
+        lambda: table.bell(-1, 0),
+        lambda: table.power_parts(F(1, 2), -1),
     ):
         with pytest.raises(ValueError):
             read()
-    assert table.minus_one_coeff(5, 3) == 0
-    assert table.minus_one_coeff(9, 8) == 0
+    assert table.bell(3, 5) == 0
+    assert table.bell(8, 9) == 0
     assert _held(table) == before

@@ -203,6 +203,17 @@ def test_prob_bernoulli_higher_rejects_zero_mean():
         prob_bernoulli_higher(dead, 2, 1, F(1))
 
 
+def test_prob_bernoulli_higher_at_r_0_reads_moments_through_n():
+    """At r = 0 the value is n! [v^n] M^z, which needs M only through n: on a
+    law with exactly n + 1 moments it equals prob_qbernstein at r = 0 with
+    z the bracket of 1 - x, the same coefficient by the table's route."""
+    p = QPoint(F(1, 2), 1, 2)
+    for n in range(5):
+        law = CustomMoments(tuple(F(k * k + 1, k + 1) for k in range(n + 1)))
+        assert prob_bernoulli_higher(law, n, 0, p.X1) == prob_qbernstein(law, 0, n, p)
+    assert prob_bernoulli_higher(CustomMoments((1, 1, 2)), 2, 0, p.X1) == F(10, 9)
+
+
 def test_bernstein_classical_values():
     assert bernstein_classical(1, 2, F(1, 2)) == F(1, 2)
     for n in range(5):

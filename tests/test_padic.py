@@ -25,10 +25,10 @@ from qbernstein.padic import (
     q_euler,
     volkenborn,
 )
-from qbernstein.qcalc import conjugate_bracket_in_t
 from qbernstein.rings import Laurent, LogPoly, falling_factorial, laurent_x_derivation
 
 from oracles import (
+    conjugate_bracket_in_t,
     constant_part,
     fermionic_partial_sum,
     is_log_free,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qbernstein.qcalc import QPoint
 from qbernstein.rings import Laurent
-from qbernstein.series import MillerPower, Series, exp_series
+from qbernstein.series import Series, exp_series
 
 from oracles import random_fraction, random_series_coeffs
 
@@ -250,16 +250,15 @@ def test_negative_power_inverts_positive_power(s, k):
     EXPONENTS,
 )
 def test_pow_grown_in_steps_is_exp_of_scaled_log(drawn, e):
-    """Growing one Miller state in random steps: the common denominator of
-    the prefix it has read changes between steps, so the held integers are
-    rescaled; every prefix equals exp(e log A) at that order."""
+    """Powers of the prefixes of one series at random orders: the common
+    denominator of each prefix differs, and each power is computed from its
+    own; every one equals exp(e log A) at that order, so each is a prefix of
+    the power at any higher order."""
     tail, stops = drawn
     a = [F(1)] + tail
-    expected = (Series(a).log() * e).exp().coeffs
-    power = MillerPower(e)
+    expected = (Series(a).log() * e).exp()
     for n in sorted(stops):
-        assert power.grow(a, n) is power.coeffs
-        assert power.coeffs == list(expected[: n + 1])
+        assert Series(a[: n + 1]).pow(e) == expected.truncate(n)
 
 
 def test_pow_needs_scalar_coefficients_and_exponent():
@@ -270,6 +269,4 @@ def test_pow_needs_scalar_coefficients_and_exponent():
     with pytest.raises(TypeError):
         Series([F(1), F(1, 2)]).pow(0.5)
     with pytest.raises(TypeError):
-        MillerPower(F(1, 3)).grow([F(1), Laurent({-1: F(2)})], 1)
-    with pytest.raises(TypeError):
-        MillerPower(Laurent({-1: F(2)}))
+        Series([F(1), Laurent({-1: F(2)})]).pow(F(1, 3))
