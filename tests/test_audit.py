@@ -332,6 +332,24 @@ def _miller_sum_one_short(a, z):
     return out
 
 
+_miller_power, _table_bell = series._miller_power, MgfTable.bell
+
+
+def _miller_rescaled_one_short(a, z):
+    """Series.pow's Miller kernel carrying its integers back to values one
+    power of the scale short: b_k = B_k / (S^(k-1) k!) where b_k = B_k / (S^k
+    k!) is needed, with S = zd D."""
+    scale = z.denominator * math.lcm(*(c.denominator for c in a))
+    return [b * scale if k else b for k, b in enumerate(_miller_power(a, z))]
+
+
+def _bell_rescaled_one_short(self, n, m):
+    """The table's Bell read-out B_(n,m) = A_m(n) / c^(n-1) where the rows,
+    held over c^n, need A_m(n) / c^n."""
+    value = _table_bell(self, n, m)
+    return value * self._base if n else value
+
+
 def _series_mul_one_short(self, other):
     """Series.__mul__ with the convolution index i stopping at k - 1 instead of k."""
     if not isinstance(other, series.Series):
@@ -358,7 +376,10 @@ def _point_with_swapped_brackets(mp):
 # Each key names the part of the engine its mutant breaks: "extend-pow" is the
 # table's Miller rule for M^z (MgfTable._grow_power), "minus-one-table" its
 # partial Bell recurrence for (M - 1)^m (MgfTable._grow_rows), and
-# "series-pow" the Miller kernel of Series.pow (series._miller_power).  A
+# "series-pow" the Miller kernel of Series.pow (series._miller_power).  The
+# two rescale mutants break the step that carries held integers back to
+# values: "minus-one-rescale" the table's Bell read-out A_m(n) / c^n
+# (MgfTable.bell), "miller-rescale" the kernel's b_k = B_k / (S^k k!).  A
 # mutant of the table's base rescale is not listed: it fails no expected-pass
 # record of run_all(42, 2, 8), which seldom grows a Uniform01 or custom table
 # after its first read, so tests/test_distributions.py checks it.
@@ -372,6 +393,8 @@ MUTANTS = {
     ),
     "extend-pow": lambda mp: mp.setattr(MgfTable, "_grow_power", _power_rule_off_by_one),
     "minus-one-table": lambda mp: mp.setattr(MgfTable, "_grow_rows", _bell_rule_off_by_one),
+    "minus-one-rescale": lambda mp: mp.setattr(MgfTable, "bell", _bell_rescaled_one_short),
+    "miller-rescale": lambda mp: mp.setattr(series, "_miller_power", _miller_rescaled_one_short),
     "series-pow": lambda mp: mp.setattr(series, "_miller_power", _miller_sum_one_short),
     "series-mul": lambda mp: (
         mp.setattr(series.Series, "__mul__", _series_mul_one_short),
