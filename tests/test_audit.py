@@ -55,6 +55,12 @@ HEAVY_DIGESTS = (
     "e8398477197ea517a4254d41d018680995330c9ed29a6179aad6a0c912660c03",
     "67f012950e05f7b23adf38400258d95f8121b106a09e2ad3c6100482692c628e",
 )
+# SHA-256 of the JSONL and summary lines of an audit at order 48 (seed 42, 5
+# trials), where P-LOG, T2.6 corrected and T2.8 run on long series.
+DEEP_DIGESTS = (
+    "f05d0ee0b1d0c721bb83d4620ce61bb09eab861481265c86c11344a21ee529e7",
+    "f00201dc4d32468fae23dcdbdc3031171cbad4043cae2af184649230d9b5d4d4",
+)
 
 
 def test_registry_ids_and_variants_are_unique():
@@ -215,6 +221,15 @@ def test_heavy_audit_jsonl_matches_its_pinned_digest():
     assert (
         hashlib.sha256(payload).hexdigest(), hashlib.sha256(summary).hexdigest()
     ) == HEAVY_DIGESTS
+
+
+def test_deep_audit_jsonl_matches_its_pinned_digest():
+    report = run_all(seed=42, trials=5, order=48)
+    payload = report.to_jsonl().encode()
+    summary = "\n".join(report.summary_lines()).encode()
+    assert (
+        hashlib.sha256(payload).hexdigest(), hashlib.sha256(summary).hexdigest()
+    ) == DEEP_DIGESTS
 
 
 def test_run_all_expected_passes_hold_on_another_seed():

@@ -262,6 +262,27 @@ def test_cli_output_matches_its_pinned_digest(tmp_path, capsys, name):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
+# SHA-256 of the `series` CSVs of the six audit laws at order 48, where the
+# common denominators of the coefficients run to hundreds of bits,
+# concatenated in TABLE_LAWS order.
+DEEP_SERIES_DIGESTS = {
+    "log-mgf": "6b11487a805aeae4e8375cedee5d7f89ce01bad59e283ae903d34c7f7529d0ab",
+    "qbernstein-gf": "feecdeee04c81a586e98f290f9365cc122b82e83eb271f9e4af2ea4b6b366fa7",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_SERIES_DIGESTS))
+def test_deep_series_csvs_match_their_pinned_digest(tmp_path, kind):
+    extra = GF if kind == "qbernstein-gf" else ()
+    payload = b""
+    for i, law in enumerate(TABLE_LAWS):
+        path = tmp_path / f"series_{i}.csv"
+        argv = ["series", "--dist", *law, "--kind", kind, "--order", "48", *extra]
+        assert main(argv + ["--out", str(path)]) == 0
+        payload += path.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == DEEP_SERIES_DIGESTS[kind]
+
+
 def test_main_reuses_one_parser(tmp_path):
     """The parser is built once per process, and reusing it changes nothing:
     two different invocations run one after the other in this process write
