@@ -16,8 +16,9 @@ Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  The moments are the one source
 of truth per law: M is sum over k of mu_k v^k / k!.
 
-:func:`mgf_table` holds an :class:`MgfTable` for each of at most 64 laws;
-only ``_grown`` runs a law's rule.  The other caches, all bounded, are
+:func:`mgf_table` gives a law's :class:`MgfTable`, held in the law object's
+own dict; a law object's first read finds it in a cache of at most 64 tables
+that equal laws share.  Only ``_grown`` runs a law's rule.  The other caches, all bounded, are
 :mod:`qbernstein.padic`'s ``_rules`` (16 values of q), ``_basis`` (8192
 entries) and ``_weights`` (1024).
 """
@@ -297,7 +298,10 @@ class MgfTable:
       share no code, so the audit's T2.8 and R2.1, which set the table's
       M^X1 against ``Series.pow``, compare two kernels.
 
-    Each coefficient read forms one ``Fraction``.  When a growth brings a larger base c'
+    Each coefficient read forms one ``Fraction``; a series read
+    (:meth:`series`, :meth:`power`) is carried to the integer layout of
+    :class:`~qbernstein.series.Series` by :func:`_ordinary`, this table's own
+    read-out, and normalised once.  When a growth brings a larger base c'
     (Uniform01, CustomMoments), :meth:`_rescale` multiplies every held
     integer of index k by (c'/c)^k; nothing else is ever rescaled.  A law
     short of the order asked for (a :class:`CustomMoments` law) raises from
@@ -399,15 +403,27 @@ class MgfTable:
 
 def _ordinary(exponential: list, scale: int, order: int) -> Series:
     """The series whose coefficient of v^k is exponential[k] / (scale^k k!),
-    for k <= order."""
-    weight, out = 1, []
+    for k <= order, over the one denominator scale^order order!: the weight
+    of index k is that denominator over scale^k k!, divided down from k = 0."""
+    den = weight = scale**order * math.factorial(order)
+    nums = []
     for k in range(order + 1):
-        out.append(Fraction(exponential[k], weight))
-        weight *= scale * (k + 1)
-    return Series(out)
+        nums.append(exponential[k] * weight)
+        if k < order:
+            weight //= scale * (k + 1)
+    return Series.over(nums, den)
+
+
+def mgf_table(dist: Distribution) -> MgfTable:
+    """The table of ``dist``, held in the law object's own dict: only a law
+    object's first read hashes it, into :func:`_shared_table`, so equal laws
+    share one table."""
+    table = vars(dist).get("_table")
+    if table is None:
+        table = vars(dist)["_table"] = _shared_table(dist)
+    return table
 
 
 @lru_cache(maxsize=64)
-def mgf_table(dist: Distribution) -> MgfTable:
-    """The table of ``dist``, shared by equal laws."""
+def _shared_table(dist: Distribution) -> MgfTable:
     return MgfTable(dist)

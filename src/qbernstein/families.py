@@ -113,10 +113,10 @@ def prob_bernoulli_higher(d: Distribution, n: int, r: int, z):
         return mgf_table(d).series(n).pow(z).egf_coeff(n)
     m_series = mgf_table(d).series(n + 1)
     mz = m_series.truncate(n).pow(z)
-    mean = m_series.coeffs[1]
+    mean = m_series.egf_coeff(1)
     if mean == 0:
         raise ValueError("law has mean zero; v/(M - 1) is undefined")
-    unit = Series(m_series.coeffs[1:]) * (1 / mean)
+    unit = Series.over(m_series.nums[1:], m_series.den) * (1 / mean)
     return (unit.pow(-r) * mz * mean ** (-r)).egf_coeff(n)
 
 
@@ -159,14 +159,16 @@ def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series
     X1 the brackets of x and 1 - x at ``p``; the zero series for r < 0.
 
     Multiplying by the monomial shifts M^X1 up by r, so only its coefficients
-    through order - r are needed."""
+    through order - r are needed: the numerators of the table's M^X1 times
+    those of X^r, with r zeros in front, over its denominator times that of
+    X^r / r!, normalised once."""
     if r < 0:
         return Series.zero(order)
     if r > order:
         raise ValueError("monomial degree outside truncation order")
-    front = p.X**r * Fraction(1, math.factorial(r))
-    tail = mgf_table(d).power(p.X1, order - r)
-    return Series([Fraction(0)] * r + [front * c for c in tail.coeffs])
+    X, tail = p.X, mgf_table(d).power(p.X1, order - r)
+    nums = [0] * r + [X.numerator**r * c for c in tail.nums]
+    return Series.over(nums, tail.den * X.denominator**r * math.factorial(r))
 
 
 def prob_qbernstein(d: Distribution, r: int, n: int, p: QPoint) -> Fraction:

@@ -232,6 +232,50 @@ def volkenborn_direct_sum(beta: int, q: Fraction, p: int, level: int) -> Fractio
     return inner / bracket_count
 
 
+def reference_mul(a: list, b: list) -> list:
+    """The schoolbook product of two coefficient lists of one length, one
+    Fraction operation at a time."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(len(a))]
+
+
+def reference_exp(a: list) -> list:
+    """exp of a series with a_0 = 0, from E' = A' E:
+    k e_k = sum over i = 1..k of i a_i e_(k-i), in Fractions."""
+    out = [F(1)]
+    for k in range(1, len(a)):
+        out.append(sum((i * a[i] * out[k - i] for i in range(1, k + 1)), F(0)) / k)
+    return out
+
+
+def reference_log(a: list) -> list:
+    """log of a series with a_0 = 1, from A L' = A':
+    k l_k = k a_k - sum over 0 < i < k of i l_i a_(k-i), in Fractions."""
+    out = [F(0)]
+    for k in range(1, len(a)):
+        acc = k * a[k] - sum((i * out[i] * a[k - i] for i in range(1, k)), F(0))
+        out.append(acc / k)
+    return out
+
+
+def reference_pow(a: list, z) -> list:
+    """A^z for a_0 = 1 by Miller's recurrence in Fractions:
+    k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j)."""
+    out = [F(1)]
+    for k in range(1, len(a)):
+        acc = sum((((z + 1) * j - k) * a[j] * out[k - j] for j in range(1, k + 1)), F(0))
+        out.append(acc / k)
+    return out
+
+
+def reference_recip(a: list) -> list:
+    """1/A for a_0 != 0 by long division: b_0 = 1/a_0 and
+    b_k = -(sum over j = 1..k of a_j b_(k-j)) / a_0."""
+    out = [1 / F(a[0])]
+    for k in range(1, len(a)):
+        out.append(-sum((a[j] * out[k - j] for j in range(1, k + 1)), F(0)) / a[0])
+    return out
+
+
 def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
     return F(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 

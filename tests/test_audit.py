@@ -337,25 +337,37 @@ def _bell_rule_off_by_one(self, n):
             ))
 
 
-def _miller_sum_one_short(a, z):
-    """Series.pow's Miller recurrence k b_k = sum over j of ((z + 1) j - k)
-    a_j b_(k-j), with j stopping at k - 1 instead of k."""
-    out = [F(1)]
-    for k in range(1, len(a)):
-        terms = (((z + 1) * j - k) * a[j] * out[k - j] for j in range(1, k))
-        out.append(sum(terms, F(0)) / k)
-    return out
+def _miller_sum_one_short(nums, den, z):
+    """Series.pow's integer Miller kernel with the sum over j stopping at
+    k - 1, where k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j)
+    needs j = k."""
+    zn, zd = z.numerator, z.denominator
+    held, common = [1], 1
+    for k in range(1, len(nums)):
+        acc = sum(((zn + zd) * j - k * zd) * nums[j] * held[k - j] for j in range(1, k))
+        common = series._extend(held, common, acc, k * zd * den)
+    return series.Series.over(held, common)
 
 
 _miller_power, _table_bell = series._miller_power, MgfTable.bell
+_series_mul = series.Series.__mul__
 
 
-def _miller_rescaled_one_short(a, z):
-    """Series.pow's Miller kernel carrying its integers back to values one
-    power of the scale short: b_k = B_k / (S^(k-1) k!) where b_k = B_k / (S^k
-    k!) is needed, with S = zd D."""
-    scale = z.denominator * math.lcm(*(c.denominator for c in a))
-    return [b * scale if k else b for k, b in enumerate(_miller_power(a, z))]
+def _extend_leaving_b0(held, common, num, den):
+    """series._extend scaling held[1:] when the common denominator grows by
+    r, where every held numerator, b_0's too, must be scaled."""
+    g = math.gcd(den, num)
+    r = den // g
+    held[1:] = [h * r for h in held[1:]]
+    held.append(num // g)
+    return common * r
+
+
+def _miller_rescaled_one_short(nums, den, z):
+    """Series.pow's Miller kernel, run with that append step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_extend", _extend_leaving_b0)
+        return _miller_power(nums, den, z)
 
 
 def _bell_rescaled_one_short(self, n, m):
@@ -366,14 +378,24 @@ def _bell_rescaled_one_short(self, n, m):
 
 
 def _series_mul_one_short(self, other):
-    """Series.__mul__ with the convolution index i stopping at k - 1 instead of k."""
+    """Series.__mul__'s integer convolution with the index i stopping at
+    k - 1 instead of k."""
     if not isinstance(other, series.Series):
-        return series.Series(a * other for a in self.coeffs)
-    self._check(other)
-    return series.Series(
-        sum((self.coeffs[i] * other.coeffs[k - i] for i in range(k)), F(0))
-        for k in range(self.order + 1)
-    )
+        return _series_mul(self, other)
+    a, b = self.nums, other.nums
+    out = [sum(a[i] * b[k - i] for i in range(k)) for k in range(self.order + 1)]
+    return series.Series.over(out, self.den * other.den)
+
+
+def _series_log_one_short(self):
+    """Series.log with the sum over 0 < i < k stopping at k - 2, where
+    k l_k = k a_k - sum over 0 < i < k of i l_i a_(k-i) needs i = k - 1."""
+    a, den = self.nums, self.den
+    held, common = [0], 1
+    for k in range(1, len(a)):
+        acc = k * a[k] * common - sum(i * held[i] * a[k - i] for i in range(1, k - 1))
+        common = series._extend(held, common, acc, k * den)
+    return series.Series.over(held, common)
 
 
 def _point_with_swapped_brackets(mp):
@@ -391,13 +413,18 @@ def _point_with_swapped_brackets(mp):
 # Each key names the part of the engine its mutant breaks: "extend-pow" is the
 # table's Miller rule for M^z (MgfTable._grow_power), "minus-one-table" its
 # partial Bell recurrence for (M - 1)^m (MgfTable._grow_rows), and
-# "series-pow" the Miller kernel of Series.pow (series._miller_power).  The
-# two rescale mutants break the step that carries held integers back to
-# values: "minus-one-rescale" the table's Bell read-out A_m(n) / c^n
-# (MgfTable.bell), "miller-rescale" the kernel's b_k = B_k / (S^k k!).  A
-# mutant of the table's base rescale is not listed: it fails no expected-pass
-# record of run_all(42, 2, 8), which seldom grows a Uniform01 or custom table
-# after its first read, so tests/test_distributions.py checks it.
+# "series-pow", "series-mul" and "series-log" the integer kernels of
+# Series.pow (series._miller_power), Series.__mul__ and Series.log.  The two
+# rescale mutants break the step that carries held integers to values:
+# "minus-one-rescale" the table's Bell read-out A_m(n) / c^n (MgfTable.bell),
+# "miller-rescale" the scaling of the held b_i when the power's common
+# denominator grows (series._extend, as series._miller_power calls it).
+# Two mutants are not listed, since they fail no expected-pass record of
+# run_all(42, 2, 8): a mutant of the table's base rescale, which that run
+# seldom reaches, is checked in tests/test_distributions.py; a one-short
+# Series.exp, which only T3.1 reaches (through bell_poly) and at n - r = 0 in
+# both its draws there, is checked against the Fraction reference in
+# tests/test_series.py.
 MUTANTS = {
     "poisson-rule": lambda mp: mp.setattr(
         Poisson, "_extend_numerators", _poisson_rule_off_by_one
@@ -415,12 +442,15 @@ MUTANTS = {
         mp.setattr(series.Series, "__mul__", _series_mul_one_short),
         mp.setattr(series.Series, "__rmul__", _series_mul_one_short),
     ),
+    "series-log": lambda mp: mp.setattr(series.Series, "log", _series_log_one_short),
     "swapped-brackets": _point_with_swapped_brackets,
 }
 
 
 def _clear_caches():
-    distributions.mgf_table.cache_clear()
+    """Empty the shared tables; run_all draws new law objects, so no table
+    held on a law object outlives the run that grew it."""
+    distributions._shared_table.cache_clear()
     padic._rules.cache_clear()
     padic._weights.cache_clear()
     padic._basis.cache_clear()
