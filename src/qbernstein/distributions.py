@@ -18,9 +18,9 @@ of truth per law: M is sum over k of mu_k v^k / k!.
 
 :func:`mgf_table` gives a law's :class:`MgfTable`, held in the law object's
 own dict; a law object's first read finds it in a cache of at most 64 tables
-that equal laws share.  Only ``_grown`` runs a law's rule.  The other caches, all bounded, are
-:mod:`qbernstein.padic`'s ``_rules`` (16 values of q), ``_basis`` (8192
-entries) and ``_weights`` (1024).
+that equal laws share.  Only ``_grown`` runs a law's rule.  The other
+caches, all bounded, are :mod:`qbernstein.padic`'s ``_rules`` (16 values of
+q), ``_basis`` (8192 entries) and ``_weights`` (1024).
 """
 
 from __future__ import annotations
