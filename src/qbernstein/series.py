@@ -220,8 +220,8 @@ def _extend(held: list, common: int, num: int, den: int) -> int:
     """Append num / (den common) to the numerators ``held`` over ``common``,
     for a positive ``den``, and return their new common denominator: the least
     multiple of ``common`` that clears the new value, so ``held`` stays in
-    canonical form.  It is common r for r = den / gcd(den, num), and every
-    held numerator is scaled by r."""
+    canonical form.  That is common times r for r = den / gcd(den, num), and
+    every held numerator is scaled by r."""
     g = math.gcd(den, num)
     if g != den:
         r = den // g
