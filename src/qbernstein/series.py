@@ -17,10 +17,10 @@ product of them over k D Q (k zd D Q for the power z = zn/zd), and
 :func:`_extend` appends it with one gcd against that small divisor, growing
 Q (and scaling the held integers) only by what b_k needs.  So the integers
 stay the size of the result's numerators times the A_i, and the cost follows
-the size of the result, not that of D^k k!.  The reciprocal is the power -1.  A power
-is computed whole and nothing is held between calls; the tables of a law's
-M^z live in :class:`~qbernstein.distributions.MgfTable`, which runs its own
-kernel and its own read-out to this layout.
+the size of the result, not that of D^k k!.  The reciprocal is the power -1.
+A power is computed whole and nothing is held between calls; the tables of a
+law's M^z live in :class:`~qbernstein.distributions.MgfTable`, which runs its
+own kernel and its own read-out to this layout.
 
 The exponential-generating-function convention lives in one place only:
 :meth:`Series.egf_coeff` returns n! * a_n.  Everything upstream of that call
