@@ -174,6 +174,59 @@ def test_parameter_validation():
         CustomMoments((F(2),))
 
 
+# Each law kind, built by keyword, with its repr and its param_string.
+LAW_VALUES = [
+    (Poisson, {"alpha": F(2, 3)}, "Poisson(alpha=Fraction(2, 3))", "alpha=2/3"),
+    (Bernoulli, {"p1": F(1, 3)}, "Bernoulli(p1=Fraction(1, 3))", "p1=1/3"),
+    (
+        Binomial,
+        {"trials": 4, "p1": F(2, 5)},
+        "Binomial(trials=4, p1=Fraction(2, 5))",
+        "trials=4;p1=2/5",
+    ),
+    (Geometric, {"p1": F(1, 2)}, "Geometric(p1=Fraction(1, 2))", "p1=1/2"),
+    (
+        NegBinomial,
+        {"successes": 3, "p1": F(3, 5)},
+        "NegBinomial(successes=3, p1=Fraction(3, 5))",
+        "successes=3;p1=3/5",
+    ),
+    (Uniform01, {}, "Uniform01()", ""),
+    (Constant, {"value": F(5, 2)}, "Constant(value=Fraction(5, 2))", "value=5/2"),
+    (
+        CustomMoments,
+        {"moments": (F(1), F(1, 2))},
+        "CustomMoments(moments=(Fraction(1, 1), Fraction(1, 2)))",
+        "moments=1,1/2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, params, text, param_string", LAW_VALUES, ids=[v[0].__name__ for v in LAW_VALUES]
+)
+def test_laws_are_immutable_values(kind, params, text, param_string):
+    """Equal parameters give equal laws whose hash is that of the field
+    tuple; the repr and param_string name every field; no attribute of a law
+    can be set."""
+    law, twin = kind(**params), kind(*params.values())
+    assert law == twin and law is not twin
+    assert hash(law) == hash(twin) == hash(tuple(params.values()))
+    assert repr(law) == text
+    assert law.param_string() == param_string
+    for name in (*params, "other"):
+        with pytest.raises(AttributeError):
+            setattr(law, name, F(1))
+
+
+def test_laws_of_different_kinds_are_unequal():
+    """Equality compares the kind before the fields: the shared table cache
+    keys on the law, so Poisson(2) must not find Constant(2)'s table."""
+    assert Poisson(F(2)) != Constant(F(2))
+    assert Bernoulli(F(1, 2)) != Geometric(F(1, 2))
+    assert Poisson(2) == Poisson(F(2)) and Poisson(2).alpha.denominator == 1
+
+
 def test_custom_moments_runs_out_of_data():
     law = CustomMoments((F(1), F(1), F(2)))
     assert law.moment(2) == 2

@@ -83,6 +83,10 @@ def test_point_equality_hash_and_repr_are_those_of_rho_c_d():
     assert repr(classical) == "QPoint(rho=None, c=2, d=7)"
     assert classical == QPoint(None, 2, 7) and hash(classical) == hash((None, 2, 7))
     assert {p: 1, classical: 2}[QPoint(F(2, 3), 1, 2)] == 1
+    assert QPoint(rho=F(2, 3), c=1, d=2) == p
+    for name in ("rho", "X", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, F(1))
 
 
 def test_difference_rule_on_a_common_grid():
