@@ -41,10 +41,10 @@ import csv
 import json
 import math
 import random
-from dataclasses import asdict, astuple, dataclass, field, fields
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from io import StringIO
-from typing import Callable
 
 from .distributions import (
     Bernoulli,
@@ -82,53 +82,29 @@ class CaseSkip(Exception):
     """Raised by an evaluator when the drawn inputs violate a precondition."""
 
 
-@dataclass
-class CaseDraw:
-    dist: Distribution | None
-    point: QPoint | None
-    indices: dict
+CaseDraw = namedtuple("CaseDraw", "dist point indices")
+
+# draw(rng) -> CaseDraw and evaluate, as the module docstring says, or None.
+IdentityCase = namedtuple(
+    "IdentityCase", "id variant statement expected draw evaluate notes", defaults=("",)
+)
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    id: str
-    variant: str
-    statement: str
-    expected: str  # "pass" | "record" | "skip"
-    draw: Callable[[random.Random], CaseDraw] | None
-    # evaluate(dist, point, order, **indices) -> (lhs, rhs)
-    evaluate: Callable[..., tuple] | None
-    notes: str = ""
-
-
-@dataclass
-class AuditRecord:
-    id: str
-    variant: str
-    dist: str
-    params: str
-    rho: str
-    c: int
-    d: int
-    order: int
-    status: str
-    lhs: str
-    rhs: str
-    difference: str
+class AuditRecord(
+    namedtuple("AuditRecord", "id variant dist params rho c d order status lhs rhs difference")
+):
+    __slots__ = ()
 
     def stable_dict(self) -> dict:
         """Every field but ``difference``, in field order."""
-        row = asdict(self)
+        row = self._asdict()
         del row["difference"]
         return row
 
 
-@dataclass
 class AuditReport:
-    seed: int
-    trials: int
-    order: int
-    records: list = field(default_factory=list)
+    def __init__(self, seed: int, trials: int, order: int):
+        self.seed, self.trials, self.order, self.records = seed, trials, order, []
 
     def expected_pass_failures(self) -> list:
         expectation = _expectations()
@@ -147,8 +123,7 @@ class AuditReport:
     def to_csv(self) -> str:
         buf = StringIO()
         writer = csv.writer(buf)
-        writer.writerow(f.name for f in fields(AuditRecord))
-        writer.writerows(astuple(r) for r in self.records)
+        writer.writerows([AuditRecord._fields, *self.records])
         return buf.getvalue()
 
     def to_latex(self) -> str:

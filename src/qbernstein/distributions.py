@@ -18,15 +18,16 @@ of truth per law: M is sum over k of mu_k v^k / k!.
 
 :func:`mgf_table` gives a law's :class:`MgfTable`, held in the law object's
 own dict; a law object's first read finds it in a cache of at most 64 tables
-that equal laws share.  Only ``_grown`` runs a law's rule.  The other
-caches, all bounded, are :mod:`qbernstein.padic`'s ``_rules`` (16 values of
-q), ``_basis`` (8192 entries) and ``_weights`` (1024).
+that equal laws share.  A law is an immutable value (:class:`Distribution`),
+hashed once, when it is built, so no cache keyed on it hashes a Fraction.
+Only ``_grown`` runs a law's rule.  The other caches, all bounded, are
+:mod:`qbernstein.padic`'s ``_rules`` (16 values of q), ``_basis`` (8192
+entries) and ``_weights`` (1024).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,10 +35,44 @@ from .series import Series
 
 
 class Distribution:
-    """Base class; concrete laws implement :meth:`_base` and
-    :meth:`_extend_numerators`."""
+    """Base class; a concrete law names its parameters in ``_fields``, checks
+    them in :meth:`_check`, and implements :meth:`_base` and
+    :meth:`_extend_numerators`.  A law is an immutable value, built from its
+    fields by position or by keyword.  Laws are equal when of the same kind
+    with equal fields, so ``Poisson(2) != Constant(2)``; the hash, that of the
+    field tuple, is computed once, at the end of construction; the repr names
+    every field, as in ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built,
+    only :func:`mgf_table` writes to it, through ``vars(law)``."""
 
     name = "distribution"
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        held, fields = vars(self), self._fields
+        held.update(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or kwargs and held.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        self._check()
+        key = held["_key"] = tuple([held[f] for f in fields])
+        held["_hash"] = hash(key)
+
+    def _check(self) -> None:
+        """Validate the fields, storing each in its normal form."""
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a law is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -67,7 +102,7 @@ class Distribution:
 
     def param_string(self) -> str:
         """The law's parameters as "name=value" pairs joined by ";"."""
-        return ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return ";".join(f"{f}={v}" for f, v in zip(self._fields, self._key))
 
 
 def _check_p1(p1: Fraction) -> Fraction:
@@ -77,13 +112,12 @@ def _check_p1(p1: Fraction) -> Fraction:
     return p1
 
 
-@dataclass(frozen=True)
 class Poisson(Distribution):
-    alpha: Fraction
+    _fields = ("alpha",)
 
     name = "poisson"
 
-    def __post_init__(self):
+    def _check(self):
         a = Fraction(self.alpha)
         if a <= 0:
             raise ValueError("alpha must be positive")
@@ -103,13 +137,12 @@ class Poisson(Distribution):
             nums.append(p * acc)
 
 
-@dataclass(frozen=True)
 class Bernoulli(Distribution):
-    p1: Fraction
+    _fields = ("p1",)
 
     name = "bernoulli"
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
     def _base(self, n: int) -> int:
@@ -121,14 +154,12 @@ class Bernoulli(Distribution):
         nums.extend(s * c ** (k - 1) for k in range(len(nums), n + 1))
 
 
-@dataclass(frozen=True)
 class Binomial(Distribution):
-    trials: int
-    p1: Fraction
+    _fields = ("trials", "p1")
 
     name = "binomial"
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ValueError("trial count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
@@ -151,16 +182,14 @@ class Binomial(Distribution):
             nums.append(s * (trials * (low * t + nums[k]) - high))
 
 
-@dataclass(frozen=True)
 class NegBinomial(Distribution):
     """Trials needed for ``successes`` successes; support a, a+1, ..."""
 
-    successes: int
-    p1: Fraction
+    _fields = ("successes", "p1")
 
     name = "negbinomial"
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.successes, int) or self.successes < 1:
             raise ValueError("success count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
@@ -192,24 +221,22 @@ class NegBinomial(Distribution):
             nums.append((a * big) ** k - tail)
 
 
-@dataclass(frozen=True)
 class Geometric(Distribution):
     """Number of trials up to and including the first success; support 1, 2, ...
     M is NegBinomial's at one success, and so is its rule."""
 
-    p1: Fraction
+    _fields = ("p1",)
 
     name = "geometric"
     successes = 1  # a class constant, not a field
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
     _base = NegBinomial._base
     _extend_numerators = NegBinomial._extend_numerators
 
 
-@dataclass(frozen=True)
 class Uniform01(Distribution):
     name = "uniform01"
 
@@ -223,15 +250,14 @@ class Uniform01(Distribution):
         nums.extend(c**k // (k + 1) for k in range(len(nums), n + 1))
 
 
-@dataclass(frozen=True)
 class Constant(Distribution):
     """The degenerate law Y = c with probability one."""
 
-    value: Fraction
+    _fields = ("value",)
 
     name = "constant"
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "value", Fraction(self.value))
 
     def _base(self, n: int) -> int:
@@ -241,7 +267,6 @@ class Constant(Distribution):
         nums.extend(self.value.numerator**k for k in range(len(nums), n + 1))
 
 
-@dataclass(frozen=True)
 class CustomMoments(Distribution):
     """An arbitrary exact moment sequence; the first entry must be 1.
 
@@ -250,11 +275,11 @@ class CustomMoments(Distribution):
     through n is the lcm of the denominators of mu_0 .. mu_n.
     """
 
-    moments: tuple
+    _fields = ("moments",)
 
     name = "custom"
 
-    def __post_init__(self):
+    def _check(self):
         ms = tuple(Fraction(m) for m in self.moments)
         if not ms or ms[0] != 1:
             raise ValueError("moment sequence must start with 1")

@@ -17,17 +17,11 @@ is a rational identity in (q, t), so testing is not restricted to 0 < q < 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rings import Laurent
 
 
-def _held():
-    return field(init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class QPoint:
     """A coherent evaluation point where q, t and x are all rational.
 
@@ -39,36 +33,45 @@ class QPoint:
     The point holds q, t and its brackets X = (t - 1)/(q - 1),
     Xc = q (1 - t)/(t (1 - q)) (the bracket of x under the inverse base) and
     X1 = 1 - Xc (the bracket of 1 - x); classically X = Xc = x and X1 = 1 - x.
-    Equality, hash and repr are those of (rho, c, d).
+    A point is an immutable value, built by position or by keyword.  Equality,
+    hash and repr are those of (rho, c, d); no cache keys on a point, so unlike
+    a law's hash, the point's is not computed when it is built.
     """
 
-    rho: Fraction | None
-    c: int
-    d: int
-    q: Fraction = _held()
-    X: Fraction = _held()
-    Xc: Fraction = _held()
-    X1: Fraction = _held()
-    _t: Fraction | None = _held()
+    __slots__ = ("rho", "c", "d", "q", "X", "Xc", "X1", "_t", "_key")
 
-    def __post_init__(self):
-        if self.rho is None:
-            if self.d < 1:
+    def __init__(self, rho: Fraction | None, c: int, d: int):
+        if rho is None:
+            if d < 1:
                 raise ValueError("classical point needs a positive denominator")
             q, t = Fraction(1), None
-            x = xc = Fraction(self.c, self.d)
+            x = xc = Fraction(c, d)
         else:
-            rho = Fraction(self.rho)
-            object.__setattr__(self, "rho", rho)
+            rho = Fraction(rho)
             if rho <= 0 or rho == 1:
                 raise ValueError("rho must be a positive rational different from 1")
-            if self.d < 1:
+            if d < 1:
                 raise ValueError("d must be a positive integer")
-            q, t = rho**self.d, rho**self.c
+            q, t = rho**d, rho**c
             x = (t - 1) / (q - 1)
             xc = q * (1 - t) / (t * (1 - q))
-        for name, value in (("q", q), ("_t", t), ("X", x), ("Xc", xc), ("X1", 1 - xc)):
+        values = (rho, c, d, q, x, xc, 1 - xc, t, (rho, c, d))
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"QPoint(rho={self.rho!r}, c={self.c!r}, d={self.d!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a QPoint is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def classical(cls, x: Fraction) -> "QPoint":

@@ -23,10 +23,8 @@ All instances are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-Scalar = Union[int, Fraction]
 
 
 def _frac(value) -> Fraction:
@@ -213,7 +211,7 @@ class Poly(_SparseTerms):
     __slots__ = ()
     symbol = "b"
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
         super().__init__(enumerate(coeffs))
 
     @classmethod
@@ -222,7 +220,7 @@ class Poly(_SparseTerms):
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
+    def constant(cls, c: int | Fraction) -> "Poly":
         return cls((c,))
 
     @property

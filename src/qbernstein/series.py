@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
 def _scalar(c) -> tuple[int, int]:

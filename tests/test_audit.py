@@ -399,15 +399,15 @@ def _series_log_one_short(self):
 
 
 def _point_with_swapped_brackets(mp):
-    built = QPoint.__post_init__
+    built = QPoint.__init__
 
-    def post_init(self):
-        built(self)
+    def init(self, *args, **kwargs):
+        built(self, *args, **kwargs)
         xc, x1 = self.Xc, self.X1
         object.__setattr__(self, "Xc", x1)
         object.__setattr__(self, "X1", xc)
 
-    mp.setattr(QPoint, "__post_init__", post_init)
+    mp.setattr(QPoint, "__init__", init)
 
 
 # Each key names the part of the engine its mutant breaks: "extend-pow" is the

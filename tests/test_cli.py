@@ -146,6 +146,25 @@ def test_audit_jsonl_is_byte_identical_across_processes(tmp_path):
     assert outputs[0]
 
 
+def test_start_up_loads_no_dataclasses_inspect_or_typing():
+    """Importing the CLI and building its parser, the set-up every invocation
+    pays, loads none of dataclasses, inspect and typing (dataclasses alone,
+    with inspect, ast, dis and tokenize, cost about 10 ms to import).  The
+    child runs with -S, since a site-packages .pth file may import typing."""
+    check = (
+        "import sys\n"
+        "from qbernstein import cli\n"
+        "cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", check],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 TABLE_LAWS = [
     ["poisson", "--alpha", "3/2"],
     ["bernoulli", "--p1", "1/3"],
