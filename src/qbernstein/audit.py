@@ -84,7 +84,7 @@ class CaseSkip(Exception):
 
 CaseDraw = namedtuple("CaseDraw", "dist point indices")
 
-# draw(rng) -> CaseDraw and evaluate, as the module docstring says, or None.
+# draw(rng) -> CaseDraw, and evaluate as in the module docstring; either may be None.
 IdentityCase = namedtuple(
     "IdentityCase", "id variant statement expected draw evaluate notes", defaults=("",)
 )

@@ -33,9 +33,9 @@ class QPoint:
     The point holds q, t and its brackets X = (t - 1)/(q - 1),
     Xc = q (1 - t)/(t (1 - q)) (the bracket of x under the inverse base) and
     X1 = 1 - Xc (the bracket of 1 - x); classically X = Xc = x and X1 = 1 - x.
-    A point is an immutable value, built by position or by keyword.  Equality,
-    hash and repr are those of (rho, c, d); no cache keys on a point, so unlike
-    a law's hash, the point's is not computed when it is built.
+    A point is an immutable value, built by position or by keyword, whose
+    equality, hash and repr are those of (rho, c, d).  No cache keys on a
+    point, so unlike a law it holds no hash: each call computes it.
     """
 
     __slots__ = ("rho", "c", "d", "q", "X", "Xc", "X1", "_t", "_key")
@@ -55,8 +55,7 @@ class QPoint:
             q, t = rho**d, rho**c
             x = (t - 1) / (q - 1)
             xc = q * (1 - t) / (t * (1 - q))
-        values = (rho, c, d, q, x, xc, 1 - xc, t, (rho, c, d))
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, (rho, c, d, q, x, xc, 1 - xc, t, (rho, c, d))):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
