@@ -148,9 +148,10 @@ def test_audit_jsonl_is_byte_identical_across_processes(tmp_path):
 
 def test_start_up_loads_no_dataclasses_inspect_or_typing():
     """Importing the CLI and building its parser, the set-up every invocation
-    pays, loads none of dataclasses, inspect and typing (dataclasses alone,
-    with inspect, ast, dis and tokenize, cost about 10 ms to import).  The
-    child runs with -S, since a site-packages .pth file may import typing."""
+    pays, loads none of dataclasses, inspect and typing (dataclasses pulls in
+    inspect, ast, dis and tokenize, a large share of the package's import
+    time).  The child runs with -S, since a site-packages .pth file may
+    import typing."""
     check = (
         "import sys\n"
         "from qbernstein import cli\n"
