@@ -3,14 +3,16 @@ table reads M, the partial Bell numbers of (M - 1)^m and M^z off them.
 
 A law states its moments in integer form over a base: mu_k = N_k / c^k, with
 N_0 = 1 and c an integer from :meth:`Distribution._base`.
-:meth:`Distribution._extend_numerators` appends the N_k.  Poisson, Binomial,
-Geometric and NegBinomial compute each N_k by one integer sum of the earlier
-ones, over a fixed c.  Bernoulli and Constant have closed forms over a fixed
-c.  Uniform01 (the product of the primes up to n + 1) and CustomMoments (the
-lcm of its denominators through n) take a base that grows with the order n
-asked for; the table rescales what it holds when it does.  The compositional forms
-(exp(alpha (e^v - 1)), p e^v / (1 - (1 - p) e^v), ...) are test oracles, as
-are the closed-form moment routes.
+:meth:`Distribution._extend_numerators` appends the N_k.  Poisson, Bernoulli,
+Binomial, Geometric, NegBinomial and Constant state only the linear ODE their
+M solves, (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M with M(0) = 1, as integers
+(Q0, Q1, P1, S) with S > 0, and one rule reads their N_k off it over the fixed
+base c = S.  Only Uniform01 (the product of the primes up to n + 1) and
+CustomMoments (the lcm of its denominators through n) state their own rule,
+over a base that grows with the order n asked for; the table rescales what
+it holds when it does.  The closed forms of M (exp(alpha (e^v - 1)),
+p e^v / (1 - (1 - p) e^v), ...) are test oracles, as are the closed-form
+moment routes.
 
 Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  The moments are the one source
@@ -36,13 +38,16 @@ from .series import Series
 
 class Distribution:
     """Base class; a concrete law names its parameters in ``_fields``, checks
-    them in :meth:`_check`, and implements :meth:`_base` and
-    :meth:`_extend_numerators`.  A law is an immutable value, built from its
-    fields by position or by keyword.  Laws are equal when of the same kind
-    with equal fields, so ``Poisson(2) != Constant(2)``; the hash, that of the
-    field tuple, is computed once, at the end of construction; the repr names
-    every field, as in ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built,
-    only :func:`mgf_table` writes to it, through ``vars(law)``."""
+    them in :meth:`_check`, and states in :meth:`_ode` the linear ODE that its
+    M solves, from which the default :meth:`_base` and
+    :meth:`_extend_numerators` read its moments over the base S.  A law whose
+    base grows with the order (Uniform01, CustomMoments) implements those two
+    instead.  A law is an immutable value, built from its fields by position
+    or by keyword.  Laws are equal when of the same kind with equal fields, so
+    ``Poisson(2) != Constant(2)``; the hash, that of the field tuple, is
+    computed once, at the end of construction; the repr names every field, as
+    in ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built, only
+    :func:`mgf_table` writes to it, through ``vars(law)``."""
 
     name = "distribution"
     _fields = ()
@@ -80,15 +85,32 @@ class Distribution:
         # profiler (perfbench/tracing.py) can wrap it law by law.
         cls.mgf_series = Distribution.mgf_series
 
+    def _ode(self) -> tuple[int, int, int, int]:
+        """(Q0, Q1, P1, S), integers with S > 0, such that M is the solution
+        with M(0) = 1 of (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M."""
+        raise NotImplementedError
+
     def _base(self, n: int) -> int:
         """c: c^k mu_k is an integer for every k <= n.  The base at a larger
-        n is a multiple of this one."""
-        raise NotImplementedError
+        n is a multiple of this one; for a law stated by its ODE it is S."""
+        return self._ode()[3]
 
     def _extend_numerators(self, nums: list, c: int, n: int) -> None:
         """Append N_k = c^k mu_k to ``nums`` for k = len(nums) .. n, where
-        ``nums`` holds N_0 = 1 .. over the same base c = ``_base(n)``."""
-        raise NotImplementedError
+        ``nums`` holds N_0 = 1 .. over the same base c = ``_base(n)``.
+
+        For a law stated by its ODE, c = S, and the ODE read at v^k/k! gives
+        N_(k+1) = Q0 N_k + Q1 sum over i <= k of C(k, i) N_i S^(k-i)
+        - P1 sum over i < k of C(k, i) N_(i+1) S^(k-1-i), each sum a Horner
+        sum in S."""
+        q0, q1, p1, s = self._ode()
+        for k in range(len(nums) - 1, n):
+            low = high = 0
+            for i in range(k):
+                b = math.comb(k, i)
+                low = low * s + b * nums[i]
+                high = high * s + b * nums[i + 1]
+            nums.append(q0 * nums[k] + q1 * (low * s + nums[k]) - p1 * high)
 
     def mgf_series(self, order: int) -> Series:
         """M through ``order``, read from the law's table."""
@@ -123,35 +145,9 @@ class Poisson(Distribution):
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", a)
 
-    def _base(self, n: int) -> int:
-        return self.alpha.denominator
-
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        # M' = alpha e^v M: mu_k = alpha sum over j < k of C(k - 1, j) mu_j, so
-        # with alpha = p/q, N_k = p sum over j < k of C(k - 1, j) N_j q^(k-1-j)
-        p, q = self.alpha.numerator, self.alpha.denominator
-        for k in range(len(nums), n + 1):
-            acc = 0
-            for j in range(k):  # Horner in q
-                acc = acc * q + math.comb(k - 1, j) * nums[j]
-            nums.append(p * acc)
-
-
-class Bernoulli(Distribution):
-    _fields = ("p1",)
-
-    name = "bernoulli"
-
-    def _check(self):
-        object.__setattr__(self, "p1", _check_p1(self.p1))
-
-    def _base(self, n: int) -> int:
-        return self.p1.denominator
-
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        # mu_k = p = s/t for k >= 1, so N_k = s t^(k-1)
-        s = self.p1.numerator
-        nums.extend(s * c ** (k - 1) for k in range(len(nums), n + 1))
+    def _ode(self):
+        # M' = alpha e^v M
+        return 0, self.alpha.numerator, 0, self.alpha.denominator
 
 
 class Binomial(Distribution):
@@ -164,22 +160,24 @@ class Binomial(Distribution):
             raise ValueError("trial count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def _base(self, n: int) -> int:
-        return self.p1.denominator
+    def _ode(self):
+        # (1 - p + p e^v) M' = N p e^v M, with p = s/t
+        s, t = self.p1.numerator, self.p1.denominator
+        return 0, self.trials * s, s, t
 
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        # (1 - p + p e^v) M' = N p e^v M gives, at v^k/k!,
-        # mu_(k+1) = p (N sum over i <= k of C(k, i) mu_i
-        #               - sum over i < k of C(k, i) mu_(i+1)),
-        # and with p = s/t both sums are Horner sums in t.
-        s, t, trials = self.p1.numerator, self.p1.denominator, self.trials
-        for k in range(len(nums) - 1, n):
-            low = high = 0
-            for i in range(k):
-                c = math.comb(k, i)
-                low = low * t + c * nums[i]
-                high = high * t + c * nums[i + 1]
-            nums.append(s * (trials * (low * t + nums[k]) - high))
+
+class Bernoulli(Distribution):
+    """M is Binomial's at one trial, and so is its ODE."""
+
+    _fields = ("p1",)
+
+    name = "bernoulli"
+    trials = 1  # a class constant, not a field
+
+    def _check(self):
+        object.__setattr__(self, "p1", _check_p1(self.p1))
+
+    _ode = Binomial._ode
 
 
 class NegBinomial(Distribution):
@@ -194,36 +192,15 @@ class NegBinomial(Distribution):
             raise ValueError("success count must be a positive integer")
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    def _base(self, n: int) -> int:
-        return self.p1.numerator**self.successes
-
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        # M G = p^a e^(a v) with G = (1 - (1 - p) e^v)^a, whose moments are
-        # eta_m / t^a, eta_m = sum over j of C(a, j) (s - t)^j t^(a-j) j^m for
-        # p = s/t.  At v^k/k!, with S = s^a = eta_0:
-        # N_k = a^k S^k - sum over i < k of C(k, i) N_i eta_(k-i) S^(k-1-i),
-        # and the sum over i splits by j (j = 0 adds nothing) into Horner sums
-        # in j S, each times j and the j-th term of eta.
-        a, s, t = self.successes, self.p1.numerator, self.p1.denominator
-        big = s**a
-        steps = [
-            (j * big, j * math.comb(a, j) * (s - t) ** j * t ** (a - j))
-            for j in range(1, a + 1)
-        ]
-        for k in range(len(nums), n + 1):
-            terms = [math.comb(k, i) * nums[i] for i in range(k)]
-            tail = 0
-            for step, weight in steps:
-                acc = 0
-                for term in terms:
-                    acc = acc * step + term
-                tail += weight * acc
-            nums.append((a * big) ** k - tail)
+    def _ode(self):
+        # (1 - (1 - p) e^v) M' = a M, with p = s/t
+        s, t = self.p1.numerator, self.p1.denominator
+        return self.successes * t, 0, s - t, s
 
 
 class Geometric(Distribution):
     """Number of trials up to and including the first success; support 1, 2, ...
-    M is NegBinomial's at one success, and so is its rule."""
+    M is NegBinomial's at one success, and so is its ODE."""
 
     _fields = ("p1",)
 
@@ -233,8 +210,22 @@ class Geometric(Distribution):
     def _check(self):
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
-    _base = NegBinomial._base
-    _extend_numerators = NegBinomial._extend_numerators
+    _ode = NegBinomial._ode
+
+
+class Constant(Distribution):
+    """The degenerate law Y = c with probability one."""
+
+    _fields = ("value",)
+
+    name = "constant"
+
+    def _check(self):
+        object.__setattr__(self, "value", Fraction(self.value))
+
+    def _ode(self):
+        # M' = c M
+        return self.value.numerator, 0, 0, self.value.denominator
 
 
 class Uniform01(Distribution):
@@ -248,23 +239,6 @@ class Uniform01(Distribution):
 
     def _extend_numerators(self, nums: list, c: int, n: int) -> None:
         nums.extend(c**k // (k + 1) for k in range(len(nums), n + 1))
-
-
-class Constant(Distribution):
-    """The degenerate law Y = c with probability one."""
-
-    _fields = ("value",)
-
-    name = "constant"
-
-    def _check(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def _base(self, n: int) -> int:
-        return self.value.denominator
-
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        nums.extend(self.value.numerator**k for k in range(len(nums), n + 1))
 
 
 class CustomMoments(Distribution):
