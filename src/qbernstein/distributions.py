@@ -38,16 +38,16 @@ from .series import Series
 
 class Distribution:
     """Base class; a concrete law names its parameters in ``_fields``, checks
-    them in :meth:`_check`, and states in :meth:`_ode` the linear ODE that its
-    M solves, from which the default :meth:`_base` and
-    :meth:`_extend_numerators` read its moments over the base S.  A law whose
-    base grows with the order (Uniform01, CustomMoments) implements those two
-    instead.  A law is an immutable value, built from its fields by position
-    or by keyword.  Laws are equal when of the same kind with equal fields, so
-    ``Poisson(2) != Constant(2)``; the hash, that of the field tuple, is
-    computed once, at the end of construction; the repr names every field, as
-    in ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built, only
-    :func:`mgf_table` writes to it, through ``vars(law)``."""
+    them in :meth:`_check`, and states in :meth:`_ode` the linear ODE
+    (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M that its M solves, from which the
+    default :meth:`_base` and :meth:`_extend_numerators` read its moments over
+    the base S.  Only Uniform01 and CustomMoments, whose bases grow with the order,
+    implement those two instead.  A law is an immutable value, built from its
+    fields by position or by keyword.  Laws are equal when of the same kind
+    with equal fields, so ``Poisson(2) != Constant(2)``; the hash, that of the
+    field tuple, is computed once, at the end of construction; the repr names
+    every field, as in ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built,
+    only :func:`mgf_table` writes to it, through ``vars(law)``."""
 
     name = "distribution"
     _fields = ()

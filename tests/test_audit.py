@@ -289,25 +289,22 @@ def test_report_summary_mentions_every_case():
     assert all("expected=" in line for line in lines)
 
 
-def _poisson_rule_off_by_one(self, nums, c, n):
-    """Poisson's moment rule with C(k, j) where M' = alpha e^v M needs C(k - 1, j)."""
-    p, q = self.alpha.numerator, self.alpha.denominator
-    for k in range(len(nums), n + 1):
-        nums.append(p * sum(math.comb(k, j) * nums[j] * q ** (k - 1 - j) for j in range(k)))
+def _ode_rule_one_short(cut):
+    """The laws' ODE moment rule, N_(k+1) = Q0 N_k + Q1 sum over i <= k of
+    C(k, i) N_i S^(k-i) - P1 sum over i < k of C(k, i) N_(i+1) S^(k-1-i),
+    with the term i = k - 1 dropped from the sum that ``cut`` ("Q1" or "P1")
+    multiplies."""
 
+    def rule(self, nums, c, n):
+        q0, q1, p1, s = self._ode()
+        for k in range(len(nums) - 1, n):
+            low = sum(math.comb(k, i) * nums[i] * s ** (k - i)
+                      for i in range(k + 1) if cut != "Q1" or i != k - 1)
+            high = sum(math.comb(k, i) * nums[i + 1] * s ** (k - 1 - i)
+                       for i in range(k) if cut != "P1" or i != k - 1)
+            nums.append(q0 * nums[k] + q1 * low - p1 * high)
 
-def _negbinomial_rule_off_by_one(self, nums, c, n):
-    """NegBinomial's moment rule, in its eta form, with C(k - 1, i) where the
-    product M (1 - (1 - p) e^v)^a needs C(k, i)."""
-    a, s, t = self.successes, self.p1.numerator, self.p1.denominator
-    big = s**a
-
-    def eta(m):
-        return sum(math.comb(a, j) * (s - t) ** j * t ** (a - j) * j**m for j in range(a + 1))
-
-    for k in range(len(nums), n + 1):
-        tail = sum(math.comb(k - 1, i) * nums[i] * eta(k - i) * big ** (k - 1 - i) for i in range(k))
-        nums.append((a * big) ** k - tail)
+    return rule
 
 
 def _power_rule_off_by_one(self, order):
@@ -410,8 +407,13 @@ def _point_with_swapped_brackets(mp):
     mp.setattr(QPoint, "__init__", init)
 
 
-# Each key names the part of the engine its mutant breaks: "extend-pow" is the
-# table's Miller rule for M^z (MgfTable._grow_power), "minus-one-table" its
+# Each key names the part of the engine its mutant breaks: "poisson-rule" and
+# "negbinomial-rule" are the laws' ODE moment rule
+# (Distribution._extend_numerators), set on those laws (and on Geometric,
+# which shares NegBinomial's ODE) with its Q1 sum, or its P1 sum, one term
+# short; Poisson's ODE has no P1 term and NegBinomial's no Q1 term, so each
+# mutant reaches the one sum its law reads.  "extend-pow" is the table's
+# Miller rule for M^z (MgfTable._grow_power), "minus-one-table" its
 # partial Bell recurrence for (M - 1)^m (MgfTable._grow_rows), and
 # "series-pow", "series-mul" and "series-log" the integer kernels of
 # Series.pow (series._miller_power), Series.__mul__ and Series.log.  The two
@@ -427,11 +429,11 @@ def _point_with_swapped_brackets(mp):
 # tests/test_series.py.
 MUTANTS = {
     "poisson-rule": lambda mp: mp.setattr(
-        Poisson, "_extend_numerators", _poisson_rule_off_by_one
+        Poisson, "_extend_numerators", _ode_rule_one_short("Q1")
     ),
     "negbinomial-rule": lambda mp: (
-        mp.setattr(NegBinomial, "_extend_numerators", _negbinomial_rule_off_by_one),
-        mp.setattr(Geometric, "_extend_numerators", _negbinomial_rule_off_by_one),
+        mp.setattr(NegBinomial, "_extend_numerators", _ode_rule_one_short("P1")),
+        mp.setattr(Geometric, "_extend_numerators", _ode_rule_one_short("P1")),
     ),
     "extend-pow": lambda mp: mp.setattr(MgfTable, "_grow_power", _power_rule_off_by_one),
     "minus-one-table": lambda mp: mp.setattr(MgfTable, "_grow_rows", _bell_rule_off_by_one),

@@ -6,12 +6,17 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from qbernstein import families, padic
 from qbernstein.audit import MAX_DRAWN_INDEX
-from qbernstein.cli import build_parser, main
+from qbernstein.cli import _EVAL_FAMILIES, build_parser, main
+from qbernstein.distributions import NegBinomial
+from qbernstein.qcalc import QPoint, bracket_in_t
+from qbernstein.rings import Laurent
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POINT = ["--rho", "2/3", "--c", "1", "--d", "2"]
@@ -87,6 +92,18 @@ def test_computation_error_exits_1(capsys, argv, message):
         (["eval", "--family", "qbernstein", "--r", "1", "--n", "2"], "--rho"),
         (["series", "--dist", "poisson", "--alpha", "1", "--kind", "qbernstein-gf",
           "--r", "-1"] + POINT, "--r"),
+        (["table", "--n", "3..1", "--r", "0"] + POINT, "empty range: '3..1'"),
+        (["table", "--n", "x", "--r", "0"] + POINT, "not an index or range: 'x'"),
+        (["table", "--n", "0..1", "--r", "0..1", "--rho", "1", "--c", "1", "--d", "2"],
+         "rho must be a positive rational different from 1"),
+        (["padic", "--op", "volkenborn", "--q", "2", "--expr", "t@"],
+         "cannot parse expression near '@'"),
+        (["padic", "--op", "volkenborn", "--q", "2", "--expr", "t t"],
+         "missing +/- before 't'"),
+        (["padic", "--op", "volkenborn", "--q", "2", "--expr", "+"],
+         "empty term near position 0 in '+'"),
+        (["padic", "--op", "volkenborn", "--q", "2", "--expr", "[x]^-1"],
+         "bracket powers must be nonnegative"),
     ],
 )
 def test_usage_error_exits_2(capsys, argv, message):
@@ -94,6 +111,89 @@ def test_usage_error_exits_2(capsys, argv, message):
     assert code == 2
     assert "error: " in out and message in out
     assert "Traceback" not in out
+
+
+NEGBINOMIAL = ["--dist", "negbinomial", "--a", "2", "--p1", "2/3"]
+LAW, ARG = NegBinomial(2, F(2, 3)), F(2, 3)
+AT_POINT = QPoint(F(2, 3), 1, 2)  # the point POINT names
+# family -> (its flags, its value from the function called directly)
+EVAL_CASES = {
+    "qbernstein": (
+        ["--r", "1", "--n", "3"] + POINT, lambda: families.qbernstein(1, 3, AT_POINT)
+    ),
+    "prob-qbernstein": (
+        NEGBINOMIAL + ["--r", "1", "--n", "3"] + POINT,
+        lambda: families.prob_qbernstein(LAW, 1, 3, AT_POINT),
+    ),
+    "bernstein": (
+        ["--r", "1", "--n", "3", "--x", "2/5"],
+        lambda: families.bernstein_classical(1, 3, F(2, 5)),
+    ),
+    "stirling2": (["--n", "5", "--m", "2"], lambda: families.stirling2(5, 2)),
+    "prob-stirling2": (
+        NEGBINOMIAL + ["--n", "5", "--m", "2"], lambda: families.prob_stirling2(LAW, 5, 2)
+    ),
+    "bell": (["--n", "5", "--arg", "2/3"], lambda: families.bell_poly(5, ARG)),
+    "euler": (["--n", "5", "--arg", "2/3"], lambda: families.euler_poly(5, ARG)),
+    "higher-bernoulli": (
+        ["--n", "4", "--order-param", "3/2", "--arg", "2/3"],
+        lambda: families.higher_bernoulli(4, F(3, 2), ARG),
+    ),
+    "frobenius-euler": (
+        ["--n", "4", "--order-param", "2", "--arg", "2/3", "--u", "-2"],
+        lambda: families.frobenius_euler(4, F(2), ARG, F(-2)),
+    ),
+    "prob-euler": (
+        NEGBINOMIAL + ["--n", "4", "--arg", "2/3"], lambda: families.prob_euler(LAW, 4, ARG)
+    ),
+    "prob-bernoulli": (
+        NEGBINOMIAL + ["--n", "4", "--arg", "2/3"],
+        lambda: families.prob_bernoulli(LAW, 4, ARG),
+    ),
+    "prob-bernoulli-higher": (
+        NEGBINOMIAL + ["--n", "4", "--r", "2", "--arg", "2/3"],
+        lambda: families.prob_bernoulli_higher(LAW, 4, 2, ARG),
+    ),
+    "carlitz-beta": (["--r", "3", "--q", "3/2"], lambda: padic.carlitz_beta(3, F(3, 2))),
+    "q-euler": (["--r", "3", "--q", "3/2"], lambda: padic.q_euler(3, F(3, 2))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_EVAL_FAMILIES))
+def test_eval_prints_the_value_of_the_function_it_names(capsys, family):
+    flags, value = EVAL_CASES[family]
+    assert run(capsys, ["eval", "--family", family] + flags) == (0, f"{value()}\n")
+
+
+@pytest.mark.parametrize(
+    "op, expr, integral",
+    [
+        ("fermionic", "2*t^2 - [x]^2 + 1/2",
+         lambda q: padic.fermionic(Laurent({2: F(2), 0: F(1, 2)}) - bracket_in_t(q) ** 2, q)),
+        ("volkenborn", "t^-1", lambda q: padic.volkenborn(Laurent({-1: F(1)}), q)),
+    ],
+    ids=["fermionic", "volkenborn"],
+)
+def test_padic_prints_the_integral_of_the_expression(capsys, op, expr, integral):
+    argv = ["padic", "--op", op, "--q", "3/2", "--expr", expr]
+    assert run(capsys, argv) == (0, f"{integral(F(3, 2))}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--dist", "poisson", "--alpha", "3/2", "--n", "0..4", "--r", "0..4"] + POINT,
+        ["series"] + NEGBINOMIAL + ["--kind", "log-mgf", "--order", "6"],
+        ["audit", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)],
+    ],
+    ids=["table", "series", "audit"],
+)
+def test_stdout_carries_the_bytes_written_with_out(tmp_path, capsys, argv):
+    path = tmp_path / "out"
+    assert main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Checks of the law tables against sympy, which shares no code with the
 engine: the partial Bell polynomials of sympy's combinatorics for
-``prob_stirling2``, and sympy's own series expansion of each law's closed-form
-MGF, raised to a rational power, for ``MgfTable.power``."""
+``prob_stirling2``, sympy's own series expansion of each law's closed-form
+MGF, raised to a rational power, for ``MgfTable.power``, and sympy's
+derivative of that closed form for the ODE each law states."""
 
 from fractions import Fraction as F
 
@@ -96,3 +97,26 @@ def test_table_power_is_sympys_series_of_the_closed_form(law, z, form, order):
     table = MgfTable(law)
     for n in range(order + 1):
         assert list(table.power(z, n).coeffs) == expected[: n + 1]
+
+
+# law and the closed form of its M, at fixed rational parameters
+CLOSED_MGFS = [
+    (Poisson(F(3, 2)), sympy.exp(R(3, 2) * (E - 1))),
+    (Constant(F(-5, 2)), sympy.exp(R(-5, 2) * v)),
+    (Binomial(3, F(1, 4)), (R(3, 4) + R(1, 4) * E) ** 3),
+    (Bernoulli(F(2, 7)), R(5, 7) + R(2, 7) * E),
+    (NegBinomial(2, F(2, 3)), (R(2, 3) * E / (1 - R(1, 3) * E)) ** 2),
+    (Geometric(F(2, 5)), R(2, 5) * E / (1 - R(3, 5) * E)),
+]
+
+
+@pytest.mark.parametrize("law, mgf", CLOSED_MGFS, ids=[law.name for law, _ in CLOSED_MGFS])
+def test_each_law_states_the_ode_its_closed_form_mgf_solves(law, mgf):
+    """The closed-form M solves (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M for
+    the integers (Q0, Q1, P1, S) the law states; with S > 0 the ODE is regular
+    at v = 0, so M(0) = 1 fixes its power-series solution."""
+    q0, q1, p1, s = ode = law._ode()
+    assert all(type(x) is int for x in ode) and s > 0
+    assert mgf.subs(v, 0) == 1
+    residual = (s - p1 + p1 * E) * sympy.diff(mgf, v) - (q0 + q1 * E) * mgf
+    assert sympy.simplify(residual) == 0
