@@ -23,8 +23,8 @@ own dict; a law object's first read finds it in a cache of at most 64 tables
 that equal laws share.  A law is an immutable value (:class:`Distribution`),
 hashed once, when it is built, so no cache keyed on it hashes a Fraction.
 Only ``_grown`` runs a law's rule.  The other caches, all bounded, are
-:mod:`qbernstein.padic`'s ``_rules`` (16 values of q), ``_basis`` (8192
-entries) and ``_weights`` (1024).
+:mod:`qbernstein.padic`'s ``_rules`` (16 values of q) and ``_rows`` (1024
+rows, one per q, r and w).
 """
 
 from __future__ import annotations
@@ -352,6 +352,16 @@ class MgfTable:
         if len(self._rows[0]) <= n:
             self._grow_rows(n)
         return Fraction(self._rows[m][n], self._base**n)
+
+    def bell_parts(self, n: int) -> tuple[list, int]:
+        """[A_0(n) .. A_n(n)] and c^n, whose quotients are B_(n,m) for m <= n;
+        the list is a copy, so a later base rescale leaves it as read."""
+        if n < 0:
+            raise ValueError("index must be nonnegative")
+        rows = self._rows
+        if len(rows[0]) <= n:
+            self._grow_rows(n)
+        return [row[n] for row in rows[: n + 1]], self._base**n
 
     def _grow_rows(self, n: int):
         """Append A_m(k) for every m <= k, k = held order + 1 .. n; A_m(k) = 0

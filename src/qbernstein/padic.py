@@ -16,7 +16,7 @@ the ultrametric valuation of the difference grow.
 
 The integrals of the polynomial family go through a basis that depends on q
 alone: those of (Xc)_w times the value at (r, n) are binom(n, r) times the sum
-over m <= n - r of prob_stirling2(d, n - r, m) I(r, w, m), I(r, w, m) being
+over m <= k = n - r of prob_stirling2(d, k, m) I(r, w, m), I(r, w, m) being
 those of X^r (Xc)_w (X1)_m, with X, Xc and X1 the brackets of x, of x under
 the inverse base and of 1 - x in t.  They run on integer numerators over one
 denominator (FLINT's ``fmpq_poly`` layout).  With q = a/b, X = b(1 - t)/(b - a),
@@ -24,23 +24,28 @@ Xc - k = (a - (a + k(b - a))t)/(t(b - a)) and X1 - k = ((b - k(b - a))t - a)/(t(
 so X^r (Xc)_w (X1)_m is r + w + m integer linear factors over
 (b - a)^(r + w + m) t^(w + m).  The rule table of q states both rules once, by
 t-exponent; only the basis reads R_u, the lcm of their denominators over
-|b + 1| <= u.  :func:`_basis` gives the bosonic constant part and L^-1
-coefficient and the fermionic value of I(r, w, m), each one integer dot product
-with the table, over R_u (b - a)^(r + w + m) at u = max(r + 1, w + m - 1).
-With a law's row prob_stirling2(d, k, m), m <= k, read once as integers over
-their lcm (:func:`_weights`), each part of a weighted term is one integer sum.
-Every cache is bounded: 16 rule tables (one per q, holding the rules read and
-R_u to the largest u asked), 8192 triples I(r, w, m) and 1024 rows.
+|b + 1| <= u.  A row (:class:`_Row`) holds, for one (q, r, w), the numerator
+polynomial at the largest M asked for so far and I(r, w, m) for every m <= M:
+the bosonic constant parts, the L^-1 coefficients and the fermionic values,
+three integer lists, each side over (b - a)^(r + w + M) R_u(M) at
+u = max(r + 1, w + M - 1).  Growing to M + 1 multiplies the polynomial by one
+factor of X1, carries the held entries to the new denominator, and appends one
+dot product of the polynomial with the table.  A result at k <= M is a prefix,
+so a call reads the row as it is, takes the law's partial Bell integers
+A_m(k) over c^k (``MgfTable.bell_parts``), and forms each part from one
+integer dot product.  Every cache is bounded: 16 rule tables (one per q,
+holding the rules read and R_u to the largest u asked) and 1024 rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .distributions import Distribution
-from .families import _check_indices, prob_stirling2
+from .distributions import Distribution, mgf_table
+from .families import _check_indices
 from .qcalc import _check_q, bracket_in_t
 from .rings import Laurent, LogPoly
 
@@ -103,30 +108,50 @@ def q_euler(r: int, q: Fraction) -> LogPoly:
     return fermionic(bracket_in_t(q) ** r, q)
 
 
-@lru_cache(maxsize=8192)
-def _basis(a: int, b: int, r: int, w: int, m: int) -> tuple[int, int, int]:
-    """The numerators of I(r, w, m) at q = a/b, keyed on integers, which hash fast:
-    bosonic constant part and L^-1 coefficient over the bosonic R_u, fermionic value
-    over the fermionic R_u, each times (b - a)^(r + w + m), u = max(r + 1, w + m - 1)."""
-    poly, table, out = [1], _rules(Fraction(a, b)), [0, 0, 0]
-    # each linear factor c0 + c1 t of the numerators of X, Xc - k and X1 - k
-    steps = [(b, -b)] * r + [(a, a * k - b * k - a) for k in range(w)]
-    for c0, c1 in steps + [(-a, b - b * k + a * k) for k in range(m)]:
-        poly = [c0 * x + c1 * y for x, y in zip(poly + [0], [0] + poly)]
-    rb, rf = table.level(max(r + 1, w + m - 1))
-    for e, c in enumerate(poly, -w - m):
-        vb, vf = table[e]
-        out[e == -1] += c * vb.numerator * (rb // vb.denominator)
-        out[2] += c * vf.numerator * (rf // vf.denominator)
-    return tuple(out)
+class _Row:
+    """I(r, w, m) at q = a/b for every m <= M, grown on demand: the integer
+    numerator polynomial of X^r (Xc)_w (X1)_M in t (coefficient i of t^(i - w - M)),
+    and ``parts``, the bosonic constant parts, the L^-1 coefficients and the
+    fermionic values, over ``dens``, (b - a)^(r + w + M) R_u(M) for each side."""
+
+    __slots__ = ("key", "poly", "levels", "dens", "parts")
+
+    def __init__(self, a: int, b: int, r: int, w: int):
+        self.key, poly = (a, b, r, w), [1]
+        # each linear factor c0 + c1 t of the numerators of X and Xc - k
+        for c0, c1 in [(b, -b)] * r + [(a, a * k - b * k - a) for k in range(w)]:
+            poly = [c0 * x + c1 * y for x, y in zip(poly + [0], [0] + poly)]
+        self.poly, self.levels, self.dens = poly, (1, 1), ((b - a) ** (r + w),) * 2
+        self.parts = [], [], []  # empty until the first growth, to M = 0
+
+    def grow(self, k: int, table: _RuleTable) -> None:
+        """Append I(r, w, m) for m = M + 1 .. k, with ``table`` the rules of q.
+        From M to M + 1 the polynomial takes the factor of X1 - M, the held parts
+        move onto the new denominators (times (b - a) R_u(M + 1)/R_u(M), as
+        ``MgfTable._rescale`` carries its rows), and the new parts are one dot
+        product of the polynomial with the rule table."""
+        a, b, r, w = self.key
+        poly, (bos, log, ferm) = self.poly, self.parts
+        for m in range(len(ferm), k + 1):
+            step = 1
+            if m:  # the numerator of X1 - (m - 1), -a + (b - (b - a)(m - 1)) t
+                step, c1 = b - a, b - (b - a) * (m - 1)
+                poly = self.poly = [c1 * y - a * x for x, y in zip(poly + [0], [0] + poly)]
+            (rb, rf), (hb, hf) = table.level(max(r + 1, w + m - 1)), self.levels
+            sb, sf = step * (rb // hb), step * (rf // hf)
+            for held, s in ((bos, sb), (log, sb), (ferm, sf)):
+                held[:] = [x * s for x in held]
+            self.levels, self.dens = (rb, rf), (self.dens[0] * sb, self.dens[1] * sf)
+            out = [0, 0, 0]
+            for e, c in enumerate(poly, -w - m):
+                vb, vf = table[e]
+                out[e == -1] += c * vb.numerator * (rb // vb.denominator)
+                out[2] += c * vf.numerator * (rf // vf.denominator)
+            for held, x in zip(self.parts, out):
+                held.append(x)
 
 
-@lru_cache(maxsize=1024)
-def _weights(d: Distribution, k: int) -> tuple[tuple, int]:
-    """prob_stirling2(d, k, m) for m <= k, as integer numerators over their lcm."""
-    row = [prob_stirling2(d, k, m) for m in range(k + 1)]
-    den = math.lcm(*(v.denominator for v in row))
-    return tuple(v.numerator * (den // v.denominator) for v in row), den
+_rows = lru_cache(maxsize=1024)(_Row)
 
 
 def integrate_weighted_term(
@@ -139,17 +164,14 @@ def integrate_weighted_term(
     q = _check_q(q)
     if w < 0:
         raise ValueError("falling factorial needs m >= 0")
-    table, (weights, den) = _rules(q), _weights(d, n - r)
-    a, b, bos, log, ferm, dens = q.numerator, q.denominator, 0, 0, 0, (1, 1)
-    for m, c in enumerate(weights):
-        # Horner's rule: the sum so far moves onto the denominators of I(r, w, m)
-        held, dens = dens, table.level(max(r + 1, w + m - 1))
-        sb, sf = (b - a) * (dens[0] // held[0]), (b - a) * (dens[1] // held[1])
-        b0, b1, b2 = _basis(a, b, r, w, m) if c else (0, 0, 0)
-        bos, log, ferm = bos * sb + c * b0, log * sb + c * b1, ferm * sf + c * b2
-    scale, common = math.comb(n, r), den * (b - a) ** (n + w)
-    bos, log = Fraction(scale * bos, common * dens[0]), Fraction(scale * log, common * dens[0])
-    ferm = Fraction(scale * ferm, common * dens[1])
+    k, row = n - r, _rows(q.numerator, q.denominator, r, w)
+    if len(row.parts[2]) <= k:
+        row.grow(k, _rules(q))
+    weights, ck = mgf_table(d).bell_parts(k)
+    bos, log, ferm = (sum(map(operator.mul, weights, held)) for held in row.parts)
+    scale, (db, df) = math.comb(n, r), row.dens
+    bos, log = Fraction(scale * bos, ck * db), Fraction(scale * log, ck * db)
+    ferm = Fraction(scale * ferm, ck * df)
     # reduced Fractions at distinct exponents: _build skips the per-coefficient check
     return LogPoly._build(((0, bos), (-1, log))), LogPoly._build(((0, ferm),))
 

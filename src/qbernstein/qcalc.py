@@ -123,7 +123,9 @@ def one_minus_conjugate_in_t(q: Fraction) -> Laurent:
 
 
 def _check_q(q: Fraction) -> Fraction:
-    q = Fraction(q)
-    if q <= 0 or q == 1:
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    # a Fraction is reduced with a positive denominator: q <= 0 and q == 1 read off it
+    if q.numerator <= 0 or q.numerator == q.denominator:
         raise ValueError("q must be a positive rational different from 1")
     return q

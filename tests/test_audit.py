@@ -454,8 +454,7 @@ def _clear_caches():
     held on a law object outlives the run that grew it."""
     distributions._shared_table.cache_clear()
     padic._rules.cache_clear()
-    padic._weights.cache_clear()
-    padic._basis.cache_clear()
+    padic._rows.cache_clear()
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))

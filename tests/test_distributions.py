@@ -17,6 +17,7 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
+from qbernstein.families import prob_stirling2
 from qbernstein.series import Series, exp_series
 
 from oracles import (
@@ -493,6 +494,34 @@ def test_minus_one_powers_are_repeated_products_of_the_oracle(drawn):
         assert table.bell(n, m) == powers[m].coeffs[n] * math.perm(n, n - m)
 
 
+@pytest.mark.parametrize("law", ALL_LAWS[:-1] + [_custom(13)], ids=_law_id)
+def test_bell_parts_are_the_integer_row_of_prob_stirling2(law):
+    """A cold table's bell_parts(n), read at rising n, are A_m(n) and c^n with
+    A_m(n) / c^n = prob_stirling2(d, n, m) for every m <= n <= 12."""
+    table = MgfTable(law)
+    for n in range(13):
+        row, scale = table.bell_parts(n)
+        assert len(row) == n + 1
+        assert [F(a, scale) for a in row] == [prob_stirling2(law, n, m) for m in range(n + 1)]
+
+
+def test_bell_parts_read_before_a_base_growth_keep_their_values():
+    """Uniform01's base grows with each prime: the pair read at n = 4 is a copy,
+    so after the table grows to 12 it still gives the Bell numbers, as does a
+    new read at 4 over the new base."""
+    law = Uniform01()
+    table = MgfTable(law)
+    row, scale = table.bell_parts(4)
+    held = list(row)
+    table.bell_parts(12)
+    expected = [prob_stirling2(law, 4, m) for m in range(5)]
+    assert row == held
+    assert [F(a, scale) for a in row] == expected
+    new_row, new_scale = table.bell_parts(4)
+    assert new_scale != scale
+    assert [F(a, new_scale) for a in new_row] == expected
+
+
 @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
 def test_table_reads_check_their_indices(grown):
     """A negative index raises ValueError, and m > n reads 0, at every table
@@ -506,6 +535,7 @@ def test_table_reads_check_their_indices(grown):
         lambda: table.bell(8, -1),
         lambda: table.bell(-1, 0),
         lambda: table.power_parts(F(1, 2), -1),
+        lambda: table.bell_parts(-1),
     ):
         with pytest.raises(ValueError):
             read()

@@ -187,6 +187,43 @@ def test_basis_integrals_equal_the_integrals_of_the_reference_integrand(q, top):
                         assert integrate_corollaries(law, r, n, q) == expected
 
 
+@pytest.mark.parametrize("q", [F(2, 5), F(7, 4), F(6561, 625)], ids=str)
+def test_held_rows_give_the_values_of_empty_caches(q):
+    """A row grown past n - r gives what a row grown to exactly n - r gives:
+    for two laws, w <= 2 and 0 <= r <= n <= 6, each value read from empty
+    caches equals the value read after its row was first grown to n + 6, the
+    value read with n descending, and both operators applied to the weight
+    (Xc)_w times the Laurent reference value."""
+    laws, top = [Poisson(F(3, 2)), NegBinomial(2, F(1, 3))], 6
+    cases = [
+        (law, r, n, w)
+        for law in laws for w in range(3) for n in range(top + 1) for r in range(n + 1)
+    ]
+
+    def cleared():
+        padic._rules.cache_clear()
+        padic._rows.cache_clear()
+
+    fresh, above = {}, {}
+    for law, r, n, w in cases:
+        cleared()
+        fresh[law, r, n, w] = integrate_weighted_term(law, r, n, w, q)
+        cleared()
+        integrate_weighted_term(law, r, n + 6, w, q)
+        above[law, r, n, w] = integrate_weighted_term(law, r, n, w, q)
+    cleared()
+    descending = {
+        case: integrate_weighted_term(*case, q)
+        for case in sorted(cases, key=lambda case: -case[2])
+    }
+    assert above == fresh
+    assert descending == fresh
+    for (law, r, n, w), value in fresh.items():
+        integrand = falling_factorial(conjugate_bracket_in_t(q), w)
+        integrand = integrand * prob_qbernstein_laurent(law, r, n, q)
+        assert value == (volkenborn(integrand, q), fermionic(integrand, q))
+
+
 def _monomial_rule(b, q, bosonic):
     """The rule of t^b, written out here and not read from the operators' table."""
     if not bosonic:
@@ -245,10 +282,10 @@ def test_caches_stay_within_their_bounds():
     first = {q: values(q) for q in qs}
     assert padic._rules.cache_info().currsize == 16
     assert all(values(q) == first[q] for q in qs)
-    for cache in (padic._rules, padic._basis, padic._weights):
+    for cache in (padic._rules, padic._rows):
         cache.cache_clear()
     assert all(values(q) == first[q] for q in reversed(qs))
-    for cache, bound in ((padic._rules, 16), (padic._basis, 8192), (padic._weights, 1024)):
+    for cache, bound in ((padic._rules, 16), (padic._rows, 1024)):
         assert cache.cache_info().maxsize == bound
         assert cache.cache_info().currsize <= bound
 
