@@ -1,18 +1,16 @@
 """Moment providers: each supported law states its moments exactly, and its
 table reads M, the partial Bell numbers of (M - 1)^m and M^z off them.
 
-A law states its moments in integer form over a base: mu_k = N_k / c^k, with
-N_0 = 1 and c an integer from :meth:`Distribution._base`.
-:meth:`Distribution._extend_numerators` appends the N_k.  Poisson, Bernoulli,
-Binomial, Geometric, NegBinomial and Constant state only the linear ODE their
-M solves, (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M with M(0) = 1, as integers
-(Q0, Q1, P1, S) with S > 0, and one rule reads their N_k off it over the fixed
-base c = S.  Only Uniform01 (the product of the primes up to n + 1) and
-CustomMoments (the lcm of its denominators through n) state their own rule,
-over a base that grows with the order n asked for; the table rescales what
-it holds when it does.  The closed forms of M (exp(alpha (e^v - 1)),
-p e^v / (1 - (1 - p) e^v), ...) are test oracles, as are the closed-form
-moment routes.
+A law states mu_k as an integer pair (N, d) with mu_k = N / d
+(:meth:`Distribution._moment`).  Poisson, Bernoulli, Binomial, Geometric,
+NegBinomial and Constant state only the linear ODE their M solves,
+(S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M with M(0) = 1, as integers
+(Q0, Q1, P1, S) with S > 0, and one rule reads their mu_k off it over
+d = S^k.  Uniform01 states mu_k = 1/(k + 1) and CustomMoments its k-th
+given moment.  The table holds index k over one fixed denominator D_k, the
+least with d_k | D_k and D_i D_j | D_(i+j); for the ODE laws D_k = S^k.  The
+closed forms of M (exp(alpha (e^v - 1)), p e^v / (1 - (1 - p) e^v), ...) are
+test oracles, as are the closed-form moment routes.
 
 Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  The moments are the one source
@@ -40,14 +38,14 @@ class Distribution:
     """Base class; a concrete law names its parameters in ``_fields``, checks
     them in :meth:`_check`, and states in :meth:`_ode` the linear ODE
     (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M that its M solves, from which the
-    default :meth:`_base` and :meth:`_extend_numerators` read its moments over
-    the base S.  Only Uniform01 and CustomMoments, whose bases grow with the order,
-    implement those two instead.  A law is an immutable value, built from its
-    fields by position or by keyword.  Laws are equal when of the same kind
-    with equal fields, so ``Poisson(2) != Constant(2)``; the hash, that of the
-    field tuple, is computed once, at the end of construction; the repr names
-    every field, as in ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built,
-    only :func:`mgf_table` writes to it, through ``vars(law)``."""
+    default :meth:`_moment` reads mu_k over S^k; only Uniform01 and
+    CustomMoments state their moments directly.  A law is an immutable value,
+    built from its fields by position or by keyword.  Laws are equal when of
+    the same kind with equal fields, so ``Poisson(2) != Constant(2)``; the
+    hash, that of the field tuple, is computed once, at the end of
+    construction; the repr names every field, as in
+    ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built, only
+    :func:`mgf_table` writes to it, through ``vars(law)``."""
 
     name = "distribution"
     _fields = ()
@@ -90,27 +88,20 @@ class Distribution:
         with M(0) = 1 of (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M."""
         raise NotImplementedError
 
-    def _base(self, n: int) -> int:
-        """c: c^k mu_k is an integer for every k <= n.  The base at a larger
-        n is a multiple of this one; for a law stated by its ODE it is S."""
-        return self._ode()[3]
-
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        """Append N_k = c^k mu_k to ``nums`` for k = len(nums) .. n, where
-        ``nums`` holds N_0 = 1 .. over the same base c = ``_base(n)``.
-
-        For a law stated by its ODE, c = S, and the ODE read at v^k/k! gives
-        N_(k+1) = Q0 N_k + Q1 sum over i <= k of C(k, i) N_i S^(k-i)
-        - P1 sum over i < k of C(k, i) N_(i+1) S^(k-1-i), each sum a Horner
-        sum in S."""
+    def _moment(self, k: int, nums: list, order: int) -> tuple[int, int]:
+        """(N, d) with mu_k = N / d, for 0 < k <= ``order``, the order the
+        table grows to; ``nums`` holds N_0 .. N_(k-1), each over the table's
+        D_i.  For a law stated by its ODE, d = S^k, so D_i = S^i, and the ODE
+        read at v^j/j! for j = k - 1 gives N_k = Q0 N_j + Q1 sum over i <= j
+        of C(j, i) N_i S^(j-i) - P1 sum over i < j of C(j, i) N_(i+1)
+        S^(j-1-i), each sum a Horner sum in S."""
         q0, q1, p1, s = self._ode()
-        for k in range(len(nums) - 1, n):
-            low = high = 0
-            for i in range(k):
-                b = math.comb(k, i)
-                low = low * s + b * nums[i]
-                high = high * s + b * nums[i + 1]
-            nums.append(q0 * nums[k] + q1 * (low * s + nums[k]) - p1 * high)
+        j, low, high = k - 1, 0, 0
+        for i in range(j):
+            b = math.comb(j, i)
+            low = low * s + b * nums[i]
+            high = high * s + b * nums[i + 1]
+        return q0 * nums[j] + q1 * (low * s + nums[j]) - p1 * high, s**k
 
     def mgf_series(self, order: int) -> Series:
         """M through ``order``, read from the law's table."""
@@ -231,22 +222,16 @@ class Constant(Distribution):
 class Uniform01(Distribution):
     name = "uniform01"
 
-    def _base(self, n: int) -> int:
-        # mu_k = 1/(k + 1), and (k + 1) | c^k for every k <= n once c is the
-        # product of the primes up to n + 1
-        primes = (p for p in range(2, n + 2) if all(p % d for d in range(2, math.isqrt(p) + 1)))
-        return math.prod(primes)
-
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        nums.extend(c**k // (k + 1) for k in range(len(nums), n + 1))
+    def _moment(self, k, nums, order):
+        return 1, k + 1
 
 
 class CustomMoments(Distribution):
     """An arbitrary exact moment sequence; the first entry must be 1.
 
     Useful for probing where an identity genuinely needs a degenerate law:
-    any sequence at all can be fed through the same machinery.  Its base
-    through n is the lcm of the denominators of mu_0 .. mu_n.
+    any sequence at all can be fed through the same machinery.  A table
+    grown past its last moment raises ValueError.
     """
 
     _fields = ("moments",)
@@ -259,16 +244,12 @@ class CustomMoments(Distribution):
             raise ValueError("moment sequence must start with 1")
         object.__setattr__(self, "moments", ms)
 
-    def _base(self, n: int) -> int:
-        if n >= len(self.moments):
+    def _moment(self, k, nums, order):
+        if k >= len(self.moments):
             raise ValueError(
-                f"only {len(self.moments)} moments provided, order {n} requested"
+                f"only {len(self.moments)} moments provided, order {order} requested"
             )
-        return math.lcm(*(m.denominator for m in self.moments[: n + 1]))
-
-    def _extend_numerators(self, nums: list, c: int, n: int) -> None:
-        ms = self.moments
-        nums.extend(ms[k].numerator * c**k // ms[k].denominator for k in range(len(nums), n + 1))
+        return self.moments[k].as_integer_ratio()
 
     def param_string(self) -> str:
         return "moments=" + ",".join(str(m) for m in self.moments)
@@ -276,99 +257,103 @@ class CustomMoments(Distribution):
 
 class MgfTable:
     """One law's moments, the partial Bell numbers of (M - 1)^m, and M^z for
-    one z (callers ask for one at a time), each held as integers over the
-    law's base c, to the largest order asked for so far.  A lower order is
-    read from the prefix, and growing appends only the new entries.
+    one z (callers ask for one at a time), to the largest order asked for so
+    far, each held as an integer over a denominator fixed by its index k.  A
+    lower order is read from the prefix, and growing appends only the new
+    entries.
 
-    - N_k = c^k mu_k, from the law's rule.
-    - A_m(n) = c^n B_(n,m), where B_(n,m) = n!/m! [v^n] (M - 1)^m is the
+    - D_k = lcm(d_k, D_i D_(k-i) for 0 < i < k), with D_0 = 1, where mu_k =
+      N/d_k is the law's pair: the least D_k with d_k | D_k and
+      D_i D_j | D_(i+j).  A law stated by its ODE has D_k = S^k; Uniform01's
+      D_k is the product over primes p of p^floor(k/(p - 1)).  The split
+      D_k/(D_i D_(k-i)), an integer, is held for every i <= k.
+    - N_k = D_k mu_k.
+    - A_m(n) = D_n B_(n,m), where B_(n,m) = n!/m! [v^n] (M - 1)^m is the
       partial Bell polynomial B_(n,m)(mu_1, mu_2, ...) (Comtet, Advanced
       Combinatorics, 1974, 3.3), that is the probabilistic Stirling number
       S_2^Y(n, m).  Its recurrence B_(n,m) = sum over i of C(n - 1, i - 1)
-      mu_i B_(n-i,m-1) gives A_m(n) = sum over i of C(n - 1, i - 1) N_i
-      A_(m-1)(n - i), an integer sum with no common denominator to find.
-    - Beta_k = (zd c)^k beta_k, where beta_k = k! [v^k] M^z for z = zn/zd.
+      mu_i B_(n-i,m-1) gives A_m(n) = sum over i of C(n - 1, i - 1)
+      D_n/(D_i D_(n-i)) N_i A_(m-1)(n - i), an integer sum.
+    - Beta_k = zd^k D_k beta_k, where beta_k = k! [v^k] M^z for z = zn/zd.
       Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) in exponential form,
       beta_k = sum over j of (z C(k - 1, j - 1) - C(k - 1, j)) mu_j
       beta_(k-j), gives Beta_k = sum over j of (zn C(k - 1, j - 1)
-      - zd C(k - 1, j)) zd^(j-1) N_j Beta_(k-j).  This kernel is the
-      table's own: :meth:`~qbernstein.series.Series.pow` runs Miller's
-      recurrence in ordinary form over a common denominator, and the two
-      share no code, so the audit's T2.8 and R2.1, which set the table's
-      M^X1 against ``Series.pow``, compare two kernels.
+      - zd C(k - 1, j)) zd^(j-1) D_k/(D_j D_(k-j)) N_j Beta_(k-j).  This
+      kernel is the table's own: :meth:`~qbernstein.series.Series.pow` runs
+      Miller's recurrence in ordinary form over a common denominator, and
+      the two share no code, so the audit's T2.8 and R2.1, which set the
+      table's M^X1 against ``Series.pow``, compare two kernels.
 
     Each coefficient read forms one ``Fraction``; a series read
     (:meth:`series`, :meth:`power`) is carried to the integer layout of
     :class:`~qbernstein.series.Series` by :func:`_ordinary`, this table's own
-    read-out, and normalised once.  When a growth brings a larger base c'
-    (Uniform01, CustomMoments), :meth:`_rescale` multiplies every held
-    integer of index k by (c'/c)^k; nothing else is ever rescaled.  A law
-    short of the order asked for (a :class:`CustomMoments` law) raises from
-    its base, before anything changes.  The held exponent z is matched by
-    identity, then by value, so the same object read again costs no
-    comparison and an equal one still reuses the held power; another z
-    replaces it.  A negative index raises ValueError."""
+    read-out, and normalised once.  A held integer never changes once
+    appended.  Growth runs on copies of the N_k, D_k and splits, so a law
+    short of the order asked for (a :class:`CustomMoments` law) raises
+    before anything changes.  The held exponent z is matched by identity,
+    then by value, so the same object read again costs no comparison and an
+    equal one still reuses the held power; another z replaces it.  A
+    negative index raises ValueError."""
 
     def __init__(self, dist: Distribution):
         self.dist = dist
-        self._base = 1  # c
-        self._nums = [1]  # N_0 .. N_k
+        self._nums, self._dens = [1], [1]  # N_0 .. N_k and D_0 .. D_k
+        self._splits = [[1]]  # D_k/(D_i D_(k-i)) for i = 0 .. k, k = 0 ..
         self._rows = [[1]]  # A_m(0 .. n) for m = 0 .. n
         self._z, self._zpow = None, [1]  # the held z and Beta_0 ..
 
     def _grown(self, order: int) -> list:
-        """N_0 .. N_k, grown through at least ``order``."""
+        """N_0 .. N_k, grown through at least ``order``, with their D_k and
+        splits."""
+        if order < 0:
+            raise ValueError("index must be nonnegative")
         nums = self._nums
         if len(nums) <= order:
-            base = self.dist._base(order)
-            if base != self._base:
-                self._rescale(base // self._base)
-                self._base = base
-            self.dist._extend_numerators(nums, base, order)
+            nums, dens, splits = list(nums), list(self._dens), list(self._splits)
+            for k in range(len(nums), order + 1):
+                num, den = self.dist._moment(k, nums, order)
+                products = [dens[i] * dens[k - i] for i in range(1, k)]
+                dens.append(math.lcm(den, *products))
+                nums.append(num * (dens[k] // den))
+                splits.append([1, *(dens[k] // p for p in products), 1])
+            self._nums, self._dens, self._splits = nums, dens, splits
         return nums
 
-    def _rescale(self, ratio: int):
-        """Carry every held integer over c to the base ratio c: the one of
-        index k (N_k, A_m(k), Beta_k) times ratio^k."""
-        powers = [ratio**k for k in range(len(self._nums))]
-        for held in (self._nums, self._zpow, *self._rows):
-            held[:] = [x * w for x, w in zip(held, powers)]
-
     def series(self, order: int) -> Series:
-        """M through ``order``: a_k = N_k / (c^k k!)."""
+        """M through ``order``: a_k = N_k / (D_k k!)."""
         nums = self._grown(order)
-        return _ordinary(nums, self._base, order)
+        return _ordinary(nums, self._dens, 1, order)
 
     def moment(self, n: int) -> Fraction:
-        """mu_n = N_n / c^n."""
-        return Fraction(self._grown(n)[n], self._base**n)
+        """mu_n = N_n / D_n."""
+        return Fraction(self._grown(n)[n], self._dens[n])
 
     def bell(self, n: int, m: int) -> Fraction:
-        """B_(n,m) = A_m(n) / c^n; 0 for m > n."""
+        """B_(n,m) = A_m(n) / D_n; 0 for m > n."""
         if n < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
         if m > n:
             return Fraction(0)
         if len(self._rows[0]) <= n:
             self._grow_rows(n)
-        return Fraction(self._rows[m][n], self._base**n)
+        return Fraction(self._rows[m][n], self._dens[n])
 
     def bell_parts(self, n: int) -> tuple[list, int]:
-        """[A_0(n) .. A_n(n)] and c^n, whose quotients are B_(n,m) for m <= n;
-        the list is a copy, so a later base rescale leaves it as read."""
+        """[A_0(n) .. A_n(n)] and D_n, whose quotients are B_(n,m) for m <= n."""
         if n < 0:
             raise ValueError("index must be nonnegative")
         rows = self._rows
         if len(rows[0]) <= n:
             self._grow_rows(n)
-        return [row[n] for row in rows[: n + 1]], self._base**n
+        return [row[n] for row in rows[: n + 1]], self._dens[n]
 
     def _grow_rows(self, n: int):
         """Append A_m(k) for every m <= k, k = held order + 1 .. n; A_m(k) = 0
         for m > k, since M - 1 starts at v^1."""
         nums, rows = self._grown(n), self._rows
         for k in range(len(rows[0]), n + 1):
-            weights = [0] + [math.comb(k - 1, i - 1) * nums[i] for i in range(1, k + 1)]
+            split = self._splits[k]
+            weights = [0] + [math.comb(k - 1, i - 1) * split[i] * nums[i] for i in range(1, k + 1)]
             rows[0].append(0)
             rows.append([0] * k)
             for m in range(1, k + 1):
@@ -390,36 +375,36 @@ class MgfTable:
         """Append Beta_k of the held z for k = held order + 1 .. ``order``."""
         nums, held, zn, zd = self._nums, self._zpow, self._z.numerator, self._z.denominator
         for k in range(len(held), order + 1):
-            binom = [math.comb(k - 1, i) for i in range(k + 1)]
+            binom, split = [math.comb(k - 1, i) for i in range(k + 1)], self._splits[k]
             acc = 0
             for j in range(k, 0, -1):  # Horner in zd, from the top term down
-                acc = acc * zd + (zn * binom[j - 1] - zd * binom[j]) * nums[j] * held[k - j]
+                weight = (zn * binom[j - 1] - zd * binom[j]) * split[j]
+                acc = acc * zd + weight * nums[j] * held[k - j]
             held.append(acc)
 
     def power(self, z, order: int) -> Series:
-        """M^z through ``order``: b_k = Beta_k / ((zd c)^k k!)."""
+        """M^z through ``order``: b_k = Beta_k / (zd^k D_k k!)."""
         held = self._power(z, order)
-        return _ordinary(held, z.denominator * self._base, order)
+        return _ordinary(held, self._dens, z.denominator, order)
 
     def power_parts(self, z, k: int) -> tuple[int, int]:
-        """Beta_k and (zd c)^k, whose quotient is beta_k = k! [v^k] M^z; the
+        """Beta_k and zd^k D_k, whose quotient is beta_k = k! [v^k] M^z; the
         caller that forms a value from them normalises once."""
-        if k < 0:
-            raise ValueError("coefficient index must be nonnegative")
         held = self._power(z, k)
-        return held[k], (z.denominator * self._base) ** k
+        return held[k], z.denominator**k * self._dens[k]
 
 
-def _ordinary(exponential: list, scale: int, order: int) -> Series:
-    """The series whose coefficient of v^k is exponential[k] / (scale^k k!),
-    for k <= order, over the one denominator scale^order order!: the weight
-    of index k is that denominator over scale^k k!, divided down from k = 0."""
-    den = weight = scale**order * math.factorial(order)
+def _ordinary(exponential: list, dens: list, zd: int, order: int) -> Series:
+    """The series whose coefficient of v^k is exponential[k] / (zd^k D_k k!),
+    for k <= order, with D_k = ``dens[k]``, over the one denominator
+    zd^order D_order order!: the weight of index k is that denominator over
+    zd^k D_k k!, divided down from k = 0, since D_k | D_(k+1)."""
+    den = weight = zd**order * dens[order] * math.factorial(order)
     nums = []
     for k in range(order + 1):
         nums.append(exponential[k] * weight)
         if k < order:
-            weight //= scale * (k + 1)
+            weight //= zd * (k + 1) * (dens[k + 1] // dens[k])
     return Series.over(nums, den)
 
 

@@ -11,12 +11,12 @@ function; :func:`bernstein_classical` reads it at a classical point.
 against: the exponential coefficient of (v X)^r / r! times the MGF raised to
 the bracket of 1 - x.  That is C(n, r) X^r beta_(n-r), with
 beta_k = k! [v^k] M^X1, and it builds no series: the law's table gives
-beta_k as two integers over its base, and the value, like that of
+beta_k as two integers, and the value, like that of
 :func:`qbernstein`, is formed as one ``Fraction`` from integer parts, so it
 is normalised once.  X and X1 are read from the point (``p.X``, ``p.X1``).
 :func:`prob_stirling2` is the partial Bell polynomial B_(n,m) at the law's
-moments, which the table holds as integers over its base and reads as one
-``Fraction``.
+moments, which the table holds as integers over one denominator per index
+and reads as one ``Fraction``.
 :func:`prob_qbernstein_gf` is the one place the whole generating function is
 built.  ``prob_qbernstein_laurent`` reaches the same value with x kept
 symbolic, through the expansion over ``prob_stirling2`` that the binomial

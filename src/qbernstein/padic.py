@@ -32,7 +32,7 @@ u = max(r + 1, w + M - 1).  Growing to M + 1 multiplies the polynomial by one
 factor of X1, carries the held entries to the new denominator, and appends one
 dot product of the polynomial with the table.  A result at k <= M is a prefix,
 so a call reads the row as it is, takes the law's partial Bell integers
-A_m(k) over c^k (``MgfTable.bell_parts``), and forms each part from one
+A_m(k) over D_k (``MgfTable.bell_parts``), and forms each part from one
 integer dot product.  Every cache is bounded: 16 rule tables (one per q,
 holding the rules read and R_u to the largest u asked) and 1024 rows.
 """
@@ -127,9 +127,8 @@ class _Row:
     def grow(self, k: int, table: _RuleTable) -> None:
         """Append I(r, w, m) for m = M + 1 .. k, with ``table`` the rules of q.
         From M to M + 1 the polynomial takes the factor of X1 - M, the held parts
-        move onto the new denominators (times (b - a) R_u(M + 1)/R_u(M), as
-        ``MgfTable._rescale`` carries its rows), and the new parts are one dot
-        product of the polynomial with the rule table."""
+        move onto the new denominators (times (b - a) R_u(M + 1)/R_u(M)), and
+        the new parts are one dot product of the polynomial with the rule table."""
         a, b, r, w = self.key
         poly, (bos, log, ferm) = self.poly, self.parts
         for m in range(len(ferm), k + 1):

@@ -242,7 +242,7 @@ def _miller_power(nums, den: int, z) -> Series:
     B_(k-j) over k zd den Q, appended by :func:`_extend`.  This ordinary-form
     kernel is :meth:`Series.pow`'s alone: the M^z of
     :class:`~qbernstein.distributions.MgfTable` runs its own, in exponential
-    form over the law's base, and the two share no code."""
+    form over per-index denominators, and the two share no code."""
     zn, zd = z.numerator, z.denominator
     slopes = [j * x for j, x in enumerate(nums)]
     held, common = [1], 1

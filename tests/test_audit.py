@@ -290,19 +290,19 @@ def test_report_summary_mentions_every_case():
 
 
 def _ode_rule_one_short(cut):
-    """The laws' ODE moment rule, N_(k+1) = Q0 N_k + Q1 sum over i <= k of
-    C(k, i) N_i S^(k-i) - P1 sum over i < k of C(k, i) N_(i+1) S^(k-1-i),
-    with the term i = k - 1 dropped from the sum that ``cut`` ("Q1" or "P1")
-    multiplies."""
+    """The laws' ODE moment rule, N_k = Q0 N_j + Q1 sum over i <= j of
+    C(j, i) N_i S^(j-i) - P1 sum over i < j of C(j, i) N_(i+1) S^(j-1-i) for
+    j = k - 1, with the term i = j - 1 dropped from the sum that ``cut``
+    ("Q1" or "P1") multiplies."""
 
-    def rule(self, nums, c, n):
+    def rule(self, k, nums, order):
         q0, q1, p1, s = self._ode()
-        for k in range(len(nums) - 1, n):
-            low = sum(math.comb(k, i) * nums[i] * s ** (k - i)
-                      for i in range(k + 1) if cut != "Q1" or i != k - 1)
-            high = sum(math.comb(k, i) * nums[i + 1] * s ** (k - 1 - i)
-                       for i in range(k) if cut != "P1" or i != k - 1)
-            nums.append(q0 * nums[k] + q1 * low - p1 * high)
+        j = k - 1
+        low = sum(math.comb(j, i) * nums[i] * s ** (j - i)
+                  for i in range(j + 1) if cut != "Q1" or i != j - 1)
+        high = sum(math.comb(j, i) * nums[i + 1] * s ** (j - 1 - i)
+                   for i in range(j) if cut != "P1" or i != j - 1)
+        return q0 * nums[j] + q1 * low - p1 * high, s**k
 
     return rule
 
@@ -310,27 +310,30 @@ def _ode_rule_one_short(cut):
 def _power_rule_off_by_one(self, order):
     """The table's Miller rule in exponential form with zd C(k, j) where
     Beta_k = sum over j of (zn C(k - 1, j - 1) - zd C(k - 1, j)) zd^(j-1)
-    N_j Beta_(k-j) needs zd C(k - 1, j)."""
+    D_k/(D_j D_(k-j)) N_j Beta_(k-j) needs zd C(k - 1, j)."""
     nums, held, zn, zd = self._nums, self._zpow, self._z.numerator, self._z.denominator
     for k in range(len(held), order + 1):
+        split = self._splits[k]
         held.append(sum(
             (zn * math.comb(k - 1, j - 1) - zd * math.comb(k, j)) * zd ** (j - 1)
-            * nums[j] * held[k - j]
+            * split[j] * nums[j] * held[k - j]
             for j in range(1, k + 1)
         ))
 
 
 def _bell_rule_off_by_one(self, n):
     """The table's partial Bell recurrence with C(k, i - 1) where
-    A_m(k) = sum over i of C(k - 1, i - 1) N_i A_(m-1)(k - i) needs
-    C(k - 1, i - 1)."""
+    A_m(k) = sum over i of C(k - 1, i - 1) D_k/(D_i D_(k-i)) N_i
+    A_(m-1)(k - i) needs C(k - 1, i - 1)."""
     nums, rows = self._grown(n), self._rows
     for k in range(len(rows[0]), n + 1):
+        split = self._splits[k]
         rows[0].append(0)
         rows.append([0] * k)
         for m in range(1, k + 1):
             rows[m].append(sum(
-                math.comb(k, i - 1) * nums[i] * rows[m - 1][k - i] for i in range(1, k - m + 2)
+                math.comb(k, i - 1) * split[i] * nums[i] * rows[m - 1][k - i]
+                for i in range(1, k - m + 2)
             ))
 
 
@@ -367,11 +370,11 @@ def _miller_rescaled_one_short(nums, den, z):
         return _miller_power(nums, den, z)
 
 
-def _bell_rescaled_one_short(self, n, m):
-    """The table's Bell read-out B_(n,m) = A_m(n) / c^(n-1) where the rows,
-    held over c^n, need A_m(n) / c^n."""
+def _bell_read_one_short(self, n, m):
+    """The table's Bell read-out B_(n,m) = A_m(n) / D_(n-1) where the rows,
+    held over D_n, need A_m(n) / D_n."""
     value = _table_bell(self, n, m)
-    return value * self._base if n else value
+    return value * self._dens[n] / self._dens[n - 1] if 0 < m <= n else value
 
 
 def _series_mul_one_short(self, other):
@@ -409,7 +412,7 @@ def _point_with_swapped_brackets(mp):
 
 # Each key names the part of the engine its mutant breaks: "poisson-rule" and
 # "negbinomial-rule" are the laws' ODE moment rule
-# (Distribution._extend_numerators), set on those laws (and on Geometric,
+# (Distribution._moment), set on those laws (and on Geometric,
 # which shares NegBinomial's ODE) with its Q1 sum, or its P1 sum, one term
 # short; Poisson's ODE has no P1 term and NegBinomial's no Q1 term, so each
 # mutant reaches the one sum its law reads.  "extend-pow" is the table's
@@ -418,26 +421,24 @@ def _point_with_swapped_brackets(mp):
 # "series-pow", "series-mul" and "series-log" the integer kernels of
 # Series.pow (series._miller_power), Series.__mul__ and Series.log.  The two
 # rescale mutants break the step that carries held integers to values:
-# "minus-one-rescale" the table's Bell read-out A_m(n) / c^n (MgfTable.bell),
+# "minus-one-rescale" the table's Bell read-out A_m(n) / D_n (MgfTable.bell),
 # "miller-rescale" the scaling of the held b_i when the power's common
 # denominator grows (series._extend, as series._miller_power calls it).
-# Two mutants are not listed, since they fail no expected-pass record of
-# run_all(42, 2, 8): a mutant of the table's base rescale, which that run
-# seldom reaches, is checked in tests/test_distributions.py; a one-short
-# Series.exp, which only T3.1 reaches (through bell_poly) and at n - r = 0 in
-# both its draws there, is checked against the Fraction reference in
-# tests/test_series.py.
+# A table that holds index k over the law's d_k in place of D_k is checked
+# by shuffled growth reads in tests/test_distributions.py.  One mutant is not
+# listed, since it fails no expected-pass record of run_all(42, 2, 8): a
+# one-short Series.exp, which only T3.1 reaches (through bell_poly) and at
+# n - r = 0 in both its draws there, is checked against the Fraction
+# reference in tests/test_series.py.
 MUTANTS = {
-    "poisson-rule": lambda mp: mp.setattr(
-        Poisson, "_extend_numerators", _ode_rule_one_short("Q1")
-    ),
+    "poisson-rule": lambda mp: mp.setattr(Poisson, "_moment", _ode_rule_one_short("Q1")),
     "negbinomial-rule": lambda mp: (
-        mp.setattr(NegBinomial, "_extend_numerators", _ode_rule_one_short("P1")),
-        mp.setattr(Geometric, "_extend_numerators", _ode_rule_one_short("P1")),
+        mp.setattr(NegBinomial, "_moment", _ode_rule_one_short("P1")),
+        mp.setattr(Geometric, "_moment", _ode_rule_one_short("P1")),
     ),
     "extend-pow": lambda mp: mp.setattr(MgfTable, "_grow_power", _power_rule_off_by_one),
     "minus-one-table": lambda mp: mp.setattr(MgfTable, "_grow_rows", _bell_rule_off_by_one),
-    "minus-one-rescale": lambda mp: mp.setattr(MgfTable, "bell", _bell_rescaled_one_short),
+    "minus-one-rescale": lambda mp: mp.setattr(MgfTable, "bell", _bell_read_one_short),
     "miller-rescale": lambda mp: mp.setattr(series, "_miller_power", _miller_rescaled_one_short),
     "series-pow": lambda mp: mp.setattr(series, "_miller_power", _miller_sum_one_short),
     "series-mul": lambda mp: (

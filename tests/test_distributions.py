@@ -139,17 +139,18 @@ def _law_id(law):
     ids=_law_id,
 )
 def test_mgf_matches_its_compositional_oracle(law):
-    """Built by the law's rule from N_0 = 1 over its base at each order, and
-    grown in one table over a shuffled sequence of orders, M equals the
-    compositional form."""
+    """Each pair (N, d) the law's rule states is its moment, and M grown in
+    one table over a shuffled sequence of orders equals the compositional
+    form.  The rule is fed its own numerators: an ODE law's d is S^k, the
+    table's D_k, and the other laws read none."""
     top = len(law.moments) - 1 if isinstance(law, CustomMoments) else 20
     expected = mgf_oracle(law, top)
+    nums = [1]
+    for k in range(1, top + 1):
+        num, den = law._moment(k, nums, top)
+        nums.append(num)
+        assert F(num, den) == expected.egf_coeff(k)
     orders = list(range(top + 1))
-    for n in orders:
-        base, nums = law._base(n), [1]
-        law._extend_numerators(nums, base, n)
-        built = Series(F(N, base**k * math.factorial(k)) for k, N in enumerate(nums))
-        assert built == expected.truncate(n)
     random.Random(_law_id(law)).shuffle(orders)
     table = MgfTable(law)
     for n in orders:
@@ -283,10 +284,10 @@ def test_table_answers_every_order_from_one_prefix(law, queries, z):
 
 
 def _held(table):
-    """A copy of what the table holds: its base, the integers over it, and
-    the held exponent."""
-    rows = [list(r) for r in table._rows]
-    return table._base, list(table._nums), rows, table._z, list(table._zpow)
+    """A copy of what the table holds: its denominators and their splits,
+    the integers over them, and the held exponent."""
+    rows, splits = [list(r) for r in table._rows], [list(x) for x in table._splits]
+    return list(table._dens), splits, list(table._nums), rows, table._z, list(table._zpow)
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,13 +378,11 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         raise AssertionError("the table rebuilt a series from scratch")
 
     asked = {"nums": [], "rows": [], "power": []}
-    extend, grow_rows, grow_power = (
-        type(law)._extend_numerators, MgfTable._grow_rows, MgfTable._grow_power
-    )
+    moment, grow_rows, grow_power = type(law)._moment, MgfTable._grow_rows, MgfTable._grow_power
 
-    def recording_nums(self, nums, c, n):
-        asked["nums"].append((len(nums), n))
-        return extend(self, nums, c, n)
+    def recording_nums(self, k, nums, n):
+        asked["nums"].append((len(nums), k, n))
+        return moment(self, k, nums, n)
 
     def recording_rows(self, n):
         asked["rows"].append((len(self._rows[0]), n))
@@ -395,7 +394,7 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
 
     monkeypatch.setattr(type(law), "mgf_series", refuse)
     monkeypatch.setattr(Series, "pow", refuse)
-    monkeypatch.setattr(type(law), "_extend_numerators", recording_nums)
+    monkeypatch.setattr(type(law), "_moment", recording_nums)
     monkeypatch.setattr(MgfTable, "_grow_rows", recording_rows)
     monkeypatch.setattr(MgfTable, "_grow_power", recording_power)
     table = MgfTable(law)
@@ -407,52 +406,97 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         assert len(table._nums) == len(table._zpow) == n + 1
         assert [len(row) for row in table._rows] == [n + 1] * (n + 1)
     steps = [(n, n) for n in range(1, top + 1)]
-    assert asked == {"nums": steps, "rows": steps, "power": steps}
+    assert asked["nums"] == [(n, n, n) for n in range(1, top + 1)]
+    assert asked["rows"] == asked["power"] == steps
 
 
-def _rescale_by_one_less(self, ratio):
-    """A table that, when its base grows to ratio c, multiplies the integer of
-    index k by ratio^(k - 1) where its value over c^k needs ratio^k."""
-    for held in (self._nums, self._zpow, *self._rows):
-        held[1:] = [x * ratio ** (k - 1) for k, x in enumerate(held[1:], 1)]
+def _grown_over_d_k(self, order):
+    """MgfTable._grown holding index k over the law's own d_k, where the
+    kernels need D_k, a multiple of every D_i D_(k-i)."""
+    nums, dens, splits = self._nums, self._dens, self._splits
+    for k in range(len(nums), order + 1):
+        num, den = self.dist._moment(k, nums, order)
+        nums.append(num)
+        dens.append(den)
+        splits.append([den // (dens[i] * dens[k - i]) for i in range(k + 1)])
+    return nums
 
 
-GROWING_BASES = [Uniform01(), _custom(13)]
+# two laws whose d_k miss some D_i D_(k-i), so that D_k differs from d_k
+UNEVEN_DENOMINATORS = [Uniform01(), _custom(13)]
 
 
 def _wrong_reads_under_shuffled_growth(law):
-    """Reads of M, of every Bell number and of M^z, at orders up to 12 in a
-    shuffled order, that differ from their oracles; and the bases the table
-    passed through."""
-    z, wrong, bases = F(-2, 3), 0, set()
+    """The number of reads of M, of every Bell number and of M^z, at orders
+    up to 12 in a shuffled order, that differ from their oracles or divide
+    by zero."""
+    z, wrong = F(-2, 3), 0
     queries = [(kind, n) for kind in ("mgf", "bell", "power") for n in range(13)]
     random.Random(_law_id(law)).shuffle(queries)
     table = MgfTable(law)
     for kind, n in queries:
-        if kind == "mgf":
-            wrong += table.series(n) != mgf_oracle(law, n)
-        elif kind == "bell":
-            wrong += sum(table.bell(n, m) != _bell_at(law, n, m) for m in range(n + 1))
-        else:
-            wrong += table.power(z, n) != _power_by_exp_log(law, z, n)
-        bases.add(table._base)
-    return wrong, bases
+        try:
+            if kind == "mgf":
+                wrong += table.series(n) != mgf_oracle(law, n)
+            elif kind == "bell":
+                wrong += sum(table.bell(n, m) != _bell_at(law, n, m) for m in range(n + 1))
+            else:
+                wrong += table.power(z, n) != _power_by_exp_log(law, z, n)
+        except ZeroDivisionError:
+            wrong += 1
+    return wrong
 
 
-@pytest.mark.parametrize("law", GROWING_BASES, ids=_law_id)
-def test_a_growing_base_rescales_what_the_table_holds(law):
-    """Uniform01's base grows with each prime and the custom law's with each
-    new denominator; every read after a growth still equals its oracle."""
-    wrong, bases = _wrong_reads_under_shuffled_growth(law)
-    assert wrong == 0
-    assert len(bases) > 1  # the base grew after the first read
+@pytest.mark.parametrize("law", UNEVEN_DENOMINATORS, ids=_law_id)
+def test_shuffled_growth_reads_every_value(law):
+    """Uniform01's d_k = k + 1 and the custom law's reduced denominators are
+    not closed under products; every read after a growth still equals its
+    oracle."""
+    assert _wrong_reads_under_shuffled_growth(law) == 0
 
 
-def test_shuffled_growth_catches_a_broken_rescale(monkeypatch):
-    """The check above fails when the one rescale is off by one power."""
-    monkeypatch.setattr(MgfTable, "_rescale", _rescale_by_one_less)
-    for law in GROWING_BASES:
-        assert _wrong_reads_under_shuffled_growth(law)[0] > 0
+def test_shuffled_growth_catches_denominators_without_the_products(monkeypatch):
+    """The check above fails when the table holds index k over d_k alone."""
+    monkeypatch.setattr(MgfTable, "_grown", _grown_over_d_k)
+    for law in UNEVEN_DENOMINATORS:
+        assert _wrong_reads_under_shuffled_growth(law) > 0
+
+
+ODE_LAWS = [law for law in ALL_LAWS if not isinstance(law, (Uniform01, CustomMoments))]
+
+
+@pytest.mark.parametrize("law", ODE_LAWS, ids=_law_id)
+def test_each_ode_law_holds_index_k_over_s_to_the_k(law):
+    """A law stated by its ODE holds index k over D_k = S^k."""
+    table = MgfTable(law)
+    table.bell_parts(40)
+    assert table._dens == [law._ode()[3] ** k for k in range(41)]
+
+
+def test_uniform01_holds_index_k_over_prime_powers():
+    """Uniform01 holds index k over the product of p^floor(k/(p - 1)) over
+    the primes p, the least multiple of k + 1 and of every D_i D_(k-i)."""
+    table = MgfTable(Uniform01())
+    table.bell_parts(40)
+    primes = [p for p in range(2, 42) if all(p % d for d in range(2, p))]
+    assert table._dens == [math.prod(p ** (k // (p - 1)) for p in primes) for k in range(41)]
+
+
+@pytest.mark.parametrize("law", ALL_LAWS[:-1] + [_custom(65)], ids=lambda law: law.name)
+def test_held_integers_stay_near_the_size_of_the_values(law):
+    """At n = 64, with M^(-7/3) grown, no integer the table holds has more
+    than 4 times the bits of the largest reduced Bell numerator of
+    bell_parts(64) plus those of its reduced common denominator: the layout
+    carries no factor that the values do not need."""
+    table = MgfTable(law)
+    row, den = table.bell_parts(64)
+    table.power(F(-7, 3), 64)
+    values = [F(a, den) for a in row]
+    reduced = max(v.numerator.bit_length() for v in values)
+    reduced += math.lcm(*(v.denominator for v in values)).bit_length()
+    held = [*table._nums, *table._dens, *table._zpow]
+    held += [a for part in (*table._rows, *table._splits) for a in part]
+    assert max(x.bit_length() for x in held) <= 4 * reduced
 
 
 ORACLE_LAWS = TABLE_LAWS + [Geometric(F(1))]
@@ -505,10 +549,10 @@ def test_bell_parts_are_the_integer_row_of_prob_stirling2(law):
         assert [F(a, scale) for a in row] == [prob_stirling2(law, n, m) for m in range(n + 1)]
 
 
-def test_bell_parts_read_before_a_base_growth_keep_their_values():
-    """Uniform01's base grows with each prime: the pair read at n = 4 is a copy,
-    so after the table grows to 12 it still gives the Bell numbers, as does a
-    new read at 4 over the new base."""
+def test_bell_parts_read_before_a_growth_keep_their_values():
+    """The pair read at n = 4 is a copy over the fixed D_4: after the table
+    grows to 12 it still gives the Bell numbers, and a new read at 4 gives
+    the same pair."""
     law = Uniform01()
     table = MgfTable(law)
     row, scale = table.bell_parts(4)
@@ -517,9 +561,7 @@ def test_bell_parts_read_before_a_base_growth_keep_their_values():
     expected = [prob_stirling2(law, 4, m) for m in range(5)]
     assert row == held
     assert [F(a, scale) for a in row] == expected
-    new_row, new_scale = table.bell_parts(4)
-    assert new_scale != scale
-    assert [F(a, new_scale) for a in new_row] == expected
+    assert table.bell_parts(4) == (row, scale)
 
 
 @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
@@ -532,8 +574,11 @@ def test_table_reads_check_their_indices(grown):
         table.power(F(1, 2), 8)
     before = _held(table)
     for read in (
+        lambda: table.moment(-1),
+        lambda: table.series(-1),
         lambda: table.bell(8, -1),
         lambda: table.bell(-1, 0),
+        lambda: table.power(F(1, 2), -1),
         lambda: table.power_parts(F(1, 2), -1),
         lambda: table.bell_parts(-1),
     ):

@@ -15,7 +15,7 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
-from qbernstein import padic
+from qbernstein import distributions, padic
 from qbernstein.families import prob_qbernstein_laurent
 from qbernstein.padic import (
     carlitz_beta,
@@ -285,7 +285,8 @@ def test_caches_stay_within_their_bounds():
     for cache in (padic._rules, padic._rows):
         cache.cache_clear()
     assert all(values(q) == first[q] for q in reversed(qs))
-    for cache, bound in ((padic._rules, 16), (padic._rows, 1024)):
+    caches = ((padic._rules, 16), (padic._rows, 1024), (distributions._shared_table, 64))
+    for cache, bound in caches:
         assert cache.cache_info().maxsize == bound
         assert cache.cache_info().currsize <= bound
 

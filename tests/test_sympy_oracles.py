@@ -4,12 +4,14 @@ engine: the partial Bell polynomials of sympy's combinatorics for
 MGF, raised to a rational power, for ``MgfTable.power``, and sympy's
 derivative of that closed form for the ODE each law states."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import stirling
 
 from qbernstein.distributions import (
     Bernoulli,
@@ -66,6 +68,22 @@ def test_prob_stirling2_of_a_named_law_is_sympys_partial_bell_polynomial(law, mo
     for n in range(top + 1):
         for m in range(n + 1):
             assert prob_stirling2(law, n, m) == _sympy_bell(moments, n, m)
+
+
+def test_uniform01_bell_numbers_are_sympys_stirling_expansion():
+    """B_(n,m) of Uniform01 for m <= n <= 24 is n!/m! sum over j of C(m, j)
+    (-1)^(m-j) j! S(n + j, j)/(n + j)!, the coefficient of (M - 1)^m with
+    M = (e^v - 1)/v expanded by the EGF of the Stirling numbers S (sympy's
+    ``stirling``)."""
+    law = Uniform01()
+    for n in range(25):
+        for m in range(n + 1):
+            total = sum(
+                math.comb(m, j) * (-1) ** (m - j) * math.factorial(j)
+                * F(int(stirling(n + j, j)), math.factorial(n + j))
+                for j in range(m + 1)
+            )
+            assert prob_stirling2(law, n, m) == total * math.factorial(n) / math.factorial(m)
 
 
 v = sympy.Symbol("v")
