@@ -55,6 +55,7 @@ from .distributions import (
     NegBinomial,
     Poisson,
     Uniform01,
+    mgf_table,
 )
 from .families import (
     bell_poly,
@@ -322,13 +323,16 @@ def eval_one_minus_power(dist, p, order, m):
     return (scalar, scalar), (expansion.substitute(p.t), direct)
 
 
-def _alternating_stirling_sum(dist, k: int, corrected: bool):
+def _alternating_stirling_sum(dist, k: int, corrected: bool) -> Fraction:
     """The sum over l < k of (-1)^l w_l S_Y(k, l + 1), with the weight w_l = l!
-    (corrected) or 1 (verbatim); corrected, it is k! [v^k] log M."""
-    return sum(
-        (-1) ** l * (math.factorial(l) if corrected else 1) * prob_stirling2(dist, k, l + 1)
-        for l in range(k)
-    )
+    (corrected) or 1 (verbatim); corrected, it is k! [v^k] log M.  One integer
+    dot product with the Bell row A_(l+1)(k), over its D_k."""
+    parts, den = mgf_table(dist).bell_parts(k)
+    total, weight = 0, 1
+    for l in range(k):
+        total += weight * parts[l + 1]
+        weight *= -(l + 1) if corrected else -1
+    return F(total, den)
 
 
 def _log_expansion_eval(corrected: bool):
@@ -482,15 +486,15 @@ def _t28_eval(verbatim: bool):
     sum over l <= min(r, m) of binom(m, l) f^(l) g_l, each g_l shifted up by
     r - l, as f^(l) = X^r (r)_l / r! v^(r - l).  Corrected, g_l is the (m - l)-th
     derivative of g; verbatim, the shortcut E[Y^(m - l)] X1^(m - l) g.  f g is
-    :func:`prob_qbernstein_gf`; g is raised by Series.pow."""
+    :func:`prob_qbernstein_gf`; g is raised by Series.pow.  The rhs sums the
+    integer numerators of c_l g_l over one lcm and is normalised once."""
 
     def evaluate(dist, p, order, r, m):
         lhs = prob_qbernstein_gf(dist, r, p, order)
         for _ in range(m):
             lhs = lhs.derive()
         g = dist.mgf_series(order).pow(p.X1)
-        target = order - m
-        rhs = [F(0)] * (target + 1)
+        terms = []
         for l in range(min(r, m) + 1):
             c = math.comb(m, l) * p.X**r * falling_factorial(r, l) / math.factorial(r)
             if verbatim:
@@ -498,18 +502,24 @@ def _t28_eval(verbatim: bool):
             g_l = g
             for _ in range(0 if verbatim else m - l):
                 g_l = g_l.derive()
-            for i in range(target - (r - l) + 1):
-                rhs[i + r - l] += c * g_l.coeffs[i]
-        return lhs, Series(rhs)
+            terms.append((r - l, c.numerator, c.denominator * g_l.den, g_l.nums))
+        den = math.lcm(*(term[2] for term in terms))
+        rhs = [0] * (order - m + 1)
+        for shift, num, term_den, nums in terms:
+            scale = num * (den // term_den)
+            for i in range(shift, len(rhs)):
+                rhs[i] += scale * nums[i - shift]
+        return lhs, Series.over(rhs, den)
 
     return evaluate
 
 
-def _c3_printed_sum(dist, r, n, q, token):
+def _c3_printed_sum(dist, r, n, q, token) -> LogPoly:
     """The triple sum of the printed Poisson closed forms (C3.2, C3.3): over
     m <= n - r, l <= m and j <= l + r, the nonzero terms alpha^m S(n - r, m)
-    binom(n, r) binom(m, l) binom(l + r, j) / (1 - q)^l times token(m, l, j)."""
-    total = F(0)
+    binom(n, r) binom(m, l) binom(l + r, j) / (1 - q)^l times token(m, l, j) =
+    (e, c), the term c L^e; one Fraction per e, one LogPoly at the end."""
+    total = {}
     for m in range(n - r + 1):
         outer = dist.alpha**m * stirling2(n - r, m) * math.comb(n, r)
         if outer == 0:
@@ -517,8 +527,9 @@ def _c3_printed_sum(dist, r, n, q, token):
         for l in range(m + 1):
             inner = outer * math.comb(m, l) / (1 - q) ** l
             for j in range(l + r + 1):
-                total = total + token(m, l, j) * (inner * math.comb(l + r, j))
-    return total
+                e, c = token(m, l, j)
+                total[e] = total.get(e, 0) + c * (inner * math.comb(l + r, j))
+    return LogPoly(total)
 
 
 def eval_c32(dist, p, order, r, n):
@@ -528,8 +539,8 @@ def eval_c32(dist, p, order, r, n):
         # the zero index token is read as its formal-log limit value
         sign = (-1) ** (l + j + 1)
         if j == m:
-            return LogPoly({-1: sign * (q - 1)})
-        return LogPoly({0: sign * F(j - m) * (q - 1) / (q ** (j - m) - 1)})
+            return -1, sign * (q - 1)
+        return 0, sign * F(j - m) * (q - 1) / (q ** (j - m) - 1)
 
     lhs = volkenborn(prob_qbernstein_laurent(dist, r, n, q), q)
     rhs = LogPoly({1: F(1) / (1 - q) ** (r + 1)}) * _c3_printed_sum(dist, r, n, q, token)
@@ -540,9 +551,9 @@ def eval_c33(dist, p, order, r, n):
     q = p.q
     lhs = fermionic(prob_qbernstein_laurent(dist, r, n, q), q)
     total = _c3_printed_sum(
-        dist, r, n, q, lambda m, l, j: F((-1) ** (l + j)) / (1 + q ** (j - m))
+        dist, r, n, q, lambda m, l, j: (0, F((-1) ** (l + j)) / (1 + q ** (j - m)))
     )
-    return lhs, LogPoly({0: F(2) / (1 - q) ** r * total})
+    return lhs, LogPoly({0: F(2) / (1 - q) ** r}) * total
 
 
 def eval_t35(dist, p, order, r, n):

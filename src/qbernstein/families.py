@@ -19,10 +19,12 @@ moments, which the table holds as integers over one denominator per index
 and reads as one ``Fraction``.
 :func:`prob_qbernstein_gf` is the one place the whole generating function is
 built.  ``prob_qbernstein_laurent`` reaches the same value with x kept
-symbolic, through the expansion over ``prob_stirling2`` that the binomial
-series M^z = sum over m of (z)_m (M - 1)^m / m! gives.  It is the reference
-route that the audit and the tests check the integrals of
-:mod:`qbernstein.padic` against; those expand the same sum on their own basis.
+symbolic, through the expansion over the Bell numbers that the binomial
+series M^z = sum over m of (z)_m (M - 1)^m / m! gives, run as an integer
+Horner in s = 1/t over (b - a)^k D_k for q = a/b.  It is the reference route
+that the audit and the tests check the integrals of :mod:`qbernstein.padic`
+against; those expand the same sum on their own integer rows (``padic._Row``),
+and the two share no code.
 
 The law-dependent families read M, the Bell numbers and M^z from the law's
 :func:`~qbernstein.distributions.mgf_table` and cache nothing themselves.
@@ -38,7 +40,7 @@ import math
 from fractions import Fraction
 
 from .distributions import Constant, Distribution, mgf_table
-from .qcalc import QPoint, bracket_in_t, one_minus_conjugate_in_t
+from .qcalc import QPoint, _check_q
 from .rings import Laurent
 from .series import Series, exp_series
 
@@ -189,17 +191,25 @@ def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Lau
 
     With k = n - r and X1 the bracket of 1 - x written in t, the value is
     binom(n, r) X^r times the sum over m <= k of (X1)_m prob_stirling2(d, k, m),
-    the exponential coefficient of M^X1 by the binomial series.  The sum is
-    evaluated by Horner's rule in the falling-factorial basis.  Substituting
-    any t with the same q reproduces the scalar value exactly.
+    the exponential coefficient of M^X1 by the binomial series.  For q = a/b
+    and s = 1/t, X1 - m = (b - m (b - a) - a s)/(b - a), so Horner's rule runs
+    in integers over (b - a)^k D_k on the Bell row ``bell_parts(k)``; times
+    X^r = (-b)^r (t - 1)^r/(b - a)^r, each t-exponent forms one ``Fraction``.
+    Substituting any t with the same q reproduces the scalar value exactly.
     """
     _check_indices(r, n)
-    k = n - r
-    one_minus = one_minus_conjugate_in_t(q)
-    total = Laurent()
-    for m in range(k, -1, -1):
-        total = total * (one_minus - m) + prob_stirling2(d, k, m)
-    return math.comb(n, r) * bracket_in_t(q) ** r * total
+    q = _check_q(q)
+    a, b, k = q.numerator, q.denominator, n - r
+    parts, dk = mgf_table(d).bell_parts(k)
+    poly, scale = [parts[k]], 1  # coefficients of s^0 .., over (b - a)^(k - m) D_k
+    for m in range(k - 1, -1, -1):
+        c, scale = b - m * (b - a), scale * (b - a)
+        poly = [c * x - a * y for x, y in zip(poly + [0], [0] + poly)]
+        poly[0] += parts[m] * scale
+    for _ in range(r):  # (t - 1)^r = t^r (1 - s)^r
+        poly = [x - y for x, y in zip(poly + [0], [0] + poly)]
+    num, den = math.comb(n, r) * (-b) ** r, (b - a) ** n * dk
+    return Laurent({r - i: Fraction(num * x, den) for i, x in enumerate(poly)})
 
 
 def _check_indices(r: int, n: int):

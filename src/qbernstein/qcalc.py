@@ -33,6 +33,7 @@ class QPoint:
     The point holds q, t and its brackets X = (t - 1)/(q - 1),
     Xc = q (1 - t)/(t (1 - q)) (the bracket of x under the inverse base) and
     X1 = 1 - Xc (the bracket of 1 - x); classically X = Xc = x and X1 = 1 - x.
+    Each is one ``Fraction`` of the integer parts of q and t, normalised once.
     A point is an immutable value, built by position or by keyword, whose
     equality, hash and repr are those of (rho, c, d).  No cache keys on a
     point, so unlike a law it holds no hash: each call computes it.
@@ -46,6 +47,7 @@ class QPoint:
                 raise ValueError("classical point needs a positive denominator")
             q, t = Fraction(1), None
             x = xc = Fraction(c, d)
+            x1 = 1 - x
         else:
             rho = Fraction(rho)
             if rho <= 0 or rho == 1:
@@ -53,9 +55,11 @@ class QPoint:
             if d < 1:
                 raise ValueError("d must be a positive integer")
             q, t = rho**d, rho**c
-            x = (t - 1) / (q - 1)
-            xc = q * (1 - t) / (t * (1 - q))
-        for name, value in zip(self.__slots__, (rho, c, d, q, x, xc, 1 - xc, t, (rho, c, d))):
+            qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+            x = Fraction((tn - td) * qd, td * (qn - qd))
+            xc = Fraction(qn * (td - tn), tn * (qd - qn))
+            x1 = Fraction(tn * qd - qn * td, tn * (qd - qn))
+        for name, value in zip(self.__slots__, (rho, c, d, q, x, xc, x1, t, (rho, c, d))):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -114,12 +118,6 @@ def bracket_in_t(q: Fraction) -> Laurent:
     """The bracket of x as a Laurent polynomial in t: (t - 1)/(q - 1)."""
     q = _check_q(q)
     return Laurent({1: Fraction(1) / (q - 1), 0: Fraction(-1) / (q - 1)})
-
-
-def one_minus_conjugate_in_t(q: Fraction) -> Laurent:
-    """The bracket of 1 - x in t: (1 - q/t)/(1 - q)."""
-    q = _check_q(q)
-    return Laurent({0: Fraction(1) / (1 - q), -1: -q / (1 - q)})
 
 
 def _check_q(q: Fraction) -> Fraction:

@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+from qbernstein.families import prob_stirling2
+from qbernstein.qcalc import bracket_in_t
 from qbernstein.rings import Laurent, LogPoly
 from qbernstein.series import Series, exp_series
 
@@ -44,6 +46,25 @@ def conjugate_bracket_in_t(q: Fraction) -> Laurent:
     rational other than 1."""
     q = Fraction(q)
     return Laurent({-1: q / (1 - q), 0: -q / (1 - q)})
+
+
+def one_minus_conjugate_in_t(q: Fraction) -> Laurent:
+    """The bracket of 1 - x in t: (1 - q/t)/(1 - q)."""
+    q = Fraction(q)
+    return Laurent({0: Fraction(1) / (1 - q), -1: -q / (1 - q)})
+
+
+def reference_qbernstein_laurent(d, r: int, n: int, q: Fraction) -> Laurent:
+    """binom(n, r) X^r times the sum over m <= n - r of (X1)_m
+    prob_stirling2(d, n - r, m), with X and X1 the brackets of x and 1 - x in
+    t, by Horner's rule in the falling-factorial basis, one Laurent ring
+    operation at a time."""
+    k = n - r
+    one_minus = one_minus_conjugate_in_t(q)
+    total = Laurent()
+    for m in range(k, -1, -1):
+        total = total * (one_minus - m) + prob_stirling2(d, k, m)
+    return math.comb(n, r) * bracket_in_t(q) ** r * total
 
 
 def touchard(n: int, alpha: Fraction) -> Fraction:

@@ -15,6 +15,7 @@ from qbernstein.audit import (
     CaseDraw,
     CaseSkip,
     IdentityCase,
+    _alternating_stirling_sum,
     eval_t21,
     eval_t26_verbatim,
     run_all,
@@ -23,14 +24,16 @@ from qbernstein.audit import (
 from qbernstein import distributions, padic, series
 from qbernstein.distributions import (
     Bernoulli,
+    Binomial,
     Constant,
     CustomMoments,
     Geometric,
     MgfTable,
     NegBinomial,
     Poisson,
+    Uniform01,
 )
-from qbernstein.families import bell_poly, prob_qbernstein
+from qbernstein.families import bell_poly, prob_qbernstein, prob_stirling2
 from qbernstein.qcalc import QPoint
 
 POINT = QPoint(F(2, 3), 1, 2)
@@ -289,6 +292,24 @@ def test_report_summary_mentions_every_case():
     assert all("expected=" in line for line in lines)
 
 
+@pytest.mark.parametrize("corrected", [False, True], ids=["verbatim", "corrected"])
+def test_alternating_stirling_sum_is_the_fraction_sum(corrected):
+    """The integer dot product over the Bell row equals the sum of
+    (-1)^l w_l S_Y(k, l + 1), one Fraction per term, with w_l = l! or 1."""
+    laws = [
+        Poisson(F(3, 2)), Bernoulli(F(1, 3)), Binomial(4, F(2, 5)), Geometric(F(3, 4)),
+        NegBinomial(3, F(2, 3)), Uniform01(), Constant(F(0)),
+        CustomMoments((F(1), *(F(k * k - 3, k + 2) for k in range(1, 17)))),
+    ]
+    for law in laws:
+        for k in range(17):
+            expected = sum(
+                (-1) ** l * (math.factorial(l) if corrected else 1) * prob_stirling2(law, k, l + 1)
+                for l in range(k)
+            )
+            assert _alternating_stirling_sum(law, k, corrected) == expected, (law, k)
+
+
 def _ode_rule_one_short(cut):
     """The laws' ODE moment rule, N_k = Q0 N_j + Q1 sum over i <= j of
     C(j, i) N_i S^(j-i) - P1 sum over i < j of C(j, i) N_(i+1) S^(j-1-i) for
@@ -350,6 +371,7 @@ def _miller_sum_one_short(nums, den, z):
 
 
 _miller_power, _table_bell = series._miller_power, MgfTable.bell
+_table_bell_parts = MgfTable.bell_parts
 _series_mul = series.Series.__mul__
 
 
@@ -375,6 +397,13 @@ def _bell_read_one_short(self, n, m):
     held over D_n, need A_m(n) / D_n."""
     value = _table_bell(self, n, m)
     return value * self._dens[n] / self._dens[n - 1] if 0 < m <= n else value
+
+
+def _bell_parts_read_one_short(self, n):
+    """MgfTable.bell_parts giving D_(n-1) where the row A_m(n) is held over
+    D_n."""
+    parts, den = _table_bell_parts(self, n)
+    return parts, self._dens[n - 1] if n else den
 
 
 def _series_mul_one_short(self, other):
@@ -421,9 +450,12 @@ def _point_with_swapped_brackets(mp):
 # "series-pow", "series-mul" and "series-log" the integer kernels of
 # Series.pow (series._miller_power), Series.__mul__ and Series.log.  The two
 # rescale mutants break the step that carries held integers to values:
-# "minus-one-rescale" the table's Bell read-out A_m(n) / D_n (MgfTable.bell),
-# "miller-rescale" the scaling of the held b_i when the power's common
-# denominator grows (series._extend, as series._miller_power calls it).
+# "minus-one-rescale" the table's Bell read-out A_m(n) / D_n, both as one
+# value (MgfTable.bell) and as a row over its denominator
+# (MgfTable.bell_parts, which P-LOG, T2.7, the Laurent route and the p-adic
+# rows read), and "miller-rescale" the scaling of the held b_i when the
+# power's common denominator grows (series._extend, as series._miller_power
+# calls it).
 # A table that holds index k over the law's d_k in place of D_k is checked
 # by shuffled growth reads in tests/test_distributions.py.  One mutant is not
 # listed, since it fails no expected-pass record of run_all(42, 2, 8): a
@@ -438,7 +470,10 @@ MUTANTS = {
     ),
     "extend-pow": lambda mp: mp.setattr(MgfTable, "_grow_power", _power_rule_off_by_one),
     "minus-one-table": lambda mp: mp.setattr(MgfTable, "_grow_rows", _bell_rule_off_by_one),
-    "minus-one-rescale": lambda mp: mp.setattr(MgfTable, "bell", _bell_read_one_short),
+    "minus-one-rescale": lambda mp: (
+        mp.setattr(MgfTable, "bell", _bell_read_one_short),
+        mp.setattr(MgfTable, "bell_parts", _bell_parts_read_one_short),
+    ),
     "miller-rescale": lambda mp: mp.setattr(series, "_miller_power", _miller_rescaled_one_short),
     "series-pow": lambda mp: mp.setattr(series, "_miller_power", _miller_sum_one_short),
     "series-mul": lambda mp: (

@@ -35,7 +35,7 @@ from qbernstein.families import (
 from qbernstein.qcalc import QPoint
 from qbernstein.series import Series, exp_series
 
-from oracles import set_partition_count
+from oracles import reference_qbernstein_laurent, set_partition_count
 
 SIX_LAWS = [
     Poisson(F(2, 3)),
@@ -318,6 +318,19 @@ def test_prob_qbernstein_laurent_matches_scalar_route():
             for r in range(n + 1):
                 lau = prob_qbernstein_laurent(law, r, n, p.q)
                 assert lau.substitute(p.t) == prob_qbernstein(law, r, n, p)
+
+
+@pytest.mark.parametrize("q", [F(2, 5), F(81, 256), F(7, 4), F(3, 2)])
+def test_prob_qbernstein_laurent_is_the_ring_horner_coefficientwise(q):
+    """The integer Horner in s = 1/t equals, t-exponent by t-exponent, the
+    Horner in the falling-factorial basis run in the Laurent ring, at q below
+    and above 1, so that b - a takes both signs."""
+    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11)))
+    for law in SIX_LAWS + [Constant(F(2)), Constant(F(0)), custom]:
+        for n in range(11):
+            for r in range(n + 1):
+                expected = reference_qbernstein_laurent(law, r, n, q)
+                assert prob_qbernstein_laurent(law, r, n, q) == expected, (law, r, n)
 
 
 @pytest.mark.parametrize(

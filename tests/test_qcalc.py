@@ -3,14 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from qbernstein.qcalc import (
-    QPoint,
-    bracket_in_t,
-    one_minus_bracket_power,
-    one_minus_conjugate_in_t,
-)
+from qbernstein.qcalc import QPoint, bracket_in_t, one_minus_bracket_power
 
-from oracles import conjugate_bracket_in_t
+from oracles import conjugate_bracket_in_t, one_minus_conjugate_in_t
 
 RHOS = [F(1, 2), F(2, 3), F(3, 4), F(4, 3), F(3, 2), F(7, 5)]
 

@@ -24,7 +24,8 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
-from qbernstein.families import prob_stirling2
+from qbernstein.families import prob_qbernstein, prob_stirling2
+from qbernstein.qcalc import QPoint
 
 from oracles import bernoulli_moment, binomial_moment, touchard, uniform_moment
 
@@ -138,3 +139,26 @@ def test_each_law_states_the_ode_its_closed_form_mgf_solves(law, mgf):
     assert mgf.subs(v, 0) == 1
     residual = (s - p1 + p1 * E) * sympy.diff(mgf, v) - (q0 + q1 * E) * mgf
     assert sympy.simplify(residual) == 0
+
+
+# one rational q-point per closed form, q below and above 1
+QPOINTS = [QPoint(F(3, 2), 1, 3), QPoint(F(2, 5), 1, 2), QPoint(F(4, 3), 3, 4),
+           QPoint(F(3, 5), 2, 3), QPoint(F(7, 5), 1, 2), QPoint(F(2, 3), 1, 4)]
+
+
+@pytest.mark.parametrize(
+    "law, mgf, p", [(*pair, p) for pair, p in zip(CLOSED_MGFS, QPOINTS)],
+    ids=[law.name for law, _ in CLOSED_MGFS],
+)
+def test_prob_qbernstein_is_sympys_coefficient_of_the_generating_function(law, mgf, p):
+    """prob_qbernstein(d, r, n, p) for r <= n <= 8 is n! times the coefficient
+    of v^n in (v X)^r / r! M^X1, that is n! X^r / r! times the coefficient of
+    v^(n - r) in sympy's expansion of M^X1, with M the closed form and X, X1
+    the point's brackets."""
+    order = 5 if law.name == "poisson" else 8  # exp(exp) is slow to expand
+    x, x1 = (R(b.numerator, b.denominator) for b in (p.X, p.X1))
+    power = sympy.series(mgf**x1, v, 0, order + 1).removeO()
+    for n in range(order + 1):
+        for r in range(n + 1):
+            expected = x**r / math.factorial(r) * power.coeff(v, n - r) * math.factorial(n)
+            assert prob_qbernstein(law, r, n, p) == _fraction(expected), (r, n)
