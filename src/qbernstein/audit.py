@@ -323,26 +323,33 @@ def eval_one_minus_power(dist, p, order, m):
     return (scalar, scalar), (expansion.substitute(p.t), direct)
 
 
-def _alternating_stirling_sum(dist, k: int, corrected: bool) -> Fraction:
+def _alternating_stirling_parts(dist, k: int, corrected: bool) -> tuple[int, int]:
     """The sum over l < k of (-1)^l w_l S_Y(k, l + 1), with the weight w_l = l!
-    (corrected) or 1 (verbatim); corrected, it is k! [v^k] log M.  One integer
-    dot product with the Bell row A_(l+1)(k), over its D_k."""
+    (corrected) or 1 (verbatim), as an integer and D_k, the denominator of its
+    Bell row A_(l+1)(k); corrected, the sum is k! [v^k] log M.  One integer
+    dot product with that row."""
     parts, den = mgf_table(dist).bell_parts(k)
     total, weight = 0, 1
     for l in range(k):
         total += weight * parts[l + 1]
         weight *= -(l + 1) if corrected else -1
-    return F(total, den)
+    return total, den
 
 
 def _log_expansion_eval(corrected: bool):
+    """log M against the series whose coefficient of v^k is the alternating
+    Stirling sum over k!, that is its integer over D_k k!.  Each D_k k!
+    divides D_N N! for k <= N = order, since D_k | D_(k+1), so the integers
+    go to one ``Series.over`` over D_N N!, normalised once."""
+
     def evaluate(dist, p, order):
         lhs = dist.mgf_series(order).log()
-        coeffs = [F(0)] + [
-            _alternating_stirling_sum(dist, k, corrected) / F(math.factorial(k))
-            for k in range(1, order + 1)
+        parts = [_alternating_stirling_parts(dist, k, corrected) for k in range(1, order + 1)]
+        den = parts[-1][1] * math.factorial(order)
+        nums = [0] + [
+            total * (den // (dk * math.factorial(k))) for k, (total, dk) in enumerate(parts, 1)
         ]
-        return lhs, Series(coeffs)
+        return lhs, Series.over(nums, den)
 
     return evaluate
 
@@ -472,9 +479,9 @@ def _t27_eval(corrected: bool):
         term1 = Laurent({1: 1}) * _qb_laurent(dist, r - 1, n - 1, q) * scale
         inner = Laurent()
         for j in range(r, n):  # P(r, j) is zero for j < r
-            acc = _alternating_stirling_sum(dist, n - j, corrected)
-            if acc != 0:
-                inner = inner + math.comb(n, j) * acc * _qb_laurent(dist, r, j, q)
+            total, den = _alternating_stirling_parts(dist, n - j, corrected)
+            if total:
+                inner = inner + F(math.comb(n, j) * total, den) * _qb_laurent(dist, r, j, q)
         term2 = Laurent({-1: q}) * inner * LogPoly({1: F(1) / (1 - q)})
         return lhs, term1 + term2
 

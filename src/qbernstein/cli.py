@@ -23,9 +23,7 @@ when an expected-pass case fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import re
 import sys
@@ -165,17 +163,21 @@ def _write(path, payload: str):
 
 
 def _write_rows(args, header, rows):
-    """Write ``rows`` under ``header`` to ``args.out``, as JSON lines keyed by
-    the header when ``args.format`` is json-lines, and as CSV otherwise."""
-    buf = io.StringIO()
+    """Write ``rows``, tuples as wide as ``header``, under it to ``args.out``,
+    as JSON lines keyed by the header when ``args.format`` is json-lines, and
+    as CSV otherwise.
+
+    The CSV is the bytes ``csv.writer`` gives, fields joined by commas and
+    lines ended by CRLF, built from one format string and joined once.  No
+    field is quoted, since RFC 4180 (section 2) quotes only a field that holds
+    a comma, a double quote or a line break, and the fields here are names,
+    integers and rationals printed as "p" or "p/q", which hold none."""
     if args.format == "json-lines":
-        for row in rows:
-            buf.write(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n")
+        lines = [json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n" for row in rows]
     else:
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-    _write(args.out, buf.getvalue())
+        line = ",".join(["%s"] * len(header)) + "\r\n"
+        lines = [line % tuple(header), *map(line.__mod__, rows)]
+    _write(args.out, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +412,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A token that starts as a negative number does: "-" or "-." and a digit.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: list) -> list:
+    """``argv`` with each "--flag -p/q" pair written "--flag=-p/q".
+
+    argparse takes a token that starts with "-" for an option unless it
+    looks like a negative number such as "-3" or "-1.5", so "--arg -1/2"
+    would be refused for want of a value.  No option of this parser starts
+    with a digit, so such a token after a long option can only be its value.
+    "--" and the prefixes of "--help" take no value and are left alone."""
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if (_NEGATIVE_VALUE.match(token) and flag.startswith("--") and "=" not in flag
+                and not "--help".startswith(flag)):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -300,7 +300,7 @@ class MgfTable:
         self._nums, self._dens = [1], [1]  # N_0 .. N_k and D_0 .. D_k
         self._splits = [[1]]  # D_k/(D_i D_(k-i)) for i = 0 .. k, k = 0 ..
         self._rows = [[1]]  # A_m(0 .. n) for m = 0 .. n
-        self._z, self._zpow = None, [1]  # the held z and Beta_0 ..
+        self._z, self._zpow = None, []  # the held z and Beta_0 .., none yet
 
     def _grown(self, order: int) -> list:
         """N_0 .. N_k, grown through at least ``order``, with their D_k and
@@ -389,8 +389,15 @@ class MgfTable:
 
     def power_parts(self, z, k: int) -> tuple[int, int]:
         """Beta_k and zd^k D_k, whose quotient is beta_k = k! [v^k] M^z; the
-        caller that forms a value from them normalises once."""
-        held = self._power(z, k)
+        caller that forms a value from them normalises once.  When z is the
+        held exponent object itself and Beta_k is already held, it is read
+        directly, with no type check and no growth: a table at one point
+        reads its M^X1 this way at every (r, n) whose n - r is already grown.
+        Any other call, a negative k among them, goes through
+        :meth:`_power`."""
+        held = self._zpow
+        if not (z is self._z and 0 <= k < len(held)):
+            held = self._power(z, k)
         return held[k], z.denominator**k * self._dens[k]
 
 

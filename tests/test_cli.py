@@ -2,18 +2,25 @@
 precondition fails, 2 on a usage error (with an ``error: ...`` line and no
 traceback), 3 on an I/O error; and byte-identical audit output across runs."""
 
+import contextlib
+import csv
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbernstein import families, padic
 from qbernstein.audit import MAX_DRAWN_INDEX
-from qbernstein.cli import _EVAL_FAMILIES, build_parser, main
+from qbernstein.cli import _EVAL_FAMILIES, _write_rows, build_parser, main
 from qbernstein.distributions import NegBinomial
 from qbernstein.qcalc import QPoint, bracket_in_t
 from qbernstein.rings import Laurent
@@ -426,3 +433,86 @@ def test_main_reuses_one_parser(tmp_path):
         path = tmp_path / f"shared_{i}"
         assert main(argv + ["--out", str(path)]) == 0
         assert path.read_bytes() == alone[i]
+
+
+# invocations with a negative value after its flag and a space, and what each
+# prints (None: not pinned); each must act as it does with "=" for the space
+NEGATIVE_VALUES = [
+    (["eval", "--family", "euler", "--n", "3", "--arg", "-1/2"], "-1/4\n"),
+    (["eval", "--family", "frobenius-euler", "--n", "3", "--order-param", "-3/2",
+      "--arg", "1/2", "--u", "-1/3"], "2827/512\n"),
+    (["table", "--dist", "constant", "--value", "-1/2", "--n", "0..2", "--r", "0..2"]
+     + POINT, None),
+    (["eval", "--family", "euler", "--n", "4", "--arg", "-2"], "30\n"),
+]
+
+
+@pytest.mark.parametrize("argv, printed", NEGATIVE_VALUES,
+                         ids=["arg", "order-param-and-u", "table-value", "integer"])
+def test_a_negative_value_reads_alike_after_a_space_and_an_equals_sign(capsys, argv, printed):
+    spaced = run(capsys, argv)
+    joined = []
+    for token in argv:
+        if token.startswith("-") and token[1:2].isdigit():
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    assert joined != argv
+    assert spaced[0] == 0 and run(capsys, joined) == spaced
+    if printed is not None:
+        assert spaced[1] == printed
+
+
+@pytest.mark.parametrize("value", ["-1/0", "-1/x", "-1/2/3", "-"])
+def test_a_malformed_negative_value_exits_2(capsys, value):
+    code, out = run(capsys, ["eval", "--family", "euler", "--n", "3", "--arg", value])
+    assert code == 2
+    assert "error: argument --arg" in out and "Traceback" not in out
+
+
+def _csv_oracle(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+FIELD = st.one_of(st.integers(), st.fractions().map(str))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.sampled_from(["n", "r", "m", "value", "coeff", "egf"]),
+             min_size=width, max_size=width),
+    st.lists(st.tuples(*[FIELD] * width), max_size=8),
+)))
+def test_csv_rows_are_the_bytes_of_csv_writer(table):
+    """Rows of integers and rationals of either sign, integer-valued ones
+    among them, are written as ``csv.writer`` writes them."""
+    header, rows = table
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_rows(SimpleNamespace(format="csv", out=None), header, rows)
+    assert out.getvalue() == _csv_oracle(header, rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--dist", "negbinomial", "--a", "2", "--p1", "2/3",
+         "--n", "0..6", "--r", "0..6"] + Q_POINT,
+        ["series", "--dist", "poisson", "--alpha", "3/2", "--kind", "log-mgf", "--order", "6"],
+    ],
+    ids=["table", "series"],
+)
+def test_csv_output_is_csv_writer_over_the_json_lines_rows(tmp_path, argv):
+    """The CSV of a run is what ``csv.writer`` makes of the rows of its JSON
+    lines; the pinned digests keep the JSON lines and LaTeX as they were."""
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.jsonl"
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    assert main(argv + ["--format", "json-lines", "--out", str(json_path)]) == 0
+    records = [json.loads(line) for line in json_path.read_text().splitlines()]
+    header = list(records[0])
+    rows = [tuple(record[key] for key in header) for record in records]
+    assert csv_path.read_bytes() == _csv_oracle(header, rows).encode()

@@ -364,6 +364,33 @@ def test_an_equal_exponent_reuses_the_held_power(monkeypatch):
     assert table._z is other and len(table._zpow) == 6
 
 
+def test_power_parts_reads_the_held_power_only_for_the_held_exponent():
+    """The read of a held Beta_k by the held exponent object itself keeps
+    every check of the full path: a negative index raises rather than read
+    from the end of the held list, an equal but distinct exponent and a
+    replaced one give what an empty table gives, and a law short of the
+    moments raises at the first index it lacks, keeping its held exponent."""
+    law, z, z2 = Geometric(F(2, 5)), F(-2, 3), F(5, 7)
+    table = MgfTable(law)
+    table.power_parts(z, 10)
+    with pytest.raises(ValueError):
+        table.power_parts(z, -1)
+    fresh = [MgfTable(law).power_parts(F(-2, 3), k) for k in range(12)]
+    equal = F(z.numerator, z.denominator)
+    assert equal is not z
+    assert [table.power_parts(equal, k) for k in range(12)] == fresh
+    assert table.power_parts(z2, 3) == MgfTable(law).power_parts(z2, 3)
+    assert [table.power_parts(z, k) for k in range(12)] == fresh
+
+    short = MgfTable(_custom(6))  # mu_0 .. mu_5
+    short.power_parts(z, 5)
+    held = _held(short)
+    assert short.power_parts(z, 5) == MgfTable(_custom(6)).power_parts(z, 5)
+    with pytest.raises(ValueError, match="only 6 moments provided, order 6 requested"):
+        short.power_parts(z, 6)
+    assert _held(short) == held and short._z is z
+
+
 @pytest.mark.parametrize("law", TABLE_LAWS, ids=_law_id)
 def test_table_grows_without_rebuilding(law, monkeypatch):
     """A cold table answers ascending queries without the law's mgf_series

@@ -2,8 +2,11 @@
 engine: the partial Bell polynomials of sympy's combinatorics for
 ``prob_stirling2``, sympy's own series expansion of each law's closed-form
 MGF, raised to a rational power, for ``MgfTable.power``, and sympy's
-derivative of that closed form for the ODE each law states."""
+derivative of that closed form for the ODE each law states.  The same
+expansions check ``tests/oracles.py``'s ``mgf_oracle``, which builds two of
+the laws with the engine's own ``Series.recip``."""
 
+import functools
 import math
 from fractions import Fraction as F
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import stirling
 
+from qbernstein import series
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
@@ -27,7 +31,8 @@ from qbernstein.distributions import (
 from qbernstein.families import prob_qbernstein, prob_stirling2
 from qbernstein.qcalc import QPoint
 
-from oracles import bernoulli_moment, binomial_moment, touchard, uniform_moment
+from oracles import bernoulli_moment, binomial_moment, mgf_oracle, touchard, uniform_moment
+from test_audit import _miller_sum_one_short
 
 
 def _fraction(value) -> F:
@@ -139,6 +144,36 @@ def test_each_law_states_the_ode_its_closed_form_mgf_solves(law, mgf):
     assert mgf.subs(v, 0) == 1
     residual = (s - p1 + p1 * E) * sympy.diff(mgf, v) - (q0 + q1 * E) * mgf
     assert sympy.simplify(residual) == 0
+
+
+@functools.cache
+def _expansion(mgf, order: int) -> tuple:
+    """The coefficients of v^0 .. v^order in sympy's expansion of ``mgf``,
+    expanded once."""
+    expansion = sympy.series(mgf, v, 0, order + 1).removeO()
+    return tuple(_fraction(expansion.coeff(v, k)) for k in range(order + 1))
+
+
+@pytest.mark.parametrize("law, mgf", CLOSED_MGFS, ids=[law.name for law, _ in CLOSED_MGFS])
+def test_mgf_oracle_is_sympys_series_of_the_closed_form(law, mgf):
+    """The test oracle's M, built from exp, products and (for the geometric
+    and negative binomial laws) ``Series.recip``, is sympy's expansion."""
+    order = 5 if law.name == "poisson" else 8  # exp(exp) is slow to expand
+    assert mgf_oracle(law, order).coeffs == _expansion(mgf, order)
+
+
+@pytest.mark.parametrize("law, mgf", CLOSED_MGFS, ids=[law.name for law, _ in CLOSED_MGFS])
+def test_the_oracle_check_catches_a_broken_miller_kernel(law, mgf, monkeypatch):
+    """With the engine's Miller kernel broken, ``Series.recip`` is too, so
+    the oracle's geometric and negative binomial M are wrong and the sympy
+    check above says so; the other four laws never reach the kernel.  The
+    broken kernel is the audit's ``series-pow`` mutant."""
+    monkeypatch.setattr(series, "_miller_power", _miller_sum_one_short)
+    if law.name in ("geometric", "negbinomial"):
+        with pytest.raises(AssertionError):
+            test_mgf_oracle_is_sympys_series_of_the_closed_form(law, mgf)
+    else:
+        test_mgf_oracle_is_sympys_series_of_the_closed_form(law, mgf)
 
 
 # one rational q-point per closed form, q below and above 1
