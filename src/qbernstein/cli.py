@@ -14,6 +14,9 @@ denominator is 1); formal-log values print as polynomials in the symbol L.
 No floating point exists on any input or output path, so identical
 invocations produce byte-identical outputs.
 
+A size flag (--n, --r, --m, --order, --trials, either end of a table range)
+above :data:`MAX_SIZE` is a usage error.
+
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
 2 usage error (UsageError), 3 I/O error (OSError).  ``audit`` also exits 1
@@ -46,6 +49,11 @@ from .rings import Laurent
 
 DEFAULT_ORDER = 16
 
+# The largest value a size flag takes: above every default (order 16), every
+# pinned run (order 48) and the benchmark's sizes (n 32), so that only a size
+# whose run would not end in useful time is refused.
+MAX_SIZE = 256
+
 
 def parse_rational(text: str) -> Fraction:
     try:
@@ -59,13 +67,25 @@ def parse_moments(text: str) -> tuple:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
+def parse_size(text: str) -> int:
+    """An integer at most :data:`MAX_SIZE`; a negative one is left to the subcommand."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the largest size, {MAX_SIZE}")
+    return value
+
+
 def parse_range(text: str) -> range:
-    """Either a single index "3" or an inclusive range "0..6"."""
+    """Either a single index "3" or an inclusive range "0..6", each end a
+    size (:func:`parse_size`)."""
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"not an index or range: {text!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    lo = parse_size(m.group(1))
+    hi = parse_size(m.group(2)) if m.group(2) else lo
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     return range(lo, hi + 1)
@@ -365,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--family", choices=_EVAL_FAMILIES, required=True)
     _add_dist_args(p_eval)
     _add_point_args(p_eval)
-    p_eval.add_argument("--r", type=int)
-    p_eval.add_argument("--n", type=int)
-    p_eval.add_argument("--m", type=int)
+    p_eval.add_argument("--r", type=parse_size)
+    p_eval.add_argument("--n", type=parse_size)
+    p_eval.add_argument("--m", type=parse_size)
     p_eval.add_argument("--q", type=parse_rational)
     p_eval.add_argument("--u", type=parse_rational)
     p_eval.add_argument("--arg", type=parse_rational, help="polynomial argument")
@@ -382,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--kind", choices=["mgf", "log-mgf", "qbernstein-gf"], default="mgf"
     )
-    p_series.add_argument("--r", type=int)
-    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_series.add_argument("--r", type=parse_size)
+    p_series.add_argument("--order", type=parse_size, default=DEFAULT_ORDER)
     p_series.add_argument("--format", choices=["csv", "json-lines"], default="csv")
     p_series.add_argument("--out")
     p_series.set_defaults(func=cmd_series)
@@ -401,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="run the identity registry")
     p_audit.add_argument("--seed", type=int, default=42)
-    p_audit.add_argument("--trials", type=int, default=5)
-    p_audit.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_audit.add_argument("--trials", type=parse_size, default=5)
+    p_audit.add_argument("--order", type=parse_size, default=DEFAULT_ORDER)
     p_audit.add_argument(
         "--format", choices=["json-lines", "csv", "latex"], default="json-lines"
     )

@@ -8,7 +8,8 @@ NegBinomial and Constant state only the linear ODE their M solves,
 (Q0, Q1, P1, S) with S > 0, and one rule reads their mu_k off it over
 d = S^k.  Uniform01 states mu_k = 1/(k + 1) and CustomMoments its k-th
 given moment.  The table holds index k over one fixed denominator D_k, the
-least with d_k | D_k and D_i D_j | D_(i+j); for the ODE laws D_k = S^k.  The
+least with d_k | D_k and D_i D_j | D_(i+j); for the ODE laws D_k = S^k.  It
+holds the partial Bell numbers by row n, as every reader reads them.  The
 closed forms of M (exp(alpha (e^v - 1)), p e^v / (1 - (1 - p) e^v), ...) are
 test oracles, as are the closed-form moment routes.
 
@@ -157,18 +158,13 @@ class Binomial(Distribution):
         return 0, self.trials * s, s, t
 
 
-class Bernoulli(Distribution):
-    """M is Binomial's at one trial, and so is its ODE."""
+class Bernoulli(Binomial):
+    """Binomial at one trial, of its own kind: ``Bernoulli(p) != Binomial(1, p)``."""
 
     _fields = ("p1",)
 
     name = "bernoulli"
     trials = 1  # a class constant, not a field
-
-    def _check(self):
-        object.__setattr__(self, "p1", _check_p1(self.p1))
-
-    _ode = Binomial._ode
 
 
 class NegBinomial(Distribution):
@@ -189,19 +185,14 @@ class NegBinomial(Distribution):
         return self.successes * t, 0, s - t, s
 
 
-class Geometric(Distribution):
+class Geometric(NegBinomial):
     """Number of trials up to and including the first success; support 1, 2, ...
-    M is NegBinomial's at one success, and so is its ODE."""
+    NegBinomial at one success, of its own kind: ``Geometric(p) != NegBinomial(1, p)``."""
 
     _fields = ("p1",)
 
     name = "geometric"
     successes = 1  # a class constant, not a field
-
-    def _check(self):
-        object.__setattr__(self, "p1", _check_p1(self.p1))
-
-    _ode = NegBinomial._ode
 
 
 class Constant(Distribution):
@@ -273,7 +264,9 @@ class MgfTable:
       Combinatorics, 1974, 3.3), that is the probabilistic Stirling number
       S_2^Y(n, m).  Its recurrence B_(n,m) = sum over i of C(n - 1, i - 1)
       mu_i B_(n-i,m-1) gives A_m(n) = sum over i of C(n - 1, i - 1)
-      D_n/(D_i D_(n-i)) N_i A_(m-1)(n - i), an integer sum.
+      D_n/(D_i D_(n-i)) N_i A_(m-1)(n - i), an integer sum.  Row n, the
+      tuple (A_0(n), .., A_n(n)) over D_n, is held whole, with no padding;
+      it is what :meth:`bell_parts` returns and :meth:`bell` reads.
     - Beta_k = zd^k D_k beta_k, where beta_k = k! [v^k] M^z for z = zn/zd.
       Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) in exponential form,
       beta_k = sum over j of (z C(k - 1, j - 1) - C(k - 1, j)) mu_j
@@ -288,7 +281,8 @@ class MgfTable:
     (:meth:`series`, :meth:`power`) is carried to the integer layout of
     :class:`~qbernstein.series.Series` by :func:`_ordinary`, this table's own
     read-out, and normalised once.  A held integer never changes once
-    appended.  Growth runs on copies of the N_k, D_k and splits, so a law
+    appended, and a held Bell row is a tuple, so a reader cannot change it.
+    Growth runs on copies of the N_k, D_k and splits, so a law
     short of the order asked for (a :class:`CustomMoments` law) raises
     before anything changes.  The held exponent z is matched by identity,
     then by value, so the same object read again costs no comparison and an
@@ -299,7 +293,7 @@ class MgfTable:
         self.dist = dist
         self._nums, self._dens = [1], [1]  # N_0 .. N_k and D_0 .. D_k
         self._splits = [[1]]  # D_k/(D_i D_(k-i)) for i = 0 .. k, k = 0 ..
-        self._rows = [[1]]  # A_m(0 .. n) for m = 0 .. n
+        self._rows = [(1,)]  # row n = (A_0(n) .. A_n(n)) for n = 0 ..
         self._z, self._zpow = None, []  # the held z and Beta_0 .., none yet
 
     def _grown(self, order: int) -> list:
@@ -329,36 +323,35 @@ class MgfTable:
         return Fraction(self._grown(n)[n], self._dens[n])
 
     def bell(self, n: int, m: int) -> Fraction:
-        """B_(n,m) = A_m(n) / D_n; 0 for m > n."""
+        """B_(n,m) = A_m(n) / D_n; 0 for m > n, which grows nothing."""
         if n < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
         if m > n:
             return Fraction(0)
-        if len(self._rows[0]) <= n:
-            self._grow_rows(n)
-        return Fraction(self._rows[m][n], self._dens[n])
+        row, den = self.bell_parts(n)
+        return Fraction(row[m], den)
 
-    def bell_parts(self, n: int) -> tuple[list, int]:
-        """[A_0(n) .. A_n(n)] and D_n, whose quotients are B_(n,m) for m <= n."""
+    def bell_parts(self, n: int) -> tuple[tuple, int]:
+        """The held row (A_0(n), .., A_n(n)) itself, not a copy, and D_n,
+        whose quotients are B_(n,m) for m <= n."""
         if n < 0:
             raise ValueError("index must be nonnegative")
-        rows = self._rows
-        if len(rows[0]) <= n:
+        if len(self._rows) <= n:
             self._grow_rows(n)
-        return [row[n] for row in rows[: n + 1]], self._dens[n]
+        return self._rows[n], self._dens[n]
 
     def _grow_rows(self, n: int):
-        """Append A_m(k) for every m <= k, k = held order + 1 .. n; A_m(k) = 0
-        for m > k, since M - 1 starts at v^1."""
+        """Append row k for k = held order + 1 .. n: row k is the sum over
+        i = 1..k of w_i times row k - i shifted up one place, with w_i =
+        C(k - 1, i - 1) D_k/(D_i D_(k-i)) N_i; A_0(k) = 0 for k > 0."""
         nums, rows = self._grown(n), self._rows
-        for k in range(len(rows[0]), n + 1):
-            split = self._splits[k]
-            weights = [0] + [math.comb(k - 1, i - 1) * split[i] * nums[i] for i in range(1, k + 1)]
-            rows[0].append(0)
-            rows.append([0] * k)
-            for m in range(1, k + 1):
-                prev = rows[m - 1]
-                rows[m].append(sum(weights[i] * prev[k - i] for i in range(1, k - m + 2)))
+        for k in range(len(rows), n + 1):
+            split, row = self._splits[k], [0] * (k + 1)
+            for i in range(1, k + 1):
+                weight = math.comb(k - 1, i - 1) * split[i] * nums[i]
+                for m, a in enumerate(rows[k - i], 1):
+                    row[m] += weight * a
+            rows.append(tuple(row))
 
     def _power(self, z, order: int) -> list:
         """Beta_0 .. of z, grown through at least ``order``."""

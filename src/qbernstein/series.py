@@ -7,7 +7,7 @@ Library for Number Theory), always in canonical form: gcd(den, *nums) = 1,
 so equal series have equal layouts.  Every operation is exact through order
 N and runs on integers; the ring operations normalise once per result, not
 once per coefficient.  Coefficients are Fraction or int; anything else raises
-TypeError.  ``coeffs`` gives them as Fractions, formed on first read.
+TypeError.  ``coeffs`` gives them as Fractions, formed on each read.
 
 :meth:`Series.exp`, :meth:`Series.log` and :meth:`Series.pow` run their
 recurrences on the numerators A_i over D = ``den`` and build the result in
@@ -45,7 +45,7 @@ class Series:
     """Immutable truncated power series: ``nums`` over ``den``; ``order`` is
     the largest retained index."""
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
 
     def __new__(cls, coeffs: Iterable):
         parts = [_scalar(c) for c in coeffs]
@@ -62,8 +62,8 @@ class Series:
         if g != 1:
             nums, den = [x // g for x in nums], den // g
         s = object.__new__(cls)
-        for name, value in (("nums", tuple(nums)), ("den", den), ("_coeffs", None)):
-            object.__setattr__(s, name, value)
+        object.__setattr__(s, "nums", tuple(nums))
+        object.__setattr__(s, "den", den)
         return s
 
     def __setattr__(self, name, value):
@@ -75,10 +75,8 @@ class Series:
 
     @property
     def coeffs(self) -> tuple:
-        """a_0 .. a_N as Fractions."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", tuple(Fraction(x, self.den) for x in self.nums))
-        return self._coeffs
+        """a_0 .. a_N as Fractions, formed anew on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @classmethod
     def zero(cls, order: int) -> "Series":

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -345,19 +346,16 @@ def _power_rule_off_by_one(self, order):
 
 
 def _bell_rule_off_by_one(self, n):
-    """The table's partial Bell recurrence with C(k, i - 1) where
-    A_m(k) = sum over i of C(k - 1, i - 1) D_k/(D_i D_(k-i)) N_i
-    A_(m-1)(k - i) needs C(k - 1, i - 1)."""
+    """The table's partial Bell recurrence with C(k, i - 1) where row k =
+    sum over i of C(k - 1, i - 1) D_k/(D_i D_(k-i)) N_i times row k - i
+    shifted up one place needs C(k - 1, i - 1)."""
     nums, rows = self._grown(n), self._rows
-    for k in range(len(rows[0]), n + 1):
-        split = self._splits[k]
-        rows[0].append(0)
-        rows.append([0] * k)
-        for m in range(1, k + 1):
-            rows[m].append(sum(
-                math.comb(k, i - 1) * split[i] * nums[i] * rows[m - 1][k - i]
-                for i in range(1, k - m + 2)
-            ))
+    for k in range(len(rows), n + 1):
+        split, row = self._splits[k], [0] * (k + 1)
+        for i in range(1, k + 1):
+            for m, a in enumerate(rows[k - i], 1):
+                row[m] += math.comb(k, i - 1) * split[i] * nums[i] * a
+        rows.append(tuple(row))
 
 
 def _miller_sum_one_short(nums, den, z):
@@ -543,3 +541,58 @@ def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
         assert record.status in ("PASS", "SKIP"), (key, record.difference)
         if key == ("T2.5", "verbatim"):
             assert (record.status == "SKIP") == (moments[0] == 0)
+
+
+# A moment-grid certificate at N = 5.  Each side of P-LOG corrected at order 5
+# and of T2.2 corrected and T2.7 corrected at (r, n) = (1, 5) is a polynomial
+# in mu_1 .. mu_5, isobaric of weight at most 5, so of degree at most
+# floor(5/i) in mu_i.  A polynomial of degree at most t_i in x_i that vanishes
+# on a grid S_1 x .. x S_5 with |S_i| > t_i is zero (Alon, "Combinatorial
+# Nullstellensatz", 1999, Lemma 2.1).  So equality on the 6 x 3 x 2 x 2 x 2
+# grid of mu_i = (x + 1)/(i + 2), x = 0 .. floor(5/i), proves each identity at
+# those indices for every law.
+GRID_N = 5
+GRID_MOMENTS = list(itertools.product(*(
+    [F(x + 1, i + 2) for x in range(GRID_N // i + 1)] for i in range(1, GRID_N + 1)
+)))
+GRID_POINT = QPoint(F(2, 5), 3, 7)
+GRID_CASES = {("P-LOG", "corrected"): {}, ("T2.2", "corrected"): {"r": 1, "n": GRID_N},
+              ("T2.7", "corrected"): {"r": 1, "n": GRID_N}}
+
+
+def _grid_failures() -> list:
+    """The (case, law) pairs of the grid whose two sides differ, on new law
+    objects, so that no table held on an earlier law is read."""
+    cases = {(c.id, c.variant): c for c in REGISTRY}
+    failures = []
+    for mus in GRID_MOMENTS:
+        law = CustomMoments((F(1), *mus))
+        for key, indices in GRID_CASES.items():
+            lhs, rhs = cases[key].evaluate(law, GRID_POINT, GRID_N, **indices)
+            if lhs != rhs:
+                failures.append((key, law))
+    return failures
+
+
+def test_bell_readers_hold_on_the_moment_grid():
+    """P-LOG, T2.2 and T2.7 (corrected) hold on all 144 grid laws, and so,
+    by the certificate above, on every law at N = 5."""
+    assert len(GRID_MOMENTS) == 144
+    _clear_caches()
+    assert _grid_failures() == []
+
+
+# the mutants whose targets the grid cases read: the table's Bell recurrence
+# and read-out, its M^z rule (T2.2's lhs reads M^X1) and Series.log (P-LOG's)
+@pytest.mark.parametrize(
+    "mutant", ["extend-pow", "minus-one-rescale", "minus-one-table", "series-log"]
+)
+def test_moment_grid_catches_a_broken_engine(monkeypatch, mutant):
+    _clear_caches()
+    try:
+        with monkeypatch.context() as mp:
+            MUTANTS[mutant](mp)
+            failures = _grid_failures()
+    finally:
+        _clear_caches()
+    assert failures

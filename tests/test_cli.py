@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from qbernstein import families, padic
 from qbernstein.audit import MAX_DRAWN_INDEX
-from qbernstein.cli import _EVAL_FAMILIES, _write_rows, build_parser, main
+from qbernstein.cli import MAX_SIZE, _EVAL_FAMILIES, _write_rows, build_parser, main
 from qbernstein.distributions import NegBinomial
 from qbernstein.qcalc import QPoint, bracket_in_t
 from qbernstein.rings import Laurent
@@ -118,6 +118,45 @@ def test_usage_error_exits_2(capsys, argv, message):
     assert code == 2
     assert "error: " in out and message in out
     assert "Traceback" not in out
+
+
+# every size flag: the arguments before it, the flag, and how its value is
+# written ("{}" stands for the size)
+SIZE_FLAGS = [
+    (["table", "--r", "0"] + POINT, "--n", "{}"),
+    (["table", "--r", "0"] + POINT, "--n", "0..{}"),
+    (["table", "--r", "0"] + POINT, "--n", "{0}..{0}"),
+    (["table", "--n", "0"] + POINT, "--r", "{}"),
+    (["table", "--n", "0"] + POINT, "--r", "0..{}"),
+    (["eval", "--family", "stirling2", "--m", "2"], "--n", "{}"),
+    (["eval", "--family", "stirling2", "--n", "2"], "--m", "{}"),
+    (["eval", "--family", "qbernstein", "--n", "2"], "--r", "{}"),
+    (["series", "--dist", "poisson", "--alpha", "1"], "--order", "{}"),
+    (["series", "--dist", "poisson", "--alpha", "1"], "--r", "{}"),
+    (["audit"], "--order", "{}"),
+    (["audit"], "--trials", "{}"),
+]
+
+
+@pytest.mark.parametrize("before, flag, form", SIZE_FLAGS)
+def test_a_size_above_the_cap_is_a_usage_error(capsys, before, flag, form):
+    """The parser takes every size flag at MAX_SIZE and refuses it at
+    MAX_SIZE + 1 with one usage error (exit 2); nothing is computed."""
+    parser = build_parser()
+    args = parser.parse_args(before + [flag, form.format(MAX_SIZE)])
+    value = getattr(args, flag[2:])
+    assert (value[-1] if isinstance(value, range) else value) == MAX_SIZE
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(before + [flag, form.format(MAX_SIZE + 1)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("error:") == 1
+    assert f"error: argument {flag}: {MAX_SIZE + 1} exceeds the largest size, {MAX_SIZE}" in err
+
+
+def test_every_default_size_is_below_the_cap():
+    audit, series = (build_parser().parse_args(argv) for argv in (["audit"], ["series"]))
+    assert max(audit.order, audit.trials, series.order) < MAX_SIZE
 
 
 NEGBINOMIAL = ["--dist", "negbinomial", "--a", "2", "--p1", "2/3"]

@@ -396,7 +396,7 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
     """A cold table answers ascending queries without the law's mgf_series
     or Series.pow, and each growth step appends exactly the missing entries:
     the N_k, the Bell rows and the Beta_k of M^z are grown to order n from n
-    held ones."""
+    held ones, and the held Bell row k has length k + 1."""
     top, z = 6, F(-2, 3)
     mgf, power = mgf_oracle(law, top), _power_by_exp_log(law, z, top)
     bell = {(n, m): _bell_at(law, n, m) for n in range(top + 1) for m in range(n + 1)}
@@ -412,7 +412,7 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         return moment(self, k, nums, n)
 
     def recording_rows(self, n):
-        asked["rows"].append((len(self._rows[0]), n))
+        asked["rows"].append((len(self._rows), n))
         return grow_rows(self, n)
 
     def recording_power(self, n):
@@ -431,7 +431,7 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         for m in range(n + 1):
             assert table.bell(n, m) == bell[n, m]
         assert len(table._nums) == len(table._zpow) == n + 1
-        assert [len(row) for row in table._rows] == [n + 1] * (n + 1)
+        assert [len(row) for row in table._rows] == list(range(1, n + 2))
     steps = [(n, n) for n in range(1, top + 1)]
     assert asked["nums"] == [(n, n, n) for n in range(1, top + 1)]
     assert asked["rows"] == asked["power"] == steps
@@ -577,18 +577,17 @@ def test_bell_parts_are_the_integer_row_of_prob_stirling2(law):
 
 
 def test_bell_parts_read_before_a_growth_keep_their_values():
-    """The pair read at n = 4 is a copy over the fixed D_4: after the table
-    grows to 12 it still gives the Bell numbers, and a new read at 4 gives
-    the same pair."""
+    """The row read at n = 4 is the held tuple over the fixed D_4, not a
+    copy: after the table grows to 12 a new read at 4 gives the same object
+    and the same D_4, and it still gives the Bell numbers."""
     law = Uniform01()
     table = MgfTable(law)
     row, scale = table.bell_parts(4)
-    held = list(row)
+    assert type(row) is tuple and row is table._rows[4]
     table.bell_parts(12)
-    expected = [prob_stirling2(law, 4, m) for m in range(5)]
-    assert row == held
-    assert [F(a, scale) for a in row] == expected
-    assert table.bell_parts(4) == (row, scale)
+    again, rescale = table.bell_parts(4)
+    assert again is row and rescale == scale
+    assert [F(a, scale) for a in row] == [prob_stirling2(law, 4, m) for m in range(5)]
 
 
 @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
