@@ -14,8 +14,8 @@ denominator is 1); formal-log values print as polynomials in the symbol L.
 No floating point exists on any input or output path, so identical
 invocations produce byte-identical outputs.
 
-A size flag (--n, --r, --m, --order, --trials, either end of a table range)
-above :data:`MAX_SIZE` is a usage error.
+A size (--n, --r, --m, --order, --trials, a table range's ends, --c, --d
+or a ``padic`` exponent) of magnitude above :data:`MAX_SIZE` is a usage error.
 
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
@@ -68,13 +68,15 @@ def parse_moments(text: str) -> tuple:
 
 
 def parse_size(text: str) -> int:
-    """An integer at most :data:`MAX_SIZE`; a negative one is left to the subcommand."""
+    """An integer of magnitude at most :data:`MAX_SIZE`; a negative one
+    within it is left to the subcommand."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value > MAX_SIZE:
-        raise argparse.ArgumentTypeError(f"{value} exceeds the largest size, {MAX_SIZE}")
+    if abs(value) > MAX_SIZE:
+        magnitude = "" if value > 0 else "the magnitude of "
+        raise UsageError(f"{magnitude}{value} exceeds the largest size, {MAX_SIZE}")
     return value
 
 
@@ -138,8 +140,8 @@ def _build_dist(args):
         raise UsageError(str(exc))
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """Exit 2; argparse reports one raised while it converts a flag."""
 
 
 def _require(condition: bool, message: str):
@@ -149,8 +151,8 @@ def _require(condition: bool, message: str):
 
 def _add_point_args(parser: argparse.ArgumentParser):
     parser.add_argument("--rho", type=parse_rational, help="base of the point grid")
-    parser.add_argument("--c", type=int, help="t = rho**c")
-    parser.add_argument("--d", type=int, help="q = rho**d")
+    parser.add_argument("--c", type=parse_size, help="t = rho**c")
+    parser.add_argument("--d", type=parse_size, help="q = rho**d")
     parser.add_argument(
         "--x", type=parse_rational, help="classical-mode argument (q = 1)"
     )
@@ -309,7 +311,7 @@ def parse_padic_expr(text: str, q: Fraction) -> Laurent:
         coefficient = Fraction(coef) if coef else Fraction(1)
         if sign == "-":
             coefficient = -coefficient
-        power = int(exp) if exp is not None else (1 if sym else 0)
+        power = parse_size(exp) if exp is not None else (1 if sym else 0)
         if sym == "t":
             term = Laurent({power: coefficient})
         elif sym == "[x]":
@@ -458,6 +460,11 @@ def _join_negative_values(argv: list) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    # Flags are parsed under Python's limit on the digits of an int string
+    # (3.10.7 on); the run prints exact values past it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -468,6 +475,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -17,13 +17,11 @@ Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  The moments are the one source
 of truth per law: M is sum over k of mu_k v^k / k!.
 
-:func:`mgf_table` gives a law's :class:`MgfTable`, held in the law object's
-own dict; a law object's first read finds it in a cache of at most 64 tables
-that equal laws share.  A law is an immutable value (:class:`Distribution`),
-hashed once, when it is built, so no cache keyed on it hashes a Fraction.
-Only ``_grown`` runs a law's rule.  The other caches, all bounded, are
-:mod:`qbernstein.padic`'s ``_rules`` (16 values of q) and ``_rows`` (1024
-rows, one per q, r and w).
+A law is an immutable value, hashed once as it is built, when it also takes
+its :class:`MgfTable` from a cache of 64 that equal laws share;
+:func:`mgf_table` reads it.  Only ``_grown`` runs a law's rule.  The other
+caches, all bounded, are :mod:`qbernstein.padic`'s ``_rules`` (16 values of
+q) and ``_rows`` (1024 rows, one per q, r and w).
 """
 
 from __future__ import annotations
@@ -32,24 +30,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .rings import _Value
 from .series import Series
 
 
-class Distribution:
+class Distribution(_Value):
     """Base class; a concrete law names its parameters in ``_fields``, checks
     them in :meth:`_check`, and states in :meth:`_ode` the linear ODE
     (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M that its M solves, from which the
     default :meth:`_moment` reads mu_k over S^k; only Uniform01 and
-    CustomMoments state their moments directly.  A law is an immutable value,
-    built from its fields by position or by keyword.  Laws are equal when of
-    the same kind with equal fields, so ``Poisson(2) != Constant(2)``; the
-    hash, that of the field tuple, is computed once, at the end of
-    construction; the repr names every field, as in
-    ``Poisson(alpha=Fraction(3, 2))``.  Once a law is built, only
-    :func:`mgf_table` writes to it, through ``vars(law)``."""
+    CustomMoments state their moments directly.  A law is an immutable value
+    (:class:`~qbernstein.rings._Value`) keyed on its field tuple, built by
+    position or keyword, so ``Poisson(2) != Constant(2)``; its last step binds
+    the table, shared with equal laws, and nothing writes to the law after."""
 
     name = "distribution"
-    _fields = ()
 
     def __init__(self, *args, **kwargs):
         held, fields = vars(self), self._fields
@@ -59,24 +54,10 @@ class Distribution:
         self._check()
         key = held["_key"] = tuple([held[f] for f in fields])
         held["_hash"] = hash(key)
+        held["_table"] = _shared_table(self)
 
     def _check(self) -> None:
         """Validate the fields, storing each in its normal form."""
-
-    def __eq__(self, other):
-        return self._key == other._key if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"a law is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -409,15 +390,9 @@ def _ordinary(exponential: list, dens: list, zd: int, order: int) -> Series:
 
 
 def mgf_table(dist: Distribution) -> MgfTable:
-    """The table of ``dist``, held in the law object's own dict: only a law
-    object's first read hashes it, into :func:`_shared_table`, so equal laws
-    share one table."""
-    table = vars(dist).get("_table")
-    if table is None:
-        table = vars(dist)["_table"] = _shared_table(dist)
-    return table
+    """The table ``dist`` holds since it was built (see :func:`_shared_table`)."""
+    return dist._table
 
 
-@lru_cache(maxsize=64)
-def _shared_table(dist: Distribution) -> MgfTable:
-    return MgfTable(dist)
+# the table of each of the last 64 distinct laws built, keyed on the law
+_shared_table = lru_cache(maxsize=64)(MgfTable)

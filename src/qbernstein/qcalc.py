@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import Laurent
+from .rings import Laurent, _Value
 
 
-class QPoint:
+class QPoint(_Value):
     """A coherent evaluation point where q, t and x are all rational.
 
     q-mode: constructed from (rho, c, d) with rho > 0, rho != 1, d >= 1;
@@ -34,12 +34,13 @@ class QPoint:
     Xc = q (1 - t)/(t (1 - q)) (the bracket of x under the inverse base) and
     X1 = 1 - Xc (the bracket of 1 - x); classically X = Xc = x and X1 = 1 - x.
     Each is one ``Fraction`` of the integer parts of q and t, normalised once.
-    A point is an immutable value, built by position or by keyword, whose
-    equality, hash and repr are those of (rho, c, d).  No cache keys on a
-    point, so unlike a law it holds no hash: each call computes it.
+    A point is an immutable value (:class:`~qbernstein.rings._Value`), built
+    by position or by keyword, whose key is (rho, c, d): the held values take
+    no part in its equality, hash or repr.
     """
 
-    __slots__ = ("rho", "c", "d", "q", "X", "Xc", "X1", "_t", "_key")
+    __slots__ = ("rho", "c", "d", "q", "X", "Xc", "X1", "_t", "_key", "_hash")
+    _fields = ("rho", "c", "d")
 
     def __init__(self, rho: Fraction | None, c: int, d: int):
         if rho is None:
@@ -59,22 +60,9 @@ class QPoint:
             x = Fraction((tn - td) * qd, td * (qn - qd))
             xc = Fraction(qn * (td - tn), tn * (qd - qn))
             x1 = Fraction(tn * qd - qn * td, tn * (qd - qn))
-        for name, value in zip(self.__slots__, (rho, c, d, q, x, xc, x1, t, (rho, c, d))):
+        key = (rho, c, d)
+        for name, value in zip(self.__slots__, (*key, q, x, xc, x1, t, key, hash(key))):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        return self._key == other._key if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"QPoint(rho={self.rho!r}, c={self.c!r}, d={self.d!r})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"a QPoint is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def classical(cls, x: Fraction) -> "QPoint":

@@ -35,6 +35,30 @@ def _frac(value) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+class _Value:
+    """An immutable value, equal only to one of its exact type with an equal
+    ``_key``, hashed by ``_hash`` (computed once, as it is built), and shown
+    with ``_fields`` paired to ``_key``.  It is built by ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def falling_factorial(z, m: int):
     """Product z (z-1) ... (z-m+1); the empty product (m = 0) is 1.
 

@@ -543,21 +543,39 @@ def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
             assert (record.status == "SKIP") == (moments[0] == 0)
 
 
-# A moment-grid certificate at N = 5.  Each side of P-LOG corrected at order 5
-# and of T2.2 corrected and T2.7 corrected at (r, n) = (1, 5) is a polynomial
-# in mu_1 .. mu_5, isobaric of weight at most 5, so of degree at most
-# floor(5/i) in mu_i.  A polynomial of degree at most t_i in x_i that vanishes
-# on a grid S_1 x .. x S_5 with |S_i| > t_i is zero (Alon, "Combinatorial
+# A moment-grid certificate at N = 5.  Each side of each case below is a
+# polynomial in mu_1 .. mu_5 whose coefficients are isobaric, mu_i of weight i;
+# each case's weight bound is given with it.  So its degree in mu_i is at most
+# floor(5/i).  A polynomial of degree at most t_i in x_i that vanishes on a
+# grid S_1 x .. x S_5 with |S_i| > t_i is zero (Alon, "Combinatorial
 # Nullstellensatz", 1999, Lemma 2.1).  So equality on the 6 x 3 x 2 x 2 x 2
 # grid of mu_i = (x + 1)/(i + 2), x = 0 .. floor(5/i), proves each identity at
 # those indices for every law.
+# - P-LOG corrected, order 5: [log M]_k for k <= 5 has weight k <= 5.
+# - T2.2 and T2.7 corrected, (r, n) = (1, 5): each term is a P(r, j), of
+#   weight j - r, times a Bell sum or [log M]_(n - j) of weight n - j, so
+#   weight at most n - r = 4 (the derivative in x adds no moment).
+# - T2.4 verbatim, (r, n) = (1, 5): P(r, j), of weight j - r, times the
+#   coefficient n - j of 2/(M + 1) M^Xc, of weight n - j: weight n - r = 4.
+# - T2.6 corrected, r = 2, order 5: coefficient k of (X v)^r / r! M^X1 has
+#   weight k - r, and coefficient k of M'/M weight k + 1, so coefficient k of
+#   either side, k <= 4, has weight k + 1 - r <= 3.
+# - T2.8 corrected, (r, m) = (2, 2), order 5: coefficient k <= 3 of either
+#   side is a multiple of coefficient k + m of (X v)^r / r! M^X1, or a sum of
+#   terms of that weight, k + m - r <= 3.
 GRID_N = 5
 GRID_MOMENTS = list(itertools.product(*(
     [F(x + 1, i + 2) for x in range(GRID_N // i + 1)] for i in range(1, GRID_N + 1)
 )))
 GRID_POINT = QPoint(F(2, 5), 3, 7)
-GRID_CASES = {("P-LOG", "corrected"): {}, ("T2.2", "corrected"): {"r": 1, "n": GRID_N},
-              ("T2.7", "corrected"): {"r": 1, "n": GRID_N}}
+GRID_CASES = {
+    ("P-LOG", "corrected"): {},
+    ("T2.2", "corrected"): {"r": 1, "n": GRID_N},
+    ("T2.7", "corrected"): {"r": 1, "n": GRID_N},
+    ("T2.4", "verbatim"): {"r": 1, "n": GRID_N},
+    ("T2.6", "corrected"): {"r": 2, "n": GRID_N},
+    ("T2.8", "corrected"): {"r": 2, "m": 2},
+}
 
 
 def _grid_failures() -> list:
@@ -575,18 +593,22 @@ def _grid_failures() -> list:
 
 
 def test_bell_readers_hold_on_the_moment_grid():
-    """P-LOG, T2.2 and T2.7 (corrected) hold on all 144 grid laws, and so,
-    by the certificate above, on every law at N = 5."""
+    """P-LOG, T2.2, T2.6, T2.7 and T2.8 corrected and T2.4 verbatim hold on
+    all 144 grid laws, and so, by the certificate above, on every law at
+    their indices."""
     assert len(GRID_MOMENTS) == 144
     _clear_caches()
     assert _grid_failures() == []
 
 
 # the mutants whose targets the grid cases read: the table's Bell recurrence
-# and read-out, its M^z rule (T2.2's lhs reads M^X1) and Series.log (P-LOG's)
-@pytest.mark.parametrize(
-    "mutant", ["extend-pow", "minus-one-rescale", "minus-one-table", "series-log"]
-)
+# and read-out, its M^z rule (T2.2's lhs reads M^X1), Series.log (P-LOG's),
+# Series.pow and its rescale (T2.4's M^Xc and T2.8's M^X1), and
+# Series.__mul__ (T2.4's and T2.6's products)
+@pytest.mark.parametrize("mutant", [
+    "extend-pow", "minus-one-rescale", "minus-one-table", "series-log",
+    "miller-rescale", "series-pow", "series-mul",
+])
 def test_moment_grid_catches_a_broken_engine(monkeypatch, mutant):
     _clear_caches()
     try:

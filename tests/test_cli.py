@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 
 from qbernstein import families, padic
 from qbernstein.audit import MAX_DRAWN_INDEX
-from qbernstein.cli import MAX_SIZE, _EVAL_FAMILIES, _write_rows, build_parser, main
+from qbernstein.cli import (
+    MAX_SIZE,
+    _EVAL_FAMILIES,
+    UsageError,
+    _write_rows,
+    build_parser,
+    main,
+    parse_padic_expr,
+)
 from qbernstein.distributions import NegBinomial
 from qbernstein.qcalc import QPoint, bracket_in_t
 from qbernstein.rings import Laurent
@@ -135,6 +143,8 @@ SIZE_FLAGS = [
     (["series", "--dist", "poisson", "--alpha", "1"], "--r", "{}"),
     (["audit"], "--order", "{}"),
     (["audit"], "--trials", "{}"),
+    (["eval", "--family", "qbernstein", "--d", "2"], "--c", "{}"),
+    (["eval", "--family", "qbernstein", "--c", "1"], "--d", "{}"),
 ]
 
 
@@ -152,6 +162,62 @@ def test_a_size_above_the_cap_is_a_usage_error(capsys, before, flag, form):
     assert exc.value.code == 2
     assert err.count("error:") == 1
     assert f"error: argument {flag}: {MAX_SIZE + 1} exceeds the largest size, {MAX_SIZE}" in err
+
+
+@pytest.mark.parametrize("flag", ["--c", "--d"])
+def test_a_point_exponent_below_minus_the_cap_is_a_usage_error(capsys, flag):
+    """--c and --d are bounded in magnitude: the parser takes -MAX_SIZE,
+    leaving its sign to the point's own check, and refuses one below it with
+    one usage error; nothing is computed."""
+    parser = build_parser()
+    before = ["eval", "--family", "qbernstein", "--c", "1", "--d", "2"]
+    assert getattr(parser.parse_args(before + [flag, str(-MAX_SIZE)]), flag[2:]) == -MAX_SIZE
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(before + [flag, str(-MAX_SIZE - 1)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.count("error:") == 1
+    assert f"the magnitude of {-MAX_SIZE - 1} exceeds the largest size, {MAX_SIZE}" in err
+
+
+def test_a_padic_exponent_above_the_cap_is_a_usage_error(capsys):
+    """parse_padic_expr takes a t exponent of magnitude MAX_SIZE and refuses
+    one above it, for t and for [x], before any power is formed; the CLI
+    exits 2 with one error line."""
+    q = F(2)
+    for power in (MAX_SIZE, -MAX_SIZE):
+        assert parse_padic_expr(f"t^{power}", q) == Laurent({power: 1})
+    for term in (f"t^{MAX_SIZE + 1}", f"t^{-MAX_SIZE - 1}", f"[x]^{MAX_SIZE + 1}"):
+        with pytest.raises(UsageError, match="exceeds the largest size"):
+            parse_padic_expr(f"1 + 2*{term}", q)
+    code, out = run(capsys, ["padic", "--op", "volkenborn", "--q", "2", "--expr", "[x]^99999999"])
+    assert code == 2 and out.count("error:") == 1
+    assert "error: 99999999 exceeds the largest size" in out
+
+
+def test_an_exact_value_longer_than_the_int_digit_limit_prints(capsys):
+    """A value with more digits than Python's limit on an int printed as a
+    string (4300 by default) prints in full; the limit is back after the
+    run, so an input that long is still refused."""
+    point = ["--rho", "9/5", "--c", "1", "--d", "64"]
+    code, out = run(capsys, ["eval", "--family", "qbernstein", *point, "--r", "80", "--n", "80"])
+    assert code == 0 and len(out) > 8000
+    value = families.qbernstein(80, 80, QPoint(F(9, 5), 1, 64))
+    num, den = out.strip().split("/")
+    assert max(len(num), len(den)) > 4300
+    assert (_int_of_digits(num), _int_of_digits(den)) == (value.numerator, value.denominator)
+    code, out = run(capsys, ["eval", "--family", "qbernstein", "--rho", "7" * 4400,
+                             "--c", "1", "--d", "2", "--r", "0", "--n", "1"])
+    assert code == 2 and "error: argument --rho: not an exact rational" in out
+
+
+def _int_of_digits(text: str) -> int:
+    """The int a string of decimal digits names, read 1000 digits at a time,
+    so that no read passes the digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def test_every_default_size_is_below_the_cap():

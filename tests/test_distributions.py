@@ -16,6 +16,7 @@ from qbernstein.distributions import (
     NegBinomial,
     Poisson,
     Uniform01,
+    mgf_table,
 )
 from qbernstein.families import prob_stirling2
 from qbernstein.series import Series, exp_series
@@ -219,6 +220,24 @@ def test_laws_are_immutable_values(kind, params, text, param_string):
     for name in (*params, "other"):
         with pytest.raises(AttributeError):
             setattr(law, name, F(1))
+
+
+def test_reading_a_law_never_writes_to_it():
+    """Every read goes through the table the law bound when it was built, so
+    the law's own dict holds the same objects after any read."""
+    law = NegBinomial(2, F(2, 3))
+    held = dict(vars(law))
+    law.mgf_series(6)
+    law.moment(5)
+    mgf_table(law).bell_parts(4)
+    mgf_table(law).power_parts(F(1, 2), 3)
+    assert vars(law) == held and all(vars(law)[k] is v for k, v in held.items())
+
+
+def test_equal_laws_built_apart_hold_one_table_before_any_read():
+    law, twin = Poisson(F(5, 7)), Poisson(F(10, 14))
+    assert vars(law)["_table"] is vars(twin)["_table"] is mgf_table(twin)
+    assert vars(Constant(F(5, 7)))["_table"] is not vars(law)["_table"]
 
 
 def test_laws_of_different_kinds_are_unequal():
