@@ -59,7 +59,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        raise UsageError(f"not an exact rational: {text!r}") from exc
 
 
 def parse_moments(text: str) -> tuple:
@@ -294,40 +294,38 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_padic_expr(text: str, q: Fraction) -> Laurent:
-    """Sums of c*t^b and c*[x]^r tokens, with optional rational coefficients."""
-    result = Laurent()
+def parse_padic_expr(text: str) -> list:
+    """Sums of c*t^b and c*[x]^r tokens, with optional rational coefficients,
+    as (coefficient, symbol, power) terms; a constant is a term in t^0."""
+    terms = []
     pos = 0
-    first = True
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
             raise UsageError(f"cannot parse expression near {text[pos:]!r}")
         sign, coef, sym, exp = m.group("sign", "coef", "sym", "exp")
-        if sign is None and not first:
+        if sign is None and terms:
             raise UsageError(f"missing +/- before {text[pos:]!r}")
         if coef is None and sym is None:
             raise UsageError(f"empty term near position {pos} in {text!r}")
-        coefficient = Fraction(coef) if coef else Fraction(1)
+        coefficient = parse_rational(coef) if coef else Fraction(1)
         if sign == "-":
             coefficient = -coefficient
         power = parse_size(exp) if exp is not None else (1 if sym else 0)
-        if sym == "t":
-            term = Laurent({power: coefficient})
-        elif sym == "[x]":
-            if power < 0:
-                raise UsageError("bracket powers must be nonnegative")
-            term = coefficient * bracket_in_t(q) ** power
-        else:
-            term = Laurent({0: coefficient})
-        result = result + term
+        if sym == "[x]" and power < 0:
+            raise UsageError("bracket powers must be nonnegative")
+        terms.append((coefficient, sym or "t", power))
         pos = m.end()
-        first = False
-    return result
+    return terms
 
 
 def cmd_padic(args) -> int:
-    expr = parse_padic_expr(args.expr, args.q)
+    expr = Laurent()
+    for coefficient, sym, power in args.expr:
+        if sym == "t":
+            expr = expr + Laurent({power: coefficient})
+        else:
+            expr = expr + coefficient * bracket_in_t(args.q) ** power
     if args.op == "volkenborn":
         value = padic.volkenborn(expr, args.q)
     else:
@@ -416,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_padic.add_argument("--q", type=parse_rational, required=True)
     p_padic.add_argument(
-        "--expr", required=True,
+        "--expr", type=parse_padic_expr, required=True,
         help="sum of c*t^b and c*[x]^r terms, e.g. '3*t^2 - [x]^1 + 1/2'",
     )
     p_padic.set_defaults(func=cmd_padic)

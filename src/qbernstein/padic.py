@@ -23,18 +23,19 @@ denominator (FLINT's ``fmpq_poly`` layout).  With q = a/b, X = b(1 - t)/(b - a),
 Xc - k = (a - (a + k(b - a))t)/(t(b - a)) and X1 - k = ((b - k(b - a))t - a)/(t(b - a)),
 so X^r (Xc)_w (X1)_m is r + w + m integer linear factors over
 (b - a)^(r + w + m) t^(w + m).  The rule table of q states both rules once, by
-t-exponent; only the basis reads R_u, the lcm of their denominators over
-|b + 1| <= u.  A row (:class:`_Row`) holds, for one (q, r, w), the numerator
-polynomial at the largest M asked for so far and I(r, w, m) for every m <= M:
-the bosonic constant parts, the L^-1 coefficients and the fermionic values,
-three integer lists, each side over (b - a)^(r + w + M) R_u(M) at
-u = max(r + 1, w + M - 1).  Growing to M + 1 multiplies the polynomial by one
-factor of X1, carries the held entries to the new denominator, and appends one
-dot product of the polynomial with the table.  A result at k <= M is a prefix,
+t-exponent, for the operators and the rows alike.  A row (:class:`_Row`) holds,
+for one (q, r, w), the numerator polynomial at the largest M asked for so far,
+the rules it reads, those of t^(-w-M) .. t^r, as integers over their lcm (one
+list and one lcm per side), and I(r, w, m) for every m <= M: the bosonic
+constant parts, the L^-1 coefficients and the fermionic values, three integer
+lists, each side over (b - a)^(r + w + M) times its lcm.  Growing to M + 1
+multiplies the polynomial by one factor of X1, reads the rule of t^(-w-M-1),
+carries the held rules and entries to the new lcm, and appends one dot product
+of the polynomial with each side's rules.  A result at k <= M is a prefix,
 so a call reads the row as it is, takes the law's partial Bell integers
 A_m(k) over D_k (``MgfTable.bell_parts``), and forms each part from one
 integer dot product.  Every cache is bounded: 16 rule tables (one per q,
-holding the rules read and R_u to the largest u asked) and 1024 rows.
+holding the rules read) and 1024 rows.
 """
 
 from __future__ import annotations
@@ -51,24 +52,16 @@ from .rings import Laurent, LogPoly
 
 
 class _RuleTable(dict):
-    """The rules at one q: ``self[b]``, stated on first read, is the pair of rules of t^b
-    (bosonic: for t^-1, the L^-1 coefficient); ``level(u)`` gives R_u for the basis."""
+    """The rules at one q, read by the operators and the rows: ``self[b]``, stated on
+    first read, is the pair of rules of t^b (bosonic: for t^-1, the L^-1 coefficient)."""
 
     def __init__(self, q: Fraction):
-        self.q, self._levels = q, [(1, 1)]  # _levels[u + 1] is R_u
+        self.q = q
 
     def __missing__(self, b: int) -> tuple[Fraction, Fraction]:
         q, s = self.q, b + 1
         self[b] = rule = (s * (q - 1) / (q**s - 1) if s else q - 1), (1 + q) / (1 + q**s)
         return rule
-
-    def level(self, u: int) -> tuple[int, int]:
-        levels = self._levels
-        while len(levels) <= u + 1:
-            s = len(levels) - 1  # the level adds t^(s - 1) and t^(-s - 1)
-            new = zip(self[s - 1], self[-s - 1], levels[-1])
-            levels.append(tuple(math.lcm(h, x.denominator, y.denominator) for x, y, h in new))
-        return levels[u + 1]
 
 
 _rules = lru_cache(maxsize=16)(_RuleTable)
@@ -110,44 +103,52 @@ def q_euler(r: int, q: Fraction) -> LogPoly:
 
 class _Row:
     """I(r, w, m) at q = a/b for every m <= M, grown on demand: the integer
-    numerator polynomial of X^r (Xc)_w (X1)_M in t (coefficient i of t^(i - w - M)),
+    numerator polynomial of X^r (Xc)_w (X1)_M in t (coefficient i of t^(i - w - M));
+    for each side (bosonic, fermionic) ``lcms``, the lcm of the denominators of
+    the rules of t^(-w-M) .. t^r, and ``rules``, those rules as integers over it;
     and ``parts``, the bosonic constant parts, the L^-1 coefficients and the
-    fermionic values, over ``dens``, (b - a)^(r + w + M) R_u(M) for each side."""
+    fermionic values, over ``dens``, (b - a)^(r + w + M) times each side's lcm."""
 
-    __slots__ = ("key", "poly", "levels", "dens", "parts")
+    __slots__ = ("key", "poly", "lcms", "rules", "dens", "parts")
 
     def __init__(self, a: int, b: int, r: int, w: int):
         self.key, poly = (a, b, r, w), [1]
         # each linear factor c0 + c1 t of the numerators of X and Xc - k
         for c0, c1 in [(b, -b)] * r + [(a, a * k - b * k - a) for k in range(w)]:
             poly = [c0 * x + c1 * y for x, y in zip(poly + [0], [0] + poly)]
-        self.poly, self.levels, self.dens = poly, (1, 1), ((b - a) ** (r + w),) * 2
-        self.parts = [], [], []  # empty until the first growth, to M = 0
+        self.poly, self.lcms, self.rules = poly, [1, 1], [[], []]
+        self.dens, self.parts = [(b - a) ** (r + w)] * 2, ([], [], [])  # no part before M = 0
 
     def grow(self, k: int, table: _RuleTable) -> None:
         """Append I(r, w, m) for m = M + 1 .. k, with ``table`` the rules of q.
-        From M to M + 1 the polynomial takes the factor of X1 - M, the held parts
-        move onto the new denominators (times (b - a) R_u(M + 1)/R_u(M)), and
-        the new parts are one dot product of the polynomial with the rule table."""
+        Growth to M = 0 reads the rules of t^-w .. t^r.  From M to M + 1 the
+        polynomial takes the factor of X1 - M and each side reads one more
+        rule, of t^(-w-M-1): its held rules and parts move onto its new lcm (the
+        parts times b - a too), the new rule goes in front, and its new part is
+        one dot product of the polynomial with its rules."""
         a, b, r, w = self.key
-        poly, (bos, log, ferm) = self.poly, self.parts
+        poly, lcms, rules, dens = self.poly, self.lcms, self.rules, self.dens
+        bos, log, ferm = self.parts
         for m in range(len(ferm), k + 1):
             step = 1
             if m:  # the numerator of X1 - (m - 1), -a + (b - (b - a)(m - 1)) t
                 step, c1 = b - a, b - (b - a) * (m - 1)
                 poly = self.poly = [c1 * y - a * x for x, y in zip(poly + [0], [0] + poly)]
-            (rb, rf), (hb, hf) = table.level(max(r + 1, w + m - 1)), self.levels
-            sb, sf = step * (rb // hb), step * (rf // hf)
-            for held, s in ((bos, sb), (log, sb), (ferm, sf)):
-                held[:] = [x * s for x in held]
-            self.levels, self.dens = (rb, rf), (self.dens[0] * sb, self.dens[1] * sf)
-            out = [0, 0, 0]
-            for e, c in enumerate(poly, -w - m):
-                vb, vf = table[e]
-                out[e == -1] += c * vb.numerator * (rb // vb.denominator)
-                out[2] += c * vf.numerator * (rf // vf.denominator)
-            for held, x in zip(self.parts, out):
-                held.append(x)
+            new = zip(*(table[e] for e in range(-w - m, r + 1 - len(rules[0]))))
+            for side, (vs, parts) in enumerate(zip(new, ((bos, log), (ferm,)))):
+                lcm = math.lcm(lcms[side], *(v.denominator for v in vs))
+                s, lcms[side] = lcm // lcms[side], lcm
+                held = [x * s for x in rules[side]]
+                rules[side] = [v.numerator * (lcm // v.denominator) for v in vs] + held
+                s *= step
+                dens[side] *= s
+                for part in parts:
+                    part[:] = [x * s for x in part]
+            (rb, rf), i = rules, w + m - 1  # t^-1 is coefficient i of the polynomial
+            lg = poly[i] * rb[i] if i >= 0 else 0
+            bos.append(sum(map(operator.mul, poly, rb)) - lg)
+            log.append(lg)
+            ferm.append(sum(map(operator.mul, poly, rf)))
 
 
 _rows = lru_cache(maxsize=1024)(_Row)

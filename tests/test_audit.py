@@ -555,6 +555,9 @@ def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
 # - T2.2 and T2.7 corrected, (r, n) = (1, 5): each term is a P(r, j), of
 #   weight j - r, times a Bell sum or [log M]_(n - j) of weight n - j, so
 #   weight at most n - r = 4 (the derivative in x adds no moment).
+# - T2.3 corrected, (r, n) = (1, 5): it divides by E[Y^(n - r)], which is
+#   nonzero on the grid; times that moment, the lhs X^r E[Y^(n - r)] and each
+#   rhs term S_Y(n - l, m) P(r, l) have weight n - r = 4.
 # - T2.4 verbatim, (r, n) = (1, 5): P(r, j), of weight j - r, times the
 #   coefficient n - j of 2/(M + 1) M^Xc, of weight n - j: weight n - r = 4.
 # - T2.6 corrected, r = 2, order 5: coefficient k of (X v)^r / r! M^X1 has
@@ -572,6 +575,7 @@ GRID_CASES = {
     ("P-LOG", "corrected"): {},
     ("T2.2", "corrected"): {"r": 1, "n": GRID_N},
     ("T2.7", "corrected"): {"r": 1, "n": GRID_N},
+    ("T2.3", "corrected"): {"r": 1, "n": GRID_N},
     ("T2.4", "verbatim"): {"r": 1, "n": GRID_N},
     ("T2.6", "corrected"): {"r": 2, "n": GRID_N},
     ("T2.8", "corrected"): {"r": 2, "m": 2},
@@ -593,9 +597,9 @@ def _grid_failures() -> list:
 
 
 def test_bell_readers_hold_on_the_moment_grid():
-    """P-LOG, T2.2, T2.6, T2.7 and T2.8 corrected and T2.4 verbatim hold on
-    all 144 grid laws, and so, by the certificate above, on every law at
-    their indices."""
+    """P-LOG, T2.2, T2.3, T2.6, T2.7 and T2.8 corrected and T2.4 verbatim
+    hold on all 144 grid laws, and so, by the certificate above, on every
+    law at their indices."""
     assert len(GRID_MOMENTS) == 144
     _clear_caches()
     assert _grid_failures() == []

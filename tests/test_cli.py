@@ -119,6 +119,8 @@ def test_computation_error_exits_1(capsys, argv, message):
          "empty term near position 0 in '+'"),
         (["padic", "--op", "volkenborn", "--q", "2", "--expr", "[x]^-1"],
          "bracket powers must be nonnegative"),
+        (["padic", "--op", "volkenborn", "--q", "2", "--expr", "t + 1/0*t"],
+         "not an exact rational: '1/0'"),
     ],
 )
 def test_usage_error_exits_2(capsys, argv, message):
@@ -183,15 +185,14 @@ def test_a_padic_exponent_above_the_cap_is_a_usage_error(capsys):
     """parse_padic_expr takes a t exponent of magnitude MAX_SIZE and refuses
     one above it, for t and for [x], before any power is formed; the CLI
     exits 2 with one error line."""
-    q = F(2)
     for power in (MAX_SIZE, -MAX_SIZE):
-        assert parse_padic_expr(f"t^{power}", q) == Laurent({power: 1})
+        assert parse_padic_expr(f"t^{power}") == [(1, "t", power)]
     for term in (f"t^{MAX_SIZE + 1}", f"t^{-MAX_SIZE - 1}", f"[x]^{MAX_SIZE + 1}"):
         with pytest.raises(UsageError, match="exceeds the largest size"):
-            parse_padic_expr(f"1 + 2*{term}", q)
+            parse_padic_expr(f"1 + 2*{term}")
     code, out = run(capsys, ["padic", "--op", "volkenborn", "--q", "2", "--expr", "[x]^99999999"])
     assert code == 2 and out.count("error:") == 1
-    assert "error: 99999999 exceeds the largest size" in out
+    assert "error: argument --expr: 99999999 exceeds the largest size" in out
 
 
 def test_an_exact_value_longer_than_the_int_digit_limit_prints(capsys):
@@ -208,6 +209,17 @@ def test_an_exact_value_longer_than_the_int_digit_limit_prints(capsys):
     code, out = run(capsys, ["eval", "--family", "qbernstein", "--rho", "7" * 4400,
                              "--c", "1", "--d", "2", "--r", "0", "--n", "1"])
     assert code == 2 and "error: argument --rho: not an exact rational" in out
+
+
+def test_a_padic_coefficient_longer_than_the_int_digit_limit_is_a_usage_error(capsys):
+    """The --expr text is read while the flags are parsed, under the digit
+    limit like --q and --rho: a 5,000-digit coefficient exits 2 with one
+    error line and prints nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(["padic", "--op", "volkenborn", "--q", "2", "--expr", "3" * 5000 + "*t^2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.count("error:") == 1 and "error: argument --expr: not an exact rational" in err
 
 
 def _int_of_digits(text: str) -> int:

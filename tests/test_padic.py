@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -222,6 +223,32 @@ def test_held_rows_give_the_values_of_empty_caches(q):
         integrand = falling_factorial(conjugate_bracket_in_t(q), w)
         integrand = integrand * prob_qbernstein_laurent(law, r, n, q)
         assert value == (volkenborn(integrand, q), fermionic(integrand, q))
+
+
+# the laurent points of the benchmark at seeds 401, 402 and 42
+@pytest.mark.parametrize("q", [F(81, 256), F(81, 16), F(1, 8)], ids=str)
+def test_rows_hold_integers_near_the_size_of_the_values(q):
+    """For the six laws at 0 <= r <= n <= 16, the largest integer a row holds
+    (its polynomial, parts, denominators, lcms and rules) has at most twice
+    the bits of the largest numerator or denominator among the values that
+    integrate_corollaries returned from it.  The rows are read back as cache
+    hits, as the calls left them."""
+    padic._rules.cache_clear()
+    padic._rows.cache_clear()
+    bits = {}
+    for law in SIX_LAWS:
+        for n in range(17):
+            for r in range(n + 1):
+                for value in integrate_corollaries(law, r, n, q):
+                    for c in value.terms.values():
+                        size = max(c.numerator.bit_length(), c.denominator.bit_length())
+                        bits[r] = max(bits.get(r, 0), size)
+    hits = padic._rows.cache_info().hits
+    for r, size in bits.items():
+        row = padic._rows(q.numerator, q.denominator, r, 0)
+        held = itertools.chain(row.poly, row.dens, row.lcms, *row.parts, *row.rules)
+        assert max(abs(x).bit_length() for x in held) <= 2 * size, r
+    assert padic._rows.cache_info().hits == hits + len(bits)
 
 
 def _monomial_rule(b, q, bosonic):
