@@ -17,7 +17,8 @@ Three expectation classes (configuration, not hard-coded asserts):
           follow from the definitions (wrong or missing factors, degenerate
           hypotheses) and for their repaired variants kept for comparison.
   skip    the stated form has no well-defined reading; the entry exists so
-          the report shows it was considered, with the ambiguity in notes.
+          the report shows it was considered, with the ambiguity in notes,
+          and its evaluator raises :class:`CaseSkip` on every draw.
 
 Variant names: "verbatim" evaluates the claim as printed (under the
 charitable index conventions listed in the case notes), "corrected" evaluates
@@ -85,7 +86,7 @@ class CaseSkip(Exception):
 
 CaseDraw = namedtuple("CaseDraw", "dist point indices")
 
-# draw(rng) -> CaseDraw, and evaluate as in the module docstring; either may be None.
+# draw(rng) -> CaseDraw, and evaluate as in the module docstring.
 IdentityCase = namedtuple(
     "IdentityCase", "id variant statement expected draw evaluate notes", defaults=("",)
 )
@@ -163,18 +164,13 @@ def _expectations() -> dict:
     return {(c.id, c.variant): c.expected for c in REGISTRY}
 
 
+_LATEX_ESCAPES = str.maketrans(
+    {**{ch: "\\" + ch for ch in "&%$#_{}"}, "^": r"\^{}", "\\": r"\textbackslash{}"}
+)
+
+
 def _latex_escape(text) -> str:
-    out = []
-    for ch in str(text):
-        if ch in "&%$#_{}":
-            out.append("\\" + ch)
-        elif ch == "^":
-            out.append(r"\^{}")
-        elif ch == "\\":
-            out.append(r"\textbackslash{}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return str(text).translate(_LATEX_ESCAPES)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +334,15 @@ def _alternating_stirling_parts(dist, k: int, corrected: bool) -> tuple[int, int
 
 def _log_expansion_eval(corrected: bool):
     """log M against the series whose coefficient of v^k is the alternating
-    Stirling sum over k!, that is its integer over D_k k!.  Each D_k k!
-    divides D_N N! for k <= N = order, since D_k | D_(k+1), so the integers
-    go to one ``Series.over`` over D_N N!, normalised once."""
+    Stirling sum over k!, that is its integer over D_k k!.  The integers go
+    to one ``Series.over`` over the lcm of the D_k k!, normalised once."""
 
     def evaluate(dist, p, order):
         lhs = dist.mgf_series(order).log()
         parts = [_alternating_stirling_parts(dist, k, corrected) for k in range(1, order + 1)]
-        den = parts[-1][1] * math.factorial(order)
-        nums = [0] + [
-            total * (den // (dk * math.factorial(k))) for k, (total, dk) in enumerate(parts, 1)
-        ]
+        dens = [dk * math.factorial(k) for k, (_, dk) in enumerate(parts, 1)]
+        den = math.lcm(*dens)
+        nums = [0] + [total * (den // d) for (total, _), d in zip(parts, dens)]
         return lhs, Series.over(nums, den)
 
     return evaluate
@@ -440,7 +434,7 @@ def _convolution_eval(family):
 
     def evaluate(dist, p, order, r, n):
         lhs = sum(
-            math.comb(n, j) * _qb(dist, r, j, p) * family(dist, n - j, p.Xc)
+            math.comb(n, j) * prob_qbernstein(dist, r, j, p) * family(dist, n - j, p.Xc)
             for j in range(r, n + 1)
         )
         rhs = math.comb(n, r) * p.X**r * family(dist, n - r, F(1))
@@ -565,8 +559,6 @@ def eval_c33(dist, p, order, r, n):
 
 def eval_t35(dist, p, order, r, n):
     u = 1 - dist.p1
-    if u == 1:
-        raise CaseSkip("failure probability 1 is outside the law's range")
     lhs = (-1) ** (n - r) * prob_qbernstein(dist, r, n, p)
     rhs = p.X**r * math.comb(n, r) * frobenius_euler(n - r, p.X1, F(0), u)
     return lhs, rhs
@@ -615,6 +607,10 @@ def eval_r22(dist, p, order, r, n):
     return prob_qbernstein(dist, r, n, p), bernstein_classical(r, n, p.x)
 
 
+def _skip_t22_verbatim(dist, p, order):
+    raise CaseSkip("the printed form reuses the fixed lower index as a summation index")
+
+
 # ---------------------------------------------------------------------------
 # the registry
 
@@ -653,7 +649,7 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.2", "verbatim",
         "explicit double-sum expansion (as printed)",
-        "skip", None, None,
+        "skip", _drawer(indices=lambda rng: {}), _skip_t22_verbatim,
         notes="the printed form reuses the fixed lower index as a bound "
         "summation index; no well-defined verbatim reading exists",
     ),
@@ -850,8 +846,6 @@ def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
         case.id, case.variant, draw.dist.name if draw.dist is not None else "-",
         _render_params(draw), rho, c, d, order,
     )
-    if case.evaluate is None:
-        return AuditRecord(*head, "SKIP", "-", "-", "-")
     try:
         lhs, rhs = case.evaluate(draw.dist, draw.point, order, **draw.indices)
     except CaseSkip:
@@ -899,10 +893,6 @@ def run_all(seed: int, trials: int, order: int) -> AuditReport:
     report = AuditReport(seed=seed, trials=trials, order=order)
     for case in sorted(REGISTRY, key=lambda cs: (cs.id, cs.variant)):
         for trial in range(trials):
-            if case.draw is None:
-                draw = CaseDraw(None, None, {})
-            else:
-                rng = random.Random(f"{seed}:{case.id}:{case.variant}:{trial}")
-                draw = case.draw(rng)
-            report.records.append(run_case(case, draw, order))
+            rng = random.Random(f"{seed}:{case.id}:{case.variant}:{trial}")
+            report.records.append(run_case(case, case.draw(rng), order))
     return report

@@ -316,6 +316,8 @@ def parse_padic_expr(text: str) -> list:
             raise UsageError("bracket powers must be nonnegative")
         terms.append((coefficient, sym or "t", power))
         pos = m.end()
+    if not terms:
+        raise UsageError("empty expression")
     return terms
 
 
@@ -432,23 +434,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A token that starts as a negative number does: "-" or "-." and a digit.
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
-
-
 def _join_negative_values(argv: list) -> list:
-    """``argv`` with each "--flag -p/q" pair written "--flag=-p/q".
+    """``argv`` with each "--flag -value" pair written "--flag=-value".
 
     argparse takes a token that starts with "-" for an option unless it
-    looks like a negative number such as "-3" or "-1.5", so "--arg -1/2"
-    would be refused for want of a value.  No option of this parser starts
-    with a digit, so such a token after a long option can only be its value.
-    "--" and the prefixes of "--help" take no value and are left alone."""
+    looks like a negative number such as "-3" or "-1.5", so "--arg -1/2" or
+    "--expr -t" would be refused for want of a value.  Every long option of
+    this parser but "--help" takes one value, and "-h" is its only short
+    option, so a token that starts with a single "-" after such an option can
+    only be its value.  "--" and the prefixes of "--help" take no value and
+    are left alone."""
     joined = []
     for token in argv:
         flag = joined[-1] if joined else ""
-        if (_NEGATIVE_VALUE.match(token) and flag.startswith("--") and "=" not in flag
-                and not "--help".startswith(flag)):
+        if (token.startswith("-") and not token.startswith("--") and flag.startswith("--")
+                and "=" not in flag and not "--help".startswith(flag)):
             joined[-1] = f"{flag}={token}"
         else:
             joined.append(token)

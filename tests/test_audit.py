@@ -17,6 +17,7 @@ from qbernstein.audit import (
     CaseSkip,
     IdentityCase,
     _alternating_stirling_parts,
+    _latex_escape,
     eval_t21,
     eval_t26_verbatim,
     run_all,
@@ -71,6 +72,17 @@ def test_registry_ids_and_variants_are_unique():
     keys = [(c.id, c.variant) for c in REGISTRY]
     assert len(keys) == len(set(keys))
     assert all(c.expected in ("pass", "record", "skip") for c in REGISTRY)
+
+
+def test_every_registry_entry_draws_and_evaluates():
+    """A skip entry too is a drawer plus an evaluator (one that raises
+    CaseSkip), so the runner takes one path for every record."""
+    assert all(callable(c.draw) and callable(c.evaluate) for c in REGISTRY)
+
+
+def test_latex_escape_escapes_each_special_character():
+    escaped = r"a\&b\%c\$d\#e\_f\{g\}h\^{}i\textbackslash{}j"
+    assert _latex_escape("a&b%c$d#e_f{g}h^i\\j") == escaped
 
 
 def test_self_referential_case_always_passes():
@@ -141,7 +153,10 @@ def test_one_failing_case_leaves_the_rest_of_the_run(monkeypatch, tmp_path, caps
     from qbernstein import cli
 
     clean = run_all(3, 1, MAX_DRAWN_INDEX)
-    failing = IdentityCase("ERRY", "verbatim", "always raises", "pass", None, _out_of_moments)
+    failing = IdentityCase(
+        "ERRY", "verbatim", "always raises", "pass", lambda rng: CaseDraw(None, None, {}),
+        _out_of_moments,
+    )
     monkeypatch.setattr(audit_mod, "REGISTRY", REGISTRY + [failing])
     report = run_all(3, 1, MAX_DRAWN_INDEX)
     errors = [r for r in report.records if r.status == "ERROR"]
@@ -404,6 +419,29 @@ def _bell_parts_read_one_short(self, n):
     D_n."""
     parts, den = _table_bell_parts(self, n)
     return parts, self._dens[n - 1] if n else den
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _bell_parts_times_a_prime(self, n):
+    """MgfTable.bell_parts with row n and D_n both times the n-th prime: the
+    same values, over denominators that no longer divide one another."""
+    parts, den = _table_bell_parts(self, n)
+    return tuple(a * PRIMES[n] for a in parts), den * PRIMES[n]
+
+
+@pytest.mark.parametrize(
+    "law", [Poisson(F(3, 2)), Uniform01(), Geometric(F(3, 4))],
+    ids=["poisson", "uniform01", "geometric"],
+)
+def test_p_log_reads_only_the_parts_the_table_documents(monkeypatch, law):
+    """P-LOG corrected holds for any (row, D_n) pair that gives the row's
+    values, not only for the table's D_n, each of which divides the next."""
+    (case,) = [c for c in REGISTRY if (c.id, c.variant) == ("P-LOG", "corrected")]
+    monkeypatch.setattr(MgfTable, "bell_parts", _bell_parts_times_a_prime)
+    lhs, rhs = case.evaluate(law, None, 12)
+    assert lhs == rhs
 
 
 def _series_mul_one_short(self, other):

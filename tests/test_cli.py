@@ -580,6 +580,33 @@ def test_a_negative_value_reads_alike_after_a_space_and_an_equals_sign(capsys, a
         assert spaced[1] == printed
 
 
+@pytest.mark.parametrize(
+    "expr, printed", [("-t", "-2/3\n"), ("-[x]^2", "-2/21\n"), ("-t + 1", "1/3\n"), ("-1/2", None)]
+)
+def test_an_expression_reads_alike_after_a_space_and_an_equals_sign(capsys, expr, printed):
+    argv = ["padic", "--op", "volkenborn", "--q", "2"]
+    spaced = run(capsys, argv + ["--expr", expr])
+    assert spaced[0] == 0 and run(capsys, argv + [f"--expr={expr}"]) == spaced
+    if printed is not None:
+        assert spaced[1] == printed
+
+
+@pytest.mark.parametrize(
+    "expr, message", [("", "empty expression"), (" ", "empty term near position 0")]
+)
+def test_an_empty_expression_is_a_usage_error(capsys, expr, message):
+    code, out = run(capsys, ["padic", "--op", "volkenborn", "--q", "2", "--expr", expr])
+    errors = [line for line in out.splitlines() if "error:" in line]
+    assert code == 2 and len(errors) == 1 and message in errors[0]
+
+
+def test_the_console_script_runs_main():
+    """The one ``[project.scripts]`` line names ``qbernstein.cli:main``."""
+    text = (SRC.parent / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.strip().splitlines() == ['qbernstein = "qbernstein.cli:main"']
+
+
 @pytest.mark.parametrize("value", ["-1/0", "-1/x", "-1/2/3", "-"])
 def test_a_malformed_negative_value_exits_2(capsys, value):
     code, out = run(capsys, ["eval", "--family", "euler", "--n", "3", "--arg", value])
