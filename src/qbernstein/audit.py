@@ -25,9 +25,13 @@ charitable index conventions listed in the case notes), "corrected" evaluates
 the repaired form, and "verbatim-const" restricts a verbatim claim to
 degenerate single-point laws, the regime where its derivation step is exact.
 
-A case draws a law, then a point, then its indices (:func:`_drawer`).  Its
-evaluator is called as ``evaluate(dist, p, order, **indices)``, taking each
-drawn index by name, and returns (lhs, rhs) or raises :class:`CaseSkip`.
+A case's :class:`Drawer` draws a law, then a point, then its indices from its
+index domain: one (name, low, high) per index, drawn in low..high, where high
+is an int or names an index drawn before it.  :data:`MAX_DRAWN_INDEX` is read
+from the domains (:func:`enumerate_indices`).  P-BRKT draws its point's own
+parameters.  An evaluator is called as
+``evaluate(dist, p, order, **indices)``, taking each drawn index by name, and
+returns (lhs, rhs) or raises :class:`CaseSkip`.
 Shapes that several cases share are written once: the reduction to
 binom(n, r) X^r times a closed-form tail (:func:`_reduction_eval`), the
 convolution, the recovery of X^r (T2.3, C2.1), the printed Poisson integral
@@ -240,43 +244,45 @@ def draw_constant_law(rng: random.Random) -> Distribution:
     return Constant(rng.choice(CONST_GRID))
 
 
-# The largest series index any draw asks for; a run needs at least this order.
-MAX_DRAWN_INDEX = 6
+# The index domain of most cases: n in 0..6, then r in 0..n.
+RN_INDICES = (("n", 0, 6), ("r", 0, "n"))
+RM_INDICES = (("r", 0, 3), ("m", 1, 3))
 
 
-def _draw_rn(
-    rng: random.Random, n_min: int = 0, n_max: int = MAX_DRAWN_INDEX
-) -> dict:
-    n = rng.randrange(n_min, n_max + 1)
-    return {"r": rng.randrange(0, n + 1), "n": n}
+def _top(high, drawn: dict) -> int:
+    """An index's top: ``high`` itself, or the value of the index it names."""
+    return drawn[high] if isinstance(high, str) else high
 
 
-def _drawer(law=None, point=None, indices=_draw_rn):
+def enumerate_indices(domain) -> list[dict]:
+    """Every index dict that ``domain`` can draw."""
+    dicts = [{}]
+    for name, low, high in domain:
+        dicts = [{**d, name: v} for d in dicts for v in range(low, _top(high, d) + 1)]
+    return dicts
+
+
+class Drawer(namedtuple("Drawer", "law point indices", defaults=(None, None, RN_INDICES))):
     """Draw a law, then a point, then the indices; seeded draws depend on that order."""
 
-    def draw(rng: random.Random) -> CaseDraw:
-        dist = law(rng) if law is not None else None
-        p = point(rng) if point is not None else None
-        return CaseDraw(dist, p, indices(rng))
+    __slots__ = ()
 
-    return draw
-
-
-def _draw_rm(rng: random.Random) -> dict:
-    return {"r": rng.randrange(0, 4), "m": rng.randrange(1, 4)}
+    def __call__(self, rng: random.Random) -> CaseDraw:
+        dist = self.law(rng) if self.law is not None else None
+        p = self.point(rng) if self.point is not None else None
+        indices = {}
+        for name, low, high in self.indices:  # one randrange per index, in order
+            indices[name] = rng.randrange(low, _top(high, indices) + 1)
+        return CaseDraw(dist, p, indices)
 
 
 def _qb(dist, r, n, point):
     """Family value with out-of-range lower index read as zero."""
-    if r < 0 or r > n or n < 0:
-        return F(0)
-    return prob_qbernstein(dist, r, n, point)
+    return prob_qbernstein(dist, r, n, point) if 0 <= r <= n else F(0)
 
 
 def _qb_laurent(dist, r, n, q):
-    if r < 0 or r > n or n < 0:
-        return Laurent()
-    return prob_qbernstein_laurent(dist, r, n, q)
+    return prob_qbernstein_laurent(dist, r, n, q) if 0 <= r <= n else Laurent()
 
 
 # ---------------------------------------------------------------------------
@@ -623,70 +629,70 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "P-110", "verbatim",
         "power of the complement bracket equals its alternating Laurent expansion",
-        "pass", _drawer(point=draw_qpoint, indices=lambda rng: {"m": rng.randrange(0, 9)}),
+        "pass", Drawer(point=draw_qpoint, indices=(("m", 0, 8),)),
         eval_one_minus_power,
     ),
     IdentityCase(
         "P-LOG", "verbatim",
         "log of the MGF as an alternating sum of law-dependent partition numbers",
-        "record", _drawer(draw_law, indices=lambda rng: {}),
+        "record", Drawer(draw_law, indices=()),
         _log_expansion_eval(corrected=False),
         notes="stated without the factorial weight on the inner index",
     ),
     IdentityCase(
         "P-LOG", "corrected",
         "log of the MGF with the factorial weight restored",
-        "pass", _drawer(draw_law, indices=lambda rng: {}),
+        "pass", Drawer(draw_law, indices=()),
         _log_expansion_eval(corrected=True),
     ),
     IdentityCase(
         "T2.1", "verbatim",
         "expansion over law-dependent partition numbers times higher-order "
         "Appell-type coefficients",
-        "pass", _drawer(draw_law, draw_qpoint), eval_t21,
+        "pass", Drawer(draw_law, draw_qpoint), eval_t21,
         notes="the two auxiliary families are fixed by their generating factors",
     ),
     IdentityCase(
         "T2.2", "verbatim",
         "explicit double-sum expansion (as printed)",
-        "skip", _drawer(indices=lambda rng: {}), _skip_t22_verbatim,
+        "skip", Drawer(indices=()), _skip_t22_verbatim,
         notes="the printed form reuses the fixed lower index as a bound "
         "summation index; no well-defined verbatim reading exists",
     ),
     IdentityCase(
         "T2.2", "corrected",
         "explicit double-sum expansion with separated summation indices",
-        "pass", _drawer(draw_law, draw_qpoint), _reduction_eval(_t22_tail),
+        "pass", Drawer(draw_law, draw_qpoint), _reduction_eval(_t22_tail),
     ),
     IdentityCase(
         "T2.3", "corrected",
         "bracket power recovered from weighted family values",
-        "pass", _drawer(draw_law, draw_qpoint), eval_t23,
+        "pass", Drawer(draw_law, draw_qpoint), eval_t23,
         notes="inner sum starts at the lower index; lower terms vanish anyway",
     ),
     IdentityCase(
         "C2.1", "verbatim",
         "both integral operators applied to the bracket-power recovery",
-        "record", _drawer(draw_law, draw_qpoint), eval_c21,
+        "record", Drawer(draw_law, draw_qpoint), eval_c21,
         notes="as printed the normalizing binomial of the recovery identity "
         "is dropped; both operator values are reported",
     ),
     IdentityCase(
         "T2.4", "verbatim",
         "convolution against the law's alternating Appell family",
-        "pass", _drawer(draw_law, draw_qpoint), _convolution_eval(prob_euler),
+        "pass", Drawer(draw_law, draw_qpoint), _convolution_eval(prob_euler),
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(
         "T2.5", "verbatim",
         "convolution against the law's Bernoulli-type Appell family",
-        "pass", _drawer(draw_law, draw_qpoint), eval_t25,
+        "pass", Drawer(draw_law, draw_qpoint), eval_t25,
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(
         "T2.6", "verbatim",
         "two-term degree recurrence with the mean as the only law datum",
-        "record", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1)),
+        "record", Drawer(draw_law, draw_qpoint, (("n", 1, 6), ("r", 0, "n"))),
         eval_t26_verbatim,
         notes="the derivation replaces the derivative of the MGF by mean "
         "times MGF, exact only for single-point laws",
@@ -694,25 +700,25 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.6", "verbatim-const",
         "two-term degree recurrence on single-point laws",
-        "pass", _drawer(draw_constant_law, draw_qpoint, lambda rng: _draw_rn(rng, 1)),
+        "pass", Drawer(draw_constant_law, draw_qpoint, (("n", 1, 6), ("r", 0, "n"))),
         eval_t26_verbatim,
     ),
     IdentityCase(
         "T2.6", "corrected",
         "series-level derivative recurrence with the exact logarithmic factor",
-        "pass", _drawer(draw_law, draw_qpoint), eval_t26_corrected,
+        "pass", Drawer(draw_law, draw_qpoint), eval_t26_corrected,
     ),
     IdentityCase(
         "T2.7", "verbatim",
         "exponent-variable derivative as a formal-log Laurent identity",
-        "record", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1, 5)),
+        "record", Drawer(draw_law, draw_qpoint, (("n", 1, 5), ("r", 0, "n"))),
         _t27_eval(corrected=False),
     ),
     IdentityCase(
         "T2.7", "corrected",
         "exponent-variable derivative with the factorial weight restored "
         "in the logarithmic expansion",
-        "pass", _drawer(draw_law, draw_qpoint, lambda rng: _draw_rn(rng, 1, 5)),
+        "pass", Drawer(draw_law, draw_qpoint, (("n", 1, 5), ("r", 0, "n"))),
         _t27_eval(corrected=True),
         notes="d/dx of (vX)^r/r! M^X1 with dt/dx = t L is n t L/(q - 1) P(r - 1, n - 1) "
         "plus (q/t) L/(1 - q) times the sum over j < n of binom(n, j) [log M]_(n - j) "
@@ -722,29 +728,29 @@ REGISTRY: list[IdentityCase] = [
         "T2.8", "verbatim",
         "m-fold series derivative via the product rule with the power-law "
         "shortcut for the MGF factor",
-        "record", _drawer(draw_law, draw_qpoint, _draw_rm), _t28_eval(verbatim=True),
+        "record", Drawer(draw_law, draw_qpoint, RM_INDICES), _t28_eval(verbatim=True),
     ),
     IdentityCase(
         "T2.8", "verbatim-const",
         "m-fold series derivative shortcut on single-point laws",
-        "pass", _drawer(draw_constant_law, draw_qpoint, _draw_rm), _t28_eval(verbatim=True),
+        "pass", Drawer(draw_constant_law, draw_qpoint, RM_INDICES), _t28_eval(verbatim=True),
     ),
     IdentityCase(
         "T2.8", "corrected",
         "m-fold series derivative via the exact product rule",
-        "pass", _drawer(draw_law, draw_qpoint, _draw_rm), _t28_eval(verbatim=False),
+        "pass", Drawer(draw_law, draw_qpoint, RM_INDICES), _t28_eval(verbatim=False),
     ),
     IdentityCase(
         "T3.1", "verbatim",
         "Poisson law: values reduce to Bell polynomial evaluations",
-        "pass", _drawer(LAW_POOLS["poisson"], draw_qpoint),
+        "pass", Drawer(LAW_POOLS["poisson"], draw_qpoint),
         _reduction_eval(lambda dist, k, p: bell_poly(k, dist.alpha * p.X1)),
     ),
     IdentityCase(
         "T3.2", "corrected",
         "Poisson law: partition-number expansion with the complement-bracket "
         "power restored",
-        "pass", _drawer(LAW_POOLS["poisson"], draw_qpoint),
+        "pass", Drawer(LAW_POOLS["poisson"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(k, lambda m: dist.alpha**m * p.X1**m)
         ),
@@ -752,7 +758,7 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "C3.1", "verbatim",
         "Poisson law: fully expanded double sum in powers of t",
-        "pass", _drawer(LAW_POOLS["poisson"], draw_qpoint),
+        "pass", Drawer(LAW_POOLS["poisson"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: sum(
                 (-1) ** l * dist.alpha**m * stirling2(k, m) * math.comb(m, l)
@@ -765,19 +771,19 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "C3.2", "verbatim",
         "Poisson law: bosonic integral versus the printed closed form",
-        "record", _drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c32,
+        "record", Drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c32,
         notes="the printed prefactor and index token are evaluated literally, "
         "with the zero token read as the formal-log limit value",
     ),
     IdentityCase(
         "C3.3", "verbatim",
         "Poisson law: fermionic integral versus the printed closed form",
-        "record", _drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c33,
+        "record", Drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c33,
     ),
     IdentityCase(
         "T3.3", "verbatim",
         "Bernoulli law: falling-factorial partition expansion",
-        "pass", _drawer(LAW_POOLS["bernoulli"], draw_qpoint),
+        "pass", Drawer(LAW_POOLS["bernoulli"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(
                 k, lambda m: dist.p1**m * falling_factorial(p.X1, m)
@@ -788,7 +794,7 @@ REGISTRY: list[IdentityCase] = [
         "T3.4", "corrected",
         "Binomial law: falling factorial taken at the trial count times the "
         "complement bracket",
-        "pass", _drawer(LAW_POOLS["binomial"], draw_qpoint),
+        "pass", Drawer(LAW_POOLS["binomial"], draw_qpoint),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(
                 k, lambda m: dist.p1**m * falling_factorial(dist.trials * p.X1, m)
@@ -800,47 +806,55 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T3.5", "verbatim",
         "Geometric law: signed reduction to Frobenius-Euler values",
-        "pass", _drawer(LAW_POOLS["geometric"], draw_qpoint), eval_t35,
+        "pass", Drawer(LAW_POOLS["geometric"], draw_qpoint), eval_t35,
         notes="read with the failure probability as the deformation "
         "parameter, order the complement bracket, argument zero",
     ),
     IdentityCase(
         "T3.6", "verbatim",
         "Negative-binomial law: mixed classical-basis expansion (as printed)",
-        "record", _drawer(LAW_POOLS["negbinomial"], draw_qpoint), eval_t36_verbatim,
+        "record", Drawer(LAW_POOLS["negbinomial"], draw_qpoint), eval_t36_verbatim,
     ),
     IdentityCase(
         "T3.6", "corrected",
         "Negative-binomial law: exponential-shift expansion derived from the "
         "MGF factorization",
-        "pass", _drawer(LAW_POOLS["negbinomial"], draw_qpoint), _reduction_eval(_t36_tail),
+        "pass", Drawer(LAW_POOLS["negbinomial"], draw_qpoint), _reduction_eval(_t36_tail),
     ),
     IdentityCase(
         "T3.7", "verbatim",
         "Uniform law: reduction to higher-order Bernoulli numbers",
-        "pass", _drawer(LAW_POOLS["uniform01"], draw_qpoint),
+        "pass", Drawer(LAW_POOLS["uniform01"], draw_qpoint),
         _reduction_eval(lambda dist, k, p: higher_bernoulli(k, p.Xc - 1, F(0))),
     ),
     IdentityCase(
         "R2.1", "verbatim",
         "classical mode agrees with the plain-x construction",
-        "pass", _drawer(draw_law, draw_classical_point), eval_r21,
+        "pass", Drawer(draw_law, draw_classical_point), eval_r21,
     ),
     IdentityCase(
         "R2.2", "verbatim",
         "classical mode at the unit law is the classical basis",
-        "pass", _drawer(lambda rng: Constant(F(1)), draw_classical_point), eval_r22,
+        "pass", Drawer(lambda rng: Constant(F(1)), draw_classical_point), eval_r22,
     ),
 ]
+
+
+# The largest index a case that draws a law can draw, and so the least order a
+# run takes.  P-110 draws no law, and its m reads no series.
+MAX_DRAWN_INDEX = max(
+    value for case in REGISTRY if isinstance(case.draw, Drawer) and case.draw.law
+    for indices in enumerate_indices(case.draw.indices) for value in indices.values()
+)
 
 
 # ---------------------------------------------------------------------------
 # the runner
 
 def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
-    """Evaluate both sides of one case on one draw and build the record.  A
-    case whose evaluation raises a ValueError or an ArithmeticError gives an
-    ERROR record naming the exception, so the rest of the run goes on."""
+    """Evaluate both sides of one case on one draw and build the record.  Any
+    exception but CaseSkip and MemoryError gives an ERROR record naming it,
+    so the rest of the run goes on."""
     rho, c, d = _render_point(draw.point)
     head = (
         case.id, case.variant, draw.dist.name if draw.dist is not None else "-",
@@ -850,7 +864,9 @@ def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
         lhs, rhs = case.evaluate(draw.dist, draw.point, order, **draw.indices)
     except CaseSkip:
         return AuditRecord(*head, "SKIP", "-", "-", "-")
-    except (ValueError, ArithmeticError) as exc:
+    except MemoryError:
+        raise
+    except Exception as exc:
         return AuditRecord(*head, "ERROR", "-", "-", f"{type(exc).__name__}: {exc}")
     status = "PASS" if lhs == rhs else "FAIL"
     return AuditRecord(
@@ -860,15 +876,9 @@ def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
 
 
 def _render_params(draw: CaseDraw) -> str:
-    parts = []
-    if draw.dist is not None:
-        ps = draw.dist.param_string()
-        if ps:
-            parts.append(ps)
-    for key in sorted(draw.indices):
-        value = draw.indices[key]
-        parts.append(f"{key}={value}")
-    return ";".join(parts) if parts else "-"
+    parts = [draw.dist.param_string()] if draw.dist is not None else []
+    parts += [f"{key}={draw.indices[key]}" for key in sorted(draw.indices)]
+    return ";".join(part for part in parts if part) or "-"
 
 
 def _render_point(point: QPoint | None) -> tuple[str, int, int]:

@@ -20,7 +20,9 @@ or a ``padic`` exponent) of magnitude above :data:`MAX_SIZE` is a usage error.
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
 2 usage error (UsageError), 3 I/O error (OSError).  ``audit`` also exits 1
-when an expected-pass case fails.
+when an expected-pass case fails.  Every nonzero exit writes one ``error:``
+line to stderr (``i/o error:`` for an I/O error); a failing ``audit`` writes
+it after its report, ``error: N expected-pass record(s) failed``.
 """
 
 from __future__ import annotations
@@ -356,7 +358,7 @@ def cmd_audit(args) -> int:
             print(line)
     failures = report.expected_pass_failures()
     if failures:
-        print(f"{len(failures)} expected-pass record(s) failed", file=sys.stderr)
+        print(f"error: {len(failures)} expected-pass record(s) failed", file=sys.stderr)
         return 1
     return 0
 

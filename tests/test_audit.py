@@ -9,21 +9,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qbernstein.audit as audit_mod
 from qbernstein.audit import (
     MAX_DRAWN_INDEX,
     REGISTRY,
+    RM_INDICES,
+    RN_INDICES,
     AuditReport,
     CaseDraw,
     CaseSkip,
+    Drawer,
     IdentityCase,
     _alternating_stirling_parts,
     _latex_escape,
+    enumerate_indices,
     eval_t21,
     eval_t26_verbatim,
+    render_value,
     run_all,
     run_case,
 )
-from qbernstein import distributions, padic, series
+from qbernstein import cli, distributions, padic, series
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
@@ -78,6 +84,68 @@ def test_every_registry_entry_draws_and_evaluates():
     """A skip entry too is a drawer plus an evaluator (one that raises
     CaseSkip), so the runner takes one path for every record."""
     assert all(callable(c.draw) and callable(c.evaluate) for c in REGISTRY)
+
+
+# Every index domain that is not the default one, n in 0..6 then r in 0..n.
+OTHER_DOMAINS = {
+    ("P-110", "verbatim"): (("m", 0, 8),),
+    ("P-LOG", "verbatim"): (),
+    ("P-LOG", "corrected"): (),
+    ("T2.2", "verbatim"): (),
+    ("T2.6", "verbatim"): (("n", 1, 6), ("r", 0, "n")),
+    ("T2.6", "verbatim-const"): (("n", 1, 6), ("r", 0, "n")),
+    ("T2.7", "verbatim"): (("n", 1, 5), ("r", 0, "n")),
+    ("T2.7", "corrected"): (("n", 1, 5), ("r", 0, "n")),
+    ("T2.8", "verbatim"): RM_INDICES,
+    ("T2.8", "verbatim-const"): RM_INDICES,
+    ("T2.8", "corrected"): RM_INDICES,
+}
+
+
+def test_each_entry_holds_its_index_domain_as_data():
+    """Every entry but P-BRKT, which draws its point's own parameters, has a
+    Drawer whose domain is a value; P-110's m and P-LOG and T2.2 verbatim's
+    empty domain aside, each draws (r, n) or (r, m)."""
+    domains = {(c.id, c.variant): c.draw.indices for c in REGISTRY if isinstance(c.draw, Drawer)}
+    assert [c.id for c in REGISTRY if not isinstance(c.draw, Drawer)] == ["P-BRKT"]
+    assert {key: d for key, d in domains.items() if d != RN_INDICES} == OTHER_DOMAINS
+    assert RN_INDICES == (("n", 0, 6), ("r", 0, "n"))
+    assert RM_INDICES == (("r", 0, 3), ("m", 1, 3))
+
+
+def test_the_default_domain_enumerates_28_dicts():
+    dicts = enumerate_indices(RN_INDICES)
+    assert len(dicts) == 28
+    assert dicts == [{"n": n, "r": r} for n in range(7) for r in range(n + 1)]
+    assert enumerate_indices(()) == [{}]
+    assert enumerate_indices(RM_INDICES) == [
+        {"r": r, "m": m} for r in range(4) for m in range(1, 4)
+    ]
+
+
+def test_every_draw_lies_in_its_enumerated_domain():
+    """Over 200 seeded draws each, every index dict a Drawer gives is one its
+    domain enumerates; and 2,000 draws of the indices alone reach every one."""
+    for case in REGISTRY:
+        if not isinstance(case.draw, Drawer):
+            continue
+        key, domain = (case.id, case.variant), enumerate_indices(case.draw.indices)
+        for i in range(200):
+            assert case.draw(random.Random(f"{key}:{i}")).indices in domain, key
+        rng, alone = random.Random(f"{key}"), Drawer(indices=case.draw.indices)
+        drawn = [alone(rng).indices for _ in range(2000)]
+        assert all(indices in drawn for indices in domain), key
+
+
+def test_the_order_floor_is_read_from_the_domains():
+    """The least order a run takes is the largest index a case that draws a
+    law can draw: n = 6; P-110's m reaches 8 but reads no series."""
+    drawn = {
+        (c.id, c.variant): max(v for d in enumerate_indices(c.draw.indices) for v in d.values())
+        for c in REGISTRY if isinstance(c.draw, Drawer) and c.draw.indices
+    }
+    assert drawn.pop(("P-110", "verbatim")) == 8
+    assert MAX_DRAWN_INDEX == max(drawn.values()) == 6
 
 
 def test_latex_escape_escapes_each_special_character():
@@ -137,8 +205,12 @@ def _out_of_moments(dist, p, order):
     [
         (_out_of_moments, "ValueError: only 2 moments provided, order 8 requested"),
         (lambda dist, p, order: (F(1) / 0, F(0)), "ZeroDivisionError: Fraction(1, 0)"),
+        (lambda dist, p, order: (F(1) + "1", F(0)),
+         "TypeError: unsupported operand type(s) for +: 'Fraction' and 'str'"),
+        (lambda dist, p, order: ((F(1),)[1], F(0)), "IndexError: tuple index out of range"),
+        (lambda dist, p, order: ({}["r"], F(0)), "KeyError: 'r'"),
     ],
-    ids=["value-error", "zero-division"],
+    ids=["value-error", "zero-division", "type-error", "index-error", "key-error"],
 )
 def test_case_error_becomes_an_error_record(evaluate, difference):
     case = IdentityCase("ERRY", "verbatim", "always raises", "pass", None, evaluate)
@@ -148,10 +220,16 @@ def test_case_error_becomes_an_error_record(evaluate, difference):
     assert record.difference == difference
 
 
-def test_one_failing_case_leaves_the_rest_of_the_run(monkeypatch, tmp_path, capsys):
-    import qbernstein.audit as audit_mod
-    from qbernstein import cli
+def test_a_memory_error_propagates():
+    def evaluate(dist, p, order):
+        raise MemoryError
 
+    case = IdentityCase("OOM", "verbatim", "always out of memory", "pass", None, evaluate)
+    with pytest.raises(MemoryError):
+        run_case(case, CaseDraw(None, None, {}), 8)
+
+
+def test_one_failing_case_leaves_the_rest_of_the_run(monkeypatch, tmp_path, capsys):
     clean = run_all(3, 1, MAX_DRAWN_INDEX)
     failing = IdentityCase(
         "ERRY", "verbatim", "always raises", "pass", lambda rng: CaseDraw(None, None, {}),
@@ -173,6 +251,62 @@ def test_one_failing_case_leaves_the_rest_of_the_run(monkeypatch, tmp_path, caps
     assert cli.main(argv) == 1
     assert "ERROR=1" in capsys.readouterr().out
     assert out.read_text() == report.to_jsonl()
+
+
+def _adds_a_string(dist, p, order):
+    return F(1) + "1", F(0)
+
+
+def test_a_type_error_leaves_the_rest_of_the_run(monkeypatch, tmp_path, capsys):
+    """An evaluator that raises an exception no precondition names, here a
+    TypeError, gives one ERROR record, and the run and its report go on."""
+    clean = run_all(3, 1, MAX_DRAWN_INDEX)
+    failing = IdentityCase(
+        "ERRY", "verbatim", "adds a string", "pass", Drawer(indices=()), _adds_a_string
+    )
+    monkeypatch.setattr(audit_mod, "REGISTRY", REGISTRY + [failing])
+    report = run_all(3, 1, MAX_DRAWN_INDEX)
+    (error,) = [r for r in report.records if r.id == "ERRY"]
+    assert (error.status, error.lhs, error.rhs, error.difference) == (
+        "ERROR", "-", "-", "TypeError: unsupported operand type(s) for +: 'Fraction' and 'str'"
+    )
+    assert [r for r in report.records if r.id != "ERRY"] == clean.records
+
+    out = tmp_path / "audit.jsonl"
+    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: 1 expected-pass record(s) failed\n"
+    assert out.read_text() == report.to_jsonl()
+
+
+# The cases whose sides are series, so that their records change with the
+# order: each side at a higher order truncates to the side at a lower one.
+SERIES_VALUED = {
+    ("P-LOG", "verbatim"), ("P-LOG", "corrected"), ("T2.6", "corrected"),
+    ("T2.8", "verbatim"), ("T2.8", "verbatim-const"), ("T2.8", "corrected"),
+}
+
+
+def test_a_lower_order_audit_is_a_prefix_of_a_higher_one():
+    """run_all at orders 16 and 24 gives equal records but for ``order``,
+    except the 12 series-valued ones; for those, each side at order 24,
+    truncated to the order of that side at 16, equals it.  The draws are
+    run_all's, from the (seed, id, variant, trial) stream it documents."""
+    low, high = run_all(42, 2, 16), run_all(42, 2, 24)
+    records = iter(zip(low.records, high.records, strict=True))
+    differing = []
+    for case in sorted(REGISTRY, key=lambda c: (c.id, c.variant)):
+        for trial in range(2):
+            at16, at24 = next(records)
+            if at16._replace(order=24) == at24:
+                continue
+            differing.append((case.id, case.variant))
+            draw = case.draw(random.Random(f"42:{case.id}:{case.variant}:{trial}"))
+            sides16 = case.evaluate(draw.dist, draw.point, 16, **draw.indices)
+            sides24 = case.evaluate(draw.dist, draw.point, 24, **draw.indices)
+            assert tuple(map(render_value, sides16)) == (at16.lhs, at16.rhs)
+            assert [s24.truncate(s16.order) for s16, s24 in zip(sides16, sides24)] == list(sides16)
+    assert len(differing) == 12 and set(differing) == SERIES_VALUED
 
 
 def _registry_case(case_id, variant):
@@ -531,6 +665,27 @@ def _clear_caches():
     padic._rows.cache_clear()
 
 
+@pytest.mark.parametrize("arrangement", ["reversed", "shuffled"])
+def test_records_depend_on_neither_registry_order_nor_cache_state(monkeypatch, arrangement):
+    """Each case run alone from cleared caches, in reversed registry order or
+    in a seeded shuffle, gives the records of one run_all over them all."""
+    _clear_caches()
+    expected = run_all(42, 2, 16).records
+    if arrangement == "reversed":
+        cases = REGISTRY[::-1]
+    else:
+        cases = random.Random(31).sample(REGISTRY, len(REGISTRY))
+    records = []
+    try:
+        for case in cases:
+            _clear_caches()
+            monkeypatch.setattr(audit_mod, "REGISTRY", [case])
+            records += run_all(42, 2, 16).records
+    finally:
+        _clear_caches()
+    assert sorted(records, key=lambda r: (r.id, r.variant)) == expected
+
+
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_audit_catches_a_broken_engine(monkeypatch, mutant):
     """Each off-by-one mutant of the engine turns at least one expected-pass
@@ -632,6 +787,12 @@ def _grid_failures() -> list:
             if lhs != rhs:
                 failures.append((key, law))
     return failures
+
+
+def test_every_grid_case_lies_in_its_domain():
+    cases = {(c.id, c.variant): c for c in REGISTRY}
+    for key, indices in GRID_CASES.items():
+        assert indices in enumerate_indices(cases[key].draw.indices), key
 
 
 def test_bell_readers_hold_on_the_moment_grid():

@@ -352,6 +352,27 @@ def test_io_error_exits_3(capsys, tmp_path):
         assert (code, out) == (3, f"i/o error: {message}\n")
 
 
+def test_a_failing_audit_writes_one_error_line(monkeypatch, tmp_path, capsys):
+    """An expected-pass case whose sides differ makes ``audit`` exit 1 with
+    one ``error:`` line on stderr; stdout keeps the summary lines and the
+    output file the report."""
+    import qbernstein.audit as audit_mod
+
+    failing = audit_mod.IdentityCase(
+        "FAILY", "verbatim", "sides that differ", "pass", audit_mod.Drawer(indices=()),
+        lambda dist, p, order: (F(1), F(2)),
+    )
+    monkeypatch.setattr(audit_mod, "REGISTRY", audit_mod.REGISTRY + [failing])
+    report = audit_mod.run_all(seed=3, trials=1, order=MAX_DRAWN_INDEX)
+    path = tmp_path / "audit.jsonl"
+    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
+    assert main(argv + ["--out", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: 1 expected-pass record(s) failed\n"
+    assert out == "".join(line + "\n" for line in report.summary_lines())
+    assert path.read_text() == report.to_jsonl()
+
+
 def test_audit_jsonl_is_byte_identical_across_processes(tmp_path):
     """Two separate processes, with different string-hash seeds, pass at the
     least admissible order and write the same bytes."""
