@@ -852,9 +852,10 @@ MAX_DRAWN_INDEX = max(
 # the runner
 
 def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
-    """Evaluate both sides of one case on one draw and build the record.  Any
-    exception but CaseSkip and MemoryError gives an ERROR record naming it,
-    so the rest of the run goes on."""
+    """Evaluate both sides of one case on one draw, compare them and build the
+    record.  Any exception but CaseSkip and MemoryError, raised by the
+    evaluator or by comparing, showing or subtracting its sides, gives an
+    ERROR record naming it, so the rest of the run goes on."""
     rho, c, d = _render_point(draw.point)
     head = (
         case.id, case.variant, draw.dist.name if draw.dist is not None else "-",
@@ -862,17 +863,15 @@ def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
     )
     try:
         lhs, rhs = case.evaluate(draw.dist, draw.point, order, **draw.indices)
+        status = "PASS" if lhs == rhs else "FAIL"
+        shown = render_value(lhs), render_value(rhs), render_value(_values_diff(lhs, rhs))
     except CaseSkip:
         return AuditRecord(*head, "SKIP", "-", "-", "-")
     except MemoryError:
         raise
     except Exception as exc:
         return AuditRecord(*head, "ERROR", "-", "-", f"{type(exc).__name__}: {exc}")
-    status = "PASS" if lhs == rhs else "FAIL"
-    return AuditRecord(
-        *head, status, render_value(lhs), render_value(rhs),
-        render_value(_values_diff(lhs, rhs)),
-    )
+    return AuditRecord(*head, status, *shown)
 
 
 def _render_params(draw: CaseDraw) -> str:

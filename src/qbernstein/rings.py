@@ -19,6 +19,8 @@ thin classes name the symbol and say which coefficients and scalars they take:
            uses.
 
 All instances are immutable after construction and all operations are pure.
+One base, :class:`_Value`, freezes the package's values: these three rings,
+``Series``, the laws and ``QPoint`` refuse assignment and deletion alike.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ def _frac(value) -> Fraction:
 class _Value:
     """An immutable value, equal only to one of its exact type with an equal
     ``_key``, hashed by ``_hash`` (computed once, as it is built), and shown
-    with ``_fields`` paired to ``_key``.  It is built by ``object.__setattr__``."""
+    with ``_fields`` paired to ``_key``.  It is built by ``object.__setattr__``.
+    A subclass with its own ``__eq__`` (``Series``, the rings) is unhashable."""
 
     __slots__ = ()
     _fields = ()
@@ -88,7 +91,7 @@ def _merge(items) -> dict:
     return d
 
 
-class _SparseTerms:
+class _SparseTerms(_Value):
     """Sparse polynomial in one formal symbol with integer exponents: ``terms``
     maps each exponent to its nonzero coefficient.  A scalar operand (one of
     ``_scalars``) is lifted to a constant term."""
@@ -118,9 +121,6 @@ class _SparseTerms:
         if isinstance(other, self._scalars):
             return self._build(((0, self._coeff(other)),))
         return None
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
         o = self._lift(other)

@@ -34,6 +34,8 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
+from .rings import _Value
+
 
 def _scalar(c) -> tuple[int, int]:
     if not isinstance(c, (int, Fraction)):
@@ -41,9 +43,9 @@ def _scalar(c) -> tuple[int, int]:
     return c.numerator, c.denominator
 
 
-class Series:
-    """Immutable truncated power series: ``nums`` over ``den``; ``order`` is
-    the largest retained index."""
+class Series(_Value):
+    """Truncated power series: ``nums`` over ``den``; ``order`` is the
+    largest retained index.  Frozen by :class:`~qbernstein.rings._Value`."""
 
     __slots__ = ("nums", "den")
 
@@ -65,9 +67,6 @@ class Series:
         object.__setattr__(s, "nums", tuple(nums))
         object.__setattr__(s, "den", den)
         return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @property
     def order(self) -> int:

@@ -43,6 +43,7 @@ from qbernstein.distributions import (
 )
 from qbernstein.families import bell_poly, prob_qbernstein, prob_stirling2
 from qbernstein.qcalc import QPoint
+from qbernstein.rings import LogPoly
 
 POINT = QPoint(F(2, 3), 1, 2)
 
@@ -209,8 +210,13 @@ def _out_of_moments(dist, p, order):
          "TypeError: unsupported operand type(s) for +: 'Fraction' and 'str'"),
         (lambda dist, p, order: ((F(1),)[1], F(0)), "IndexError: tuple index out of range"),
         (lambda dist, p, order: ({}["r"], F(0)), "KeyError: 'r'"),
+        (lambda dist, p, order: (series.Series([1, 2]), series.Series([1, 2, 3])),
+         "ValueError: series order mismatch: 1 vs 2"),
+        (lambda dist, p, order: (LogPoly({1: 1}), series.Series([1])),
+         "TypeError: series coefficients and scalars must be Fraction or int"),
     ],
-    ids=["value-error", "zero-division", "type-error", "index-error", "key-error"],
+    ids=["value-error", "zero-division", "type-error", "index-error", "key-error",
+         "series-orders", "logpoly-series"],
 )
 def test_case_error_becomes_an_error_record(evaluate, difference):
     case = IdentityCase("ERRY", "verbatim", "always raises", "pass", None, evaluate)

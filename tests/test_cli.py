@@ -373,6 +373,41 @@ def test_a_failing_audit_writes_one_error_line(monkeypatch, tmp_path, capsys):
     assert path.read_text() == report.to_jsonl()
 
 
+def test_an_audit_whose_sides_cannot_be_subtracted_writes_every_record(
+    monkeypatch, tmp_path, capsys
+):
+    """Expected-pass cases whose sides cannot be subtracted, two series of
+    different orders and a LogPoly against a series, give ERROR records:
+    ``audit`` still writes every record, and exits 1 with one ``error:``
+    line."""
+    import qbernstein.audit as audit_mod
+    from qbernstein.rings import LogPoly
+    from qbernstein.series import Series
+
+    clean = audit_mod.run_all(seed=3, trials=1, order=MAX_DRAWN_INDEX)
+    unsubtractable = [
+        audit_mod.IdentityCase(
+            case_id, "verbatim", "sides that cannot be subtracted", "pass",
+            audit_mod.Drawer(indices=()), lambda dist, p, order, sides=sides: sides,
+        )
+        for case_id, sides in (
+            ("ORDERS", (Series([1, 2]), Series([1, 2, 3]))),
+            ("RINGS", (LogPoly({1: 1}), Series([1]))),
+        )
+    ]
+    monkeypatch.setattr(audit_mod, "REGISTRY", audit_mod.REGISTRY + unsubtractable)
+    path = tmp_path / "audit.jsonl"
+    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
+    assert main(argv + ["--out", str(path)]) == 1
+    assert capsys.readouterr().err == "error: 2 expected-pass record(s) failed\n"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r for r in records if r["id"] not in ("ORDERS", "RINGS")] == [
+        json.loads(line) for line in clean.to_jsonl().splitlines()
+    ]
+    errors = [(r["id"], r["lhs"], r["rhs"]) for r in records if r["status"] == "ERROR"]
+    assert errors == [("ORDERS", "-", "-"), ("RINGS", "-", "-")]
+
+
 def test_audit_jsonl_is_byte_identical_across_processes(tmp_path):
     """Two separate processes, with different string-hash seeds, pass at the
     least admissible order and write the same bytes."""

@@ -2,21 +2,27 @@
 raises TypeError, and a negative index, a negative power, a derivative of a
 constant-only series or a law given the wrong number of fields raises at
 once, with its message, rather than returning an inexact or meaningless
-value."""
+value.  At run time, no function of the package returns a float."""
 
+import os
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from qbernstein.distributions import Binomial, Poisson, mgf_table
+import qbernstein
+from qbernstein import distributions, padic
+from qbernstein.audit import run_all
+from qbernstein.distributions import Binomial, Poisson, Uniform01, mgf_table
 from qbernstein.families import (
     bell_poly,
     frobenius_euler,
     higher_bernoulli,
     prob_bernoulli_higher,
     prob_euler,
+    prob_qbernstein,
 )
-from qbernstein.padic import carlitz_beta
+from qbernstein.padic import carlitz_beta, integrate_corollaries
 from qbernstein.qcalc import QPoint, one_minus_bracket_power
 from qbernstein.rings import Laurent, LogPoly
 from qbernstein.series import Series
@@ -69,3 +75,38 @@ def test_precondition_raises(name):
     call, error, message = PRECONDITIONS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_no_function_of_the_package_returns_a_float():
+    """A profile hook over a small audit, and a table and laurent sweep over
+    r <= n <= 9 for three laws, sees every return from Python code under the
+    package's directory, and none is a float.  Returns from C functions are
+    not seen: the hook is given no value for them.  The caches are cleared
+    first, so every table and row is grown under the hook."""
+    package = os.path.dirname(qbernstein.__file__) + os.sep
+    returns, floats = 0, []
+
+    def hook(frame, event, value):
+        nonlocal returns
+        code = frame.f_code
+        if event == "return" and code.co_filename.startswith(package):
+            returns += 1
+            if isinstance(value, float):
+                floats.append(f"{code.co_filename}:{code.co_firstlineno} {code.co_name}")
+
+    distributions._shared_table.cache_clear()
+    padic._rules.cache_clear()
+    padic._rows.cache_clear()
+    point, previous = QPoint(F(2, 5), 3, 7), sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run_all(42, 2, 12)
+        for law in (Poisson(F(3, 2)), Binomial(4, F(2, 5)), Uniform01()):
+            for n in range(10):
+                for r in range(n + 1):
+                    prob_qbernstein(law, r, n, point)
+                    integrate_corollaries(law, r, n, point.q)
+    finally:
+        sys.setprofile(previous)
+    assert returns > 10_000
+    assert floats == []

@@ -3,6 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from qbernstein.distributions import (
+    Bernoulli,
+    Binomial,
+    Constant,
+    CustomMoments,
+    Distribution,
+    Geometric,
+    NegBinomial,
+    Poisson,
+    Uniform01,
+)
+from qbernstein.qcalc import QPoint
 from qbernstein.rings import (
     Laurent,
     LogPoly,
@@ -10,6 +22,7 @@ from qbernstein.rings import (
     falling_factorial,
     laurent_x_derivation,
 )
+from qbernstein.series import Series
 
 from oracles import is_log_free, min_exponent, random_fraction
 
@@ -200,3 +213,55 @@ def test_immutability():
     lau = Laurent({0: F(1)})
     with pytest.raises(AttributeError):
         lau.terms = {}
+
+
+# One value of every kind the package freezes, and a field it holds.
+FROZEN = {
+    "series": (Series([1, F(1, 2)]), "nums"),
+    "logpoly": (LogPoly({-1: F(2), 1: F(1)}), "terms"),
+    "laurent": (Laurent({0: LogPoly({1: F(1)}), 2: F(3)}), "terms"),
+    "poly": (Poly([1, 2]), "terms"),
+    "poisson": (Poisson(F(2, 3)), "alpha"),
+    "bernoulli": (Bernoulli(F(1, 3)), "p1"),
+    "binomial": (Binomial(4, F(2, 5)), "trials"),
+    "geometric": (Geometric(F(1, 2)), "p1"),
+    "negbinomial": (NegBinomial(3, F(3, 5)), "successes"),
+    "uniform01": (Uniform01(), "_key"),
+    "constant": (Constant(F(5, 2)), "value"),
+    "custom": (CustomMoments((F(1), F(1, 2))), "moments"),
+    "qpoint": (QPoint(F(2, 3), 1, 2), "rho"),
+    "qpoint-classical": (QPoint.classical(F(2, 7)), "X"),
+}
+UNHASHABLE = {"series", "logpoly", "laurent", "poly"}
+
+
+def _law_kinds(cls=Distribution):
+    return {k for sub in cls.__subclasses__() for k in (sub, *_law_kinds(sub))}
+
+
+def test_the_frozen_values_cover_every_law_kind():
+    laws = {k for k in _law_kinds() if k.__module__ == Distribution.__module__}
+    assert laws <= {type(value) for value, _ in FROZEN.values()}
+
+
+@pytest.mark.parametrize("kind", FROZEN)
+def test_values_refuse_assignment_and_deletion(kind):
+    """One base freezes every value: setting or deleting a held field or a
+    new name raises AttributeError with one message and leaves the value as
+    it was; the rings and Series, which define their own equality, stay
+    unhashable."""
+    value, field = FROZEN[kind]
+    held = getattr(value, field)
+    for name in (field, "other"):
+        message = f"{type(value).__name__} is immutable: cannot set or delete {name!r}"
+        with pytest.raises(AttributeError) as setting:
+            setattr(value, name, F(1))
+        with pytest.raises(AttributeError) as deleting:
+            delattr(value, name)
+        assert str(setting.value) == str(deleting.value) == message
+    assert getattr(value, field) is held and not hasattr(value, "other")
+    if kind in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        hash(value)
