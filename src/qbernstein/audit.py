@@ -109,8 +109,8 @@ class AuditRecord(
 
 
 class AuditReport:
-    def __init__(self, seed: int, trials: int, order: int):
-        self.seed, self.trials, self.order, self.records = seed, trials, order, []
+    def __init__(self):
+        self.records = []
 
     def expected_pass_failures(self) -> list:
         expectation = _expectations()
@@ -899,7 +899,7 @@ def run_all(seed: int, trials: int, order: int) -> AuditReport:
         raise ValueError("at least one trial is required")
     if order < MAX_DRAWN_INDEX:
         raise ValueError(f"order below the largest drawn index {MAX_DRAWN_INDEX}")
-    report = AuditReport(seed=seed, trials=trials, order=order)
+    report = AuditReport()
     for case in sorted(REGISTRY, key=lambda cs: (cs.id, cs.variant)):
         for trial in range(trials):
             rng = random.Random(f"{seed}:{case.id}:{case.variant}:{trial}")

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import _Value
+from .rings import _frac, _Value
 from .series import Series
 
 
@@ -101,7 +101,7 @@ class Distribution(_Value):
 
 
 def _check_p1(p1: Fraction) -> Fraction:
-    p1 = Fraction(p1)
+    p1 = _frac(p1)
     if not 0 < p1 <= 1:
         raise ValueError("success probability must lie in (0, 1]")
     return p1
@@ -113,7 +113,7 @@ class Poisson(Distribution):
     name = "poisson"
 
     def _check(self):
-        a = Fraction(self.alpha)
+        a = _frac(self.alpha)
         if a <= 0:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", a)
@@ -184,7 +184,7 @@ class Constant(Distribution):
     name = "constant"
 
     def _check(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", _frac(self.value))
 
     def _ode(self):
         # M' = c M
@@ -211,7 +211,7 @@ class CustomMoments(Distribution):
     name = "custom"
 
     def _check(self):
-        ms = tuple(Fraction(m) for m in self.moments)
+        ms = tuple(_frac(m) for m in self.moments)
         if not ms or ms[0] != 1:
             raise ValueError("moment sequence must start with 1")
         object.__setattr__(self, "moments", ms)
@@ -336,8 +336,7 @@ class MgfTable:
 
     def _power(self, z, order: int) -> list:
         """Beta_0 .. of z, grown through at least ``order``."""
-        if not isinstance(z, (int, Fraction)):
-            raise TypeError("the table's M^z needs a Fraction or int exponent")
+        z = _frac(z)
         self._grown(order)  # raises before the held exponent is replaced
         if not (z is self._z or z == self._z):
             self._z, self._zpow = z, [1]

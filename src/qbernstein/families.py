@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .distributions import Constant, Distribution, mgf_table
 from .qcalc import QPoint, _check_q
-from .rings import Laurent
+from .rings import Laurent, _frac
 from .series import Series, exp_series
 
 
@@ -94,7 +94,7 @@ def frobenius_euler(n: int, order, x, u: Fraction):
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    u = Fraction(u)
+    u = _frac(u)
     if u == 1:
         raise ValueError("u = 1 makes the generating function degenerate")
     scaled = (exp_series(Fraction(1), n) - u) * (Fraction(1) / (1 - u))

@@ -13,13 +13,15 @@ takes ``p.X``, ``p.Xc`` and ``p.X1``.
 
 Any rational q > 0 with q != 1 is accepted: every identity checked downstream
 is a rational identity in (q, t), so testing is not restricted to 0 < q < 1.
+A float or a string q, rho or x raises TypeError (:func:`~qbernstein.rings._frac`).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from .rings import Laurent, _Value
+from .rings import Laurent, _frac, _Value
 
 
 class QPoint(_Value):
@@ -43,6 +45,7 @@ class QPoint(_Value):
     _fields = ("rho", "c", "d")
 
     def __init__(self, rho: Fraction | None, c: int, d: int):
+        c, d = operator.index(c), operator.index(d)
         if rho is None:
             if d < 1:
                 raise ValueError("classical point needs a positive denominator")
@@ -50,7 +53,7 @@ class QPoint(_Value):
             x = xc = Fraction(c, d)
             x1 = 1 - x
         else:
-            rho = Fraction(rho)
+            rho = _frac(rho)
             if rho <= 0 or rho == 1:
                 raise ValueError("rho must be a positive rational different from 1")
             if d < 1:
@@ -66,8 +69,7 @@ class QPoint(_Value):
 
     @classmethod
     def classical(cls, x: Fraction) -> "QPoint":
-        x = Fraction(x)
-        return cls(rho=None, c=x.numerator, d=x.denominator)
+        return cls(None, *_frac(x).as_integer_ratio())
 
     @property
     def is_classical(self) -> bool:
@@ -109,8 +111,7 @@ def bracket_in_t(q: Fraction) -> Laurent:
 
 
 def _check_q(q: Fraction) -> Fraction:
-    if type(q) is not Fraction:
-        q = Fraction(q)
+    q = _frac(q)
     # a Fraction is reduced with a positive denominator: q <= 0 and q == 1 read off it
     if q.numerator <= 0 or q.numerator == q.denominator:
         raise ValueError("q must be a positive rational different from 1")

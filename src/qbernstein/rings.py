@@ -21,6 +21,7 @@ thin classes name the symbol and say which coefficients and scalars they take:
 All instances are immutable after construction and all operations are pure.
 One base, :class:`_Value`, freezes the package's values: these three rings,
 ``Series``, the laws and ``QPoint`` refuse assignment and deletion alike.
+One gate, :func:`_frac`, decides for the whole package what an exact scalar is.
 """
 
 from __future__ import annotations
@@ -30,11 +31,17 @@ from fractions import Fraction
 
 
 def _frac(value) -> Fraction:
+    """A Fraction as it is, an int as a Fraction; anything else raises TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+    raise TypeError(f"expected an exact scalar (Fraction or int), got {type(value).__name__}")
+
+
+def _exact(value):
+    """A ring element below as it is, anything else through :func:`_frac`."""
+    return value if isinstance(value, _SparseTerms) else _frac(value)
 
 
 class _Value:
@@ -65,12 +72,12 @@ class _Value:
 def falling_factorial(z, m: int):
     """Product z (z-1) ... (z-m+1); the empty product (m = 0) is 1.
 
-    ``z`` may be any ring element supporting subtraction of integers and
-    multiplication (Fraction, Poly, Laurent, ...).
+    ``z`` is an exact scalar (see :func:`_frac`) or an element of one of the
+    rings below (Poly, Laurent, ...).
     """
     if m < 0:
         raise ValueError("falling factorial needs m >= 0")
-    out = Fraction(1)
+    z, out = _exact(z), Fraction(1)
     for j in range(m):
         out = out * (z - j)
     return out
@@ -93,12 +100,11 @@ def _merge(items) -> dict:
 
 class _SparseTerms(_Value):
     """Sparse polynomial in one formal symbol with integer exponents: ``terms``
-    maps each exponent to its nonzero coefficient.  A scalar operand (one of
-    ``_scalars``) is lifted to a constant term."""
+    maps each exponent to its nonzero coefficient.  An operand ``_coeff`` takes
+    is lifted to a constant term; for any other an operator is NotImplemented."""
 
     __slots__ = ("terms",)
     symbol = ""
-    _scalars: tuple = (int, Fraction)
 
     def __init__(self, terms: Mapping[int, object] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -118,9 +124,11 @@ class _SparseTerms(_Value):
     def _lift(self, other):
         if isinstance(other, type(self)):
             return other
-        if isinstance(other, self._scalars):
-            return self._build(((0, self._coeff(other)),))
-        return None
+        try:
+            c = self._coeff(other)
+        except TypeError:
+            return None
+        return self._build(((0, c),))
 
     def __add__(self, other):
         o = self._lift(other)
@@ -206,17 +214,12 @@ class Laurent(_SparseTerms):
 
     __slots__ = ()
     symbol = "t"
-    _scalars = (int, Fraction, LogPoly)
     __mul__ = __rmul__ = _SparseTerms.__mul__
     __pow__ = _SparseTerms.__pow__
 
     @staticmethod
     def _coeff(value):
-        if isinstance(value, int):
-            return Fraction(value)
-        if not isinstance(value, (Fraction, LogPoly)):
-            raise TypeError("Laurent coefficients must be Fraction or LogPoly")
-        return value
+        return value if isinstance(value, LogPoly) else _frac(value)
 
     def substitute(self, t_value: Fraction):
         """Termwise substitution t <- t_value; exact for t_value != 0."""
@@ -256,8 +259,8 @@ class Poly(_SparseTerms):
         return tuple(self.terms.get(k, Fraction(0)) for k in range(self.degree + 1))
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; ``value`` may live in any ring."""
-        out = Fraction(0)
+        """Evaluate by Horner's rule at an exact scalar or a ring element."""
+        value, out = _exact(value), Fraction(0)
         for c in reversed(self.coeffs):
             out = out * value + c
         return out

@@ -6,8 +6,8 @@ denominator ``den``, the layout of FLINT's ``fmpq_poly`` (Hart, FLINT: Fast
 Library for Number Theory), always in canonical form: gcd(den, *nums) = 1,
 so equal series have equal layouts.  Every operation is exact through order
 N and runs on integers; the ring operations normalise once per result, not
-once per coefficient.  Coefficients are Fraction or int; anything else raises
-TypeError.  ``coeffs`` gives them as Fractions, formed on each read.
+once per coefficient.  Coefficients and scalars pass the one exactness gate,
+:func:`~qbernstein.rings._frac`.  ``coeffs`` gives them as Fractions.
 
 :meth:`Series.exp`, :meth:`Series.log` and :meth:`Series.pow` run their
 recurrences on the numerators A_i over D = ``den`` and build the result in
@@ -34,13 +34,11 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .rings import _Value
+from .rings import _frac, _Value
 
 
 def _scalar(c) -> tuple[int, int]:
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError("series coefficients and scalars must be Fraction or int")
-    return c.numerator, c.denominator
+    return _frac(c).as_integer_ratio()
 
 
 class Series(_Value):
@@ -168,8 +166,7 @@ class Series(_Value):
         raises TypeError."""
         if self.nums[0] != self.den:
             raise ValueError("series pow needs constant term 1")
-        _scalar(exponent)
-        return _miller_power(self.nums, self.den, exponent)
+        return _miller_power(self.nums, self.den, _frac(exponent))
 
     def derive(self) -> "Series":
         """Termwise derivative; the order drops by one."""

@@ -213,7 +213,7 @@ def _out_of_moments(dist, p, order):
         (lambda dist, p, order: (series.Series([1, 2]), series.Series([1, 2, 3])),
          "ValueError: series order mismatch: 1 vs 2"),
         (lambda dist, p, order: (LogPoly({1: 1}), series.Series([1])),
-         "TypeError: series coefficients and scalars must be Fraction or int"),
+         "TypeError: expected an exact scalar (Fraction or int), got LogPoly"),
     ],
     ids=["value-error", "zero-division", "type-error", "index-error", "key-error",
          "series-orders", "logpoly-series"],

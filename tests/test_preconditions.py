@@ -13,32 +13,72 @@ import pytest
 import qbernstein
 from qbernstein import distributions, padic
 from qbernstein.audit import run_all
-from qbernstein.distributions import Binomial, Poisson, Uniform01, mgf_table
+from qbernstein.distributions import (
+    Bernoulli,
+    Binomial,
+    Constant,
+    CustomMoments,
+    Poisson,
+    Uniform01,
+    mgf_table,
+)
 from qbernstein.families import (
     bell_poly,
+    bernstein_classical,
     frobenius_euler,
     higher_bernoulli,
     prob_bernoulli_higher,
     prob_euler,
     prob_qbernstein,
+    prob_qbernstein_laurent,
 )
-from qbernstein.padic import carlitz_beta, integrate_corollaries
+from qbernstein.padic import carlitz_beta, fermionic, integrate_corollaries, volkenborn
 from qbernstein.qcalc import QPoint, one_minus_bracket_power
-from qbernstein.rings import Laurent, LogPoly
+from qbernstein.rings import Laurent, LogPoly, Poly, falling_factorial
 from qbernstein.series import Series
 
 LAW = Poisson(F(3, 2))
 ONE = F(1)
+T = Laurent({1: ONE})  # the symbol t
+# the one message for a value that is not an exact scalar, up to the type's name
+INEXACT = r"expected an exact scalar \(Fraction or int\), got "
+NOT_AN_INT = "'float' object cannot be interpreted as an integer"
 
 # id -> (the call, the exception it raises, a fragment of its message)
 PRECONDITIONS = {
-    "series-float": (lambda: Series([0.5]), TypeError, "must be Fraction or int"),
-    "series-pow-float": (lambda: Series([1, 1]).pow(0.5), TypeError, "must be Fraction or int"),
-    "laurent-float": (lambda: Laurent({0: 0.5}), TypeError, "must be Fraction or LogPoly"),
-    "logpoly-float": (lambda: LogPoly({0: 0.5}), TypeError, "exact scalar, got float"),
-    "table-power-float": (
-        lambda: mgf_table(LAW).power(0.5, 4), TypeError, "Fraction or int exponent"
+    "series-float": (lambda: Series([0.5]), TypeError, INEXACT + "float"),
+    "series-pow-float": (lambda: Series([1, 1]).pow(0.5), TypeError, INEXACT + "float"),
+    "laurent-float": (lambda: Laurent({0: 0.5}), TypeError, INEXACT + "float"),
+    "logpoly-float": (lambda: LogPoly({0: 0.5}), TypeError, INEXACT + "float"),
+    "laurent-times-float": (lambda: T * 0.5, TypeError, "unsupported operand"),
+    "table-power-float": (lambda: mgf_table(LAW).power(0.5, 4), TypeError, INEXACT + "float"),
+    "poisson-float": (lambda: Poisson(0.1), TypeError, INEXACT + "float"),
+    "bernoulli-float": (lambda: Bernoulli(0.5), TypeError, INEXACT + "float"),
+    "binomial-float": (lambda: Binomial(2, 0.5), TypeError, INEXACT + "float"),
+    "constant-float": (lambda: Constant(0.3), TypeError, INEXACT + "float"),
+    "custom-moments-string": (lambda: CustomMoments("12"), TypeError, INEXACT + "str"),
+    "poisson-string": (lambda: Poisson("3/2"), TypeError, INEXACT + "str"),
+    "qpoint-float": (lambda: QPoint(0.5, 1, 2), TypeError, INEXACT + "float"),
+    "classical-float": (lambda: QPoint.classical(0.25), TypeError, INEXACT + "float"),
+    "bernstein-classical-float": (
+        lambda: bernstein_classical(1, 2, 0.25), TypeError, INEXACT + "float"
     ),
+    "volkenborn-float": (lambda: volkenborn(T, 0.5), TypeError, INEXACT + "float"),
+    "fermionic-string": (lambda: fermionic(T, "1/2"), TypeError, INEXACT + "str"),
+    "integrate-corollaries-float": (
+        lambda: integrate_corollaries(LAW, 0, 1, 0.5), TypeError, INEXACT + "float"
+    ),
+    "laurent-route-float": (
+        lambda: prob_qbernstein_laurent(LAW, 0, 1, 0.5), TypeError, INEXACT + "float"
+    ),
+    "carlitz-beta-float": (lambda: carlitz_beta(1, 0.5), TypeError, INEXACT + "float"),
+    "frobenius-euler-float": (
+        lambda: frobenius_euler(2, 1, 0, 0.5), TypeError, INEXACT + "float"
+    ),
+    "falling-factorial-float": (lambda: falling_factorial(0.5, 2), TypeError, INEXACT + "float"),
+    "poly-call-float": (lambda: Poly([1, 1])(0.5), TypeError, INEXACT + "float"),
+    "qpoint-c-float": (lambda: QPoint(F(1, 2), 1.5, 2), TypeError, NOT_AN_INT),
+    "qpoint-d-float": (lambda: QPoint(F(1, 2), 1, 2.0), TypeError, NOT_AN_INT),
     "bell-poly": (lambda: bell_poly(-1, ONE), ValueError, "nonnegative"),
     "higher-bernoulli": (lambda: higher_bernoulli(-1, ONE, ONE), ValueError, "nonnegative"),
     "frobenius-euler": (
