@@ -78,7 +78,7 @@ from .families import (
 )
 from .padic import carlitz_beta, fermionic, integrate_weighted_term, q_euler, volkenborn
 from .qcalc import QPoint, one_minus_bracket_power
-from .rings import Laurent, LogPoly, falling_factorial, laurent_x_derivation
+from .rings import Laurent, LogPoly, _index, falling_factorial, laurent_x_derivation
 from .series import Series
 
 F = Fraction
@@ -465,9 +465,8 @@ def eval_t26_corrected(dist, p, order, r, n):
     f_r = prob_qbernstein_gf(dist, r, p, order)
     lhs = f_r.derive()
     ratio = m_series.derive() * m_series.recip().truncate(order - 1)
-    rhs = (p.X * prob_qbernstein_gf(dist, r - 1, p, order)).truncate(
-        order - 1
-    ) + p.X1 * (f_r.truncate(order - 1) * ratio)
+    f_lower = prob_qbernstein_gf(dist, r - 1, p, order) if r else Series.zero(order)
+    rhs = (p.X * f_lower).truncate(order - 1) + p.X1 * (f_r.truncate(order - 1) * ratio)
     return lhs, rhs
 
 
@@ -895,9 +894,9 @@ def run_all(seed: int, trials: int, order: int) -> AuditReport:
     records do not depend on registry order and the whole report is
     byte-reproducible for a fixed seed.
     """
-    if trials < 1:
+    if _index(trials) < 1:
         raise ValueError("at least one trial is required")
-    if order < MAX_DRAWN_INDEX:
+    if _index(order) < MAX_DRAWN_INDEX:
         raise ValueError(f"order below the largest drawn index {MAX_DRAWN_INDEX}")
     report = AuditReport()
     for case in sorted(REGISTRY, key=lambda cs: (cs.id, cs.variant)):

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import _frac, _Value
+from .rings import _frac, _index, _Value
 from .series import Series
 
 
@@ -91,8 +91,6 @@ class Distribution(_Value):
 
     def moment(self, n: int) -> Fraction:
         """E[Y^n], read from the law's table."""
-        if n < 0:
-            raise ValueError("moment index must be nonnegative")
         return mgf_table(self).moment(n)
 
     def param_string(self) -> str:
@@ -129,8 +127,10 @@ class Binomial(Distribution):
     name = "binomial"
 
     def _check(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
+        trials = _index(self.trials)
+        if trials < 1:
             raise ValueError("trial count must be a positive integer")
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
     def _ode(self):
@@ -156,8 +156,10 @@ class NegBinomial(Distribution):
     name = "negbinomial"
 
     def _check(self):
-        if not isinstance(self.successes, int) or self.successes < 1:
+        successes = _index(self.successes)
+        if successes < 1:
             raise ValueError("success count must be a positive integer")
+        object.__setattr__(self, "successes", successes)
         object.__setattr__(self, "p1", _check_p1(self.p1))
 
     def _ode(self):
@@ -267,8 +269,8 @@ class MgfTable:
     short of the order asked for (a :class:`CustomMoments` law) raises
     before anything changes.  The held exponent z is matched by identity,
     then by value, so the same object read again costs no comparison and an
-    equal one still reuses the held power; another z replaces it.  A
-    negative index raises ValueError."""
+    equal one still reuses the held power; another z replaces it.  Every
+    index passes :func:`~qbernstein.rings._index`."""
 
     def __init__(self, dist: Distribution):
         self.dist = dist
@@ -280,9 +282,7 @@ class MgfTable:
     def _grown(self, order: int) -> list:
         """N_0 .. N_k, grown through at least ``order``, with their D_k and
         splits."""
-        if order < 0:
-            raise ValueError("index must be nonnegative")
-        nums = self._nums
+        nums, order = self._nums, _index(order)
         if len(nums) <= order:
             nums, dens, splits = list(nums), list(self._dens), list(self._splits)
             for k in range(len(nums), order + 1):
@@ -305,9 +305,7 @@ class MgfTable:
 
     def bell(self, n: int, m: int) -> Fraction:
         """B_(n,m) = A_m(n) / D_n; 0 for m > n, which grows nothing."""
-        if n < 0 or m < 0:
-            raise ValueError("indices must be nonnegative")
-        if m > n:
+        if _index(n) < _index(m):
             return Fraction(0)
         row, den = self.bell_parts(n)
         return Fraction(row[m], den)
@@ -315,9 +313,7 @@ class MgfTable:
     def bell_parts(self, n: int) -> tuple[tuple, int]:
         """The held row (A_0(n), .., A_n(n)) itself, not a copy, and D_n,
         whose quotients are B_(n,m) for m <= n."""
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        if len(self._rows) <= n:
+        if len(self._rows) <= _index(n):
             self._grow_rows(n)
         return self._rows[n], self._dens[n]
 

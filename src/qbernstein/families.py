@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .distributions import Constant, Distribution, mgf_table
 from .qcalc import QPoint, _check_q
-from .rings import Laurent, _frac
+from .rings import Laurent, _frac, _index
 from .series import Series, exp_series
 
 
@@ -62,8 +62,6 @@ def prob_stirling2(d: Distribution, n: int, m: int) -> Fraction:
 
 def bell_poly(n: int, x):
     """Exponential coefficient of exp(x (e^v - 1))."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     inner = (exp_series(Fraction(1), n) - 1) * x
     return inner.exp().egf_coeff(n)
 
@@ -74,10 +72,8 @@ def higher_bernoulli(n: int, order, x):
     ``order`` and ``x`` may be any exact scalars (the order enters through a
     series power, the argument through an exponential factor).
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    base = Series(Fraction(1, math.factorial(k + 1)) for k in range(n + 1))
-    return (base.pow(-order) * exp_series(x, n)).egf_coeff(n)
+    base = Series(Fraction(1, math.factorial(k + 1)) for k in range(_index(n) + 1))
+    return (base.pow(-_frac(order)) * exp_series(x, n)).egf_coeff(n)
 
 
 def euler_poly(n: int, x):
@@ -92,13 +88,11 @@ def frobenius_euler(n: int, order, x, u: Fraction):
     Implemented by normalizing e^v - u to unit constant term and raising it
     to -order, so the series power precondition holds for every u != 1.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     u = _frac(u)
     if u == 1:
         raise ValueError("u = 1 makes the generating function degenerate")
     scaled = (exp_series(Fraction(1), n) - u) * (Fraction(1) / (1 - u))
-    return (scaled.pow(-order) * exp_series(x, n)).egf_coeff(n)
+    return (scaled.pow(-_frac(order)) * exp_series(x, n)).egf_coeff(n)
 
 
 def prob_bernoulli_higher(d: Distribution, n: int, r: int, z):
@@ -109,8 +103,7 @@ def prob_bernoulli_higher(d: Distribution, n: int, r: int, z):
     reapplied.  At r = 0 this is the coefficient of M^z: M is read only
     through n, and the mean is not read.
     """
-    if n < 0 or r < 0:
-        raise ValueError("indices must be nonnegative")
+    n, r = _index(n), _index(r)
     if r == 0:
         return mgf_table(d).series(n).pow(z).egf_coeff(n)
     m_series = mgf_table(d).series(n + 1)
@@ -129,8 +122,6 @@ def prob_bernoulli(d: Distribution, n: int, z):
 
 def prob_euler(d: Distribution, n: int, z):
     """Exponential coefficient of 2/(M + 1) * M^z."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     m_series = mgf_table(d).series(n)
     return (((m_series + 1) * Fraction(1, 2)).pow(-1) * m_series.pow(z)).egf_coeff(n)
 
@@ -158,15 +149,13 @@ def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
 
 def prob_qbernstein_gf(d: Distribution, r: int, p: QPoint, order: int) -> Series:
     """The generating function (v X)^r / r! * M^X1 through ``order``, with X,
-    X1 the brackets of x and 1 - x at ``p``; the zero series for r < 0.
+    X1 the brackets of x and 1 - x at ``p``.
 
     Multiplying by the monomial shifts M^X1 up by r, so only its coefficients
     through order - r are needed: the numerators of the table's M^X1 times
     those of X^r, with r zeros in front, over its denominator times that of
     X^r / r!, normalised once."""
-    if r < 0:
-        return Series.zero(order)
-    if r > order:
+    if _index(r) > _index(order):
         raise ValueError("monomial degree outside truncation order")
     X, tail = p.X, mgf_table(d).power(p.X1, order - r)
     nums = [0] * r + [X.numerator**r * c for c in tail.nums]
@@ -213,7 +202,5 @@ def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Lau
 
 
 def _check_indices(r: int, n: int):
-    if r < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
-    if r > n:
+    if _index(r) > _index(n):
         raise ValueError(f"lower index {r} exceeds upper index {n}")

@@ -48,7 +48,7 @@ from functools import lru_cache
 from .distributions import Distribution, mgf_table
 from .families import _check_indices
 from .qcalc import _check_q, bracket_in_t
-from .rings import Laurent, LogPoly
+from .rings import Laurent, LogPoly, _index
 
 
 class _RuleTable(dict):
@@ -89,15 +89,11 @@ def fermionic(f: Laurent, q: Fraction) -> LogPoly:
 
 def carlitz_beta(r: int, q: Fraction) -> LogPoly:
     """Bosonic integral of the r-th power of the bracket of x."""
-    if r < 0:
-        raise ValueError("index must be nonnegative")
     return volkenborn(bracket_in_t(q) ** r, q)
 
 
 def q_euler(r: int, q: Fraction) -> LogPoly:
     """Fermionic integral of the r-th power of the bracket of x."""
-    if r < 0:
-        raise ValueError("index must be nonnegative")
     return fermionic(bracket_in_t(q) ** r, q)
 
 
@@ -162,9 +158,7 @@ def integrate_weighted_term(
     binom(n, r) times the sum over m of prob_stirling2(d, n - r, m) I(r, w, m)."""
     _check_indices(r, n)
     q = _check_q(q)
-    if w < 0:
-        raise ValueError("falling factorial needs m >= 0")
-    k, row = n - r, _rows(q.numerator, q.denominator, r, w)
+    k, row = n - r, _rows(q.numerator, q.denominator, r, _index(w))
     if len(row.parts[2]) <= k:
         row.grow(k, _rules(q))
     weights, ck = mgf_table(d).bell_parts(k)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .rings import Laurent, _frac, _Value
+from .rings import Laurent, _frac, _index, _Value
 
 
 class QPoint(_Value):
@@ -94,8 +94,7 @@ def one_minus_bracket_power(p: QPoint, m: int) -> tuple[Fraction, Laurent]:
     reproduce the scalar exactly.  Rejected in classical mode, where the
     Laurent expansion is undefined.
     """
-    if m < 0:
-        raise ValueError("power must be nonnegative")
+    m = _index(m)
     if p.is_classical:
         raise ValueError("Laurent expansion undefined at q = 1")
     scalar = p.X1**m

@@ -21,11 +21,13 @@ thin classes name the symbol and say which coefficients and scalars they take:
 All instances are immutable after construction and all operations are pure.
 One base, :class:`_Value`, freezes the package's values: these three rings,
 ``Series``, the laws and ``QPoint`` refuse assignment and deletion alike.
-One gate, :func:`_frac`, decides for the whole package what an exact scalar is.
+One gate, :func:`_frac`, decides for the whole package what an exact scalar is,
+and a second, :func:`_index`, what an index, an order or a count is.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -37,6 +39,15 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar (Fraction or int), got {type(value).__name__}")
+
+
+def _index(value) -> int:
+    """A nonnegative int (a bool as its int); a value that is not an integer
+    raises Python's own TypeError, and a negative one ValueError."""
+    n = operator.index(value)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative index, got {value}")
+    return n
 
 
 def _exact(value):
@@ -75,10 +86,8 @@ def falling_factorial(z, m: int):
     ``z`` is an exact scalar (see :func:`_frac`) or an element of one of the
     rings below (Poly, Laurent, ...).
     """
-    if m < 0:
-        raise ValueError("falling factorial needs m >= 0")
     z, out = _exact(z), Fraction(1)
-    for j in range(m):
+    for j in range(_index(m)):
         out = out * (z - j)
     return out
 
@@ -161,10 +170,8 @@ class _SparseTerms(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"{type(self).__name__} powers must be nonnegative integers")
         out = self._build(((0, Fraction(1)),))
-        for _ in range(n):
+        for _ in range(_index(n)):
             out = out * self
         return out
 

@@ -7,7 +7,8 @@ Library for Number Theory), always in canonical form: gcd(den, *nums) = 1,
 so equal series have equal layouts.  Every operation is exact through order
 N and runs on integers; the ring operations normalise once per result, not
 once per coefficient.  Coefficients and scalars pass the one exactness gate,
-:func:`~qbernstein.rings._frac`.  ``coeffs`` gives them as Fractions.
+:func:`~qbernstein.rings._frac`, and orders and indices the one index gate,
+:func:`~qbernstein.rings._index`.  ``coeffs`` gives the coefficients as Fractions.
 
 :meth:`Series.exp`, :meth:`Series.log` and :meth:`Series.pow` run their
 recurrences on the numerators A_i over D = ``den`` and build the result in
@@ -34,7 +35,7 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .rings import _frac, _Value
+from .rings import _frac, _index, _Value
 
 
 def _scalar(c) -> tuple[int, int]:
@@ -77,10 +78,10 @@ class Series(_Value):
 
     @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls.over([0] * (order + 1), 1)
+        return cls.over([0] * (_index(order) + 1), 1)
 
     def truncate(self, order: int) -> "Series":
-        if order > self.order:
+        if _index(order) > self.order:
             raise ValueError("cannot truncate upward")
         return self if order == self.order else Series.over(self.nums[: order + 1], self.den)
 
@@ -176,9 +177,7 @@ class Series(_Value):
 
     def egf_coeff(self, n: int) -> Fraction:
         """The exponential-convention coefficient n! * a_n."""
-        if n < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        if n > self.order:
+        if _index(n) > self.order:
             raise ValueError(
                 f"index {n} exceeds truncation order {self.order}"
             )
@@ -201,7 +200,7 @@ def exp_series(rate, order: int) -> Series:
     each is the one before times rate / n."""
     p, q = _scalar(rate)
     held, common = [1], 1
-    for n in range(1, order + 1):
+    for n in range(1, _index(order) + 1):
         common = _extend(held, common, p * held[-1], q * n)
     return Series.over(held, common)
 

@@ -81,9 +81,12 @@ def test_success_exits_0(capsys):
         (["eval", "--family", "frobenius-euler", "--u", "1", "--n", "2",
           "--order-param", "1", "--arg", "0"],
          "frobenius-euler: u = 1 makes the generating function degenerate"),
+        (["eval", "--family", "stirling2", "--n", "-1", "--m", "0"],
+         "stirling2: expected a nonnegative index, got -1"),
     ],
     ids=["zero-mean", "r-above-order", "too-few-moments", "table-too-few-moments",
-         "volkenborn-at-q-1", "log-mgf-too-few-moments", "frobenius-euler-at-u-1"],
+         "volkenborn-at-q-1", "log-mgf-too-few-moments", "frobenius-euler-at-u-1",
+         "negative-index"],
 )
 def test_computation_error_exits_1(capsys, argv, message):
     assert run(capsys, argv) == (1, f"error: {message}\n")

@@ -248,6 +248,21 @@ def test_laws_of_different_kinds_are_unequal():
     assert Poisson(2) == Poisson(F(2)) and Poisson(2).alpha.denominator == 1
 
 
+@pytest.mark.parametrize(
+    "law, twin, printed",
+    [
+        (Binomial(True, F(1, 2)), Binomial(1, F(1, 2)), "trials=1;p1=1/2"),
+        (NegBinomial(True, F(1, 3)), NegBinomial(1, F(1, 3)), "successes=1;p1=1/3"),
+    ],
+    ids=["binomial", "negbinomial"],
+)
+def test_equal_laws_print_alike(law, twin, printed):
+    """A count passes the one index gate, which holds a bool as its int, so
+    a law counted by True equals and prints as the law counted by 1."""
+    assert law == twin and hash(law) == hash(twin)
+    assert repr(law) == repr(twin) and law.param_string() == twin.param_string() == printed
+
+
 def test_custom_moments_runs_out_of_data():
     law = CustomMoments((F(1), F(1), F(2)))
     assert law.moment(2) == 2

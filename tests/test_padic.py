@@ -329,11 +329,11 @@ BAD_Q = "q must be a positive rational different from 1"
             id="r-above-n",
         ),
         pytest.param(
-            integrate_corollaries, (-1, 2, F(3, 2)), "indices must be nonnegative",
+            integrate_corollaries, (-1, 2, F(3, 2)), "expected a nonnegative index, got -1",
             id="negative-r",
         ),
         pytest.param(
-            integrate_weighted_term, (0, 2, -1, F(3, 2)), "falling factorial needs m >= 0",
+            integrate_weighted_term, (0, 2, -1, F(3, 2)), "expected a nonnegative index, got -1",
             id="negative-w",
         ),
         pytest.param(
