@@ -14,8 +14,9 @@ denominator is 1); formal-log values print as polynomials in the symbol L.
 No floating point exists on any input or output path, so identical
 invocations produce byte-identical outputs.
 
-A size (--n, --r, --m, --order, --trials, a table range's ends, --c, --d
-or a ``padic`` exponent) of magnitude above :data:`MAX_SIZE` is a usage error.
+A size (--n, --r, --m, --order, --trials, --nbar, --a, --d, a table range's
+ends, a ``padic`` power of [x]) below 0 or above :data:`MAX_SIZE`, or an exponent
+(--c, a power of t) of magnitude above it, is a usage error (exit 2).
 
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
@@ -47,7 +48,7 @@ from .distributions import (
     Uniform01,
 )
 from .qcalc import QPoint, bracket_in_t
-from .rings import Laurent
+from .rings import Laurent, _index
 
 DEFAULT_ORDER = 16
 
@@ -69,9 +70,8 @@ def parse_moments(text: str) -> tuple:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def parse_size(text: str) -> int:
-    """An integer of magnitude at most :data:`MAX_SIZE`; a negative one
-    within it is left to the subcommand."""
+def parse_exponent(text: str) -> int:
+    """An integer of magnitude at most :data:`MAX_SIZE`, of either sign."""
     try:
         value = int(text)
     except ValueError:
@@ -80,6 +80,14 @@ def parse_size(text: str) -> int:
         magnitude = "" if value > 0 else "the magnitude of "
         raise UsageError(f"{magnitude}{value} exceeds the largest size, {MAX_SIZE}")
     return value
+
+
+def parse_size(text: str) -> int:
+    """A :func:`parse_exponent` that passes :func:`rings._index`; below 0, a usage error."""
+    try:
+        return _index(parse_exponent(text))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_range(text: str) -> range:
@@ -119,8 +127,8 @@ def _add_dist_args(parser: argparse.ArgumentParser):
     parser.add_argument("--dist", choices=_LAWS)
     parser.add_argument("--alpha", type=parse_rational)
     parser.add_argument("--p1", type=parse_rational)
-    parser.add_argument("--nbar", type=int, help="binomial trial count")
-    parser.add_argument("--a", type=int, help="negative-binomial success count")
+    parser.add_argument("--nbar", type=parse_size, help="binomial trial count")
+    parser.add_argument("--a", type=parse_size, help="negative-binomial success count")
     parser.add_argument("--value", type=parse_rational, help="constant law value")
     parser.add_argument(
         "--moments", type=parse_moments,
@@ -153,11 +161,9 @@ def _require(condition: bool, message: str):
 
 def _add_point_args(parser: argparse.ArgumentParser):
     parser.add_argument("--rho", type=parse_rational, help="base of the point grid")
-    parser.add_argument("--c", type=parse_size, help="t = rho**c")
+    parser.add_argument("--c", type=parse_exponent, help="t = rho**c")
     parser.add_argument("--d", type=parse_size, help="q = rho**d")
-    parser.add_argument(
-        "--x", type=parse_rational, help="classical-mode argument (q = 1)"
-    )
+    parser.add_argument("--x", type=parse_rational, help="classical-mode argument (q = 1)")
 
 
 def _build_point(args) -> QPoint:
@@ -273,16 +279,13 @@ def cmd_eval(args) -> int:
 def cmd_series(args) -> int:
     dist = _build_dist(args)
     _require(dist is not None, "--dist is required")
-    order = args.order
-    _require(order >= 0, "--order must be nonnegative")
     if args.kind == "mgf":
-        s = dist.mgf_series(order)
+        s = dist.mgf_series(args.order)
     elif args.kind == "log-mgf":
-        s = dist.mgf_series(order).log()
+        s = dist.mgf_series(args.order).log()
     else:  # qbernstein-gf
         _require(args.r is not None, "--r is required for the qbernstein-gf kind")
-        _require(args.r >= 0, "--r must be nonnegative")
-        s = families.prob_qbernstein_gf(dist, args.r, _build_point(args), order)
+        s = families.prob_qbernstein_gf(dist, args.r, _build_point(args), args.order)
     rows = [(n, str(coeff), str(s.egf_coeff(n))) for n, coeff in enumerate(s.coeffs)]
     _write_rows(args, ["n", "coeff", "egf"], rows)
     return 0
@@ -313,9 +316,8 @@ def parse_padic_expr(text: str) -> list:
         coefficient = parse_rational(coef) if coef else Fraction(1)
         if sign == "-":
             coefficient = -coefficient
-        power = parse_size(exp) if exp is not None else (1 if sym else 0)
-        if sym == "[x]" and power < 0:
-            raise UsageError("bracket powers must be nonnegative")
+        read = parse_size if sym == "[x]" else parse_exponent
+        power = read(exp) if exp is not None else (1 if sym else 0)
         terms.append((coefficient, sym or "t", power))
         pos = m.end()
     if not terms:
@@ -413,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(func=cmd_series)
 
     p_padic = sub.add_parser("padic", help="apply an integral operator")
-    p_padic.add_argument(
-        "--op", choices=["volkenborn", "fermionic"], required=True
-    )
+    p_padic.add_argument("--op", choices=["volkenborn", "fermionic"], required=True)
     p_padic.add_argument("--q", type=parse_rational, required=True)
     p_padic.add_argument(
         "--expr", type=parse_padic_expr, required=True,

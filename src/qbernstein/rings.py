@@ -118,7 +118,7 @@ class _SparseTerms(_Value):
     def __init__(self, terms: Mapping[int, object] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         object.__setattr__(
-            self, "terms", _merge((int(k), self._coeff(v)) for k, v in items)
+            self, "terms", _merge((operator.index(k), self._coeff(v)) for k, v in items)
         )
 
     _coeff = staticmethod(_frac)

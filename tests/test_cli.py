@@ -81,12 +81,9 @@ def test_success_exits_0(capsys):
         (["eval", "--family", "frobenius-euler", "--u", "1", "--n", "2",
           "--order-param", "1", "--arg", "0"],
          "frobenius-euler: u = 1 makes the generating function degenerate"),
-        (["eval", "--family", "stirling2", "--n", "-1", "--m", "0"],
-         "stirling2: expected a nonnegative index, got -1"),
     ],
     ids=["zero-mean", "r-above-order", "too-few-moments", "table-too-few-moments",
-         "volkenborn-at-q-1", "log-mgf-too-few-moments", "frobenius-euler-at-u-1",
-         "negative-index"],
+         "volkenborn-at-q-1", "log-mgf-too-few-moments", "frobenius-euler-at-u-1"],
 )
 def test_computation_error_exits_1(capsys, argv, message):
     assert run(capsys, argv) == (1, f"error: {message}\n")
@@ -121,7 +118,7 @@ def test_computation_error_exits_1(capsys, argv, message):
         (["padic", "--op", "volkenborn", "--q", "2", "--expr", "+"],
          "empty term near position 0 in '+'"),
         (["padic", "--op", "volkenborn", "--q", "2", "--expr", "[x]^-1"],
-         "bracket powers must be nonnegative"),
+         "--expr: expected a nonnegative index, got -1"),
         (["padic", "--op", "volkenborn", "--q", "2", "--expr", "t + 1/0*t"],
          "not an exact rational: '1/0'"),
     ],
@@ -150,6 +147,8 @@ SIZE_FLAGS = [
     (["audit"], "--trials", "{}"),
     (["eval", "--family", "qbernstein", "--d", "2"], "--c", "{}"),
     (["eval", "--family", "qbernstein", "--c", "1"], "--d", "{}"),
+    (["series", "--dist", "binomial", "--p1", "1/2"], "--nbar", "{}"),
+    (["series", "--dist", "negbinomial", "--p1", "1/2"], "--a", "{}"),
 ]
 
 
@@ -169,19 +168,59 @@ def test_a_size_above_the_cap_is_a_usage_error(capsys, before, flag, form):
     assert f"error: argument {flag}: {MAX_SIZE + 1} exceeds the largest size, {MAX_SIZE}" in err
 
 
-@pytest.mark.parametrize("flag", ["--c", "--d"])
-def test_a_point_exponent_below_minus_the_cap_is_a_usage_error(capsys, flag):
-    """--c and --d are bounded in magnitude: the parser takes -MAX_SIZE,
-    leaving its sign to the point's own check, and refuses one below it with
-    one usage error; nothing is computed."""
+@pytest.mark.parametrize(
+    "flag, refused", [("--c", []), ("--d", [-MAX_SIZE])], ids=["--c", "--d"]
+)
+def test_a_point_exponent_below_minus_the_cap_is_a_usage_error(capsys, flag, refused):
+    """--c is an exponent, bounded in magnitude: the parser takes -MAX_SIZE,
+    leaving its sign to the point's own check.  --d is a size, so the parser
+    refuses -MAX_SIZE as a negative index.  Both refuse one below -MAX_SIZE as
+    above the cap, with one usage error; nothing is computed."""
     parser = build_parser()
     before = ["eval", "--family", "qbernstein", "--c", "1", "--d", "2"]
-    assert getattr(parser.parse_args(before + [flag, str(-MAX_SIZE)]), flag[2:]) == -MAX_SIZE
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(before + [flag, str(-MAX_SIZE - 1)])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2 and err.count("error:") == 1
-    assert f"the magnitude of {-MAX_SIZE - 1} exceeds the largest size, {MAX_SIZE}" in err
+    if not refused:
+        assert getattr(parser.parse_args(before + [flag, str(-MAX_SIZE)]), flag[2:]) == -MAX_SIZE
+    below = -MAX_SIZE - 1
+    messages = {value: f"expected a nonnegative index, got {value}" for value in refused}
+    messages[below] = f"the magnitude of {below} exceeds the largest size, {MAX_SIZE}"
+    for value, message in messages.items():
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(before + [flag, str(value)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.count("error:") == 1
+        assert f"error: argument {flag}: {message}" in err
+
+
+# every flag that reads a size, ending an invocation that gives it -1
+NEGATIVE_SIZES = {
+    "eval --n": ["eval", "--family", "stirling2", "--m", "0", "--n", "-1"],
+    "eval --r": ["eval", "--family", "qbernstein", "--n", "2"] + POINT + ["--r", "-1"],
+    "eval --m": ["eval", "--family", "stirling2", "--n", "2", "--m", "-1"],
+    "series --r": ["series", "--dist", "poisson", "--alpha", "1", "--kind", "qbernstein-gf"]
+    + POINT + ["--r", "-1"],
+    "series --order": ["series", "--dist", "poisson", "--alpha", "1", "--order", "-1"],
+    "audit --order": ["audit", "--order", "-1"],
+    "audit --trials": ["audit", "--trials", "-1"],
+    "--d": ["eval", "--family", "qbernstein", "--r", "1", "--n", "2", "--rho", "2/3",
+            "--c", "1", "--d", "-1"],
+    "--nbar": ["series", "--dist", "binomial", "--p1", "1/2", "--nbar", "-1"],
+    "--a": ["series", "--dist", "negbinomial", "--p1", "1/2", "--a", "-1"],
+    "padic [x] power": ["padic", "--op", "volkenborn", "--q", "2", "--expr", "[x]^-1"],
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_SIZES)
+def test_a_negative_size_is_a_usage_error(capsys, name):
+    """Every size flag refuses -1 while the flags are parsed, after a space or
+    an "=": exit 2 and one error line that names the flag and carries the
+    message of the package's one index gate, rings._index."""
+    argv = NEGATIVE_SIZES[name]
+    flag = argv[-2]
+    for given in (argv, argv[:-2] + [f"{flag}={argv[-1]}"]):
+        code, out = run(capsys, given)
+        errors = [line for line in out.splitlines() if "error:" in line]
+        assert code == 2 and len(errors) == 1, (given, out)
+        assert errors[0].endswith(f"error: argument {flag}: expected a nonnegative index, got -1")
 
 
 def test_a_padic_exponent_above_the_cap_is_a_usage_error(capsys):

@@ -1,10 +1,12 @@
 """The command-line contract under generated argv.
 
-Each example builds an argv for one of the five subcommands from that
-subcommand's flags.  Each value is drawn from valid tokens (signs and "p/q"
-among them) or from edge and malformed ones ("1/0", "", " ", "3..1", +-257,
-"-t", "-h", "--"), and :func:`qbernstein.cli.main` runs it in process.  On
-every argv:
+Each example builds an argv for one of the subcommands of
+:func:`qbernstein.cli.build_parser`, from that subcommand's own actions: each
+flag's value is drawn by the action's ``choices`` or ``type``, so a flag added
+later is drawn without an edit here.  Each value is drawn from valid tokens
+(signs and "p/q" among them) or from edge and malformed ones ("1/0", "", " ",
+"3..1", -1 for a size, +-257, "-t", "-h", "--"), and
+:func:`qbernstein.cli.main` runs it in process.  On every argv:
 
 - ``main`` returns or exits with code 0, 1, 2 or 3, and raises nothing else;
 - stderr holds no traceback, and a nonzero exit writes exactly one
@@ -15,11 +17,13 @@ every argv:
   family prob-qbernstein at the same law, point and indices.
 
 Size bound: 150 examples, each run at most twice plus one ``eval`` per table
-row.  A valid size is at most 5 (a trial count at most 257), a table range
-ends at 4, an audit runs at most 2 trials at order 8 and a ``padic``
-exponent is at most 3 in magnitude, so the test takes about 3 s.
+row.  A valid size is at most 5, a table range ends at 4, an audit runs at
+most 2 trials at order 8 and a ``padic`` exponent is at most 3 in magnitude,
+so the test takes about 3 s.  Sizes near the cap belong to a benchmark, not
+here.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -28,47 +32,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbernstein.cli import _EVAL_FAMILIES, _LAWS, main
+from qbernstein.cli import (
+    _EVAL_FAMILIES,
+    _LAWS,
+    build_parser,
+    main,
+    parse_exponent,
+    parse_moments,
+    parse_padic_expr,
+    parse_range,
+    parse_rational,
+    parse_size,
+)
 
+SUBCOMMANDS = next(
+    action.choices for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
 # tokens every flag may get: empty, blank, the help flag and the end of options
 EDGE = ["", " ", "-h", "--"]
-# kind -> (tokens that parse as the kind, edge and malformed tokens)
+# a flag's type -> (tokens it reads, edge and malformed tokens)
 KINDS = {
-    "rational": (["1", "2", "1/2", "-1/2", "3/2", "-3", "2/3"], ["0", "1/0", "x", "-", "-t"]),
-    "int": (["1", "2", "3"], ["0", "-2", "257", "1/2"]),
-    "base": (["2/3", "3/2", "1/2", "2"], ["1", "0", "-1/2"]),
-    "degree": (["1", "2", "3"], ["0", "-1", "257"]),
-    "size": (["0", "1", "2", "3", "5", "-1"], ["257", "-257", "1/2", "x", "-t"]),
-    "range": (["0", "2", "0..3", "1..4"], ["3..1", "-1", "0..257", "x"]),
-    "moments": (["1,1,2", "1,2,5,7,11", "1,-1/2,3"], ["1,1/0", "2,1", "1,", "-1"]),
-    "expr": (
+    parse_rational: (["1", "2", "1/2", "-1/2", "3/2", "-3", "2/3"], ["0", "1/0", "x", "-", "-t"]),
+    parse_size: (["0", "1", "2", "3", "5"], ["-1", "257", "-257", "1/2", "x", "-t"]),
+    parse_exponent: (["0", "1", "2", "3", "-1"], ["257", "-257", "1/2", "x", "-t"]),
+    parse_range: (["0", "2", "0..3", "1..4"], ["3..1", "-1", "0..257", "x"]),
+    parse_moments: (["1,1,2", "1,2,5,7,11", "1,-1/2,3"], ["1,1/0", "2,1", "1,", "-1"]),
+    parse_padic_expr: (
         ["t", "-t", "-[x]^2", "3*t^2 - [x]^1 + 1/2", "t^-2", "-t + 1", "[x]^3", "-1/2"],
         ["1/0*t", "t^257", "[x]^-1", "t t", "+", "t@"],
     ),
-    "dist": (sorted(_LAWS), ["nope"]),
-    "family": (sorted(_EVAL_FAMILIES), ["nope"]),
-    "kind": (["mgf", "log-mgf", "qbernstein-gf"], ["nope"]),
-    "op": (["volkenborn", "fermionic"], ["nope"]),
-    "format": (["csv", "json-lines", "latex"], ["nope"]),
-    "seed": (["42", "1", "-3", "257"], ["1/2", "x"]),
-    "trials": (["1", "2"], ["0", "-1", "257", "x"]),
-    "order": (["6", "8"], ["5", "0", "-3", "257", "x"]),
+    int: (["42", "1", "-3", "257"], ["1/2", "x"]),
 }
-LAW_FLAGS = {"alpha": "rational", "p1": "rational", "nbar": "int", "a": "int",
-             "value": "rational", "moments": "moments"}
-POINT_FLAGS = {"rho": "base", "c": "size", "d": "degree", "x": "rational"}
-# the flags of an eval family's arguments, by name
-FAMILY_FLAGS = {"r": "size", "n": "size", "m": "size", "q": "rational", "u": "rational",
-                "arg": "rational", "order_param": "rational"}
+# flags whose valid values are fewer than their type reads, by name or by
+# (subcommand, name): a base is positive and not 1, and an audit is kept to at
+# most 2 trials at an order at or above its floor
+DOMAINS = {
+    "rho": (["2/3", "3/2", "1/2", "2"], ["1", "0", "-1/2"]),
+    ("audit", "trials"): (["1", "2"], ["0", "-1", "257", "x"]),
+    ("audit", "order"): (["6", "8"], ["5", "0", "-3", "257", "x"]),
+}
+# the two forms of an evaluation point, by the flags each gives
+STYLES = {"grid": {"rho", "c", "d"}, "classical": {"x"}}
+POINT = set().union(*STYLES.values())
+# what a clean argv of each subcommand gives beyond its required flags and an
+# eval family's arguments; "dist" and "point" stand for the flags that build them
+GIVEN = {"table": {"point"}, "series": {"dist", "point", "r", "order"},
+         "audit": {"trials", "order"}}
+
+
+def _tokens(command, action):
+    if action.choices:
+        return sorted(action.choices), ["nope"]
+    return DOMAINS.get((command, action.dest)) or DOMAINS.get(action.dest) or KINDS[action.type]
 
 
 @st.composite
-def _value(draw, kind, needed, noisy):
-    """A token of ``kind``, or None for an absent flag: valid when the flag is
-    needed, mostly absent when it is not, and now and then edge or absent
-    regardless when ``noisy``."""
+def _value(draw, tokens, needed, noisy):
+    """One of ``tokens``' tokens, or None for an absent flag: valid when the
+    flag is needed, mostly absent when it is not, and now and then edge or
+    absent regardless when ``noisy``."""
     roll = draw(st.integers(0, 9))
-    valid, edge = KINDS[kind]
+    valid, edge = tokens
     if noisy and roll == 1:
         return draw(st.sampled_from(edge + EDGE))
     if (noisy and roll == 0) or (not needed and roll < 7):
@@ -76,72 +101,39 @@ def _value(draw, kind, needed, noisy):
     return draw(st.sampled_from(valid))
 
 
-def _flag(name):
-    return "--" + name.replace("_", "-")
-
-
-@st.composite
-def _law(draw, needed, noisy):
-    dist = draw(_value("dist", needed, noisy))
-    needs = _LAWS[dist][1] if dist in _LAWS else ()
-    pairs = [("--dist", dist)]
-    for name, kind in LAW_FLAGS.items():
-        pairs.append((_flag(name), draw(_value(kind, name in needs, noisy))))
-    return pairs
-
-
-@st.composite
-def _point(draw, needed, noisy):
-    styles = ["grid", "classical"] + (["both", "none"] if noisy else [])
-    style = draw(st.sampled_from(styles)) if needed else "none"
-    wanted = {"grid": {"rho", "c", "d"}, "classical": {"x"}, "both": set(POINT_FLAGS),
-              "none": set()}[style]
-    return [
-        (_flag(name), draw(_value(kind, name in wanted, noisy)))
-        for name, kind in POINT_FLAGS.items()
-        if noisy or name in wanted
-    ]
-
-
-def _flags(draw, spec, noisy):
-    return [
-        (_flag(name), draw(_value(kind, needed, noisy)))
-        for name, (kind, needed) in spec.items()
-    ]
-
-
 @st.composite
 def _argv(draw, out):
     """(subcommand, its (flag, value) pairs in any order).  Half the argvs are
     clean, every needed flag given a valid value and no stray point flag; the
     others are noisy, with edge values, absent flags and an --out that names a
-    file in a missing directory."""
-    command = draw(st.sampled_from(["table", "eval", "series", "padic", "audit"]))
+    file in a missing directory.  A flag is needed when the parser requires
+    it, the eval family or the law reads it, or ``GIVEN`` names it."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     noisy = draw(st.booleans())
-    if command == "table":
-        pairs = draw(_law(draw(st.booleans()), noisy)) + draw(_point(True, noisy))
-        pairs += _flags(draw, {
-            "n": ("range", True), "r": ("range", True), "format": ("format", False)}, noisy)
-    elif command == "eval":
-        family = draw(_value("family", True, noisy))
-        names = _EVAL_FAMILIES[family][1] if family in _EVAL_FAMILIES else ()
-        pairs = [("--family", family), *draw(_law("dist" in names, noisy))]
-        pairs += draw(_point("point" in names, noisy))
-        pairs += _flags(
-            draw, {name: (kind, name in names) for name, kind in FAMILY_FLAGS.items()}, noisy
-        )
-    elif command == "series":
-        pairs = draw(_law(True, noisy)) + draw(_point(True, noisy)) + _flags(draw, {
-            "kind": ("kind", False), "r": ("size", True), "order": ("size", True),
-            "format": ("format", False)}, noisy)
-    elif command == "padic":
-        pairs = _flags(
-            draw, {"op": ("op", True), "q": ("rational", True), "expr": ("expr", True)}, noisy
-        )
-    else:
-        pairs = _flags(draw, {"seed": ("seed", False), "trials": ("trials", True),
-                              "order": ("order", True), "format": ("format", False)}, noisy)
-    if command in ("table", "series", "audit") and draw(st.booleans()):
+    parsed = {action.dest: action for action in SUBCOMMANDS[command]._actions}
+    actions = {dest: action for dest, action in parsed.items() if dest not in ("help", "out")}
+    wanted = GIVEN.get(command, set()) | ({"dist"} if draw(st.booleans()) else set())
+    values = {}
+
+    def give(dest):
+        action = actions[dest]
+        needed = action.required or dest in wanted
+        values[dest] = draw(_value(_tokens(command, action), needed, noisy))
+        return values[dest]
+
+    # the family's and the law's values decide which other flags are needed
+    if "family" in actions:
+        wanted |= set(_EVAL_FAMILIES.get(give("family"), ((), ()))[1])
+    if "dist" in actions:
+        wanted |= set(_LAWS.get(give("dist"), ((), ()))[1])
+    if "point" in wanted:
+        styles = {**STYLES, **({"both": POINT, "none": set()} if noisy else {})}
+        wanted |= styles[draw(st.sampled_from(sorted(styles)))]
+    for dest in actions:
+        if dest not in values and (noisy or dest in wanted or dest not in POINT):
+            give(dest)
+    pairs = [(actions[dest].option_strings[0], value) for dest, value in values.items()]
+    if "out" in parsed and draw(st.booleans()):
         outs = [str(out)] + ([str(out.parent / "missing" / "out"), "", "--"] if noisy else [])
         pairs.append(("--out", draw(st.sampled_from(outs))))
     pairs = draw(st.permutations([pair for pair in pairs if pair[1] is not None]))

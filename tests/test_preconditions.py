@@ -72,6 +72,10 @@ PRECONDITIONS = {
     "series-pow-float": (lambda: Series([1, 1]).pow(0.5), TypeError, INEXACT + "float"),
     "laurent-float": (lambda: Laurent({0: 0.5}), TypeError, INEXACT + "float"),
     "logpoly-float": (lambda: LogPoly({0: 0.5}), TypeError, INEXACT + "float"),
+    "laurent-exponent-float": (lambda: Laurent({1.5: ONE}), TypeError, NOT_AN_INT),
+    "laurent-exponent-string": (
+        lambda: Laurent({"2": ONE}), TypeError, "'str' object cannot be interpreted as an integer"
+    ),
     "laurent-times-float": (lambda: T * 0.5, TypeError, "unsupported operand"),
     "table-power-float": (lambda: mgf_table(LAW).power(0.5, 4), TypeError, INEXACT + "float"),
     "poisson-float": (lambda: Poisson(0.1), TypeError, INEXACT + "float"),
