@@ -25,13 +25,14 @@ charitable index conventions listed in the case notes), "corrected" evaluates
 the repaired form, and "verbatim-const" restricts a verbatim claim to
 degenerate single-point laws, the regime where its derivation step is exact.
 
-A case's :class:`Drawer` draws a law, then a point, then its indices from its
-index domain: one (name, low, high) per index, drawn in low..high, where high
-is an int or names an index drawn before it.  :data:`MAX_DRAWN_INDEX` is read
-from the domains (:func:`enumerate_indices`).  P-BRKT draws its point's own
-parameters.  An evaluator is called as
-``evaluate(dist, p, order, **indices)``, taking each drawn index by name, and
-returns (lhs, rhs) or raises :class:`CaseSkip`.
+A case's :class:`Drawer` draws a law, then a point, then its indices, each
+from a domain, a plain value that :func:`enumerate_indices` lists.  Each axis
+of a domain takes one ``rng.choice``: over a grid, (name, values), or over
+low..high, (name, low, high), where high is an int, an earlier axis's name or
+(name, offset).  An index domain is a tuple of axes; a law or point domain, of
+kinds: each a constructor and the axes of its keyword arguments, and a kind is
+picked only among several.  P-BRKT alone draws by a function.  An evaluator,
+``evaluate(dist, p, order, **indices)``, returns (lhs, rhs) or raises CaseSkip.
 Shapes that several cases share are written once: the reduction to
 binom(n, r) X^r times a closed-form tail (:func:`_reduction_eval`), the
 convolution, the recovery of X^r (T2.3, C2.1), the printed Poisson integral
@@ -47,15 +48,14 @@ import json
 import math
 import random
 from collections import namedtuple
-from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from io import StringIO
 
 from .distributions import (
     Bernoulli,
     Binomial,
     Constant,
-    Distribution,
     Geometric,
     NegBinomial,
     Poisson,
@@ -207,59 +207,64 @@ P1_GRID = [F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(1, 4)]
 TRIALS_GRID = [1, 2, 3, 4]
 SUCCESSES_GRID = [1, 2, 3]
 CONST_GRID = [F(1), F(2), F(1, 2), F(3)]
-
-
-def draw_qpoint(rng: random.Random) -> QPoint:
-    rho = rng.choice(RHO_GRID)
-    d = rng.choice([2, 3, 4])
-    c = rng.randrange(1, d)
-    return QPoint(rho, c, d)
-
-
-def draw_classical_point(rng: random.Random) -> QPoint:
-    d = rng.choice([2, 3, 4])
-    c = rng.randrange(1, d)
-    return QPoint.classical(F(c, d))
-
-
-# One parameter draw per law kind.  draw_law picks a kind by its position
-# here, so the order of the entries is part of every seeded draw.
-LAW_POOLS: dict[str, Callable[[random.Random], Distribution]] = {
-    "poisson": lambda rng: Poisson(rng.choice(ALPHA_GRID)),
-    "bernoulli": lambda rng: Bernoulli(rng.choice(P1_GRID)),
-    "binomial": lambda rng: Binomial(rng.choice(TRIALS_GRID), rng.choice(P1_GRID)),
-    "geometric": lambda rng: Geometric(rng.choice(P1_GRID)),
-    "negbinomial": lambda rng: NegBinomial(
-        rng.choice(SUCCESSES_GRID), rng.choice(P1_GRID)
-    ),
-    "uniform01": lambda rng: Uniform01(),
-}
-
-
-def draw_law(rng: random.Random) -> Distribution:
-    return LAW_POOLS[rng.choice(list(LAW_POOLS))](rng)
-
-
-def draw_constant_law(rng: random.Random) -> Distribution:
-    return Constant(rng.choice(CONST_GRID))
-
+D_GRID = [2, 3, 4]
 
 # The index domain of most cases: n in 0..6, then r in 0..n.
 RN_INDICES = (("n", 0, 6), ("r", 0, "n"))
 RM_INDICES = (("r", 0, 3), ("m", 1, 3))
 
 
-def _top(high, drawn: dict) -> int:
-    """An index's top: ``high`` itself, or the value of the index it names."""
-    return drawn[high] if isinstance(high, str) else high
+def _classical_point(c: int, d: int) -> QPoint:
+    """The classical point x = c/d, held in lowest terms."""
+    return QPoint.classical(F(c, d))
 
 
-def enumerate_indices(domain) -> list[dict]:
-    """Every index dict that ``domain`` can draw."""
+# A law's axes are named by its _fields; the order of LAWS is part of every seeded draw.
+POISSON = ((Poisson, (("alpha", ALPHA_GRID),)),)
+BERNOULLI = ((Bernoulli, (("p1", P1_GRID),)),)
+BINOMIAL = ((Binomial, (("trials", TRIALS_GRID), ("p1", P1_GRID))),)
+GEOMETRIC = ((Geometric, (("p1", P1_GRID),)),)
+NEGBINOMIAL = ((NegBinomial, (("successes", SUCCESSES_GRID), ("p1", P1_GRID))),)
+UNIFORM01 = ((Uniform01, ()),)
+LAWS = POISSON + BERNOULLI + BINOMIAL + GEOMETRIC + NEGBINOMIAL + UNIFORM01
+CONSTANTS = ((Constant, (("value", CONST_GRID),)),)
+UNIT = ((partial(Constant, F(1)), ()),)
+Q_POINTS = ((QPoint, (("rho", RHO_GRID), ("d", D_GRID), ("c", 1, ("d", -1)))),)
+CLASSICAL_POINTS = ((_classical_point, (("d", D_GRID), ("c", 1, ("d", -1)))),)
+
+
+def _axis_values(axis, drawn: dict):
+    """An axis's values, once the axes before it are ``drawn``."""
+    if len(axis) == 2:
+        return axis[1]
+    _, low, high = axis
+    if not isinstance(high, int):
+        name, offset = (high, 0) if isinstance(high, str) else high
+        high = drawn[name] + offset
+    return range(low, high + 1)
+
+
+def enumerate_indices(domain) -> list:
+    """Every value ``domain`` can draw, in order: an index dict, a law or a point."""
+    if domain and callable(domain[0][0]):  # a tuple of kinds
+        return [make(**args) for make, axes in domain for args in enumerate_indices(axes)]
     dicts = [{}]
-    for name, low, high in domain:
-        dicts = [{**d, name: v} for d in dicts for v in range(low, _top(high, d) + 1)]
+    for axis in domain:
+        dicts = [{**d, axis[0]: v} for d in dicts for v in _axis_values(axis, d)]
     return dicts
+
+
+def _draw(domain, rng: random.Random):
+    """One value drawn from ``domain``, if any: its kind among several, then each axis."""
+    if domain is None:
+        return None
+    if domain and callable(domain[0][0]):  # a tuple of kinds
+        make, axes = rng.choice(domain) if len(domain) > 1 else domain[0]
+        return make(**_draw(axes, rng))
+    drawn = {}
+    for axis in domain:
+        drawn[axis[0]] = rng.choice(_axis_values(axis, drawn))
+    return drawn
 
 
 class Drawer(namedtuple("Drawer", "law point indices", defaults=(None, None, RN_INDICES))):
@@ -268,12 +273,7 @@ class Drawer(namedtuple("Drawer", "law point indices", defaults=(None, None, RN_
     __slots__ = ()
 
     def __call__(self, rng: random.Random) -> CaseDraw:
-        dist = self.law(rng) if self.law is not None else None
-        p = self.point(rng) if self.point is not None else None
-        indices = {}
-        for name, low, high in self.indices:  # one randrange per index, in order
-            indices[name] = rng.randrange(low, _top(high, indices) + 1)
-        return CaseDraw(dist, p, indices)
+        return CaseDraw(*[_draw(domain, rng) for domain in self])
 
 
 def _qb(dist, r, n, point):
@@ -311,7 +311,7 @@ def eval_bracket_properties(dist, p1, order, rho, d, c1, c2):
 
 def draw_bracket_properties(rng: random.Random) -> CaseDraw:
     rho = rng.choice(RHO_GRID)
-    d = rng.choice([2, 3, 4])
+    d = rng.choice(D_GRID)
     c1 = rng.randrange(1, 2 * d + 1)
     c2 = rng.randrange(1, 2 * d + 1)
     return CaseDraw(None, QPoint(rho, c1, d), {"rho": rho, "d": d, "c1": c1, "c2": c2})
@@ -628,27 +628,27 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "P-110", "verbatim",
         "power of the complement bracket equals its alternating Laurent expansion",
-        "pass", Drawer(point=draw_qpoint, indices=(("m", 0, 8),)),
+        "pass", Drawer(point=Q_POINTS, indices=(("m", 0, 8),)),
         eval_one_minus_power,
     ),
     IdentityCase(
         "P-LOG", "verbatim",
         "log of the MGF as an alternating sum of law-dependent partition numbers",
-        "record", Drawer(draw_law, indices=()),
+        "record", Drawer(LAWS, indices=()),
         _log_expansion_eval(corrected=False),
         notes="stated without the factorial weight on the inner index",
     ),
     IdentityCase(
         "P-LOG", "corrected",
         "log of the MGF with the factorial weight restored",
-        "pass", Drawer(draw_law, indices=()),
+        "pass", Drawer(LAWS, indices=()),
         _log_expansion_eval(corrected=True),
     ),
     IdentityCase(
         "T2.1", "verbatim",
         "expansion over law-dependent partition numbers times higher-order "
         "Appell-type coefficients",
-        "pass", Drawer(draw_law, draw_qpoint), eval_t21,
+        "pass", Drawer(LAWS, Q_POINTS), eval_t21,
         notes="the two auxiliary families are fixed by their generating factors",
     ),
     IdentityCase(
@@ -661,37 +661,37 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.2", "corrected",
         "explicit double-sum expansion with separated summation indices",
-        "pass", Drawer(draw_law, draw_qpoint), _reduction_eval(_t22_tail),
+        "pass", Drawer(LAWS, Q_POINTS), _reduction_eval(_t22_tail),
     ),
     IdentityCase(
         "T2.3", "corrected",
         "bracket power recovered from weighted family values",
-        "pass", Drawer(draw_law, draw_qpoint), eval_t23,
+        "pass", Drawer(LAWS, Q_POINTS), eval_t23,
         notes="inner sum starts at the lower index; lower terms vanish anyway",
     ),
     IdentityCase(
         "C2.1", "verbatim",
         "both integral operators applied to the bracket-power recovery",
-        "record", Drawer(draw_law, draw_qpoint), eval_c21,
+        "record", Drawer(LAWS, Q_POINTS), eval_c21,
         notes="as printed the normalizing binomial of the recovery identity "
         "is dropped; both operator values are reported",
     ),
     IdentityCase(
         "T2.4", "verbatim",
         "convolution against the law's alternating Appell family",
-        "pass", Drawer(draw_law, draw_qpoint), _convolution_eval(prob_euler),
+        "pass", Drawer(LAWS, Q_POINTS), _convolution_eval(prob_euler),
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(
         "T2.5", "verbatim",
         "convolution against the law's Bernoulli-type Appell family",
-        "pass", Drawer(draw_law, draw_qpoint), eval_t25,
+        "pass", Drawer(LAWS, Q_POINTS), eval_t25,
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(
         "T2.6", "verbatim",
         "two-term degree recurrence with the mean as the only law datum",
-        "record", Drawer(draw_law, draw_qpoint, (("n", 1, 6), ("r", 0, "n"))),
+        "record", Drawer(LAWS, Q_POINTS, (("n", 1, 6), ("r", 0, "n"))),
         eval_t26_verbatim,
         notes="the derivation replaces the derivative of the MGF by mean "
         "times MGF, exact only for single-point laws",
@@ -699,25 +699,25 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.6", "verbatim-const",
         "two-term degree recurrence on single-point laws",
-        "pass", Drawer(draw_constant_law, draw_qpoint, (("n", 1, 6), ("r", 0, "n"))),
+        "pass", Drawer(CONSTANTS, Q_POINTS, (("n", 1, 6), ("r", 0, "n"))),
         eval_t26_verbatim,
     ),
     IdentityCase(
         "T2.6", "corrected",
         "series-level derivative recurrence with the exact logarithmic factor",
-        "pass", Drawer(draw_law, draw_qpoint), eval_t26_corrected,
+        "pass", Drawer(LAWS, Q_POINTS), eval_t26_corrected,
     ),
     IdentityCase(
         "T2.7", "verbatim",
         "exponent-variable derivative as a formal-log Laurent identity",
-        "record", Drawer(draw_law, draw_qpoint, (("n", 1, 5), ("r", 0, "n"))),
+        "record", Drawer(LAWS, Q_POINTS, (("n", 1, 5), ("r", 0, "n"))),
         _t27_eval(corrected=False),
     ),
     IdentityCase(
         "T2.7", "corrected",
         "exponent-variable derivative with the factorial weight restored "
         "in the logarithmic expansion",
-        "pass", Drawer(draw_law, draw_qpoint, (("n", 1, 5), ("r", 0, "n"))),
+        "pass", Drawer(LAWS, Q_POINTS, (("n", 1, 5), ("r", 0, "n"))),
         _t27_eval(corrected=True),
         notes="d/dx of (vX)^r/r! M^X1 with dt/dx = t L is n t L/(q - 1) P(r - 1, n - 1) "
         "plus (q/t) L/(1 - q) times the sum over j < n of binom(n, j) [log M]_(n - j) "
@@ -727,29 +727,29 @@ REGISTRY: list[IdentityCase] = [
         "T2.8", "verbatim",
         "m-fold series derivative via the product rule with the power-law "
         "shortcut for the MGF factor",
-        "record", Drawer(draw_law, draw_qpoint, RM_INDICES), _t28_eval(verbatim=True),
+        "record", Drawer(LAWS, Q_POINTS, RM_INDICES), _t28_eval(verbatim=True),
     ),
     IdentityCase(
         "T2.8", "verbatim-const",
         "m-fold series derivative shortcut on single-point laws",
-        "pass", Drawer(draw_constant_law, draw_qpoint, RM_INDICES), _t28_eval(verbatim=True),
+        "pass", Drawer(CONSTANTS, Q_POINTS, RM_INDICES), _t28_eval(verbatim=True),
     ),
     IdentityCase(
         "T2.8", "corrected",
         "m-fold series derivative via the exact product rule",
-        "pass", Drawer(draw_law, draw_qpoint, RM_INDICES), _t28_eval(verbatim=False),
+        "pass", Drawer(LAWS, Q_POINTS, RM_INDICES), _t28_eval(verbatim=False),
     ),
     IdentityCase(
         "T3.1", "verbatim",
         "Poisson law: values reduce to Bell polynomial evaluations",
-        "pass", Drawer(LAW_POOLS["poisson"], draw_qpoint),
+        "pass", Drawer(POISSON, Q_POINTS),
         _reduction_eval(lambda dist, k, p: bell_poly(k, dist.alpha * p.X1)),
     ),
     IdentityCase(
         "T3.2", "corrected",
         "Poisson law: partition-number expansion with the complement-bracket "
         "power restored",
-        "pass", Drawer(LAW_POOLS["poisson"], draw_qpoint),
+        "pass", Drawer(POISSON, Q_POINTS),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(k, lambda m: dist.alpha**m * p.X1**m)
         ),
@@ -757,7 +757,7 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "C3.1", "verbatim",
         "Poisson law: fully expanded double sum in powers of t",
-        "pass", Drawer(LAW_POOLS["poisson"], draw_qpoint),
+        "pass", Drawer(POISSON, Q_POINTS),
         _reduction_eval(
             lambda dist, k, p: sum(
                 (-1) ** l * dist.alpha**m * stirling2(k, m) * math.comb(m, l)
@@ -770,19 +770,19 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "C3.2", "verbatim",
         "Poisson law: bosonic integral versus the printed closed form",
-        "record", Drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c32,
+        "record", Drawer(POISSON, Q_POINTS), eval_c32,
         notes="the printed prefactor and index token are evaluated literally, "
         "with the zero token read as the formal-log limit value",
     ),
     IdentityCase(
         "C3.3", "verbatim",
         "Poisson law: fermionic integral versus the printed closed form",
-        "record", Drawer(LAW_POOLS["poisson"], draw_qpoint), eval_c33,
+        "record", Drawer(POISSON, Q_POINTS), eval_c33,
     ),
     IdentityCase(
         "T3.3", "verbatim",
         "Bernoulli law: falling-factorial partition expansion",
-        "pass", Drawer(LAW_POOLS["bernoulli"], draw_qpoint),
+        "pass", Drawer(BERNOULLI, Q_POINTS),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(
                 k, lambda m: dist.p1**m * falling_factorial(p.X1, m)
@@ -793,7 +793,7 @@ REGISTRY: list[IdentityCase] = [
         "T3.4", "corrected",
         "Binomial law: falling factorial taken at the trial count times the "
         "complement bracket",
-        "pass", Drawer(LAW_POOLS["binomial"], draw_qpoint),
+        "pass", Drawer(BINOMIAL, Q_POINTS),
         _reduction_eval(
             lambda dist, k, p: _stirling_sum(
                 k, lambda m: dist.p1**m * falling_factorial(dist.trials * p.X1, m)
@@ -805,36 +805,36 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T3.5", "verbatim",
         "Geometric law: signed reduction to Frobenius-Euler values",
-        "pass", Drawer(LAW_POOLS["geometric"], draw_qpoint), eval_t35,
+        "pass", Drawer(GEOMETRIC, Q_POINTS), eval_t35,
         notes="read with the failure probability as the deformation "
         "parameter, order the complement bracket, argument zero",
     ),
     IdentityCase(
         "T3.6", "verbatim",
         "Negative-binomial law: mixed classical-basis expansion (as printed)",
-        "record", Drawer(LAW_POOLS["negbinomial"], draw_qpoint), eval_t36_verbatim,
+        "record", Drawer(NEGBINOMIAL, Q_POINTS), eval_t36_verbatim,
     ),
     IdentityCase(
         "T3.6", "corrected",
         "Negative-binomial law: exponential-shift expansion derived from the "
         "MGF factorization",
-        "pass", Drawer(LAW_POOLS["negbinomial"], draw_qpoint), _reduction_eval(_t36_tail),
+        "pass", Drawer(NEGBINOMIAL, Q_POINTS), _reduction_eval(_t36_tail),
     ),
     IdentityCase(
         "T3.7", "verbatim",
         "Uniform law: reduction to higher-order Bernoulli numbers",
-        "pass", Drawer(LAW_POOLS["uniform01"], draw_qpoint),
+        "pass", Drawer(UNIFORM01, Q_POINTS),
         _reduction_eval(lambda dist, k, p: higher_bernoulli(k, p.Xc - 1, F(0))),
     ),
     IdentityCase(
         "R2.1", "verbatim",
         "classical mode agrees with the plain-x construction",
-        "pass", Drawer(draw_law, draw_classical_point), eval_r21,
+        "pass", Drawer(LAWS, CLASSICAL_POINTS), eval_r21,
     ),
     IdentityCase(
         "R2.2", "verbatim",
         "classical mode at the unit law is the classical basis",
-        "pass", Drawer(lambda rng: Constant(F(1)), draw_classical_point), eval_r22,
+        "pass", Drawer(UNIT, CLASSICAL_POINTS), eval_r22,
     ),
 ]
 

@@ -92,8 +92,8 @@ def parse_size(text: str) -> int:
 
 def parse_range(text: str) -> range:
     """Either a single index "3" or an inclusive range "0..6", each end a
-    size (:func:`parse_size`)."""
-    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
+    size (:func:`parse_size`), so that a negative end gets its message."""
+    m = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"not an index or range: {text!r}")
     lo = parse_size(m.group(1))

@@ -11,10 +11,17 @@ from hypothesis import strategies as st
 
 import qbernstein.audit as audit_mod
 from qbernstein.audit import (
+    ALPHA_GRID,
+    CLASSICAL_POINTS,
+    LAWS,
     MAX_DRAWN_INDEX,
+    POISSON,
+    Q_POINTS,
     REGISTRY,
     RM_INDICES,
     RN_INDICES,
+    UNIFORM01,
+    UNIT,
     AuditReport,
     CaseDraw,
     CaseSkip,
@@ -124,18 +131,77 @@ def test_the_default_domain_enumerates_28_dicts():
     ]
 
 
+def test_law_and_point_domains_enumerate_their_sizes():
+    """Poisson 5, Bernoulli 5, Binomial 20, Geometric 5, NegBinomial 15 and
+    Uniform01 1 laws; 10 values of rho times 6 (c, d) pairs; and the 6
+    classical (c, d) pairs, of which 2/4 is held as 1/2."""
+    laws = enumerate_indices(LAWS)
+    assert len(laws) == 51 and len(set(laws)) == 51
+    assert [sum(type(law) is kind for law in laws) for kind, _ in LAWS] == [5, 5, 20, 5, 15, 1]
+    points = enumerate_indices(Q_POINTS)
+    assert len(points) == 60 and len(set(points)) == 60
+    assert {(p.c, p.d) for p in points} == {(c, d) for d in (2, 3, 4) for c in range(1, d)}
+    classical = enumerate_indices(CLASSICAL_POINTS)
+    assert len(classical) == 6 and all(p.is_classical for p in classical)
+    assert sorted({p.x for p in classical}) == [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
+    assert enumerate_indices(UNIT) == [Constant(F(1))]
+
+
+def test_a_domain_of_one_kind_draws_no_kind():
+    """A law domain of one kind spends no random call on picking it: Poisson
+    spends one choice on alpha, and Uniform01 and the unit law none at all."""
+    for domain, grids in ((POISSON, [ALPHA_GRID]), (UNIFORM01, []), (UNIT, [])):
+        rng, twin = random.Random(5), random.Random(5)
+        Drawer(domain, indices=())(rng)
+        for grid in grids:
+            twin.choice(grid)
+        assert rng.getstate() == twin.getstate(), domain
+
+
 def test_every_draw_lies_in_its_enumerated_domain():
-    """Over 200 seeded draws each, every index dict a Drawer gives is one its
-    domain enumerates; and 2,000 draws of the indices alone reach every one."""
+    """Over 200 seeded draws each, every law, point and index dict a Drawer
+    gives is one its domains enumerate; and 2,000 draws of the indices alone
+    reach every index dict."""
     for case in REGISTRY:
         if not isinstance(case.draw, Drawer):
             continue
         key, domain = (case.id, case.variant), enumerate_indices(case.draw.indices)
+        laws, points = (
+            enumerate_indices(d) if d is not None else [None]
+            for d in (case.draw.law, case.draw.point)
+        )
         for i in range(200):
-            assert case.draw(random.Random(f"{key}:{i}")).indices in domain, key
+            draw = case.draw(random.Random(f"{key}:{i}"))
+            assert draw.indices in domain and draw.dist in laws and draw.point in points, key
         rng, alone = random.Random(f"{key}"), Drawer(indices=case.draw.indices)
         drawn = [alone(rng).indices for _ in range(2000)]
         assert all(indices in drawn for indices in domain), key
+
+
+def test_each_repair_holds_on_the_draws_of_its_printed_form():
+    """Each record verbatim case with a corrected twin draws inside the twin's
+    domains.  On the verbatim case's own draws (seeds 0-7, 5 trials, order
+    16), the twin passes every one, and the printed form fails at least one:
+    so the repair mends the draws the printed form fails on, and the record
+    case is not mislabelled."""
+    cases = {(c.id, c.variant): c for c in REGISTRY}
+    pairs = [
+        (case, cases[case.id, "corrected"]) for case in REGISTRY
+        if case.variant == "verbatim" and case.expected == "record"
+        and (case.id, "corrected") in cases
+    ]
+    assert [case.id for case, _ in pairs] == ["P-LOG", "T2.6", "T2.7", "T2.8", "T3.6"]
+    for verbatim, twin in pairs:
+        for mine, theirs in zip(verbatim.draw, twin.draw):
+            if mine is not None:
+                domain = enumerate_indices(theirs)
+                assert all(v in domain for v in enumerate_indices(mine)), verbatim.id
+        draws = [
+            verbatim.draw(random.Random(f"{seed}:{verbatim.id}:verbatim:{trial}"))
+            for seed in range(8) for trial in range(5)
+        ]
+        assert all(run_case(twin, draw, 16).status == "PASS" for draw in draws), twin.id
+        assert any(run_case(verbatim, draw, 16).status == "FAIL" for draw in draws), verbatim.id
 
 
 def test_the_order_floor_is_read_from_the_domains():

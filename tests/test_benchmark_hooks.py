@@ -7,9 +7,14 @@ under the tracer and checks that the tracer saw each workload's headline
 layer.  It runs in a fresh interpreter, since the tracer patches the package
 for the life of the process."""
 
+import importlib.util
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from qbernstein import audit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +49,27 @@ def test_tracer_hooks_see_every_workload():
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_the_benchmark_grids_stay_those_of_the_audit(monkeypatch):
+    """perfbench/workloads.py repeats the audit's grids, so that it draws its
+    inputs without importing the program under test.  Its grids equal the
+    audit's as Fractions, and its laws and points are exactly those of the
+    audit's domains: d in 2..4 and c in 1..d - 1."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in ("RHO_GRID", "ALPHA_GRID", "P1_GRID", "TRIALS_GRID", "SUCCESSES_GRID"):
+        assert [Fraction(v) for v in getattr(workloads, name)] == getattr(audit, name), name
+    assert audit.D_GRID == [2, 3, 4]
+    points = {
+        (Fraction(p["rho"]), p["c"], p["d"])
+        for p in (workloads.draw_point(random.Random(i)) for i in range(2000))
+    }
+    assert points == {(p.rho, p.c, p.d) for p in audit.enumerate_indices(audit.Q_POINTS)}
+    laws = {
+        workloads.build_law(law)
+        for i in range(500) for law in workloads.draw_laws(random.Random(i))
+    }
+    assert laws == set(audit.enumerate_indices(audit.LAWS))

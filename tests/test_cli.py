@@ -121,6 +121,8 @@ def test_computation_error_exits_1(capsys, argv, message):
          "--expr: expected a nonnegative index, got -1"),
         (["padic", "--op", "volkenborn", "--q", "2", "--expr", "t + 1/0*t"],
          "not an exact rational: '1/0'"),
+        (["table", "--n", "0..-2", "--r", "0"] + POINT,
+         "--n: expected a nonnegative index, got -2"),
     ],
 )
 def test_usage_error_exits_2(capsys, argv, message):
@@ -199,6 +201,10 @@ NEGATIVE_SIZES = {
     "series --r": ["series", "--dist", "poisson", "--alpha", "1", "--kind", "qbernstein-gf"]
     + POINT + ["--r", "-1"],
     "series --order": ["series", "--dist", "poisson", "--alpha", "1", "--order", "-1"],
+    "table --n": ["table", "--dist", "poisson", "--alpha", "1"] + POINT
+    + ["--r", "0", "--n", "-1"],
+    "table --r": ["table", "--dist", "poisson", "--alpha", "1"] + POINT
+    + ["--n", "0", "--r", "-1"],
     "audit --order": ["audit", "--order", "-1"],
     "audit --trials": ["audit", "--trials", "-1"],
     "--d": ["eval", "--family", "qbernstein", "--r", "1", "--n", "2", "--rho", "2/3",
