@@ -214,11 +214,6 @@ RN_INDICES = (("n", 0, 6), ("r", 0, "n"))
 RM_INDICES = (("r", 0, 3), ("m", 1, 3))
 
 
-def _classical_point(c: int, d: int) -> QPoint:
-    """The classical point x = c/d, held in lowest terms."""
-    return QPoint.classical(F(c, d))
-
-
 # A law's axes are named by its _fields; the order of LAWS is part of every seeded draw.
 POISSON = ((Poisson, (("alpha", ALPHA_GRID),)),)
 BERNOULLI = ((Bernoulli, (("p1", P1_GRID),)),)
@@ -230,7 +225,8 @@ LAWS = POISSON + BERNOULLI + BINOMIAL + GEOMETRIC + NEGBINOMIAL + UNIFORM01
 CONSTANTS = ((Constant, (("value", CONST_GRID),)),)
 UNIT = ((partial(Constant, F(1)), ()),)
 Q_POINTS = ((QPoint, (("rho", RHO_GRID), ("d", D_GRID), ("c", 1, ("d", -1)))),)
-CLASSICAL_POINTS = ((_classical_point, (("d", D_GRID), ("c", 1, ("d", -1)))),)
+# A classical point holds c/d in lowest terms, so (c, d) = (2, 4) draws x = 1/2 as (1, 2) does.
+CLASSICAL_POINTS = ((partial(QPoint, None), (("d", D_GRID), ("c", 1, ("d", -1)))),)
 
 
 def _axis_values(axis, drawn: dict):

@@ -15,8 +15,9 @@ No floating point exists on any input or output path, so identical
 invocations produce byte-identical outputs.
 
 A size (--n, --r, --m, --order, --trials, --nbar, --a, --d, a table range's
-ends, a ``padic`` power of [x]) below 0 or above :data:`MAX_SIZE`, or an exponent
-(--c, a power of t) of magnitude above it, is a usage error (exit 2).
+ends, a ``padic`` power of [x]) below 0 or above :data:`MAX_SIZE`, an exponent
+(--c, a power of t) of magnitude above it, or a base (--rho, --q) that is not
+a positive rational other than 1, is a usage error (exit 2).
 
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
@@ -47,7 +48,7 @@ from .distributions import (
     Poisson,
     Uniform01,
 )
-from .qcalc import QPoint, bracket_in_t
+from .qcalc import QPoint, _check_q, bracket_in_t
 from .rings import Laurent, _index
 
 DEFAULT_ORDER = 16
@@ -86,6 +87,14 @@ def parse_size(text: str) -> int:
     """A :func:`parse_exponent` that passes :func:`rings._index`; below 0, a usage error."""
     try:
         return _index(parse_exponent(text))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def parse_base(text: str) -> Fraction:
+    """A :func:`parse_rational` that passes ``qcalc._check_q``; not a base, a usage error."""
+    try:
+        return _check_q(parse_rational(text))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -160,7 +169,7 @@ def _require(condition: bool, message: str):
 
 
 def _add_point_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--rho", type=parse_rational, help="base of the point grid")
+    parser.add_argument("--rho", type=parse_base, help="base of the point grid")
     parser.add_argument("--c", type=parse_exponent, help="t = rho**c")
     parser.add_argument("--d", type=parse_size, help="q = rho**d")
     parser.add_argument("--x", type=parse_rational, help="classical-mode argument (q = 1)")
@@ -394,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--r", type=parse_size)
     p_eval.add_argument("--n", type=parse_size)
     p_eval.add_argument("--m", type=parse_size)
-    p_eval.add_argument("--q", type=parse_rational)
+    p_eval.add_argument("--q", type=parse_base)
     p_eval.add_argument("--u", type=parse_rational)
     p_eval.add_argument("--arg", type=parse_rational, help="polynomial argument")
     p_eval.add_argument(
@@ -416,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_padic = sub.add_parser("padic", help="apply an integral operator")
     p_padic.add_argument("--op", choices=["volkenborn", "fermionic"], required=True)
-    p_padic.add_argument("--q", type=parse_rational, required=True)
+    p_padic.add_argument("--q", type=parse_base, required=True)
     p_padic.add_argument(
         "--expr", type=parse_padic_expr, required=True,
         help="sum of c*t^b and c*[x]^r terms, e.g. '3*t^2 - [x]^1 + 1/2'",

@@ -3,17 +3,17 @@
 The q-bracket of x is (q^x - 1)/(q - 1).  To keep every quantity rational the
 evaluation point is built from a single base rho: q = rho**d and t = rho**c,
 so that t is exactly the x-th power of q with x = c/d.  A separate classical
-mode carries (q = 1, x) and replaces every bracket by its q -> 1 limit, which
-is plain x; no numerical limits are taken anywhere.
+mode carries (q = 1, x), x in lowest terms, and replaces every bracket by its
+q -> 1 limit, which is plain x; no numerical limits are taken anywhere.
 
 Every result is stated through three brackets at one point: X = [x]_q,
 Xc = [x]_(1/q) and X1 = [1 - x]_q.  A :class:`QPoint` computes them once, when
 it is built, and is the one place that knows their formulas; every reader
 takes ``p.X``, ``p.Xc`` and ``p.X1``.
 
-Any rational q > 0 with q != 1 is accepted: every identity checked downstream
-is a rational identity in (q, t), so testing is not restricted to 0 < q < 1.
-A float or a string q, rho or x raises TypeError (:func:`~qbernstein.rings._frac`).
+Any rational q > 0 with q != 1 is a base: every identity checked downstream is
+a rational identity in (q, t), so testing is not restricted to 0 < q < 1.  Each
+base, rho or q, passes one gate, :func:`_check_q`; an inexact one raises TypeError.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .rings import Laurent, _frac, _index, _Value
 class QPoint(_Value):
     """A coherent evaluation point where q, t and x are all rational.
 
-    q-mode: constructed from (rho, c, d) with rho > 0, rho != 1, d >= 1;
-    then q = rho**d, t = rho**c and x = c/d, with t**d == q**c exactly.
-    Classical mode: built by :meth:`classical`; q = 1 and brackets
-    degenerate to x itself.
+    q-mode: constructed from (rho, c, d), rho a base (:func:`_check_q`) and
+    d >= 1; then q = rho**d, t = rho**c and x = c/d, with t**d == q**c exactly.
+    Classical mode: constructed from (None, c, d) or by :meth:`classical`;
+    q = 1, brackets degenerate to x itself, and c/d is held in lowest terms.
 
     The point holds q, t and its brackets X = (t - 1)/(q - 1),
     Xc = q (1 - t)/(t (1 - q)) (the bracket of x under the inverse base) and
@@ -46,18 +46,15 @@ class QPoint(_Value):
 
     def __init__(self, rho: Fraction | None, c: int, d: int):
         c, d = operator.index(c), operator.index(d)
+        rho = None if rho is None else _check_q(rho)
+        if d < 1:
+            raise ValueError("d must be a positive integer")
         if rho is None:
-            if d < 1:
-                raise ValueError("classical point needs a positive denominator")
             q, t = Fraction(1), None
             x = xc = Fraction(c, d)
             x1 = 1 - x
+            c, d = x.numerator, x.denominator
         else:
-            rho = _frac(rho)
-            if rho <= 0 or rho == 1:
-                raise ValueError("rho must be a positive rational different from 1")
-            if d < 1:
-                raise ValueError("d must be a positive integer")
             q, t = rho**d, rho**c
             qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
             x = Fraction((tn - td) * qd, td * (qn - qd))
@@ -91,12 +88,9 @@ def one_minus_bracket_power(p: QPoint, m: int) -> tuple[Fraction, Laurent]:
 
     The Laurent form is t**(-m) * sum over l of binom(m, l) (-1)^l X^l where
     X is the bracket of x written in t; substituting the point's t value must
-    reproduce the scalar exactly.  Rejected in classical mode, where the
-    Laurent expansion is undefined.
+    reproduce the scalar exactly; :func:`bracket_in_t` refuses a classical q = 1.
     """
     m = _index(m)
-    if p.is_classical:
-        raise ValueError("Laurent expansion undefined at q = 1")
     scalar = p.X1**m
     x_in_t = bracket_in_t(p.q)
     expansion = Laurent({-m: 1}) * (Laurent({0: 1}) - x_in_t) ** m
@@ -110,8 +104,9 @@ def bracket_in_t(q: Fraction) -> Laurent:
 
 
 def _check_q(q: Fraction) -> Fraction:
+    """A base: an exact scalar (see rings._frac) that is positive and not 1, else ValueError."""
     q = _frac(q)
     # a Fraction is reduced with a positive denominator: q <= 0 and q == 1 read off it
     if q.numerator <= 0 or q.numerator == q.denominator:
-        raise ValueError("q must be a positive rational different from 1")
+        raise ValueError(f"expected a base (a positive rational other than 1), got {q}")
     return q

@@ -144,6 +144,10 @@ def test_law_and_point_domains_enumerate_their_sizes():
     classical = enumerate_indices(CLASSICAL_POINTS)
     assert len(classical) == 6 and all(p.is_classical for p in classical)
     assert sorted({p.x for p in classical}) == [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
+    # a classical point is one value however its (c, d) is written
+    axes = enumerate_indices(CLASSICAL_POINTS[0][1])
+    by_cd = {(a["c"], a["d"]): p for a, p in zip(axes, classical)}
+    assert len(set(classical)) == 5 and by_cd[2, 4] == by_cd[1, 2] == QPoint.classical(F(1, 2))
     assert enumerate_indices(UNIT) == [Constant(F(1))]
 
 

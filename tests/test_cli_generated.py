@@ -37,6 +37,7 @@ from qbernstein.cli import (
     _LAWS,
     build_parser,
     main,
+    parse_base,
     parse_exponent,
     parse_moments,
     parse_padic_expr,
@@ -54,6 +55,7 @@ EDGE = ["", " ", "-h", "--"]
 # a flag's type -> (tokens it reads, edge and malformed tokens)
 KINDS = {
     parse_rational: (["1", "2", "1/2", "-1/2", "3/2", "-3", "2/3"], ["0", "1/0", "x", "-", "-t"]),
+    parse_base: (["2/3", "3/2", "1/2", "2"], ["1", "0", "-1/2", "1/0", "x"]),
     parse_size: (["0", "1", "2", "3", "5"], ["-1", "257", "-257", "1/2", "x", "-t"]),
     parse_exponent: (["0", "1", "2", "3", "-1"], ["257", "-257", "1/2", "x", "-t"]),
     parse_range: (["0", "2", "0..3", "1..4"], ["3..1", "-1", "0..257", "x"]),
@@ -65,10 +67,9 @@ KINDS = {
     int: (["42", "1", "-3", "257"], ["1/2", "x"]),
 }
 # flags whose valid values are fewer than their type reads, by name or by
-# (subcommand, name): a base is positive and not 1, and an audit is kept to at
-# most 2 trials at an order at or above its floor
+# (subcommand, name): an audit is kept to at most 2 trials at an order at or
+# above its floor
 DOMAINS = {
-    "rho": (["2/3", "3/2", "1/2", "2"], ["1", "0", "-1/2"]),
     ("audit", "trials"): (["1", "2"], ["0", "-1", "257", "x"]),
     ("audit", "order"): (["6", "8"], ["5", "0", "-3", "257", "x"]),
 }

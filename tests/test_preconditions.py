@@ -10,7 +10,10 @@ integer, which ``operator.index`` accepts (a bool is its int), that is not
 negative.  Every entry point passes it through ``rings._index``, so a value
 that is not an integer raises Python's own TypeError ("'float' object cannot
 be interpreted as an integer"), and a negative one ValueError("expected a
-nonnegative index, got <value>")."""
+nonnegative index, got <value>").  A base, a point's rho or a q, passes
+``qcalc._check_q``, and an exact one that is not a positive rational other
+than 1 raises ValueError("expected a base (a positive rational other than 1),
+got <value>")."""
 
 import os
 import sys
@@ -52,7 +55,7 @@ from qbernstein.padic import (
     q_euler,
     volkenborn,
 )
-from qbernstein.qcalc import QPoint, one_minus_bracket_power
+from qbernstein.qcalc import QPoint, bracket_in_t, one_minus_bracket_power
 from qbernstein.rings import Laurent, LogPoly, Poly, falling_factorial
 from qbernstein.series import Series, exp_series
 
@@ -65,6 +68,8 @@ INEXACT = r"expected an exact scalar \(Fraction or int\), got "
 NOT_AN_INT = "'float' object cannot be interpreted as an integer"
 # the one message for a negative index, up to the value
 NEGATIVE = "expected a nonnegative index, got "
+# the one message for an exact scalar that is not a base, up to the value
+NOT_A_BASE = r"expected a base \(a positive rational other than 1\), got "
 
 # id -> (the call, the exception it raises, a fragment of its message)
 PRECONDITIONS = {
@@ -85,6 +90,18 @@ PRECONDITIONS = {
     "custom-moments-string": (lambda: CustomMoments("12"), TypeError, INEXACT + "str"),
     "poisson-string": (lambda: Poisson("3/2"), TypeError, INEXACT + "str"),
     "qpoint-float": (lambda: QPoint(0.5, 1, 2), TypeError, INEXACT + "float"),
+    # a base at each entry point: a point's rho, a bracket's q, a classical q and an integral's q
+    "qpoint-rho-one": (lambda: QPoint(ONE, 1, 2), ValueError, NOT_A_BASE + "1"),
+    "qpoint-rho-zero": (lambda: QPoint(F(0), 1, 2), ValueError, NOT_A_BASE + "0"),
+    "qpoint-rho-negative": (lambda: QPoint(F(-1, 2), 1, 2), ValueError, NOT_A_BASE + "-1/2"),
+    "bracket-in-t-one": (lambda: bracket_in_t(ONE), ValueError, NOT_A_BASE + "1"),
+    "one-minus-bracket-power-classical": (
+        lambda: one_minus_bracket_power(QPoint.classical(F(1, 3)), 2), ValueError,
+        NOT_A_BASE + "1",
+    ),
+    "volkenborn-negative-q": (
+        lambda: volkenborn(Laurent({0: 1}), F(-2)), ValueError, NOT_A_BASE + "-2"
+    ),
     "classical-float": (lambda: QPoint.classical(0.25), TypeError, INEXACT + "float"),
     "bernstein-classical-float": (
         lambda: bernstein_classical(1, 2, 0.25), TypeError, INEXACT + "float"

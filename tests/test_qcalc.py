@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbernstein.qcalc import QPoint, bracket_in_t, one_minus_bracket_power
 
@@ -82,6 +84,16 @@ def test_point_equality_hash_and_repr_are_those_of_rho_c_d():
     for name in ("rho", "X", "other"):
         with pytest.raises(AttributeError):
             setattr(p, name, F(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 50), st.integers(1, 12))
+def test_a_classical_point_has_one_form(c, d, k):
+    """(k c, k d) and c/d build one classical point: x is held in lowest terms,
+    so the two are equal, with one hash, one repr and the same brackets."""
+    p, same = QPoint(None, k * c, k * d), QPoint.classical(F(c, d))
+    assert p == same and hash(p) == hash(same) and repr(p) == repr(same)
+    assert (p.X, p.Xc, p.X1) == (same.X, same.Xc, same.X1) == (F(c, d), F(c, d), 1 - F(c, d))
 
 
 def test_difference_rule_on_a_common_grid():
