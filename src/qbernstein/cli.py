@@ -9,6 +9,14 @@ Subcommands:
   padic   apply one of the two integral operators to a small expression
   audit   run the identity registry and write the report
 
+Start-up loads only what the parser needs: the standard library, ``rings``
+and ``qcalc``, whose gates the flag types call.  The engine loads when a
+subcommand runs: ``table`` and ``series`` import ``families`` and
+``distributions``, and with them ``series``; ``eval`` imports the module of
+its family through the package's lazy names; ``padic`` imports ``padic``; and
+``audit`` imports ``audit``, which loads the whole engine.  So ``--help`` and
+a flag refused while it is parsed load no engine module.
+
 Every rational is parsed and printed exactly ("p/q", or "p" when the
 denominator is 1); formal-log values print as polynomials in the symbol L.
 No floating point exists on any input or output path, so identical
@@ -17,7 +25,11 @@ invocations produce byte-identical outputs.
 A size (--n, --r, --m, --order, --trials, --nbar, --a, --d, a table range's
 ends, a ``padic`` power of [x]) below 0 or above :data:`MAX_SIZE`, an exponent
 (--c, a power of t) of magnitude above it, or a base (--rho, --q) that is not
-a positive rational other than 1, is a usage error (exit 2).
+a positive rational other than 1, is a usage error (exit 2).  So is a flag
+``eval`` does not read for its family: one of the family's own arguments
+(--r, --n, --m, --q, --u, --arg, --order-param) it does not take, a point
+flag (--rho, --c, --d, --x) when it takes no point, or --dist when it takes
+no law.
 
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
@@ -36,18 +48,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import audit as audit_mod
-from . import families, padic
-from .distributions import (
-    Bernoulli,
-    Binomial,
-    Constant,
-    CustomMoments,
-    Geometric,
-    NegBinomial,
-    Poisson,
-    Uniform01,
-)
 from .qcalc import QPoint, _check_q, bracket_in_t
 from .rings import Laurent, _index
 
@@ -119,17 +119,22 @@ def render_latex_rational(value: Fraction) -> str:
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-# law name -> (its class, the flags its constructor takes, in order)
+# law name -> (its class in ``distributions``, the flags its constructor
+# takes, in order)
 _LAWS = {
-    "poisson": (Poisson, ("alpha",)),
-    "bernoulli": (Bernoulli, ("p1",)),
-    "binomial": (Binomial, ("nbar", "p1")),
-    "geometric": (Geometric, ("p1",)),
-    "negbinomial": (NegBinomial, ("a", "p1")),
-    "uniform01": (Uniform01, ()),
-    "constant": (Constant, ("value",)),
-    "custom": (CustomMoments, ("moments",)),
+    "poisson": ("Poisson", ("alpha",)),
+    "bernoulli": ("Bernoulli", ("p1",)),
+    "binomial": ("Binomial", ("nbar", "p1")),
+    "geometric": ("Geometric", ("p1",)),
+    "negbinomial": ("NegBinomial", ("a", "p1")),
+    "uniform01": ("Uniform01", ()),
+    "constant": ("Constant", ("value",)),
+    "custom": ("CustomMoments", ("moments",)),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_dist_args(parser: argparse.ArgumentParser):
@@ -148,13 +153,15 @@ def _add_dist_args(parser: argparse.ArgumentParser):
 def _build_dist(args):
     if args.dist is None:
         return None
+    from . import distributions
+
     cls, flags = _LAWS[args.dist]
     values = [getattr(args, flag) for flag in flags]
-    names = " and ".join("--" + flag for flag in flags)
+    names = " and ".join(map(_flag, flags))
     verb = "is" if len(flags) == 1 else "are"
     _require(None not in values, f"{names} {verb} required for {args.dist}")
     try:
-        return cls(*values)
+        return getattr(distributions, cls)(*values)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -223,7 +230,9 @@ def _write_rows(args, header, rows):
 # subcommands
 
 def cmd_table(args) -> int:
-    dist = _build_dist(args) or Constant(Fraction(1))
+    from . import distributions, families
+
+    dist = _build_dist(args) or distributions.Constant(Fraction(1))
     point = _build_point(args)
     rows = []
     for n in args.n:
@@ -240,43 +249,48 @@ def cmd_table(args) -> int:
     return 0
 
 
-# family -> (function, its arguments in order); "dist" and "point" are built
-# from the law and point flags, every other name is the flag of that name.
+# family -> (the package's name of its function, its arguments in order);
+# "dist" and "point" are built from the law and point flags, every other name
+# is the flag of that name.
 _EVAL_FAMILIES = {
-    "qbernstein": (families.qbernstein, ("r", "n", "point")),
-    "prob-qbernstein": (families.prob_qbernstein, ("dist", "r", "n", "point")),
-    "bernstein": (families.bernstein_classical, ("r", "n", "x")),
-    "stirling2": (families.stirling2, ("n", "m")),
-    "prob-stirling2": (families.prob_stirling2, ("dist", "n", "m")),
-    "bell": (families.bell_poly, ("n", "arg")),
-    "euler": (families.euler_poly, ("n", "arg")),
-    "higher-bernoulli": (families.higher_bernoulli, ("n", "order_param", "arg")),
-    "frobenius-euler": (
-        families.frobenius_euler, ("n", "order_param", "arg", "u"),
-    ),
-    "prob-euler": (families.prob_euler, ("dist", "n", "arg")),
-    "prob-bernoulli": (families.prob_bernoulli, ("dist", "n", "arg")),
-    "prob-bernoulli-higher": (
-        families.prob_bernoulli_higher, ("dist", "n", "r", "arg"),
-    ),
-    "carlitz-beta": (padic.carlitz_beta, ("r", "q")),
-    "q-euler": (padic.q_euler, ("r", "q")),
+    "qbernstein": ("qbernstein", ("r", "n", "point")),
+    "prob-qbernstein": ("prob_qbernstein", ("dist", "r", "n", "point")),
+    "bernstein": ("bernstein_classical", ("r", "n", "x")),
+    "stirling2": ("stirling2", ("n", "m")),
+    "prob-stirling2": ("prob_stirling2", ("dist", "n", "m")),
+    "bell": ("bell_poly", ("n", "arg")),
+    "euler": ("euler_poly", ("n", "arg")),
+    "higher-bernoulli": ("higher_bernoulli", ("n", "order_param", "arg")),
+    "frobenius-euler": ("frobenius_euler", ("n", "order_param", "arg", "u")),
+    "prob-euler": ("prob_euler", ("dist", "n", "arg")),
+    "prob-bernoulli": ("prob_bernoulli", ("dist", "n", "arg")),
+    "prob-bernoulli-higher": ("prob_bernoulli_higher", ("dist", "n", "r", "arg")),
+    "carlitz-beta": ("carlitz_beta", ("r", "q")),
+    "q-euler": ("q_euler", ("r", "q")),
 }
+_POINT_FLAGS = ("rho", "c", "d", "x")
+# the flags eval reads for its families, beyond a law's parameters
+_EVAL_FLAGS = ("dist", *_POINT_FLAGS, "r", "n", "m", "q", "u", "arg", "order_param")
 
 
 def cmd_eval(args) -> int:
     fam = args.family
+    func_name, names = _EVAL_FAMILIES[fam]
+    reads = {*names, *(_POINT_FLAGS if "point" in names else ())}
+    for name in _EVAL_FLAGS:
+        _require(getattr(args, name) is None or name in reads,
+                 f"{_flag(name)} is not read by family {fam}")
     dist = _build_dist(args)
-    func, names = _EVAL_FAMILIES[fam]
 
     def argument(name):
         if name == "point":
             return _build_point(args)
         value = dist if name == "dist" else getattr(args, name)
-        flag = "--" + name.replace("_", "-")
-        _require(value is not None, f"{flag} is required for family {fam}")
+        _require(value is not None, f"{_flag(name)} is required for family {fam}")
         return value
 
+    # read from the package, which imports the defining module on first read
+    func = getattr(sys.modules[__package__], func_name)
     try:
         value = func(*(argument(name) for name in names))
     except ValueError as exc:
@@ -286,6 +300,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import families
+
     dist = _build_dist(args)
     _require(dist is not None, "--dist is required")
     if args.kind == "mgf":
@@ -335,28 +351,28 @@ def parse_padic_expr(text: str) -> list:
 
 
 def cmd_padic(args) -> int:
+    from . import padic
+
     expr = Laurent()
     for coefficient, sym, power in args.expr:
         if sym == "t":
             expr = expr + Laurent({power: coefficient})
         else:
             expr = expr + coefficient * bracket_in_t(args.q) ** power
-    if args.op == "volkenborn":
-        value = padic.volkenborn(expr, args.q)
-    else:
-        value = padic.fermionic(expr, args.q)
-    print(value)
+    print(getattr(padic, args.op)(expr, args.q))
     return 0
 
 
 def cmd_audit(args) -> int:
+    from . import audit
+
     _require(args.trials >= 1, "--trials must be at least 1")
-    least = audit_mod.MAX_DRAWN_INDEX
+    least = audit.MAX_DRAWN_INDEX
     _require(
         args.order >= least,
         f"--order must be at least {least}, the largest index the audit draws",
     )
-    report = audit_mod.run_all(seed=args.seed, trials=args.trials, order=args.order)
+    report = audit.run_all(seed=args.seed, trials=args.trials, order=args.order)
     if args.format == "json-lines":
         payload = report.to_jsonl()
     elif args.format == "csv":

@@ -4,8 +4,11 @@ by name: the Series kernels, ``rings.Poly.__call__``, each law's own
 ``AuditReport.to_jsonl``.  A rename or a deletion of any of them breaks
 ``perfbench/run.py --trace 1``.  This runs every workload at its tiny size
 under the tracer and checks that the tracer saw each workload's headline
-layer.  It runs in a fresh interpreter, since the tracer patches the package
-for the life of the process."""
+layer.  It also counts the marks ``workloads.install_marks`` makes the
+program call, which it can only do while the front end reads
+``families.prob_qbernstein`` and ``audit.run_case`` through their modules at
+each call.  It runs in a fresh interpreter, since the tracer patches the
+package for the life of the process."""
 
 import importlib.util
 import random
@@ -28,18 +31,29 @@ import tracing, workloads
 
 tracer = tracing.Tracer()
 tracer.install()
-from qbernstein import cli
+from qbernstein import audit, cli
 
+# the marks install_marks() makes the program call: one per (law, n) of the
+# table, n running over 0..table_n for each of its six laws, and one per
+# audit.run_case call, one per registry entry and trial
+sizes = workloads.TINY
+MARKS = {
+    "audit": len(audit.REGISTRY) * sizes.audit_trials,
+    "table": 6 * (sizes.table_n + 1),
+    "laurent": 0,
+}
 with tempfile.TemporaryDirectory() as tmp:
     for w in workloads.WORKLOADS:
         out = Path(tmp) / w
         out.mkdir()
-        unmark = workloads.install_marks(w, lambda: None)
-        inputs = workloads.make_inputs(w, 1, 0, workloads.TINY)
+        marks = []
+        unmark = workloads.install_marks(w, lambda: marks.append(None))
+        inputs = workloads.make_inputs(w, 1, 0, sizes)
         workloads.run(w, inputs, out, cli.main, lambda: None)
         unmark()
         headline = tracing.HEADLINE[w]
         assert tracer.calls[headline] > 0, f"{w}: no {headline} call traced"
+        assert len(marks) == MARKS[w], f"{w}: {len(marks)} marks, not {MARKS[w]}"
 """
 
 

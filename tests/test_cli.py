@@ -133,6 +133,20 @@ def test_computation_error_exits_1(capsys, argv, message):
             "--q: expected a base (a positive rational other than 1), got 1",
             id="carlitz-beta-at-q-1",
         ),
+        pytest.param(
+            ["eval", "--family", "stirling2", "--n", "4", "--m", "2", "--q", "1/2"],
+            "error: --q is not read by family stirling2", id="eval-unread-own-argument",
+        ),
+        pytest.param(
+            ["eval", "--family", "bernstein", "--r", "1", "--n", "3", "--x", "1/3",
+             "--rho", "2/3", "--c", "1", "--d", "2"],
+            "error: --rho is not read by family bernstein", id="eval-unread-point",
+        ),
+        pytest.param(
+            ["eval", "--family", "stirling2", "--n", "4", "--m", "2", "--dist", "poisson",
+             "--alpha", "1"],
+            "error: --dist is not read by family stirling2", id="eval-unread-law",
+        ),
     ],
 )
 def test_usage_error_exits_2(capsys, argv, message):
@@ -399,6 +413,31 @@ def test_missing_law_flag_exits_2(capsys, law, message):
     assert run(capsys, argv + law) == (2, f"error: {message}\n")
 
 
+# a valid value of each flag that eval reads for some family
+EVAL_FLAG_VALUES = {
+    "--dist": "poisson", "--rho": "2/3", "--c": "1", "--d": "2", "--x": "1/3",
+    "--r": "1", "--n": "2", "--m": "1", "--q": "1/2", "--u": "2", "--arg": "1",
+    "--order-param": "1",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_EVAL_FAMILIES))
+def test_every_flag_a_family_does_not_read_exits_2(capsys, family):
+    """Each flag ``eval`` reads for some family, given to a family that does
+    not read it, is one usage error naming it; the point flags are read by a
+    family that takes a point."""
+    flags, _ = EVAL_CASES[family]
+    names = _EVAL_FAMILIES[family][1]
+    reads = {"--" + name.replace("_", "-") for name in names}
+    if "--point" in reads:
+        reads |= {"--rho", "--c", "--d", "--x"}
+    unread = [flag for flag in EVAL_FLAG_VALUES if flag not in reads]
+    assert unread
+    for flag in unread:
+        argv = ["eval", "--family", family] + flags + [flag, EVAL_FLAG_VALUES[flag]]
+        assert run(capsys, argv) == (2, f"error: {flag} is not read by family {family}\n")
+
+
 def test_io_error_exits_3(capsys, tmp_path):
     target = tmp_path / "missing" / "out"
     for argv in (
@@ -502,6 +541,40 @@ def test_start_up_loads_no_dataclasses_inspect_or_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+ENGINE = ["audit", "padic", "families", "distributions", "series"]
+
+
+def _engine_modules_loaded(code: str) -> list:
+    """The engine modules loaded after ``code`` runs in a fresh interpreter
+    under -S, so that no site-packages .pth file imports anything first."""
+    check = code + (
+        "\nimport sys\n"
+        f"print(*[m for m in {ENGINE!r} if 'qbernstein.' + m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", check],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_start_up_loads_no_engine_module():
+    """Building the parser loads neither the audit nor any engine module:
+    the flag types need only ``rings`` and ``qcalc``."""
+    code = "from qbernstein import cli\ncli.build_parser()"
+    assert _engine_modules_loaded(code) == []
+
+
+def test_a_table_loads_neither_the_audit_nor_padic():
+    code = (
+        "from qbernstein import cli\n"
+        "assert cli.main(['table', '--dist', 'poisson', '--alpha', '3/2', '--rho', '2/3',"
+        " '--c', '1', '--d', '2', '--n', '0..4', '--r', '0..4']) == 0"
+    )
+    assert _engine_modules_loaded(code) == ["families", "distributions", "series"]
 
 
 TABLE_LAWS = [
