@@ -25,11 +25,11 @@ invocations produce byte-identical outputs.
 A size (--n, --r, --m, --order, --trials, --nbar, --a, --d, a table range's
 ends, a ``padic`` power of [x]) below 0 or above :data:`MAX_SIZE`, an exponent
 (--c, a power of t) of magnitude above it, or a base (--rho, --q) that is not
-a positive rational other than 1, is a usage error (exit 2).  So is a flag
-``eval`` does not read for its family: one of the family's own arguments
-(--r, --n, --m, --q, --u, --arg, --order-param) it does not take, a point
-flag (--rho, --c, --d, --x) when it takes no point, or --dist when it takes
-no law.
+a positive rational other than 1, is a usage error (exit 2).  So is a flag a
+run would leave unread, refused by :func:`_read` before anything is computed:
+``table`` reads the point, --n, --r, and a law only when --dist is given;
+``series`` reads the law, and --r and the point only at ``--kind
+qbernstein-gf``; ``eval`` reads its family's arguments.
 
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
@@ -119,7 +119,7 @@ def render_latex_rational(value: Fraction) -> str:
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-# law name -> (its class in ``distributions``, the flags its constructor
+# law name -> (the package's name of its class, the flags its constructor
 # takes, in order)
 _LAWS = {
     "poisson": ("Poisson", ("alpha",)),
@@ -148,22 +148,6 @@ def _add_dist_args(parser: argparse.ArgumentParser):
         "--moments", type=parse_moments,
         help="comma-separated exact moments for the custom law",
     )
-
-
-def _build_dist(args):
-    if args.dist is None:
-        return None
-    from . import distributions
-
-    cls, flags = _LAWS[args.dist]
-    values = [getattr(args, flag) for flag in flags]
-    names = " and ".join(map(_flag, flags))
-    verb = "is" if len(flags) == 1 else "are"
-    _require(None not in values, f"{names} {verb} required for {args.dist}")
-    try:
-        return getattr(distributions, cls)(*values)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -199,6 +183,37 @@ def _build_point(args) -> QPoint:
         raise UsageError(str(exc))
 
 
+_POINT_FLAGS = ("rho", "c", "d", "x")
+# the flags a run may leave unset, in the order :func:`_read` refuses them
+_OPTIONAL = ("dist", *dict.fromkeys(f for _, flags in _LAWS.values() for f in flags),
+             *_POINT_FLAGS, "r", "n", "m", "q", "u", "arg", "order_param")
+
+
+def _read(args, names, reader) -> dict:
+    """The inputs ``names`` of the run ``reader``, each required: "dist" is the
+    law its flags build, "point" the point :func:`_build_point` builds, any other
+    name its flag's value.  First, a flag of :data:`_OPTIONAL` not read is refused."""
+    cls, law = _LAWS[args.dist] if "dist" in names and args.dist else (None, ())
+    reads = {*names, *law, *(_POINT_FLAGS if "point" in names else ())}
+    for name in _OPTIONAL:
+        _require(getattr(args, name, None) is None or name in reads,
+                 f"{_flag(name)} is not read by {reader}")
+    for flags, owner in [(law, args.dist), *(((n,), reader) for n in names if n != "point")]:
+        verb = "is" if len(flags) == 1 else "are"
+        _require(all(getattr(args, flag) is not None for flag in flags),
+                 f"{' and '.join(map(_flag, flags))} {verb} required for {owner}")
+    got = {name: getattr(args, name, None) for name in names}
+    if "dist" in names:
+        # read from the package, which imports ``distributions`` on first read
+        try:
+            got["dist"] = getattr(sys.modules[__package__], cls)(*(getattr(args, f) for f in law))
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    if "point" in names:
+        got["point"] = _build_point(args)
+    return got
+
+
 def _write(path, payload: str):
     """Write ``payload`` to the file ``path``, or to stdout when it is None."""
     if path is None:
@@ -232,11 +247,12 @@ def _write_rows(args, header, rows):
 def cmd_table(args) -> int:
     from . import distributions, families
 
-    dist = _build_dist(args) or distributions.Constant(Fraction(1))
-    point = _build_point(args)
+    got = _read(args, ("dist", "point", "n", "r") if args.dist else ("point", "n", "r"), "table")
+    dist = got.get("dist") or distributions.Constant(Fraction(1))
+    point = got["point"]
     rows = []
-    for n in args.n:
-        for r in args.r:
+    for n in got["n"]:
+        for r in got["r"]:
             if r > n:
                 continue
             rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
@@ -268,31 +284,16 @@ _EVAL_FAMILIES = {
     "carlitz-beta": ("carlitz_beta", ("r", "q")),
     "q-euler": ("q_euler", ("r", "q")),
 }
-_POINT_FLAGS = ("rho", "c", "d", "x")
-# the flags eval reads for its families, beyond a law's parameters
-_EVAL_FLAGS = ("dist", *_POINT_FLAGS, "r", "n", "m", "q", "u", "arg", "order_param")
 
 
 def cmd_eval(args) -> int:
     fam = args.family
     func_name, names = _EVAL_FAMILIES[fam]
-    reads = {*names, *(_POINT_FLAGS if "point" in names else ())}
-    for name in _EVAL_FLAGS:
-        _require(getattr(args, name) is None or name in reads,
-                 f"{_flag(name)} is not read by family {fam}")
-    dist = _build_dist(args)
-
-    def argument(name):
-        if name == "point":
-            return _build_point(args)
-        value = dist if name == "dist" else getattr(args, name)
-        _require(value is not None, f"{_flag(name)} is required for family {fam}")
-        return value
-
+    got = _read(args, names, f"family {fam}")
     # read from the package, which imports the defining module on first read
     func = getattr(sys.modules[__package__], func_name)
     try:
-        value = func(*(argument(name) for name in names))
+        value = func(*got.values())
     except ValueError as exc:
         raise ValueError(f"{fam}: {exc}") from exc
     print(value)
@@ -302,15 +303,14 @@ def cmd_eval(args) -> int:
 def cmd_series(args) -> int:
     from . import families
 
-    dist = _build_dist(args)
-    _require(dist is not None, "--dist is required")
-    if args.kind == "mgf":
-        s = dist.mgf_series(args.order)
-    elif args.kind == "log-mgf":
-        s = dist.mgf_series(args.order).log()
-    else:  # qbernstein-gf
-        _require(args.r is not None, "--r is required for the qbernstein-gf kind")
-        s = families.prob_qbernstein_gf(dist, args.r, _build_point(args), args.order)
+    gf = args.kind == "qbernstein-gf"
+    got = _read(args, ("dist", "r", "point") if gf else ("dist",), f"series --kind {args.kind}")
+    if gf:
+        s = families.prob_qbernstein_gf(*got.values(), args.order)
+    elif args.kind == "mgf":
+        s = got["dist"].mgf_series(args.order)
+    else:  # log-mgf
+        s = got["dist"].mgf_series(args.order).log()
     rows = [(n, str(coeff), str(s.egf_coeff(n))) for n, coeff in enumerate(s.coeffs)]
     _write_rows(args, ["n", "coeff", "egf"], rows)
     return 0

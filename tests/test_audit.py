@@ -208,6 +208,52 @@ def test_each_repair_holds_on_the_draws_of_its_printed_form():
         assert any(run_case(verbatim, draw, 16).status == "FAIL" for draw in draws), verbatim.id
 
 
+# The first draw on which each record verbatim case fails, walking the product
+# of its Drawer's law, point and index domains in that order at order 16, and
+# the SHA-256 of the two sides it renders there, lhs and rhs joined by "\n".
+AT_HALF = QPoint(F(1, 2), 1, 2)  # the first point of Q_POINTS
+SMALLEST_FAILURES = {
+    "P-LOG": (Poisson(F(2, 3)), None, {},
+              "3bfc184ad6150ff5c34f85d7a0fe397167925ad79fdef9fa7030a2f5f279c8af"),
+    "C2.1": (Poisson(F(2, 3)), AT_HALF, {"n": 2, "r": 1},
+             "f8f31d1d854f98d14713c88225e656ef99fc009eb6fe52f721c154304d000bf8"),
+    "T2.6": (Poisson(F(2, 3)), AT_HALF, {"n": 2, "r": 0},
+             "65e0894379fa59e23f66f633b282531fae472d7578de6e2b1ee72904f197324d"),
+    "T2.7": (Poisson(F(2, 3)), AT_HALF, {"n": 3, "r": 0},
+             "6c97ddeb7e37496c815ba86661356d58d7473ba47bba034beec7ba7ced4a678a"),
+    "T2.8": (Poisson(F(2, 3)), AT_HALF, {"r": 0, "m": 1},
+             "e09a6e571207505d08238b5148e4a9cac812d58d56bd909bbed3d458618e9767"),
+    "C3.2": (Poisson(F(2, 3)), AT_HALF, {"n": 1, "r": 0},
+             "2ddc01d7b238a0784115f74ecf4811e335ed306e886dc4a89e5f70adfb079f67"),
+    "C3.3": (Poisson(F(2, 3)), AT_HALF, {"n": 1, "r": 0},
+             "1444418310b7781b1bea3967c968dbd31ebf1d0b1454c2606796c3e0ec334cb9"),
+    "T3.6": (NegBinomial(1, F(1, 2)), AT_HALF, {"n": 1, "r": 0},
+             "e1be036a6b228d603eec549ad7dda7caae6dfd43f5ec87facf847d49cabba917"),
+}
+
+
+def test_each_printed_form_fails_first_on_its_pinned_draw():
+    """Walking each record verbatim case's whole domain in its canonical
+    order, every draw before the pinned one passes and the pinned one fails,
+    with the pinned sides; a corrected twin passes on that draw.  So each
+    erratum has a smallest counterexample a reader can check by hand."""
+    cases = {(c.id, c.variant): c for c in REGISTRY}
+    printed = [c for c in REGISTRY if c.variant == "verbatim" and c.expected == "record"]
+    assert sorted(c.id for c in printed) == sorted(SMALLEST_FAILURES)
+    for case in printed:
+        domains = [enumerate_indices(d) if d is not None else [None] for d in case.draw]
+        for draw in itertools.product(*domains):
+            record = run_case(case, CaseDraw(*draw), 16)
+            if record.status != "PASS":
+                break
+        *pinned, digest = SMALLEST_FAILURES[case.id]
+        assert (record.status, draw) == ("FAIL", tuple(pinned)), case.id
+        sides = f"{record.lhs}\n{record.rhs}".encode()
+        assert hashlib.sha256(sides).hexdigest() == digest, case.id
+        if (case.id, "corrected") in cases:
+            assert run_case(cases[case.id, "corrected"], CaseDraw(*draw), 16).status == "PASS"
+
+
 def test_the_order_floor_is_read_from_the_domains():
     """The least order a run takes is the largest index a case that draws a
     law can draw: n = 6; P-110's m reaches 8 but reads no series."""

@@ -147,6 +147,30 @@ def test_computation_error_exits_1(capsys, argv, message):
              "--alpha", "1"],
             "error: --dist is not read by family stirling2", id="eval-unread-law",
         ),
+        pytest.param(
+            ["series", "--order", "2"], "error: --dist is required for series --kind mgf",
+            id="series-mgf-no-law",
+        ),
+        pytest.param(
+            ["series", "--kind", "log-mgf"], "error: --dist is required for series --kind log-mgf",
+            id="series-log-mgf-no-law",
+        ),
+        pytest.param(
+            ["series", "--kind", "qbernstein-gf", "--dist", "poisson", "--alpha", "1",
+             "--x", "1/3"],
+            "error: --r is required for series --kind qbernstein-gf", id="series-gf-no-r",
+        ),
+        pytest.param(
+            ["series", "--kind", "qbernstein-gf", "--dist", "poisson", "--alpha", "1",
+             "--r", "1"],
+            "error: an evaluation point needs --rho, --c and --d (or classical --x)",
+            id="series-gf-no-point",
+        ),
+        pytest.param(
+            ["table", "--dist", "negbinomial", "--p1", "1/2", "--x", "1/3", "--n", "2",
+             "--r", "1"],
+            "error: --a and --p1 are required for negbinomial", id="table-law-missing-a-flag",
+        ),
     ],
 )
 def test_usage_error_exits_2(capsys, argv, message):
@@ -436,6 +460,52 @@ def test_every_flag_a_family_does_not_read_exits_2(capsys, family):
     for flag in unread:
         argv = ["eval", "--family", family] + flags + [flag, EVAL_FLAG_VALUES[flag]]
         assert run(capsys, argv) == (2, f"error: {flag} is not read by family {family}\n")
+
+
+# invocations that each give a flag their run does not read, which the run
+# once dropped without a word: (argv, the flag, the run that does not read it)
+UNREAD = {
+    "table-law-flag-of-another-law": (
+        ["table", "--dist", "bernoulli", "--p1", "1/2", "--alpha", "3", "--x", "1/3",
+         "--n", "2", "--r", "1"], "--alpha", "table",
+    ),
+    "table-law-flag-without-a-law": (
+        ["table", "--alpha", "3", "--x", "1/3", "--n", "2", "--r", "1"], "--alpha", "table",
+    ),
+    "eval-law-flag-of-another-law": (
+        ["eval", "--family", "prob-euler", "--dist", "poisson", "--alpha", "1", "--p1", "1/2",
+         "--n", "2", "--arg", "0"], "--p1", "family prob-euler",
+    ),
+    "eval-law-flag-without-a-law": (
+        ["eval", "--family", "stirling2", "--alpha", "1", "--n", "4", "--m", "2"],
+        "--alpha", "family stirling2",
+    ),
+    "series-mgf-point-and-r": (
+        ["series", "--dist", "poisson", "--alpha", "1", "--order", "2"] + POINT + ["--r", "3"],
+        "--rho", "series --kind mgf",
+    ),
+    "series-log-mgf-r": (
+        ["series", "--kind", "log-mgf", "--dist", "poisson", "--alpha", "1", "--order", "2",
+         "--r", "1"], "--r", "series --kind log-mgf",
+    ),
+    "series-mgf-classical-point": (
+        ["series", "--dist", "poisson", "--alpha", "1", "--order", "2", "--x", "1/3"],
+        "--x", "series --kind mgf",
+    ),
+    # refused before the law is built, so the law's own fault goes unreported
+    "table-before-a-bad-law": (
+        ["table", "--dist", "bernoulli", "--p1", "2", "--alpha", "3", "--x", "1/3",
+         "--n", "2", "--r", "1"], "--alpha", "table",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNREAD)
+def test_a_flag_the_run_does_not_read_exits_2(capsys, name):
+    argv, flag, reader = UNREAD[name]
+    code, out = run(capsys, argv)
+    errors = [line for line in out.splitlines() if "error:" in line]
+    assert (code, errors) == (2, [f"error: {flag} is not read by {reader}"])
 
 
 def test_io_error_exits_3(capsys, tmp_path):

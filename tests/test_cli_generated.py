@@ -13,6 +13,8 @@ later is drawn without an edit here.  Each value is drawn from valid tokens
   ``error:`` line;
 - every value reads the same after a space as after "=" (save "--", which
   ends the options when it stands alone): the same exit code and output;
+- a clean argv, which gives only flags its run reads, is never refused for
+  an unread flag;
 - on exit 0, each value ``table`` writes equals what ``eval`` prints for the
   family prob-qbernstein at the same law, point and indices.
 
@@ -35,6 +37,7 @@ from hypothesis import strategies as st
 from qbernstein.cli import (
     _EVAL_FAMILIES,
     _LAWS,
+    _OPTIONAL,
     build_parser,
     main,
     parse_base,
@@ -76,10 +79,10 @@ DOMAINS = {
 # the two forms of an evaluation point, by the flags each gives
 STYLES = {"grid": {"rho", "c", "d"}, "classical": {"x"}}
 POINT = set().union(*STYLES.values())
-# what a clean argv of each subcommand gives beyond its required flags and an
-# eval family's arguments; "dist" and "point" stand for the flags that build them
-GIVEN = {"table": {"point"}, "series": {"dist", "point", "r", "order"},
-         "audit": {"trials", "order"}}
+# what a clean argv of each subcommand gives beyond its required flags, an eval
+# family's arguments, the law's parameters and what series reads at
+# qbernstein-gf; "dist" and "point" stand for the flags that build them
+GIVEN = {"table": {"point"}, "series": {"dist", "order"}, "audit": {"trials", "order"}}
 
 
 def _tokens(command, action):
@@ -104,41 +107,47 @@ def _value(draw, tokens, needed, noisy):
 
 @st.composite
 def _argv(draw, out):
-    """(subcommand, its (flag, value) pairs in any order).  Half the argvs are
-    clean, every needed flag given a valid value and no stray point flag; the
-    others are noisy, with edge values, absent flags and an --out that names a
-    file in a missing directory.  A flag is needed when the parser requires
-    it, the eval family or the law reads it, or ``GIVEN`` names it."""
+    """(subcommand, its (flag, value) pairs in any order, whether it is
+    noisy).  Half the argvs are clean, every needed flag given a valid value
+    and no flag of ``_OPTIONAL`` the run does not read; the others are noisy,
+    with edge values, absent and stray flags and an --out that names a file in
+    a missing directory.  A flag is needed when the parser requires it, the
+    eval family, the kind or the law reads it, or ``GIVEN`` names it; a table
+    reads a law half the time."""
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     noisy = draw(st.booleans())
     parsed = {action.dest: action for action in SUBCOMMANDS[command]._actions}
     actions = {dest: action for dest, action in parsed.items() if dest not in ("help", "out")}
-    wanted = GIVEN.get(command, set()) | ({"dist"} if draw(st.booleans()) else set())
+    wanted = {dest for dest, action in actions.items() if action.required}
+    wanted |= GIVEN.get(command, set())
+    if command == "table" and draw(st.booleans()):
+        wanted.add("dist")
     values = {}
 
     def give(dest):
-        action = actions[dest]
-        needed = action.required or dest in wanted
-        values[dest] = draw(_value(_tokens(command, action), needed, noisy))
+        values[dest] = draw(_value(_tokens(command, actions[dest]), dest in wanted, noisy))
         return values[dest]
 
-    # the family's and the law's values decide which other flags are needed
+    # the family's, the kind's and the law's values decide which other flags
+    # are needed
     if "family" in actions:
         wanted |= set(_EVAL_FAMILIES.get(give("family"), ((), ()))[1])
-    if "dist" in actions:
+    if "kind" in actions and give("kind") == "qbernstein-gf":
+        wanted |= {"r", "point"}
+    if "dist" in actions and (noisy or "dist" in wanted):
         wanted |= set(_LAWS.get(give("dist"), ((), ()))[1])
     if "point" in wanted:
         styles = {**STYLES, **({"both": POINT, "none": set()} if noisy else {})}
         wanted |= styles[draw(st.sampled_from(sorted(styles)))]
     for dest in actions:
-        if dest not in values and (noisy or dest in wanted or dest not in POINT):
+        if dest not in values and (noisy or dest in wanted or dest not in _OPTIONAL):
             give(dest)
     pairs = [(actions[dest].option_strings[0], value) for dest, value in values.items()]
     if "out" in parsed and draw(st.booleans()):
         outs = [str(out)] + ([str(out.parent / "missing" / "out"), "", "--"] if noisy else [])
         pairs.append(("--out", draw(st.sampled_from(outs))))
     pairs = draw(st.permutations([pair for pair in pairs if pair[1] is not None]))
-    return command, pairs
+    return command, pairs, noisy
 
 
 def _run(argv, out):
@@ -173,11 +182,12 @@ def out(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_every_generated_argv_keeps_the_exit_code_contract(out, data):
-    command, pairs = data.draw(_argv(out))
+    command, pairs, noisy = data.draw(_argv(out))
     spaced = [command] + [token for pair in pairs for token in pair]
     code, stdout, written, stderr = _run(spaced, out)
     assert code in (0, 1, 2, 3), (spaced, code, stderr)
     assert "Traceback" not in stderr
+    assert noisy or "is not read by" not in stderr, (spaced, stderr)
     if code:
         assert sum("error:" in line for line in stderr.splitlines()) == 1, (spaced, stderr)
 
