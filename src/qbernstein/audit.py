@@ -78,7 +78,7 @@ from .families import (
 )
 from .padic import carlitz_beta, fermionic, integrate_weighted_term, q_euler, volkenborn
 from .qcalc import QPoint, one_minus_bracket_power
-from .rings import Laurent, LogPoly, _index, falling_factorial, laurent_x_derivation
+from .rings import Laurent, LogPoly, _count, _index, falling_factorial, laurent_x_derivation
 from .series import Series
 
 F = Fraction
@@ -890,8 +890,7 @@ def run_all(seed: int, trials: int, order: int) -> AuditReport:
     records do not depend on registry order and the whole report is
     byte-reproducible for a fixed seed.
     """
-    if _index(trials) < 1:
-        raise ValueError("at least one trial is required")
+    _count(trials)
     if _index(order) < MAX_DRAWN_INDEX:
         raise ValueError(f"order below the largest drawn index {MAX_DRAWN_INDEX}")
     report = AuditReport()

@@ -22,11 +22,12 @@ denominator is 1); formal-log values print as polynomials in the symbol L.
 No floating point exists on any input or output path, so identical
 invocations produce byte-identical outputs.
 
-A size (--n, --r, --m, --order, --trials, --nbar, --a, --d, a table range's
-ends, a ``padic`` power of [x]) below 0 or above :data:`MAX_SIZE`, an exponent
-(--c, a power of t) of magnitude above it, or a base (--rho, --q) that is not
-a positive rational other than 1, is a usage error (exit 2).  So is a flag a
-run would leave unread, refused by :func:`_read` before anything is computed:
+A size (--n, --r, --m, --order, a table range's ends, a ``padic`` power of
+[x]) below 0 or above :data:`MAX_SIZE`, a count (--trials, --nbar, --a, --d)
+below 1 or above it, an exponent (--c, a power of t) of magnitude above it,
+or a base (--rho, --q) that is not a positive rational other than 1, is a
+usage error (exit 2), refused while the flags are parsed.  So is a flag a run
+would leave unread, refused by :func:`_read` before anything is computed:
 ``table`` reads the point, --n, --r, and a law only when --dist is given;
 ``series`` reads the law, and --r and the point only at ``--kind
 qbernstein-gf``; ``eval`` reads its family's arguments.
@@ -49,7 +50,7 @@ import sys
 from fractions import Fraction
 
 from .qcalc import QPoint, _check_q, bracket_in_t
-from .rings import Laurent, _index
+from .rings import Laurent, _count, _index
 
 DEFAULT_ORDER = 16
 
@@ -83,20 +84,27 @@ def parse_exponent(text: str) -> int:
     return value
 
 
-def parse_size(text: str) -> int:
-    """A :func:`parse_exponent` that passes :func:`rings._index`; below 0, a usage error."""
+def _passed(gate, *values):
+    """``gate(*values)``, the ValueError it raises made a usage error."""
     try:
-        return _index(parse_exponent(text))
+        return gate(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def parse_size(text: str) -> int:
+    """A :func:`parse_exponent` that passes :func:`rings._index`; below 0, a usage error."""
+    return _passed(_index, parse_exponent(text))
+
+
+def parse_count(text: str) -> int:
+    """A :func:`parse_exponent` that passes :func:`rings._count`; below 1, a usage error."""
+    return _passed(_count, parse_exponent(text))
 
 
 def parse_base(text: str) -> Fraction:
     """A :func:`parse_rational` that passes ``qcalc._check_q``; not a base, a usage error."""
-    try:
-        return _check_q(parse_rational(text))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _passed(_check_q, parse_rational(text))
 
 
 def parse_range(text: str) -> range:
@@ -141,8 +149,8 @@ def _add_dist_args(parser: argparse.ArgumentParser):
     parser.add_argument("--dist", choices=_LAWS)
     parser.add_argument("--alpha", type=parse_rational)
     parser.add_argument("--p1", type=parse_rational)
-    parser.add_argument("--nbar", type=parse_size, help="binomial trial count")
-    parser.add_argument("--a", type=parse_size, help="negative-binomial success count")
+    parser.add_argument("--nbar", type=parse_count, help="binomial trial count")
+    parser.add_argument("--a", type=parse_count, help="negative-binomial success count")
     parser.add_argument("--value", type=parse_rational, help="constant law value")
     parser.add_argument(
         "--moments", type=parse_moments,
@@ -162,7 +170,7 @@ def _require(condition: bool, message: str):
 def _add_point_args(parser: argparse.ArgumentParser):
     parser.add_argument("--rho", type=parse_base, help="base of the point grid")
     parser.add_argument("--c", type=parse_exponent, help="t = rho**c")
-    parser.add_argument("--d", type=parse_size, help="q = rho**d")
+    parser.add_argument("--d", type=parse_count, help="q = rho**d")
     parser.add_argument("--x", type=parse_rational, help="classical-mode argument (q = 1)")
 
 
@@ -177,10 +185,7 @@ def _build_point(args) -> QPoint:
         args.rho is not None and args.c is not None and args.d is not None,
         "an evaluation point needs --rho, --c and --d (or classical --x)",
     )
-    try:
-        return QPoint(args.rho, args.c, args.d)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return QPoint(args.rho, args.c, args.d)
 
 
 _POINT_FLAGS = ("rho", "c", "d", "x")
@@ -205,10 +210,8 @@ def _read(args, names, reader) -> dict:
     got = {name: getattr(args, name, None) for name in names}
     if "dist" in names:
         # read from the package, which imports ``distributions`` on first read
-        try:
-            got["dist"] = getattr(sys.modules[__package__], cls)(*(getattr(args, f) for f in law))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        values = [getattr(args, f) for f in law]
+        got["dist"] = _passed(getattr(sys.modules[__package__], cls), *values)
     if "point" in names:
         got["point"] = _build_point(args)
     return got
@@ -366,7 +369,6 @@ def cmd_padic(args) -> int:
 def cmd_audit(args) -> int:
     from . import audit
 
-    _require(args.trials >= 1, "--trials must be at least 1")
     least = audit.MAX_DRAWN_INDEX
     _require(
         args.order >= least,
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="run the identity registry")
     p_audit.add_argument("--seed", type=int, default=42)
-    p_audit.add_argument("--trials", type=parse_size, default=5)
+    p_audit.add_argument("--trials", type=parse_count, default=5)
     p_audit.add_argument("--order", type=parse_size, default=DEFAULT_ORDER)
     p_audit.add_argument(
         "--format", choices=["json-lines", "csv", "latex"], default="json-lines"

@@ -17,8 +17,10 @@ Every MGF here has constant term exactly 1, which is the precondition for
 raising it to arbitrary powers downstream.  The moments are the one source
 of truth per law: M is sum over k of mu_k v^k / k!.
 
-A law is an immutable value, hashed once as it is built, when it also takes
-its :class:`MgfTable` from a cache of 64 that equal laws share;
+A law states one gate per field beside the field's name: the function that
+checks the value given and returns its normal form, run once as the law is
+built.  A law is an immutable value, hashed once as it is built, when it also
+takes its :class:`MgfTable` from a cache of 64 that equal laws share;
 :func:`mgf_table` reads it.  Only ``_grown`` runs a law's rule.  The other
 caches, all bounded, are :mod:`qbernstein.padic`'s ``_rules`` (16 values of
 q) and ``_rows`` (1024 rows, one per q, r and w).
@@ -30,13 +32,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import _frac, _index, _Value
+from .rings import _count, _frac, _index, _Value
 from .series import Series
 
 
 class Distribution(_Value):
-    """Base class; a concrete law names its parameters in ``_fields``, checks
-    them in :meth:`_check`, and states in :meth:`_ode` the linear ODE
+    """Base class; a concrete law names its parameters in ``_fields``, states
+    one gate per field in ``_gates``, in the same order, which checks the value
+    given and returns the one held, and states in :meth:`_ode` the linear ODE
     (S - P1 + P1 e^v) M' = (Q0 + Q1 e^v) M that its M solves, from which the
     default :meth:`_moment` reads mu_k over S^k; only Uniform01 and
     CustomMoments state their moments directly.  A law is an immutable value
@@ -45,19 +48,16 @@ class Distribution(_Value):
     the table, shared with equal laws, and nothing writes to the law after."""
 
     name = "distribution"
+    _gates = ()
 
     def __init__(self, *args, **kwargs):
         held, fields = vars(self), self._fields
         held.update(zip(fields, args), **kwargs)
         if len(args) + len(kwargs) != len(fields) or kwargs and held.keys() != set(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        self._check()
-        key = held["_key"] = tuple([held[f] for f in fields])
-        held["_hash"] = hash(key)
+        key = held["_key"] = tuple([gate(held[f]) for f, gate in zip(fields, self._gates)])
+        held.update(zip(fields, key), _hash=hash(key))
         held["_table"] = _shared_table(self)
-
-    def _check(self) -> None:
-        """Validate the fields, storing each in its normal form."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -105,16 +105,24 @@ def _check_p1(p1: Fraction) -> Fraction:
     return p1
 
 
+def _positive(value: Fraction) -> Fraction:
+    value = _frac(value)
+    if value <= 0:
+        raise ValueError(f"expected a positive rational, got {value}")
+    return value
+
+
+def _moments(moments) -> tuple:
+    ms = tuple(map(_frac, moments))
+    if not ms or ms[0] != 1:
+        raise ValueError("moment sequence must start with 1")
+    return ms
+
+
 class Poisson(Distribution):
-    _fields = ("alpha",)
+    _fields, _gates = ("alpha",), (_positive,)
 
     name = "poisson"
-
-    def _check(self):
-        a = _frac(self.alpha)
-        if a <= 0:
-            raise ValueError("alpha must be positive")
-        object.__setattr__(self, "alpha", a)
 
     def _ode(self):
         # M' = alpha e^v M
@@ -122,16 +130,9 @@ class Poisson(Distribution):
 
 
 class Binomial(Distribution):
-    _fields = ("trials", "p1")
+    _fields, _gates = ("trials", "p1"), (_count, _check_p1)
 
     name = "binomial"
-
-    def _check(self):
-        trials = _index(self.trials)
-        if trials < 1:
-            raise ValueError("trial count must be a positive integer")
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "p1", _check_p1(self.p1))
 
     def _ode(self):
         # (1 - p + p e^v) M' = N p e^v M, with p = s/t
@@ -142,7 +143,7 @@ class Binomial(Distribution):
 class Bernoulli(Binomial):
     """Binomial at one trial, of its own kind: ``Bernoulli(p) != Binomial(1, p)``."""
 
-    _fields = ("p1",)
+    _fields, _gates = ("p1",), (_check_p1,)
 
     name = "bernoulli"
     trials = 1  # a class constant, not a field
@@ -151,16 +152,9 @@ class Bernoulli(Binomial):
 class NegBinomial(Distribution):
     """Trials needed for ``successes`` successes; support a, a+1, ..."""
 
-    _fields = ("successes", "p1")
+    _fields, _gates = ("successes", "p1"), (_count, _check_p1)
 
     name = "negbinomial"
-
-    def _check(self):
-        successes = _index(self.successes)
-        if successes < 1:
-            raise ValueError("success count must be a positive integer")
-        object.__setattr__(self, "successes", successes)
-        object.__setattr__(self, "p1", _check_p1(self.p1))
 
     def _ode(self):
         # (1 - (1 - p) e^v) M' = a M, with p = s/t
@@ -172,7 +166,7 @@ class Geometric(NegBinomial):
     """Number of trials up to and including the first success; support 1, 2, ...
     NegBinomial at one success, of its own kind: ``Geometric(p) != NegBinomial(1, p)``."""
 
-    _fields = ("p1",)
+    _fields, _gates = ("p1",), (_check_p1,)
 
     name = "geometric"
     successes = 1  # a class constant, not a field
@@ -181,12 +175,9 @@ class Geometric(NegBinomial):
 class Constant(Distribution):
     """The degenerate law Y = c with probability one."""
 
-    _fields = ("value",)
+    _fields, _gates = ("value",), (_frac,)
 
     name = "constant"
-
-    def _check(self):
-        object.__setattr__(self, "value", _frac(self.value))
 
     def _ode(self):
         # M' = c M
@@ -208,15 +199,9 @@ class CustomMoments(Distribution):
     grown past its last moment raises ValueError.
     """
 
-    _fields = ("moments",)
+    _fields, _gates = ("moments",), (_moments,)
 
     name = "custom"
-
-    def _check(self):
-        ms = tuple(_frac(m) for m in self.moments)
-        if not ms or ms[0] != 1:
-            raise ValueError("moment sequence must start with 1")
-        object.__setattr__(self, "moments", ms)
 
     def _moment(self, k, nums, order):
         if k >= len(self.moments):

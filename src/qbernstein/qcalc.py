@@ -21,14 +21,16 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .rings import Laurent, _frac, _index, _Value
+from .rings import Laurent, _count, _frac, _index, _Value
 
 
 class QPoint(_Value):
     """A coherent evaluation point where q, t and x are all rational.
 
     q-mode: constructed from (rho, c, d), rho a base (:func:`_check_q`) and
-    d >= 1; then q = rho**d, t = rho**c and x = c/d, with t**d == q**c exactly.
+    d a count (:func:`~qbernstein.rings._count`), checked after rho; the
+    command line reads ``--d`` as a count too, a usage error below 1.  Then
+    q = rho**d, t = rho**c and x = c/d, with t**d == q**c exactly.
     Classical mode: constructed from (None, c, d) or by :meth:`classical`;
     q = 1, brackets degenerate to x itself, and c/d is held in lowest terms.
 
@@ -45,10 +47,9 @@ class QPoint(_Value):
     _fields = ("rho", "c", "d")
 
     def __init__(self, rho: Fraction | None, c: int, d: int):
-        c, d = operator.index(c), operator.index(d)
+        c = operator.index(c)
         rho = None if rho is None else _check_q(rho)
-        if d < 1:
-            raise ValueError("d must be a positive integer")
+        d = _count(d)
         if rho is None:
             q, t = Fraction(1), None
             x = xc = Fraction(c, d)

@@ -22,7 +22,9 @@ All instances are immutable after construction and all operations are pure.
 One base, :class:`_Value`, freezes the package's values: these three rings,
 ``Series``, the laws and ``QPoint`` refuse assignment and deletion alike.
 One gate, :func:`_frac`, decides for the whole package what an exact scalar is,
-and a second, :func:`_index`, what an index, an order or a count is.
+a second, :func:`_index`, what an index or an order is, and a third,
+:func:`_count`, what a count is: a law's trials or successes, a point's d, an
+audit's trials.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ def _index(value) -> int:
     n = operator.index(value)
     if n < 0:
         raise ValueError(f"expected a nonnegative index, got {value}")
+    return n
+
+
+def _count(value) -> int:
+    """An :func:`_index` that is at least 1; 0 raises ValueError."""
+    n = _index(value)
+    if n < 1:
+        raise ValueError(f"expected a positive count, got {value}")
     return n
 
 

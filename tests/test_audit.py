@@ -546,7 +546,7 @@ def test_non_executable_entry_reports_skip():
 
 
 def test_trials_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a positive count, got 0$"):
         run_all(seed=1, trials=0, order=9)
 
 

@@ -223,7 +223,7 @@ def test_a_size_above_the_cap_is_a_usage_error(capsys, before, flag, form):
 )
 def test_a_point_exponent_below_minus_the_cap_is_a_usage_error(capsys, flag, refused):
     """--c is an exponent, bounded in magnitude: the parser takes -MAX_SIZE,
-    leaving its sign to the point's own check.  --d is a size, so the parser
+    leaving its sign to the point's own check.  --d is a count, so the parser
     refuses -MAX_SIZE as a negative index.  Both refuse one below -MAX_SIZE as
     above the cap, with one usage error; nothing is computed."""
     parser = build_parser()
@@ -275,6 +275,31 @@ def test_a_negative_size_is_a_usage_error(capsys, name):
         errors = [line for line in out.splitlines() if "error:" in line]
         assert code == 2 and len(errors) == 1, (given, out)
         assert errors[0].endswith(f"error: argument {flag}: expected a nonnegative index, got -1")
+
+
+# every flag that reads a count, ending an invocation that gives it 0
+ZERO_COUNTS = {
+    "audit --trials": ["audit", "--trials", "0"],
+    "--nbar": ["table", "--dist", "binomial", "--p1", "1/2"] + POINT
+    + ["--n", "2", "--r", "1", "--nbar", "0"],
+    "--a": ["series", "--dist", "negbinomial", "--p1", "1/2", "--a", "0"],
+    "--d": ["eval", "--family", "qbernstein", "--r", "1", "--n", "2", "--rho", "2/3",
+            "--c", "1", "--d", "0"],
+}
+
+
+@pytest.mark.parametrize("name", ZERO_COUNTS)
+def test_a_zero_count_is_a_usage_error(capsys, name):
+    """Every count flag refuses 0 while the flags are parsed, after a space or
+    an "=": exit 2 and one error line that names the flag and carries the
+    message of the package's one count gate, rings._count."""
+    argv = ZERO_COUNTS[name]
+    flag = argv[-2]
+    for given in (argv, argv[:-2] + [f"{flag}={argv[-1]}"]):
+        code, out = run(capsys, given)
+        errors = [line for line in out.splitlines() if "error:" in line]
+        assert code == 2 and len(errors) == 1, (given, out)
+        assert errors[0].endswith(f"error: argument {flag}: expected a positive count, got 0")
 
 
 def test_a_padic_exponent_above_the_cap_is_a_usage_error(capsys):

@@ -222,6 +222,19 @@ def test_laws_are_immutable_values(kind, params, text, param_string):
             setattr(law, name, F(1))
 
 
+@pytest.mark.parametrize(
+    "kind, params", [v[:2] for v in LAW_VALUES], ids=[v[0].__name__ for v in LAW_VALUES]
+)
+def test_each_field_has_one_gate(kind, params):
+    """A law states one gate per field in ``_gates``, in the order of
+    ``_fields``, and holds each field as its gate returns it."""
+    assert len(kind._gates) == len(kind._fields) == len(params)
+    law = kind(**params)
+    for field, gate in zip(kind._fields, kind._gates):
+        held, normal = getattr(law, field), gate(params[field])
+        assert held == normal and type(held) is type(normal)
+
+
 def test_reading_a_law_never_writes_to_it():
     """Every read goes through the table the law bound when it was built, so
     the law's own dict holds the same objects after any read."""
@@ -257,7 +270,7 @@ def test_laws_of_different_kinds_are_unequal():
     ids=["binomial", "negbinomial"],
 )
 def test_equal_laws_print_alike(law, twin, printed):
-    """A count passes the one index gate, which holds a bool as its int, so
+    """A count passes the one count gate, which holds a bool as its int, so
     a law counted by True equals and prints as the law counted by 1."""
     assert law == twin and hash(law) == hash(twin)
     assert repr(law) == repr(twin) and law.param_string() == twin.param_string() == printed

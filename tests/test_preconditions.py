@@ -5,12 +5,14 @@ message, rather than returning an inexact or meaningless value.  At run time,
 no function of the package returns a float.
 
 An index is what a family, a series or a table is indexed or truncated by,
-a power of a ring element, or a law's count of trials or successes: an
-integer, which ``operator.index`` accepts (a bool is its int), that is not
-negative.  Every entry point passes it through ``rings._index``, so a value
-that is not an integer raises Python's own TypeError ("'float' object cannot
-be interpreted as an integer"), and a negative one ValueError("expected a
-nonnegative index, got <value>").  A base, a point's rho or a q, passes
+or a power of a ring element: an integer, which ``operator.index`` accepts (a
+bool is its int), that is not negative.  Every entry point passes it through
+``rings._index``, so a value that is not an integer raises Python's own
+TypeError ("'float' object cannot be interpreted as an integer"), and a
+negative one ValueError("expected a nonnegative index, got <value>").  A
+count, a law's trials or successes, a point's d or an audit's trials, passes
+``rings._count``, an index that is at least 1, and 0 raises
+ValueError("expected a positive count, got 0").  A base, a point's rho or a q, passes
 ``qcalc._check_q``, and an exact one that is not a positive rational other
 than 1 raises ValueError("expected a base (a positive rational other than 1),
 got <value>")."""
@@ -70,6 +72,8 @@ NOT_AN_INT = "'float' object cannot be interpreted as an integer"
 NEGATIVE = "expected a nonnegative index, got "
 # the one message for an exact scalar that is not a base, up to the value
 NOT_A_BASE = r"expected a base \(a positive rational other than 1\), got "
+# the one message for a count of 0
+ZERO_COUNT = "^expected a positive count, got 0$"
 
 # id -> (the call, the exception it raises, a fragment of its message)
 PRECONDITIONS = {
@@ -134,11 +138,15 @@ PRECONDITIONS = {
         "'Fraction' object cannot be interpreted as an integer",
     ),
     "binomial-trials-negative": (lambda: Binomial(-1, F(1, 2)), ValueError, NEGATIVE + "-1"),
-    "binomial-trials-zero": (
-        lambda: Binomial(0, F(1, 2)), ValueError, "trial count must be a positive integer"
-    ),
-    "negbinomial-successes-zero": (
-        lambda: NegBinomial(0, F(1, 2)), ValueError, "success count must be a positive integer"
+    # a count at each entry point: a law's trials or successes, a point's d, an audit's trials
+    "binomial-trials-zero": (lambda: Binomial(0, F(1, 2)), ValueError, ZERO_COUNT),
+    "negbinomial-successes-zero": (lambda: NegBinomial(0, F(1, 2)), ValueError, ZERO_COUNT),
+    "qpoint-d-zero": (lambda: QPoint(F(1, 2), 1, 0), ValueError, ZERO_COUNT),
+    "qpoint-d-negative": (lambda: QPoint(F(1, 2), 1, -1), ValueError, f"^{NEGATIVE}-1$"),
+    "qpoint-rho-before-d": (lambda: QPoint(ONE, 1, 0), ValueError, NOT_A_BASE + "1$"),
+    "run-all-trials-zero": (lambda: run_all(seed=1, trials=0, order=9), ValueError, ZERO_COUNT),
+    "poisson-alpha-zero": (
+        lambda: Poisson(0), ValueError, "^expected a positive rational, got 0$"
     ),
     # an index at each public entry point: negative, then a float
     "series-truncate(-2)": (
