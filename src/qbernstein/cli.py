@@ -25,9 +25,10 @@ invocations produce byte-identical outputs.
 A size (--n, --r, --m, --order, a table range's ends, a ``padic`` power of
 [x]) below 0 or above :data:`MAX_SIZE`, a count (--trials, --nbar, --a, --d)
 below 1 or above it, an exponent (--c, a power of t) of magnitude above it,
-or a base (--rho, --q) that is not a positive rational other than 1, is a
-usage error (exit 2), refused while the flags are parsed.  So is a flag a run
-would leave unread, refused by :func:`_read` before anything is computed:
+a base (--rho, --q) that is not a positive rational other than 1, or a law
+parameter (--alpha, --p1, --moments) that its law refuses, is a usage error
+(exit 2), refused while the flags are parsed.  So is a flag a run would leave
+unread, refused by :func:`_read` before anything is computed:
 ``table`` reads the point, --n, --r, and a law only when --dist is given;
 ``series`` reads the law, and --r and the point only at ``--kind
 qbernstein-gf``; ``eval`` reads its family's arguments.
@@ -50,7 +51,7 @@ import sys
 from fractions import Fraction
 
 from .qcalc import QPoint, _check_q, bracket_in_t
-from .rings import Laurent, _count, _index
+from .rings import Laurent, _check_p1, _count, _index, _moments, _positive
 
 DEFAULT_ORDER = 16
 
@@ -67,11 +68,6 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"not an exact rational: {text!r}") from exc
 
 
-def parse_moments(text: str) -> tuple:
-    """A comma-separated list of exact rationals."""
-    return tuple(parse_rational(part) for part in text.split(","))
-
-
 def parse_exponent(text: str) -> int:
     """An integer of magnitude at most :data:`MAX_SIZE`, of either sign."""
     try:
@@ -84,27 +80,23 @@ def parse_exponent(text: str) -> int:
     return value
 
 
-def _passed(gate, *values):
-    """``gate(*values)``, the ValueError it raises made a usage error."""
-    try:
-        return gate(*values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _gated(gate, parse=parse_rational):
+    """The flag type ``gate(parse(text))``, the gate's ValueError a usage error."""
+    def read(text: str):
+        try:
+            return gate(parse(text))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    return read
 
 
-def parse_size(text: str) -> int:
-    """A :func:`parse_exponent` that passes :func:`rings._index`; below 0, a usage error."""
-    return _passed(_index, parse_exponent(text))
-
-
-def parse_count(text: str) -> int:
-    """A :func:`parse_exponent` that passes :func:`rings._count`; below 1, a usage error."""
-    return _passed(_count, parse_exponent(text))
-
-
-def parse_base(text: str) -> Fraction:
-    """A :func:`parse_rational` that passes ``qcalc._check_q``; not a base, a usage error."""
-    return _passed(_check_q, parse_rational(text))
+# the checked flag types, each read through the package's one gate for it
+parse_size = _gated(_index, parse_exponent)
+parse_count = _gated(_count, parse_exponent)
+parse_base = _gated(_check_q)
+parse_positive = _gated(_positive)
+parse_probability = _gated(_check_p1)
+parse_moments = _gated(_moments, lambda text: tuple(map(parse_rational, text.split(","))))
 
 
 def parse_range(text: str) -> range:
@@ -147,15 +139,13 @@ def _flag(name: str) -> str:
 
 def _add_dist_args(parser: argparse.ArgumentParser):
     parser.add_argument("--dist", choices=_LAWS)
-    parser.add_argument("--alpha", type=parse_rational)
-    parser.add_argument("--p1", type=parse_rational)
+    parser.add_argument("--alpha", type=parse_positive)
+    parser.add_argument("--p1", type=parse_probability)
     parser.add_argument("--nbar", type=parse_count, help="binomial trial count")
     parser.add_argument("--a", type=parse_count, help="negative-binomial success count")
     parser.add_argument("--value", type=parse_rational, help="constant law value")
-    parser.add_argument(
-        "--moments", type=parse_moments,
-        help="comma-separated exact moments for the custom law",
-    )
+    parser.add_argument("--moments", type=parse_moments,
+                        help="comma-separated exact moments for the custom law")
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -210,8 +200,7 @@ def _read(args, names, reader) -> dict:
     got = {name: getattr(args, name, None) for name in names}
     if "dist" in names:
         # read from the package, which imports ``distributions`` on first read
-        values = [getattr(args, f) for f in law]
-        got["dist"] = _passed(getattr(sys.modules[__package__], cls), *values)
+        got["dist"] = getattr(sys.modules[__package__], cls)(*[getattr(args, f) for f in law])
     if "point" in names:
         got["point"] = _build_point(args)
     return got

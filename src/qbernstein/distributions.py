@@ -19,11 +19,13 @@ of truth per law: M is sum over k of mu_k v^k / k!.
 
 A law states one gate per field beside the field's name: the function that
 checks the value given and returns its normal form, run once as the law is
-built.  A law is an immutable value, hashed once as it is built, when it also
-takes its :class:`MgfTable` from a cache of 64 that equal laws share;
-:func:`mgf_table` reads it.  Only ``_grown`` runs a law's rule.  The other
-caches, all bounded, are :mod:`qbernstein.padic`'s ``_rules`` (16 values of
-q) and ``_rows`` (1024 rows, one per q, r and w).
+built.  The gates live in :mod:`qbernstein.rings`, so that the command line
+applies them while it parses the flags, before this module loads.  A law is
+an immutable value, hashed once as it is built, when it also takes its
+:class:`MgfTable` from a cache of 64 that equal laws share; :func:`mgf_table`
+reads it.  Only ``_grown`` runs a law's rule.  The other caches, all bounded,
+are :mod:`qbernstein.padic`'s ``_rules`` (16 values of q) and ``_rows`` (1024
+rows, one per q, r and w).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import _count, _frac, _index, _Value
+from .rings import _check_p1, _count, _frac, _index, _moments, _positive, _Value
 from .series import Series
 
 
@@ -96,27 +98,6 @@ class Distribution(_Value):
     def param_string(self) -> str:
         """The law's parameters as "name=value" pairs joined by ";"."""
         return ";".join(f"{f}={v}" for f, v in zip(self._fields, self._key))
-
-
-def _check_p1(p1: Fraction) -> Fraction:
-    p1 = _frac(p1)
-    if not 0 < p1 <= 1:
-        raise ValueError("success probability must lie in (0, 1]")
-    return p1
-
-
-def _positive(value: Fraction) -> Fraction:
-    value = _frac(value)
-    if value <= 0:
-        raise ValueError(f"expected a positive rational, got {value}")
-    return value
-
-
-def _moments(moments) -> tuple:
-    ms = tuple(map(_frac, moments))
-    if not ms or ms[0] != 1:
-        raise ValueError("moment sequence must start with 1")
-    return ms
 
 
 class Poisson(Distribution):

@@ -24,7 +24,9 @@ One base, :class:`_Value`, freezes the package's values: these three rings,
 One gate, :func:`_frac`, decides for the whole package what an exact scalar is,
 a second, :func:`_index`, what an index or an order is, and a third,
 :func:`_count`, what a count is: a law's trials or successes, a point's d, an
-audit's trials.
+audit's trials.  Beside them sit the law gates :func:`_positive` (a Poisson
+mean), :func:`_check_p1` (a success probability) and :func:`_moments` (a
+moment sequence, which starts with 1).
 """
 
 from __future__ import annotations
@@ -58,6 +60,27 @@ def _count(value) -> int:
     if n < 1:
         raise ValueError(f"expected a positive count, got {value}")
     return n
+
+
+def _positive(value: Fraction) -> Fraction:
+    value = _frac(value)
+    if value <= 0:
+        raise ValueError(f"expected a positive rational, got {value}")
+    return value
+
+
+def _check_p1(p1: Fraction) -> Fraction:
+    p1 = _frac(p1)
+    if not 0 < p1 <= 1:
+        raise ValueError("success probability must lie in (0, 1]")
+    return p1
+
+
+def _moments(moments) -> tuple:
+    ms = tuple(map(_frac, moments))
+    if not ms or ms[0] != 1:
+        raise ValueError("moment sequence must start with 1")
+    return ms
 
 
 def _exact(value):

@@ -488,49 +488,83 @@ def test_every_flag_a_family_does_not_read_exits_2(capsys, family):
 
 
 # invocations that each give a flag their run does not read, which the run
-# once dropped without a word: (argv, the flag, the run that does not read it)
+# once dropped without a word: (argv, the end of the one error line)
 UNREAD = {
     "table-law-flag-of-another-law": (
         ["table", "--dist", "bernoulli", "--p1", "1/2", "--alpha", "3", "--x", "1/3",
-         "--n", "2", "--r", "1"], "--alpha", "table",
+         "--n", "2", "--r", "1"], "error: --alpha is not read by table",
     ),
     "table-law-flag-without-a-law": (
-        ["table", "--alpha", "3", "--x", "1/3", "--n", "2", "--r", "1"], "--alpha", "table",
+        ["table", "--alpha", "3", "--x", "1/3", "--n", "2", "--r", "1"],
+        "error: --alpha is not read by table",
     ),
     "eval-law-flag-of-another-law": (
         ["eval", "--family", "prob-euler", "--dist", "poisson", "--alpha", "1", "--p1", "1/2",
-         "--n", "2", "--arg", "0"], "--p1", "family prob-euler",
+         "--n", "2", "--arg", "0"], "error: --p1 is not read by family prob-euler",
     ),
     "eval-law-flag-without-a-law": (
         ["eval", "--family", "stirling2", "--alpha", "1", "--n", "4", "--m", "2"],
-        "--alpha", "family stirling2",
+        "error: --alpha is not read by family stirling2",
     ),
     "series-mgf-point-and-r": (
         ["series", "--dist", "poisson", "--alpha", "1", "--order", "2"] + POINT + ["--r", "3"],
-        "--rho", "series --kind mgf",
+        "error: --rho is not read by series --kind mgf",
     ),
     "series-log-mgf-r": (
         ["series", "--kind", "log-mgf", "--dist", "poisson", "--alpha", "1", "--order", "2",
-         "--r", "1"], "--r", "series --kind log-mgf",
+         "--r", "1"], "error: --r is not read by series --kind log-mgf",
     ),
     "series-mgf-classical-point": (
         ["series", "--dist", "poisson", "--alpha", "1", "--order", "2", "--x", "1/3"],
-        "--x", "series --kind mgf",
+        "error: --x is not read by series --kind mgf",
     ),
-    # refused before the law is built, so the law's own fault goes unreported
+    # a bad value is refused while the flags are parsed, whatever reads it, so
+    # the law's fault is reported and the unread --alpha is not
     "table-before-a-bad-law": (
         ["table", "--dist", "bernoulli", "--p1", "2", "--alpha", "3", "--x", "1/3",
-         "--n", "2", "--r", "1"], "--alpha", "table",
+         "--n", "2", "--r", "1"], "error: argument --p1: success probability must lie in (0, 1]",
     ),
 }
 
 
 @pytest.mark.parametrize("name", UNREAD)
 def test_a_flag_the_run_does_not_read_exits_2(capsys, name):
-    argv, flag, reader = UNREAD[name]
+    argv, error = UNREAD[name]
     code, out = run(capsys, argv)
     errors = [line for line in out.splitlines() if "error:" in line]
-    assert (code, errors) == (2, [f"error: {flag} is not read by {reader}"])
+    assert code == 2 and len(errors) == 1 and errors[0].endswith(error), out
+
+
+# each law flag, a value its gate refuses and the gate's message
+REFUSED_LAW_VALUES = [
+    ("--alpha", "0", "expected a positive rational, got 0"),
+    ("--alpha", "-1/2", "expected a positive rational, got -1/2"),
+    ("--p1", "0", "success probability must lie in (0, 1]"),
+    ("--p1", "3/2", "success probability must lie in (0, 1]"),
+    ("--moments", "2,1", "moment sequence must start with 1"),
+]
+# a run that reads each law flag, and one that reads none
+LAW_READERS = {
+    "--alpha": ["series", "--dist", "poisson"],
+    "--p1": ["table", "--dist", "binomial", "--nbar", "2", "--x", "1/3", "--n", "2", "--r", "1"],
+    "--moments": ["eval", "--family", "prob-stirling2", "--dist", "custom", "--n", "2", "--m", "1"],
+    None: ["eval", "--family", "stirling2", "--n", "4", "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("flag, value, message", REFUSED_LAW_VALUES,
+                         ids=[f"{flag}={value}" for flag, value, _ in REFUSED_LAW_VALUES])
+@pytest.mark.parametrize("reader", [True, False], ids=["read", "unread"])
+def test_a_refused_law_parameter_is_a_usage_error(capsys, flag, value, message, reader):
+    """Every law flag refuses a value its law's gate refuses while the flags
+    are parsed, after a space or an "=", whether or not the run reads it: exit
+    2 and one error line that names the flag and carries the gate's message."""
+    before = LAW_READERS[flag if reader else None]
+    for given in (before + [flag, value], before + [f"{flag}={value}"]):
+        code, out = run(capsys, given)
+        errors = [line for line in out.splitlines() if "error:" in line]
+        assert code == 2 and len(errors) == 1, (given, out)
+        assert errors[0].endswith(f"error: argument {flag}: {message}"), (given, out)
 
 
 def test_io_error_exits_3(capsys, tmp_path):
@@ -658,8 +692,18 @@ def _engine_modules_loaded(code: str) -> list:
 
 def test_start_up_loads_no_engine_module():
     """Building the parser loads neither the audit nor any engine module:
-    the flag types need only ``rings`` and ``qcalc``."""
-    code = "from qbernstein import cli\ncli.build_parser()"
+    the flag types need only ``rings`` and ``qcalc``.  Nor does a refused law
+    parameter, since a gate of ``rings`` refuses it while the flags are parsed."""
+    code = (
+        "from qbernstein import cli\n"
+        "cli.build_parser()\n"
+        "try:\n"
+        "    cli.main(['series', '--dist', 'poisson', '--alpha', '0'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2\n"
+        "else:\n"
+        "    raise AssertionError('--alpha 0 was not refused')\n"
+    )
     assert _engine_modules_loaded(code) == []
 
 

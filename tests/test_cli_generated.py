@@ -5,7 +5,8 @@ Each example builds an argv for one of the subcommands of
 flag's value is drawn by the action's ``choices`` or ``type``, so a flag added
 later is drawn without an edit here.  Each value is drawn from valid tokens
 (signs and "p/q" among them) or from edge and malformed ones ("1/0", "", " ",
-"3..1", -1 for a size, 0 for a count, +-257, "-t", "-h", "--"), and
+"3..1", -1 for a size, 0 for a count or a Poisson mean, 3/2 for a success
+probability, "2,1" for moments, +-257, "-t", "-h", "--"), and
 :func:`qbernstein.cli.main` runs it in process.  On every argv:
 
 - ``main`` returns or exits with code 0, 1, 2 or 3, and raises nothing else;
@@ -18,11 +19,15 @@ later is drawn without an edit here.  Each value is drawn from valid tokens
 - on exit 0, each value ``table`` writes equals what ``eval`` prints for the
   family prob-qbernstein at the same law, point and indices.
 
-Size bound: 150 examples, each run at most twice plus one ``eval`` per table
-row.  A valid size is at most 5, a table range ends at 4, an audit runs at
-most 2 trials at order 8 and a ``padic`` exponent is at most 3 in magnitude,
-so the test takes about 3 s.  Sizes near the cap belong to a benchmark, not
-here.
+Since only a few of those argvs are clean tables, a second property draws
+clean ``table`` argvs only, a law of ``_LAWS`` at a grid or classical point
+written as CSV or JSON lines, and compares every row with ``eval``.
+
+Size bound: 150 examples of the first property, each run at most twice plus
+one ``eval`` per table row, and 100 of the second.  A valid size is at most 5,
+a table range ends at 4, an audit runs at most 2 trials at order 8 and a
+``padic`` exponent is at most 3 in magnitude, so the two take about 3 s.
+Sizes near the cap belong to a benchmark, not here.
 """
 
 import argparse
@@ -45,6 +50,8 @@ from qbernstein.cli import (
     parse_exponent,
     parse_moments,
     parse_padic_expr,
+    parse_positive,
+    parse_probability,
     parse_range,
     parse_rational,
     parse_size,
@@ -60,6 +67,10 @@ EDGE = ["", " ", "-h", "--"]
 KINDS = {
     parse_rational: (["1", "2", "1/2", "-1/2", "3/2", "-3", "2/3"], ["0", "1/0", "x", "-", "-t"]),
     parse_base: (["2/3", "3/2", "1/2", "2"], ["1", "0", "-1/2", "1/0", "x"]),
+    parse_positive: (["1", "2", "1/2", "3/2", "2/3"], ["0", "-1/2", "-3", "1/0", "x", "-", "-t"]),
+    parse_probability: (
+        ["1", "1/2", "2/3"], ["0", "3/2", "2", "-1/2", "-3", "1/0", "x", "-", "-t"],
+    ),
     parse_size: (["0", "1", "2", "3", "5"], ["-1", "257", "-257", "1/2", "x", "-t"]),
     parse_count: (["1", "2", "3", "5"], ["0", "-1", "257", "-257", "1/2", "x", "-t"]),
     parse_exponent: (["0", "1", "2", "3", "-1"], ["257", "-257", "1/2", "x", "-t"]),
@@ -73,14 +84,11 @@ KINDS = {
 }
 # flags whose valid values are fewer than their type reads, by name or by
 # (subcommand, name): an audit is kept to at most 2 trials at an order at or
-# above its floor; a Poisson mean is positive, a success probability lies in
-# (0, 1], and a custom law gives 5 moments, so a table up to n = 4 can grow.
-# The values a law refuses stay among the edge tokens of noisy argvs.
+# above its floor, and a custom law gives 5 moments, so a table up to n = 4
+# can grow.  The shorter sequences stay among the edge tokens of noisy argvs.
 DOMAINS = {
     ("audit", "trials"): (["1", "2"], ["0", "-1", "257", "x"]),
     ("audit", "order"): (["6", "8"], ["5", "0", "-3", "257", "x"]),
-    "alpha": (["1", "2", "1/2", "3/2", "2/3"], ["0", "-1/2", "-3", "1/0", "x", "-", "-t"]),
-    "p1": (["1", "1/2", "2/3"], ["0", "3/2", "2", "-1/2", "-3", "1/0", "x", "-", "-t"]),
     "moments": (
         ["1,1,2,5,15", "1,2,5,7,11", "1,-1/2,3,0,1/2"],
         ["1,1,2", "1,-1/2,3", "1,1/0", "2,1", "1,", "-1"],
@@ -184,6 +192,34 @@ def _table_rows(pairs, text):
     return []
 
 
+def _assert_rows_equal_eval(out, pairs, text):
+    """Each row of the output ``text`` of the table run ``pairs`` equals what
+    ``eval`` prints for the family prob-qbernstein at the same law (Constant(1)
+    when none is given), point and indices."""
+    point_and_law = [f"{flag}={value}" for flag, value in pairs
+                     if flag not in ("--n", "--r", "--format", "--out")]
+    if "--dist" not in dict(pairs):
+        point_and_law += ["--dist=constant", "--value=1"]
+    for n, r, printed in _table_rows(pairs, text):
+        argv = ["eval", "--family=prob-qbernstein", f"--n={n}", f"--r={r}", *point_and_law]
+        assert _run(argv, out)[:2] == (0, f"{printed}\n"), (pairs, argv)
+
+
+@st.composite
+def _clean_table(draw):
+    """The (flag, value) pairs, in any order, of a clean ``table`` argv: a law
+    of ``_LAWS`` with valid parameters, a grid or classical point, --n and
+    --r ranges that end at most at 4, and CSV or JSON lines."""
+    actions = {action.dest: action for action in SUBCOMMANDS["table"]._actions}
+    law = draw(st.sampled_from(sorted(_LAWS)))
+    style = STYLES[draw(st.sampled_from(sorted(STYLES)))]
+    pairs = [("--dist", law), ("--format", draw(st.sampled_from(["csv", "json-lines"])))]
+    for dest in [*_LAWS[law][1], *sorted(style), "n", "r"]:
+        valid, _ = _tokens("table", actions[dest])
+        pairs.append((actions[dest].option_strings[0], draw(st.sampled_from(valid))))
+    return draw(st.permutations(pairs))
+
+
 @pytest.fixture(scope="module")
 def out(tmp_path_factory):
     return tmp_path_factory.mktemp("generated") / "out"
@@ -207,11 +243,13 @@ def test_every_generated_argv_keeps_the_exit_code_contract(out, data):
         assert _run(joined, out)[:3] == (code, stdout, written), (spaced, joined)
 
     if command == "table" and code == 0:
-        text = written if written is not None else stdout
-        point_and_law = [f"{flag}={value}" for flag, value in pairs
-                         if flag not in ("--n", "--r", "--format", "--out")]
-        if "--dist" not in dict(pairs):
-            point_and_law += ["--dist=constant", "--value=1"]
-        for n, r, printed in _table_rows(pairs, text):
-            argv = ["eval", "--family=prob-qbernstein", f"--n={n}", f"--r={r}", *point_and_law]
-            assert _run(argv, out)[:2] == (0, f"{printed}\n"), (spaced, argv)
+        _assert_rows_equal_eval(out, pairs, written if written is not None else stdout)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=_clean_table())
+def test_every_clean_table_row_equals_eval(out, pairs):
+    argv = ["table"] + [f"{flag}={value}" for flag, value in pairs]
+    code, stdout, _, stderr = _run(argv, out)
+    assert code == 0, (argv, stderr)
+    _assert_rows_equal_eval(out, pairs, stdout)
