@@ -34,11 +34,11 @@ kinds: each a constructor and the axes of its keyword arguments, and a kind is
 picked only among several.  P-BRKT alone draws by a function.  An evaluator,
 ``evaluate(dist, p, order, **indices)``, returns (lhs, rhs) or raises CaseSkip.
 Shapes that several cases share are written once: the reduction to
-binom(n, r) X^r times a closed-form tail (:func:`_reduction_eval`), the
-convolution, the recovery of X^r (T2.3, C2.1), the printed Poisson integral
-(C3.2, C3.3) and the product rule (T2.8), whose lhs is the family's one
-generating function, :func:`~qbernstein.families.prob_qbernstein_gf`, and
-whose rhs sums shifted derivatives of M^X1.
+binom(n, r) X^r times a tail (:func:`_reduction_eval`), the convolution, the
+recovery of X^r (T2.3, C2.1), the printed Poisson integral (C3.2, C3.3) and
+the product rule (T2.8), whose lhs is the family's one generating function,
+:func:`~qbernstein.families.prob_qbernstein_gf`, and whose rhs sums shifted
+derivatives of M^X1.
 """
 
 from __future__ import annotations
@@ -369,9 +369,9 @@ def eval_t21(dist, p, order, r, n):
 
 
 def _reduction_eval(tail):
-    """Shared shape of the closed-form reductions: the family value equals
-    binom(n, r) X^r tail(dist, n - r, point), where the tail is a closed form
-    for (n - r)! [v^(n - r)] M^X1 in the law's own special numbers."""
+    """Shared shape of the reductions: the family value equals binom(n, r)
+    X^r tail(dist, n - r, point), the tail being (n - r)! [v^(n - r)] M^X1 in
+    closed form, or by ``Series.pow`` at a classical point (R2.1)."""
 
     def evaluate(dist, p, order, r, n):
         return prob_qbernstein(dist, r, n, p), math.comb(n, r) * p.X**r * tail(dist, n - r, p)
@@ -429,25 +429,24 @@ def eval_c21(dist, p, order, r, n):
     return lhs, (bos, ferm)
 
 
-def _convolution_eval(family):
+def _convolution(family, dist, p, r, n):
     """Shared shape of the two convolution identities (one per Appell-style
     family attached to the law): sum over j of binom(n, j) B(r, j) fam(n - j,
     conj) equals binom(n, r) X^r fam(n - r, 1)."""
+    lhs = sum(
+        math.comb(n, j) * prob_qbernstein(dist, r, j, p) * family(dist, n - j, p.Xc)
+        for j in range(r, n + 1)
+    )
+    return lhs, math.comb(n, r) * p.X**r * family(dist, n - r, F(1))
 
-    def evaluate(dist, p, order, r, n):
-        lhs = sum(
-            math.comb(n, j) * prob_qbernstein(dist, r, j, p) * family(dist, n - j, p.Xc)
-            for j in range(r, n + 1)
-        )
-        rhs = math.comb(n, r) * p.X**r * family(dist, n - r, F(1))
-        return lhs, rhs
 
-    return evaluate
+def eval_t24(dist, p, order, r, n):
+    return _convolution(prob_euler, dist, p, r, n)
 
 
 def eval_t25(dist, p, order, r, n):
     _skip_mean_zero(dist)
-    return _convolution_eval(prob_bernoulli)(dist, p, order, r=r, n=n)
+    return _convolution(prob_bernoulli, dist, p, r, n)
 
 
 def eval_t26_verbatim(dist, p, order, r, n):
@@ -597,13 +596,6 @@ def _t36_tail(dist, k, p):
     )
 
 
-def eval_r21(dist, p, order, r, n):
-    x = p.x
-    lhs = prob_qbernstein(dist, r, n, p)
-    tail = dist.mgf_series(n - r).pow(1 - x).coeffs[n - r]
-    return lhs, math.perm(n, n - r) * x**r * tail
-
-
 def eval_r22(dist, p, order, r, n):
     return prob_qbernstein(dist, r, n, p), bernstein_classical(r, n, p.x)
 
@@ -675,7 +667,7 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "T2.4", "verbatim",
         "convolution against the law's alternating Appell family",
-        "pass", Drawer(LAWS, Q_POINTS), _convolution_eval(prob_euler),
+        "pass", Drawer(LAWS, Q_POINTS), eval_t24,
         notes="sum read from the lower index; smaller terms are zero",
     ),
     IdentityCase(
@@ -825,7 +817,8 @@ REGISTRY: list[IdentityCase] = [
     IdentityCase(
         "R2.1", "verbatim",
         "classical mode agrees with the plain-x construction",
-        "pass", Drawer(LAWS, CLASSICAL_POINTS), eval_r21,
+        "pass", Drawer(LAWS, CLASSICAL_POINTS),
+        _reduction_eval(lambda dist, k, p: dist.mgf_series(k).pow(1 - p.x).egf_coeff(k)),
     ),
     IdentityCase(
         "R2.2", "verbatim",

@@ -5,6 +5,7 @@ the defining module's own object, through attribute access, ``import *`` and
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,25 @@ def test_a_name_loads_only_its_own_module():
     assert after == str(sorted(
         f"qbernstein.{m}" for m in ("distributions", "families", "qcalc", "rings", "series")
     ))
+
+
+def test_no_closure_holds_an_exported_function():
+    """No closure reachable from a package module's namespace or from an
+    audit registry entry holds a function named in ``__all__``, so a name
+    replaced in every namespace that holds it (as a tracer wraps a function)
+    is replaced for every caller."""
+    from qbernstein import audit, cli  # noqa: F401 (cli: to scan its closures too)
+
+    todo = [f for case in audit.REGISTRY for f in (case.draw, case.evaluate)]
+    todo += [value for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "qbernstein" for value in vars(module).values()]
+    seen = set()
+    while todo:
+        held = todo.pop()
+        for cell in getattr(held, "__closure__", None) or ():
+            value = cell.cell_contents
+            assert not (isinstance(value, types.FunctionType)
+                        and value.__name__ in qbernstein.__all__), (held, value)
+            if id(value) not in seen:
+                seen.add(id(value))
+                todo.append(value)
