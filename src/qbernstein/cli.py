@@ -9,8 +9,8 @@ Subcommands:
   padic   apply one of the two integral operators to a small expression
   audit   run the identity registry and write the report
 
-Start-up loads only what the parser needs: the standard library, ``rings``
-and ``qcalc``, whose gates the flag types call.  The engine loads when a
+Start-up loads only what the parser needs: the standard library, ``rings``,
+whose gates the flag types call, and ``qcalc``.  The engine loads when a
 subcommand runs: ``table`` and ``series`` import ``families`` and
 ``distributions``, and with them ``series``; ``eval`` imports the module of
 its family through the package's lazy names; ``padic`` imports ``padic``; and
@@ -33,6 +33,11 @@ unread, refused by :func:`_read` before anything is computed:
 ``series`` reads the law, and --r and the point only at ``--kind
 qbernstein-gf``; ``eval`` reads its family's arguments.
 
+``table``, ``series`` and ``audit`` open --out, creating or emptying it, once
+their flags are checked and before they compute: a refused flag leaves the file
+as it was, an unwritable one exits 3 at once, and a run that raises after it
+(exit 1) leaves it empty.
+
 Exit codes, which :func:`main` alone sets from what a subcommand raises:
 0 success, 1 computation precondition violated (ValueError, ArithmeticError),
 2 usage error (UsageError), 3 I/O error (OSError).  ``audit`` also exits 1
@@ -44,14 +49,15 @@ it after its report, ``error: N expected-pass record(s) failed``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
 
-from .qcalc import QPoint, _check_q, bracket_in_t
-from .rings import Laurent, _check_p1, _count, _index, _moments, _positive
+from .qcalc import QPoint, bracket_in_t
+from .rings import Laurent, _check_p1, _check_q, _count, _index, _moments, _positive
 
 DEFAULT_ORDER = 16
 
@@ -206,31 +212,27 @@ def _read(args, names, reader) -> dict:
     return got
 
 
-def _write(path, payload: str):
-    """Write ``payload`` to the file ``path``, or to stdout when it is None."""
-    if path is None:
-        sys.stdout.write(payload)
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write(payload)
+def _open_out(path):
+    """The file ``path`` opened for writing, or stdout when it is None."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
-def _write_rows(args, header, rows):
-    """Write ``rows``, tuples as wide as ``header``, under it to ``args.out``,
-    as JSON lines keyed by the header when ``args.format`` is json-lines, and
-    as CSV otherwise.
+def _write_rows(out, fmt, header, rows):
+    """Write ``rows``, tuples as wide as ``header``, under it to the stream ``out``,
+    as JSON lines keyed by the header when ``fmt`` is json-lines, and as CSV
+    otherwise.
 
     The CSV is the bytes ``csv.writer`` gives, fields joined by commas and
     lines ended by CRLF, built from one format string and joined once.  No
     field is quoted, since RFC 4180 (section 2) quotes only a field that holds
     a comma, a double quote or a line break, and the fields here are names,
     integers and rationals printed as "p" or "p/q", which hold none."""
-    if args.format == "json-lines":
+    if fmt == "json-lines":
         lines = [json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n" for row in rows]
     else:
         line = ",".join(["%s"] * len(header)) + "\r\n"
         lines = [line % tuple(header), *map(line.__mod__, rows)]
-    _write(args.out, "".join(lines))
+    out.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +244,19 @@ def cmd_table(args) -> int:
     got = _read(args, ("dist", "point", "n", "r") if args.dist else ("point", "n", "r"), "table")
     dist = got.get("dist") or distributions.Constant(Fraction(1))
     point = got["point"]
-    rows = []
-    for n in got["n"]:
-        for r in got["r"]:
-            if r > n:
-                continue
-            rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
-    if args.format != "latex":
-        _write_rows(args, ["n", "r", "value"], [(n, r, str(v)) for n, r, v in rows])
-        return 0
-    lines = ["\\begin{tabular}{rrl}", "$n$ & $r$ & $B^{Y}_{r,n}(x,q)$ \\\\", "\\hline"]
-    lines += [f"{n} & {r} & ${render_latex_rational(v)}$ \\\\" for n, r, v in rows]
-    _write(args.out, "\n".join(lines + ["\\end{tabular}", ""]))
+    with _open_out(args.out) as out:
+        rows = []
+        for n in got["n"]:
+            for r in got["r"]:
+                if r > n:
+                    continue
+                rows.append((n, r, families.prob_qbernstein(dist, r, n, point)))
+        if args.format != "latex":
+            _write_rows(out, args.format, ["n", "r", "value"], [(n, r, str(v)) for n, r, v in rows])
+            return 0
+        lines = ["\\begin{tabular}{rrl}", "$n$ & $r$ & $B^{Y}_{r,n}(x,q)$ \\\\", "\\hline"]
+        lines += [f"{n} & {r} & ${render_latex_rational(v)}$ \\\\" for n, r, v in rows]
+        out.write("\n".join(lines + ["\\end{tabular}", ""]))
     return 0
 
 
@@ -297,14 +300,15 @@ def cmd_series(args) -> int:
 
     gf = args.kind == "qbernstein-gf"
     got = _read(args, ("dist", "r", "point") if gf else ("dist",), f"series --kind {args.kind}")
-    if gf:
-        s = families.prob_qbernstein_gf(*got.values(), args.order)
-    elif args.kind == "mgf":
-        s = got["dist"].mgf_series(args.order)
-    else:  # log-mgf
-        s = got["dist"].mgf_series(args.order).log()
-    rows = [(n, str(coeff), str(s.egf_coeff(n))) for n, coeff in enumerate(s.coeffs)]
-    _write_rows(args, ["n", "coeff", "egf"], rows)
+    with _open_out(args.out) as out:
+        if gf:
+            s = families.prob_qbernstein_gf(*got.values(), args.order)
+        elif args.kind == "mgf":
+            s = got["dist"].mgf_series(args.order)
+        else:  # log-mgf
+            s = got["dist"].mgf_series(args.order).log()
+        rows = [(n, str(coeff), str(s.egf_coeff(n))) for n, coeff in enumerate(s.coeffs)]
+        _write_rows(out, args.format, ["n", "coeff", "egf"], rows)
     return 0
 
 
@@ -359,18 +363,12 @@ def cmd_audit(args) -> int:
     from . import audit
 
     least = audit.MAX_DRAWN_INDEX
-    _require(
-        args.order >= least,
-        f"--order must be at least {least}, the largest index the audit draws",
-    )
-    report = audit.run_all(seed=args.seed, trials=args.trials, order=args.order)
-    if args.format == "json-lines":
-        payload = report.to_jsonl()
-    elif args.format == "csv":
-        payload = report.to_csv()
-    else:
-        payload = report.to_latex()
-    _write(args.out, payload)
+    _require(args.order >= least,
+             f"--order must be at least {least}, the largest index the audit draws")
+    with _open_out(args.out) as out:
+        report = audit.run_all(seed=args.seed, trials=args.trials, order=args.order)
+        out.write({"json-lines": report.to_jsonl, "csv": report.to_csv,
+                   "latex": report.to_latex}[args.format]())
     if args.out is not None:
         for line in report.summary_lines():
             print(line)

@@ -40,8 +40,8 @@ import math
 from fractions import Fraction
 
 from .distributions import Constant, Distribution, mgf_table
-from .qcalc import QPoint, _check_q
-from .rings import Laurent, _frac, _index
+from .qcalc import QPoint
+from .rings import Laurent, _check_indices, _check_q, _frac, _index
 from .series import Series, exp_series
 
 
@@ -199,8 +199,3 @@ def prob_qbernstein_laurent(d: Distribution, r: int, n: int, q: Fraction) -> Lau
         poly = [x - y for x, y in zip(poly + [0], [0] + poly)]
     num, den = math.comb(n, r) * (-b) ** r, (b - a) ** n * dk
     return Laurent({r - i: Fraction(num * x, den) for i, x in enumerate(poly)})
-
-
-def _check_indices(r: int, n: int):
-    if _index(r) > _index(n):
-        raise ValueError(f"lower index {r} exceeds upper index {n}")

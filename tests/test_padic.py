@@ -38,6 +38,7 @@ from oracles import (
     volkenborn_direct_sum,
     volkenborn_partial_sum,
 )
+from test_preconditions import refusals
 
 Q_VALUES = [F(4, 9), F(3, 2), F(9, 4)]
 
@@ -318,44 +319,6 @@ def test_caches_stay_within_their_bounds():
         assert cache.cache_info().currsize <= bound
 
 
-BAD_Q = r"expected a base \(a positive rational other than 1\), got "
-
-
-@pytest.mark.parametrize(
-    "integral, args, message",
-    [
-        pytest.param(
-            integrate_corollaries, (3, 2, F(3, 2)), "lower index 3 exceeds upper index 2",
-            id="r-above-n",
-        ),
-        pytest.param(
-            integrate_corollaries, (-1, 2, F(3, 2)), "expected a nonnegative index, got -1",
-            id="negative-r",
-        ),
-        pytest.param(
-            integrate_weighted_term, (0, 2, -1, F(3, 2)), "expected a nonnegative index, got -1",
-            id="negative-w",
-        ),
-        pytest.param(
-            integrate_weighted_term, (2, 1, 0, F(3, 2)), "lower index 2 exceeds upper index 1",
-            id="weighted-r-above-n",
-        ),
-        pytest.param(integrate_corollaries, (0, 2, F(1)), BAD_Q + "1", id="q-one"),
-        pytest.param(
-            integrate_weighted_term, (0, 2, 1, F(-1, 2)), BAD_Q + "-1/2", id="q-negative"
-        ),
-    ],
-)
-def test_integral_errors(integral, args, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        integral(Poisson(F(1)), *args)
-
-
-def test_integral_of_a_law_short_of_moments():
-    with pytest.raises(ValueError, match="^only 3 moments provided, order 4 requested$"):
-        integrate_corollaries(CustomMoments((F(1), F(2), F(5))), 1, 5, F(3, 2))
-
-
 # SHA-256 of the integrate_corollaries lines, in the format of the benchmark's
 # laurent workload, for the six laws over 0 <= r <= n <= 8.  Taken from the
 # route that integrates the prob_qbernstein_laurent integrand directly; the
@@ -409,10 +372,13 @@ def test_closed_form_partial_sum_matches_literal_summation():
         )
 
 
-def test_q_validation():
-    with pytest.raises(ValueError):
-        volkenborn(Laurent({0: 1}), F(1))
-    with pytest.raises(ValueError):
-        fermionic(Laurent({0: 1}), F(-2, 3))
-    with pytest.raises(ValueError):
-        carlitz_beta(-1, F(4, 9))
+# refusals, each stated as rows of test_preconditions.PRECONDITIONS
+test_integral_errors = refusals({
+    "r-above-n": "integrate-corollaries-r-above-n", "q-one": "integrate-corollaries-q-1",
+    "negative-r": "integrate-corollaries-r-negative",
+    "negative-w": "integrate-weighted-term-w-negative",
+    "weighted-r-above-n": "integrate-weighted-term-r-above-n",
+    "q-negative": "integrate-weighted-term-q-negative",
+})
+test_integral_of_a_law_short_of_moments = refusals("integrate-corollaries-short-moments")
+test_q_validation = refusals("volkenborn-q-1", "fermionic-q-negative", "carlitz-beta")

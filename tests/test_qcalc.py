@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qbernstein.qcalc import QPoint, bracket_in_t, one_minus_bracket_power
 
 from oracles import conjugate_bracket_in_t, one_minus_conjugate_in_t
+from test_preconditions import refusals
 
 RHOS = [F(1, 2), F(2, 3), F(3, 4), F(4, 3), F(3, 2), F(7, 5)]
 
@@ -23,15 +24,6 @@ def test_point_construction_and_consistency():
     assert p.t == F(2, 3)
     assert p.x == F(1, 2)
     assert p.t**p.d == p.q**p.c
-
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        QPoint(F(1), 1, 2)
-    with pytest.raises(ValueError):
-        QPoint(F(-2, 3), 1, 2)
-    with pytest.raises(ValueError):
-        QPoint(F(2, 3), 1, 0)
 
 
 def test_bracket_values():
@@ -140,18 +132,11 @@ def test_one_minus_power_trivial_cases():
     assert scalar2 == scalar1**2
 
 
-def test_one_minus_power_rejects_classical_mode():
-    with pytest.raises(ValueError):
-        one_minus_bracket_power(QPoint.classical(F(1, 3)), 2)
-
-
 def test_classical_mode_brackets():
     p = QPoint.classical(F(2, 7))
     assert p.is_classical
     assert p.q == 1
     assert (p.X, p.Xc, p.X1) == (F(2, 7), F(2, 7), F(5, 7))
-    with pytest.raises(ValueError):
-        _ = p.t
 
 
 def test_laurent_bracket_builders_evaluate_correctly():
@@ -161,3 +146,8 @@ def test_laurent_bracket_builders_evaluate_correctly():
         assert bracket_in_t(p.q).substitute(p.t) == p.X
         assert conjugate_bracket_in_t(p.q).substitute(p.t) == p.Xc
         assert one_minus_conjugate_in_t(p.q).substitute(p.t) == p.X1
+
+
+# refusals, each stated as rows of test_preconditions.PRECONDITIONS
+test_point_validation = refusals("qpoint-rho-one", "qpoint-rho-negative", "qpoint-d-zero")
+test_one_minus_power_rejects_classical_mode = refusals("one-minus-bracket-power-classical")

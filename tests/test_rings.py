@@ -25,6 +25,7 @@ from qbernstein.rings import (
 from qbernstein.series import Series
 
 from oracles import is_log_free, min_exponent, random_fraction
+from test_preconditions import refusals
 
 
 def test_falling_factorial_values():
@@ -32,11 +33,6 @@ def test_falling_factorial_values():
     assert falling_factorial(F(7, 3), 0) == 1
     assert falling_factorial(Poly.x(), 0) == 1
     assert falling_factorial(5, 3) == 60
-
-
-def test_falling_factorial_rejects_negative_count():
-    with pytest.raises(ValueError):
-        falling_factorial(F(1), -1)
 
 
 def test_falling_factorial_composition():
@@ -265,3 +261,7 @@ def test_values_refuse_assignment_and_deletion(kind):
             hash(value)
     else:
         hash(value)
+
+
+# refusals, each stated as rows of test_preconditions.PRECONDITIONS
+test_falling_factorial_rejects_negative_count = refusals("falling-factorial-negative")

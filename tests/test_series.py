@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbernstein.qcalc import QPoint
-from qbernstein.rings import Laurent
 from qbernstein import series
 from qbernstein.series import Series, exp_series
 
@@ -20,6 +19,7 @@ from oracles import (
     reference_pow,
     reference_recip,
 )
+from test_preconditions import refusals
 
 
 def test_mul_examples():
@@ -29,11 +29,6 @@ def test_mul_examples():
     e = exp_series(F(1), 10)
     assert e * e == exp_series(F(2), 10)
     assert e * Series([F(1)] + [F(0)] * 10) == e
-
-
-def test_mul_order_mismatch():
-    with pytest.raises(ValueError):
-        Series([F(1)] + [F(0)] * 3) * Series([F(1)] + [F(0)] * 4)
 
 
 def test_recip_examples():
@@ -48,11 +43,6 @@ def test_recip_is_involutive():
     for _ in range(20):
         s = Series(random_series_coeffs(rng, 9, 1))
         assert s.recip().recip() == s
-
-
-def test_recip_rejects_zero_constant():
-    with pytest.raises(ValueError):
-        Series([F(0), F(1)]).recip()
 
 
 def test_exp_log_examples():
@@ -70,15 +60,6 @@ def test_exp_log_are_mutually_inverse():
         assert s.exp().log() == s
         t = Series(random_series_coeffs(rng, 10, 1))
         assert t.log().exp() == t
-
-
-def test_exp_log_preconditions():
-    with pytest.raises(ValueError):
-        Series([F(1), F(1)]).exp()
-    with pytest.raises(ValueError):
-        Series([F(2), F(1)]).log()
-    with pytest.raises(ValueError):
-        Series([F(2), F(1)]).pow(F(1, 2))
 
 
 def test_pow_examples():
@@ -130,24 +111,6 @@ def test_egf_coeff():
     assert exp_series(F(2), 5).egf_coeff(3) == 8
     front = Series([F(0)] * 2 + [F(1, 2)] + [F(0)] * 4) * exp_series(F(1), 6)
     assert front.egf_coeff(2) == 1
-    with pytest.raises(ValueError):
-        e.egf_coeff(9)
-
-
-def test_series_over_laurent_coefficients():
-    """A Series holds rational coefficients only: a Laurent coefficient, or a
-    Laurent scalar in any operation, raises TypeError."""
-    a = Laurent({1: F(1)})
-    with pytest.raises(TypeError):
-        Series([a, F(1)])
-    with pytest.raises(TypeError):
-        Series([F(1), a])
-    e = exp_series(F(1), 3)
-    for operation in (lambda: e * a, lambda: a * e, lambda: e + a, lambda: e - a):
-        with pytest.raises(TypeError):
-            operation()
-    with pytest.raises(TypeError):
-        exp_series(a, 3)
 
 
 def test_scalar_arithmetic():
@@ -161,8 +124,6 @@ def test_scalar_arithmetic():
 def test_truncate():
     e = exp_series(F(1), 6)
     assert e.truncate(3) == exp_series(F(1), 3)
-    with pytest.raises(ValueError):
-        e.truncate(7)
 
 
 def test_exp_series_factorial_convention():
@@ -278,17 +239,6 @@ def test_pow_grown_in_steps_is_exp_of_scaled_log(drawn, e):
         assert Series(a[: n + 1]).pow(e) == expected.truncate(n)
 
 
-def test_pow_needs_scalar_coefficients_and_exponent():
-    with pytest.raises(TypeError):
-        Series([F(1), Laurent({1: F(1)})]).pow(2)
-    with pytest.raises(TypeError):
-        Series([F(1), F(1, 2)]).pow(Laurent({1: F(1)}))
-    with pytest.raises(TypeError):
-        Series([F(1), F(1, 2)]).pow(0.5)
-    with pytest.raises(TypeError):
-        Series([F(1), Laurent({-1: F(2)})]).pow(F(1, 3))
-
-
 COEFF = st.one_of(
     st.just(F(0)),
     st.integers(-9, 9).map(F),
@@ -369,3 +319,16 @@ def test_the_reference_catches_a_one_short_exp(monkeypatch):
     monkeypatch.setattr(Series, "exp", _exp_one_short)
     with pytest.raises(AssertionError):
         _check_against_reference(a, a[::-1], F(3, 2), F(1, 3))
+
+
+# refusals, each stated as rows of test_preconditions.PRECONDITIONS
+test_mul_order_mismatch = refusals("series-mul-order-mismatch")
+test_recip_rejects_zero_constant = refusals("series-recip-zero-constant")
+test_exp_log_preconditions = refusals(
+    "series-exp-constant-1", "series-log-constant-2", "series-pow-constant-2")
+test_series_over_laurent_coefficients = refusals(
+    "series-laurent-first", "series-laurent-second", "series-times-laurent",
+    "laurent-times-series", "series-plus-laurent", "series-minus-laurent",
+    "exp-series-laurent-rate")
+test_pow_needs_scalar_coefficients_and_exponent = refusals(
+    "series-laurent-second", "series-pow-laurent", "series-pow-float")
