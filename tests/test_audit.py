@@ -51,7 +51,6 @@ from qbernstein.distributions import (
 from qbernstein.families import bell_poly, prob_qbernstein, prob_stirling2
 from qbernstein.qcalc import QPoint
 from qbernstein.rings import LogPoly
-from test_preconditions import refusals
 
 POINT = QPoint(F(2, 3), 1, 2)
 
@@ -937,7 +936,3 @@ def test_moment_grid_catches_a_broken_engine(monkeypatch, mutant):
     finally:
         _clear_caches()
     assert failures
-
-
-# refusals, each stated as rows of test_preconditions.PRECONDITIONS
-test_trials_must_be_positive = refusals("run-all-trials-zero")

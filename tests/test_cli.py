@@ -3,7 +3,6 @@ precondition fails, 2 on a usage error (with an ``error: ...`` line and no
 traceback), 3 on an I/O error; and byte-identical audit output across runs."""
 
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -23,7 +22,6 @@ from qbernstein.audit import MAX_DRAWN_INDEX
 from qbernstein.cli import (
     MAX_SIZE,
     _EVAL_FAMILIES,
-    UsageError,
     _write_rows,
     build_parser,
     main,
@@ -92,14 +90,11 @@ def test_every_size_flag_takes_the_cap():
     assert parser.parse_args(argv).c == -MAX_SIZE
 
 
-def test_a_padic_exponent_above_the_cap_is_a_usage_error():
-    """parse_padic_expr takes a t exponent of magnitude MAX_SIZE and refuses
-    one above it, for t and for [x], before any power is formed."""
+def test_a_padic_exponent_at_the_cap_is_accepted():
+    """parse_padic_expr takes a t exponent of magnitude MAX_SIZE; one above
+    it, for t and for [x], is refused (the table FAILURES)."""
     for power in (MAX_SIZE, -MAX_SIZE):
         assert parse_padic_expr(f"t^{power}") == [(1, "t", power)]
-    for term in (f"t^{MAX_SIZE + 1}", f"t^{-MAX_SIZE - 1}", f"[x]^{MAX_SIZE + 1}"):
-        with pytest.raises(UsageError, match="exceeds the largest size"):
-            parse_padic_expr(f"1 + 2*{term}")
 
 
 def test_an_exact_value_longer_than_the_int_digit_limit_prints(capsys):
@@ -253,10 +248,10 @@ LAW_READERS = {
     None: "eval --family stirling2 --n 4 --m 2",
 }
 
-# How the command line fails: test name -> (exit code, its cases); case id ->
+# How the command line fails: group -> (exit code, its cases); case id ->
 # (command line, the end of its one error line from "error:" on), or a list of
-# them.  Each test runs _check_failure on each command line of its cases, with
-# no parameter when its one case id is None; some ids are pytest's old ones.
+# them.  Each test runs through the one check _failure_test, which runs
+# _check_failure on each command line of a case, once per case.
 FAILURES = {
     "test_computation_error_exits_1": (1, {
         "zero-mean": ("eval --family prob-bernoulli --dist constant --value 0 --n 2 --arg 1",
@@ -342,6 +337,14 @@ FAILURES = {
            for i, (before, flag, form) in enumerate(SIZE_FLAGS)},
         "padic [x] power": (f"{PADIC} '[x]^99999999'",
                             f"error: argument --expr: 99999999 {TOO_BIG}"),
+        "padic t power": (f"{PADIC} '1 + 2*t^{MAX_SIZE + 1}'",
+                          f"error: argument --expr: {MAX_SIZE + 1} {TOO_BIG}"),
+        "padic t power below minus the cap": (
+            f"{PADIC} '1 + 2*t^{-MAX_SIZE - 1}'",
+            f"error: argument --expr: the magnitude of {-MAX_SIZE - 1} {TOO_BIG}"),
+        "padic [x] power one above the cap": (
+            f"{PADIC} '1 + 2*[x]^{MAX_SIZE + 1}'",
+            f"error: argument --expr: {MAX_SIZE + 1} {TOO_BIG}"),
     }),
     # --c is an exponent, bounded in magnitude; --d is a count, so -MAX_SIZE is negative
     "test_a_point_exponent_below_minus_the_cap_is_a_usage_error": (2, {
@@ -388,8 +391,8 @@ FAILURES = {
         )
     }),
     "test_a_padic_coefficient_longer_than_the_int_digit_limit_is_a_usage_error": (2, {
-        None: (f"{PADIC} {'3' * 5000}*t^2",
-               f"error: argument --expr: not an exact rational: '{'3' * 5000}'"),
+        "padic --expr": (f"{PADIC} {'3' * 5000}*t^2",
+                         f"error: argument --expr: not an exact rational: '{'3' * 5000}'"),
     }),
     "test_missing_law_flag_exits_2": (2, {
         case: (f"eval --family prob-stirling2 --n 2 --m 1 --dist {law}", f"error: {message}")
@@ -451,8 +454,9 @@ FAILURES = {
     }),
     # every writer, into a directory that does not exist
     "test_io_error_exits_3": (3, {
-        None: [(f"{line} --out missing/out",
-                "error: [Errno 2] No such file or directory: 'missing/out'") for line in (
+        "every writer": [(f"{line} --out missing/out",
+                          "error: [Errno 2] No such file or directory: 'missing/out'")
+                         for line in (
             f"table --n 0..2 --r 0..2 {AT}", f"table --n 0..2 --r 0..2 --format latex {AT}",
             "series --dist poisson --alpha 1",
             AUDIT, f"{AUDIT} --format csv", f"{AUDIT} --format latex",
@@ -493,22 +497,51 @@ def _check_failure(capsys, line, code, error):
         assert got == code and out in (alone, under_usage), (each, got, out)
 
 
-def _failure_test(code, cases):
-    """A test that runs :func:`_check_failure` on every command line of a
-    case of ``cases`` in an empty directory, where "missing/out" names no
-    file, parametrized by case unless its one case id is None."""
+def _rows(rows):
+    """The command lines and error lines of a case of FAILURES."""
+    return rows if isinstance(rows, list) else [rows]
+
+
+def _failure_test(name):
+    """The test ``name``: for each case of FAILURES[name], each command line,
+    run in an empty directory where "missing/out" names no file, fails as
+    :func:`_check_failure` checks."""
+    code, cases = FAILURES[name]
+
+    @pytest.mark.parametrize("case", cases)
     def test(capsys, monkeypatch, tmp_path, case):
         monkeypatch.chdir(tmp_path)
-        rows = cases[case] if isinstance(cases[case], list) else [cases[case]]
-        for line, error in rows:
+        for line, error in _rows(cases[case]):
             _check_failure(capsys, line, code, error)
-
-    if list(cases) == [None]:
-        return functools.partial(test, case=None)
-    return pytest.mark.parametrize("case", cases)(test)
+    return test
 
 
-globals().update({name: _failure_test(*test) for name, test in FAILURES.items()})
+test_computation_error_exits_1 = _failure_test("test_computation_error_exits_1")
+test_usage_error_exits_2 = _failure_test("test_usage_error_exits_2")
+test_a_size_above_the_cap_is_a_usage_error = _failure_test(
+    "test_a_size_above_the_cap_is_a_usage_error")
+test_a_point_exponent_below_minus_the_cap_is_a_usage_error = _failure_test(
+    "test_a_point_exponent_below_minus_the_cap_is_a_usage_error")
+test_a_negative_size_is_a_usage_error = _failure_test("test_a_negative_size_is_a_usage_error")
+test_a_zero_count_is_a_usage_error = _failure_test("test_a_zero_count_is_a_usage_error")
+test_a_padic_coefficient_longer_than_the_int_digit_limit_is_a_usage_error = _failure_test(
+    "test_a_padic_coefficient_longer_than_the_int_digit_limit_is_a_usage_error")
+test_missing_law_flag_exits_2 = _failure_test("test_missing_law_flag_exits_2")
+test_every_flag_a_family_does_not_read_exits_2 = _failure_test(
+    "test_every_flag_a_family_does_not_read_exits_2")
+test_a_flag_the_run_does_not_read_exits_2 = _failure_test(
+    "test_a_flag_the_run_does_not_read_exits_2")
+test_a_refused_law_parameter_is_a_usage_error = _failure_test(
+    "test_a_refused_law_parameter_is_a_usage_error")
+test_io_error_exits_3 = _failure_test("test_io_error_exits_3")
+test_a_malformed_negative_value_exits_2 = _failure_test("test_a_malformed_negative_value_exits_2")
+test_an_empty_expression_is_a_usage_error = _failure_test(
+    "test_an_empty_expression_is_a_usage_error")
+
+
+def test_each_group_of_failures_is_a_test():
+    """Each group of FAILURES runs as the test of its name."""
+    assert all(name in vars(sys.modules[__name__]) for name in FAILURES)
 
 
 def test_out_is_opened_once_the_flags_are_checked_and_before_anything_is_computed(
@@ -526,11 +559,10 @@ def test_out_is_opened_once_the_flags_are_checked_and_before_anything_is_compute
                        "error: [Errno 2] No such file or directory: 'missing/out'")
     (tmp_path / "kept").write_bytes(b"kept")
     for code, cases in FAILURES.values():
-        for rows in cases.values():
-            for line, error in rows if isinstance(rows, list) else [rows]:
-                if code == 2 and line.split()[0] in ("table", "series", "audit"):
-                    _check_failure(capsys, f"{line} --out kept", 2, error)
-                    assert (tmp_path / "kept").read_bytes() == b"kept"
+        for line, error in (row for rows in cases.values() for row in _rows(rows)):
+            if code == 2 and line.split()[0] in ("table", "series", "audit"):
+                _check_failure(capsys, f"{line} --out kept", 2, error)
+                assert (tmp_path / "kept").read_bytes() == b"kept"
 
 
 def test_a_failing_audit_writes_one_error_line(monkeypatch, tmp_path, capsys):

@@ -30,7 +30,6 @@ from oracles import (
     touchard,
     uniform_moment,
 )
-from test_preconditions import refusals
 
 ALL_LAWS = [
     Poisson(F(2, 3)),
@@ -635,11 +634,3 @@ def test_table_reads_check_their_indices(grown):
     assert table.bell(3, 5) == 0
     assert table.bell(8, 9) == 0
     assert _held(table) == before
-
-
-# refusals, each stated as rows of test_preconditions.PRECONDITIONS
-test_parameter_validation = refusals(
-    "poisson-alpha-zero", "poisson-alpha-negative", "bernoulli-p1-zero", "bernoulli-p1-above-1",
-    "binomial-trials-zero", "geometric-p1-above-1", "negbinomial-successes-zero",
-    "custom-moments-not-from-1")
-test_custom_moments_runs_out_of_data = refusals("custom-moments-mgf-series-short")

@@ -36,7 +36,6 @@ from qbernstein.qcalc import QPoint
 from qbernstein.series import Series, exp_series
 
 from oracles import reference_qbernstein_laurent, set_partition_count
-from test_preconditions import refusals
 
 SIX_LAWS = [
     Poisson(F(2, 3)),
@@ -404,12 +403,3 @@ def test_corrected_derivative_identity_for_all_six_laws():
                     gf(r).truncate(order - 1) * ratio
                 )
                 assert lhs == rhs
-
-
-# refusals, each stated as rows of test_preconditions.PRECONDITIONS
-test_family_value_errors = refusals({
-    "r-above-n": "prob-qbernstein-r-above-n", "negative-n": "prob-qbernstein-n-negative",
-    "bad-point": "qpoint-rho-one", "bad-q": "prob-qbernstein-laurent-q-1",
-    "short-moments": "prob-qbernstein-short-moments",
-})
-test_prob_bernoulli_higher_rejects_zero_mean = refusals("prob-bernoulli-higher-mean-zero")

@@ -38,7 +38,6 @@ from oracles import (
     volkenborn_direct_sum,
     volkenborn_partial_sum,
 )
-from test_preconditions import refusals
 
 Q_VALUES = [F(4, 9), F(3, 2), F(9, 4)]
 
@@ -370,15 +369,3 @@ def test_closed_form_partial_sum_matches_literal_summation():
         assert volkenborn_partial_sum(beta, F(6), 5, 2) == volkenborn_direct_sum(
             beta, F(6), 5, 2
         )
-
-
-# refusals, each stated as rows of test_preconditions.PRECONDITIONS
-test_integral_errors = refusals({
-    "r-above-n": "integrate-corollaries-r-above-n", "q-one": "integrate-corollaries-q-1",
-    "negative-r": "integrate-corollaries-r-negative",
-    "negative-w": "integrate-weighted-term-w-negative",
-    "weighted-r-above-n": "integrate-weighted-term-r-above-n",
-    "q-negative": "integrate-weighted-term-q-negative",
-})
-test_integral_of_a_law_short_of_moments = refusals("integrate-corollaries-short-moments")
-test_q_validation = refusals("volkenborn-q-1", "fermionic-q-negative", "carlitz-beta")

@@ -1,8 +1,10 @@
 """How the library refuses input, stated once: each refusal of the engine is
 a row of :data:`PRECONDITIONS`, a call with the exception type it raises and
-its whole message, and one check asserts that type and that message exactly.
-The rows are grouped by message, so by the gate of ``rings`` or the operation
-that raises it.  At run time, no function of the package returns a float."""
+its whole message, and the table runs through its one check,
+:func:`test_precondition_raises`, which asserts that type and that message
+exactly, once per row.  The rows are grouped by message, so by the gate of
+``rings`` or the operation that raises it.  At run time, no function of the
+package returns a float."""
 
 import os
 import sys
@@ -306,23 +308,6 @@ def test_precondition_raises(name):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
-
-
-def refusals(*names):
-    """A test that checks the rows ``names``, or, given one dict, case id ->
-    row, one row per case id: a test whose checks became rows keeps its id."""
-    if isinstance(names[0], dict):
-        cases = names[0]
-
-        @pytest.mark.parametrize("case", cases)
-        def test_case(case):
-            test_precondition_raises(cases[case])
-        return test_case
-
-    def test():
-        for name in names:
-            test_precondition_raises(name)
-    return test
 
 
 def test_no_function_of_the_package_returns_a_float():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qbernstein.qcalc import QPoint, bracket_in_t, one_minus_bracket_power
 
 from oracles import conjugate_bracket_in_t, one_minus_conjugate_in_t
-from test_preconditions import refusals
 
 RHOS = [F(1, 2), F(2, 3), F(3, 4), F(4, 3), F(3, 2), F(7, 5)]
 
@@ -146,8 +145,3 @@ def test_laurent_bracket_builders_evaluate_correctly():
         assert bracket_in_t(p.q).substitute(p.t) == p.X
         assert conjugate_bracket_in_t(p.q).substitute(p.t) == p.Xc
         assert one_minus_conjugate_in_t(p.q).substitute(p.t) == p.X1
-
-
-# refusals, each stated as rows of test_preconditions.PRECONDITIONS
-test_point_validation = refusals("qpoint-rho-one", "qpoint-rho-negative", "qpoint-d-zero")
-test_one_minus_power_rejects_classical_mode = refusals("one-minus-bracket-power-classical")

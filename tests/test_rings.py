@@ -25,7 +25,6 @@ from qbernstein.rings import (
 from qbernstein.series import Series
 
 from oracles import is_log_free, min_exponent, random_fraction
-from test_preconditions import refusals
 
 
 def test_falling_factorial_values():
@@ -261,7 +260,3 @@ def test_values_refuse_assignment_and_deletion(kind):
             hash(value)
     else:
         hash(value)
-
-
-# refusals, each stated as rows of test_preconditions.PRECONDITIONS
-test_falling_factorial_rejects_negative_count = refusals("falling-factorial-negative")

@@ -19,7 +19,6 @@ from oracles import (
     reference_pow,
     reference_recip,
 )
-from test_preconditions import refusals
 
 
 def test_mul_examples():
@@ -319,16 +318,3 @@ def test_the_reference_catches_a_one_short_exp(monkeypatch):
     monkeypatch.setattr(Series, "exp", _exp_one_short)
     with pytest.raises(AssertionError):
         _check_against_reference(a, a[::-1], F(3, 2), F(1, 3))
-
-
-# refusals, each stated as rows of test_preconditions.PRECONDITIONS
-test_mul_order_mismatch = refusals("series-mul-order-mismatch")
-test_recip_rejects_zero_constant = refusals("series-recip-zero-constant")
-test_exp_log_preconditions = refusals(
-    "series-exp-constant-1", "series-log-constant-2", "series-pow-constant-2")
-test_series_over_laurent_coefficients = refusals(
-    "series-laurent-first", "series-laurent-second", "series-times-laurent",
-    "laurent-times-series", "series-plus-laurent", "series-minus-laurent",
-    "exp-series-laurent-rate")
-test_pow_needs_scalar_coefficients_and_exponent = refusals(
-    "series-laurent-second", "series-pow-laurent", "series-pow-float")
