@@ -11,12 +11,30 @@ import math
 import random
 from fractions import Fraction
 
+from qbernstein.distributions import (
+    Bernoulli,
+    Binomial,
+    Geometric,
+    NegBinomial,
+    Poisson,
+    Uniform01,
+)
 from qbernstein.families import prob_stirling2
 from qbernstein.qcalc import bracket_in_t
 from qbernstein.rings import Laurent, LogPoly
 from qbernstein.series import Series, exp_series
 
 F = Fraction
+
+# one law of each kind the audit draws, at small parameters
+SIX_LAWS = [
+    Poisson(F(2, 3)),
+    Bernoulli(F(1, 2)),
+    Binomial(3, F(1, 3)),
+    Geometric(F(1, 2)),
+    NegBinomial(2, F(2, 3)),
+    Uniform01(),
+]
 
 
 def set_partition_count(n: int, m: int) -> int:

