@@ -23,9 +23,13 @@ A power is computed whole and nothing is held between calls; the tables of a
 law's M^z live in :class:`~qbernstein.distributions.MgfTable`, which runs its
 own kernel and its own read-out to this layout.
 
-The exponential-generating-function convention lives in one place only:
-:meth:`Series.egf_coeff` returns n! * a_n.  Everything upstream of that call
-works with ordinary coefficients so the ring operations stay factorial-free.
+A :class:`Series` holds ordinary coefficients, so the ring operations stay
+factorial-free; :meth:`Series.egf_coeff` returns the exponential coefficient
+n! * a_n.  It is not the only place that applies n!: the law tables
+(:class:`~qbernstein.distributions.MgfTable`) hold the moments, the Bell
+rows and M^z in exponential form (N_k, A_m(n), Beta_k), and their series
+read-out (``distributions._ordinary``), ``families.prob_qbernstein`` and the
+readers of the Bell rows move between the two forms themselves.
 """
 
 from __future__ import annotations

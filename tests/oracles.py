@@ -3,6 +3,8 @@
 Everything here is deliberately computed by a different route than the library
 code it checks: brute-force enumeration, recurrences, finite probability sums
 with rigorous rational tail bounds, and truncated ultrametric limit sums.
+``check_against_reference`` and ``wrong_reads_under_shuffled_growth`` check
+the engine against them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from fractions import Fraction
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
+    CustomMoments,
     Geometric,
+    MgfTable,
     NegBinomial,
     Poisson,
     Uniform01,
@@ -127,6 +131,26 @@ def _product_power(base: Series, count: int) -> Series:
     for _ in range(count):
         power = power * base
     return power
+
+
+def power_by_exp_log(law, z: Fraction, n: int) -> Series:
+    """M^z rebuilt at exactly order n as exp(z log M), from the oracle M."""
+    return (mgf_oracle(law, n).log() * z).exp()
+
+
+def bell_at(law, n: int, m: int) -> Fraction:
+    """B_(n,m) = n!/m! [v^n] (M - 1)^m, with (M - 1)^m rebuilt at exactly
+    order n by repeated multiplication of the oracle M minus 1."""
+    return _product_power(mgf_oracle(law, n) - 1, m).coeffs[n] * math.perm(n, n - m)
+
+
+def custom_law(count: int) -> CustomMoments:
+    """A moment sequence of ``count`` entries, not that of any named law."""
+    return CustomMoments(tuple(F(k * k + 1, k + 1) for k in range(count)))
+
+
+def law_id(law) -> str:
+    return f"{law.name}({law.param_string()})"
 
 
 def bernoulli_moment(p1: Fraction, n: int) -> Fraction:
@@ -321,3 +345,66 @@ def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> F
 
 def random_series_coeffs(rng: random.Random, order: int, first) -> list:
     return [F(first)] + [random_fraction(rng) for _ in range(order)]
+
+
+def _assert_is(s, values):
+    """``s`` holds exactly ``values``, in the one canonical layout: the lcm
+    of their denominators, and each value's numerator over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    assert (s.nums, s.den) == (tuple(v.numerator * (den // v.denominator) for v in values), den)
+    assert s.coeffs == tuple(values)
+
+
+def check_against_reference(a, b, c, z):
+    """Every Series operation on a and b (and the scalar c, the exponent z)
+    against the Fraction-per-coefficient reference above."""
+    s, t, n = Series(a), Series(b), len(a) - 1
+    _assert_is(s, a)
+    _assert_is(Series.zero(n), [F(0)] * (n + 1))
+    _assert_is(exp_series(c, n), [c**k / math.factorial(k) for k in range(n + 1)])
+    _assert_is(s + t, [x + y for x, y in zip(a, b)])
+    _assert_is(s - t, [x - y for x, y in zip(a, b)])
+    _assert_is(-s, [-x for x in a])
+    _assert_is(s + c, [a[0] + c] + a[1:])
+    _assert_is(c - s, [c - a[0]] + [-x for x in a[1:]])
+    _assert_is(s * c, [x * c for x in a])
+    _assert_is(c * s, [c * x for x in a])
+    _assert_is(s * t, reference_mul(a, b))
+    _assert_is(s.truncate(n // 2), a[: n // 2 + 1])
+    if n:
+        _assert_is(s.derive(), [i * a[i] for i in range(1, n + 1)])
+    assert [s.egf_coeff(k) for k in range(n + 1)] == [
+        math.factorial(k) * x for k, x in enumerate(a)
+    ]
+    assert (s == t) == (a == b)
+    zero_head, unit_head = [F(0)] + a[1:], [F(1)] + a[1:]
+    _assert_is(Series(zero_head).exp(), reference_exp(zero_head))
+    _assert_is(Series(unit_head).log(), reference_log(unit_head))
+    _assert_is(Series(unit_head).pow(z), reference_pow(unit_head, z))
+    if a[0]:
+        _assert_is(s.recip(), reference_recip(a))
+
+
+# two laws whose d_k miss some D_i D_(k-i), so that D_k differs from d_k
+UNEVEN_DENOMINATORS = [Uniform01(), custom_law(13)]
+
+
+def wrong_reads_under_shuffled_growth(law):
+    """The number of reads of M, of every Bell number and of M^z, at orders
+    up to 12 in a shuffled order, that differ from their oracles or divide
+    by zero."""
+    z, wrong = F(-2, 3), 0
+    queries = [(kind, n) for kind in ("mgf", "bell", "power") for n in range(13)]
+    random.Random(law_id(law)).shuffle(queries)
+    table = MgfTable(law)
+    for kind, n in queries:
+        try:
+            if kind == "mgf":
+                wrong += table.series(n) != mgf_oracle(law, n)
+            elif kind == "bell":
+                wrong += sum(table.bell(n, m) != bell_at(law, n, m) for m in range(n + 1))
+            else:
+                wrong += table.power(z, n) != power_by_exp_log(law, z, n)
+        except ZeroDivisionError:
+            wrong += 1
+    return wrong

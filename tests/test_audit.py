@@ -22,7 +22,6 @@ from qbernstein.audit import (
     RN_INDICES,
     UNIFORM01,
     UNIT,
-    AuditReport,
     CaseDraw,
     CaseSkip,
     Drawer,
@@ -36,7 +35,7 @@ from qbernstein.audit import (
     run_all,
     run_case,
 )
-from qbernstein import cli, distributions, padic, series
+from qbernstein import cli, series
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
@@ -51,6 +50,8 @@ from qbernstein.distributions import (
 from qbernstein.families import bell_poly, prob_qbernstein, prob_stirling2
 from qbernstein.qcalc import QPoint
 from qbernstein.rings import LogPoly
+
+from faults import GRID_CASES, GRID_MOMENTS, clear_caches, grid_failures
 
 POINT = QPoint(F(2, 3), 1, 2)
 
@@ -522,100 +523,8 @@ def test_alternating_stirling_sum_is_the_fraction_sum(corrected):
             assert F(total, den) == expected, (law, k)
 
 
-def _ode_rule_one_short(cut):
-    """The laws' ODE moment rule, N_k = Q0 N_j + Q1 sum over i <= j of
-    C(j, i) N_i S^(j-i) - P1 sum over i < j of C(j, i) N_(i+1) S^(j-1-i) for
-    j = k - 1, with the term i = j - 1 dropped from the sum that ``cut``
-    ("Q1" or "P1") multiplies."""
-
-    def rule(self, k, nums, order):
-        q0, q1, p1, s = self._ode()
-        j = k - 1
-        low = sum(math.comb(j, i) * nums[i] * s ** (j - i)
-                  for i in range(j + 1) if cut != "Q1" or i != j - 1)
-        high = sum(math.comb(j, i) * nums[i + 1] * s ** (j - 1 - i)
-                   for i in range(j) if cut != "P1" or i != j - 1)
-        return q0 * nums[j] + q1 * low - p1 * high, s**k
-
-    return rule
-
-
-def _power_rule_off_by_one(self, order):
-    """The table's Miller rule in exponential form with zd C(k, j) where
-    Beta_k = sum over j of (zn C(k - 1, j - 1) - zd C(k - 1, j)) zd^(j-1)
-    D_k/(D_j D_(k-j)) N_j Beta_(k-j) needs zd C(k - 1, j)."""
-    nums, held, zn, zd = self._nums, self._zpow, self._z.numerator, self._z.denominator
-    for k in range(len(held), order + 1):
-        split = self._splits[k]
-        held.append(sum(
-            (zn * math.comb(k - 1, j - 1) - zd * math.comb(k, j)) * zd ** (j - 1)
-            * split[j] * nums[j] * held[k - j]
-            for j in range(1, k + 1)
-        ))
-
-
-def _bell_rule_off_by_one(self, n):
-    """The table's partial Bell recurrence with C(k, i - 1) where row k =
-    sum over i of C(k - 1, i - 1) D_k/(D_i D_(k-i)) N_i times row k - i
-    shifted up one place needs C(k - 1, i - 1)."""
-    nums, rows = self._grown(n), self._rows
-    for k in range(len(rows), n + 1):
-        split, row = self._splits[k], [0] * (k + 1)
-        for i in range(1, k + 1):
-            for m, a in enumerate(rows[k - i], 1):
-                row[m] += math.comb(k, i - 1) * split[i] * nums[i] * a
-        rows.append(tuple(row))
-
-
-def _miller_sum_one_short(nums, den, z):
-    """Series.pow's integer Miller kernel with the sum over j stopping at
-    k - 1, where k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j)
-    needs j = k."""
-    zn, zd = z.numerator, z.denominator
-    held, common = [1], 1
-    for k in range(1, len(nums)):
-        acc = sum(((zn + zd) * j - k * zd) * nums[j] * held[k - j] for j in range(1, k))
-        common = series._extend(held, common, acc, k * zd * den)
-    return series.Series.over(held, common)
-
-
-_miller_power, _table_bell = series._miller_power, MgfTable.bell
-_table_bell_parts = MgfTable.bell_parts
-_series_mul = series.Series.__mul__
-
-
-def _extend_leaving_b0(held, common, num, den):
-    """series._extend scaling held[1:] when the common denominator grows by
-    r, where every held numerator, b_0's too, must be scaled."""
-    g = math.gcd(den, num)
-    r = den // g
-    held[1:] = [h * r for h in held[1:]]
-    held.append(num // g)
-    return common * r
-
-
-def _miller_rescaled_one_short(nums, den, z):
-    """Series.pow's Miller kernel, run with that append step."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_extend", _extend_leaving_b0)
-        return _miller_power(nums, den, z)
-
-
-def _bell_read_one_short(self, n, m):
-    """The table's Bell read-out B_(n,m) = A_m(n) / D_(n-1) where the rows,
-    held over D_n, need A_m(n) / D_n."""
-    value = _table_bell(self, n, m)
-    return value * self._dens[n] / self._dens[n - 1] if 0 < m <= n else value
-
-
-def _bell_parts_read_one_short(self, n):
-    """MgfTable.bell_parts giving D_(n-1) where the row A_m(n) is held over
-    D_n."""
-    parts, den = _table_bell_parts(self, n)
-    return parts, self._dens[n - 1] if n else den
-
-
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_table_bell_parts = MgfTable.bell_parts
 
 
 def _bell_parts_times_a_prime(self, n):
@@ -638,98 +547,11 @@ def test_p_log_reads_only_the_parts_the_table_documents(monkeypatch, law):
     assert lhs == rhs
 
 
-def _series_mul_one_short(self, other):
-    """Series.__mul__'s integer convolution with the index i stopping at
-    k - 1 instead of k."""
-    if not isinstance(other, series.Series):
-        return _series_mul(self, other)
-    a, b = self.nums, other.nums
-    out = [sum(a[i] * b[k - i] for i in range(k)) for k in range(self.order + 1)]
-    return series.Series.over(out, self.den * other.den)
-
-
-def _series_log_one_short(self):
-    """Series.log with the sum over 0 < i < k stopping at k - 2, where
-    k l_k = k a_k - sum over 0 < i < k of i l_i a_(k-i) needs i = k - 1."""
-    a, den = self.nums, self.den
-    held, common = [0], 1
-    for k in range(1, len(a)):
-        acc = k * a[k] * common - sum(i * held[i] * a[k - i] for i in range(1, k - 1))
-        common = series._extend(held, common, acc, k * den)
-    return series.Series.over(held, common)
-
-
-def _point_with_swapped_brackets(mp):
-    built = QPoint.__init__
-
-    def init(self, *args, **kwargs):
-        built(self, *args, **kwargs)
-        xc, x1 = self.Xc, self.X1
-        object.__setattr__(self, "Xc", x1)
-        object.__setattr__(self, "X1", xc)
-
-    mp.setattr(QPoint, "__init__", init)
-
-
-# Each key names the part of the engine its mutant breaks: "poisson-rule" and
-# "negbinomial-rule" are the laws' ODE moment rule
-# (Distribution._moment), set on those laws (and on Geometric,
-# which shares NegBinomial's ODE) with its Q1 sum, or its P1 sum, one term
-# short; Poisson's ODE has no P1 term and NegBinomial's no Q1 term, so each
-# mutant reaches the one sum its law reads.  "extend-pow" is the table's
-# Miller rule for M^z (MgfTable._grow_power), "minus-one-table" its
-# partial Bell recurrence for (M - 1)^m (MgfTable._grow_rows), and
-# "series-pow", "series-mul" and "series-log" the integer kernels of
-# Series.pow (series._miller_power), Series.__mul__ and Series.log.  The two
-# rescale mutants break the step that carries held integers to values:
-# "minus-one-rescale" the table's Bell read-out A_m(n) / D_n, both as one
-# value (MgfTable.bell) and as a row over its denominator
-# (MgfTable.bell_parts, which P-LOG, T2.7, the Laurent route and the p-adic
-# rows read), and "miller-rescale" the scaling of the held b_i when the
-# power's common denominator grows (series._extend, as series._miller_power
-# calls it).
-# A table that holds index k over the law's d_k in place of D_k is checked
-# by shuffled growth reads in tests/test_distributions.py.  One mutant is not
-# listed, since it fails no expected-pass record of run_all(42, 2, 8): a
-# one-short Series.exp, which only T3.1 reaches (through bell_poly) and at
-# n - r = 0 in both its draws there, is checked against the Fraction
-# reference in tests/test_series.py.
-MUTANTS = {
-    "poisson-rule": lambda mp: mp.setattr(Poisson, "_moment", _ode_rule_one_short("Q1")),
-    "negbinomial-rule": lambda mp: (
-        mp.setattr(NegBinomial, "_moment", _ode_rule_one_short("P1")),
-        mp.setattr(Geometric, "_moment", _ode_rule_one_short("P1")),
-    ),
-    "extend-pow": lambda mp: mp.setattr(MgfTable, "_grow_power", _power_rule_off_by_one),
-    "minus-one-table": lambda mp: mp.setattr(MgfTable, "_grow_rows", _bell_rule_off_by_one),
-    "minus-one-rescale": lambda mp: (
-        mp.setattr(MgfTable, "bell", _bell_read_one_short),
-        mp.setattr(MgfTable, "bell_parts", _bell_parts_read_one_short),
-    ),
-    "miller-rescale": lambda mp: mp.setattr(series, "_miller_power", _miller_rescaled_one_short),
-    "series-pow": lambda mp: mp.setattr(series, "_miller_power", _miller_sum_one_short),
-    "series-mul": lambda mp: (
-        mp.setattr(series.Series, "__mul__", _series_mul_one_short),
-        mp.setattr(series.Series, "__rmul__", _series_mul_one_short),
-    ),
-    "series-log": lambda mp: mp.setattr(series.Series, "log", _series_log_one_short),
-    "swapped-brackets": _point_with_swapped_brackets,
-}
-
-
-def _clear_caches():
-    """Empty the shared tables; run_all draws new law objects, so no table
-    held on a law object outlives the run that grew it."""
-    distributions._shared_table.cache_clear()
-    padic._rules.cache_clear()
-    padic._rows.cache_clear()
-
-
 @pytest.mark.parametrize("arrangement", ["reversed", "shuffled"])
 def test_records_depend_on_neither_registry_order_nor_cache_state(monkeypatch, arrangement):
     """Each case run alone from cleared caches, in reversed registry order or
     in a seeded shuffle, gives the records of one run_all over them all."""
-    _clear_caches()
+    clear_caches()
     expected = run_all(42, 2, 16).records
     if arrangement == "reversed":
         cases = REGISTRY[::-1]
@@ -738,29 +560,12 @@ def test_records_depend_on_neither_registry_order_nor_cache_state(monkeypatch, a
     records = []
     try:
         for case in cases:
-            _clear_caches()
+            clear_caches()
             monkeypatch.setattr(audit_mod, "REGISTRY", [case])
             records += run_all(42, 2, 16).records
     finally:
-        _clear_caches()
+        clear_caches()
     assert sorted(records, key=lambda r: (r.id, r.variant)) == expected
-
-
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_audit_catches_a_broken_engine(monkeypatch, mutant):
-    """Each off-by-one mutant of the engine turns at least one expected-pass
-    record into FAIL or ERROR; the caches are cleared around it so that no
-    value computed by the mutant outlives it."""
-    _clear_caches()
-    assert run_all(42, 2, 8).expected_pass_failures() == []
-    try:
-        with monkeypatch.context() as mp:
-            MUTANTS[mutant](mp)
-            _clear_caches()
-            failures = run_all(42, 2, 8).expected_pass_failures()
-    finally:
-        _clear_caches()
-    assert any(r.status in ("FAIL", "ERROR") for r in failures)
 
 
 # The expected-pass cases whose identity is claimed for every law with
@@ -796,59 +601,6 @@ def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
             assert (record.status == "SKIP") == (moments[0] == 0)
 
 
-# A moment-grid certificate at N = 5.  Each side of each case below is a
-# polynomial in mu_1 .. mu_5 whose coefficients are isobaric, mu_i of weight i;
-# each case's weight bound is given with it.  So its degree in mu_i is at most
-# floor(5/i).  A polynomial of degree at most t_i in x_i that vanishes on a
-# grid S_1 x .. x S_5 with |S_i| > t_i is zero (Alon, "Combinatorial
-# Nullstellensatz", 1999, Lemma 2.1).  So equality on the 6 x 3 x 2 x 2 x 2
-# grid of mu_i = (x + 1)/(i + 2), x = 0 .. floor(5/i), proves each identity at
-# those indices for every law.
-# - P-LOG corrected, order 5: [log M]_k for k <= 5 has weight k <= 5.
-# - T2.2 and T2.7 corrected, (r, n) = (1, 5): each term is a P(r, j), of
-#   weight j - r, times a Bell sum or [log M]_(n - j) of weight n - j, so
-#   weight at most n - r = 4 (the derivative in x adds no moment).
-# - T2.3 corrected, (r, n) = (1, 5): it divides by E[Y^(n - r)], which is
-#   nonzero on the grid; times that moment, the lhs X^r E[Y^(n - r)] and each
-#   rhs term S_Y(n - l, m) P(r, l) have weight n - r = 4.
-# - T2.4 verbatim, (r, n) = (1, 5): P(r, j), of weight j - r, times the
-#   coefficient n - j of 2/(M + 1) M^Xc, of weight n - j: weight n - r = 4.
-# - T2.6 corrected, r = 2, order 5: coefficient k of (X v)^r / r! M^X1 has
-#   weight k - r, and coefficient k of M'/M weight k + 1, so coefficient k of
-#   either side, k <= 4, has weight k + 1 - r <= 3.
-# - T2.8 corrected, (r, m) = (2, 2), order 5: coefficient k <= 3 of either
-#   side is a multiple of coefficient k + m of (X v)^r / r! M^X1, or a sum of
-#   terms of that weight, k + m - r <= 3.
-GRID_N = 5
-GRID_MOMENTS = list(itertools.product(*(
-    [F(x + 1, i + 2) for x in range(GRID_N // i + 1)] for i in range(1, GRID_N + 1)
-)))
-GRID_POINT = QPoint(F(2, 5), 3, 7)
-GRID_CASES = {
-    ("P-LOG", "corrected"): {},
-    ("T2.2", "corrected"): {"r": 1, "n": GRID_N},
-    ("T2.7", "corrected"): {"r": 1, "n": GRID_N},
-    ("T2.3", "corrected"): {"r": 1, "n": GRID_N},
-    ("T2.4", "verbatim"): {"r": 1, "n": GRID_N},
-    ("T2.6", "corrected"): {"r": 2, "n": GRID_N},
-    ("T2.8", "corrected"): {"r": 2, "m": 2},
-}
-
-
-def _grid_failures() -> list:
-    """The (case, law) pairs of the grid whose two sides differ, on new law
-    objects, so that no table held on an earlier law is read."""
-    cases = {(c.id, c.variant): c for c in REGISTRY}
-    failures = []
-    for mus in GRID_MOMENTS:
-        law = CustomMoments((F(1), *mus))
-        for key, indices in GRID_CASES.items():
-            lhs, rhs = cases[key].evaluate(law, GRID_POINT, GRID_N, **indices)
-            if lhs != rhs:
-                failures.append((key, law))
-    return failures
-
-
 def test_every_grid_case_lies_in_its_domain():
     cases = {(c.id, c.variant): c for c in REGISTRY}
     for key, indices in GRID_CASES.items():
@@ -857,27 +609,8 @@ def test_every_grid_case_lies_in_its_domain():
 
 def test_bell_readers_hold_on_the_moment_grid():
     """P-LOG, T2.2, T2.3, T2.6, T2.7 and T2.8 corrected and T2.4 verbatim
-    hold on all 144 grid laws, and so, by the certificate above, on every
-    law at their indices."""
+    hold on all 144 grid laws, and so, by the certificate beside the grid
+    in tests/faults.py, on every law at their indices."""
     assert len(GRID_MOMENTS) == 144
-    _clear_caches()
-    assert _grid_failures() == []
-
-
-# the mutants whose targets the grid cases read: the table's Bell recurrence
-# and read-out, its M^z rule (T2.2's lhs reads M^X1), Series.log (P-LOG's),
-# Series.pow and its rescale (T2.4's M^Xc and T2.8's M^X1), and
-# Series.__mul__ (T2.4's and T2.6's products)
-@pytest.mark.parametrize("mutant", [
-    "extend-pow", "minus-one-rescale", "minus-one-table", "series-log",
-    "miller-rescale", "series-pow", "series-mul",
-])
-def test_moment_grid_catches_a_broken_engine(monkeypatch, mutant):
-    _clear_caches()
-    try:
-        with monkeypatch.context() as mp:
-            MUTANTS[mutant](mp)
-            failures = _grid_failures()
-    finally:
-        _clear_caches()
-    assert failures
+    clear_caches()
+    assert grid_failures() == []

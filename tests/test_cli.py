@@ -658,68 +658,48 @@ def test_each_subcommand_runs_clean_under_development_mode(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, ""), line
 
 
-def test_start_up_loads_no_dataclasses_inspect_or_typing():
-    """Importing the CLI and building its parser, the set-up every invocation
-    pays, loads none of dataclasses, inspect and typing (dataclasses pulls in
-    inspect, ast, dis and tokenize, a large share of the package's import
-    time).  The child runs with -S, since a site-packages .pth file may
-    import typing."""
-    check = (
-        "import sys\n"
-        "from qbernstein import cli\n"
-        "cli.build_parser()\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", check],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-ENGINE = ["audit", "padic", "families", "distributions", "series"]
-
-
-def _engine_modules_loaded(code: str) -> list:
-    """The engine modules loaded after ``code`` runs in a fresh interpreter
-    under -S, so that no site-packages .pth file imports anything first."""
-    check = code + (
-        "\nimport sys\n"
-        f"print(*[m for m in {ENGINE!r} if 'qbernstein.' + m in sys.modules])\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", check],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()
-
-
-def test_start_up_loads_no_engine_module():
-    """Building the parser loads neither the audit nor any engine module:
-    the flag types need only the gates of ``rings``.  Nor does a refused law
-    parameter, since a gate of ``rings`` refuses it while the flags are parsed."""
-    code = (
-        "from qbernstein import cli\n"
-        "cli.build_parser()\n"
-        "try:\n"
+# The lazy start-up: code run in a fresh interpreter under -S (a .pth file
+# may import typing), and the modules then loaded among the package's own and
+# dataclasses, inspect and typing, a large share of import time if loaded.
+START_UP = {
+    "import-the-package": ("import qbernstein", []),
+    "read-a-name": (
+        "import qbernstein\nqbernstein.prob_qbernstein",
+        ["distributions", "families", "qcalc", "rings", "series"],
+    ),
+    # building the parser, the set-up every invocation pays, and refusing a
+    # law parameter load no engine module: the flag types need only the gates
+    # of rings, which refuse a bad value while the flags are parsed
+    "build-the-parser": ("from qbernstein import cli\ncli.build_parser()", ["cli", "qcalc", "rings"]),
+    "refuse-a-law-parameter": (
+        "from qbernstein import cli\ncli.build_parser()\ntry:\n"
         "    cli.main(['series', '--dist', 'poisson', '--alpha', '0'])\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 2\n"
-        "else:\n"
-        "    raise AssertionError('--alpha 0 was not refused')\n"
-    )
-    assert _engine_modules_loaded(code) == []
-
-
-def test_a_table_loads_neither_the_audit_nor_padic():
-    code = (
+        "except SystemExit as exc:\n    assert exc.code == 2\n"
+        "else:\n    raise AssertionError('--alpha 0 was not refused')",
+        ["cli", "qcalc", "rings"],
+    ),
+    "run-a-table": (
         "from qbernstein import cli\n"
         "assert cli.main(['table', '--dist', 'poisson', '--alpha', '3/2', '--rho', '2/3',"
-        " '--c', '1', '--d', '2', '--n', '0..4', '--r', '0..4']) == 0"
+        " '--c', '1', '--d', '2', '--n', '0..4', '--r', '0..4']) == 0",
+        ["cli", "distributions", "families", "qcalc", "rings", "series"],
+    ),
+}
+
+
+@pytest.mark.parametrize("code, loaded", START_UP.values(), ids=START_UP)
+def test_start_up_loads_only_the_modules_it_needs(code, loaded):
+    check = code + (
+        "\nimport sys\n"
+        "print(*sorted(m.removeprefix('qbernstein.') for m in sys.modules"
+        " if m.startswith('qbernstein.') or m in ('dataclasses', 'inspect', 'typing')))\n"
     )
-    assert _engine_modules_loaded(code) == ["families", "distributions", "series"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", check],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == loaded
 
 
 def test_main_reuses_one_parser(tmp_path):

@@ -22,13 +22,19 @@ from qbernstein.families import prob_stirling2
 from qbernstein.series import Series, exp_series
 
 from oracles import (
+    UNEVEN_DENOMINATORS,
+    bell_at,
     bernoulli_moment,
     binomial_moment,
+    custom_law,
     geometric_moment_enclosure,
+    law_id,
     mgf_oracle,
     negbinomial_moment_enclosure,
+    power_by_exp_log,
     touchard,
     uniform_moment,
+    wrong_reads_under_shuffled_growth,
 )
 
 ALL_LAWS = [
@@ -129,15 +135,11 @@ def test_negbinomial_is_a_power_of_geometric():
         assert NegBinomial(a, F(2, 5)).mgf_series(9) == power
 
 
-def _law_id(law):
-    return f"{law.name}({law.param_string()})"
-
-
 @pytest.mark.parametrize(
     "law",
     ALL_LAWS
     + [Geometric(F(1)), Constant(F(0)), Binomial(25, F(2, 7)), NegBinomial(5, F(3, 7))],
-    ids=_law_id,
+    ids=law_id,
 )
 def test_mgf_matches_its_compositional_oracle(law):
     """Each pair (N, d) the law's rule states is its moment, and M grown in
@@ -152,7 +154,7 @@ def test_mgf_matches_its_compositional_oracle(law):
         nums.append(num)
         assert F(num, den) == expected.egf_coeff(k)
     orders = list(range(top + 1))
-    random.Random(_law_id(law)).shuffle(orders)
+    random.Random(law_id(law)).shuffle(orders)
     table = MgfTable(law)
     for n in orders:
         assert table.series(n) == expected.truncate(n)
@@ -261,30 +263,10 @@ def test_degenerate_geometric_is_constant_one():
     assert Geometric(F(1)).mgf_series(6) == exp_series(F(1), 6)
 
 
-def _custom(count):
-    """A moment sequence of ``count`` entries, not that of any named law."""
-    return CustomMoments(tuple(F(k * k + 1, k + 1) for k in range(count)))
-
-
 # the custom law of ALL_LAWS has too few moments for the orders queried here
-TABLE_LAWS = ALL_LAWS[:-1] + [Constant(F(0)), _custom(7)]
+TABLE_LAWS = ALL_LAWS[:-1] + [Constant(F(0)), custom_law(7)]
 TABLE_EXPONENTS = [F(1, 2), F(-2, 3), F(3)]
 QUERY = st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
-
-
-def _power_by_exp_log(law, z, n):
-    """M^z rebuilt at exactly order n as exp(z log M), from the oracle M."""
-    return (mgf_oracle(law, n).log() * z).exp()
-
-
-def _bell_at(law, n, m):
-    """B_(n,m) = n!/m! [v^n] (M - 1)^m, with (M - 1)^m rebuilt at exactly
-    order n by repeated multiplication of the oracle M minus 1."""
-    base = mgf_oracle(law, n) - 1
-    power = Series([F(1)] + [F(0)] * n)
-    for _ in range(m):
-        power = power * base
-    return power.coeffs[n] * math.perm(n, n - m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,9 +281,9 @@ def test_table_answers_every_order_from_one_prefix(law, queries, z):
     for sequence in (queries, sorted(queries), sorted(queries, reverse=True)):
         table = MgfTable(law)
         for n, m in sequence:
-            assert table.bell(n, m) == _bell_at(law, n, m)
+            assert table.bell(n, m) == bell_at(law, n, m)
             assert table.series(n) == mgf_oracle(law, n)
-            assert table.power(z, n) == _power_by_exp_log(law, z, n)
+            assert table.power(z, n) == power_by_exp_log(law, z, n)
 
 
 def _held(table):
@@ -314,7 +296,7 @@ def _held(table):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 3))
 def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
-    law = _custom(count)
+    law = custom_law(count)
     table = MgfTable(law)
     warm = min(warm, count - 1)
     table.bell(warm, warm)
@@ -332,16 +314,16 @@ def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
     assert _held(table) == before
     for n in range(count):
         assert law.moment(n) == law.moments[n]
-        assert table.power(F(1, 2), n) == _power_by_exp_log(law, F(1, 2), n)
+        assert table.power(F(1, 2), n) == power_by_exp_log(law, F(1, 2), n)
         for m in range(n + 1):
-            assert table.bell(n, m) == _bell_at(law, n, m)
+            assert table.bell(n, m) == bell_at(law, n, m)
 
 
 def test_table_holds_one_exponent_at_a_time():
     """One table asked for z1, then z2, then z1 again at rising orders gives
     exp(z log M) of the oracle every time; a request above the moments in
     between raises and leaves the held exponent as it was."""
-    law = _custom(10)
+    law = custom_law(10)
     table = MgfTable(law)
     z1, z2 = F(1, 2), F(-2, 3)
     for z, n in [(z1, 2), (z2, 3), (z1, 4), (z2, 12), (z1, 5), (z2, 6), (z1, 7),
@@ -352,7 +334,7 @@ def test_table_holds_one_exponent_at_a_time():
                 table.power_parts(z, n)
             assert _held(table) == before
             continue
-        expected = _power_by_exp_log(law, z, n)
+        expected = power_by_exp_log(law, z, n)
         assert table.power(z, n) == expected
         assert F(*table.power_parts(z, n)) == expected.egf_coeff(n)
         assert table._z == z
@@ -380,7 +362,7 @@ def test_an_equal_exponent_reuses_the_held_power(monkeypatch):
         assert F(*table.power_parts(equal, n)) == held.egf_coeff(n)
         assert table.power(equal, n) == held.truncate(n)
     assert calls == [(z, 8)]
-    assert table.power(other, 5) == _power_by_exp_log(law, other, 5)
+    assert table.power(other, 5) == power_by_exp_log(law, other, 5)
     assert calls == [(z, 8), (other, 5)]
     assert table._z is other and len(table._zpow) == 6
 
@@ -403,24 +385,24 @@ def test_power_parts_reads_the_held_power_only_for_the_held_exponent():
     assert table.power_parts(z2, 3) == MgfTable(law).power_parts(z2, 3)
     assert [table.power_parts(z, k) for k in range(12)] == fresh
 
-    short = MgfTable(_custom(6))  # mu_0 .. mu_5
+    short = MgfTable(custom_law(6))  # mu_0 .. mu_5
     short.power_parts(z, 5)
     held = _held(short)
-    assert short.power_parts(z, 5) == MgfTable(_custom(6)).power_parts(z, 5)
+    assert short.power_parts(z, 5) == MgfTable(custom_law(6)).power_parts(z, 5)
     with pytest.raises(ValueError, match="only 6 moments provided, order 6 requested"):
         short.power_parts(z, 6)
     assert _held(short) == held and short._z is z
 
 
-@pytest.mark.parametrize("law", TABLE_LAWS, ids=_law_id)
+@pytest.mark.parametrize("law", TABLE_LAWS, ids=law_id)
 def test_table_grows_without_rebuilding(law, monkeypatch):
     """A cold table answers ascending queries without the law's mgf_series
     or Series.pow, and each growth step appends exactly the missing entries:
     the N_k, the Bell rows and the Beta_k of M^z are grown to order n from n
     held ones, and the held Bell row k has length k + 1."""
     top, z = 6, F(-2, 3)
-    mgf, power = mgf_oracle(law, top), _power_by_exp_log(law, z, top)
-    bell = {(n, m): _bell_at(law, n, m) for n in range(top + 1) for m in range(n + 1)}
+    mgf, power = mgf_oracle(law, top), power_by_exp_log(law, z, top)
+    bell = {(n, m): bell_at(law, n, m) for n in range(top + 1) for m in range(n + 1)}
 
     def refuse(*args):
         raise AssertionError("the table rebuilt a series from scratch")
@@ -458,62 +440,18 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
     assert asked["rows"] == asked["power"] == steps
 
 
-def _grown_over_d_k(self, order):
-    """MgfTable._grown holding index k over the law's own d_k, where the
-    kernels need D_k, a multiple of every D_i D_(k-i)."""
-    nums, dens, splits = self._nums, self._dens, self._splits
-    for k in range(len(nums), order + 1):
-        num, den = self.dist._moment(k, nums, order)
-        nums.append(num)
-        dens.append(den)
-        splits.append([den // (dens[i] * dens[k - i]) for i in range(k + 1)])
-    return nums
-
-
-# two laws whose d_k miss some D_i D_(k-i), so that D_k differs from d_k
-UNEVEN_DENOMINATORS = [Uniform01(), _custom(13)]
-
-
-def _wrong_reads_under_shuffled_growth(law):
-    """The number of reads of M, of every Bell number and of M^z, at orders
-    up to 12 in a shuffled order, that differ from their oracles or divide
-    by zero."""
-    z, wrong = F(-2, 3), 0
-    queries = [(kind, n) for kind in ("mgf", "bell", "power") for n in range(13)]
-    random.Random(_law_id(law)).shuffle(queries)
-    table = MgfTable(law)
-    for kind, n in queries:
-        try:
-            if kind == "mgf":
-                wrong += table.series(n) != mgf_oracle(law, n)
-            elif kind == "bell":
-                wrong += sum(table.bell(n, m) != _bell_at(law, n, m) for m in range(n + 1))
-            else:
-                wrong += table.power(z, n) != _power_by_exp_log(law, z, n)
-        except ZeroDivisionError:
-            wrong += 1
-    return wrong
-
-
-@pytest.mark.parametrize("law", UNEVEN_DENOMINATORS, ids=_law_id)
+@pytest.mark.parametrize("law", UNEVEN_DENOMINATORS, ids=law_id)
 def test_shuffled_growth_reads_every_value(law):
     """Uniform01's d_k = k + 1 and the custom law's reduced denominators are
     not closed under products; every read after a growth still equals its
     oracle."""
-    assert _wrong_reads_under_shuffled_growth(law) == 0
-
-
-def test_shuffled_growth_catches_denominators_without_the_products(monkeypatch):
-    """The check above fails when the table holds index k over d_k alone."""
-    monkeypatch.setattr(MgfTable, "_grown", _grown_over_d_k)
-    for law in UNEVEN_DENOMINATORS:
-        assert _wrong_reads_under_shuffled_growth(law) > 0
+    assert wrong_reads_under_shuffled_growth(law) == 0
 
 
 ODE_LAWS = [law for law in ALL_LAWS if not isinstance(law, (Uniform01, CustomMoments))]
 
 
-@pytest.mark.parametrize("law", ODE_LAWS, ids=_law_id)
+@pytest.mark.parametrize("law", ODE_LAWS, ids=law_id)
 def test_each_ode_law_holds_index_k_over_s_to_the_k(law):
     """A law stated by its ODE holds index k over D_k = S^k."""
     table = MgfTable(law)
@@ -530,7 +468,7 @@ def test_uniform01_holds_index_k_over_prime_powers():
     assert table._dens == [math.prod(p ** (k // (p - 1)) for p in primes) for k in range(41)]
 
 
-@pytest.mark.parametrize("law", ALL_LAWS[:-1] + [_custom(65)], ids=lambda law: law.name)
+@pytest.mark.parametrize("law", ALL_LAWS[:-1] + [custom_law(65)], ids=lambda law: law.name)
 def test_held_integers_stay_near_the_size_of_the_values(law):
     """At n = 64, with M^(-7/3) grown, no integer the table holds has more
     than 4 times the bits of the largest reduced Bell numerator of
@@ -586,7 +524,7 @@ def test_minus_one_powers_are_repeated_products_of_the_oracle(drawn):
         assert table.bell(n, m) == powers[m].coeffs[n] * math.perm(n, n - m)
 
 
-@pytest.mark.parametrize("law", ALL_LAWS[:-1] + [_custom(13)], ids=_law_id)
+@pytest.mark.parametrize("law", ALL_LAWS[:-1] + [custom_law(13)], ids=law_id)
 def test_bell_parts_are_the_integer_row_of_prob_stirling2(law):
     """A cold table's bell_parts(n), read at rising n, are A_m(n) and c^n with
     A_m(n) / c^n = prob_stirling2(d, n, m) for every m <= n <= 12."""

@@ -17,7 +17,6 @@ from qbernstein.cli import build_parser, main
 from qbernstein.padic import integrate_corollaries
 
 from oracles import SIX_LAWS
-from test_cli_generated import SUBCOMMANDS
 
 # the six audit laws, in the order a row concatenates their runs
 LAWS = [
@@ -157,7 +156,8 @@ def test_every_output_a_user_can_ask_for_has_a_row():
     unpinned."""
     offered = {
         (name, kind, fmt)
-        for name, parser in SUBCOMMANDS.items() if _choices(parser, "format")
+        for name, parser in _choices(build_parser(), "command").items()
+        if _choices(parser, "format")
         for kind in _choices(parser, "kind") or [None]
         for fmt in _choices(parser, "format")
     }
@@ -172,3 +172,8 @@ def test_every_output_a_user_can_ask_for_has_a_row():
 def test_hypothesis_storage_lies_outside_the_checkout():
     home = storage_directory(intent_to_write=False).home_directory
     assert not home.resolve().is_relative_to(Path(__file__).resolve().parents[1])
+
+
+def test_no_benchmark_plugin_is_active(pytestconfig):
+    """pyproject.toml blocks pytest-benchmark, so a run writes no .benchmarks/."""
+    assert not pytestconfig.pluginmanager.has_plugin("benchmark")

@@ -18,6 +18,7 @@ from qbernstein.padic import (
 )
 from qbernstein.rings import Laurent, LogPoly, falling_factorial, laurent_x_derivation
 
+from faults import clear_caches
 from oracles import (
     SIX_LAWS,
     conjugate_bracket_in_t,
@@ -183,18 +184,14 @@ def test_held_rows_give_the_values_of_empty_caches(q):
         for law in laws for w in range(3) for n in range(top + 1) for r in range(n + 1)
     ]
 
-    def cleared():
-        padic._rules.cache_clear()
-        padic._rows.cache_clear()
-
     fresh, above = {}, {}
     for law, r, n, w in cases:
-        cleared()
+        clear_caches()
         fresh[law, r, n, w] = integrate_weighted_term(law, r, n, w, q)
-        cleared()
+        clear_caches()
         integrate_weighted_term(law, r, n + 6, w, q)
         above[law, r, n, w] = integrate_weighted_term(law, r, n, w, q)
-    cleared()
+    clear_caches()
     descending = {
         case: integrate_weighted_term(*case, q)
         for case in sorted(cases, key=lambda case: -case[2])
@@ -215,8 +212,7 @@ def test_rows_hold_integers_near_the_size_of_the_values(q):
     the bits of the largest numerator or denominator among the values that
     integrate_corollaries returned from it.  The rows are read back as cache
     hits, as the calls left them."""
-    padic._rules.cache_clear()
-    padic._rows.cache_clear()
+    clear_caches()
     bits = {}
     for law in SIX_LAWS:
         for n in range(17):
@@ -291,8 +287,7 @@ def test_caches_stay_within_their_bounds():
     first = {q: values(q) for q in qs}
     assert padic._rules.cache_info().currsize == 16
     assert all(values(q) == first[q] for q in qs)
-    for cache in (padic._rules, padic._rows):
-        cache.cache_clear()
+    clear_caches()
     assert all(values(q) == first[q] for q in reversed(qs))
     caches = ((padic._rules, 16), (padic._rows, 1024), (distributions._shared_table, 64))
     for cache, bound in caches:

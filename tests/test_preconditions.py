@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 import qbernstein
-from qbernstein import distributions, families, padic
+from qbernstein import families
 from qbernstein.audit import run_all
 from qbernstein.distributions import (
     Bernoulli,
@@ -50,6 +50,8 @@ from qbernstein.padic import (
 from qbernstein.qcalc import QPoint, bracket_in_t, one_minus_bracket_power
 from qbernstein.rings import Laurent, LogPoly, Poly, falling_factorial
 from qbernstein.series import Series, exp_series
+
+from faults import clear_caches
 
 LAW = Poisson(F(3, 2))
 ONE = F(1)
@@ -327,9 +329,7 @@ def test_no_function_of_the_package_returns_a_float():
             if isinstance(value, float):
                 floats.append(f"{code.co_filename}:{code.co_firstlineno} {code.co_name}")
 
-    distributions._shared_table.cache_clear()
-    padic._rules.cache_clear()
-    padic._rows.cache_clear()
+    clear_caches()
     point, previous = QPoint(F(2, 5), 3, 7), sys.getprofile()
     sys.setprofile(hook)
     try:
