@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -22,8 +23,8 @@ from qbernstein.audit import (
     RN_INDICES,
     UNIFORM01,
     UNIT,
+    AuditRecord,
     CaseDraw,
-    CaseSkip,
     Drawer,
     IdentityCase,
     _alternating_stirling_parts,
@@ -35,7 +36,6 @@ from qbernstein.audit import (
     run_all,
     run_case,
 )
-from qbernstein import cli, series
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
@@ -47,12 +47,13 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
-from qbernstein.families import bell_poly, prob_qbernstein, prob_stirling2
+from qbernstein.families import bell_poly, prob_stirling2
 from qbernstein.qcalc import QPoint
-from qbernstein.rings import LogPoly
 
-from faults import GRID_CASES, GRID_MOMENTS, clear_caches, grid_failures
+from faults import GRID_CASES, GRID_MOMENTS, clear_caches
+from outcomes import OUTCOMES, planted_run, planted_runs
 
+CASES = {(c.id, c.variant): c for c in REGISTRY}
 POINT = QPoint(F(2, 3), 1, 2)
 
 def test_registry_ids_and_variants_are_unique():
@@ -161,11 +162,10 @@ def test_each_repair_holds_on_the_draws_of_its_printed_form():
     16), the twin passes every one, and the printed form fails at least one:
     so the repair mends the draws the printed form fails on, and the record
     case is not mislabelled."""
-    cases = {(c.id, c.variant): c for c in REGISTRY}
     pairs = [
-        (case, cases[case.id, "corrected"]) for case in REGISTRY
+        (case, CASES[case.id, "corrected"]) for case in REGISTRY
         if case.variant == "verbatim" and case.expected == "record"
-        and (case.id, "corrected") in cases
+        and (case.id, "corrected") in CASES
     ]
     assert [case.id for case, _ in pairs] == ["P-LOG", "T2.6", "T2.7", "T2.8", "T3.6"]
     for verbatim, twin in pairs:
@@ -210,7 +210,6 @@ def test_each_printed_form_fails_first_on_its_pinned_draw():
     order, every draw before the pinned one passes and the pinned one fails,
     with the pinned sides; a corrected twin passes on that draw.  So each
     erratum has a smallest counterexample a reader can check by hand."""
-    cases = {(c.id, c.variant): c for c in REGISTRY}
     printed = [c for c in REGISTRY if c.variant == "verbatim" and c.expected == "record"]
     assert sorted(c.id for c in printed) == sorted(SMALLEST_FAILURES)
     for case in printed:
@@ -223,8 +222,8 @@ def test_each_printed_form_fails_first_on_its_pinned_draw():
         assert (record.status, draw) == ("FAIL", tuple(pinned)), case.id
         sides = f"{record.lhs}\n{record.rhs}".encode()
         assert hashlib.sha256(sides).hexdigest() == digest, case.id
-        if (case.id, "corrected") in cases:
-            assert run_case(cases[case.id, "corrected"], CaseDraw(*draw), 16).status == "PASS"
+        if (case.id, "corrected") in CASES:
+            assert run_case(CASES[case.id, "corrected"], CaseDraw(*draw), 16).status == "PASS"
 
 
 def test_the_order_floor_is_read_from_the_domains():
@@ -243,76 +242,49 @@ def test_latex_escape_escapes_each_special_character():
     assert _latex_escape("a&b%c$d#e_f{g}h^i\\j") == escaped
 
 
+# The counts that end a planted row's summary line, at the two trials of
+# each run in RUNS.
+TWO_TRIALS = {
+    "PASS": "PASS=2 FAIL=0 SKIP=0",
+    "FAIL": "PASS=0 FAIL=2 SKIP=0",
+    "SKIP": "PASS=0 FAIL=0 SKIP=2",
+    "ERROR": "PASS=0 FAIL=0 SKIP=0 ERROR=2",
+}
+
+
+def _assert_outcome(case_id):
+    """Each trial of the planted OUTCOMES row gives its record, and its
+    summary line counts them."""
+    expected, _, (status, *shown) = OUTCOMES[case_id]
+    for trials, order, run in planted_runs():
+        assert [r for r in run.report.records if r.id == case_id] == trials * [
+            AuditRecord(case_id, "verbatim", "-", "-", "-", 0, 0, order, status, *shown)
+        ]
+        assert [line for line in run.summary if line.split()[0] == case_id] == [
+            f"{case_id:<7} verbatim        expected={expected:<7} {TWO_TRIALS[status]}"
+        ]
+
+
 def test_self_referential_case_always_passes():
-    case = IdentityCase(
-        "SELF", "verbatim", "harness self-test: both sides share one evaluator",
-        "pass", None,
-        lambda dist, p, order: (
-            prob_qbernstein(dist, 1, 3, p), prob_qbernstein(dist, 1, 3, p),
-        ),
-    )
-    draw = CaseDraw(Poisson(F(1)), POINT, {})
-    record = run_case(case, draw, 8)
-    assert record.status == "PASS"
-    assert record.lhs == record.rhs
-    assert record.difference == "0"
+    _assert_outcome("self")
 
 
 def test_case_skip_becomes_a_skip_record():
-    def evaluator(dist, p, order):
-        raise CaseSkip("inadmissible draw")
-
-    case = IdentityCase("SKIPPY", "verbatim", "always skips", "record", None, evaluator)
-    record = run_case(case, CaseDraw(None, None, {}), 8)
-    assert record.status == "SKIP"
-    assert record.lhs == "-" and record.rhs == "-"
+    _assert_outcome("skip")
 
 
-@pytest.mark.parametrize(
-    "lhs, rhs, status, difference",
-    [
-        ((F(1), F(2)), F(1), "FAIL", "-"),
-        ((F(1), F(2)), (F(1), F(2), F(3)), "FAIL", "-"),
-        ((F(1), (F(2), F(3))), (F(1), (F(2), F(3))), "PASS", "(0 | (0 | 0))"),
-    ],
-    ids=["tuple-vs-scalar", "lengths-differ", "nested-equal"],
-)
-def test_sides_compare_as_whole_values(lhs, rhs, status, difference):
-    case = IdentityCase(
-        "SHAPE", "verbatim", "fixed sides", "record", None,
-        lambda dist, p, order: (lhs, rhs),
-    )
-    record = run_case(case, CaseDraw(None, None, {}), 8)
-    assert (record.status, record.difference) == (status, difference)
+SIDES = ["tuple-vs-scalar", "lengths-differ", "nested-equal", "scalars-differ"]
 
 
-def _out_of_moments(dist, p, order):
-    return CustomMoments((F(1), F(2))).mgf_series(order), F(0)
+@pytest.mark.parametrize("case_id", SIDES)
+def test_sides_compare_as_whole_values(case_id):
+    _assert_outcome(case_id)
 
 
-@pytest.mark.parametrize(
-    "evaluate, difference",
-    [
-        (_out_of_moments, "ValueError: only 2 moments provided, order 8 requested"),
-        (lambda dist, p, order: (F(1) / 0, F(0)), "ZeroDivisionError: Fraction(1, 0)"),
-        (lambda dist, p, order: (F(1) + "1", F(0)),
-         "TypeError: unsupported operand type(s) for +: 'Fraction' and 'str'"),
-        (lambda dist, p, order: ((F(1),)[1], F(0)), "IndexError: tuple index out of range"),
-        (lambda dist, p, order: ({}["r"], F(0)), "KeyError: 'r'"),
-        (lambda dist, p, order: (series.Series([1, 2]), series.Series([1, 2, 3])),
-         "ValueError: series order mismatch: 1 vs 2"),
-        (lambda dist, p, order: (LogPoly({1: 1}), series.Series([1])),
-         "TypeError: expected an exact scalar (Fraction or int), got LogPoly"),
-    ],
-    ids=["value-error", "zero-division", "type-error", "index-error", "key-error",
-         "series-orders", "logpoly-series"],
-)
-def test_case_error_becomes_an_error_record(evaluate, difference):
-    case = IdentityCase("ERRY", "verbatim", "always raises", "pass", None, evaluate)
-    record = run_case(case, CaseDraw(None, None, {}), 8)
-    assert record.status == "ERROR"
-    assert record.lhs == "-" and record.rhs == "-"
-    assert record.difference == difference
+@pytest.mark.parametrize("case_id", [k for k in OUTCOMES if k not in ("self", "skip", *SIDES)])
+def test_case_error_becomes_an_error_record(case_id):
+    assert OUTCOMES[case_id][2][0] == "ERROR"
+    _assert_outcome(case_id)
 
 
 def test_a_memory_error_propagates():
@@ -324,54 +296,79 @@ def test_a_memory_error_propagates():
         run_case(case, CaseDraw(None, None, {}), 8)
 
 
-def test_one_failing_case_leaves_the_rest_of_the_run(monkeypatch, tmp_path, capsys):
-    clean = run_all(3, 1, MAX_DRAWN_INDEX)
-    failing = IdentityCase(
-        "ERRY", "verbatim", "always raises", "pass", lambda rng: CaseDraw(None, None, {}),
-        _out_of_moments,
-    )
-    monkeypatch.setattr(audit_mod, "REGISTRY", REGISTRY + [failing])
-    report = run_all(3, 1, MAX_DRAWN_INDEX)
-    errors = [r for r in report.records if r.status == "ERROR"]
-    assert [(r.id, r.variant) for r in errors] == [("ERRY", "verbatim")]
-    assert [r for r in report.records if r.status != "ERROR"] == clean.records
-    assert report.expected_pass_failures() == errors
-    assert [line for line in report.summary_lines() if "ERROR=" in line] == [
-        "ERRY    verbatim        expected=pass    PASS=0 FAIL=0 SKIP=0 ERROR=1"
-    ]
-
-    out = tmp_path / "audit.jsonl"
-    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
-    argv += ["--out", str(out)]
-    assert cli.main(argv) == 1
-    assert "ERROR=1" in capsys.readouterr().out
-    assert out.read_text() == report.to_jsonl()
+def test_one_failing_case_leaves_the_rest_of_the_run():
+    """The planted rows that fail, skip or raise add their own records and
+    summary lines, and take none of the others away."""
+    for trials, _, run in planted_runs():
+        assert len(run.report.records) == len(run.clean.records) + trials * len(OUTCOMES)
+        assert [line for line in run.summary if line.split()[0] not in OUTCOMES] == (
+            run.clean.summary_lines()
+        )
 
 
-def _adds_a_string(dist, p, order):
-    return F(1) + "1", F(0)
-
-
-def test_a_type_error_leaves_the_rest_of_the_run(monkeypatch, tmp_path, capsys):
+def test_a_type_error_leaves_the_rest_of_the_run():
     """An evaluator that raises an exception no precondition names, here a
-    TypeError, gives one ERROR record, and the run and its report go on."""
-    clean = run_all(3, 1, MAX_DRAWN_INDEX)
-    failing = IdentityCase(
-        "ERRY", "verbatim", "adds a string", "pass", Drawer(indices=()), _adds_a_string
-    )
-    monkeypatch.setattr(audit_mod, "REGISTRY", REGISTRY + [failing])
-    report = run_all(3, 1, MAX_DRAWN_INDEX)
-    (error,) = [r for r in report.records if r.id == "ERRY"]
-    assert (error.status, error.lhs, error.rhs, error.difference) == (
-        "ERROR", "-", "-", "TypeError: unsupported operand type(s) for +: 'Fraction' and 'str'"
-    )
-    assert [r for r in report.records if r.id != "ERRY"] == clean.records
+    TypeError, gives ERROR records that the report counts among its
+    expected-pass failures, beside every other expected-pass row that did
+    not pass."""
+    failing = {case_id for case_id, (expected, _, (status, *_)) in OUTCOMES.items()
+               if expected == "pass" and status != "PASS"}
+    assert "type-error" in failing
+    for _, _, run in planted_runs():
+        assert run.failures == [r for r in run.report.records if r.id in failing]
 
-    out = tmp_path / "audit.jsonl"
-    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
-    assert cli.main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: 1 expected-pass record(s) failed\n"
-    assert out.read_text() == report.to_jsonl()
+
+def test_run_all_is_deterministic_and_sorted():
+    """Records sort by (id, variant), and a second run in the same process,
+    with the OUTCOMES rows planted beside the registry, gives the first
+    run's record for every registry case."""
+    for _, _, run in planted_runs():
+        for report in (run.clean, run.report):
+            keys = [(r.id, r.variant) for r in report.records]
+            assert keys == sorted(keys)
+        assert [r for r in run.report.records if r.id not in OUTCOMES] == run.clean.records
+
+
+def test_run_all_expected_passes_hold_on_another_seed():
+    assert planted_run(7, 2, 10).clean.expected_pass_failures() == []
+
+
+def test_order_must_cover_every_drawn_index():
+    assert planted_run(2, 2, MAX_DRAWN_INDEX).clean.expected_pass_failures() == []
+
+
+def test_run_all_covers_the_whole_registry():
+    for trials, _, run in planted_runs():
+        assert Counter((r.id, r.variant) for r in run.clean.records) == dict.fromkeys(CASES, trials)
+
+
+def test_record_serialization_shapes():
+    for _, _, run in planted_runs():
+        lines = run.clean.to_jsonl().splitlines()
+        assert len(lines) == len(run.clean.records)
+        for line in lines:
+            row = json.loads(line)
+            assert list(row) == [
+                "id", "variant", "dist", "params", "rho", "c", "d", "order", "status", "lhs", "rhs",
+            ]
+            assert row["status"] in ("PASS", "FAIL", "SKIP")
+        header = run.clean.to_csv().splitlines()[0]
+        assert header == "id,variant,dist,params,rho,c,d,order,status,lhs,rhs,difference"
+        latex = run.clean.to_latex()
+        assert latex.startswith("\\begin{tabular}") and latex.rstrip().endswith("\\end{tabular}")
+
+
+def test_non_executable_entry_reports_skip():
+    for trials, _, run in planted_runs():
+        statuses = [r.status for r in run.clean.records if (r.id, r.variant) == ("T2.2", "verbatim")]
+        assert statuses == trials * ["SKIP"]
+
+
+def test_report_summary_mentions_every_case():
+    for _, _, run in planted_runs():
+        lines = run.clean.summary_lines()
+        assert len(lines) == len(REGISTRY)
+        assert all("expected=" in line for line in lines)
 
 
 # The cases whose sides are series, so that their records change with the
@@ -404,14 +401,8 @@ def test_a_lower_order_audit_is_a_prefix_of_a_higher_one():
     assert len(differing) == 12 and set(differing) == SERIES_VALUED
 
 
-def _registry_case(case_id, variant):
-    (case,) = [c for c in REGISTRY if (c.id, c.variant) == (case_id, variant)]
-    return case
-
-
 def test_poisson_bell_case_at_fixed_inputs():
-    case = _registry_case("T3.1", "verbatim")
-    lhs, rhs = case.evaluate(Poisson(F(2, 3)), POINT, 12, r=1, n=4)
+    lhs, rhs = CASES["T3.1", "verbatim"].evaluate(Poisson(F(2, 3)), POINT, 12, r=1, n=4)
     assert lhs == rhs
     # and the reduction really is through Bell polynomial values
     assert rhs == 4 * POINT.X * bell_poly(3, F(2, 3) * POINT.X1)
@@ -438,69 +429,10 @@ def test_degree_recurrence_holds_for_single_point_laws():
         assert lhs == rhs
 
 
-def test_expansion_case_runs_on_every_law_kind(subtests=None):
+def test_expansion_case_runs_on_every_law_kind():
     for law in (Poisson(F(1)), Bernoulli(F(1, 3)), Constant(F(2))):
         lhs, rhs = eval_t21(law, POINT, 12, r=1, n=3)
         assert lhs == rhs
-
-
-def test_run_all_is_deterministic_and_sorted():
-    first = run_all(seed=7, trials=2, order=10)
-    second = run_all(seed=7, trials=2, order=10)
-    assert first.to_jsonl() == second.to_jsonl()
-    assert first.to_csv() == second.to_csv()
-    keys = [(r.id, r.variant) for r in first.records]
-    assert keys == sorted(keys)
-
-
-def test_run_all_expected_passes_hold_on_another_seed():
-    report = run_all(seed=7, trials=2, order=10)
-    assert report.expected_pass_failures() == []
-
-
-def test_run_all_covers_the_whole_registry():
-    report = run_all(seed=3, trials=1, order=9)
-    seen = {(r.id, r.variant) for r in report.records}
-    assert seen == {(c.id, c.variant) for c in REGISTRY}
-
-
-def test_record_serialization_shapes():
-    report = run_all(seed=5, trials=1, order=9)
-    lines = report.to_jsonl().strip().split("\n")
-    assert len(lines) == len(report.records)
-    expected_keys = [
-        "id", "variant", "dist", "params", "rho", "c", "d",
-        "order", "status", "lhs", "rhs",
-    ]
-    for line in lines:
-        row = json.loads(line)
-        assert list(row) == expected_keys
-        assert row["status"] in ("PASS", "FAIL", "SKIP")
-    csv_text = report.to_csv()
-    assert csv_text.startswith(
-        "id,variant,dist,params,rho,c,d,order,status,lhs,rhs,difference"
-    )
-    latex = report.to_latex()
-    assert latex.startswith("\\begin{tabular}")
-    assert latex.rstrip().endswith("\\end{tabular}")
-
-
-def test_non_executable_entry_reports_skip():
-    report = run_all(seed=5, trials=1, order=9)
-    rows = [r for r in report.records if r.id == "T2.2" and r.variant == "verbatim"]
-    assert rows and all(r.status == "SKIP" for r in rows)
-
-
-def test_order_must_cover_every_drawn_index():
-    report = run_all(seed=2, trials=2, order=MAX_DRAWN_INDEX)
-    assert not report.expected_pass_failures()
-
-
-def test_report_summary_mentions_every_case():
-    report = run_all(seed=5, trials=1, order=9)
-    lines = report.summary_lines()
-    assert len(lines) == len(REGISTRY)
-    assert all("expected=" in line for line in lines)
 
 
 @pytest.mark.parametrize("corrected", [False, True], ids=["verbatim", "corrected"])
@@ -541,9 +473,8 @@ def _bell_parts_times_a_prime(self, n):
 def test_p_log_reads_only_the_parts_the_table_documents(monkeypatch, law):
     """P-LOG corrected holds for any (row, D_n) pair that gives the row's
     values, not only for the table's D_n, each of which divides the next."""
-    (case,) = [c for c in REGISTRY if (c.id, c.variant) == ("P-LOG", "corrected")]
     monkeypatch.setattr(MgfTable, "bell_parts", _bell_parts_times_a_prime)
-    lhs, rhs = case.evaluate(law, None, 12)
+    lhs, rhs = CASES["P-LOG", "corrected"].evaluate(law, None, 12)
     assert lhs == rhs
 
 
@@ -590,9 +521,8 @@ def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
     mean-zero law, where v/(M - 1) has no series, makes T2.1 (r > 0) and T2.5
     skip."""
     law = CustomMoments((F(1), *moments))
-    cases = {(c.id, c.variant): c for c in REGISTRY}
     for key in LAW_GENERIC:
-        case = cases[key]
+        case = CASES[key]
         assert case.expected == "pass"
         draw = case.draw(random.Random(f"{seed}:{key}"))
         record = run_case(case, CaseDraw(law, draw.point, draw.indices), 8)
@@ -602,15 +532,7 @@ def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
 
 
 def test_every_grid_case_lies_in_its_domain():
-    cases = {(c.id, c.variant): c for c in REGISTRY}
-    for key, indices in GRID_CASES.items():
-        assert indices in enumerate_indices(cases[key].draw.indices), key
-
-
-def test_bell_readers_hold_on_the_moment_grid():
-    """P-LOG, T2.2, T2.3, T2.6, T2.7 and T2.8 corrected and T2.4 verbatim
-    hold on all 144 grid laws, and so, by the certificate beside the grid
-    in tests/faults.py, on every law at their indices."""
     assert len(GRID_MOMENTS) == 144
-    clear_caches()
-    assert grid_failures() == []
+    for key, indices in GRID_CASES.items():
+        assert indices in enumerate_indices(CASES[key].draw.indices), key
+

@@ -30,6 +30,8 @@ from qbernstein.distributions import NegBinomial
 from qbernstein.qcalc import QPoint, bracket_in_t
 from qbernstein.rings import Laurent
 
+from outcomes import planted_runs
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 POINT = ["--rho", "2/3", "--c", "1", "--d", "2"]
 
@@ -564,60 +566,28 @@ def test_out_is_opened_once_the_flags_are_checked_and_before_anything_is_compute
                 assert (tmp_path / "kept").read_bytes() == b"kept"
 
 
-def test_a_failing_audit_writes_one_error_line(monkeypatch, tmp_path, capsys):
-    """An expected-pass case whose sides differ makes ``audit`` exit 1 with
-    one ``error:`` line on stderr; stdout keeps the summary lines and the
-    output file the report."""
-    import qbernstein.audit as audit_mod
-
-    failing = audit_mod.IdentityCase(
-        "FAILY", "verbatim", "sides that differ", "pass", audit_mod.Drawer(indices=()),
-        lambda dist, p, order: (F(1), F(2)),
-    )
-    monkeypatch.setattr(audit_mod, "REGISTRY", audit_mod.REGISTRY + [failing])
-    report = audit_mod.run_all(seed=3, trials=1, order=MAX_DRAWN_INDEX)
-    path = tmp_path / "audit.jsonl"
-    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
-    assert main(argv + ["--out", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert err == "error: 1 expected-pass record(s) failed\n"
-    assert out == "".join(line + "\n" for line in report.summary_lines())
-    assert path.read_text() == report.to_jsonl()
+def test_a_failing_audit_writes_one_error_line():
+    """Expected-pass cases that fail or raise make ``audit`` exit 1 with one
+    ``error:`` line on stderr counting their records; stdout keeps the
+    summary lines."""
+    for _, _, planted in planted_runs():
+        assert (planted.code, planted.err) == (
+            1, f"error: {len(planted.failures)} expected-pass record(s) failed\n"
+        )
+        assert planted.out == "".join(line + "\n" for line in planted.summary)
 
 
-def test_an_audit_whose_sides_cannot_be_subtracted_writes_every_record(
-    monkeypatch, tmp_path, capsys
-):
+def test_an_audit_whose_sides_cannot_be_subtracted_writes_every_record():
     """Expected-pass cases whose sides cannot be subtracted, two series of
-    different orders and a LogPoly against a series, give ERROR records:
-    ``audit`` still writes every record, and exits 1 with one ``error:``
-    line."""
-    import qbernstein.audit as audit_mod
-    from qbernstein.rings import LogPoly
-    from qbernstein.series import Series
-
-    clean = audit_mod.run_all(seed=3, trials=1, order=MAX_DRAWN_INDEX)
-    unsubtractable = [
-        audit_mod.IdentityCase(
-            case_id, "verbatim", "sides that cannot be subtracted", "pass",
-            audit_mod.Drawer(indices=()), lambda dist, p, order, sides=sides: sides,
-        )
-        for case_id, sides in (
-            ("ORDERS", (Series([1, 2]), Series([1, 2, 3]))),
-            ("RINGS", (LogPoly({1: 1}), Series([1]))),
-        )
-    ]
-    monkeypatch.setattr(audit_mod, "REGISTRY", audit_mod.REGISTRY + unsubtractable)
-    path = tmp_path / "audit.jsonl"
-    argv = ["audit", "--seed", "3", "--trials", "1", "--order", str(MAX_DRAWN_INDEX)]
-    assert main(argv + ["--out", str(path)]) == 1
-    assert capsys.readouterr().err == "error: 2 expected-pass record(s) failed\n"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r for r in records if r["id"] not in ("ORDERS", "RINGS")] == [
-        json.loads(line) for line in clean.to_jsonl().splitlines()
-    ]
-    errors = [(r["id"], r["lhs"], r["rhs"]) for r in records if r["status"] == "ERROR"]
-    assert errors == [("ORDERS", "-", "-"), ("RINGS", "-", "-")]
+    different orders and a LogPoly against a series, give ERROR records, and
+    ``audit --out`` still writes every record."""
+    for trials, _, planted in planted_runs():
+        assert planted.written == planted.report.to_jsonl()
+        rows = [json.loads(line) for line in planted.written.splitlines()]
+        assert [(r["id"], r["status"], r["lhs"], r["rhs"]) for r in rows
+                if r["id"] in ("series-orders", "logpoly-series")] == trials * [
+            ("logpoly-series", "ERROR", "-", "-")
+        ] + trials * [("series-orders", "ERROR", "-", "-")]
 
 
 def test_audit_jsonl_is_byte_identical_across_processes(tmp_path):

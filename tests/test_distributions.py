@@ -22,7 +22,6 @@ from qbernstein.families import prob_stirling2
 from qbernstein.series import Series, exp_series
 
 from oracles import (
-    UNEVEN_DENOMINATORS,
     bell_at,
     bernoulli_moment,
     binomial_moment,
@@ -34,7 +33,6 @@ from oracles import (
     power_by_exp_log,
     touchard,
     uniform_moment,
-    wrong_reads_under_shuffled_growth,
 )
 
 ALL_LAWS = [
@@ -438,14 +436,6 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
     steps = [(n, n) for n in range(1, top + 1)]
     assert asked["nums"] == [(n, n, n) for n in range(1, top + 1)]
     assert asked["rows"] == asked["power"] == steps
-
-
-@pytest.mark.parametrize("law", UNEVEN_DENOMINATORS, ids=law_id)
-def test_shuffled_growth_reads_every_value(law):
-    """Uniform01's d_k = k + 1 and the custom law's reduced denominators are
-    not closed under products; every read after a growth still equals its
-    oracle."""
-    assert wrong_reads_under_shuffled_growth(law) == 0
 
 
 ODE_LAWS = [law for law in ALL_LAWS if not isinstance(law, (Uniform01, CustomMoments))]

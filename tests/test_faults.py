@@ -31,6 +31,9 @@ CHECKS = {
     "audit": lambda: [[
         r for r in run_all(42, 2, 8).expected_pass_failures() if r.status in ("FAIL", "ERROR")
     ]],
+    # P-LOG, T2.2, T2.3, T2.6, T2.7 and T2.8 corrected and T2.4 verbatim on
+    # all 144 grid laws; by the certificate beside the grid in faults.py,
+    # holding there proves each identity on every law at its indices
     "moment-grid": lambda: [grid_failures()],
     "series-reference": lambda: [
         _assertion(check_against_reference, REFERENCE, REFERENCE[::-1], F(3, 2), F(1, 3))

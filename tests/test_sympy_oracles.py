@@ -2,9 +2,10 @@
 engine: the partial Bell polynomials of sympy's combinatorics for
 ``prob_stirling2``, sympy's own series expansion of each law's closed-form
 MGF, raised to a rational power, for ``MgfTable.power``, and sympy's
-derivative of that closed form for the ODE each law states.  The same
-expansions check ``tests/oracles.py``'s ``mgf_oracle``, which builds two of
-the laws with the engine's own ``Series.recip``."""
+derivative of that closed form for the ODE each law states.  The
+``mgf-oracle-<law>`` checks of ``tests/test_faults.py`` hold
+``tests/oracles.py``'s ``mgf_oracle``, which builds two of the laws with the
+engine's own ``Series.recip``, to the same expansions."""
 
 import math
 from fractions import Fraction as F
@@ -29,7 +30,7 @@ from qbernstein.distributions import (
 from qbernstein.families import prob_qbernstein, prob_stirling2
 from qbernstein.qcalc import QPoint
 
-from closed_forms import CLOSED_MGFS, E, R, expansion, fraction, mgf_oracle_misses, v
+from closed_forms import CLOSED_MGFS, E, R, expansion, fraction, v
 from oracles import bernoulli_moment, binomial_moment, touchard, uniform_moment
 
 
@@ -121,11 +122,6 @@ def test_each_law_states_the_ode_its_closed_form_mgf_solves(law, mgf):
     assert mgf.subs(v, 0) == 1
     residual = (s - p1 + p1 * E) * sympy.diff(mgf, v) - (q0 + q1 * E) * mgf
     assert sympy.simplify(residual) == 0
-
-
-@pytest.mark.parametrize("law, mgf", CLOSED_MGFS, ids=[law.name for law, _ in CLOSED_MGFS])
-def test_mgf_oracle_is_sympys_series_of_the_closed_form(law, mgf):
-    assert mgf_oracle_misses(law, mgf) == []
 
 
 # one rational q-point per closed form, q below and above 1
