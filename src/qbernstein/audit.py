@@ -109,15 +109,17 @@ class AuditRecord(
 
 
 class AuditReport:
-    def __init__(self):
-        self.records = []
+    """The records of one run and the expectation class of each (id, variant)
+    of the registry it ran."""
+
+    def __init__(self, expectations: dict):
+        self.records, self.expectations = [], expectations
 
     def expected_pass_failures(self) -> list:
-        expectation = _expectations()
         return [
             r
             for r in self.records
-            if expectation.get((r.id, r.variant)) == "pass" and r.status != "PASS"
+            if self.expectations[r.id, r.variant] == "pass" and r.status != "PASS"
         ]
 
     def to_jsonl(self) -> str:
@@ -150,22 +152,16 @@ class AuditReport:
             key = (r.id, r.variant)
             counts.setdefault(key, {"PASS": 0, "FAIL": 0, "SKIP": 0, "ERROR": 0})
             counts[key][r.status] += 1
-        expectation = _expectations()
         lines = []
         for key in sorted(counts):
             c = counts[key]
-            exp = expectation.get(key, "?")
+            exp = self.expectations[key]
             lines.append(
                 f"{key[0]:<7s} {key[1]:<15s} expected={exp:<7s} "
                 f"PASS={c['PASS']} FAIL={c['FAIL']} SKIP={c['SKIP']}"
                 + (f" ERROR={c['ERROR']}" if c["ERROR"] else "")
             )
         return lines
-
-
-def _expectations() -> dict:
-    """(id, variant) -> the expectation class of that registry entry."""
-    return {(c.id, c.variant): c.expected for c in REGISTRY}
 
 
 _LATEX_ESCAPES = str.maketrans(
@@ -839,17 +835,16 @@ MAX_DRAWN_INDEX = max(
 # ---------------------------------------------------------------------------
 # the runner
 
-def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
-    """Evaluate both sides of one case on one draw, compare them and build the
-    record.  Any exception but CaseSkip and MemoryError, raised by the
-    evaluator or by comparing, showing or subtracting its sides, gives an
-    ERROR record naming it, so the rest of the run goes on."""
-    rho, c, d = _render_point(draw.point)
-    head = (
-        case.id, case.variant, draw.dist.name if draw.dist is not None else "-",
-        _render_params(draw), rho, c, d, order,
-    )
+def run_case(case: IdentityCase, rng: random.Random, order: int) -> AuditRecord:
+    """Draw one case from ``rng``, evaluate both sides, compare them and build
+    the record.  Any exception but CaseSkip and MemoryError, raised by the
+    drawer, by rendering the draw, or by the evaluator or comparing, showing
+    or subtracting its sides, gives an ERROR record naming it, so the rest of
+    the run goes on; a draw that raised is rendered as no draw."""
+    head = (case.id, case.variant, "-", "-", "-", 0, 0, order)
     try:
+        draw = case.draw(rng)
+        head = (case.id, case.variant, *_render_draw(draw), order)
         lhs, rhs = case.evaluate(draw.dist, draw.point, order, **draw.indices)
         status = "PASS" if lhs == rhs else "FAIL"
         shown = render_value(lhs), render_value(rhs), render_value(_values_diff(lhs, rhs))
@@ -862,18 +857,16 @@ def run_case(case: IdentityCase, draw: CaseDraw, order: int) -> AuditRecord:
     return AuditRecord(*head, status, *shown)
 
 
-def _render_params(draw: CaseDraw) -> str:
-    parts = [draw.dist.param_string()] if draw.dist is not None else []
+def _render_draw(draw: CaseDraw) -> tuple:
+    """A record's law name, parameters, rho, c and d: "-" or 0 for each part
+    the case does not draw."""
+    dist, point = draw.dist, draw.point
+    parts = [dist.param_string()] if dist is not None else []
     parts += [f"{key}={draw.indices[key]}" for key in sorted(draw.indices)]
-    return ";".join(part for part in parts if part) or "-"
-
-
-def _render_point(point: QPoint | None) -> tuple[str, int, int]:
+    head = dist.name if dist is not None else "-", ";".join(part for part in parts if part) or "-"
     if point is None:
-        return "-", 0, 0
-    if point.is_classical:
-        return "1", point.c, point.d
-    return str(point.rho), point.c, point.d
+        return *head, "-", 0, 0
+    return *head, "1" if point.is_classical else str(point.rho), point.c, point.d
 
 
 def run_all(seed: int, trials: int, order: int) -> AuditReport:
@@ -886,9 +879,10 @@ def run_all(seed: int, trials: int, order: int) -> AuditReport:
     _count(trials)
     if _index(order) < MAX_DRAWN_INDEX:
         raise ValueError(f"order below the largest drawn index {MAX_DRAWN_INDEX}")
-    report = AuditReport()
-    for case in sorted(REGISTRY, key=lambda cs: (cs.id, cs.variant)):
+    cases = sorted(REGISTRY, key=lambda cs: (cs.id, cs.variant))
+    report = AuditReport({(c.id, c.variant): c.expected for c in cases})
+    for case in cases:
         for trial in range(trials):
             rng = random.Random(f"{seed}:{case.id}:{case.variant}:{trial}")
-            report.records.append(run_case(case, case.draw(rng), order))
+            report.records.append(run_case(case, rng, order))
     return report

@@ -1,201 +1,75 @@
 """Planted engine faults, each breaking one step of the engine by one term,
 index or denominator (``tests/test_faults.py`` states which check catches
-which), and the moment grid that catches some of them.  Most faults copy a
-kernel's body and read the table's private layout, so a change to that
-layout changes them here, in one place."""
+which), and the moment grid that catches some of them.  Each fault is one
+text edit of the engine's own source, so a rewritten kernel is planted as it
+now reads, and an edit whose text the kernel no longer holds fails by name."""
 
+import __future__
+import inspect
 import itertools
-import math
+import textwrap
 from fractions import Fraction as F
-
-import pytest
 
 from qbernstein import distributions, padic, series
 from qbernstein.audit import REGISTRY
-from qbernstein.distributions import CustomMoments, Geometric, MgfTable, NegBinomial, Poisson
+from qbernstein.distributions import CustomMoments, Distribution, MgfTable, NegBinomial, Poisson
 from qbernstein.qcalc import QPoint
 from qbernstein.series import Series
 
 
-def _ode_rule_one_short(cut):
-    """The laws' ODE moment rule, N_k = Q0 N_j + Q1 sum over i <= j of
-    C(j, i) N_i S^(j-i) - P1 sum over i < j of C(j, i) N_(i+1) S^(j-1-i) for
-    j = k - 1, with the term i = j - 1 dropped from the sum that ``cut``
-    ("Q1" or "P1") multiplies."""
-
-    def rule(self, k, nums, order):
-        q0, q1, p1, s = self._ode()
-        j = k - 1
-        low = sum(math.comb(j, i) * nums[i] * s ** (j - i)
-                  for i in range(j + 1) if cut != "Q1" or i != j - 1)
-        high = sum(math.comb(j, i) * nums[i + 1] * s ** (j - 1 - i)
-                   for i in range(j) if cut != "P1" or i != j - 1)
-        return q0 * nums[j] + q1 * low - p1 * high, s**k
-
-    return rule
-
-
-def _power_rule_off_by_one(self, order):
-    """The table's Miller rule in exponential form with zd C(k, j) where
-    Beta_k = sum over j of (zn C(k - 1, j - 1) - zd C(k - 1, j)) zd^(j-1)
-    D_k/(D_j D_(k-j)) N_j Beta_(k-j) needs zd C(k - 1, j)."""
-    nums, held, zn, zd = self._nums, self._zpow, self._z.numerator, self._z.denominator
-    for k in range(len(held), order + 1):
-        split = self._splits[k]
-        held.append(sum(
-            (zn * math.comb(k - 1, j - 1) - zd * math.comb(k, j)) * zd ** (j - 1)
-            * split[j] * nums[j] * held[k - j]
-            for j in range(1, k + 1)
-        ))
+def plant(mp, owners, function, old, new):
+    """Set ``function``, with the one occurrence of ``old`` in its source
+    replaced by ``new``, on each of ``owners`` through ``mp``.  It is built in
+    a fresh namespace over the module's globals, so the engine's own function
+    is left as it is and a name patched in the module is read as patched."""
+    source = textwrap.dedent(inspect.getsource(function))
+    count = source.count(old)
+    assert count == 1, f"{function.__qualname__} holds {old!r} {count} times"
+    lines = "\n" * (function.__code__.co_firstlineno - 1)  # tracebacks keep the engine's lines
+    code = compile(lines + source.replace(old, new), function.__code__.co_filename, "exec",
+                   __future__.annotations.compiler_flag, dont_inherit=True)
+    scope = {}
+    exec(code, function.__globals__, scope)
+    for owner in owners:
+        mp.setattr(owner, function.__name__, scope[function.__name__])
 
 
-def _bell_rule_off_by_one(self, n):
-    """The table's partial Bell recurrence with C(k, i - 1) where row k =
-    sum over i of C(k - 1, i - 1) D_k/(D_i D_(k-i)) N_i times row k - i
-    shifted up one place needs C(k - 1, i - 1)."""
-    nums, rows = self._grown(n), self._rows
-    for k in range(len(rows), n + 1):
-        split, row = self._splits[k], [0] * (k + 1)
-        for i in range(1, k + 1):
-            for m, a in enumerate(rows[k - i], 1):
-                row[m] += math.comb(k, i - 1) * split[i] * nums[i] * a
-        rows.append(tuple(row))
-
-
-def _miller_sum_one_short(nums, den, z):
-    """Series.pow's integer Miller kernel with the sum over j stopping at
-    k - 1, where k b_k = sum over j = 1..k of ((z + 1) j - k) a_j b_(k-j)
-    needs j = k."""
-    zn, zd = z.numerator, z.denominator
-    held, common = [1], 1
-    for k in range(1, len(nums)):
-        acc = sum(((zn + zd) * j - k * zd) * nums[j] * held[k - j] for j in range(1, k))
-        common = series._extend(held, common, acc, k * zd * den)
-    return series.Series.over(held, common)
-
-
-_miller_power, _table_bell = series._miller_power, MgfTable.bell
-_table_bell_parts = MgfTable.bell_parts
-_series_mul = series.Series.__mul__
-
-
-def _extend_leaving_b0(held, common, num, den):
-    """series._extend scaling held[1:] when the common denominator grows by
-    r, where every held numerator, b_0's too, must be scaled."""
-    g = math.gcd(den, num)
-    r = den // g
-    held[1:] = [h * r for h in held[1:]]
-    held.append(num // g)
-    return common * r
-
-
-def _miller_rescaled_one_short(nums, den, z):
-    """Series.pow's Miller kernel, run with that append step."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_extend", _extend_leaving_b0)
-        return _miller_power(nums, den, z)
-
-
-def _bell_read_one_short(self, n, m):
-    """The table's Bell read-out B_(n,m) = A_m(n) / D_(n-1) where the rows,
-    held over D_n, need A_m(n) / D_n."""
-    value = _table_bell(self, n, m)
-    return value * self._dens[n] / self._dens[n - 1] if 0 < m <= n else value
-
-
-def _bell_parts_read_one_short(self, n):
-    """MgfTable.bell_parts giving D_(n-1) where the row A_m(n) is held over
-    D_n."""
-    parts, den = _table_bell_parts(self, n)
-    return parts, self._dens[n - 1] if n else den
-
-
-def _series_mul_one_short(self, other):
-    """Series.__mul__'s integer convolution with the index i stopping at
-    k - 1 instead of k."""
-    if not isinstance(other, series.Series):
-        return _series_mul(self, other)
-    a, b = self.nums, other.nums
-    out = [sum(a[i] * b[k - i] for i in range(k)) for k in range(self.order + 1)]
-    return series.Series.over(out, self.den * other.den)
-
-
-def _series_log_one_short(self):
-    """Series.log with the sum over 0 < i < k stopping at k - 2, where
-    k l_k = k a_k - sum over 0 < i < k of i l_i a_(k-i) needs i = k - 1."""
-    a, den = self.nums, self.den
-    held, common = [0], 1
-    for k in range(1, len(a)):
-        acc = k * a[k] * common - sum(i * held[i] * a[k - i] for i in range(1, k - 1))
-        common = series._extend(held, common, acc, k * den)
-    return series.Series.over(held, common)
-
-
-def _point_with_swapped_brackets(mp):
-    built = QPoint.__init__
-
-    def init(self, *args, **kwargs):
-        built(self, *args, **kwargs)
-        xc, x1 = self.Xc, self.X1
-        object.__setattr__(self, "Xc", x1)
-        object.__setattr__(self, "X1", xc)
-
-    mp.setattr(QPoint, "__init__", init)
-
-def _exp_one_short(self):
-    """Series.exp with the sum over i = 1..k stopping at k - 1."""
-    a, den = self.nums, self.den
-    held, common = [1], 1
-    for k in range(1, len(a)):
-        acc = sum(i * a[i] * held[k - i] for i in range(1, k))
-        common = series._extend(held, common, acc, k * den)
-    return Series.over(held, common)
-
-
-def _grown_over_d_k(self, order):
-    """MgfTable._grown holding index k over the law's own d_k, where the
-    kernels need D_k, a multiple of every D_i D_(k-i)."""
-    nums, dens, splits = self._nums, self._dens, self._splits
-    for k in range(len(nums), order + 1):
-        num, den = self.dist._moment(k, nums, order)
-        nums.append(num)
-        dens.append(den)
-        splits.append([den // (dens[i] * dens[k - i]) for i in range(k + 1)])
-    return nums
-
-
-# Each key names the part of the engine its fault breaks, and each setattr
-# where.  "poisson-rule" and "negbinomial-rule" drop a term of the laws' ODE
-# moment rule from its Q1 sum or its P1 sum: Poisson's ODE has no P1 term
-# and NegBinomial's (which Geometric shares) no Q1 term, so each reaches the
-# one sum its law reads.  "minus-one-rescale" breaks the table's Bell
-# read-out A_m(n) / D_n both as one value and as the row over its
-# denominator that P-LOG, T2.7, the Laurent route and the p-adic rows read,
-# "miller-rescale" the scaling of the held b_i when the power's common
-# denominator grows, and "swapped-brackets" builds every q-point with its
-# brackets X1 and Xc exchanged.
+# Each key names the part of the engine its fault breaks, and each row states
+# where the fault is set, the engine function, and the (old, new) edit of its
+# source.  "poisson-rule" and "negbinomial-rule" drop the term i = j - 1 of
+# the laws' ODE moment rule from its Q1 sum or its P1 sum: Poisson's ODE has
+# no P1 term and NegBinomial's (which Geometric inherits) no Q1 term, so each
+# reaches the one sum its law reads.  "minus-one-rescale" gives the table's
+# Bell row over D_(n-1) where it is held over D_n, which every Bell reader
+# (P-LOG, T2.7, the Laurent route, the p-adic rows) reads; "miller-rescale"
+# scales the held numerators but b_0 when a common denominator grows, in
+# every kernel that appends through ``series._extend``; "swapped-brackets"
+# builds every q-point with its brackets X1 and Xc exchanged; and the two
+# p-adic rows put one too many in the bosonic rule's numerator and one too
+# many in the fermionic rule's power of q.
 FAULTS = {
-    "poisson-rule": lambda mp: mp.setattr(Poisson, "_moment", _ode_rule_one_short("Q1")),
-    "negbinomial-rule": lambda mp: (
-        mp.setattr(NegBinomial, "_moment", _ode_rule_one_short("P1")),
-        mp.setattr(Geometric, "_moment", _ode_rule_one_short("P1")),
-    ),
-    "extend-pow": lambda mp: mp.setattr(MgfTable, "_grow_power", _power_rule_off_by_one),
-    "minus-one-table": lambda mp: mp.setattr(MgfTable, "_grow_rows", _bell_rule_off_by_one),
-    "minus-one-rescale": lambda mp: (
-        mp.setattr(MgfTable, "bell", _bell_read_one_short),
-        mp.setattr(MgfTable, "bell_parts", _bell_parts_read_one_short),
-    ),
-    "miller-rescale": lambda mp: mp.setattr(series, "_miller_power", _miller_rescaled_one_short),
-    "series-pow": lambda mp: mp.setattr(series, "_miller_power", _miller_sum_one_short),
-    "series-mul": lambda mp: (
-        mp.setattr(series.Series, "__mul__", _series_mul_one_short),
-        mp.setattr(series.Series, "__rmul__", _series_mul_one_short),
-    ),
-    "series-log": lambda mp: mp.setattr(series.Series, "log", _series_log_one_short),
-    "series-exp": lambda mp: mp.setattr(Series, "exp", _exp_one_short),
-    "table-over-d-k": lambda mp: mp.setattr(MgfTable, "_grown", _grown_over_d_k),
-    "swapped-brackets": _point_with_swapped_brackets,
+    "poisson-rule": ((Poisson,), Distribution._moment,
+                     "low = low * s + b * nums[i]", "low = low * s + b * nums[i] * (i < j - 1)"),
+    "negbinomial-rule": ((NegBinomial,), Distribution._moment,
+                         "b * nums[i + 1]", "b * nums[i + 1] * (i < j - 1)"),
+    "extend-pow": ((MgfTable,), MgfTable._grow_power, "zd * binom[j]", "zd * math.comb(k, j)"),
+    "minus-one-table": ((MgfTable,), MgfTable._grow_rows,
+                        "math.comb(k - 1, i - 1)", "math.comb(k, i - 1)"),
+    "minus-one-rescale": ((MgfTable,), MgfTable.bell_parts,
+                          "self._dens[n]", "self._dens[max(n - 1, 0)]"),
+    "miller-rescale": ((series,), series._extend,
+                       "held[:] = [h * r for h in held]", "held[1:] = [h * r for h in held[1:]]"),
+    "series-pow": ((series,), series._miller_power, "rev = held[::-1]", "rev = held[:0:-1]"),
+    "series-mul": ((Series,), Series.__mul__, "a[: k + 1]", "a[:k]"),
+    "series-log": ((Series,), Series.log, "tail = held[1:k]", "tail = held[1 : k - 1]"),
+    "series-exp": ((Series,), Series.exp, "slopes[1 : k + 1]", "slopes[1:k]"),
+    "table-over-d-k": ((MgfTable,), MgfTable._grown,
+                       "dens.append(math.lcm(den, *products))", "dens.append(den)"),
+    "swapped-brackets": ((QPoint,), QPoint.__init__, "x, xc, x1, t", "x, x1, xc, t"),
+    "padic-bosonic-rule": ((padic._RuleTable,), padic._RuleTable.__missing__,
+                           "s * (q - 1)", "(s + 1) * (q - 1)"),
+    "padic-fermionic-rule": ((padic._RuleTable,), padic._RuleTable.__missing__,
+                             "(1 + q**s)", "(1 + q**(s + 1))"),
 }
 
 

@@ -285,6 +285,15 @@ def fermionic_partial_sum(beta: int, q: Fraction, p: int, level: int) -> Fractio
     return inner / bracket_count
 
 
+def partial_sum_misses(integral, partial_sum, beta: int, q=Fraction(6), p: int = 5) -> list:
+    """The successive levels 2..6 at which the p-adic valuation of the rule
+    of t^beta under ``integral`` minus its ``partial_sum`` does not grow:
+    nothing where the partial sums converge to the rule."""
+    closed = constant_part(integral(Laurent({beta: 1}), q))
+    vals = [padic_valuation(closed - partial_sum(beta, q, p, level), p) for level in range(2, 7)]
+    return [(a, b) for a, b in zip(vals, vals[1:]) if not (a < b or a == b == math.inf)]
+
+
 def volkenborn_direct_sum(beta: int, q: Fraction, p: int, level: int) -> Fraction:
     """Literal term-by-term version of the bosonic truncated sum, practical
     only for small levels; cross-checks the closed-form accumulation."""

@@ -6,7 +6,7 @@ read.
 each trial must give: status, lhs, rhs, difference).  ``planted_run`` plants
 every row beside the registry as the "verbatim" variant of its id, with a
 ``Drawer(indices=())``, which draws no law, point or index and so spends no
-random call.  It runs the audit three times, once clean, once planted and
+random call, or with its drawer in ``DRAWERS``.  It runs the audit three times, once clean, once planted and
 once planted through ``qbernstein audit --out``, and keeps what they give
 for the rest of the session, so the checks share two triples' six runs.
 """
@@ -92,7 +92,15 @@ OUTCOMES = {
     "logpoly-series": ("pass", _sides(LogPoly({1: 1}), series.Series([1])),
                        ("ERROR", "-", "-",
                         "TypeError: expected an exact scalar (Fraction or int), got LogPoly")),
+    # a drawer that raises gives an ERROR record with no draw rendered; its
+    # drawer is in DRAWERS, and the evaluator is never reached
+    "drawer-raises": ("pass", _skips,
+                      ("ERROR", "-", "-", "ValueError: moment sequence must start with 1")),
 }
+
+# The drawer of a row that does not draw by Drawer(indices=()): here a law
+# the law refuses.
+DRAWERS = {"drawer-raises": Drawer(law=((CustomMoments, (("moments", [(F(2),)]),)),), indices=())}
 
 # (seed, trials, order) of each planted run: the runs whose expected passes
 # hold at order 10 and at the least order the drawn indices admit.
@@ -102,10 +110,6 @@ RUNS = [(7, 2, 10), (2, 2, MAX_DRAWN_INDEX)]
 class PlantedRun(NamedTuple):
     clean: AuditReport
     report: AuditReport  # the same run with every OUTCOMES row planted
-    # its summary lines and expected-pass failures, read while the rows
-    # are planted, since both look up each record's expectation class
-    summary: list
-    failures: list
     code: int  # what ``qbernstein audit --out`` returned on the planted run
     out: str
     err: str
@@ -118,17 +122,17 @@ def planted_run(seed: int, trials: int, order: int) -> PlantedRun:
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(audit, "REGISTRY", audit.REGISTRY + [
-            IdentityCase(case_id, "verbatim", "planted", expected, Drawer(indices=()), evaluate)
+            IdentityCase(case_id, "verbatim", "planted", expected,
+                         DRAWERS.get(case_id, Drawer(indices=())), evaluate)
             for case_id, (expected, evaluate, _) in OUTCOMES.items()
         ])
         report = audit.run_all(seed, trials, order)
-        summary, failures = report.summary_lines(), report.expected_pass_failures()
         path = Path(tmp) / "audit.jsonl"
         argv = ["audit", "--seed", str(seed), "--trials", str(trials), "--order", str(order)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv + ["--out", str(path)])
         written = path.read_text()
-    return PlantedRun(clean, report, summary, failures, code, out.getvalue(), err.getvalue(), written)
+    return PlantedRun(clean, report, code, out.getvalue(), err.getvalue(), written)
 
 
 def planted_runs() -> list:

@@ -54,6 +54,12 @@ from faults import GRID_CASES, GRID_MOMENTS, clear_caches
 from outcomes import OUTCOMES, planted_run, planted_runs
 
 CASES = {(c.id, c.variant): c for c in REGISTRY}
+
+
+def _run_on(case, draw, order):
+    """The record of ``case`` on the one given draw."""
+    return run_case(case._replace(draw=lambda rng: draw), None, order)
+
 POINT = QPoint(F(2, 3), 1, 2)
 
 def test_registry_ids_and_variants_are_unique():
@@ -177,8 +183,8 @@ def test_each_repair_holds_on_the_draws_of_its_printed_form():
             verbatim.draw(random.Random(f"{seed}:{verbatim.id}:verbatim:{trial}"))
             for seed in range(8) for trial in range(5)
         ]
-        assert all(run_case(twin, draw, 16).status == "PASS" for draw in draws), twin.id
-        assert any(run_case(verbatim, draw, 16).status == "FAIL" for draw in draws), verbatim.id
+        assert all(_run_on(twin, draw, 16).status == "PASS" for draw in draws), twin.id
+        assert any(_run_on(verbatim, draw, 16).status == "FAIL" for draw in draws), verbatim.id
 
 
 # The first draw on which each record verbatim case fails, walking the product
@@ -215,7 +221,7 @@ def test_each_printed_form_fails_first_on_its_pinned_draw():
     for case in printed:
         domains = [enumerate_indices(d) if d is not None else [None] for d in case.draw]
         for draw in itertools.product(*domains):
-            record = run_case(case, CaseDraw(*draw), 16)
+            record = _run_on(case, CaseDraw(*draw), 16)
             if record.status != "PASS":
                 break
         *pinned, digest = SMALLEST_FAILURES[case.id]
@@ -223,7 +229,7 @@ def test_each_printed_form_fails_first_on_its_pinned_draw():
         sides = f"{record.lhs}\n{record.rhs}".encode()
         assert hashlib.sha256(sides).hexdigest() == digest, case.id
         if (case.id, "corrected") in CASES:
-            assert run_case(CASES[case.id, "corrected"], CaseDraw(*draw), 16).status == "PASS"
+            assert _run_on(CASES[case.id, "corrected"], CaseDraw(*draw), 16).status == "PASS"
 
 
 def test_the_order_floor_is_read_from_the_domains():
@@ -260,7 +266,7 @@ def _assert_outcome(case_id):
         assert [r for r in run.report.records if r.id == case_id] == trials * [
             AuditRecord(case_id, "verbatim", "-", "-", "-", 0, 0, order, status, *shown)
         ]
-        assert [line for line in run.summary if line.split()[0] == case_id] == [
+        assert [line for line in run.report.summary_lines() if line.split()[0] == case_id] == [
             f"{case_id:<7} verbatim        expected={expected:<7} {TWO_TRIALS[status]}"
         ]
 
@@ -293,7 +299,7 @@ def test_a_memory_error_propagates():
 
     case = IdentityCase("OOM", "verbatim", "always out of memory", "pass", None, evaluate)
     with pytest.raises(MemoryError):
-        run_case(case, CaseDraw(None, None, {}), 8)
+        _run_on(case, CaseDraw(None, None, {}), 8)
 
 
 def test_one_failing_case_leaves_the_rest_of_the_run():
@@ -301,7 +307,7 @@ def test_one_failing_case_leaves_the_rest_of_the_run():
     summary lines, and take none of the others away."""
     for trials, _, run in planted_runs():
         assert len(run.report.records) == len(run.clean.records) + trials * len(OUTCOMES)
-        assert [line for line in run.summary if line.split()[0] not in OUTCOMES] == (
+        assert [line for line in run.report.summary_lines() if line.split()[0] not in OUTCOMES] == (
             run.clean.summary_lines()
         )
 
@@ -315,7 +321,7 @@ def test_a_type_error_leaves_the_rest_of_the_run():
                if expected == "pass" and status != "PASS"}
     assert "type-error" in failing
     for _, _, run in planted_runs():
-        assert run.failures == [r for r in run.report.records if r.id in failing]
+        assert run.report.expected_pass_failures() == [r for r in run.report.records if r.id in failing]
 
 
 def test_run_all_is_deterministic_and_sorted():
@@ -525,7 +531,7 @@ def test_law_generic_cases_hold_for_any_moment_sequence(moments, seed):
         case = CASES[key]
         assert case.expected == "pass"
         draw = case.draw(random.Random(f"{seed}:{key}"))
-        record = run_case(case, CaseDraw(law, draw.point, draw.indices), 8)
+        record = _run_on(case, CaseDraw(law, draw.point, draw.indices), 8)
         assert record.status in ("PASS", "SKIP"), (key, record.difference)
         if key == ("T2.5", "verbatim"):
             assert (record.status == "SKIP") == (moments[0] == 0)

@@ -571,10 +571,11 @@ def test_a_failing_audit_writes_one_error_line():
     ``error:`` line on stderr counting their records; stdout keeps the
     summary lines."""
     for _, _, planted in planted_runs():
+        failures = planted.report.expected_pass_failures()
         assert (planted.code, planted.err) == (
-            1, f"error: {len(planted.failures)} expected-pass record(s) failed\n"
+            1, f"error: {len(failures)} expected-pass record(s) failed\n"
         )
-        assert planted.out == "".join(line + "\n" for line in planted.summary)
+        assert planted.out == "".join(line + "\n" for line in planted.report.summary_lines())
 
 
 def test_an_audit_whose_sides_cannot_be_subtracted_writes_every_record():

@@ -1,17 +1,27 @@
-"""Which check catches which planted engine fault of ``tests/faults.py``: a
-check has force only where a row of ``CAUGHT`` says so (mutation analysis:
-DeMillo, Lipton and Sayward, 1978)."""
+"""Which check catches which planted engine fault of ``tests/faults.py``, each
+a one-line edit of an engine function's source: a check has force only where
+a row of ``CAUGHT`` says so (mutation analysis: DeMillo, Lipton and Sayward,
+1978), and every fault has a row that catches it."""
 
 import functools
 from fractions import Fraction as F
 
 import pytest
 
+from qbernstein import series
 from qbernstein.audit import run_all
+from qbernstein.padic import fermionic, volkenborn
 
 from closed_forms import CLOSED_MGFS, mgf_oracle_misses
-from faults import FAULTS, clear_caches, grid_failures
-from oracles import UNEVEN_DENOMINATORS, check_against_reference, wrong_reads_under_shuffled_growth
+from faults import FAULTS, clear_caches, grid_failures, plant
+from oracles import (
+    UNEVEN_DENOMINATORS,
+    check_against_reference,
+    fermionic_partial_sum,
+    partial_sum_misses,
+    volkenborn_partial_sum,
+    wrong_reads_under_shuffled_growth,
+)
 
 
 def _assertion(check, *args) -> list:
@@ -42,6 +52,12 @@ CHECKS = {
        for law, mgf in CLOSED_MGFS},
     "shuffled-growth": lambda: [wrong_reads_under_shuffled_growth(law)
                                 for law in UNEVEN_DENOMINATORS],
+    # the 5-adic partial sums of each operator's rule of t^beta, beta <= 3,
+    # at q = 6: one part per beta
+    **{f"5-adic-{name}": lambda integral=integral, partial=partial: [
+        partial_sum_misses(integral, partial, beta) for beta in range(4)]
+       for name, integral, partial in (("bosonic", volkenborn, volkenborn_partial_sum),
+                                       ("fermionic", fermionic, fermionic_partial_sum))},
 }
 
 # (fault, check, caught): caught, the check finds something wrong in every
@@ -73,6 +89,12 @@ CAUGHT = [
     ("series-pow", "mgf-oracle-binomial", False),
     ("series-pow", "mgf-oracle-bernoulli", False),
     ("table-over-d-k", "shuffled-growth", True),
+    # no expected-pass case of the audit reads a p-adic integral (C2.1, C3.2
+    # and C3.3 are record cases), so only the partial sums catch these
+    ("padic-bosonic-rule", "audit", False),
+    ("padic-fermionic-rule", "audit", False),
+    ("padic-bosonic-rule", "5-adic-bosonic", True),
+    ("padic-fermionic-rule", "5-adic-fermionic", True),
 ]
 
 
@@ -93,8 +115,19 @@ def test_a_planted_fault_is_caught_as_stated(monkeypatch, fault, check, caught):
     clear_caches()
     try:
         with monkeypatch.context() as mp:
-            FAULTS[fault](mp)
+            plant(mp, *FAULTS[fault])
             found = CHECKS[check]()
     finally:
         clear_caches()
     assert all(found) if caught else not any(found)
+
+
+def test_every_fault_is_caught_and_every_row_names_a_fault_and_a_check(monkeypatch):
+    """Each fault has a check that catches it, and each row of CAUGHT names a
+    fault and a check that exist.  An edit whose old text a function holds
+    no times or twice fails, naming the function."""
+    assert {fault for fault, _, caught in CAUGHT if caught} == set(FAULTS)
+    assert all(fault in FAULTS and check in CHECKS for fault, check, _ in CAUGHT)
+    for old in ("no such text", "held"):
+        with pytest.raises(AssertionError, match="^_extend holds"):
+            plant(monkeypatch, (series,), series._extend, old, "")
