@@ -366,7 +366,13 @@ def _assert_is(s, values):
 
 def check_against_reference(a, b, c, z):
     """Every Series operation on a and b (and the scalar c, the exponent z)
-    against the Fraction-per-coefficient reference above."""
+    against the Fraction-per-coefficient reference above.  ``test_series.py``
+    draws a and b of one order in 0..24, with zero, integer and fractional
+    coefficients in [-40, 40] (denominators up to 60, or up to 10**6 in
+    [-1, 1]), and z among the brackets of 1 - x at q-points, fractions in
+    [-3, 3] and the integers in [-5, 5]; exp reads a with its head set to 0,
+    log and pow with it set to 1, and recip reads a wherever its head is
+    nonzero."""
     s, t, n = Series(a), Series(b), len(a) - 1
     _assert_is(s, a)
     _assert_is(Series.zero(n), [F(0)] * (n + 1))

@@ -25,6 +25,7 @@ from qbernstein.audit import (
     UNIT,
     AuditRecord,
     CaseDraw,
+    CaseSkip,
     Drawer,
     IdentityCase,
     _alternating_stirling_parts,
@@ -368,6 +369,20 @@ def test_non_executable_entry_reports_skip():
     for trials, _, run in planted_runs():
         statuses = [r.status for r in run.clean.records if (r.id, r.variant) == ("T2.2", "verbatim")]
         assert statuses == trials * ["SKIP"]
+
+
+def test_t36_on_a_law_that_never_fails_is_skipped():
+    """NegBinomial(a, 1) has no failure probability to invert, so both T3.6
+    variants raise CaseSkip naming that, and give a SKIP record."""
+    draw = CaseDraw(NegBinomial(2, F(1)), POINT, {"r": 1, "n": 3})
+    for variant in ("verbatim", "corrected"):
+        case = CASES["T3.6", variant]
+        with pytest.raises(CaseSkip, match="^degenerate parameter: no inverse failure probability$"):
+            case.evaluate(draw.dist, draw.point, 8, **draw.indices)
+        assert _run_on(case, draw, 8) == AuditRecord(
+            "T3.6", variant, "negbinomial", "successes=2;p1=1;n=3;r=1", "2/3", 1, 2, 8,
+            "SKIP", "-", "-", "-",
+        )
 
 
 def test_report_summary_mentions_every_case():

@@ -37,31 +37,10 @@ from oracles import SIX_LAWS, reference_qbernstein_laurent, set_partition_count
 POINT = QPoint(F(2, 3), 1, 2)
 
 
-def _stirling_recurrence(n, m, memo={}):
-    if (n, m) in memo:
-        return memo[n, m]
-    if n == 0:
-        value = 1 if m == 0 else 0
-    elif m == 0 or m > n:
-        value = 0
-    else:
-        value = m * _stirling_recurrence(n - 1, m) + _stirling_recurrence(
-            n - 1, m - 1
-        )
-    memo[n, m] = value
-    return value
-
-
 def test_stirling2_against_brute_force_partitions():
     for n in range(9):
         for m in range(n + 2):
             assert stirling2(n, m) == set_partition_count(n, m)
-
-
-def test_stirling2_against_recurrence():
-    for n in range(13):
-        for m in range(13):
-            assert stirling2(n, m) == _stirling_recurrence(n, m)
 
 
 def test_stirling2_edge_values():
@@ -80,9 +59,10 @@ def test_classical_families_against_sympy():
     import sympy
     from sympy.functions.combinatorial.numbers import stirling
 
-    for n in range(12):
-        for m in range(n + 2):
+    for n in range(13):
+        for m in range(13):
             assert stirling2(n, m) == int(stirling(n, m))
+    for n in range(12):
         for x in (F(0), F(1, 2), F(-2, 3), F(3)):
             sx = sympy.Rational(x.numerator, x.denominator)
             assert bell_poly(n, x) == _sympy_rational(sympy.bell(n, sx))

@@ -122,6 +122,13 @@ def test_renderings():
         "Poly([Fraction(1, 1), Fraction(0, 1), Fraction(-2, 3)])"
     )
     assert str(Laurent()) == "0"
+    names = {"Fraction": F, "Laurent": Laurent, "LogPoly": LogPoly, "Series": Series}
+    for value in (
+        Series([F(1), F(0), F(-2, 3)]),
+        Laurent({2: LogPoly({1: 3}), -1: F(1, 2)}),
+        LogPoly({-1: F(5, 4), 0: 2}),
+    ):
+        assert eval(repr(value), names) == value
 
 
 def test_poly_trims_and_degree_sentinel():
