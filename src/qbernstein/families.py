@@ -137,7 +137,8 @@ def qbernstein(r: int, n: int, p: QPoint) -> Fraction:
     and X1 are the brackets of x and of 1 - x at the point.
 
     Again the closed form is the exponential coefficient of its generating
-    function (v X)^r / r! * e^(X1 v); tests assert the series route agrees.
+    function (v X)^r / r! * e^(X1 v); the tests check it against the product
+    of its Fraction factors.
     The value is one ``Fraction`` of binom(n, r) times the numerators of X^r
     and X1^(n - r) over the product of their denominators.
     """

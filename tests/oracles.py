@@ -2,9 +2,10 @@
 
 Everything here is deliberately computed by a different route than the library
 code it checks: brute-force enumeration, recurrences, finite probability sums
-with rigorous rational tail bounds, and truncated ultrametric limit sums.
-``check_against_reference`` and ``wrong_reads_under_shuffled_growth`` check
-the engine against them.
+with rigorous rational tail bounds, and truncated ultrametric limit sums.  The
+``reference_*`` functions work one Fraction (or Laurent ring) operation at a
+time.  ``check_against_reference``, ``qbernstein_route_misses`` and
+``wrong_reads_under_shuffled_growth`` check the engine against them.
 """
 
 from __future__ import annotations
@@ -23,22 +24,28 @@ from qbernstein.distributions import (
     Poisson,
     Uniform01,
 )
-from qbernstein.families import prob_stirling2
+from qbernstein.families import (
+    prob_qbernstein,
+    prob_qbernstein_gf,
+    prob_qbernstein_laurent,
+    prob_stirling2,
+    qbernstein,
+)
 from qbernstein.qcalc import bracket_in_t
 from qbernstein.rings import Laurent, LogPoly
 from qbernstein.series import Series, exp_series
 
 F = Fraction
 
-# one law of each kind the audit draws, at small parameters
-SIX_LAWS = [
-    Poisson(F(2, 3)),
-    Bernoulli(F(1, 2)),
-    Binomial(3, F(1, 3)),
-    Geometric(F(1, 2)),
-    NegBinomial(2, F(2, 3)),
-    Uniform01(),
-]
+
+def six_laws() -> list:
+    """One law of each kind the audit draws, at small parameters, built anew:
+    a law holds its table from the moment it is built."""
+    return [Poisson(F(2, 3)), Bernoulli(F(1, 2)), Binomial(3, F(1, 3)), Geometric(F(1, 2)),
+            NegBinomial(2, F(2, 3)), Uniform01()]
+
+
+SIX_LAWS = six_laws()
 
 
 def set_partition_count(n: int, m: int) -> int:
@@ -346,6 +353,38 @@ def reference_recip(a: list) -> list:
     for k in range(1, len(a)):
         out.append(-sum((a[j] * out[k - j] for j in range(1, k + 1)), F(0)) / a[0])
     return out
+
+
+def reference_qbernstein_gf(law, r: int, p, order: int) -> list:
+    """(v X)^r / r! M^X1 through ``order`` at the point ``p``, in Fractions:
+    r zeros, then X^r / r! times each coefficient of M^X1 by Miller's
+    recurrence above, on the law's M (checked against ``mgf_oracle``)."""
+    front = p.X**r / math.factorial(r)
+    power = reference_pow(list(law.mgf_series(order - r).coeffs), p.X1)
+    return [F(0)] * r + [front * c for c in power]
+
+
+def qbernstein_route_misses(law, p, n: int) -> list:
+    """The (route, r) pairs, r <= n, at which a route to B^Y_(r,n)(x|q) at
+    ``p`` differs from n! times coefficient n of ``reference_qbernstein_gf``:
+    the whole generating function, the table's read of one coefficient, and
+    at a q-point the Laurent route at t; and those at which the closed form of
+    qbernstein differs from C(n, r) X^r X1^(n - r) in Fractions.  A value of
+    another type than its reference's differs."""
+    misses = []
+    for r in range(n + 1):
+        gf = reference_qbernstein_gf(law, r, p, n)
+        value = math.factorial(n) * gf[n]
+        routes = {
+            "gf": (list(prob_qbernstein_gf(law, r, p, n).coeffs), gf),
+            "table": (prob_qbernstein(law, r, n, p), value),
+            "qbernstein": (qbernstein(r, n, p), math.comb(n, r) * p.X**r * p.X1 ** (n - r)),
+        }
+        if not p.is_classical:
+            routes["laurent"] = (prob_qbernstein_laurent(law, r, n, p.q).substitute(p.t), value)
+        misses += [(name, r) for name, (got, expected) in routes.items()
+                   if type(got) is not type(expected) or got != expected]
+    return misses
 
 
 def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:

@@ -1,3 +1,15 @@
+"""Each family of ``qbernstein.families`` against a reference computed
+another way: ``stirling2`` against counted set partitions and sympy;
+``bell_poly``, ``higher_bernoulli`` and ``euler_poly`` against sympy;
+``frobenius_euler`` and the law-dependent Bernoulli and Euler families
+against the classical families they reduce to; ``prob_stirling2`` against its
+closed forms at a Bernoulli and a Poisson law; ``qbernstein`` against the
+product of its Fraction factors; every route to B^Y_(r,n)(x|q), and
+``prob_bernoulli_higher`` at r = 0, against ``oracles.reference_qbernstein_gf``,
+(v X)^r / r! M^X1 by Miller's recurrence in Fractions; and
+``prob_qbernstein_laurent`` in t against ``oracles.reference_qbernstein_laurent``,
+Horner's rule in the Laurent ring."""
+
 import math
 import random
 from fractions import Fraction as F
@@ -6,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbernstein.audit import RHO_GRID
 from qbernstein.distributions import (
     Bernoulli,
     Constant,
@@ -23,16 +36,21 @@ from qbernstein.families import (
     prob_bernoulli_higher,
     prob_euler,
     prob_qbernstein,
-    prob_qbernstein_gf,
     prob_qbernstein_laurent,
     prob_stirling2,
     qbernstein,
     stirling2,
 )
-from qbernstein.qcalc import QPoint
-from qbernstein.series import Series, exp_series
+from qbernstein.qcalc import QPoint, bracket_in_t
 
-from oracles import SIX_LAWS, reference_qbernstein_laurent, set_partition_count
+from oracles import (
+    SIX_LAWS,
+    custom_law,
+    qbernstein_route_misses,
+    reference_qbernstein_gf,
+    reference_qbernstein_laurent,
+    set_partition_count,
+)
 
 POINT = QPoint(F(2, 3), 1, 2)
 
@@ -161,13 +179,14 @@ def test_prob_families_trivial_indices():
 
 def test_prob_bernoulli_higher_at_r_0_reads_moments_through_n():
     """At r = 0 the value is n! [v^n] M^z, which needs M only through n: on a
-    law with exactly n + 1 moments it equals prob_qbernstein at r = 0 with
-    z the bracket of 1 - x, the same coefficient by the table's route.  It
-    reads no mean, so a law of mean zero has a value there."""
+    law with exactly n + 1 moments it equals the Fraction reference of
+    B^Y_(0,n) with z the bracket of 1 - x.  It reads no mean, so a law of
+    mean zero has a value there."""
     p = QPoint(F(1, 2), 1, 2)
     for n in range(5):
-        law = CustomMoments(tuple(F(k * k + 1, k + 1) for k in range(n + 1)))
-        assert prob_bernoulli_higher(law, n, 0, p.X1) == prob_qbernstein(law, 0, n, p)
+        law = custom_law(n + 1)
+        reference = math.factorial(n) * reference_qbernstein_gf(law, 0, p, n)[n]
+        assert prob_bernoulli_higher(law, n, 0, p.X1) == reference
     assert prob_bernoulli_higher(CustomMoments((1, 1, 2)), 2, 0, p.X1) == F(10, 9)
     dead = Constant(F(0))
     assert prob_bernoulli_higher(dead, 0, 0, F(1)) == 1
@@ -181,60 +200,9 @@ def test_bernstein_classical_values():
     assert sum(bernstein_classical(r, 3, F(2, 7)) for r in range(4)) == 1
 
 
-def test_bernstein_closed_form_equals_series_route():
-    for n in range(11):
-        for r in range(n + 1):
-            for x in (F(1, 3), F(2, 7), F(5, 4)):
-                front = Series(
-                    [F(0)] * r + [x**r * F(1, math.factorial(r))] + [F(0)] * (n - r)
-                )
-                series = front * exp_series(1 - x, n)
-                assert bernstein_classical(r, n, x) == series.egf_coeff(n)
-
-
-def _random_points(count, seed):
-    rng = random.Random(seed)
-    rhos = [F(1, 2), F(2, 3), F(3, 4), F(4, 3), F(3, 2)]
-    out = []
-    for _ in range(count):
-        d = rng.choice([2, 3, 4])
-        out.append(QPoint(rng.choice(rhos), rng.randrange(1, d), d))
-    return out
-
-
-def test_qbernstein_closed_form_equals_series_route():
-    for p in _random_points(5, 601):
-        x_val, one_minus = p.X, p.X1
-        for n in range(11):
-            for r in range(n + 1):
-                front = Series(
-                    [F(0)] * r + [x_val**r * F(1, math.factorial(r))] + [F(0)] * (n - r)
-                )
-                series = front * exp_series(one_minus, n)
-                assert qbernstein(r, n, p) == series.egf_coeff(n)
-
-
 def test_qbernstein_values():
     assert qbernstein(1, 2, POINT) == F(18, 25)
     assert qbernstein(3, 3, POINT) == POINT.X**3
-    classical = QPoint.classical(F(2, 7))
-    for n in range(7):
-        for r in range(n + 1):
-            assert qbernstein(r, n, classical) == bernstein_classical(r, n, F(2, 7))
-
-
-def test_prob_qbernstein_reductions():
-    one = Constant(F(1))
-    for p in _random_points(3, 77):
-        for n in range(7):
-            for r in range(n + 1):
-                assert prob_qbernstein(one, r, n, p) == qbernstein(r, n, p)
-    classical = QPoint.classical(F(1, 3))
-    for n in range(7):
-        for r in range(n + 1):
-            assert prob_qbernstein(one, r, n, classical) == bernstein_classical(
-                r, n, F(1, 3)
-            )
 
 
 def test_prob_qbernstein_examples():
@@ -243,131 +211,45 @@ def test_prob_qbernstein_examples():
         assert prob_qbernstein(law, 4, 4, POINT) == POINT.X**4
 
 
-def test_generating_function_equals_the_product_route():
-    """The generating function, M^X1 from the law's table shifted up by r,
-    equals the full product of the monomial with M^X1 built without the
-    table, at every 0 <= r <= order <= 8."""
-    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(9)))
-    for law in SIX_LAWS + [Constant(F(2)), custom]:
-        for p in (POINT, QPoint.classical(F(2, 5))):
-            x_val, one_minus = p.X, p.X1
-            for order in range(9):
-                power = law.mgf_series(order).pow(one_minus)
-                for r in range(order + 1):
-                    front = Series(
-                        [F(0)] * r + [x_val**r / math.factorial(r)] + [F(0)] * (order - r)
-                    )
-                    assert prob_qbernstein_gf(law, r, p, order) == front * power
-
-
-def test_prob_qbernstein_laurent_matches_scalar_route():
-    """The Laurent route (expansion over prob_stirling2) substituted at a
-    point equals the scalar route (Series.pow at the rational bracket)."""
-    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11)))
-    laws = SIX_LAWS + [Constant(F(2)), Constant(F(0)), custom]
-    points = _random_points(len(laws), 906)
-    for law, p in zip(laws, points):
-        for n in range(11):
-            for r in range(n + 1):
-                lau = prob_qbernstein_laurent(law, r, n, p.q)
-                assert lau.substitute(p.t) == prob_qbernstein(law, r, n, p)
-
-
 @pytest.mark.parametrize("q", [F(2, 5), F(81, 256), F(7, 4), F(3, 2)])
 def test_prob_qbernstein_laurent_is_the_ring_horner_coefficientwise(q):
     """The integer Horner in s = 1/t equals, t-exponent by t-exponent, the
     Horner in the falling-factorial basis run in the Laurent ring, at q below
     and above 1, so that b - a takes both signs."""
-    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11)))
-    for law in SIX_LAWS + [Constant(F(2)), Constant(F(0)), custom]:
+    for law in SIX_LAWS + [Constant(F(2)), Constant(F(0)), custom_law(11)]:
         for n in range(11):
             for r in range(n + 1):
                 expected = reference_qbernstein_laurent(law, r, n, q)
                 assert prob_qbernstein_laurent(law, r, n, q) == expected, (law, r, n)
 
 
-@pytest.mark.parametrize(
-    "p", [QPoint(F(3, 2), 1, 3), QPoint.classical(F(2, 5))], ids=["q-point", "classical"]
-)
-def test_prob_qbernstein_reads_the_coefficient_of_the_generating_function(p):
-    """The single-coefficient read equals the exponential coefficient of the
-    whole generating function, with every law's table cold at first and then
-    warm from lower n."""
-    custom = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(11)))
-    for law in SIX_LAWS + [Constant(F(0)), Constant(F(2)), custom]:
-        for n in range(11):
-            for r in range(n + 1):
-                expected = prob_qbernstein_gf(law, r, p, n).egf_coeff(n)
-                assert prob_qbernstein(law, r, n, p) == expected
-
-
-CLOSED_FORM_LAWS = SIX_LAWS + [
-    Constant(F(1)),
-    CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(13))),
-]
+REFERENCE_LAWS = SIX_LAWS + [Constant(F(0)), Constant(F(1)), Constant(F(2)), custom_law(13)]
+# the audit's bases, and one further base on each side of 1
+RHOS = RHO_GRID + [F(1, 3), F(5, 2)]
 
 
 @st.composite
 def value_points(draw):
-    """A q-point with rho on either side of 1 and 0 <= c <= 2d, or a
-    classical point."""
+    """A q-point with rho in RHOS and 0 <= c <= 2d, or a classical point with
+    x in [-3, 3]."""
     if draw(st.booleans()):
-        return QPoint.classical(draw(st.sampled_from([F(0), F(1), F(-2, 3), F(5, 2)])))
+        return QPoint.classical(draw(st.fractions(-3, 3, max_denominator=9)))
     d = draw(st.integers(1, 4))
-    rho = draw(st.sampled_from([F(1, 3), F(2, 3), F(3, 2), F(5, 2)]))
-    return QPoint(rho, draw(st.integers(0, 2 * d)), d)
+    return QPoint(draw(st.sampled_from(RHOS)), draw(st.integers(0, 2 * d)), d)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from(CLOSED_FORM_LAWS),
-    value_points(),
-    st.integers(0, 12).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
-)
-def test_closed_forms_equal_the_fraction_product(law, p, rn):
-    """Each closed form, built as one Fraction from integer parts, equals the
-    product of its Fraction factors; M^X1 is taken from Series.pow, not the
-    law's table."""
-    r, n = rn
-    k = n - r
-    tail = law.mgf_series(k).pow(p.X1).coeffs[k]
-    value = prob_qbernstein(law, r, n, p)
-    assert type(value) is F
-    assert value == math.perm(n, k) * p.X**r * tail
-    closed = qbernstein(r, n, p)
-    assert type(closed) is F
-    assert closed == math.comb(n, r) * p.X**r * p.X1**k
+@given(st.sampled_from(REFERENCE_LAWS), value_points(), st.integers(0, 12))
+def test_every_route_matches_the_fraction_reference(law, p, n):
+    """At every r <= n, the whole generating function, the table's read of
+    its coefficient n, the Laurent route at t and the closed form of
+    qbernstein each equal the Fraction reference (v X)^r / r! M^X1."""
+    assert qbernstein_route_misses(law, p, n) == []
 
 
 def test_prob_qbernstein_laurent_trivial_forms():
-    from qbernstein.qcalc import bracket_in_t
-
     q = F(4, 9)
     one = Constant(F(1))
     for r in range(4):
         assert prob_qbernstein_laurent(one, r, r, q) == bracket_in_t(q) ** r
     assert prob_qbernstein_laurent(Uniform01(), 0, 0, q) == 1
-
-
-def test_corrected_derivative_identity_for_all_six_laws():
-    """Series-level product-rule recurrence with the exact logarithmic factor."""
-    order = 9
-    for law in SIX_LAWS:
-        for p in _random_points(2, 13):
-            x_val, one_minus = p.X, p.X1
-            m_series = law.mgf_series(order)
-            powered = m_series.pow(one_minus)
-
-            def gf(rr):
-                if rr < 0:
-                    return Series.zero(order)
-                front = [F(0)] * rr + [x_val**rr * F(1, math.factorial(rr))]
-                return Series(front + [F(0)] * (order - rr)) * powered
-
-            ratio = m_series.derive() * m_series.recip().truncate(order - 1)
-            for r in range(4):
-                lhs = gf(r).derive()
-                rhs = (x_val * gf(r - 1)).truncate(order - 1) + one_minus * (
-                    gf(r).truncate(order - 1) * ratio
-                )
-                assert lhs == rhs

@@ -4,21 +4,27 @@ a row of ``CAUGHT`` says so (mutation analysis: DeMillo, Lipton and Sayward,
 1978), and every fault has a row that catches it."""
 
 import functools
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from qbernstein import series
 from qbernstein.audit import run_all
+from qbernstein.distributions import Constant
 from qbernstein.padic import fermionic, volkenborn
+from qbernstein.qcalc import QPoint
 
 from closed_forms import CLOSED_MGFS, mgf_oracle_misses
 from faults import FAULTS, clear_caches, grid_failures, plant
 from oracles import (
     UNEVEN_DENOMINATORS,
     check_against_reference,
+    custom_law,
     fermionic_partial_sum,
     partial_sum_misses,
+    qbernstein_route_misses,
+    six_laws,
     volkenborn_partial_sum,
     wrong_reads_under_shuffled_growth,
 )
@@ -35,6 +41,23 @@ def _assertion(check, *args) -> list:
 
 REFERENCE = [F(1), F(-2, 3), F(1, 2), F(0), F(5, 7)]
 
+
+def _route_misses() -> int:
+    """The misses of every route to B^Y_(r,n)(x|q), 0 <= r <= n <= 6, a
+    division by zero one miss, on laws and points built here: a law holds its
+    table and a point its brackets from the moment it is built, so those
+    built before a fault is planted would hide it."""
+    laws = six_laws() + [Constant(F(2)), custom_law(9)]
+    points = [QPoint(F(3, 2), 1, 3), QPoint(F(2, 5), 2, 3), QPoint.classical(F(2, 5))]
+    misses = 0
+    for law, p, n in itertools.product(laws, points, range(7)):
+        try:
+            misses += len(qbernstein_route_misses(law, p, n))
+        except ZeroDivisionError:
+            misses += 1
+    return misses
+
+
 # Each check returns, for each part it checks, what it finds wrong there;
 # on the sound engine it finds nothing in any part.
 CHECKS = {
@@ -48,6 +71,7 @@ CHECKS = {
     "series-reference": lambda: [
         _assertion(check_against_reference, REFERENCE, REFERENCE[::-1], F(3, 2), F(1, 3))
     ],
+    "family-reference": lambda: [_route_misses()],
     **{f"mgf-oracle-{law.name}": lambda law=law, mgf=mgf: [mgf_oracle_misses(law, mgf)]
        for law, mgf in CLOSED_MGFS},
     "shuffled-growth": lambda: [wrong_reads_under_shuffled_growth(law)
@@ -92,6 +116,14 @@ CAUGHT = [
     ("series-pow", "mgf-oracle-binomial", False),
     ("series-pow", "mgf-oracle-bernoulli", False),
     ("table-over-d-k", "shuffled-growth", True),
+    # each fault of the table's M^z, Bell rows and D_k, and of the point's
+    # brackets, moves some route away from the Fraction reference: the
+    # brackets and the Bell rows only the Laurent route, which reads X1 from
+    # q and t alone
+    *((fault, "family-reference", True) for fault in (
+        "extend-pow", "minus-one-table", "minus-one-rescale", "table-over-d-k",
+        "swapped-brackets",
+    )),
     # no expected-pass case of the audit reads a p-adic integral (C2.1, C3.2
     # and C3.3 are record cases), so only the partial sums catch these
     ("padic-bosonic-rule", "audit", False),

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qbernstein.distributions import Constant, CustomMoments, NegBinomial, Poisson
+from qbernstein.distributions import Constant, NegBinomial, Poisson
 from qbernstein import distributions, padic
 from qbernstein.families import prob_qbernstein_laurent
 from qbernstein.padic import (
@@ -21,6 +21,7 @@ from faults import clear_caches
 from oracles import (
     SIX_LAWS,
     conjugate_bracket_in_t,
+    custom_law,
     fermionic_partial_sum,
     is_log_free,
     partial_sum_misses,
@@ -118,23 +119,7 @@ def test_integrate_corollaries_two_term_case():
     assert is_log_free(ferm)
 
 
-def test_integrate_weighted_term_reduces_to_plain_integration():
-    q = F(3, 2)
-    law = Poisson(F(2, 3))
-    integrand = prob_qbernstein_laurent(law, 1, 2, q)
-    assert integrate_weighted_term(law, 1, 2, 0, q) == (
-        volkenborn(integrand, q),
-        fermionic(integrand, q),
-    )
-    weight = falling_factorial(conjugate_bracket_in_t(q), 2)
-    integrand = weight * prob_qbernstein_laurent(law, 0, 1, q)
-    assert integrate_weighted_term(law, 0, 1, 2, q) == (
-        volkenborn(integrand, q),
-        fermionic(integrand, q),
-    )
-
-
-CUSTOM_LAW = CustomMoments(tuple(F(1 + k * k, k + 1) for k in range(17)))
+CUSTOM_LAW = custom_law(17)
 BASIS_LAWS = SIX_LAWS + [Constant(F(0)), Constant(F(2)), CUSTOM_LAW]
 # The laws also checked at w = 0 up to n = 16: one of infinite support, the
 # degenerate law away from 0, and the law of arbitrary rational moments.
