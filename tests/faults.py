@@ -10,7 +10,7 @@ import itertools
 import textwrap
 from fractions import Fraction as F
 
-from qbernstein import distributions, padic, series
+from qbernstein import audit, distributions, families, padic, series
 from qbernstein.audit import REGISTRY
 from qbernstein.distributions import CustomMoments, Distribution, MgfTable, NegBinomial, Poisson
 from qbernstein.qcalc import QPoint
@@ -44,7 +44,9 @@ def plant(mp, owners, function, old, new):
 # (P-LOG, T2.7, the Laurent route, the p-adic rows) reads; "miller-rescale"
 # scales the held numerators but b_0 when a common denominator grows, in
 # every kernel that appends through ``series._extend``; "swapped-brackets"
-# builds every q-point with its brackets X1 and Xc exchanged; and the two
+# builds every q-point with its brackets X1 and Xc exchanged;
+# "euler-prefactor" gives prob_euler the prefactor 2/(M^2 + 1), set also in
+# the audit, which reads the name as imported; and the two
 # p-adic rows put one too many in the bosonic rule's numerator and one too
 # many in the fermionic rule's power of q.
 FAULTS = {
@@ -66,6 +68,8 @@ FAULTS = {
     "table-over-d-k": ((MgfTable,), MgfTable._grown,
                        "dens.append(math.lcm(den, *products))", "dens.append(den)"),
     "swapped-brackets": ((QPoint,), QPoint.__init__, "x, xc, x1, t", "x, x1, xc, t"),
+    "euler-prefactor": ((families, audit), families.prob_euler,
+                        "(m_series + 1)", "(m_series * m_series + 1)"),
     "padic-bosonic-rule": ((padic._RuleTable,), padic._RuleTable.__missing__,
                            "s * (q - 1)", "(s + 1) * (q - 1)"),
     "padic-fermionic-rule": ((padic._RuleTable,), padic._RuleTable.__missing__,

@@ -4,16 +4,19 @@ Everything here is deliberately computed by a different route than the library
 code it checks: brute-force enumeration, recurrences, finite probability sums
 with rigorous rational tail bounds, and truncated ultrametric limit sums.  The
 ``reference_*`` functions work one Fraction (or Laurent ring) operation at a
-time.  ``check_against_reference``, ``qbernstein_route_misses`` and
-``wrong_reads_under_shuffled_growth`` check the engine against them.
+time.  ``check_against_reference``, ``qbernstein_route_misses``,
+``appell_misses``, ``laurent_misses`` and ``wrong_reads_under_shuffled_growth``
+check the engine against them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
+from qbernstein import families
 from qbernstein.distributions import (
     Bernoulli,
     Binomial,
@@ -23,13 +26,6 @@ from qbernstein.distributions import (
     NegBinomial,
     Poisson,
     Uniform01,
-)
-from qbernstein.families import (
-    prob_qbernstein,
-    prob_qbernstein_gf,
-    prob_qbernstein_laurent,
-    prob_stirling2,
-    qbernstein,
 )
 from qbernstein.qcalc import bracket_in_t
 from qbernstein.rings import Laurent, LogPoly
@@ -83,17 +79,27 @@ def one_minus_conjugate_in_t(q: Fraction) -> Laurent:
     return Laurent({0: Fraction(1) / (1 - q), -1: -q / (1 - q)})
 
 
-def reference_qbernstein_laurent(d, r: int, n: int, q: Fraction) -> Laurent:
-    """binom(n, r) X^r times the sum over m <= n - r of (X1)_m
-    prob_stirling2(d, n - r, m), with X and X1 the brackets of x and 1 - x in
-    t, by Horner's rule in the falling-factorial basis, one Laurent ring
-    operation at a time."""
-    k = n - r
+def reference_qbernstein_laurent(rows: list, r: int, n: int, q: Fraction) -> Laurent:
+    """binom(n, r) X^r times the sum over m <= n - r of (X1)_m B_(n - r, m),
+    with X and X1 the brackets of x and 1 - x in t and the Bell numbers read
+    from ``rows`` as ``oracle_bell_rows`` gives them, by Horner's rule in the
+    falling-factorial basis, one Laurent ring operation at a time."""
+    bells = rows[n - r]
     one_minus = one_minus_conjugate_in_t(q)
     total = Laurent()
-    for m in range(k, -1, -1):
-        total = total * (one_minus - m) + prob_stirling2(d, k, m)
+    for m in range(n - r, -1, -1):
+        total = total * (one_minus - m) + bells[m]
     return math.comb(n, r) * bracket_in_t(q) ** r * total
+
+
+def laurent_misses(law, q: Fraction, top: int) -> list:
+    """The (r, n), r <= n <= ``top``, at which ``prob_qbernstein_laurent`` at
+    q differs from ``reference_qbernstein_laurent`` on the law's oracle Bell
+    rows: a check of the table's Bell rows as well as of the integer Horner."""
+    rows = oracle_bell_rows(law, top)
+    return [(r, n) for n in range(top + 1) for r in range(n + 1)
+            if families.prob_qbernstein_laurent(law, r, n, q)
+            != reference_qbernstein_laurent(rows, r, n, q)]
 
 
 def touchard(n: int, alpha: Fraction) -> Fraction:
@@ -145,10 +151,18 @@ def power_by_exp_log(law, z: Fraction, n: int) -> Series:
     return (mgf_oracle(law, n).log() * z).exp()
 
 
-def bell_at(law, n: int, m: int) -> Fraction:
-    """B_(n,m) = n!/m! [v^n] (M - 1)^m, with (M - 1)^m rebuilt at exactly
-    order n by repeated multiplication of the oracle M minus 1."""
-    return _product_power(mgf_oracle(law, n) - 1, m).coeffs[n] * math.perm(n, n - m)
+def oracle_bell_rows(law, order: int) -> list:
+    """Row k, k <= ``order``, is [B_(k,0), .., B_(k,k)], each
+    B_(k,m) = k!/m! [v^k] (M - 1)^m read off the powers of the oracle M minus
+    1 at ``order``, built by repeated multiplication: the law's table is not
+    read."""
+    minus_one, powers = mgf_oracle(law, order) - 1, []
+    power = _product_power(minus_one, 0)
+    for _ in range(order + 1):
+        powers.append(power.coeffs)
+        power = power * minus_one
+    return [[powers[m][k] * math.perm(k, k - m) for m in range(k + 1)]
+            for k in range(order + 1)]
 
 
 def custom_law(count: int) -> CustomMoments:
@@ -364,27 +378,88 @@ def reference_qbernstein_gf(law, r: int, p, order: int) -> list:
     return [F(0)] * r + [front * c for c in power]
 
 
+def _differs(got, expected) -> bool:
+    """A value differs from its reference in value or in type."""
+    return type(got) is not type(expected) or got != expected
+
+
 def qbernstein_route_misses(law, p, n: int) -> list:
     """The (route, r) pairs, r <= n, at which a route to B^Y_(r,n)(x|q) at
     ``p`` differs from n! times coefficient n of ``reference_qbernstein_gf``:
     the whole generating function, the table's read of one coefficient, and
     at a q-point the Laurent route at t; and those at which the closed form of
-    qbernstein differs from C(n, r) X^r X1^(n - r) in Fractions.  A value of
-    another type than its reference's differs."""
+    qbernstein differs from C(n, r) X^r X1^(n - r) in Fractions."""
     misses = []
     for r in range(n + 1):
         gf = reference_qbernstein_gf(law, r, p, n)
         value = math.factorial(n) * gf[n]
         routes = {
-            "gf": (list(prob_qbernstein_gf(law, r, p, n).coeffs), gf),
-            "table": (prob_qbernstein(law, r, n, p), value),
-            "qbernstein": (qbernstein(r, n, p), math.comb(n, r) * p.X**r * p.X1 ** (n - r)),
+            "gf": (list(families.prob_qbernstein_gf(law, r, p, n).coeffs), gf),
+            "table": (families.prob_qbernstein(law, r, n, p), value),
+            "qbernstein": (families.qbernstein(r, n, p),
+                           math.comb(n, r) * p.X**r * p.X1 ** (n - r)),
         }
         if not p.is_classical:
-            routes["laurent"] = (prob_qbernstein_laurent(law, r, n, p.q).substitute(p.t), value)
-        misses += [(name, r) for name, (got, expected) in routes.items()
-                   if type(got) is not type(expected) or got != expected]
+            laurent = families.prob_qbernstein_laurent(law, r, n, p.q)
+            routes["laurent"] = (laurent.substitute(p.t), value)
+        misses += [(name, r) for name, (got, expected) in routes.items() if _differs(got, expected)]
     return misses
+
+
+def _exp(x, order: int) -> list:
+    """e^(x v) through ``order``, in Fractions."""
+    return [F(x) ** k / math.factorial(k) for k in range(order + 1)]
+
+
+def _frobenius_gf(c, u, order, z) -> list:
+    """((1 - u)/(C - u))^order C^z through the order of C, for C(0) = 1."""
+    quotient = [(1 - u) * b for b in reference_recip([1 - u, *c[1:]])]
+    return reference_mul(reference_pow(quotient, order), reference_pow(c, z))
+
+
+def _bernoulli_gf(c, r: int, z) -> list | None:
+    """(v/(C - 1))^r C^z through one below the order of C, for C(0) = 1, by r
+    products; None at r > 0 with C'(0) = 0, where it has no series."""
+    if r and not c[1]:
+        return None
+    front = [F(1)] + [F(0)] * (len(c) - 2)
+    for _ in range(r):
+        front = reference_mul(front, reference_recip(c[1:]))
+    return reference_mul(front, reference_pow(c[:-1], z))
+
+
+AppellDraw = namedtuple("AppellDraw", "law x order u r")
+
+# bell_poly and each Appell-type family -> (its value at index n, its
+# generating function through n in Fractions over e^v or the law's M, or None
+# where it has no series), each of an AppellDraw and n; x is also the
+# exponent of M, u != 1 and r >= 0 is an integer.
+APPELL = {
+    "bell_poly": (lambda a, n: families.bell_poly(n, a.x),
+                  lambda a, n: reference_exp([F(0), *(a.x * b for b in _exp(1, n)[1:])])),
+    "higher_bernoulli": (lambda a, n: families.higher_bernoulli(n, a.order, a.x),
+                         lambda a, n: reference_mul(reference_pow(
+                             reference_recip(_exp(1, n + 1)[1:]), a.order), _exp(a.x, n))),
+    "euler_poly": (lambda a, n: families.euler_poly(n, a.x),
+                   lambda a, n: _frobenius_gf(_exp(1, n), -1, 1, a.x)),
+    "frobenius_euler": (lambda a, n: families.frobenius_euler(n, a.order, a.x, a.u),
+                        lambda a, n: _frobenius_gf(_exp(1, n), a.u, a.order, a.x)),
+    "prob_bernoulli": (lambda a, n: families.prob_bernoulli(a.law, n, a.x),
+                       lambda a, n: _bernoulli_gf(a.law.mgf_series(n + 1).coeffs, 1, a.x)),
+    "prob_bernoulli_higher": (lambda a, n: families.prob_bernoulli_higher(a.law, n, a.r, a.x),
+                              lambda a, n: _bernoulli_gf(a.law.mgf_series(n + 1).coeffs, a.r, a.x)),
+    "prob_euler": (lambda a, n: families.prob_euler(a.law, n, a.x),
+                   lambda a, n: _frobenius_gf(a.law.mgf_series(n).coeffs, -1, 1, a.x)),
+}
+
+
+def appell_misses(a: AppellDraw, n: int) -> list:
+    """The (row, k), k <= n, at which a row of APPELL's value at index k
+    differs from k! times coefficient k of its generating function; a row
+    with no series (the engine refuses it: PRECONDITIONS row
+    prob-bernoulli-higher-mean-zero) is skipped."""
+    return [(name, k) for name, (value, gf) in APPELL.items()
+            for k, c in enumerate(gf(a, n) or []) if _differs(value(a, k), math.factorial(k) * c)]
 
 
 def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
@@ -456,7 +531,8 @@ def wrong_reads_under_shuffled_growth(law):
             if kind == "mgf":
                 wrong += table.series(n) != mgf_oracle(law, n)
             elif kind == "bell":
-                wrong += sum(table.bell(n, m) != bell_at(law, n, m) for m in range(n + 1))
+                row = oracle_bell_rows(law, n)[n]
+                wrong += sum(table.bell(n, m) != b for m, b in enumerate(row))
             else:
                 wrong += table.power(z, n) != power_by_exp_log(law, z, n)
         except ZeroDivisionError:

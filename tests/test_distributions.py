@@ -22,7 +22,6 @@ from qbernstein.families import prob_stirling2
 from qbernstein.series import Series, exp_series
 
 from oracles import (
-    bell_at,
     bernoulli_moment,
     binomial_moment,
     custom_law,
@@ -30,6 +29,7 @@ from oracles import (
     law_id,
     mgf_oracle,
     negbinomial_moment_enclosure,
+    oracle_bell_rows,
     power_by_exp_log,
     touchard,
     uniform_moment,
@@ -253,7 +253,7 @@ def test_table_answers_every_order_from_one_prefix(law, queries, z):
     for sequence in (queries, sorted(queries), sorted(queries, reverse=True)):
         table = MgfTable(law)
         for n, m in sequence:
-            assert table.bell(n, m) == bell_at(law, n, m)
+            assert table.bell(n, m) == oracle_bell_rows(law, n)[n][m]
             assert table.series(n) == mgf_oracle(law, n)
             assert table.power(z, n) == power_by_exp_log(law, z, n)
 
@@ -284,11 +284,10 @@ def test_table_is_unchanged_by_a_request_above_the_moments(count, warm, excess):
     with pytest.raises(ValueError):
         law.moment(above)
     assert _held(table) == before
-    for n in range(count):
+    for n, row in enumerate(oracle_bell_rows(law, count - 1)):
         assert law.moment(n) == law.moments[n]
         assert table.power(F(1, 2), n) == power_by_exp_log(law, F(1, 2), n)
-        for m in range(n + 1):
-            assert table.bell(n, m) == bell_at(law, n, m)
+        assert [table.bell(n, m) for m in range(n + 1)] == row
 
 
 def test_table_holds_one_exponent_at_a_time():
@@ -374,7 +373,7 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
     held ones, and the held Bell row k has length k + 1."""
     top, z = 6, F(-2, 3)
     mgf, power = mgf_oracle(law, top), power_by_exp_log(law, z, top)
-    bell = {(n, m): bell_at(law, n, m) for n in range(top + 1) for m in range(n + 1)}
+    bell = oracle_bell_rows(law, top)
 
     def refuse(*args):
         raise AssertionError("the table rebuilt a series from scratch")
@@ -404,7 +403,7 @@ def test_table_grows_without_rebuilding(law, monkeypatch):
         assert table.power(z, n) == power.truncate(n)
         assert table.series(n) == mgf.truncate(n)
         for m in range(n + 1):
-            assert table.bell(n, m) == bell[n, m]
+            assert table.bell(n, m) == bell[n][m]
         assert len(table._nums) == len(table._zpow) == n + 1
         assert [len(row) for row in table._rows] == list(range(1, n + 2))
     steps = [(n, n) for n in range(1, top + 1)]
@@ -479,13 +478,9 @@ def test_minus_one_powers_are_repeated_products_of_the_oracle(drawn):
     in a shuffled order, against repeated Series products of the
     compositional M minus 1."""
     law, top, queries = drawn
-    base = mgf_oracle(law, top) - 1
-    powers = [Series([F(1)] + [F(0)] * top)]
-    for _ in range(top):
-        powers.append(powers[-1] * base)
-    table = MgfTable(law)
+    rows, table = oracle_bell_rows(law, top), MgfTable(law)
     for n, m in queries:
-        assert table.bell(n, m) == powers[m].coeffs[n] * math.perm(n, n - m)
+        assert table.bell(n, m) == rows[n][m]
 
 
 @pytest.mark.parametrize("law", ALL_LAWS[:-1] + [custom_law(13)], ids=law_id)

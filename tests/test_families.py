@@ -1,15 +1,15 @@
 """Each family of ``qbernstein.families`` against a reference computed
 another way: ``stirling2`` against counted set partitions and sympy;
-``bell_poly``, ``higher_bernoulli`` and ``euler_poly`` against sympy;
-``frobenius_euler`` and the law-dependent Bernoulli and Euler families
-against the classical families they reduce to; ``prob_stirling2`` against its
-closed forms at a Bernoulli and a Poisson law; ``qbernstein`` against the
-product of its Fraction factors; every route to B^Y_(r,n)(x|q), and
-``prob_bernoulli_higher`` at r = 0, against ``oracles.reference_qbernstein_gf``,
-(v X)^r / r! M^X1 by Miller's recurrence in Fractions; and
-``prob_qbernstein_laurent`` in t against ``oracles.reference_qbernstein_laurent``,
-Horner's rule in the Laurent ring."""
+``bell_poly``, ``higher_bernoulli`` and ``euler_poly`` also against sympy;
+``bell_poly`` and each Appell-type family, over e^v or the law's M, against its
+generating function in Fractions (``oracles.APPELL``); ``prob_stirling2``
+against its closed forms at a Bernoulli and a Poisson law; every route to
+B^Y_(r,n)(x|q), ``qbernstein`` and ``prob_bernoulli_higher`` at r = 0 against
+``oracles.reference_qbernstein_gf``, (v X)^r / r! M^X1 by Miller's recurrence
+in Fractions; and ``prob_qbernstein_laurent`` in t against Horner's rule in
+the Laurent ring over the Bell numbers of the oracle M."""
 
+import importlib
 import math
 import random
 from fractions import Fraction as F
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbernstein import _EXPORTS
 from qbernstein.audit import RHO_GRID
 from qbernstein.distributions import (
     Bernoulli,
@@ -30,11 +31,8 @@ from qbernstein.families import (
     bell_poly,
     bernstein_classical,
     euler_poly,
-    frobenius_euler,
     higher_bernoulli,
-    prob_bernoulli,
     prob_bernoulli_higher,
-    prob_euler,
     prob_qbernstein,
     prob_qbernstein_laurent,
     prob_stirling2,
@@ -44,11 +42,14 @@ from qbernstein.families import (
 from qbernstein.qcalc import QPoint, bracket_in_t
 
 from oracles import (
+    APPELL,
     SIX_LAWS,
+    AppellDraw,
+    appell_misses,
     custom_law,
+    laurent_misses,
     qbernstein_route_misses,
     reference_qbernstein_gf,
-    reference_qbernstein_laurent,
     set_partition_count,
 )
 
@@ -118,65 +119,6 @@ def test_prob_stirling2_against_closed_forms():
         )
 
 
-def test_bell_poly_values():
-    assert bell_poly(0, F(7)) == 1
-    for x in (F(0), F(1), F(-3, 2), F(2, 7), F(5)):
-        assert bell_poly(2, x) == x * x + x
-    assert bell_poly(3, F(1)) == 5
-    # agreement with the unit-law partition numbers
-    for n in range(8):
-        assert bell_poly(n, F(1)) == sum(stirling2(n, m) for m in range(n + 1))
-
-
-def test_higher_bernoulli_values():
-    assert higher_bernoulli(1, 1, F(0)) == F(-1, 2)
-    assert higher_bernoulli(0, F(5, 2), F(9)) == 1
-    for n in range(6):
-        assert higher_bernoulli(n, 0, F(3)) == F(3) ** n
-    # classical first-order values
-    assert higher_bernoulli(2, 1, F(0)) == F(1, 6)
-    assert higher_bernoulli(4, 1, F(0)) == F(-1, 30)
-
-
-def test_euler_poly_values():
-    assert euler_poly(0, F(4)) == 1
-    assert euler_poly(1, F(0)) == F(-1, 2)
-    for n in (1, 3, 5):  # the centered generating function is even in v
-        assert euler_poly(n, F(1, 2)) == 0
-    assert euler_poly(3, F(0)) == F(1, 4)
-
-
-def test_frobenius_euler_reduces_to_euler():
-    for n in range(7):
-        for x in (F(0), F(2, 3)):
-            assert frobenius_euler(n, 1, x, F(-1)) == euler_poly(n, x)
-    assert frobenius_euler(0, F(3), F(1), F(2)) == 1
-    for n in range(5):
-        assert frobenius_euler(n, 0, F(2, 7), F(5)) == F(2, 7) ** n
-
-
-def test_prob_families_reduce_to_classical_at_unit_law():
-    one = Constant(F(1))
-    for n in range(8):
-        for x in (F(0), F(1, 2), F(2, 3)):
-            assert prob_bernoulli(one, n, x) == higher_bernoulli(n, 1, x)
-        assert prob_bernoulli_higher(one, n, 1, F(1, 3)) == higher_bernoulli(
-            n, 1, F(1, 3)
-        )
-        assert prob_bernoulli_higher(one, n, 3, F(1, 3)) == higher_bernoulli(
-            n, 3, F(1, 3)
-        )
-
-
-def test_prob_families_trivial_indices():
-    for law in SIX_LAWS:
-        assert prob_euler(law, 0, F(2, 5)) == 1
-        # with zero-th power the generating factor is 1, so only index 0 lives
-        assert prob_bernoulli_higher(law, 0, 0, F(0)) == 1
-        assert prob_bernoulli_higher(law, 3, 0, F(0)) == 0
-        assert prob_bernoulli(law, 0, F(0)) == 1 / law.moment(1)
-
-
 def test_prob_bernoulli_higher_at_r_0_reads_moments_through_n():
     """At r = 0 the value is n! [v^n] M^z, which needs M only through n: on a
     law with exactly n + 1 moments it equals the Fraction reference of
@@ -213,17 +155,16 @@ def test_prob_qbernstein_examples():
 
 @pytest.mark.parametrize("q", [F(2, 5), F(81, 256), F(7, 4), F(3, 2)])
 def test_prob_qbernstein_laurent_is_the_ring_horner_coefficientwise(q):
-    """The integer Horner in s = 1/t equals, t-exponent by t-exponent, the
-    Horner in the falling-factorial basis run in the Laurent ring, at q below
-    and above 1, so that b - a takes both signs."""
+    """The integer Horner in s = 1/t over the table's Bell rows equals,
+    t-exponent by t-exponent, the Horner in the falling-factorial basis run in
+    the Laurent ring over the Bell numbers of the oracle M, at q below and
+    above 1, so that b - a takes both signs."""
     for law in SIX_LAWS + [Constant(F(2)), Constant(F(0)), custom_law(11)]:
-        for n in range(11):
-            for r in range(n + 1):
-                expected = reference_qbernstein_laurent(law, r, n, q)
-                assert prob_qbernstein_laurent(law, r, n, q) == expected, (law, r, n)
+        assert laurent_misses(law, q, 10) == [], law
 
 
-REFERENCE_LAWS = SIX_LAWS + [Constant(F(0)), Constant(F(1)), Constant(F(2)), custom_law(13)]
+# custom_law(14): v/(M - 1) reads M through n + 1 = 13
+REFERENCE_LAWS = SIX_LAWS + [Constant(F(0)), Constant(F(1)), Constant(F(2)), custom_law(14)]
 # the audit's bases, and one further base on each side of 1
 RHOS = RHO_GRID + [F(1, 3), F(5, 2)]
 
@@ -253,3 +194,45 @@ def test_prob_qbernstein_laurent_trivial_forms():
     for r in range(4):
         assert prob_qbernstein_laurent(one, r, r, q) == bracket_in_t(q) ** r
     assert prob_qbernstein_laurent(Uniform01(), 0, 0, q) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.builds(
+        AppellDraw,
+        law=st.sampled_from(REFERENCE_LAWS),
+        x=st.integers(-30, 30).map(lambda k: F(k, 6)),
+        order=st.integers(-12, 12).map(lambda k: F(k, 4)),
+        u=st.integers(-18, 30).filter(lambda k: k != 6).map(lambda k: F(k, 6)),
+        r=st.integers(0, 3),
+    ),
+    st.integers(0, 12),
+)
+def test_every_appell_family_matches_its_generating_function(a, n):
+    """At every k <= n, each row of APPELL equals k! times coefficient k of
+    its generating function in Fractions, at orders of either sign and u on
+    both sides of 1; at a law of mean zero only r = 0 has a series."""
+    assert appell_misses(a, n) == []
+
+
+# each family that is not a row of APPELL -> the check that holds it to its
+# reference, as module::function of tests/
+COVERED_ELSEWHERE = {
+    "bernstein_classical": "test_families::test_bernstein_classical_values",
+    "prob_qbernstein": "oracles::qbernstein_route_misses",
+    "prob_qbernstein_gf": "oracles::qbernstein_route_misses",
+    "prob_qbernstein_laurent": "oracles::laurent_misses",
+    "prob_stirling2": "test_sympy_oracles::test_prob_stirling2_is_sympys_partial_bell_polynomial",
+    "qbernstein": "oracles::qbernstein_route_misses",
+    "stirling2": "test_families::test_stirling2_against_brute_force_partitions",
+}
+
+
+def test_every_family_is_a_row_or_names_its_check():
+    """Each family the package exports is a row of APPELL or a key of
+    COVERED_ELSEWHERE, and not both, so a new family lands with its
+    reference; each check named there exists."""
+    assert sorted([*APPELL, *COVERED_ELSEWHERE]) == sorted(_EXPORTS["families"])
+    for check in COVERED_ELSEWHERE.values():
+        module, name = check.split("::")
+        assert callable(getattr(importlib.import_module(module), name, None)), check

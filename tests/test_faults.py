@@ -19,9 +19,12 @@ from closed_forms import CLOSED_MGFS, mgf_oracle_misses
 from faults import FAULTS, clear_caches, grid_failures, plant
 from oracles import (
     UNEVEN_DENOMINATORS,
+    AppellDraw,
+    appell_misses,
     check_against_reference,
     custom_law,
     fermionic_partial_sum,
+    laurent_misses,
     partial_sum_misses,
     qbernstein_route_misses,
     six_laws,
@@ -42,20 +45,22 @@ def _assertion(check, *args) -> list:
 REFERENCE = [F(1), F(-2, 3), F(1, 2), F(0), F(5, 7)]
 
 
-def _route_misses() -> int:
-    """The misses of every route to B^Y_(r,n)(x|q), 0 <= r <= n <= 6, a
-    division by zero one miss, on laws and points built here: a law holds its
-    table and a point its brackets from the moment it is built, so those
-    built before a fault is planted would hide it."""
-    laws = six_laws() + [Constant(F(2)), custom_law(9)]
-    points = [QPoint(F(3, 2), 1, 3), QPoint(F(2, 5), 2, 3), QPoint.classical(F(2, 5))]
+def _misses(find, cases) -> int:
+    """The misses ``find`` lists over ``cases``, a division by zero or a
+    refused series one miss.  The checks below build their laws and points
+    anew: a law holds its table and a point its brackets from the moment it
+    is built, so those built before a fault is planted would hide it."""
     misses = 0
-    for law, p, n in itertools.product(laws, points, range(7)):
+    for case in cases:
         try:
-            misses += len(qbernstein_route_misses(law, p, n))
-        except ZeroDivisionError:
+            misses += len(find(*case))
+        except (ZeroDivisionError, ValueError):
             misses += 1
     return misses
+
+
+def _laws() -> list:
+    return six_laws() + [Constant(F(0)), Constant(F(1)), Constant(F(2)), custom_law(11)]
 
 
 # Each check returns, for each part it checks, what it finds wrong there;
@@ -71,7 +76,17 @@ CHECKS = {
     "series-reference": lambda: [
         _assertion(check_against_reference, REFERENCE, REFERENCE[::-1], F(3, 2), F(1, 3))
     ],
-    "family-reference": lambda: [_route_misses()],
+    # every route to B^Y_(r,n)(x|q), 0 <= r <= n <= 6
+    "family-reference": lambda: [_misses(qbernstein_route_misses, itertools.product(
+        _laws(), [QPoint(F(3, 2), 1, 3), QPoint(F(2, 5), 2, 3), QPoint.classical(F(2, 5))],
+        range(7)))],
+    # every Appell-type family at k <= 8, (x, order, u, r) at an order of
+    # each sign and u on each side of 1 in turn
+    "appell-reference": lambda: [_misses(appell_misses, (
+        (AppellDraw(law, *draw), 8) for law, draw in zip(_laws(), itertools.cycle(
+            [(F(2, 3), F(-3, 2), F(5, 2), 2), (F(-7, 4), F(1, 3), F(-1, 3), 1)]))))],
+    # the Laurent route at q = 2/5, r <= n <= 6
+    "laurent-reference": lambda: [_misses(laurent_misses, ((law, F(2, 5), 6) for law in _laws()))],
     **{f"mgf-oracle-{law.name}": lambda law=law, mgf=mgf: [mgf_oracle_misses(law, mgf)]
        for law, mgf in CLOSED_MGFS},
     "shuffled-growth": lambda: [wrong_reads_under_shuffled_growth(law)
@@ -100,9 +115,9 @@ CAUGHT = [
         "miller-rescale", "series-pow", "series-mul",
     )),
     # the fixed-input Fraction reference catches each fault of series.py; a
-    # one-short Series.exp fails no expected-pass record of the audit above:
-    # only T3.1 reaches it (through bell_poly), at n - r = 0 in both its
-    # draws there
+    # one-short Series.exp fails no expected-pass record of the audit above
+    # (T3.1 reads it through bell_poly, at n - r = 0 in both its draws
+    # there), and appell-reference below catches it through bell_poly too
     *((fault, "series-reference", True) for fault in (
         "miller-rescale", "series-pow", "series-mul", "series-log", "series-exp",
     )),
@@ -123,6 +138,22 @@ CAUGHT = [
     *((fault, "family-reference", True) for fault in (
         "extend-pow", "minus-one-table", "minus-one-rescale", "table-over-d-k",
         "swapped-brackets",
+    )),
+    # the Series kernels the families run (bell_poly's exp refuses its
+    # argument under miller-rescale), a grown table whose M at a lower order
+    # is not the prefix of its M at a higher one, and the Euler prefactor,
+    # which the audit and the grid miss: T2.4 reads prob_euler on both sides
+    *((fault, "appell-reference", True) for fault in (
+        "miller-rescale", "series-pow", "series-mul", "series-exp", "table-over-d-k",
+        "euler-prefactor",
+    )),
+    ("euler-prefactor", "audit", False),
+    ("euler-prefactor", "moment-grid", False),
+    # the Bell numbers of the oracle M catch each fault of the table's Bell
+    # rows and D_k and of the laws' moment rules
+    *((fault, "laurent-reference", True) for fault in (
+        "poisson-rule", "negbinomial-rule", "minus-one-table", "minus-one-rescale",
+        "table-over-d-k",
     )),
     # no expected-pass case of the audit reads a p-adic integral (C2.1, C3.2
     # and C3.3 are record cases), so only the partial sums catch these
